@@ -1,14 +1,14 @@
-// Explicit-state reachability builder.
-//
-// Breadth-first exploration from the initial states; the BFS depth at which
-// no new states appear is PRISM's "reachability iterations" (RI) reported in
-// the paper's Tables III-V. Also provides a memory-lean packed-u64 variant
-// that only counts reachable states (for the paper's original-model columns
-// where the full matrix would not fit in memory).
+// Explicit-state reachability. dtmc::explore is the library's one BFS: level
+// by level (the level count is PRISM's "reachability iterations", RI, of
+// the paper's Tables III-V), over packed u64 state keys when the layout
+// fits 64 bits and State vectors otherwise, normalizing and hashing each
+// row as it is emitted. One pass yields the engine's cache key and,
+// optionally, the CSR buildFromExploration assembles without a second BFS.
+// buildExplicit, countReachable and dtmc::modelSignature wrap it.
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <vector>
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
@@ -43,7 +43,48 @@ struct BuildResult {
   double buildSeconds = 0.0;
 };
 
-/// Build the reachable explicit DTMC for a model.
+struct ExploreOptions {
+  /// Stop (Exploration::exact = false) past this many discovered states.
+  std::uint64_t maxStates = 20'000'000;
+  /// As BuildOptions::probFloor; applied before rows are hashed or kept.
+  double probFloor = 0.0;
+  /// Keep the CSR for buildFromExploration; off = hash and count only.
+  bool keepMatrix = true;
+};
+
+struct Exploration {
+  /// Hash of the layout, state table, initial states and normalized rows;
+  /// deterministic across runs and thread counts. A truncated exploration
+  /// folds its cap in, so it never aliases an exact one.
+  std::uint64_t hash = 0;
+  /// The whole reachable set was covered.
+  bool exact = false;
+  std::uint64_t states = 0;        ///< discovered (reachable when exact)
+  std::uint64_t transitions = 0;   ///< normalized nonzeros emitted
+  std::uint32_t reachabilityIterations = 0;  ///< BFS levels (RI when exact)
+  double worstMassDeviation = 0.0;  ///< max |row mass - 1| before normalizing
+  double seconds = 0.0;
+  /// keepMatrix and exact only: CSR, initial distribution and layout, plus
+  /// the state table — in raw.states for layouts wider than 64 bits, as
+  /// packed keys (decoded by a build) otherwise.
+  ExplicitDtmc::Raw raw;
+  std::vector<std::uint64_t> packedStates;
+};
+
+/// Explore the reachable state space of `model`. Never throws on large
+/// models: past options.maxStates it stops with exact = false.
+[[nodiscard]] Exploration explore(const Model& model,
+                                  const ExploreOptions& options = {});
+
+/// Assemble the explicit DTMC from a matrix-keeping exploration, without
+/// exploring again (buildSeconds = the exploration's time). Throws what
+/// buildExplicit throws (no initial states, more than options.maxStates
+/// states or a truncated exploration), std::invalid_argument without a
+/// kept matrix.
+[[nodiscard]] BuildResult buildFromExploration(Exploration exploration,
+                                               const BuildOptions& options);
+
+/// Build the reachable explicit DTMC for a model (explore, then assemble).
 /// Throws std::runtime_error when maxStates is exceeded.
 [[nodiscard]] BuildResult buildExplicit(const Model& model,
                                         const BuildOptions& options = {});
@@ -55,9 +96,8 @@ struct CountResult {
   double buildSeconds = 0.0;
 };
 
-/// Count reachable states without materializing the matrix. Requires the
-/// model's packed state width to fit in 64 bits.
-/// Throws std::runtime_error when maxStates is exceeded.
+/// Count reachable states without materializing the matrix (the paper's
+/// original-model columns). Throws std::runtime_error past maxStates.
 [[nodiscard]] CountResult countReachable(const Model& model,
                                          std::uint64_t maxStates = 200'000'000);
 

@@ -1,8 +1,5 @@
 #include "dtmc/model.hpp"
 
-#include <algorithm>
-#include <cassert>
-
 namespace mimostat::dtmc {
 
 bool Model::atom(const State& /*s*/, std::string_view /*name*/) const {
@@ -11,42 +8,6 @@ bool Model::atom(const State& /*s*/, std::string_view /*name*/) const {
 
 double Model::stateReward(const State& /*s*/, std::string_view /*name*/) const {
   return 0.0;
-}
-
-double normalizeTransitions(std::vector<Transition>& transitions, double floor) {
-  if (transitions.empty()) return 0.0;
-  std::sort(transitions.begin(), transitions.end(),
-            [](const Transition& a, const Transition& b) {
-              return a.target < b.target;
-            });
-  // Merge duplicates in place.
-  std::size_t out = 0;
-  for (std::size_t i = 1; i < transitions.size(); ++i) {
-    if (transitions[i].target == transitions[out].target) {
-      transitions[out].prob += transitions[i].prob;
-    } else {
-      ++out;
-      if (out != i) transitions[out] = std::move(transitions[i]);
-    }
-  }
-  transitions.resize(out + 1);
-
-  double mass = 0.0;
-  for (const auto& t : transitions) mass += t.prob;
-
-  if (floor > 0.0) {
-    std::erase_if(transitions, [floor](const Transition& t) {
-      return t.prob < floor;
-    });
-    assert(!transitions.empty() && "probability floor removed all transitions");
-    double kept = 0.0;
-    for (const auto& t : transitions) kept += t.prob;
-    if (kept > 0.0 && kept != mass) {
-      const double scale = mass / kept;
-      for (auto& t : transitions) t.prob *= scale;
-    }
-  }
-  return mass;
 }
 
 }  // namespace mimostat::dtmc

@@ -7,6 +7,8 @@
 // pCTL properties can refer to them.
 #pragma once
 
+#include <algorithm>
+#include <cassert>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -52,9 +54,45 @@ class Model {
   [[nodiscard]] VarLayout layout() const { return VarLayout(variables()); }
 };
 
-/// Merge duplicate targets in a transition list (sums probabilities) and
-/// optionally drop entries below `floor`, renormalizing the remainder.
-/// Returns the total probability mass before normalization (should be ~1).
-double normalizeTransitions(std::vector<Transition>& transitions, double floor);
+/// Sort a successor list by target, merge duplicate targets (summing their
+/// probabilities in sorted order) and optionally drop entries below
+/// `floor`, renormalizing the remainder. Returns the total probability mass
+/// before normalization (should be ~1). `Entry` is Transition or any
+/// {prob, target} pair whose targets compare like State: on packed keys,
+/// which order as the states do, the same std::sort makes the same
+/// comparisons, so duplicates merge bit-identically.
+template <class Entry>
+double normalizeTransitions(std::vector<Entry>& row, double floor) {
+  if (row.empty()) return 0.0;
+  std::sort(row.begin(), row.end(), [](const Entry& a, const Entry& b) {
+    return a.target < b.target;
+  });
+  // Merge duplicates in place.
+  std::size_t out = 0;
+  for (std::size_t i = 1; i < row.size(); ++i) {
+    if (row[i].target == row[out].target) {
+      row[out].prob += row[i].prob;
+    } else {
+      ++out;
+      if (out != i) row[out] = std::move(row[i]);
+    }
+  }
+  row.resize(out + 1);
+
+  double mass = 0.0;
+  for (const auto& t : row) mass += t.prob;
+
+  if (floor > 0.0) {
+    std::erase_if(row, [floor](const Entry& t) { return t.prob < floor; });
+    assert(!row.empty() && "probability floor removed all transitions");
+    double kept = 0.0;
+    for (const auto& t : row) kept += t.prob;
+    if (kept > 0.0 && kept != mass) {
+      const double scale = mass / kept;
+      for (auto& t : row) t.prob *= scale;
+    }
+  }
+  return mass;
+}
 
 }  // namespace mimostat::dtmc

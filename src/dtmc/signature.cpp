@@ -1,149 +1,17 @@
 #include "dtmc/signature.hpp"
 
-#include <cstring>
-#include <deque>
-#include <unordered_set>
-
-#include "dtmc/state.hpp"
+#include "dtmc/builder.hpp"
 #include "util/hash.hpp"
 
 namespace mimostat::dtmc {
 
-namespace {
-
-std::uint64_t hashBits(std::uint64_t h, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return util::hashCombine(h, util::mix64(bits));
-}
-
-std::uint64_t hashState(std::uint64_t h, const State& s) {
-  return util::hashCombine(
-      h, util::fnv1a(s.data(), s.size() * sizeof(std::int32_t)));
-}
-
-/// Transition-less states are absorbing by convention (buildExplicit and
-/// PathSampler materialize the self-loop); hash it the same way so a model
-/// emitting nothing and one emitting an explicit {1.0, s} self-loop share a
-/// cache key, and sig.transitions matches the built transition count.
-std::uint64_t hashSelfLoop(std::uint64_t h, const State& s,
-                           std::uint64_t& transitions) {
-  h = hashBits(h, 1.0);
-  h = hashState(h, s);
-  ++transitions;
-  return h;
-}
-
-/// BFS probe storing visited states as packed u64 keys (PackedStateSet +
-/// u64 frontier) — ~5x leaner than the vector-state set, same as
-/// countReachable. The hash stream is computed over the unpacked states, so
-/// packed and vector probes of the same model produce the same signature.
-ModelSignature packedProbe(const Model& model, const VarLayout& layout,
-                           const SignatureOptions& options, std::uint64_t h,
-                           ModelSignature sig) {
-  util::PackedStateSet visited(1 << 16);
-  std::deque<std::uint64_t> frontier;
-  for (const State& init : model.initialStates()) {
-    h = hashState(h, init);
-    const std::uint64_t packed = layout.pack(init);
-    if (visited.insert(packed)) frontier.push_back(packed);
-  }
-
-  std::vector<Transition> out;
-  while (!frontier.empty()) {
-    const State current = layout.unpack(frontier.front());
-    frontier.pop_front();
-    out.clear();
-    model.transitions(current, out);
-    if (out.empty()) {
-      h = hashSelfLoop(h, current, sig.transitions);
-      continue;
-    }
-    for (const Transition& t : out) {
-      h = hashBits(h, t.prob);
-      h = hashState(h, t.target);
-      ++sig.transitions;
-      const std::uint64_t packed = layout.pack(t.target);
-      if (visited.insert(packed)) {
-        if (visited.size() > options.maxStates) {
-          sig.states = visited.size();
-          sig.hash = util::hashCombine(h, util::mix64(~options.maxStates));
-          return sig;
-        }
-        frontier.push_back(packed);
-      }
-    }
-  }
-
-  sig.exact = true;
-  sig.states = visited.size();
-  sig.hash = h;
-  return sig;
-}
-
-}  // namespace
-
 ModelSignature modelSignature(const Model& model,
                               const SignatureOptions& options) {
-  ModelSignature sig;
-  std::uint64_t h = 0xA11A5E5ULL;
-
-  const VarLayout layout = model.layout();
-  for (const VarSpec& var : layout.vars()) {
-    h = util::hashCombine(h, util::fnv1a(var.name.data(), var.name.size()));
-    h = util::hashCombine(h, util::mix64(static_cast<std::uint64_t>(
-                                 static_cast<std::uint32_t>(var.lo)) |
-                             (static_cast<std::uint64_t>(
-                                  static_cast<std::uint32_t>(var.hi))
-                              << 32)));
-  }
-
-  // Both probes BFS in discovery order; the hash stream is a function of the
-  // model alone (no pointers, no container iteration order), so the
-  // signature is stable across runs and processes. Layouts that pack into
-  // 64 bits take the memory-lean packed path.
-  if (layout.fitsInU64()) {
-    return packedProbe(model, layout, options, h, sig);
-  }
-
-  std::unordered_set<State, util::VecI32Hash> visited;
-  std::deque<State> frontier;
-  for (const State& init : model.initialStates()) {
-    h = hashState(h, init);
-    if (visited.insert(init).second) frontier.push_back(init);
-  }
-
-  std::vector<Transition> out;
-  while (!frontier.empty()) {
-    const State current = std::move(frontier.front());
-    frontier.pop_front();
-    out.clear();
-    model.transitions(current, out);
-    if (out.empty()) {
-      h = hashSelfLoop(h, current, sig.transitions);
-      continue;
-    }
-    for (const Transition& t : out) {
-      h = hashBits(h, t.prob);
-      h = hashState(h, t.target);
-      ++sig.transitions;
-      if (visited.insert(t.target).second) {
-        if (visited.size() > options.maxStates) {
-          // Truncated probe: fold the visit cap in so a truncated signature
-          // can never alias an exact one with the same prefix.
-          sig.states = visited.size();
-          sig.hash = util::hashCombine(h, util::mix64(~options.maxStates));
-          return sig;
-        }
-        frontier.push_back(t.target);
-      }
-    }
-  }
-
-  sig.exact = true;
-  sig.states = visited.size();
-  sig.hash = h;
-  return sig;
+  ExploreOptions exploreOptions;
+  exploreOptions.maxStates = options.maxStates;
+  exploreOptions.keepMatrix = false;
+  const Exploration e = explore(model, exploreOptions);
+  return {e.hash, e.exact, e.states, e.transitions};
 }
 
 void LabelRewardDigest::addMask(std::uint64_t formulaHash,

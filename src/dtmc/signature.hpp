@@ -1,19 +1,18 @@
 // Structural model signatures for build caching.
 //
-// A signature identifies a dtmc::Model's *transition structure* (variable
-// layout, initial states, reachable transition relation) by a deterministic
-// BFS probe, so an engine can reuse an already-built ExplicitDtmc for a
-// structurally identical model. Atoms and rewards are deliberately NOT part
-// of the signature: the explicit DTMC stores only structure, and label /
-// reward vectors are always re-evaluated through the requesting model.
+// A signature identifies a dtmc::Model's *transition structure* — the
+// explicit DTMC a build would produce: variable layout, state table,
+// initial states and normalized rows — by the hash of one dtmc::explore
+// pass, so an engine can reuse an already-built ExplicitDtmc for a
+// structurally identical model. Models whose builds are identical share a
+// signature (a model emitting duplicate targets and one emitting their
+// merged sum, a dead-end state and an explicit self-loop). Atoms and
+// rewards are deliberately NOT part of the signature: the explicit DTMC
+// stores only structure, and label / reward vectors are always re-evaluated
+// through the requesting model.
 //
-// The probe doubles as a capped reachable-state count (the paper's
-// "original model" columns count states the same way): when `exact` is
-// true the probe visited the whole reachable set and `states` is its size.
-// When the variable layout packs into 64 bits the probe stores visited
-// states as packed keys (util::PackedStateSet, as countReachable does),
-// cutting probe memory ~5x on large models; wider layouts fall back to the
-// vector-state set. Both paths hash the same stream, so they agree.
+// The signature doubles as a capped reachable-state count: when `exact` is
+// true, `states` is the reachable set's size. It keeps no matrix.
 #pragma once
 
 #include <cstdint>
@@ -26,23 +25,24 @@
 namespace mimostat::dtmc {
 
 struct SignatureOptions {
-  /// Abort the probe (exact=false) past this many visited states.
+  /// Stop exploring (exact=false) past this many discovered states.
   std::uint64_t maxStates = 1'000'000;
 };
 
 struct ModelSignature {
-  /// Hash over layout + initial states + probed transition relation.
+  /// dtmc::Exploration::hash of the model (probability floor 0).
   std::uint64_t hash = 0;
-  /// The probe covered the entire reachable set.
+  /// The exploration covered the entire reachable set.
   bool exact = false;
-  /// States visited (the reachable count when exact).
+  /// States discovered (the reachable count when exact).
   std::uint64_t states = 0;
-  /// Transitions hashed during the probe.
+  /// Normalized transitions (the built nonzero count when exact).
   std::uint64_t transitions = 0;
 };
 
-/// Deterministic structural signature of a model. Never throws on large
-/// models — the probe truncates and reports exact=false instead.
+/// Deterministic structural signature of a model: dtmc::explore without
+/// the matrix. Never throws on large models — the exploration truncates and
+/// reports exact=false instead.
 [[nodiscard]] ModelSignature modelSignature(const Model& model,
                                             const SignatureOptions& options = {});
 

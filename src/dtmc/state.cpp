@@ -16,15 +16,19 @@ int bitsFor(std::int64_t rangeSize) {
 VarLayout::VarLayout(const std::vector<VarSpec>& vars) : vars_(vars) {
   bitWidth_.reserve(vars_.size());
   bitOffset_.reserve(vars_.size());
-  int offset = 0;
   for (const auto& v : vars_) {
     assert(v.hi >= v.lo);
-    const int width = bitsFor(v.rangeSize());
-    bitWidth_.push_back(width);
-    bitOffset_.push_back(offset);
-    offset += width;
+    bitWidth_.push_back(bitsFor(v.rangeSize()));
+    totalBits_ += bitWidth_.back();
   }
-  totalBits_ = offset;
+  // Lexicographic packing: variable 0 takes the most significant bits, so
+  // comparing packed keys as integers orders states exactly as State's
+  // operator< does (each field is a monotone offset from its lower bound).
+  int offset = totalBits_;
+  for (const int width : bitWidth_) {
+    offset -= width;
+    bitOffset_.push_back(offset);
+  }
 }
 
 std::size_t VarLayout::indexOf(const std::string& name) const {

@@ -28,6 +28,8 @@ struct VarSpec {
 
 /// Bit-packing layout derived from a variable list. Supports packing states
 /// whose total width fits in 64 bits; wider models must use the vector form.
+/// Packing is lexicographic (variable 0 in the high bits): for two states of
+/// this layout, pack(a) < pack(b) exactly when a < b.
 class VarLayout {
  public:
   VarLayout() = default;

@@ -69,6 +69,41 @@ std::uint64_t cacheKeyFor(std::uint64_t signatureHash,
   return key;
 }
 
+/// The hashed (and kept) rows follow the build's probability floor, so a
+/// miss can assemble the DTMC straight from the key exploration.
+dtmc::ExploreOptions exploreOptionsFor(const dtmc::BuildOptions& build,
+                                       std::uint64_t maxStates,
+                                       bool keepMatrix) {
+  dtmc::ExploreOptions options;
+  options.maxStates = maxStates;
+  options.probFloor = build.probFloor;
+  options.keepMatrix = keepMatrix;
+  return options;
+}
+
+/// A model-cache entry, assembled from `exploration` (the one that produced
+/// `key`; no second BFS) when given, else built with buildExplicit.
+std::shared_ptr<const BuiltModel> builtModel(
+    const dtmc::Model& model, const dtmc::BuildOptions& buildOptions,
+    std::uint64_t key, dtmc::Exploration* exploration) {
+  dtmc::BuildResult build;
+  if (exploration != nullptr) {
+    // Nests under "engine.build", like buildExplicit's span.
+    obs::Span assemble("dtmc.build");
+    build = dtmc::buildFromExploration(std::move(*exploration), buildOptions);
+    build.buildSeconds += assemble.stopSeconds();
+  } else {
+    build = dtmc::buildExplicit(model, buildOptions);
+  }
+  auto built = std::make_shared<BuiltModel>();
+  built->dtmc = std::move(build.dtmc);
+  built->reachabilityIterations = build.reachabilityIterations;
+  built->buildSeconds = build.buildSeconds;
+  built->signature = key;
+  built->approxBytes = approxDtmcBytes(built->dtmc);
+  return built;
+}
+
 }  // namespace
 
 const char* backendName(Backend backend) {
@@ -184,54 +219,40 @@ void AnalysisEngine::evictLocked() {
   }
 }
 
-std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
-    const dtmc::Model& model, const dtmc::BuildOptions& buildOptions,
-    std::optional<std::uint64_t> key, bool* cacheHit) {
-  if (cacheHit != nullptr) *cacheHit = false;
-  if (!key) {
-    dtmc::SignatureOptions sigOptions;
-    sigOptions.maxStates = buildOptions.maxStates;
-    key = cacheKeyFor(dtmc::modelSignature(model, sigOptions).hash,
-                      buildOptions);
-  }
-
+std::shared_ptr<const BuiltModel> AnalysisEngine::getOrCompute(
+    std::uint64_t key, bool quotient, bool* cacheHit,
+    const std::function<std::shared_ptr<const BuiltModel>()>& compute) {
   std::promise<std::shared_ptr<const BuiltModel>> promise;
   std::shared_future<std::shared_ptr<const BuiltModel>> joined;
   {
     const util::MutexLock lock(cacheMutex_);
-    const auto it = modelCache_.find(*key);
+    const auto it = modelCache_.find(key);
     if (it != modelCache_.end()) {
-      ++cacheHits_;
-      cacheHitCounter_.inc();
+      ++(quotient ? quotientHits_ : cacheHits_);
+      (quotient ? quotientHitCounter_ : cacheHitCounter_).inc();
       it->second.lastUsed = ++useCounter_;
       joined = it->second.future;
     } else {
-      ++buildCount_;
-      buildCounter_.inc();
+      ++(quotient ? quotientBuilds_ : buildCount_);
+      (quotient ? quotientBuildCounter_ : buildCounter_).inc();
       CacheSlot slot;
       slot.future = promise.get_future().share();
       slot.lastUsed = ++useCounter_;
-      modelCache_.emplace(*key, std::move(slot));
+      modelCache_.emplace(key, std::move(slot));
     }
   }
+  if (cacheHit != nullptr) *cacheHit = joined.valid();
   if (joined.valid()) {
-    if (cacheHit != nullptr) *cacheHit = true;
-    return joined.get();  // waits for an in-flight build; rethrows failures
+    return joined.get();  // waits for an in-flight fill; rethrows failures
   }
 
   try {
-    dtmc::BuildResult build = dtmc::buildExplicit(model, buildOptions);
-    auto built = std::make_shared<BuiltModel>();
-    built->dtmc = std::move(build.dtmc);
-    built->reachabilityIterations = build.reachabilityIterations;
-    built->buildSeconds = build.buildSeconds;
-    built->signature = *key;
-    built->approxBytes = approxDtmcBytes(built->dtmc);
+    std::shared_ptr<const BuiltModel> built = compute();
     promise.set_value(built);
     const util::MutexLock lock(cacheMutex_);
     // The slot may already be gone if a concurrent eviction pass raced past
-    // this build's completion; account its bytes only while resident.
-    const auto slot = modelCache_.find(*key);
+    // this fill's completion; account its bytes only while resident.
+    const auto slot = modelCache_.find(key);
     if (slot != modelCache_.end() && slot->second.bytes == 0) {
       slot->second.bytes = built->approxBytes;
       cacheBytes_ += built->approxBytes;
@@ -241,12 +262,12 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
   } catch (...) {
     // Drop the failed slot so a later request can retry, then propagate to
     // this caller and to any waiter blocked on the shared future. The slot
-    // normally carries bytes == 0 (in-flight), but a racing completed build
+    // normally carries bytes == 0 (in-flight), but a racing completed fill
     // of the same key may have recorded its size here — keep cacheBytes_
     // consistent either way.
     {
       const util::MutexLock lock(cacheMutex_);
-      const auto it = modelCache_.find(*key);
+      const auto it = modelCache_.find(key);
       if (it != modelCache_.end()) {
         cacheBytes_ -= it->second.bytes;
         modelCache_.erase(it);
@@ -257,38 +278,27 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
   }
 }
 
+std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
+    const dtmc::Model& model, const dtmc::BuildOptions& buildOptions,
+    std::optional<std::uint64_t> key, bool* cacheHit) {
+  std::optional<dtmc::Exploration> exploration;
+  if (!key) {
+    exploration = dtmc::explore(
+        model, exploreOptionsFor(buildOptions, buildOptions.maxStates, true));
+    key = cacheKeyFor(exploration->hash, buildOptions);
+  }
+  return getOrCompute(*key, false, cacheHit, [&] {
+    return builtModel(model, buildOptions, *key,
+                      exploration ? &*exploration : nullptr);
+  });
+}
+
 std::shared_ptr<const BuiltModel> AnalysisEngine::quotientFor(
     const BuiltModel& full, std::uint64_t quotientKey,
     const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
     const reduce::Options& reduction, bool* cacheHit) {
-  *cacheHit = false;
-
-  std::promise<std::shared_ptr<const BuiltModel>> promise;
-  std::shared_future<std::shared_ptr<const BuiltModel>> joined;
-  {
-    const util::MutexLock lock(cacheMutex_);
-    const auto it = modelCache_.find(quotientKey);
-    if (it != modelCache_.end()) {
-      ++quotientHits_;
-      quotientHitCounter_.inc();
-      it->second.lastUsed = ++useCounter_;
-      joined = it->second.future;
-    } else {
-      ++quotientBuilds_;
-      quotientBuildCounter_.inc();
-      CacheSlot slot;
-      slot.future = promise.get_future().share();
-      slot.lastUsed = ++useCounter_;
-      modelCache_.emplace(quotientKey, std::move(slot));
-    }
-  }
-  if (joined.valid()) {
-    *cacheHit = true;
-    return joined.get();  // waits for an in-flight refinement
-  }
-
-  try {
+  return getOrCompute(quotientKey, true, cacheHit, [&] {
     reduce::ReducedModel reduced =
         reduce::buildQuotient(full.dtmc, masks, rewards, reduction);
     auto built = std::make_shared<BuiltModel>();
@@ -307,29 +317,8 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::quotientFor(
       built->approxBytes = sizeof(BuiltModel);
     }
     built->reduction = std::move(info);
-    promise.set_value(built);
-    {
-      const util::MutexLock lock(cacheMutex_);
-      const auto slot = modelCache_.find(quotientKey);
-      if (slot != modelCache_.end() && slot->second.bytes == 0) {
-        slot->second.bytes = built->approxBytes;
-        cacheBytes_ += built->approxBytes;
-      }
-      evictLocked();
-    }
-    return built;
-  } catch (...) {
-    {
-      const util::MutexLock lock(cacheMutex_);
-      const auto it = modelCache_.find(quotientKey);
-      if (it != modelCache_.end()) {
-        cacheBytes_ -= it->second.bytes;
-        modelCache_.erase(it);
-      }
-    }
-    promise.set_exception(std::current_exception());
-    throw;
-  }
+    return std::shared_ptr<const BuiltModel>(std::move(built));
+  });
 }
 
 AnalysisResponse AnalysisEngine::analyze(const AnalysisRequest& request) {
@@ -349,6 +338,7 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
   // Resolve the cache key and the backend.
   std::uint64_t key = 0;
   Backend backend = options.backend;
+  std::optional<dtmc::Exploration> exploration;
   if (options.modelKey) {
     key = *options.modelKey;
     if (backend == Backend::kAuto) {
@@ -357,33 +347,45 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
       backend = Backend::kExact;
     }
   } else {
-    // The sampling backend needs the key only as a response label, so its
-    // probe is capped at the (small) state budget rather than the build
-    // limit — explicitly sampled models are typically huge.
-    dtmc::SignatureOptions sigOptions;
-    sigOptions.maxStates = backend == Backend::kExact
-                               ? options.build.maxStates
-                               : options.stateBudget + 1;
-    const dtmc::ModelSignature sig =
-        dtmc::modelSignature(*request.model, sigOptions);
-    key = cacheKeyFor(sig.hash, options.build);
+    // One exploration yields the key and, unless sampling (which needs the
+    // key only as a label), the CSR a miss assembles. Sampling and kAuto
+    // cap it at the state budget — sampled models are typically huge.
+    exploration = dtmc::explore(
+        *request.model,
+        exploreOptionsFor(options.build,
+                          backend == Backend::kExact
+                              ? options.build.maxStates
+                              : options.stateBudget + 1,
+                          backend != Backend::kSampling));
+    key = cacheKeyFor(exploration->hash, options.build);
     if (backend == Backend::kAuto) {
       bool cached = false;
       {
         const util::MutexLock lock(cacheMutex_);
         cached = modelCache_.find(key) != modelCache_.end();
       }
-      backend = (cached || (sig.exact && sig.states <= options.stateBudget))
+      backend = (cached || (exploration->exact &&
+                            exploration->states <= options.stateBudget))
                     ? Backend::kExact
                     : Backend::kSampling;
     }
   }
+  const double keySeconds = exploration ? exploration->seconds : 0.0;
+  // Only a kExact exploration may be truncated when it reaches the build
+  // (which then fails at once); a kAuto one whose key was cached is not kept.
+  if (exploration && (backend == Backend::kSampling ||
+                      (options.backend == Backend::kAuto &&
+                       !exploration->exact))) {
+    exploration.reset();
+  }
 
   AnalysisResponse response =
       backend == Backend::kExact
-          ? analyzeExact(request, key, span.id())
+          ? analyzeExact(request, key, exploration ? &*exploration : nullptr,
+                         span.id())
           : analyzeSampling(request, key, span.id());
   response.timing.queueSeconds = queueSeconds;
+  response.timing.keySeconds = keySeconds;
   response.totalSeconds = span.stopSeconds();
   response.timing.totalSeconds = response.totalSeconds;
   requestCount_.inc();
@@ -393,6 +395,7 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
 
 AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
                                               std::uint64_t key,
+                                              dtmc::Exploration* exploration,
                                               std::uint64_t traceParent) {
   AnalysisResponse response;
   response.backend = Backend::kExact;
@@ -414,13 +417,18 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   }
   const double parseSeconds = parseSpan.stopSeconds();
 
-  // The build phase covers cache lookup, the build itself (or the wait
-  // joining an in-flight one — "dtmc.build" nests here on a miss) and any
-  // orientation rebuild below.
+  // The build phase covers cache lookup, assembling the explored CSR (or
+  // the wait joining an in-flight build — "dtmc.build" nests here on a
+  // miss) and any orientation rebuild below.
   obs::Span buildSpan("engine.build", traceParent);
   bool cacheHit = false;
   std::shared_ptr<const BuiltModel> built =
-      ensureBuilt(*request.model, request.options.build, key, &cacheHit);
+      getOrCompute(key, false, &cacheHit, [&] {
+        return builtModel(*request.model, request.options.build, key,
+                          exploration);
+      });
+  // A hit never needs the explored matrix; free it before reduce and check.
+  if (exploration != nullptr) *exploration = dtmc::Exploration{};
   response.cacheHit = cacheHit;
 
   // Rebuild-on-demand: a transpose-only model (built or cached under a
@@ -443,13 +451,8 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
     if (needsForward) {
       dtmc::BuildOptions upgraded = request.options.build;
       upgraded.orientation = la::KeepOrientation::kBoth;
-      dtmc::BuildResult rebuild = dtmc::buildExplicit(*request.model, upgraded);
-      auto replacement = std::make_shared<BuiltModel>();
-      replacement->dtmc = std::move(rebuild.dtmc);
-      replacement->reachabilityIterations = rebuild.reachabilityIterations;
-      replacement->buildSeconds = rebuild.buildSeconds;
-      replacement->signature = key;
-      replacement->approxBytes = approxDtmcBytes(replacement->dtmc);
+      std::shared_ptr<const BuiltModel> replacement =
+          builtModel(*request.model, upgraded, key, nullptr);
       std::promise<std::shared_ptr<const BuiltModel>> promise;
       promise.set_value(replacement);
       {
@@ -463,6 +466,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
         cacheBytes_ += replacement->approxBytes;
         modelCache_[key] = std::move(slot);
         ++buildCount_;
+        buildCounter_.inc();
         evictLocked();
       }
       response.orientationRebuilt = true;

@@ -4,11 +4,13 @@
 // properties against it" (Tables I-V each sweep properties and horizons over
 // one design). The engine makes that workflow first-class:
 //
-//   1. Model cache: built ExplicitDtmcs are keyed by a structural model
-//      signature (dtmc::modelSignature), so repeated requests against the
-//      same design skip the BFS build. Cached DTMCs store transition
-//      structure only; atoms/rewards always re-resolve through the
-//      requesting model.
+//   1. Model cache: built ExplicitDtmcs are keyed by the hash of one
+//      reachability exploration (dtmc::explore), so repeated requests
+//      against the same design skip the build. The same exploration keeps
+//      the normalized CSR: a miss assembles the DTMC from it, a hit drops
+//      it — every request without RequestOptions::modelKey explores its
+//      state space exactly once. Cached DTMCs store transition structure
+//      only; atoms/rewards always re-resolve through the requesting model.
 //   2. Evaluation planning: the request's property set is compiled by
 //      pctl::buildPlan into a deduplicated task DAG (mc::Checker::checkAll
 //      executes it). All bounded path formulas (U<=k / F<=k / G<=k / X)
@@ -36,6 +38,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <optional>
@@ -167,10 +170,11 @@ class AnalysisEngine {
   [[nodiscard]] std::future<AnalysisResponse> submit(AnalysisRequest request);
 
   /// Build (or fetch from cache) the explicit DTMC for a model. Concurrent
-  /// calls for the same signature share one build. `key` overrides the
-  /// structural probe as the cache key. When `cacheHit` is non-null it is
-  /// set to whether the entry was served from cache (joining an in-flight
-  /// build counts as a hit).
+  /// calls for the same key share one build. Without `key` the model is
+  /// explored once for its cache key, and a miss builds from that same
+  /// exploration; `key` skips it (a miss then builds with buildExplicit).
+  /// When `cacheHit` is non-null it is set to whether the entry was served
+  /// from cache (joining an in-flight build counts as a hit).
   [[nodiscard]] std::shared_ptr<const BuiltModel> ensureBuilt(
       const dtmc::Model& model, const dtmc::BuildOptions& buildOptions = {},
       std::optional<std::uint64_t> key = std::nullopt,
@@ -203,6 +207,15 @@ class AnalysisEngine {
   /// Evict ready LRU entries down to the entry-count and byte budgets.
   void evictLocked() MIMOSTAT_REQUIRES(cacheMutex_);
 
+  /// The model cache's one fill primitive (builds and quotients): the entry
+  /// under `key`, computed and inserted on a miss. Concurrent calls for one
+  /// key share one computation (joiners receive its exception; a failure
+  /// leaves no entry). `quotient` picks the counters; `cacheHit` reports a
+  /// hit when non-null.
+  [[nodiscard]] std::shared_ptr<const BuiltModel> getOrCompute(
+      std::uint64_t key, bool quotient, bool* cacheHit,
+      const std::function<std::shared_ptr<const BuiltModel>()>& compute);
+
   /// Fetch or refine the plan-aware bisimulation quotient of `full` under
   /// `quotientKey` (structural cache key + label/reward digest). Quotients
   /// share the model cache's slots, byte accounting and LRU eviction;
@@ -220,8 +233,11 @@ class AnalysisEngine {
   /// latency histogram). Opens the per-request "engine.analyze" span.
   AnalysisResponse analyzeQueued(const AnalysisRequest& request,
                                  double queueSeconds);
+  /// `exploration` is the request's key exploration (null with modelKey).
   AnalysisResponse analyzeExact(const AnalysisRequest& request,
-                                std::uint64_t key, std::uint64_t traceParent);
+                                std::uint64_t key,
+                                dtmc::Exploration* exploration,
+                                std::uint64_t traceParent);
   AnalysisResponse analyzeSampling(const AnalysisRequest& request,
                                    std::uint64_t key,
                                    std::uint64_t traceParent);

@@ -54,7 +54,7 @@ struct RequestOptions {
   /// surfaces per property, siblings still answer).
   bool rebuildOrientation = true;
   /// Precomputed model signature (e.g. from a previous response). When set,
-  /// the engine skips the structural probe and uses this as the cache key;
+  /// the engine skips the key exploration and uses this as the cache key;
   /// the caller asserts it identifies the model's transition structure.
   std::optional<std::uint64_t> modelKey;
   /// State-space reduction (exact backend): plan-aware bisimulation

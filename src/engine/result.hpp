@@ -22,8 +22,12 @@ struct PhaseTiming {
   /// Seconds between enqueue (analyzeAll/submit) and the moment a worker
   /// picked the request up; 0 for synchronous analyze().
   double queueSeconds = 0.0;
-  /// Model acquisition: cache lookup + build (or the wait joining an
-  /// in-flight build) + any orientation rebuild.
+  /// Model key: the one dtmc::explore pass ("dtmc.explore") that hashes
+  /// the reachable chain into the cache key and, on a miss, yields the CSR
+  /// the build assembles. 0 when RequestOptions::modelKey is set.
+  double keySeconds = 0.0;
+  /// Model acquisition: cache lookup + assembling the explored CSR (or the
+  /// wait joining an in-flight build) + any orientation rebuild.
   double buildSeconds = 0.0;
   /// State-space reduction stage: plan compilation probe, mask/reward
   /// evaluation, quotient-cache lookup and (on a miss) the bisimulation
@@ -155,8 +159,8 @@ struct AnalysisResponse {
   ReductionStats reduction;
   /// Wall-clock for the whole request.
   double totalSeconds = 0.0;
-  /// Per-phase wall-clock breakdown (queue/build/plan/check). Sums may be
-  /// less than totalSeconds; the remainder is engine overhead.
+  /// Per-phase wall-clock breakdown (queue/key/build/reduce/plan/check).
+  /// Sums may be less than totalSeconds; the remainder is engine overhead.
   PhaseTiming timing;
   /// Request-level failure (null model, state-space overflow, ...). Set by
   /// analyzeAll/submit instead of losing sibling responses to a rethrow;

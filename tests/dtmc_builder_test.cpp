@@ -21,6 +21,23 @@ TEST(VarLayout, PackUnpackRoundTrip) {
   EXPECT_NEAR(layout.potentialStateCount(), 7.0 * 5.0 * 2.0, 1e-9);
 }
 
+TEST(VarLayout, PackingIsLexicographic) {
+  // The explorer sorts rows by packed key; that is State's order only if
+  // variable 0 sits in the high bits.
+  dtmc::VarLayout layout({{"a", -1, 2}, {"b", 0, 4}, {"c", -3, -2}});
+  std::vector<dtmc::State> states;
+  for (int a = -1; a <= 2; ++a) {
+    for (int b = 0; b <= 4; ++b) {
+      for (int c = -3; c <= -2; ++c) states.push_back({a, b, c});
+    }
+  }
+  for (const auto& x : states) {
+    for (const auto& y : states) {
+      EXPECT_EQ(layout.pack(x) < layout.pack(y), x < y);
+    }
+  }
+}
+
 TEST(VarLayout, FormatState) {
   dtmc::VarLayout layout({{"x", 0, 3}, {"flag", 0, 1}});
   EXPECT_EQ(formatState(layout, {2, 1}), "x=2, flag=1");

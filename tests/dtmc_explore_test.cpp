@@ -1,0 +1,468 @@
+// dtmc::explore — the one BFS behind buildExplicit, countReachable,
+// modelSignature and the engine's cache key. The builder is checked bit for
+// bit against the legacy vector-keyed builder (legacy_builder.hpp) on every
+// model family; the key's contract and the engine's one-exploration-per-
+// request guarantee are checked through the engine.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "dtmc/builder.hpp"
+#include "dtmc/signature.hpp"
+#include "engine/engine.hpp"
+#include "legacy_builder.hpp"
+#include "mimo/model.hpp"
+#include "obs/metrics.hpp"
+#include "pml/model.hpp"
+#include "test_models.hpp"
+#include "viterbi/model_convergence.hpp"
+#include "viterbi/model_full.hpp"
+#include "viterbi/model_reduced.hpp"
+
+namespace mimostat {
+namespace {
+
+bool bitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Every array the builder produces, bit for bit, against the legacy
+/// builder.
+void expectLegacyBuild(const dtmc::Model& model,
+                       const dtmc::BuildOptions& options = {}) {
+  const dtmc::BuildResult got = dtmc::buildExplicit(model, options);
+  const dtmc::BuildResult want = test::legacyBuildExplicit(model, options);
+  EXPECT_GT(got.dtmc.numStates(), 0u);
+  EXPECT_EQ(got.dtmc.states(), want.dtmc.states());
+  EXPECT_EQ(got.dtmc.rowPtr(), want.dtmc.rowPtr());
+  EXPECT_EQ(got.dtmc.col(), want.dtmc.col());
+  EXPECT_TRUE(bitEqual(got.dtmc.val(), want.dtmc.val()));
+  EXPECT_TRUE(bitEqual(got.dtmc.initialDistribution(),
+                       want.dtmc.initialDistribution()));
+  EXPECT_EQ(got.reachabilityIterations, want.reachabilityIterations);
+}
+
+viterbi::ViterbiParams viterbiParams(int traceLength) {
+  viterbi::ViterbiParams p;
+  p.tracebackLength = traceLength;
+  p.quantLevels = 4;
+  p.pmCap = 4;
+  return p;
+}
+
+/// Test-sized 1 x nr MIMO detector (the full model stays small).
+mimo::MimoParams mimoParams(int nr) {
+  mimo::MimoParams p;
+  p.nr = nr;
+  p.snrDb = 6.0;
+  p.hLevels = 2;
+  p.hRange = 1.2;
+  p.yLevels = nr > 2 ? 2 : 3;
+  p.yRange = 1.8;
+  return p;
+}
+
+/// Emits duplicate targets (and a self-loop among them) in an order the
+/// sort must rearrange, so rows exercise the merge order.
+class DuplicateTargetsModel : public dtmc::Model {
+ public:
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"s", 0, 6}, {"t", -3, 3}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0, 0}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    const int next = (s[0] + 1) % 7;
+    const int tilt = s[1] < 3 ? s[1] + 1 : -3;
+    out.push_back({0.1, {next, tilt}});
+    out.push_back({0.2, {s[0], s[1]}});
+    out.push_back({0.3, {next, tilt}});
+    out.push_back({0.15, {0, s[1]}});
+    out.push_back({0.05, {next, tilt}});
+    out.push_back({0.2, {0, s[1]}});
+  }
+};
+
+/// The same chain as DuplicateTargetsModel with every duplicate merged in
+/// sorted-target order — the build, and so the key, must be identical.
+class MergedTargetsModel : public dtmc::Model {
+ public:
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return DuplicateTargetsModel().variables();
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return DuplicateTargetsModel().initialStates();
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    DuplicateTargetsModel().transitions(s, out);
+    (void)dtmc::normalizeTransitions(out, 0.0);
+  }
+};
+
+/// 31 + 31 + 2 = 64 bits, and the state at every variable's maximum packs
+/// to the all-ones key (as does nothing else); 0 is reachable too.
+class AllOnesKeyModel : public dtmc::Model {
+ public:
+  static constexpr std::int32_t kMax = 0x7FFFFFFF;
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"a", 0, kMax}, {"b", 0, kMax}, {"c", 0, 3}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{kMax, kMax, 3}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    if (s[2] == 3) {
+      out.push_back({0.5, {0, 0, 0}});
+      out.push_back({0.5, {kMax, kMax, 3}});
+    } else if (s[2] < 2) {
+      out.push_back({0.25, {kMax, s[1], s[2] + 1}});
+      out.push_back({0.75, {kMax, kMax, 3}});
+    }  // c == 2: dead end
+  }
+};
+
+/// Three 31-bit variables (93 bits): the explorer falls back to State keys.
+class WideModel : public dtmc::Model {
+ public:
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"a", 0, 0x7FFFFFFF}, {"b", -0x40000000, 0x3FFFFFFF},
+            {"c", 0, 0x7FFFFFFF}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{5, 0, 1}, {0, -7, 0}, {5, 0, 1}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    if (s[0] >= 40) return;  // dead ends
+    out.push_back({0.5, {s[0] + 3, -s[1], s[2]}});
+    out.push_back({0.25, {s[0] + 1, s[1] - 1, 0x7FFFFFFF - s[2]}});
+    out.push_back({0.25, {s[0] + 3, -s[1], s[2]}});
+  }
+};
+
+constexpr const char* kPmlSource = R"(
+dtmc
+const double p = 0.3;
+
+module walk
+  x : [0..4] init 0;
+  y : [0..2] init 1;
+
+  [] x<4 -> p : (x'=x+1) + 0.2 : (y'=min(y+1, 2)) + 0.6-p : (x'=x+1) + 0.2 : (x'=x) & (y'=0);
+  [] x=4 & y>0 -> 1 : (x'=0) & (y'=y-1);
+endmodule
+)";
+
+TEST(ExploreOracle, ViterbiModelsMatchLegacyBuilder) {
+  expectLegacyBuild(viterbi::ReducedViterbiModel(viterbi::ViterbiParams{}));
+  expectLegacyBuild(viterbi::ReducedViterbiModel(viterbiParams(4)));
+  viterbi::ViterbiParams withErrs = viterbiParams(3);
+  withErrs.withErrorCounter = true;
+  expectLegacyBuild(viterbi::ReducedViterbiModel(withErrs));
+  expectLegacyBuild(viterbi::FullViterbiModel(viterbiParams(3)));
+  expectLegacyBuild(viterbi::ConvergenceViterbiModel(viterbiParams(4), 8));
+}
+
+TEST(ExploreOracle, MimoDetectorsMatchLegacyBuilder) {
+  expectLegacyBuild(mimo::MimoDetectorModel(mimoParams(2)));  // 1x2
+  expectLegacyBuild(mimo::MimoDetectorModel(mimoParams(4)));  // 1x4
+}
+
+TEST(ExploreOracle, PmlModelMatchesLegacyBuilder) {
+  expectLegacyBuild(pml::PmlModel(kPmlSource));
+}
+
+TEST(ExploreOracle, EdgeCasesMatchLegacyBuilder) {
+  expectLegacyBuild(WideModel());  // State-keyed fallback
+  expectLegacyBuild(test::MatrixModel({{0.0, 1.0, 0.0},
+                                       {0.0, 0.0, 1.0},
+                                       {0.0, 0.0, 0.0}}));  // dead end
+  expectLegacyBuild(DuplicateTargetsModel());
+  expectLegacyBuild(AllOnesKeyModel());
+  // Multiple initial states, one listed twice (weight 2/3).
+  expectLegacyBuild(test::MatrixModel(
+      {{0.5, 0.5, 0, 0}, {0, 0, 1.0, 0}, {0, 0, 0.5, 0.5}, {1.0, 0, 0, 0}},
+      {2, 0, 2}));
+  expectLegacyBuild(test::randomModel(60, 5, 9));
+}
+
+TEST(ExploreOracle, ProbabilityFloorMatchesLegacyBuilder) {
+  dtmc::BuildOptions floored;
+  floored.probFloor = 0.16;
+  expectLegacyBuild(DuplicateTargetsModel(), floored);
+  floored.probFloor = 1e-3;
+  expectLegacyBuild(viterbi::ReducedViterbiModel(viterbiParams(4)), floored);
+  expectLegacyBuild(test::randomModel(60, 8, 21), floored);
+}
+
+TEST(ExploreOracle, MaxStatesOverflowThrowsLikeLegacy) {
+  dtmc::BuildOptions options;
+  options.maxStates = 5;
+  const auto model = test::lineModel(10);
+  for (const bool legacy : {false, true}) {
+    try {
+      (void)(legacy ? test::legacyBuildExplicit(model, options)
+                    : dtmc::buildExplicit(model, options));
+      ADD_FAILURE() << "no throw (legacy=" << legacy << ")";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(),
+                   "buildExplicit: reachable state space exceeds maxStates");
+    }
+  }
+  // Exactly maxStates reachable states still build.
+  options.maxStates = 10;
+  EXPECT_EQ(dtmc::buildExplicit(model, options).dtmc.numStates(), 10u);
+}
+
+TEST(Explore, KeysWithoutMatrixMatchBuildCounts) {
+  const viterbi::ReducedViterbiModel model(viterbiParams(4));
+  dtmc::ExploreOptions lean;
+  lean.keepMatrix = false;
+  const dtmc::Exploration counted = dtmc::explore(model, lean);
+  const dtmc::Exploration full = dtmc::explore(model);
+  EXPECT_EQ(counted.hash, full.hash);  // the key never depends on keepMatrix
+  EXPECT_TRUE(counted.exact);
+  EXPECT_TRUE(counted.raw.rowPtr.empty());
+  EXPECT_TRUE(counted.packedStates.empty());
+  EXPECT_EQ(full.packedStates.size(), full.states);
+  EXPECT_EQ(full.raw.col.size(), full.transitions);
+  EXPECT_THROW((void)dtmc::buildFromExploration(counted, {}),
+               std::invalid_argument);
+
+  const auto built = dtmc::buildFromExploration(full, {});
+  EXPECT_EQ(built.dtmc.numStates(), counted.states);
+  EXPECT_EQ(built.dtmc.numTransitions(), counted.transitions);
+  EXPECT_EQ(built.reachabilityIterations, counted.reachabilityIterations);
+}
+
+// --------------------------------------------------------------- the key
+
+TEST(ExploreKey, StableAcrossRunsAndThreadCounts) {
+  const viterbi::ReducedViterbiModel model(viterbiParams(4));
+  const std::uint64_t once = dtmc::modelSignature(model).hash;
+  EXPECT_EQ(dtmc::modelSignature(model).hash, once);
+  EXPECT_EQ(dtmc::explore(model).hash, once);
+
+  std::vector<std::uint64_t> keys;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    engine::EngineOptions options;
+    options.threads = threads;
+    engine::AnalysisEngine eng(options);
+    engine::AnalysisRequest request;
+    request.model = &model;
+    request.properties = {"R=? [ I=5 ]"};
+    keys.push_back(eng.analyze(request).modelKey);
+  }
+  EXPECT_EQ(keys[0], keys[1]);
+  EXPECT_EQ(keys[0], keys[2]);
+}
+
+TEST(ExploreKey, TruncationIsFoldedIn) {
+  const auto model = test::gamblersRuin(50, 0.5, 25);
+  dtmc::ExploreOptions capped;
+  capped.maxStates = 5;
+  const dtmc::Exploration a = dtmc::explore(model, capped);
+  capped.maxStates = 6;
+  const dtmc::Exploration b = dtmc::explore(model, capped);
+  const dtmc::Exploration exact = dtmc::explore(model);
+  EXPECT_FALSE(a.exact);
+  EXPECT_EQ(a.states, 6u);
+  EXPECT_TRUE(a.raw.rowPtr.empty());  // a truncated exploration keeps nothing
+  EXPECT_TRUE(exact.exact);
+  EXPECT_NE(a.hash, exact.hash);
+  EXPECT_NE(b.hash, exact.hash);
+  EXPECT_NE(a.hash, b.hash);
+  EXPECT_THROW((void)dtmc::buildFromExploration(a, {}), std::runtime_error);
+
+  // Through the engine: a state-budget-truncated sampling request never
+  // reports the exact request's key.
+  engine::AnalysisEngine eng;
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"P=? [ F<=5 s=0 ]"};
+  request.options.smc.paths = 100;
+  const auto exactResponse = eng.analyze(request);
+  request.options.stateBudget = 4;
+  request.options.backend = engine::Backend::kSampling;
+  const auto sampled = eng.analyze(request);
+  EXPECT_EQ(exactResponse.backend, engine::Backend::kExact);
+  EXPECT_NE(sampled.modelKey, exactResponse.modelKey);
+}
+
+TEST(ExploreKey, BuildOptionsNeverShareAKey) {
+  const viterbi::ReducedViterbiModel model(viterbiParams(4));
+  engine::AnalysisEngine eng;
+  std::vector<std::uint64_t> keys;
+  for (int variant = 0; variant < 4; ++variant) {
+    dtmc::BuildOptions options;
+    if (variant == 1) options.probFloor = 1e-3;
+    if (variant == 2) options.probFloor = 2e-3;
+    if (variant == 3) options.orientation = la::KeepOrientation::kTransposeOnly;
+    keys.push_back(eng.ensureBuilt(model, options)->signature);
+  }
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = i + 1; j < keys.size(); ++j) {
+      EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
+    }
+  }
+  EXPECT_EQ(eng.buildCount(), 4u);
+}
+
+TEST(ExploreKey, IdenticalBuildsShareAKey) {
+  // Duplicate emissions and their merged sum build the same DTMC, so they
+  // share one cache entry.
+  const DuplicateTargetsModel duplicates;
+  const MergedTargetsModel merged;
+  EXPECT_EQ(dtmc::modelSignature(duplicates).hash,
+            dtmc::modelSignature(merged).hash);
+  engine::AnalysisEngine eng;
+  (void)eng.ensureBuilt(duplicates);
+  bool hit = false;
+  (void)eng.ensureBuilt(merged, {}, std::nullopt, &hit);
+  EXPECT_TRUE(hit);
+  EXPECT_EQ(eng.buildCount(), 1u);
+}
+
+// ------------------------------------------- one exploration per request
+
+/// Forwards to a model and counts transitions() calls.
+class CountingModel : public dtmc::Model {
+ public:
+  explicit CountingModel(const dtmc::Model& inner) : inner_(inner) {}
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return inner_.variables();
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return inner_.initialStates();
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    calls_.fetch_add(1, std::memory_order_relaxed);
+    inner_.transitions(s, out);
+  }
+  [[nodiscard]] bool atom(const dtmc::State& s,
+                          std::string_view name) const override {
+    return inner_.atom(s, name);
+  }
+  [[nodiscard]] double stateReward(const dtmc::State& s,
+                                   std::string_view name) const override {
+    return inner_.stateReward(s, name);
+  }
+  /// Calls since the last take().
+  std::uint64_t take() const {
+    return calls_.exchange(0, std::memory_order_relaxed);
+  }
+
+ private:
+  const dtmc::Model& inner_;
+  mutable std::atomic<std::uint64_t> calls_{0};
+};
+
+TEST(ExploreOnce, ColdWarmAndModelKeyRequests) {
+  const viterbi::ReducedViterbiModel inner(viterbiParams(4));
+  const CountingModel model(inner);
+  engine::AnalysisEngine eng;
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"R=? [ I=20 ]", "P=? [ G<=20 !flag ]"};
+
+  const auto cold = eng.analyze(request);
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  EXPECT_FALSE(cold.cacheHit);
+  EXPECT_GT(cold.states, 0u);
+  EXPECT_EQ(model.take(), cold.states);  // one call per reachable state
+
+  const auto warm = eng.analyze(request);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_TRUE(warm.cacheHit);
+  EXPECT_EQ(model.take(), warm.states);
+
+  request.options.modelKey = cold.modelKey;
+  const auto keyed = eng.analyze(request);
+  ASSERT_TRUE(keyed.ok());
+  EXPECT_TRUE(keyed.cacheHit);
+  EXPECT_EQ(model.take(), 0u);
+  EXPECT_EQ(keyed.timing.keySeconds, 0.0);
+  EXPECT_EQ(eng.buildCount(), 1u);
+
+  // ensureBuilt without a key explores once too.
+  engine::AnalysisEngine fresh;
+  const auto built = fresh.ensureBuilt(model);
+  EXPECT_EQ(model.take(), built->dtmc.numStates());
+}
+
+TEST(ExploreOnce, ConcurrentColdRequestsShareOneEntry) {
+  const viterbi::ReducedViterbiModel model(viterbiParams(4));
+  std::vector<std::vector<double>> valuesByThreads;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    engine::EngineOptions options;
+    options.threads = threads;
+    engine::AnalysisEngine eng(options);
+    std::vector<engine::AnalysisRequest> requests(2);
+    for (auto& request : requests) {
+      request.model = &model;
+      request.properties = {"R=? [ I=30 ]", "P=? [ G<=30 !flag ]",
+                            "R=? [ S ]"};
+    }
+    const auto responses = eng.analyzeAll(requests);
+    const engine::EngineStats stats = eng.stats();
+    EXPECT_EQ(stats.builds, 1u) << threads << " threads";
+    EXPECT_EQ(stats.cacheHits, 1u) << threads << " threads";
+    EXPECT_EQ(stats.cachedModels, 1u) << threads << " threads";
+    std::vector<double> values;
+    for (const auto& response : responses) {
+      ASSERT_TRUE(response.ok()) << response.error;
+      for (const auto& result : response.results) {
+        values.push_back(result.value);
+      }
+    }
+    EXPECT_TRUE(bitEqual(
+        std::vector<double>(values.begin(), values.begin() + 3),
+        std::vector<double>(values.begin() + 3, values.end())));
+    valuesByThreads.push_back(values);
+  }
+  EXPECT_TRUE(bitEqual(valuesByThreads[0], valuesByThreads[1]));
+  EXPECT_TRUE(bitEqual(valuesByThreads[0], valuesByThreads[2]));
+}
+
+TEST(ExploreOnce, PhasesCoverTheRequest) {
+  // key + build + reduce + plan + check account for the request's
+  // wall-clock, cold and warm (plan overlaps check, so the sum may pass 1).
+  const viterbi::ReducedViterbiModel model(viterbi::ViterbiParams{});
+  obs::MetricsRegistry registry;
+  engine::EngineOptions options;
+  options.metrics = &registry;
+  options.threads = 2;
+  engine::AnalysisEngine eng(options);
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"R=? [ I=300 ]", "P=? [ G<=300 !flag ]"};
+  for (const bool warm : {false, true}) {
+    const auto response = eng.analyze(request);
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(response.cacheHit, warm);
+    const engine::PhaseTiming& t = response.timing;
+    EXPECT_GT(t.keySeconds, 0.0);
+    const double phases = t.keySeconds + t.buildSeconds + t.reduceSeconds +
+                          t.planSeconds + t.checkSeconds;
+    EXPECT_GE(phases, 0.95 * t.totalSeconds)
+        << (warm ? "warm" : "cold") << ": key " << t.keySeconds << " build "
+        << t.buildSeconds << " reduce " << t.reduceSeconds << " plan "
+        << t.planSeconds << " check " << t.checkSeconds << " total "
+        << t.totalSeconds;
+  }
+}
+
+}  // namespace
+}  // namespace mimostat

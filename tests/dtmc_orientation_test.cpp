@@ -16,6 +16,7 @@
 #include "mc/bounded.hpp"
 #include "mc/checker.hpp"
 #include "mc/transient.hpp"
+#include "obs/metrics.hpp"
 #include "test_models.hpp"
 
 namespace mimostat {
@@ -229,6 +230,31 @@ TEST(Orientation, EngineRebuildsTransposeOnlyOnDemand) {
   EXPECT_TRUE(third.cacheHit);
   EXPECT_FALSE(third.orientationRebuilt);
   EXPECT_EQ(eng.stats().builds, 2u);
+}
+
+TEST(Orientation, RebuildTicksTheRegistryBuildCounter) {
+  // EngineStats::builds and the registry's "engine.builds" count the same
+  // builds, the orientation upgrade included.
+  const auto model = labeledChain();
+  obs::MetricsRegistry registry;
+  engine::EngineOptions options;
+  options.metrics = &registry;
+  engine::AnalysisEngine eng(options);
+
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"R=? [ S ]"};
+  request.options.backend = engine::Backend::kExact;
+  request.options.build.orientation = la::KeepOrientation::kTransposeOnly;
+  ASSERT_TRUE(eng.analyze(request).ok());
+  request.properties = {"P=? [ F<=5 \"goal\" ]"};
+  const auto upgraded = eng.analyze(request);
+  ASSERT_TRUE(upgraded.ok());
+  ASSERT_TRUE(upgraded.orientationRebuilt);
+
+  EXPECT_EQ(eng.stats().builds, 2u);
+  EXPECT_EQ(registry.snapshot().counterValue("engine.builds"),
+            eng.stats().builds);
 }
 
 TEST(Orientation, EngineKeepsRefusalWhenRebuildDisabled) {

@@ -567,7 +567,7 @@ TEST(ModelSignature, WideLayoutFallsBackToVectorProbe) {
 }
 
 TEST(ModelSignature, PackedProbeMatchesBuildCounts) {
-  // gamblersRuin packs into u64, so the probe takes the PackedStateSet
+  // gamblersRuin packs into u64, so the exploration takes the packed-key
   // path; its state/transition counts must match the explicit build.
   const auto model = test::gamblersRuin(64, 0.4, 32);
   ASSERT_TRUE(model.layout().fitsInU64());
