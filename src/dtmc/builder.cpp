@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <exception>
 #include <stdexcept>
 #include <utility>
 
@@ -41,12 +42,34 @@ struct WideKeys {
   }
 };
 
+// Window sizing for explore()'s two-phase levels. Fixed constants: the
+// schedule never depends on the host, and results never depend on it at
+// all (the ordered phase alone numbers states and extends the hash).
+/// The first window of a level measures its entries per state.
+constexpr std::size_t kProbeStates = 32;
+/// Later windows hold about this many row entries.
+constexpr std::size_t kWindowEntries = std::size_t{1} << 16;
+/// A task gets at least this many (estimated) entries...
+constexpr std::size_t kChunkEntries = std::size_t{1} << 11;
+/// ...and a window at most this many tasks.
+constexpr std::size_t kMaxChunks = 16;
+
 /// explore()'s BFS over `Keys`-typed state keys, continuing hash `h`.
 /// `table` (a member of `e`) receives the state table in discovery order.
+///
+/// Each level runs in windows of states, each in two phases. The parallel
+/// phase computes a pure function of each state into its chunk's slots:
+/// the model's successors, packed and normalized, the row's mass, and each
+/// target's number when the (unchanging) index already holds it. The
+/// ordered phase, on the calling thread, walks the window in state order,
+/// interns the targets the lookup missed and emits hash and CSR exactly as
+/// a one-state-at-a-time BFS would — so every output is bitwise the same
+/// with or without `runner`, at any pool size.
 template <class Keys>
 void exploreWith(const Model& model, const Keys& keys,
-                 const ExploreOptions& options, std::uint64_t h,
-                 std::vector<typename Keys::Key>& table, Exploration& e) {
+                 const ExploreOptions& options, const la::TaskRunner& runner,
+                 std::uint64_t h, std::vector<typename Keys::Key>& table,
+                 Exploration& e) {
   using Key = typename Keys::Key;
   struct Entry {
     double prob;
@@ -58,13 +81,20 @@ void exploreWith(const Model& model, const Keys& keys,
   // Linear probing, at most half full.
   std::vector<std::uint32_t> slots(1024, 0);
   bool truncated = false;
+  // The slot holding `key`, or the empty slot where it belongs. Read-only.
+  const auto probe = [&](const Key& key, std::uint64_t hash) {
+    std::size_t slot = hash & (slots.size() - 1);
+    while (slots[slot] != 0 && !(table[slots[slot] - 1] == key)) {
+      slot = (slot + 1) & (slots.size() - 1);
+    }
+    return slot;
+  };
   // The number of `key`; a new state extends the hashed state table, and
   // the first one past the cap truncates the exploration.
   const auto intern = [&](Key&& key) {
-    std::size_t slot = Keys::hash(key) & (slots.size() - 1);
-    for (; slots[slot] != 0; slot = (slot + 1) & (slots.size() - 1)) {
-      if (table[slots[slot] - 1] == key) return slots[slot] - 1;
-    }
+    const std::uint64_t hash = Keys::hash(key);
+    std::size_t slot = probe(key, hash);
+    if (slots[slot] != 0) return slots[slot] - 1;
     const auto number = static_cast<std::uint32_t>(table.size());
     table.push_back(std::move(key));
     slots[slot] = number + 1;
@@ -76,7 +106,7 @@ void exploreWith(const Model& model, const Keys& keys,
         slots[slot] = n + 1;
       }
     }
-    h = util::hashCombine(h, Keys::hash(table.back()));
+    h = util::hashCombine(h, hash);
     truncated = table.size() > options.maxStates;
     return number;
   };
@@ -90,38 +120,137 @@ void exploreWith(const Model& model, const Keys& keys,
     h = util::hashCombine(h, util::mix64(number));
   }
 
-  ExplicitDtmc::Raw& raw = e.raw;
-  raw.rowPtr.push_back(0);
-  std::vector<Transition> out;
-  std::vector<Entry> row;
-  for (std::size_t levelBegin = 0; !truncated && levelBegin < table.size();) {
-    const std::size_t levelEnd = table.size();
-    ++e.reachabilityIterations;
-    for (std::size_t s = levelBegin; s < levelEnd && !truncated; ++s) {
-      out.clear();
-      model.transitions(keys.state(table[s]), out);
-      row.clear();
-      for (Transition& t : out) {
-        row.push_back({t.prob, keys.key(std::move(t.target))});
+  // One task's share of a window: states [begin, end), their normalized
+  // rows concatenated in `entries`, and per entry the target's number + 1
+  // when the lookup found it (0 = intern it in the ordered phase). The
+  // buffers belong to this call and are reused by every window; chunks sit
+  // on their own cache lines, as each task grows its own vectors.
+  struct alignas(64) Chunk {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::vector<Transition> out;
+    std::vector<Entry> row;
+    std::vector<Entry> entries;
+    std::vector<std::uint32_t> found;
+    std::vector<std::size_t> rowEnd;  ///< per state, into entries
+    std::vector<double> mass;         ///< per state, before normalizing
+    /// The first state whose row threw; later states are not expanded.
+    std::size_t failed = 0;
+    std::exception_ptr error;
+  };
+  std::vector<Chunk> chunks(kMaxChunks);
+  std::size_t widestRow = 0;
+
+  // Parallel phase: mutates only `c`.
+  const auto expand = [&](Chunk& c, bool lookup) {
+    c.entries.clear();
+    c.found.clear();
+    c.rowEnd.clear();
+    c.mass.clear();
+    c.failed = c.end;
+    c.error = nullptr;
+    for (std::size_t s = c.begin; s < c.end; ++s) {
+      try {
+        c.out.clear();
+        model.transitions(keys.state(table[s]), c.out);
+        c.row.clear();
+        for (Transition& t : c.out) {
+          c.row.push_back({t.prob, keys.key(std::move(t.target))});
+        }
+        // Transition-less states are absorbing (self-loop) — one convention
+        // shared with smc::PathSampler, so the exact and sampling backends
+        // answer the same chain for models with dead-end states.
+        if (c.row.empty()) c.row.push_back({1.0, table[s]});
+        c.mass.push_back(normalizeTransitions(c.row, options.probFloor));
+        for (Entry& entry : c.row) {
+          const std::uint32_t slot =
+              lookup ? slots[probe(entry.target, Keys::hash(entry.target))]
+                     : 0;
+          c.found.push_back(slot);
+          c.entries.push_back(std::move(entry));
+        }
+        c.rowEnd.push_back(c.entries.size());
+      } catch (...) {
+        c.failed = s;
+        c.error = std::current_exception();
+        return;
       }
-      // Transition-less states are absorbing (self-loop) — one convention
-      // shared with smc::PathSampler, so the exact and sampling backends
-      // answer the same chain for models with dead-end states.
-      if (row.empty()) row.push_back({1.0, table[s]});
-      const double mass = normalizeTransitions(row, options.probFloor);
+    }
+  };
+
+  // Ordered phase: the sequential BFS's bookkeeping, in state order. A
+  // failed expansion is rethrown when its state is reached, so the error is
+  // the lowest failing state's, and only if the BFS gets that far.
+  ExplicitDtmc::Raw& raw = e.raw;
+  const auto emit = [&](Chunk& c) {
+    std::size_t k = 0;
+    for (std::size_t s = c.begin; s < c.end; ++s) {
+      if (s == c.failed) std::rethrow_exception(c.error);
+      const std::size_t i = s - c.begin;
       e.worstMassDeviation =
-          std::max(e.worstMassDeviation, std::fabs(mass - 1.0));
-      e.transitions += row.size();
-      for (Entry& entry : row) {
-        const std::uint32_t col = intern(std::move(entry.target));
-        if (truncated) break;
-        h = hashBits(util::hashCombine(h, util::mix64(col)), entry.prob);
+          std::max(e.worstMassDeviation, std::fabs(c.mass[i] - 1.0));
+      e.transitions += c.rowEnd[i] - k;
+      widestRow = std::max(widestRow, c.rowEnd[i] - k);
+      for (; k < c.rowEnd[i]; ++k) {
+        const std::uint32_t col =
+            c.found[k] != 0 ? c.found[k] - 1
+                            : intern(std::move(c.entries[k].target));
+        if (truncated) return;
+        h = hashBits(util::hashCombine(h, util::mix64(col)),
+                     c.entries[k].prob);
         if (options.keepMatrix) {
           raw.col.push_back(col);
-          raw.val.push_back(entry.prob);
+          raw.val.push_back(c.entries[k].prob);
         }
       }
       if (options.keepMatrix) raw.rowPtr.push_back(raw.col.size());
+    }
+  };
+
+  raw.rowPtr.push_back(0);
+  for (std::size_t levelBegin = 0; !truncated && levelBegin < table.size();) {
+    const std::size_t levelEnd = table.size();
+    ++e.reachabilityIterations;
+    std::size_t levelEntries = 0;
+    for (std::size_t w = levelBegin; !truncated && w < levelEnd;) {
+      // Probe the level, then size windows by its observed entries/state.
+      const std::size_t perState =
+          w == levelBegin
+              ? 0
+              : std::max<std::size_t>(1, levelEntries / (w - levelBegin));
+      const std::size_t states = std::min(
+          levelEnd - w, perState == 0 ? kProbeStates
+                                      : std::max<std::size_t>(
+                                            1, kWindowEntries / perState));
+      std::size_t tasks = 1;
+      if (runner != nullptr) {
+        tasks = perState == 0 ? states : states * perState / kChunkEntries;
+        tasks = std::clamp<std::size_t>(tasks, 1,
+                                        std::min(states, kMaxChunks));
+      }
+      for (std::size_t t = 0; t < tasks; ++t) {
+        Chunk& c = chunks[t];
+        c.begin = w + states * t / tasks;
+        c.end = w + states * (t + 1) / tasks;
+        // Grow the buffers here, on the calling thread, to the expected
+        // size: memory a worker allocates stays in its malloc arena.
+        const std::size_t expected = (c.end - c.begin) * perState * 5 / 4;
+        c.entries.reserve(expected);
+        c.found.reserve(expected);
+        c.rowEnd.reserve(c.end - c.begin);
+        c.mass.reserve(c.end - c.begin);
+        c.out.reserve(widestRow);
+        c.row.reserve(widestRow);
+      }
+      // A single inline chunk interns every target in the ordered phase;
+      // looking them up first would only probe twice.
+      la::runTasks(runner, tasks,
+                   [&](std::size_t t) { expand(chunks[t], tasks > 1); });
+      for (std::size_t t = 0; t < tasks && !truncated; ++t) {
+        emit(chunks[t]);
+        levelEntries += chunks[t].entries.size();
+      }
+      w += states;
     }
     levelBegin = levelEnd;
   }
@@ -144,7 +273,8 @@ void exploreWith(const Model& model, const Keys& keys,
 
 }  // namespace
 
-Exploration explore(const Model& model, const ExploreOptions& options) {
+Exploration explore(const Model& model, const ExploreOptions& options,
+                    const la::TaskRunner& runner) {
   // Auto-parents to "engine.analyze" when the engine derives a model key.
   obs::Span span("dtmc.explore");
   const VarLayout layout = model.layout();
@@ -160,9 +290,10 @@ Exploration explore(const Model& model, const ExploreOptions& options) {
 
   Exploration e;
   if (layout.fitsInU64()) {
-    exploreWith(model, PackedKeys{&layout}, options, h, e.packedStates, e);
+    exploreWith(model, PackedKeys{&layout}, options, runner, h, e.packedStates,
+                e);
   } else {
-    exploreWith(model, WideKeys{}, options, h, e.raw.states, e);
+    exploreWith(model, WideKeys{}, options, runner, h, e.raw.states, e);
   }
   if (!e.raw.rowPtr.empty()) e.raw.layout = layout;
   e.seconds = span.stopSeconds();
@@ -204,14 +335,15 @@ BuildResult buildFromExploration(Exploration exploration,
   return result;
 }
 
-BuildResult buildExplicit(const Model& model, const BuildOptions& options) {
+BuildResult buildExplicit(const Model& model, const BuildOptions& options,
+                          const la::TaskRunner& runner) {
   // Auto-parents to "engine.build" when the engine drives the build.
   obs::Span span("dtmc.build");
   ExploreOptions exploreOptions;
   exploreOptions.maxStates = options.maxStates;
   exploreOptions.probFloor = options.probFloor;
   BuildResult result =
-      buildFromExploration(explore(model, exploreOptions), options);
+      buildFromExploration(explore(model, exploreOptions, runner), options);
   result.buildSeconds = span.stopSeconds();
   return result;
 }

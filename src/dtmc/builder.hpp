@@ -5,6 +5,13 @@
 // row as it is emitted. One pass yields the engine's cache key and,
 // optionally, the CSR buildFromExploration assembles without a second BFS.
 // buildExplicit, countReachable and dtmc::modelSignature wrap it.
+//
+// Given a task runner, explore (and buildExplicit) computes each window of
+// a level's rows on it — the model's transitions(), packing, normalizing
+// and a read-only index lookup — while numbering, hashing and CSR emission
+// stay on the calling thread in state order. Every output is bitwise the
+// same with or without a runner, at any pool size. Model methods must then
+// be safe to call concurrently (see dtmc/model.hpp).
 #pragma once
 
 #include <cstdint>
@@ -13,6 +20,7 @@
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
 #include "la/csr_matrix.hpp"
+#include "la/exec.hpp"
 
 namespace mimostat::dtmc {
 
@@ -72,9 +80,12 @@ struct Exploration {
 };
 
 /// Explore the reachable state space of `model`. Never throws on large
-/// models: past options.maxStates it stops with exact = false.
+/// models: past options.maxStates it stops with exact = false. When
+/// transitions() throws, the exception of the lowest-numbered failing state
+/// the BFS reaches propagates, with or without `runner`.
 [[nodiscard]] Exploration explore(const Model& model,
-                                  const ExploreOptions& options = {});
+                                  const ExploreOptions& options = {},
+                                  const la::TaskRunner& runner = {});
 
 /// Assemble the explicit DTMC from a matrix-keeping exploration, without
 /// exploring again (buildSeconds = the exploration's time). Throws what
@@ -87,7 +98,8 @@ struct Exploration {
 /// Build the reachable explicit DTMC for a model (explore, then assemble).
 /// Throws std::runtime_error when maxStates is exceeded.
 [[nodiscard]] BuildResult buildExplicit(const Model& model,
-                                        const BuildOptions& options = {});
+                                        const BuildOptions& options = {},
+                                        const la::TaskRunner& runner = {});
 
 struct CountResult {
   std::uint64_t numStates = 0;

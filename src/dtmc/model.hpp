@@ -5,6 +5,12 @@
 // states (paper Eq. 2-5 define such a function for the Viterbi decoder).
 // Labels (atomic propositions) and reward structures are exposed by name so
 // pCTL properties can refer to them.
+//
+// Concurrency contract: every method may be called concurrently, from any
+// thread, and must not mutate shared state. The engine computes a cold
+// request's exploration rows on its pool (dtmc::explore with a runner) and
+// smc:: draws paths there, so transitions() runs on several threads at
+// once. Every in-repo model is immutable after construction.
 #pragma once
 
 #include <algorithm>

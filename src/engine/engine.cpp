@@ -82,10 +82,12 @@ dtmc::ExploreOptions exploreOptionsFor(const dtmc::BuildOptions& build,
 }
 
 /// A model-cache entry, assembled from `exploration` (the one that produced
-/// `key`; no second BFS) when given, else built with buildExplicit.
+/// `key`; no second BFS) when given, else built with buildExplicit on
+/// `runner`.
 std::shared_ptr<const BuiltModel> builtModel(
     const dtmc::Model& model, const dtmc::BuildOptions& buildOptions,
-    std::uint64_t key, dtmc::Exploration* exploration) {
+    std::uint64_t key, dtmc::Exploration* exploration,
+    const la::TaskRunner& runner) {
   dtmc::BuildResult build;
   if (exploration != nullptr) {
     // Nests under "engine.build", like buildExplicit's span.
@@ -93,7 +95,7 @@ std::shared_ptr<const BuiltModel> builtModel(
     build = dtmc::buildFromExploration(std::move(*exploration), buildOptions);
     build.buildSeconds += assemble.stopSeconds();
   } else {
-    build = dtmc::buildExplicit(model, buildOptions);
+    build = dtmc::buildExplicit(model, buildOptions, runner);
   }
   auto built = std::make_shared<BuiltModel>();
   built->dtmc = std::move(build.dtmc);
@@ -281,15 +283,17 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::getOrCompute(
 std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
     const dtmc::Model& model, const dtmc::BuildOptions& buildOptions,
     std::optional<std::uint64_t> key, bool* cacheHit) {
+  const la::TaskRunner runner = laRunnerFor(pool_);
   std::optional<dtmc::Exploration> exploration;
   if (!key) {
     exploration = dtmc::explore(
-        model, exploreOptionsFor(buildOptions, buildOptions.maxStates, true));
+        model, exploreOptionsFor(buildOptions, buildOptions.maxStates, true),
+        runner);
     key = cacheKeyFor(exploration->hash, buildOptions);
   }
   return getOrCompute(*key, false, cacheHit, [&] {
     return builtModel(model, buildOptions, *key,
-                      exploration ? &*exploration : nullptr);
+                      exploration ? &*exploration : nullptr, runner);
   });
 }
 
@@ -299,8 +303,8 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::quotientFor(
     const std::vector<const std::vector<double>*>& rewards,
     const reduce::Options& reduction, bool* cacheHit) {
   return getOrCompute(quotientKey, true, cacheHit, [&] {
-    reduce::ReducedModel reduced =
-        reduce::buildQuotient(full.dtmc, masks, rewards, reduction);
+    reduce::ReducedModel reduced = reduce::buildQuotient(
+        full.dtmc, masks, rewards, reduction, laRunnerFor(pool_));
     auto built = std::make_shared<BuiltModel>();
     built->signature = quotientKey;
     built->reachabilityIterations = full.reachabilityIterations;
@@ -349,14 +353,16 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
   } else {
     // One exploration yields the key and, unless sampling (which needs the
     // key only as a label), the CSR a miss assembles. Sampling and kAuto
-    // cap it at the state budget — sampled models are typically huge.
+    // cap it at the state budget — sampled models are typically huge. Its
+    // rows are computed on the pool; the result is the sequential one.
     exploration = dtmc::explore(
         *request.model,
         exploreOptionsFor(options.build,
                           backend == Backend::kExact
                               ? options.build.maxStates
                               : options.stateBudget + 1,
-                          backend != Backend::kSampling));
+                          backend != Backend::kSampling),
+        laRunnerFor(pool_));
     key = cacheKeyFor(exploration->hash, options.build);
     if (backend == Backend::kAuto) {
       bool cached = false;
@@ -421,11 +427,12 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   // the wait joining an in-flight build — "dtmc.build" nests here on a
   // miss) and any orientation rebuild below.
   obs::Span buildSpan("engine.build", traceParent);
+  const la::TaskRunner runner = laRunnerFor(pool_);
   bool cacheHit = false;
   std::shared_ptr<const BuiltModel> built =
       getOrCompute(key, false, &cacheHit, [&] {
         return builtModel(*request.model, request.options.build, key,
-                          exploration);
+                          exploration, runner);
       });
   // A hit never needs the explored matrix; free it before reduce and check.
   if (exploration != nullptr) *exploration = dtmc::Exploration{};
@@ -452,7 +459,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
       dtmc::BuildOptions upgraded = request.options.build;
       upgraded.orientation = la::KeepOrientation::kBoth;
       std::shared_ptr<const BuiltModel> replacement =
-          builtModel(*request.model, upgraded, key, nullptr);
+          builtModel(*request.model, upgraded, key, nullptr, runner);
       std::promise<std::shared_ptr<const BuiltModel>> promise;
       promise.set_value(replacement);
       {
@@ -582,11 +589,15 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
         built = std::move(reducedBuilt);
       }
       // Identity quotients (marker entries) are recorded but never applied.
-    } catch (...) {
+    } catch (const std::exception& error) {
       // Reduction is an optimization, never a gatekeeper: semantic errors
       // (unknown atoms/rewards) fall through to the checker, which reports
-      // them per property against the full model.
+      // them per property against the full model. The reason is kept.
       reductionStats = ReductionStats{};
+      reductionStats.skipReason = error.what();
+    } catch (...) {
+      reductionStats = ReductionStats{};
+      reductionStats.skipReason = "unknown exception";
     }
     reductionStats.reduceSeconds = reduceSpan.stopSeconds();
     response.timing.reduceSeconds = reductionStats.reduceSeconds;

@@ -77,6 +77,9 @@ struct ReductionStats {
   std::uint64_t transitionsAfter = 0;
   /// Signature-refinement rounds of the (possibly cached) quotient build.
   std::uint32_t refinementRounds = 0;
+  /// Why the stage gave up on this request (the message of what it threw,
+  /// "unknown exception" for a non-std one); empty when it did not fail.
+  std::string skipReason;
   /// Wall-clock of the reduction stage for this request (cache hits pay
   /// only the mask/reward evaluation + lookup). Mirrors
   /// PhaseTiming::reduceSeconds.

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "la/simd.hpp"
@@ -51,5 +52,22 @@ struct Exec {
            nnz >= parallelThresholdNnz.value_or(kDefaultParallelThresholdNnz);
   }
 };
+
+/// body(0), ..., body(count - 1): one task each on `runner`, or in order on
+/// the calling thread when there is no runner or a single task. Bodies
+/// write into pre-assigned slots, so results never depend on which ran.
+template <class Body>
+void runTasks(const TaskRunner& runner, std::size_t count, const Body& body) {
+  if (runner == nullptr || count <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    tasks.push_back([&body, i] { body(i); });
+  }
+  runner(std::move(tasks));
+}
 
 }  // namespace mimostat::la

@@ -85,7 +85,7 @@ InitialKeys keysFromMasksAndRewards(
 }
 
 LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
-                const LumpOptions& options) {
+                const LumpOptions& options, const la::TaskRunner& runner) {
   obs::Span span("lump.bisim");
   const std::uint32_t n = dtmc.numStates();
   assert(initialKeys.size() == n);
@@ -105,20 +105,34 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
     result.partition.numBlocks = static_cast<std::uint32_t>(blockIds.size());
   }
 
-  // Signature refinement to fixpoint.
-  std::vector<std::pair<std::uint32_t, double>> scratch;
+  // Signature refinement to fixpoint. Each round hashes every state's
+  // signature — a pure function of the state and the previous round's
+  // partition — over the matrix's row blocks (on `runner` when the matrix
+  // is large enough), then numbers the new blocks in state order on this
+  // thread, so the partition is the same at any pool size.
+  const la::CsrMatrix& matrix = dtmc.matrix();
+  const bool fanOut = runner != nullptr && matrix.blockCount() > 1 &&
+                      dtmc.numTransitions() >=
+                          la::Exec::kDefaultParallelThresholdNnz;
+  const std::size_t ranges = fanOut ? matrix.blockCount() : 1;
+  std::vector<std::uint64_t> signature(n);
   std::vector<std::uint32_t> newBlockOf(n);
   for (std::uint32_t round = 0; round < options.maxRefinementRounds; ++round) {
     ++result.refinementRounds;
+    la::runTasks(runner, ranges, [&](std::size_t r) {
+      std::vector<std::pair<std::uint32_t, double>> scratch;
+      const std::uint32_t end = fanOut ? matrix.blockEnd(r) : n;
+      for (std::uint32_t s = fanOut ? matrix.blockBegin(r) : 0; s < end; ++s) {
+        signature[s] = util::hashCombine(
+            util::mix64(blockOf[s]),
+            signatureHash(dtmc, s, blockOf, options.probResolution, scratch));
+      }
+    });
     std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
     blockIds.reserve(result.partition.numBlocks * 2);
     for (std::uint32_t s = 0; s < n; ++s) {
-      const std::uint64_t sig =
-          signatureHash(dtmc, s, blockOf, options.probResolution, scratch);
-      const std::uint64_t key =
-          util::hashCombine(util::mix64(blockOf[s]), sig);
-      auto [it, inserted] =
-          blockIds.try_emplace(key, static_cast<std::uint32_t>(blockIds.size()));
+      auto [it, inserted] = blockIds.try_emplace(
+          signature[s], static_cast<std::uint32_t>(blockIds.size()));
       newBlockOf[s] = it->second;
     }
     const auto newCount = static_cast<std::uint32_t>(blockIds.size());

@@ -15,6 +15,7 @@
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "la/bit_vector.hpp"
+#include "la/exec.hpp"
 
 namespace mimostat::lump {
 
@@ -49,9 +50,13 @@ using InitialKeys = std::vector<std::uint64_t>;
 /// and its VarLayout is inherited — so pCTL variable comparisons keep
 /// working on the quotient as long as the compared variables are constant
 /// within blocks (true whenever they are part of the initial keys).
+/// `runner` computes each round's signatures in parallel; block ids are
+/// still assigned in state order, so every output is bitwise the same with
+/// or without it.
 [[nodiscard]] LumpResult lump(const dtmc::ExplicitDtmc& dtmc,
                               const InitialKeys& initialKeys,
-                              const LumpOptions& options = {});
+                              const LumpOptions& options = {},
+                              const la::TaskRunner& runner = {});
 
 /// Initial keys from a reward vector (bucketed) and optional packed label
 /// sets (one la::BitVector per label, one bit per state).

@@ -33,13 +33,14 @@ bool eliminationAutoFires(const Options& options, bool quotientApplied,
 ReducedModel buildQuotient(const dtmc::ExplicitDtmc& dtmc,
                            const std::vector<const la::BitVector*>& masks,
                            const std::vector<const std::vector<double>*>& rewards,
-                           const Options& options) {
+                           const Options& options,
+                           const la::TaskRunner& runner) {
   obs::Span span("reduce.quotient");
   const lump::InitialKeys keys = lump::keysFromMasksAndRewards(
       dtmc.numStates(), masks, rewards, options.rewardResolution);
   lump::LumpOptions lumpOptions;
   lumpOptions.probResolution = options.probResolution;
-  lump::LumpResult lumped = lump::lump(dtmc, keys, lumpOptions);
+  lump::LumpResult lumped = lump::lump(dtmc, keys, lumpOptions, runner);
 
   ReducedModel reduced;
   reduced.info.blockOf = std::move(lumped.partition.blockOf);

@@ -28,6 +28,7 @@
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "la/bit_vector.hpp"
+#include "la/exec.hpp"
 
 namespace mimostat::reduce {
 
@@ -108,12 +109,13 @@ struct ReducedModel {
 /// Plan-aware quotient: the initial partition separates states exactly by
 /// the given evaluated masks (one bit per state each) and bucketed reward
 /// vectors — the plan's needs, nothing more. Deterministic: block ids are
-/// assigned in ascending state order.
+/// assigned in ascending state order, with or without `runner` (which only
+/// spreads the signature refinement, see lump::lump).
 [[nodiscard]] ReducedModel buildQuotient(
     const dtmc::ExplicitDtmc& dtmc,
     const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
-    const Options& options = {});
+    const Options& options = {}, const la::TaskRunner& runner = {});
 
 /// Quotient per-block values -> original per-state values (block-map
 /// indirection: every member of a block reads its block's value).

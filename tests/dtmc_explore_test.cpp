@@ -1,7 +1,8 @@
 // dtmc::explore — the one BFS behind buildExplicit, countReachable,
 // modelSignature and the engine's cache key. The builder is checked bit for
 // bit against the legacy vector-keyed builder (legacy_builder.hpp) on every
-// model family; the key's contract and the engine's one-exploration-per-
+// model family, sequentially and with its rows computed on 1-, 2- and
+// 8-thread pools; the key's contract and the engine's one-exploration-per-
 // request guarantee are checked through the engine.
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include "dtmc/builder.hpp"
 #include "dtmc/signature.hpp"
 #include "engine/engine.hpp"
+#include "engine/thread_pool.hpp"
 #include "legacy_builder.hpp"
 #include "mimo/model.hpp"
 #include "obs/metrics.hpp"
@@ -33,20 +35,54 @@ bool bitEqual(const std::vector<double>& a, const std::vector<double>& b) {
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
+constexpr std::size_t kPoolSizes[] = {1, 2, 8};
+
+/// Everything an exploration reports, bit for bit.
+void expectSameExploration(const dtmc::Exploration& got,
+                           const dtmc::Exploration& want) {
+  EXPECT_EQ(got.hash, want.hash);
+  EXPECT_EQ(got.exact, want.exact);
+  EXPECT_EQ(got.states, want.states);
+  EXPECT_EQ(got.transitions, want.transitions);
+  EXPECT_EQ(got.reachabilityIterations, want.reachabilityIterations);
+  EXPECT_EQ(got.worstMassDeviation, want.worstMassDeviation);
+  EXPECT_EQ(got.packedStates, want.packedStates);
+  EXPECT_EQ(got.raw.states, want.raw.states);
+  EXPECT_EQ(got.raw.rowPtr, want.raw.rowPtr);
+  EXPECT_EQ(got.raw.col, want.raw.col);
+  EXPECT_TRUE(bitEqual(got.raw.val, want.raw.val));
+  EXPECT_TRUE(bitEqual(got.raw.initial, want.raw.initial));
+}
+
 /// Every array the builder produces, bit for bit, against the legacy
-/// builder.
+/// builder — sequentially and with rows computed on 1/2/8-thread pools,
+/// whose explorations must also equal the sequential one field for field.
 void expectLegacyBuild(const dtmc::Model& model,
                        const dtmc::BuildOptions& options = {}) {
-  const dtmc::BuildResult got = dtmc::buildExplicit(model, options);
   const dtmc::BuildResult want = test::legacyBuildExplicit(model, options);
-  EXPECT_GT(got.dtmc.numStates(), 0u);
-  EXPECT_EQ(got.dtmc.states(), want.dtmc.states());
-  EXPECT_EQ(got.dtmc.rowPtr(), want.dtmc.rowPtr());
-  EXPECT_EQ(got.dtmc.col(), want.dtmc.col());
-  EXPECT_TRUE(bitEqual(got.dtmc.val(), want.dtmc.val()));
-  EXPECT_TRUE(bitEqual(got.dtmc.initialDistribution(),
-                       want.dtmc.initialDistribution()));
-  EXPECT_EQ(got.reachabilityIterations, want.reachabilityIterations);
+  const auto expectLegacy = [&](const dtmc::BuildResult& got) {
+    EXPECT_GT(got.dtmc.numStates(), 0u);
+    EXPECT_EQ(got.dtmc.states(), want.dtmc.states());
+    EXPECT_EQ(got.dtmc.rowPtr(), want.dtmc.rowPtr());
+    EXPECT_EQ(got.dtmc.col(), want.dtmc.col());
+    EXPECT_TRUE(bitEqual(got.dtmc.val(), want.dtmc.val()));
+    EXPECT_TRUE(bitEqual(got.dtmc.initialDistribution(),
+                         want.dtmc.initialDistribution()));
+    EXPECT_EQ(got.reachabilityIterations, want.reachabilityIterations);
+  };
+  expectLegacy(dtmc::buildExplicit(model, options));
+
+  dtmc::ExploreOptions exploreOptions;
+  exploreOptions.probFloor = options.probFloor;
+  const dtmc::Exploration sequential = dtmc::explore(model, exploreOptions);
+  for (const std::size_t threads : kPoolSizes) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    engine::ThreadPool pool(threads);
+    const la::TaskRunner runner = engine::laRunnerFor(pool);
+    expectSameExploration(dtmc::explore(model, exploreOptions, runner),
+                          sequential);
+    expectLegacy(dtmc::buildExplicit(model, options, runner));
+  }
 }
 
 viterbi::ViterbiParams viterbiParams(int traceLength) {
@@ -210,11 +246,14 @@ TEST(ExploreOracle, MaxStatesOverflowThrowsLikeLegacy) {
   dtmc::BuildOptions options;
   options.maxStates = 5;
   const auto model = test::lineModel(10);
-  for (const bool legacy : {false, true}) {
+  engine::ThreadPool pool(8);
+  const la::TaskRunner runner = engine::laRunnerFor(pool);
+  for (const int builder : {0, 1, 2}) {  // legacy, sequential, on the pool
     try {
-      (void)(legacy ? test::legacyBuildExplicit(model, options)
-                    : dtmc::buildExplicit(model, options));
-      ADD_FAILURE() << "no throw (legacy=" << legacy << ")";
+      (void)(builder == 0   ? test::legacyBuildExplicit(model, options)
+             : builder == 1 ? dtmc::buildExplicit(model, options)
+                            : dtmc::buildExplicit(model, options, runner));
+      ADD_FAILURE() << "no throw (builder " << builder << ")";
     } catch (const std::runtime_error& e) {
       EXPECT_STREQ(e.what(),
                    "buildExplicit: reachable state space exceeds maxStates");
@@ -244,6 +283,106 @@ TEST(Explore, KeysWithoutMatrixMatchBuildCounts) {
   EXPECT_EQ(built.dtmc.numStates(), counted.states);
   EXPECT_EQ(built.dtmc.numTransitions(), counted.transitions);
   EXPECT_EQ(built.reachabilityIterations, counted.reachabilityIterations);
+}
+
+// ------------------------------------------------------ rows on the pool
+
+/// State 0 fans out to 1..40 and state k in 1..40 moves to 40 + k, which is
+/// absorbing. transitions() throws on the `failing` states, so level 2
+/// (states 1..40, numbered as their values) fails inside one window, in
+/// different tasks.
+class FailingFanOutModel : public dtmc::Model {
+ public:
+  explicit FailingFanOutModel(std::vector<int> failing)
+      : failing_(std::move(failing)) {}
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"s", 0, 80}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0}};
+  }
+  void transitions(const dtmc::State& s,
+                   std::vector<dtmc::Transition>& out) const override {
+    if (s[0] == 0) {
+      for (int k = 1; k <= 40; ++k) out.push_back({1.0 / 40.0, {k}});
+      return;
+    }
+    for (const int failing : failing_) {
+      if (s[0] == failing) {
+        throw std::runtime_error("state " + std::to_string(failing));
+      }
+    }
+    if (s[0] <= 40) out.push_back({1.0, {s[0] + 40}});
+  }
+
+ private:
+  std::vector<int> failing_;
+};
+
+/// The message `explore` throws, or "" when it returns.
+std::string exploreError(const dtmc::Model& model,
+                         const dtmc::ExploreOptions& options,
+                         const la::TaskRunner& runner = {}) {
+  try {
+    (void)dtmc::explore(model, options, runner);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ExploreParallel, TruncationInsideAWindowMatchesSequential) {
+  // 8,193 states; level 7 (states 1,857..7,552) runs as one 32-state probe
+  // and one 5,664-state window spread over the pool, so these caps stop
+  // the BFS inside a probe, inside a spread window and mid-row.
+  const viterbi::ReducedViterbiModel model(viterbi::ViterbiParams{});
+  for (const std::uint64_t cap : {40u, 1870u, 3000u, 7600u}) {
+    for (const bool keepMatrix : {true, false}) {
+      dtmc::ExploreOptions options;
+      options.maxStates = cap;
+      options.keepMatrix = keepMatrix;
+      const dtmc::Exploration sequential = dtmc::explore(model, options);
+      EXPECT_FALSE(sequential.exact) << cap;
+      EXPECT_EQ(sequential.states, cap + 1);
+      for (const std::size_t threads : kPoolSizes) {
+        SCOPED_TRACE(std::to_string(cap) + " cap, " +
+                     std::to_string(threads) + " threads");
+        engine::ThreadPool pool(threads);
+        expectSameExploration(
+            dtmc::explore(model, options, engine::laRunnerFor(pool)),
+            sequential);
+      }
+    }
+  }
+}
+
+TEST(ExploreParallel, LowestFailingStateWins) {
+  const FailingFanOutModel model({30, 7});
+  EXPECT_EQ(exploreError(model, {}), "state 7");
+  for (const std::size_t threads : kPoolSizes) {
+    engine::ThreadPool pool(threads);
+    for (int repeat = 0; repeat < 20; ++repeat) {
+      EXPECT_EQ(exploreError(model, {}, engine::laRunnerFor(pool)), "state 7")
+          << threads << " threads";
+    }
+  }
+}
+
+TEST(ExploreParallel, FailurePastTheCapIsNeverRaised) {
+  // The cap is reached while emitting state 10's row; state 20 fails in
+  // the same window but the sequential BFS never expands it.
+  const FailingFanOutModel model({20});
+  dtmc::ExploreOptions options;
+  options.maxStates = 50;
+  const dtmc::Exploration sequential = dtmc::explore(model, options);
+  EXPECT_FALSE(sequential.exact);
+  EXPECT_EQ(sequential.states, 51u);
+  for (const std::size_t threads : kPoolSizes) {
+    engine::ThreadPool pool(threads);
+    const la::TaskRunner runner = engine::laRunnerFor(pool);
+    EXPECT_EQ(exploreError(model, options, runner), "");
+    expectSameExploration(dtmc::explore(model, options, runner), sequential);
+  }
 }
 
 // --------------------------------------------------------------- the key
@@ -400,6 +539,27 @@ TEST(ExploreOnce, ColdWarmAndModelKeyRequests) {
   engine::AnalysisEngine fresh;
   const auto built = fresh.ensureBuilt(model);
   EXPECT_EQ(model.take(), built->dtmc.numStates());
+}
+
+TEST(ExploreOnce, OneCallPerStateOnThePool) {
+  const viterbi::ReducedViterbiModel inner(viterbi::ViterbiParams{});
+  const CountingModel model(inner);
+  for (const std::size_t threads : kPoolSizes) {
+    engine::ThreadPool pool(threads);
+    const dtmc::Exploration e =
+        dtmc::explore(model, {}, engine::laRunnerFor(pool));
+    EXPECT_EQ(model.take(), e.states) << threads << " threads";
+
+    engine::EngineOptions options;
+    options.threads = threads;
+    engine::AnalysisEngine eng(options);
+    engine::AnalysisRequest request;
+    request.model = &model;
+    request.properties = {"R=? [ I=20 ]"};
+    const auto response = eng.analyze(request);
+    ASSERT_TRUE(response.ok()) << response.error;
+    EXPECT_EQ(model.take(), response.states) << threads << " threads";
+  }
 }
 
 TEST(ExploreOnce, ConcurrentColdRequestsShareOneEntry) {

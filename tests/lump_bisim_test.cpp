@@ -1,14 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "dtmc/builder.hpp"
+#include "engine/thread_pool.hpp"
 #include "la/bit_vector.hpp"
 #include "lump/bisim.hpp"
 #include "lump/verify.hpp"
 #include "mc/transient.hpp"
 #include "test_models.hpp"
+#include "viterbi/model_reduced.hpp"
 
 namespace mimostat {
 namespace {
@@ -257,9 +260,9 @@ TEST(LumpEdge, KeysFromMasksAndRewardsMatchesManualPartition) {
 }
 
 TEST(LumpEdge, QuotientByteIdenticalAcrossConcurrentThreads) {
-  // The refinement is sequential, but the engine's reduce stage may run it
-  // from any pool thread with siblings refining concurrently. Block maps
-  // and quotient arrays must come out byte-identical regardless.
+  // The engine's reduce stage may run the refinement from any pool thread
+  // with siblings refining concurrently. Block maps and quotient arrays
+  // must come out byte-identical regardless.
   const auto model = test::randomModel(60, 3, 5);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto reward = d.evalReward(model, "");
@@ -284,6 +287,40 @@ TEST(LumpEdge, QuotientByteIdenticalAcrossConcurrentThreads) {
       EXPECT_EQ(result.representative, reference.representative);
       EXPECT_EQ(result.quotient.col(), reference.quotient.col());
       EXPECT_EQ(result.quotient.val(), reference.quotient.val());
+    }
+  }
+}
+
+TEST(LumpEdge, SignaturesOnThePoolAreBitwiseSequential) {
+  // Both matrices pass the fan-out threshold (57,350 and 262,144 nonzeros,
+  // several row blocks each), so every round's signatures run on the pool.
+  const viterbi::ReducedViterbiModel viterbiModel(viterbi::ViterbiParams{});
+  const test::SymmetricBanksModel banks(9, 0.3, 0.2);
+  for (const dtmc::Model* model :
+       std::vector<const dtmc::Model*>{&viterbiModel, &banks}) {
+    const auto d = dtmc::buildExplicit(*model).dtmc;
+    ASSERT_GT(d.matrix().blockCount(), 1u);
+    const auto reward = d.evalReward(*model, "");
+    const la::BitVector mask = d.evalAtom(*model, "error");
+    const auto keys =
+        lump::keysFromMasksAndRewards(d.numStates(), {&mask}, {&reward});
+    const lump::LumpResult sequential = lump::lump(d, keys);
+    EXPECT_LT(sequential.partition.numBlocks, d.numStates());
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE(std::to_string(threads) + " threads");
+      engine::ThreadPool pool(threads);
+      const lump::LumpResult got =
+          lump::lump(d, keys, {}, engine::laRunnerFor(pool));
+      EXPECT_EQ(got.partition.blockOf, sequential.partition.blockOf);
+      EXPECT_EQ(got.partition.numBlocks, sequential.partition.numBlocks);
+      EXPECT_EQ(got.representative, sequential.representative);
+      EXPECT_EQ(got.refinementRounds, sequential.refinementRounds);
+      EXPECT_EQ(got.quotient.rowPtr(), sequential.quotient.rowPtr());
+      EXPECT_EQ(got.quotient.col(), sequential.quotient.col());
+      EXPECT_EQ(got.quotient.val(), sequential.quotient.val());
+      EXPECT_EQ(got.quotient.initialDistribution(),
+                sequential.quotient.initialDistribution());
+      EXPECT_EQ(got.quotient.states(), sequential.quotient.states());
     }
   }
 }

@@ -370,7 +370,7 @@ TEST(ObsDeterminism, SweepCsvByteIdenticalTracingOnVsOff) {
     spec.factory = [](const sweep::Params& p) {
       auto model = std::make_shared<test::MatrixModel>(
           test::twoStateChain(p.getDouble("a"), 0.4));
-      model->withLabel("one", {1}).withRewards({0.0, 1.0});
+      model->withLabel("one", {0, 1}).withRewards({0.0, 1.0});
       return model;
     };
     spec.properties = [](const sweep::Params& p) {

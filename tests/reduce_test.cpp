@@ -431,6 +431,39 @@ TEST(EngineReduce, ThreadCountByteIdentical) {
   }
 }
 
+TEST(EngineReduce, FailedStageRecordsSkipReason) {
+  // An unknown variable makes the stage's mask evaluation throw: the stage
+  // records why it gave up, and the checker still answers per property on
+  // the full model — the broken one with its error, the other with a value.
+  const test::SymmetricBanksModel model(8, 0.3, 0.2);
+  engine::EngineOptions engineOptions;
+  engineOptions.threads = 2;
+  obs::MetricsRegistry metrics;
+  engineOptions.metrics = &metrics;
+  engine::AnalysisEngine eng(engineOptions);
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"P=? [ F<=10 any ]", "P=? [ F<=10 nosuch=1 ]"};
+  request.options.reduction.quotient = reduce::Toggle::kOn;
+  const auto response = eng.analyze(request);
+  ASSERT_TRUE(response.error.empty()) << response.error;
+  EXPECT_FALSE(response.reduction.applied);
+  EXPECT_EQ(response.reduction.skipReason,
+            "pCTL: unknown state variable 'nosuch'");
+  ASSERT_EQ(response.results.size(), 2u);
+  EXPECT_TRUE(response.results[0].ok()) << response.results[0].error;
+  EXPECT_GT(response.results[0].value, 0.0);
+  EXPECT_EQ(response.results[1].error,
+            "pCTL: unknown state variable 'nosuch'");
+
+  // A stage that succeeds records no reason.
+  request.properties = {"P=? [ F<=10 any ]"};
+  const auto clean = eng.analyze(request);
+  ASSERT_TRUE(clean.ok()) << clean.error;
+  EXPECT_TRUE(clean.reduction.applied);
+  EXPECT_TRUE(clean.reduction.skipReason.empty());
+}
+
 // --- label/reward digest (satellite: cache-key extension) ---
 
 TEST(SignatureDigest, EmptyDigestIsZero) {

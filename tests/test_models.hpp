@@ -5,6 +5,7 @@
 
 #include <cassert>
 #include <functional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,7 +25,12 @@ class MatrixModel : public dtmc::Model {
     rewards_.assign(matrix_.size(), 0.0);
   }
 
+  /// `truth` holds one entry per state (checked in every build type).
   MatrixModel& withLabel(std::string name, std::vector<std::uint8_t> truth) {
+    if (truth.size() != matrix_.size()) {
+      throw std::invalid_argument("MatrixModel::withLabel: label '" + name +
+                                  "' needs one entry per state");
+    }
     labels_.emplace_back(std::move(name), std::move(truth));
     return *this;
   }
