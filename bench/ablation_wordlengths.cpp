@@ -6,21 +6,27 @@
 // Shapes: more ADC levels and deeper path metrics monotonically improve
 // BER until the channel noise floor dominates; state count (a proxy for
 // verification cost, and loosely for area) grows with every width.
+//
+// Exits non-zero when a candidate's property fails to check.
 #include <cstdio>
 
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
+#include "engine_rows.hpp"
 #include "viterbi/model_reduced.hpp"
 
 namespace {
 
-void sweepRow(const mimostat::viterbi::ViterbiParams& params) {
+void sweepRow(mimostat::engine::AnalysisEngine& engine,
+              const mimostat::viterbi::ViterbiParams& params) {
   using namespace mimostat;
   const viterbi::ReducedViterbiModel model(params);
-  const core::PerformanceAnalyzer analyzer(model);
-  const auto p2 = analyzer.check("R=? [ I=400 ]");
-  std::printf("%-8d %-8d %-8d %10u %14.8f %10.3f\n", params.quantLevels,
-              params.pmCap, params.bmCap, analyzer.dtmc().numStates(),
-              p2.value, analyzer.buildSeconds() + p2.checkSeconds);
+  const auto built = engine.ensureBuilt(model);
+  const auto p2 =
+      bench::checkRows(engine, model, *built, {"R=? [ I=400 ]"})[0];
+  std::printf("%-8d %-8d %-8d %10llu %14.8f %10.3f\n", params.quantLevels,
+              params.pmCap, params.bmCap,
+              static_cast<unsigned long long>(p2.states), p2.value,
+              p2.totalSeconds());
 }
 
 }  // namespace
@@ -32,6 +38,8 @@ int main() {
   std::printf("%-8s %-8s %-8s %10s %14s %10s\n", "ADC", "pmCap", "bmCap",
               "states", "BER (exact)", "time(s)");
 
+  engine::AnalysisEngine engine;
+
   viterbi::ViterbiParams base;
   base.tracebackLength = 5;
   base.snrDb = 6.0;
@@ -40,7 +48,7 @@ int main() {
   for (const int levels : {2, 4, 8, 16}) {
     auto params = base;
     params.quantLevels = levels;
-    sweepRow(params);
+    sweepRow(engine, params);
   }
 
   std::printf("-- path-metric register sweep --\n");
@@ -48,14 +56,14 @@ int main() {
     auto params = base;
     params.pmCap = pmCap;
     params.bmCap = std::min(params.bmCap, pmCap);
-    sweepRow(params);
+    sweepRow(engine, params);
   }
 
   std::printf("-- branch-metric saturation sweep --\n");
   for (const int bmCap : {1, 2, 4, 6}) {
     auto params = base;
     params.bmCap = bmCap;
-    sweepRow(params);
+    sweepRow(engine, params);
   }
 
   std::printf("\nReading: pick the smallest widths on each axis whose BER "

@@ -32,7 +32,7 @@ SweepResult compareSweep(const dtmc::Model& model,
   SweepResult result;
 
   // Per-call baseline: one independent check per property on a prebuilt
-  // model (the seed PerformanceAnalyzer behavior).
+  // model, with no batching across properties.
   const auto build = dtmc::buildExplicit(model);
   const mc::Checker checker(build.dtmc, model);
   std::vector<double> perCall;

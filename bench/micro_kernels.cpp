@@ -1,9 +1,9 @@
 // google-benchmark micro kernels for the engine primitives: sparse
 // matrix-vector products (transient analysis), bounded-until iterations,
-// bisimulation lumping, BDD operations, Gaussian cell probabilities and
-// per-SIMD-target masked SpMM (registered only for targets this host can
-// run). A custom main() first replays every supported SIMD target against
-// the forced-scalar kernels and exits 1 on any bitwise mismatch — the
+// bisimulation lumping, Gaussian cell probabilities and per-SIMD-target
+// masked SpMM (registered only for targets this host can run). A custom
+// main() first replays every supported SIMD target against the
+// forced-scalar kernels and exits 1 on any bitwise mismatch — the
 // benchmark rows are only worth reading if the dispatch is exact.
 #include <benchmark/benchmark.h>
 
@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "bdd/manager.hpp"
 #include "comm/quantizer.hpp"
 #include "dtmc/builder.hpp"
 #include "la/exec.hpp"
@@ -93,19 +92,6 @@ void BM_Lumping(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Lumping);
-
-void BM_BddOps(benchmark::State& state) {
-  util::Xoshiro256 rng(5);
-  for (auto _ : state) {
-    bdd::BddManager mgr(24);
-    bdd::NodeRef f = bdd::BddManager::kFalse;
-    for (int i = 0; i < 64; ++i) {
-      f = mgr.bddOr(f, mgr.minterm(rng.nextBounded(1 << 24), 24));
-    }
-    benchmark::DoNotOptimize(mgr.satCount(f));
-  }
-}
-BENCHMARK(BM_BddOps);
 
 void BM_QuantizerCellProbs(benchmark::State& state) {
   const comm::UniformQuantizer quant(8, 3.0);

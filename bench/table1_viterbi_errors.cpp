@@ -13,13 +13,15 @@
 // the paper does. The shape to verify: P1 is astronomically small, P2 is a
 // few tenths (poor SNR), P3 is ~1, and the reduction shrinks the model by
 // a large factor while preserving the values.
+//
+// Exits 1 when any check below prints FAIL or NO.
 #include <cstdio>
 
-#include "core/analyzer.hpp"
 #include "core/metrics.hpp"
 #include "core/report.hpp"
 #include "dtmc/builder.hpp"
-#include "util/timer.hpp"
+#include "engine/engine.hpp"
+#include "engine_rows.hpp"
 #include "viterbi/fabs.hpp"
 #include "viterbi/model_full.hpp"
 #include "viterbi/model_reduced.hpp"
@@ -61,20 +63,25 @@ int main() {
 
   // Reduced models + property checking.
   std::printf("\nBuilding reduced model M_R and checking properties...\n");
+  engine::AnalysisEngine engine;
   const viterbi::ReducedViterbiModel reducedP12(params);
-  const core::PerformanceAnalyzer analyzerP12(reducedP12);
+  const auto builtP12 = engine.ensureBuilt(reducedP12);
 
   const viterbi::ReducedViterbiModel reducedP3(paramsP3);
-  const core::PerformanceAnalyzer analyzerP3(reducedP3);
+  const auto builtP3 = engine.ensureBuilt(reducedP3);
 
+  // One request per row, so each row's check time is its own.
   const std::uint64_t horizon = 300;
   std::vector<core::GuaranteeReport> rows;
-  rows.push_back(analyzerP12.check(
-      core::metricProperty(core::MetricKind::kBestCase, horizon)));
-  rows.push_back(analyzerP12.check(
-      core::metricProperty(core::MetricKind::kAverageCase, horizon)));
-  rows.push_back(analyzerP3.check(
-      core::metricProperty(core::MetricKind::kWorstCase, horizon, 1)));
+  rows.push_back(bench::checkRows(
+      engine, reducedP12, *builtP12,
+      {core::metricProperty(core::MetricKind::kBestCase, horizon)})[0]);
+  rows.push_back(bench::checkRows(
+      engine, reducedP12, *builtP12,
+      {core::metricProperty(core::MetricKind::kAverageCase, horizon)})[0]);
+  rows.push_back(bench::checkRows(
+      engine, reducedP3, *builtP3,
+      {core::metricProperty(core::MetricKind::kWorstCase, horizon, 1)})[0]);
   std::printf("\n%s\n", core::formatReportTable(
                             "Table I (reduced model M_R)", rows)
                             .c_str());
@@ -85,10 +92,11 @@ int main() {
       static_cast<double>(countP3.numStates) / rows[2].states;
   std::printf("Reduction factors: P1/P2 %.1fx, P3 %.1fx\n", factorP12,
               factorP3);
+  const bool p1Ok = rows[0].value < 1e-6;
+  const bool p2Ok = rows[1].value > 0.05 && rows[1].value < 0.5;
+  const bool p3Ok = rows[2].value > 0.99;
   std::printf("Shape check: P1 << 1e-6 (%s), 0.05 < P2 < 0.5 (%s), "
               "P3 > 0.99 (%s)\n",
-              rows[0].value < 1e-6 ? "yes" : "NO",
-              rows[1].value > 0.05 && rows[1].value < 0.5 ? "yes" : "NO",
-              rows[2].value > 0.99 ? "yes" : "NO");
-  return 0;
+              p1Ok ? "yes" : "NO", p2Ok ? "yes" : "NO", p3Ok ? "yes" : "NO");
+  return equivalence.equivalent && p1Ok && p2Ok && p3Ok ? 0 : 1;
 }

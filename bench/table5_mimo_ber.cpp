@@ -5,11 +5,14 @@
 // estimate the 1x4 BER (1.07e-5 observed), and 1e5 steps saw *zero* errors
 // — simulation cannot resolve low BERs that the model checker computes
 // exactly in seconds.
+//
+// Exits 1 when the shape check or the simulation cross-check prints NO.
 #include <cstdio>
 #include <cstdlib>
 #include <string_view>
 
-#include "core/analyzer.hpp"
+#include "engine/engine.hpp"
+#include "engine_rows.hpp"
 #include "lump/symmetry.hpp"
 #include "mimo/model.hpp"
 #include "mimo/sim.hpp"
@@ -17,16 +20,20 @@
 
 namespace {
 
-double runDetector(const char* name, const mimostat::mimo::MimoParams& params) {
+double runDetector(mimostat::engine::AnalysisEngine& engine, const char* name,
+                   const mimostat::mimo::MimoParams& params) {
   using namespace mimostat;
   const mimo::MimoDetectorModel model(params);
   const lump::SymmetryReducedModel reduced(model, model.symmetryBlocks());
-  const core::PerformanceAnalyzer analyzer(reduced);
+  const auto built = engine.ensureBuilt(reduced);
 
   std::printf("%s: %u states (symmetry-reduced), RI=%u, built in %.2fs\n",
-              name, analyzer.dtmc().numStates(),
-              analyzer.reachabilityIterations(), analyzer.buildSeconds());
-  const auto rows = analyzer.sweepInstantaneous({5, 10, 20});
+              name, built->dtmc.numStates(), built->reachabilityIterations,
+              built->buildSeconds);
+  // The three horizons share one transient sweep.
+  const auto rows = bench::checkRows(
+      engine, reduced, *built,
+      {"R=? [ I=5 ]", "R=? [ I=10 ]", "R=? [ I=20 ]"});
   std::printf("  %-6s %-14s %-10s\n", "T", "BER (P2)", "time(s)");
   const std::uint64_t ts[3] = {5, 10, 20};
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -50,11 +57,13 @@ int main(int argc, char** argv) {
   std::printf("=== Table V: BER for MIMO detectors ===\n");
   std::printf("(paper: 1x2 ~0.28-0.30; 1x4 1.08e-5; RI=3)\n\n");
 
-  const double ber1x2 = runDetector("1x2", mimo::mimo1x2Params());
-  const double ber1x4 = runDetector("1x4", mimo::mimo1x4Params());
+  engine::AnalysisEngine engine;
+  const double ber1x2 = runDetector(engine, "1x2", mimo::mimo1x2Params());
+  const double ber1x4 = runDetector(engine, "1x4", mimo::mimo1x4Params());
 
+  const bool shapeOk = ber1x4 < 0.01 * ber1x2;
   std::printf("\nShape check: BER(1x4) << BER(1x2): %s (%.3g vs %.3g)\n",
-              ber1x4 < 0.01 * ber1x2 ? "yes" : "NO", ber1x4, ber1x2);
+              shapeOk ? "yes" : "NO", ber1x4, ber1x2);
 
   // --- Simulation comparison (paper §V) ---
   std::printf("\n--- Monte-Carlo comparison (1x4 detector) ---\n");
@@ -72,12 +81,13 @@ int main(int argc, char** argv) {
 
   const auto longSim = mimo::simulateQuantized(params, longRun, 13);
   const auto longInterval = longSim.bitErrors.wilson(0.95);
+  const bool inside = longInterval.contains(ber1x4);
   std::printf("%.0e steps: BER_sim = %.3e [%.3e, %.3e] in %.1fs; "
               "model-checked %.3e inside: %s\n",
               static_cast<double>(longRun), longSim.bitErrors.estimate(),
               longInterval.low, longInterval.high, longSim.seconds, ber1x4,
-              longInterval.contains(ber1x4) ? "yes" : "NO");
+              inside ? "yes" : "NO");
   std::printf("Expected steps per observed error at this BER: %.1e\n",
               ber1x4 > 0 ? 1.0 / ber1x4 : 0.0);
-  return 0;
+  return shapeOk && inside ? 0 : 1;
 }

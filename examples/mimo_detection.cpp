@@ -33,11 +33,11 @@ int main() {
   std::printf("Block-permutation symmetry verified: %s\n",
               reduced.verifySymmetry({"error"}, 500, 9) ? "yes" : "NO");
 
+  engine::AnalysisEngine engine;
   engine::AnalysisRequest request;
   request.model = &reduced;
   request.properties = {"R=? [ I=10 ]"};
-  const double ber =
-      engine::defaultEngine().analyze(request).results[0].value;
+  const double ber = engine.analyze(request).results[0].value;
   std::printf("\nModel-checked BER: %.6g\n", ber);
 
   const auto analog = mimo::simulateAnalog(params, 500'000, 3);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <iomanip>
 #include <sstream>
 #include <stdexcept>
 
@@ -31,24 +32,18 @@ std::string formatValueGrid(const std::string& title,
           "formatValueGrid: ragged cells row vs colLabels");
     }
   }
+  // Streamed so a label wider than its column widens that cell instead of
+  // being clipped.
   std::ostringstream os;
   os << title << '\n';
-  char cell[64];
-  std::snprintf(cell, sizeof(cell), "%-14s", corner.c_str());
-  os << cell;
-  for (const auto& label : colLabels) {
-    std::snprintf(cell, sizeof(cell), " %12s", label.c_str());
-    os << cell;
-  }
+  os << std::left << std::setw(14) << corner << std::right;
+  for (const auto& label : colLabels) os << ' ' << std::setw(12) << label;
   os << '\n';
   for (std::size_t r = 0; r < rowLabels.size(); ++r) {
-    std::snprintf(cell, sizeof(cell), "%-14s", rowLabels[r].c_str());
-    os << cell;
+    os << std::left << std::setw(14) << rowLabels[r] << std::right;
     for (std::size_t c = 0; c < colLabels.size(); ++c) {
       const double v = cells[r][c];
-      std::snprintf(cell, sizeof(cell), " %12s",
-                    std::isnan(v) ? "-" : formatValue(v).c_str());
-      os << cell;
+      os << ' ' << std::setw(12) << (std::isnan(v) ? "-" : formatValue(v));
     }
     os << '\n';
   }
@@ -57,18 +52,20 @@ std::string formatValueGrid(const std::string& title,
 
 std::string formatReportTable(const std::string& title,
                               const std::vector<GuaranteeReport>& reports) {
+  // Streamed so a long property widens its own row and never truncates the
+  // value column or the row's newline.
   std::ostringstream os;
   os << title << '\n';
-  char line[256];
-  std::snprintf(line, sizeof(line), "%-34s %12s %14s %10s %12s\n", "Property",
-                "States", "Transitions", "Time(s)", "Result");
-  os << line;
+  os << std::left << std::setw(34) << "Property" << std::right << ' '
+     << std::setw(12) << "States" << ' ' << std::setw(14) << "Transitions"
+     << ' ' << std::setw(10) << "Time(s)" << ' ' << std::setw(12) << "Result"
+     << '\n';
+  os << std::fixed << std::setprecision(2);
   for (const auto& r : reports) {
-    std::snprintf(line, sizeof(line), "%-34s %12llu %14llu %10.2f %12s\n",
-                  r.property.c_str(), static_cast<unsigned long long>(r.states),
-                  static_cast<unsigned long long>(r.transitions),
-                  r.totalSeconds(), formatValue(r.value).c_str());
-    os << line;
+    os << std::left << std::setw(34) << r.property << std::right << ' '
+       << std::setw(12) << r.states << ' ' << std::setw(14) << r.transitions
+       << ' ' << std::setw(10) << r.totalSeconds() << ' ' << std::setw(12)
+       << formatValue(r.value) << '\n';
   }
   return os.str();
 }

@@ -831,9 +831,4 @@ std::future<AnalysisResponse> AnalysisEngine::submit(AnalysisRequest request) {
   return future;
 }
 
-AnalysisEngine& defaultEngine() {
-  static AnalysisEngine engine;
-  return engine;
-}
-
 }  // namespace mimostat::engine

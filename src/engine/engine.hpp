@@ -34,7 +34,10 @@
 //      index) in counter-derived path chunks, so sampled results are
 //      bit-identical for a fixed seed at any pool size.
 //
-// core::PerformanceAnalyzer is a thin compatibility shim over this engine.
+// Callers own their engine: construct one AnalysisEngine per process (or per
+// test) and keep it alive while its cache should be reused. To check several
+// property sets against one build, ensureBuilt the model once and pass the
+// returned BuiltModel::signature as RequestOptions::modelKey.
 #pragma once
 
 #include <cstdint>
@@ -275,9 +278,5 @@ class AnalysisEngine {
   std::uint64_t quotientBuilds_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
   std::uint64_t quotientHits_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
 };
-
-/// Lazily constructed process-wide engine (used by the
-/// core::PerformanceAnalyzer compatibility shim).
-[[nodiscard]] AnalysisEngine& defaultEngine();
 
 }  // namespace mimostat::engine

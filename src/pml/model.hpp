@@ -1,6 +1,6 @@
 // PmlModel: adapts a parsed PML program to the dtmc::Model interface, so
 // text-defined designs flow through the same builder, reductions, checker
-// and analyzer as the built-in C++ models.
+// and engine as the built-in C++ models.
 //
 // Semantics (documented subset of PRISM DTMCs):
 //  - exactly one module; per state, the distributions of all enabled

@@ -1,5 +1,5 @@
-// Hashing helpers shared by the explicit-state builder, the BDD unique
-// tables and the lumping signatures.
+// Hashing helpers shared by the explicit-state exploration, the model and
+// property signatures, the lumping signatures and the BDD unique table.
 #pragma once
 
 #include <cstddef>
@@ -42,82 +42,5 @@ struct VecI32Hash {
         fnv1a(v.data(), v.size() * sizeof(std::int32_t)));
   }
 };
-
-/// Open-addressing set of packed 64-bit states. Used for counting the
-/// reachable state space of models too large to store as full CSR matrices
-/// (the paper's "original model" columns). Linear probing, power-of-two
-/// capacity, grows at 60% load. Value 0 is reserved as the empty marker, so
-/// keys are stored with +1 bias; the one key whose bias wraps to the marker
-/// (~0) is tracked out of band so every 64-bit key is storable.
-class PackedStateSet {
- public:
-  explicit PackedStateSet(std::size_t initialCapacity = 1 << 16);
-
-  /// Inserts the key; returns true when newly inserted.
-  bool insert(std::uint64_t key);
-  [[nodiscard]] bool contains(std::uint64_t key) const;
-  [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return table_.size(); }
-
- private:
-  void grow();
-
-  std::vector<std::uint64_t> table_;
-  std::size_t size_ = 0;
-  std::size_t mask_ = 0;
-  bool hasMaxKey_ = false;
-};
-
-inline PackedStateSet::PackedStateSet(std::size_t initialCapacity) {
-  std::size_t cap = 16;
-  while (cap < initialCapacity) cap <<= 1;
-  table_.assign(cap, 0);
-  mask_ = cap - 1;
-}
-
-inline bool PackedStateSet::insert(std::uint64_t key) {
-  if (key == ~0ULL) {  // its bias would wrap to the empty marker
-    if (hasMaxKey_) return false;
-    hasMaxKey_ = true;
-    ++size_;
-    return true;
-  }
-  const std::uint64_t stored = key + 1;  // bias away from the empty marker
-  std::size_t idx = static_cast<std::size_t>(mix64(stored)) & mask_;
-  while (true) {
-    const std::uint64_t slot = table_[idx];
-    if (slot == stored) return false;
-    if (slot == 0) {
-      table_[idx] = stored;
-      ++size_;
-      if (size_ * 5 > table_.size() * 3) grow();
-      return true;
-    }
-    idx = (idx + 1) & mask_;
-  }
-}
-
-inline bool PackedStateSet::contains(std::uint64_t key) const {
-  if (key == ~0ULL) return hasMaxKey_;
-  const std::uint64_t stored = key + 1;
-  std::size_t idx = static_cast<std::size_t>(mix64(stored)) & mask_;
-  while (true) {
-    const std::uint64_t slot = table_[idx];
-    if (slot == stored) return true;
-    if (slot == 0) return false;
-    idx = (idx + 1) & mask_;
-  }
-}
-
-inline void PackedStateSet::grow() {
-  std::vector<std::uint64_t> old;
-  old.swap(table_);
-  table_.assign(old.size() * 2, 0);
-  mask_ = table_.size() - 1;
-  size_ = hasMaxKey_ ? 1 : 0;  // the out-of-band key survives the rehash
-  for (std::uint64_t slot : old) {
-    if (slot != 0) insert(slot - 1);
-  }
-}
 
 }  // namespace mimostat::util

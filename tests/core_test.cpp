@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
-#include "core/analyzer.hpp"
+#include <sstream>
+#include <string>
+#include <vector>
+
 #include "core/metrics.hpp"
 #include "core/reduction.hpp"
 #include "core/report.hpp"
+#include "engine/engine.hpp"
+#include "stats/estimator.hpp"
 #include "test_models.hpp"
 #include "util/rng.hpp"
 #include "viterbi/decoder.hpp"
@@ -31,97 +36,47 @@ TEST(Metrics, Names) {
                "P3 (worst case)");
 }
 
-TEST(Analyzer, ChecksPropertiesOnSmallViterbi) {
-  viterbi::ViterbiParams params;
-  params.tracebackLength = 3;
-  const viterbi::ReducedViterbiModel model(params);
-  const core::PerformanceAnalyzer analyzer(model);
-
-  const auto p1 = analyzer.check("P=? [ G<=50 !flag ]");
-  const auto p2 = analyzer.check("R=? [ I=50 ]");
-  EXPECT_GT(p2.value, 0.0);
-  EXPECT_LT(p2.value, 1.0);
-  EXPECT_GE(p1.value, 0.0);
-  EXPECT_EQ(p1.states, analyzer.dtmc().numStates());
-  EXPECT_GT(p1.states, 0u);
-  EXPECT_GT(p1.transitions, 0u);
-  EXPECT_GT(analyzer.reachabilityIterations(), 0u);
-}
-
-TEST(Analyzer, SweepInstantaneous) {
-  // Reward = indicator of state 1 (set via MatrixModel).
-  auto labelled = test::twoStateChain(0.3, 0.4);
-  labelled.withRewards({0.0, 1.0});
-  const core::PerformanceAnalyzer analyzer(labelled);
-  const auto reports = analyzer.sweepInstantaneous({1, 5, 50});
-  ASSERT_EQ(reports.size(), 3u);
-  EXPECT_LT(reports[0].value, reports[2].value);  // approaching steady state
-  EXPECT_NEAR(reports[2].value, 0.3 / 0.7, 1e-6);
-}
-
-TEST(Analyzer, DetectSteadyState) {
-  auto model = test::twoStateChain(0.25, 0.4);
-  model.withRewards({0.0, 1.0});
-  const core::PerformanceAnalyzer analyzer(model);
-  const auto detection = analyzer.detectSteadyState(1e-12, 8, 10000);
-  EXPECT_TRUE(detection.converged);
-  EXPECT_NEAR(detection.value, 0.25 / 0.65, 1e-9);
-}
-
 TEST(Analyzer, CrossCheckAgainstSimulation) {
   viterbi::ViterbiParams params;
   params.tracebackLength = 3;
   const viterbi::ReducedViterbiModel model(params);
-  const core::PerformanceAnalyzer analyzer(model);
+  engine::AnalysisEngine eng;
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"R=? [ I=2000 ]"};
+  request.options.backend = engine::Backend::kExact;
+  const auto response = eng.analyze(request);
+  ASSERT_EQ(response.results.size(), 1u) << response.error;
+  ASSERT_TRUE(response.results[0].ok()) << response.results[0].error;
+  const double modelChecked = response.results[0].value;
 
-  // Error source: a live bit-accurate decode stream, one step per call.
+  // Simulate the bit-accurate decoder one cycle at a time. The per-cycle
+  // error process is Markov-correlated, so an iid interval would be too
+  // narrow for a strict containment assertion; batch means give an honest
+  // one.
   const viterbi::TrellisKernel kernel(params);
-  auto decoder = std::make_shared<viterbi::Decoder>(kernel);
-  auto history = std::make_shared<std::vector<int>>(
-      static_cast<std::size_t>(params.tracebackLength), 0);
-  auto prevBit = std::make_shared<int>(0);
-  auto rngPtr = std::make_shared<util::Xoshiro256>(314);
-  const sim::ErrorSource source = [=, &kernel](std::uint64_t) {
-    const int bit = rngPtr->nextBit() ? 1 : 0;
-    const int q = kernel.channel().sample(bit, *prevBit, *rngPtr);
-    const int decoded = decoder->step(q);
-    history->insert(history->begin(), bit);
-    const int actual = (*history)[static_cast<std::size_t>(
-        params.tracebackLength - 1)];
-    history->pop_back();
-    *prevBit = bit;
-    return decoded != actual;
-  };
-  // The per-cycle error process is Markov-correlated, so the iid Wilson
-  // interval in CrossCheck::interval95 is (correctly) too narrow for a
-  // strict containment assertion. Check agreement two ways: a coarse
-  // absolute tolerance on the CrossCheck result, and honest containment in
-  // a batch-means interval built from the same stream.
-  const auto crossCheck =
-      analyzer.crossCheck("R=? [ I=2000 ]", source, 200000);
-  EXPECT_NEAR(crossCheck.modelChecked, crossCheck.simulation.estimate(), 0.01);
-
+  viterbi::Decoder decoder(kernel);
+  util::Xoshiro256 rng(2718);
+  std::vector<int> history(static_cast<std::size_t>(params.tracebackLength),
+                           0);
+  int prevBit = 0;
   stats::BatchMeansEstimator batches(2000);
-  auto rng2 = std::make_shared<util::Xoshiro256>(2718);
-  auto decoder2 = std::make_shared<viterbi::Decoder>(kernel);
-  auto history2 = std::make_shared<std::vector<int>>(
-      static_cast<std::size_t>(params.tracebackLength), 0);
-  int prev2 = 0;
   for (int t = 0; t < 400000; ++t) {
-    const int bit = rng2->nextBit() ? 1 : 0;
-    const int q = kernel.channel().sample(bit, prev2, *rng2);
-    const int decoded = decoder2->step(q);
-    history2->insert(history2->begin(), bit);
+    const int bit = rng.nextBit() ? 1 : 0;
+    const int q = kernel.channel().sample(bit, prevBit, rng);
+    const int decoded = decoder.step(q);
+    history.insert(history.begin(), bit);
     const int actual =
-        (*history2)[static_cast<std::size_t>(params.tracebackLength - 1)];
-    history2->pop_back();
-    prev2 = bit;
+        history[static_cast<std::size_t>(params.tracebackLength - 1)];
+    history.pop_back();
+    prevBit = bit;
     batches.add(decoded != actual ? 1.0 : 0.0);
   }
+  EXPECT_NEAR(modelChecked, batches.mean(), 0.01);
   const auto interval = batches.interval(0.99);
-  EXPECT_TRUE(interval.contains(crossCheck.modelChecked))
-      << "model " << crossCheck.modelChecked << " batch-means ["
-      << interval.low << ", " << interval.high << "]";
+  EXPECT_TRUE(interval.contains(modelChecked))
+      << "model " << modelChecked << " batch-means [" << interval.low << ", "
+      << interval.high << "]";
 }
 
 TEST(Report, FormatsTable) {
@@ -137,6 +92,36 @@ TEST(Report, FormatsTable) {
   EXPECT_NE(table.find("8505363"), std::string::npos);
   EXPECT_NE(table.find("3.000e-15"), std::string::npos);
   EXPECT_NE(table.find("2.00"), std::string::npos);  // total time
+}
+
+TEST(Report, LongPropertyKeepsOneLinePerRow) {
+  core::GuaranteeReport longRow;
+  longRow.property = "P=? [ " + std::string(292, 'x') + " ]";
+  ASSERT_EQ(longRow.property.size(), 300u);
+  longRow.value = 0.25;
+  longRow.states = 42;
+  core::GuaranteeReport shortRow;
+  shortRow.property = "R=? [ I=10 ]";
+  shortRow.value = 1.08e-5;
+  const auto table = core::formatReportTable("Table", {longRow, shortRow});
+
+  std::vector<std::string> lines;
+  std::istringstream in(table);
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 4u) << table;  // title, header, two rows
+  EXPECT_EQ(lines[2].rfind(longRow.property, 0), 0u);
+  EXPECT_NE(lines[2].find(" 42 "), std::string::npos) << lines[2];
+  EXPECT_NE(lines[2].find("0.250000"), std::string::npos) << lines[2];
+  EXPECT_EQ(lines[3].rfind(shortRow.property, 0), 0u);
+  EXPECT_NE(lines[3].find("1.080e-05"), std::string::npos) << lines[3];
+  EXPECT_EQ(table.back(), '\n');
+}
+
+TEST(Report, FormatValueGridKeepsLongLabels) {
+  const std::string label(100, 'L');
+  const auto grid = core::formatValueGrid("Grid", "corner", {label}, {"c"},
+                                          {{0.5}});
+  EXPECT_NE(grid.find(label + "     0.500000\n"), std::string::npos) << grid;
 }
 
 TEST(Report, FormatValueSwitchesNotation) {

@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/analyzer.hpp"
 #include "dtmc/builder.hpp"
 #include "dtmc/signature.hpp"
 #include "engine/engine.hpp"
@@ -134,20 +133,36 @@ TEST(Engine, BatchedSweepMatchesPerCallBitForBit) {
   EXPECT_FALSE(response.results[7].batched);
 }
 
-TEST(Engine, AnalyzerShimMatchesPerCallBitForBit) {
+TEST(Engine, EnsureBuiltModelKeyMatchesPerCallBitForBit) {
+  // The paper-table benches' path: build once with ensureBuilt, then send
+  // exact requests keyed by the build's signature. A keyed request must
+  // skip the key exploration, hit the cache and match per-call checking.
   const auto model = smallViterbi();
   const std::vector<std::uint64_t> horizons{1, 5, 25, 100, 300};
   std::vector<std::string> props;
   for (const auto h : horizons) {
     props.push_back("R=? [ I=" + std::to_string(h) + " ]");
   }
+  props.push_back("P=? [ G<=50 !flag ]");
   const auto reference = perCallReference(model, props);
 
-  const core::PerformanceAnalyzer analyzer(model);
-  const auto reports = analyzer.sweepInstantaneous(horizons);
-  ASSERT_EQ(reports.size(), horizons.size());
-  for (std::size_t i = 0; i < horizons.size(); ++i) {
-    EXPECT_EQ(reports[i].value, reference[i]) << props[i];
+  engine::AnalysisEngine eng;
+  const auto built = eng.ensureBuilt(model);
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = props;
+  request.options.backend = engine::Backend::kExact;
+  request.options.modelKey = built->signature;
+  const auto response = eng.analyze(request);
+  EXPECT_TRUE(response.cacheHit);
+  EXPECT_EQ(response.modelKey, built->signature);
+  EXPECT_EQ(response.timing.keySeconds, 0.0);
+  EXPECT_EQ(response.states, built->dtmc.numStates());
+  EXPECT_EQ(eng.buildCount(), 1u);
+  ASSERT_EQ(response.results.size(), props.size());
+  for (std::size_t i = 0; i < props.size(); ++i) {
+    ASSERT_TRUE(response.results[i].ok()) << response.results[i].error;
+    EXPECT_EQ(response.results[i].value, reference[i]) << props[i];
   }
 }
 

@@ -4,11 +4,11 @@
 
 #include <sstream>
 
-#include "bdd/reachability.hpp"
-#include "core/analyzer.hpp"
 #include "dtmc/builder.hpp"
 #include "dtmc/compose.hpp"
 #include "dtmc/io.hpp"
+#include "engine/engine.hpp"
+#include "legacy_builder.hpp"
 #include "lump/bisim.hpp"
 #include "lump/symmetry.hpp"
 #include "lump/verify.hpp"
@@ -20,6 +20,18 @@
 
 namespace mimostat {
 namespace {
+
+/// One exact engine request for `property` on `model`.
+double checkValue(engine::AnalysisEngine& eng, const dtmc::Model& model,
+                  const std::string& property) {
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {property};
+  request.options.backend = engine::Backend::kExact;
+  const auto response = eng.analyze(request);
+  EXPECT_TRUE(response.ok()) << property;
+  return response.results.at(0).value;
+}
 
 TEST(Integration, PmlModelThroughLumping) {
   // A PML model with two symmetric branches lumps; the quotient preserves
@@ -59,14 +71,13 @@ rewards
 endrewards
 )");
   const dtmc::SynchronousProduct pair({&lane, &lane});
-  const core::PerformanceAnalyzer single(lane);
-  const core::PerformanceAnalyzer both(pair);
+  engine::AnalysisEngine eng;
   // Expected busy lanes = 2x the single-lane expectation.
-  EXPECT_NEAR(both.check("R=? [ I=13 ]").value,
-              2.0 * single.check("R=? [ I=13 ]").value, 1e-12);
+  EXPECT_NEAR(checkValue(eng, pair, "R=? [ I=13 ]"),
+              2.0 * checkValue(eng, lane, "R=? [ I=13 ]"), 1e-12);
   // Qualified variables address individual lanes.
-  const double lane0 = both.check("P=? [ F<=3 m0_busy=1 ]").value;
-  const double lane1 = both.check("P=? [ F<=3 m1_busy=1 ]").value;
+  const double lane0 = checkValue(eng, pair, "P=? [ F<=3 m0_busy=1 ]");
+  const double lane1 = checkValue(eng, pair, "P=? [ F<=3 m1_busy=1 ]");
   EXPECT_NEAR(lane0, lane1, 1e-12);
 }
 
@@ -88,20 +99,21 @@ label "heads" = heads=1;
 }
 
 TEST(Integration, SymbolicReachabilityOfViterbiModel) {
-  // Symbolic (BDD) and explicit reachability agree on a real case-study
-  // model, not just on toy matrices.
+  // The packed one-pass exploration and the reference BFS agree on
+  // the reachable state space of a real case-study model, not just on toy
+  // matrices.
   viterbi::ViterbiParams params;
   params.tracebackLength = 3;
   params.pmCap = 3;
   const viterbi::ReducedViterbiModel model(params);
-  const auto layoutBits =
-      static_cast<std::uint32_t>(model.layout().totalBits());
-  bdd::SymbolicSpace space(layoutBits);
-  const auto symbolic = bdd::buildSymbolic(model, space, 1 << 20);
+  const auto reference = test::legacyBuildExplicit(model);
   const auto explicitBuild = dtmc::buildExplicit(model);
-  EXPECT_EQ(symbolic.stateCount,
-            static_cast<double>(explicitBuild.dtmc.numStates()));
-  EXPECT_EQ(symbolic.iterations, explicitBuild.reachabilityIterations);
+  EXPECT_GT(explicitBuild.dtmc.numStates(), 1u);
+  EXPECT_EQ(explicitBuild.dtmc.numStates(), reference.dtmc.numStates());
+  EXPECT_EQ(explicitBuild.dtmc.numTransitions(),
+            reference.dtmc.numTransitions());
+  EXPECT_EQ(explicitBuild.reachabilityIterations,
+            reference.reachabilityIterations);
 }
 
 TEST(Integration, ExportImportPreservesMimoBer) {
@@ -129,7 +141,7 @@ TEST(Integration, ExportImportPreservesMimoBer) {
 
 TEST(Integration, AnalyzerOnSymmetryReducedComposition) {
   // Compose two identical PML lanes, canonicalise under lane swap, and
-  // check through the analyzer — four subsystems in one pipeline.
+  // check through the engine — four subsystems in one pipeline.
   const pml::PmlModel lane(R"(
 dtmc
 module lane
@@ -145,12 +157,11 @@ endrewards
   const lump::BlockStructure blocks{{0}, {1}};
   const lump::SymmetryReducedModel reduced(product, blocks);
 
-  const core::PerformanceAnalyzer fullAnalyzer(product);
-  const core::PerformanceAnalyzer reducedAnalyzer(reduced);
-  EXPECT_LT(reducedAnalyzer.dtmc().numStates(),
-            fullAnalyzer.dtmc().numStates());
-  EXPECT_NEAR(fullAnalyzer.check("R=? [ I=21 ]").value,
-              reducedAnalyzer.check("R=? [ I=21 ]").value, 1e-12);
+  engine::AnalysisEngine eng;
+  EXPECT_LT(eng.ensureBuilt(reduced)->dtmc.numStates(),
+            eng.ensureBuilt(product)->dtmc.numStates());
+  EXPECT_NEAR(checkValue(eng, product, "R=? [ I=21 ]"),
+              checkValue(eng, reduced, "R=? [ I=21 ]"), 1e-12);
 }
 
 TEST(Integration, SteadyStateAgreesAcrossEngines) {

@@ -3,8 +3,8 @@
 // every model, not just the hand-picked ones.
 #include <gtest/gtest.h>
 
-#include "bdd/reachability.hpp"
 #include "dtmc/builder.hpp"
+#include "legacy_builder.hpp"
 #include "lump/bisim.hpp"
 #include "mc/bounded.hpp"
 #include "mc/transient.hpp"
@@ -83,9 +83,12 @@ TEST_P(RandomChainProperties, LumpingPreservesRewardTransients) {
 }
 
 TEST_P(RandomChainProperties, SymbolicReachabilityAgrees) {
-  bdd::SymbolicSpace space(model_.layout().totalBits());
-  const auto symbolic = bdd::buildSymbolic(model_, space, 1 << 16);
-  ASSERT_EQ(symbolic.stateCount, static_cast<double>(dtmc_.numStates()));
+  // Reachability agrees with the reference BFS (test::legacyBuildExplicit).
+  const auto reference = test::legacyBuildExplicit(model_);
+  EXPECT_EQ(dtmc_.numStates(), reference.dtmc.numStates());
+  EXPECT_EQ(dtmc_.numTransitions(), reference.dtmc.numTransitions());
+  EXPECT_EQ(dtmc::buildExplicit(model_).reachabilityIterations,
+            reference.reachabilityIterations);
 }
 
 TEST_P(RandomChainProperties, Prob0Prob1AreConsistentWithValues) {

@@ -89,55 +89,6 @@ TEST(Hash, Mix64IsBijectiveOnSamples) {
   EXPECT_EQ(outputs.size(), 1000u);
 }
 
-TEST(PackedStateSet, InsertAndContains) {
-  util::PackedStateSet set(16);
-  EXPECT_TRUE(set.insert(0));
-  EXPECT_FALSE(set.insert(0));
-  EXPECT_TRUE(set.contains(0));
-  EXPECT_FALSE(set.contains(1));
-  EXPECT_EQ(set.size(), 1u);
-}
-
-TEST(PackedStateSet, GrowsAndKeepsAllKeys) {
-  util::PackedStateSet set(16);
-  const std::uint64_t n = 100000;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(set.insert(i * 2654435761ULL));
-  }
-  EXPECT_EQ(set.size(), n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(set.contains(i * 2654435761ULL));
-  }
-}
-
-TEST(PackedStateSet, HandlesKeyZeroAndMax) {
-  util::PackedStateSet set;
-  EXPECT_TRUE(set.insert(0));
-  EXPECT_TRUE(set.insert(~0ULL - 1));
-  EXPECT_TRUE(set.contains(0));
-  EXPECT_TRUE(set.contains(~0ULL - 1));
-
-  // ~0 biases onto the empty marker and is tracked out of band; it must
-  // behave like any other key (a 64-bit-wide layout packs a real state
-  // there).
-  EXPECT_FALSE(set.contains(~0ULL));
-  EXPECT_TRUE(set.insert(~0ULL));
-  EXPECT_FALSE(set.insert(~0ULL));
-  EXPECT_TRUE(set.contains(~0ULL));
-  EXPECT_EQ(set.size(), 3u);
-}
-
-TEST(PackedStateSet, MaxKeySurvivesGrowth) {
-  util::PackedStateSet set(16);
-  EXPECT_TRUE(set.insert(~0ULL));
-  const std::uint64_t n = 10'000;
-  for (std::uint64_t i = 0; i < n; ++i) {
-    EXPECT_TRUE(set.insert(i * 2654435761ULL));
-  }
-  EXPECT_TRUE(set.contains(~0ULL));
-  EXPECT_EQ(set.size(), n + 1);
-}
-
 TEST(FixedPoint, ClampI32) {
   EXPECT_EQ(util::clampI32(5, 0, 10), 5);
   EXPECT_EQ(util::clampI32(-1, 0, 10), 0);

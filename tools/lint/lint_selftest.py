@@ -61,8 +61,8 @@ class UnorderedIterationTest(unittest.TestCase):
         self.assertEqual(rules(src), ["unordered-iteration"])
 
     def test_find_against_end_is_not_iteration(self):
-        # The .end() comparison in a find-pattern must NOT fire (the
-        # bdd/manager.cpp false positive this rule was tuned against).
+        # The .end() comparison in a find-pattern must NOT fire: a cache
+        # lookup compares against end() without iterating the container.
         src = """\
         std::unordered_map<int, int> cache;
         if (const auto it = cache.find(key); it != cache.end()) return it->second;
