@@ -119,7 +119,10 @@ bool runWorkload(const Workload& workload, const Config& config,
   };
 
   const mimo::MimoDetectorModel model(workload.params);
-  engine::AnalysisEngine eng(engine::EngineOptions{1, 8});
+  engine::EngineOptions engineOptions;
+  engineOptions.threads = 1;
+  engineOptions.maxCachedModels = 8;
+  engine::AnalysisEngine eng(engineOptions);
 
   engine::AnalysisRequest request;
   request.model = &model;
@@ -248,12 +251,13 @@ bool runWorkload(const Workload& workload, const Config& config,
                  reduced.quotient.numTransitions(), reduced.info.seconds,
                  elimSeconds, iterDiff, false});
 
-  std::printf("%-10s %10llu -> %8u states (factor %7.1f), nnz %llu -> %llu\n"
+  std::printf("%-10s %10llu -> %8llu states (factor %7.1f), nnz %llu -> %llu\n"
               "           t_check %0.3fs -> %0.3fs (+t_reduce %0.3fs), "
               "max|dv| %.2e, MTTFE %.6g (elim %0.3fs, residual %.2e)\n",
               workload.name.c_str(),
               static_cast<unsigned long long>(unreduced.states),
-              quotient.reduction.statesAfter, factor,
+              static_cast<unsigned long long>(quotient.reduction.statesAfter),
+              factor,
               static_cast<unsigned long long>(unreduced.transitions),
               static_cast<unsigned long long>(
                   quotient.reduction.transitionsAfter),

@@ -4,9 +4,9 @@
 //   1x2 (SNR  8 dB): 569,480 -> 32,088 states, factor 18
 //   1x4 (SNR 12 dB): 524,288 ->  1,320 states, factor 400
 //
-// Our quantizer widths (documented in DESIGN.md) are chosen so the factors
-// land in the same regime: the 2*Nr interchangeable metric blocks give a
-// combinatorial reduction that grows steeply with Nr.
+// Our quantizer widths (README, "Fidelity against the paper") are chosen so
+// the factors land in the same regime: the 2*Nr interchangeable metric
+// blocks give a combinatorial reduction that grows steeply with Nr.
 #include <cstdio>
 
 #include "dtmc/builder.hpp"

@@ -7,8 +7,8 @@
 // The horizon study is a declarative sweep::SweepSpec: one axis T, one
 // shared model, one property per point. The runner coalesces every point
 // into a single engine request, so all horizons ride one 1000-step
-// transient sweep — and the numbers are asserted bit-identical to the
-// hand-rolled per-horizon checker loop this bench used to be.
+// transient sweep — and the numbers are asserted bit-identical to a raw
+// la::spmvLeft propagation per horizon, which has no stationary stop.
 //
 // `--csv <path>` additionally writes the sweep's long-format CSV (used by
 // the CI sweep-smoke job as a workflow artifact). `--trace <path>` enables
@@ -88,11 +88,11 @@ int main(int argc, char** argv) {
                 row.batched ? "yes" : "no");
   }
 
-  // Bit-identical cross-check against the hand-rolled loop this sweep
-  // replaces: fresh build, one independent transient propagation per T.
+  // Bit-identical cross-check against an independent path: fresh build,
+  // one raw la::spmvLeft propagation per T (no stationary stop).
   const auto build = dtmc::buildExplicit(*model);
-  const mc::Checker checker(build.dtmc, *model);
-  const double maxDiff = bench::sweepVsHandRolledMaxDiff(table, checker);
+  const double maxDiff =
+      bench::sweepVsHandRolledMaxDiff(table, build.dtmc, *model);
   const bool identical = maxDiff == 0.0;
   std::printf("\nSweep vs hand-rolled loop: max|diff| = %.3g "
               "(bit-identical: %s)\n",

@@ -1,4 +1,5 @@
-// SNR conventions (documented in DESIGN.md §5).
+// SNR conventions. This block is their reference; README's "Fidelity
+// against the paper" lists the table values they move.
 //
 //   sigma^2 = signalPower / 10^(snrDb/10)
 //

@@ -374,7 +374,8 @@ void Checker::runBoundedGroup(
 
 void Checker::runTransientGroup(const pctl::EvalPlan& plan,
                                 const std::vector<pctl::Property>& properties,
-                                std::vector<CheckResult>& results) const {
+                                std::vector<CheckResult>& results,
+                                pctl::PlanStats* planStats) const {
   obs::Span groupSpan("mc.transientSweep", options_.traceParent);
   // One forward sweep serves every I=/C<= property: reward vectors are
   // evaluated once per distinct reward structure, instantaneous values
@@ -414,7 +415,9 @@ void Checker::runTransientGroup(const pctl::EvalPlan& plan,
   std::vector<double> cumulative(plan.transients.size(), 0.0);
   TransientSweep sweep(dtmc_, options_.exec);
   // pi_t . r is computed at most once per distinct reward structure per
-  // step, shared by every property that needs it at that step.
+  // step, shared by every property that needs it at that step. Once the
+  // sweep is stationary pi_t no longer changes, so the cached dots stay
+  // valid for every later step.
   std::vector<double> stepDot(rewards.size(), 0.0);
   std::vector<char> stepDotValid(rewards.size(), 0);
   const auto dotFor = [&](std::size_t r) {
@@ -424,21 +427,39 @@ void Checker::runTransientGroup(const pctl::EvalPlan& plan,
     }
     return stepDot[r];
   };
-  for (std::uint64_t t = 0;; ++t) {
-    std::fill(stepDotValid.begin(), stepDotValid.end(), 0);
+  for (std::uint64_t t = 0;;) {
+    if (!sweep.stationary()) {
+      std::fill(stepDotValid.begin(), stepDotValid.end(), 0);
+    }
+    // The next step any entry reads: t+1 while a cumulative entry still
+    // accumulates, else the nearest instantaneous horizon ahead.
+    std::uint64_t next = lastStep;
     for (std::size_t g = 0; g < plan.transients.size(); ++g) {
       const pctl::EvalPlan::TransientEntry& entry = plan.transients[g];
       if (!live(entry)) continue;
       if (!entry.cumulative) {
         if (entry.bound == t) {
           results[entry.property].value = dotFor(entry.reward);
+        } else if (entry.bound > t) {
+          next = std::min(next, entry.bound);
         }
       } else if (t < entry.bound) {
+        // Added once per step even when stationary: the same addition
+        // sequence as an unbatched sweep, so the same bits.
         cumulative[g] += dotFor(entry.reward);
+        if (t + 1 < entry.bound) next = t + 1;
       }
     }
     if (t == lastStep) break;
-    sweep.advance();
+    // Once stationary, pi no longer changes and no entry reads a step
+    // before `next`, so jump there.
+    t = sweep.stationary() ? next : t + 1;
+    sweep.advanceTo(t);
+  }
+  if (planStats != nullptr) {
+    // Written only here (the group's own task); spmmPanels is the bounded
+    // group's field, so the two groups never write the same member.
+    planStats->transientMultiplies = sweep.multiplies();
   }
 
   const double seconds = groupSpan.stopSeconds();
@@ -542,9 +563,9 @@ std::vector<CheckResult> Checker::checkAll(
     });
   }
   if (!plan.transients.empty()) {
-    tasks.push_back([this, &plan, &properties, &results] {
+    tasks.push_back([this, &plan, &properties, &results, planStats] {
       try {
-        runTransientGroup(plan, properties, results);
+        runTransientGroup(plan, properties, results, planStats);
       } catch (const std::exception& e) {
         for (const pctl::EvalPlan::TransientEntry& entry : plan.transients) {
           if (results[entry.property].error.empty()) {

@@ -16,6 +16,7 @@
 //     loop, so batching changes wall-clock only, never values;
 //   - R=?[I=T] / R=?[C<=T] share one forward transient sweep to the
 //     maximum horizon (mc::TransientSweep), reward vectors deduplicated;
+//     the sweep stops multiplying at its exact (bitwise) fixed point;
 //   - everything else (unbounded operators, steady state, reachability
 //     rewards) runs as independent single tasks, optionally fanned out
 //     over a caller-supplied task runner.
@@ -165,10 +166,14 @@ class Checker {
                        pctl::PlanStats* planStats) const;
 
   /// All transient entries of the plan: one forward sweep to the maximum
-  /// horizon, reward dot products deduplicated per step.
+  /// horizon, reward dot products deduplicated per step. Once the sweep is
+  /// stationary, steps with no reader are skipped outright. `planStats`
+  /// (nullable) receives the sweep's actual matrix traversals
+  /// (PlanStats::transientMultiplies).
   void runTransientGroup(const pctl::EvalPlan& plan,
                          const std::vector<pctl::Property>& properties,
-                         std::vector<CheckResult>& results) const;
+                         std::vector<CheckResult>& results,
+                         pctl::PlanStats* planStats) const;
 
   const dtmc::ExplicitDtmc& dtmc_;
   const dtmc::Model& model_;

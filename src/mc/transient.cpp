@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -66,12 +67,21 @@ std::vector<double> TransientSweep::distributionAt(std::size_t i) const {
 }
 
 void TransientSweep::advance() {
-  if (vectors_ == 1) {
-    la::spmvLeft(dtmc_.matrix(), x_, scratch_, exec_);
-  } else {
-    la::spmmLeft(dtmc_.matrix(), x_, vectors_, scratch_, exec_);
+  if (!stationary_) {
+    if (vectors_ == 1) {
+      // lint:allow(transient-step: the one forward-propagation step in mc/)
+      la::spmvLeft(dtmc_.matrix(), x_, scratch_, exec_);
+    } else {
+      // lint:allow(transient-step: the one forward-propagation step in mc/)
+      la::spmmLeft(dtmc_.matrix(), x_, vectors_, scratch_, exec_);
+    }
+    ++multiplies_;
+    // Exact fixed point: the next multiply would see the same input bits
+    // and so return them again, forever.
+    stationary_ = std::memcmp(x_.data(), scratch_.data(),
+                              x_.size() * sizeof(double)) == 0;
+    x_.swap(scratch_);
   }
-  x_.swap(scratch_);
   ++step_;
 }
 
@@ -81,7 +91,8 @@ void TransientSweep::advanceTo(std::uint64_t step) {
                                 std::to_string(step_) + " to " +
                                 std::to_string(step));
   }
-  while (step_ < step) advance();
+  while (step_ < step && !stationary_) advance();
+  step_ = step;
 }
 
 double TransientSweep::expectedReward(const std::vector<double>& reward) const {
@@ -143,13 +154,14 @@ double instantaneousReward(const dtmc::ExplicitDtmc& dtmc,
 double cumulativeReward(const dtmc::ExplicitDtmc& dtmc,
                         const std::vector<double>& reward,
                         std::uint64_t steps, const la::Exec& exec) {
-  std::vector<double> pi = dtmc.initialDistribution();
-  std::vector<double> next(pi.size());
+  TransientSweep sweep(dtmc, exec);
   double total = 0.0;
+  double value = 0.0;
   for (std::uint64_t t = 0; t < steps; ++t) {
-    total += dot(pi, reward);
-    dtmc.multiplyLeft(pi, next, exec);
-    pi.swap(next);
+    // A stationary pi_t is the pi_{t-1} this value was computed from.
+    if (t == 0 || !sweep.stationary()) value = sweep.expectedReward(reward);
+    total += value;
+    if (t + 1 < steps) sweep.advance();
   }
   return total;
 }
@@ -160,13 +172,12 @@ std::vector<double> instantaneousRewardSeries(const dtmc::ExplicitDtmc& dtmc,
                                               const la::Exec& exec) {
   std::vector<double> series;
   series.reserve(steps + 1);
-  std::vector<double> pi = dtmc.initialDistribution();
-  std::vector<double> next(pi.size());
-  series.push_back(dot(pi, reward));
+  TransientSweep sweep(dtmc, exec);
+  series.push_back(sweep.expectedReward(reward));
   for (std::uint64_t t = 0; t < steps; ++t) {
-    dtmc.multiplyLeft(pi, next, exec);
-    pi.swap(next);
-    series.push_back(dot(pi, reward));
+    sweep.advance();
+    series.push_back(sweep.stationary() ? series.back()
+                                        : sweep.expectedReward(reward));
   }
   return series;
 }
@@ -178,15 +189,15 @@ SteadyDetection detectRewardSteadyState(const dtmc::ExplicitDtmc& dtmc,
                                         const la::Exec& exec) {
   assert(window >= 1);
   SteadyDetection result;
-  std::vector<double> pi = dtmc.initialDistribution();
-  std::vector<double> next(pi.size());
-  double windowMin = dot(pi, reward);
-  double windowMax = windowMin;
+  TransientSweep sweep(dtmc, exec);
+  double value = sweep.expectedReward(reward);
+  result.value = value;
+  double windowMin = value;
+  double windowMax = value;
   std::uint64_t stable = 0;
   for (std::uint64_t t = 1; t <= maxSteps; ++t) {
-    dtmc.multiplyLeft(pi, next, exec);
-    pi.swap(next);
-    const double value = dot(pi, reward);
+    sweep.advance();
+    if (!sweep.stationary()) value = sweep.expectedReward(reward);
     if (std::fabs(value - windowMin) <= tolerance &&
         std::fabs(value - windowMax) <= tolerance) {
       ++stable;

@@ -29,6 +29,15 @@ namespace mimostat::mc {
 /// traversal per step (la::spmm): each vector's floating-point sequence is
 /// identical to its own single-vector sweep, so batching k sweeps changes
 /// wall-clock only, never values.
+///
+/// Stationary stop: once a multiply returns its input tile unchanged, bit
+/// for bit (memcmp, so -0.0 vs +0.0 counts as a change), the sweep is
+/// stationary and stops multiplying — later steps only advance the counter.
+/// This is exact, not an epsilon test: the kernels are deterministic
+/// functions of the tile (bit-identical at any pool size and SIMD target,
+/// both fixed for one sweep), so pi_{t+1} == pi_t implies pi_{t+j} == pi_t
+/// for every j, and every sampled value is the one a full propagation
+/// would produce.
 class TransientSweep {
  public:
   explicit TransientSweep(const dtmc::ExplicitDtmc& dtmc, la::Exec exec = {});
@@ -39,6 +48,12 @@ class TransientSweep {
 
   /// Steps taken so far (the t of the current distributions).
   [[nodiscard]] std::uint64_t step() const { return step_; }
+  /// Matrix traversals actually run: step() until the sweep went
+  /// stationary, then frozen.
+  [[nodiscard]] std::uint64_t multiplies() const { return multiplies_; }
+  /// True once a multiply returned its input tile bit for bit; every later
+  /// step leaves the distributions unchanged.
+  [[nodiscard]] bool stationary() const { return stationary_; }
   /// Number of distributions advancing together.
   [[nodiscard]] std::size_t vectorCount() const { return vectors_; }
   /// The current distribution pi_t (single-vector sweeps only).
@@ -46,10 +61,11 @@ class TransientSweep {
   /// Copy of distribution i (any sweep width).
   [[nodiscard]] std::vector<double> distributionAt(std::size_t i) const;
 
-  /// Advance one transition (all vectors, one matrix traversal).
+  /// Advance one transition (all vectors, one matrix traversal; no
+  /// traversal once stationary).
   void advance();
   /// Advance to an absolute step (forward only; throws std::invalid_argument
-  /// on an earlier step).
+  /// on an earlier step). O(1) once stationary.
   void advanceTo(std::uint64_t step);
 
   /// Expected reward under the current distribution: pi_t . r
@@ -68,6 +84,8 @@ class TransientSweep {
   std::vector<double> scratch_;
   std::size_t vectors_ = 1;
   std::uint64_t step_ = 0;
+  std::uint64_t multiplies_ = 0;
+  bool stationary_ = false;
 };
 
 /// R=?[I=T] for each horizon in one sweep to max(horizons). Horizons may be
@@ -91,14 +109,17 @@ class TransientSweep {
                                          const la::Exec& exec = {});
 
 /// Expected cumulative reward over the first `steps` transitions
-/// (R=? [ C<=steps ]): sum_{t=0}^{steps-1} pi_t . r.
+/// (R=? [ C<=steps ]): sum_{t=0}^{steps-1} pi_t . r. The sum keeps adding
+/// pi_t . r once per step after the sweep goes stationary (same addition
+/// sequence, same bits), but stops multiplying.
 [[nodiscard]] double cumulativeReward(const dtmc::ExplicitDtmc& dtmc,
                                       const std::vector<double>& reward,
                                       std::uint64_t steps,
                                       const la::Exec& exec = {});
 
 /// Instantaneous reward at every t in [0, steps] — one pass, used for
-/// steady-state detection sweeps (the paper's Tables III/IV).
+/// steady-state detection sweeps (the paper's Tables III/IV). Entries past
+/// the sweep's stationary step repeat the stationary value.
 [[nodiscard]] std::vector<double> instantaneousRewardSeries(
     const dtmc::ExplicitDtmc& dtmc, const std::vector<double>& reward,
     std::uint64_t steps, const la::Exec& exec = {});
@@ -112,7 +133,7 @@ struct SteadyDetection {
 /// Iterate the instantaneous reward forward until successive values over a
 /// window of `window` steps stay within `tolerance`, or `maxSteps` is hit.
 /// This operationalises the paper's "explore until the DTMC reaches steady
-/// state" recipe.
+/// state" recipe. With maxSteps = 0 the result is the t=0 reward pi_0 . r.
 [[nodiscard]] SteadyDetection detectRewardSteadyState(
     const dtmc::ExplicitDtmc& dtmc, const std::vector<double>& reward,
     double tolerance, std::uint64_t window, std::uint64_t maxSteps,

@@ -28,7 +28,7 @@ MimoParams mimo1x4Params() {
   MimoParams p;
   p.nr = 4;
   // The paper quotes 12 dB but does not pin down its noise normalization;
-  // under our convention (DESIGN.md §5: per-dimension sigma^2 = N0/2 with
+  // under our convention (comm/snr.hpp: per-dimension sigma^2 = N0/2 with
   // unit per-antenna signal power) 22 dB reproduces the paper's operating
   // point: a BER ~1e-5, low enough that a 1e5-step simulation typically
   // observes zero errors while the model checker computes it exactly.

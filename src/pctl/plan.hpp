@@ -74,6 +74,11 @@ struct PlanStats {
   /// over its steps (one CSR traversal per panel per step — la::SpmmStats).
   /// Filled by the executor; zero when no bounded group ran.
   std::uint64_t spmmPanels = 0;
+  /// Matrix traversals the transient group's sweep actually ran. Equals
+  /// transientSteps() when the sweep never went stationary; smaller when
+  /// pi_t reached a bitwise fixed point before the last horizon. Filled by
+  /// the executor; zero when no transient group ran.
+  std::uint64_t transientMultiplies = 0;
   /// SIMD dispatch target the la:: kernels resolved for this request
   /// ("scalar"/"sse2"/"avx2"/"neon" — la::simdTargetName). Filled by the
   /// executor; purely diagnostic, values are bit-identical across targets.

@@ -31,8 +31,12 @@ TEST(Quantizer, ThresholdsConsistentWithIndex) {
   for (int cell = 0; cell < 6; ++cell) {
     const double lo = q.lowerThreshold(cell);
     const double hi = q.upperThreshold(cell);
-    if (!std::isinf(lo)) EXPECT_EQ(q.index(lo + 1e-9), cell);
-    if (!std::isinf(hi)) EXPECT_EQ(q.index(hi - 1e-9), cell);
+    if (!std::isinf(lo)) {
+      EXPECT_EQ(q.index(lo + 1e-9), cell);
+    }
+    if (!std::isinf(hi)) {
+      EXPECT_EQ(q.index(hi - 1e-9), cell);
+    }
   }
   EXPECT_TRUE(std::isinf(q.lowerThreshold(0)));
   EXPECT_TRUE(std::isinf(q.upperThreshold(5)));

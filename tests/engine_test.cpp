@@ -20,6 +20,15 @@
 namespace mimostat {
 namespace {
 
+/// Engine options with the two knobs these tests vary set by name.
+engine::EngineOptions engineOptions(std::size_t threads,
+                                    std::size_t maxCachedModels) {
+  engine::EngineOptions options;
+  options.threads = threads;
+  options.maxCachedModels = maxCachedModels;
+  return options;
+}
+
 viterbi::ReducedViterbiModel smallViterbi() {
   viterbi::ViterbiParams params;
   params.tracebackLength = 3;
@@ -243,7 +252,7 @@ TEST(Engine, ModelKeySkipsProbe) {
 
 TEST(Engine, ConcurrentIdenticalRequestsAgree) {
   const auto model = smallViterbi();
-  engine::AnalysisEngine eng(engine::EngineOptions{4, 8});
+  engine::AnalysisEngine eng(engineOptions(4, 8));
   engine::AnalysisRequest request;
   request.model = &model;
   request.properties = {"R=? [ I=100 ]", "R=? [ I=10 ]", "P=? [ G<=20 !flag ]",
@@ -279,7 +288,7 @@ TEST(Engine, AnalyzeAllKeepsRequestOrder) {
   auto chainB = test::twoStateChain(0.3, 0.4);
   chainB.withRewards({0.0, 1.0});
 
-  engine::AnalysisEngine eng(engine::EngineOptions{2, 8});
+  engine::AnalysisEngine eng(engineOptions(2, 8));
   std::vector<engine::AnalysisRequest> requests(4);
   requests[0].model = &chainA;
   requests[0].properties = {"P=? [ F<=200 s=0 ]"};
@@ -303,7 +312,7 @@ TEST(Engine, AnalyzeAllKeepsRequestOrder) {
 
 TEST(Engine, SubmitResolvesAsynchronously) {
   const auto model = smallViterbi();
-  engine::AnalysisEngine eng(engine::EngineOptions{2, 8});
+  engine::AnalysisEngine eng(engineOptions(2, 8));
   engine::AnalysisRequest request;
   request.model = &model;
   request.properties = {"R=? [ I=20 ]"};
@@ -415,7 +424,7 @@ TEST(Engine, SamplingIsDeterministicAcrossThreadCounts) {
 
   std::vector<engine::AnalysisResponse> responses;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    engine::AnalysisEngine eng(engine::EngineOptions{threads, 8});
+    engine::AnalysisEngine eng(engineOptions(threads, 8));
     responses.push_back(eng.analyze(request));
   }
   for (std::size_t r = 1; r < responses.size(); ++r) {
@@ -607,7 +616,7 @@ TEST(Engine, ParseErrorIsPerProperty) {
 }
 
 TEST(Engine, CacheEvictsLeastRecentlyUsed) {
-  engine::AnalysisEngine eng(engine::EngineOptions{1, 2});
+  engine::AnalysisEngine eng(engineOptions(1, 2));
   std::vector<test::MatrixModel> models;
   models.reserve(4);
   for (int i = 0; i < 4; ++i) {

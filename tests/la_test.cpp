@@ -393,8 +393,8 @@ TEST(CsrMatrix, TransposeOnlyDropsOriginalWithClearErrors) {
   EXPECT_EQ(tOnly.numRows(), m.csr.numRows());
   EXPECT_EQ(tOnly.numNonZeros(), m.csr.numNonZeros());
   // Dropped-orientation access fails loudly, never silently.
-  EXPECT_THROW(tOnly.col(), std::logic_error);
-  EXPECT_THROW(tOnly.val(), std::logic_error);
+  EXPECT_THROW(static_cast<void>(tOnly.col()), std::logic_error);
+  EXPECT_THROW(static_cast<void>(tOnly.val()), std::logic_error);
   const std::vector<double> x = randomVector(200, 31);
   std::vector<double> y;
   EXPECT_THROW(la::spmv(tOnly, x, y), std::logic_error);
@@ -423,7 +423,7 @@ TEST(CsrMatrix, OriginalOnlyRefusesTransposedAccess) {
       la::KeepOrientation::kOriginalOnly);
   EXPECT_TRUE(oOnly.hasOriginal());
   EXPECT_FALSE(oOnly.hasTranspose());
-  EXPECT_THROW(oOnly.transposed(), std::logic_error);
+  EXPECT_THROW(static_cast<void>(oOnly.transposed()), std::logic_error);
   const std::vector<double> x = randomVector(100, 37);
   std::vector<double> y;
   EXPECT_THROW(la::spmvLeft(oOnly, x, y), std::logic_error);
@@ -816,8 +816,9 @@ TEST(TransientSweep, MultiVectorMatchesSoloSweepsBitwise) {
 
   // Single-vector accessors refuse multi-vector sweeps instead of silently
   // returning interleaved data.
-  EXPECT_THROW(batched.distribution(), std::logic_error);
-  EXPECT_THROW(batched.expectedReward(reward), std::logic_error);
+  EXPECT_THROW(static_cast<void>(batched.distribution()), std::logic_error);
+  EXPECT_THROW(static_cast<void>(batched.expectedReward(reward)),
+               std::logic_error);
 }
 
 TEST(TransientSweep, ParallelExecMatchesSequentialBitwise) {

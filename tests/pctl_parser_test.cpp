@@ -148,7 +148,7 @@ TEST(Parser, ErrorsAreReported) {
 
 TEST(Parser, ErrorPositionIsUseful) {
   try {
-    parseProperty("P=? [ G<=300 @flag ]");
+    static_cast<void>(parseProperty("P=? [ G<=300 @flag ]"));
     FAIL() << "expected ParseError";
   } catch (const ParseError& e) {
     EXPECT_EQ(e.position(), 13u);

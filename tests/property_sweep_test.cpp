@@ -98,8 +98,12 @@ TEST_P(RandomChainProperties, Prob0Prob1AreConsistentWithValues) {
   const auto prob1 = mc::prob1States(dtmc_, phi, psi);
   const auto values = mc::reachProb(dtmc_, psi).stateValues;
   for (std::uint32_t s = 0; s < dtmc_.numStates(); ++s) {
-    if (prob0.get(s)) ASSERT_NEAR(values[s], 0.0, 1e-12);
-    if (prob1.get(s)) ASSERT_NEAR(values[s], 1.0, 1e-12);
+    if (prob0.get(s)) {
+      ASSERT_NEAR(values[s], 0.0, 1e-12);
+    }
+    if (prob1.get(s)) {
+      ASSERT_NEAR(values[s], 1.0, 1e-12);
+    }
     ASSERT_FALSE(prob0.get(s) && prob1.get(s));
   }
 }

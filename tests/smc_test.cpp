@@ -84,9 +84,11 @@ TEST(Smc, UnboundedFormulaRejected) {
   const auto model = test::twoStateChain(0.3, 0.4);
   smc::SmcOptions options;
   options.paths = 10;
-  EXPECT_THROW(smc::estimateProperty(model, "P=? [ F s=1 ]", options),
+  EXPECT_THROW(static_cast<void>(
+                   smc::estimateProperty(model, "P=? [ F s=1 ]", options)),
                std::invalid_argument);
-  EXPECT_THROW(smc::estimateProperty(model, "R=? [ I=5 ]", options),
+  EXPECT_THROW(static_cast<void>(
+                   smc::estimateProperty(model, "R=? [ I=5 ]", options)),
                std::invalid_argument);
 }
 

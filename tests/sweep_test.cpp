@@ -22,6 +22,15 @@
 namespace mimostat {
 namespace {
 
+/// Engine options with the two knobs these tests vary set by name.
+engine::EngineOptions engineOptions(std::size_t threads,
+                                    std::size_t maxCachedModels) {
+  engine::EngineOptions options;
+  options.threads = threads;
+  options.maxCachedModels = maxCachedModels;
+  return options;
+}
+
 using sweep::Axis;
 using sweep::ParamSpace;
 using sweep::Params;
@@ -176,7 +185,7 @@ TEST(SweepRunner, DeterministicBytesAcrossThreadCounts) {
   std::vector<std::string> csv;
   std::vector<std::string> json;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    engine::AnalysisEngine eng(engine::EngineOptions{threads, 8});
+    engine::AnalysisEngine eng(engineOptions(threads, 8));
     const sweep::Runner runner(eng);
     const auto table = runner.run(crossChainSpec());
     ASSERT_TRUE(table.ok());
@@ -210,7 +219,7 @@ TEST(SweepRunner, SamplingSweepDeterministicAcrossThreadCounts) {
 
   std::vector<std::string> csv;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    engine::AnalysisEngine eng(engine::EngineOptions{threads, 8});
+    engine::AnalysisEngine eng(engineOptions(threads, 8));
     const sweep::Runner runner(eng);
     const auto table = runner.run(spec);
     ASSERT_TRUE(table.ok());

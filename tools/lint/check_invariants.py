@@ -65,6 +65,14 @@ scalar reference at any thread count) and its byte-stable exports:
                        elsewhere is one off-by-one away from handing a
                        caller quotient-indexed values under an
                        original-indexed contract.
+  transient-step       Forward propagation calls (`multiplyLeft(`,
+                       `spmvLeft(`, `spmmLeft(`) in src/ outside src/la/ +
+                       src/dtmc/explicit_dtmc.*. Every pi_{t+1} = pi_t P in
+                       mc/ rides mc::TransientSweep::advance, which owns the
+                       exact stationary stop (stop multiplying once a step
+                       returns its input bit for bit); a hand-rolled loop
+                       forks that exit and its bitwise-oracle tests. Only
+                       the sweep's own two kernel calls carry an allow.
 
 Escape hatch: a line (or the line above it) containing
     lint:allow(<rule>) or lint:allow(<rule>: <reason>)
@@ -550,6 +558,43 @@ def check_simd_intrinsics(path: str, lines: list[str]) -> list[Violation]:
     return out
 
 
+def check_transient_step(path: str, lines: list[str]) -> list[Violation]:
+    """Flag forward-propagation kernel calls outside the sweep primitive.
+
+    mc::TransientSweep::advance is the one place a distribution steps
+    forward, so every transient answer shares its stationary stop and its
+    bitwise oracles. src/la/ defines the kernels and
+    src/dtmc/explicit_dtmc.* wraps them; tests/ and bench/ run raw loops as
+    independent oracles, so the rule only applies to the rest of src/.
+    """
+    posix = _posix(path)
+    if not re.search(r"(^|/)src/", posix):
+        return []
+    if re.search(r"(^|/)src/la/|(^|/)src/dtmc/explicit_dtmc\.", posix):
+        return []
+    pattern = re.compile(r"\b(?:multiplyLeft|spmvLeft|spmmLeft)\s*\(")
+    out = []
+    for idx, line in enumerate(lines):
+        stripped = _strip_comments_and_strings(line)
+        if pattern.search(stripped) and not _allowed(
+            lines, idx, "transient-step"
+        ):
+            out.append(
+                Violation(
+                    path,
+                    idx + 1,
+                    "transient-step",
+                    "forward-propagation step outside "
+                    "mc::TransientSweep::advance — step distributions with "
+                    "TransientSweep so the exact stationary stop and its "
+                    "oracle tests cover the loop, or add "
+                    "lint:allow(transient-step: <why this is not a "
+                    "transient sweep>)",
+                )
+            )
+    return out
+
+
 RULES = {
     "unordered-iteration": check_unordered_iteration,
     "raw-rng": check_raw_rng,
@@ -560,6 +605,7 @@ RULES = {
     "raw-wallclock": check_raw_wallclock,
     "reduction-boundary": check_reduction_boundary,
     "simd-intrinsics": check_simd_intrinsics,
+    "transient-step": check_transient_step,
 }
 
 

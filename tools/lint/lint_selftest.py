@@ -438,7 +438,7 @@ class EngineTest(unittest.TestCase):
         expected = {"unordered-iteration", "raw-rng", "raw-thread",
                     "atomic-float", "byte-truth-mask", "guarded-by",
                     "raw-wallclock", "reduction-boundary",
-                    "simd-intrinsics"}
+                    "simd-intrinsics", "transient-step"}
         self.assertEqual(set(check_invariants.RULES), expected)
 
     def test_clean_source_exits_zero_via_main(self):
@@ -506,6 +506,43 @@ class SimdIntrinsicsTest(unittest.TestCase):
         int m256 = mm_width(3);
         """
         self.assertEqual(run(src, "src/mc/clean.cpp"), [])
+
+
+class TransientStepTest(unittest.TestCase):
+    def test_hand_rolled_propagation_in_mc_flagged(self):
+        src = """\
+        for (std::uint64_t t = 0; t < steps; ++t) {
+          dtmc.multiplyLeft(pi, next, exec);
+          la::spmvLeft(dtmc.matrix(), pi, next, exec);
+          la::spmmLeft(dtmc.matrix(), X, k, Y, exec);
+        }
+        """
+        self.assertEqual(run(src, "src/mc/transient.cpp"),
+                         [(2, "transient-step"), (3, "transient-step"),
+                          (4, "transient-step")])
+
+    def test_kernel_homes_and_oracles_are_exempt(self):
+        src = """\
+        la::spmvLeft(matrix_, x, y, exec);
+        """
+        for path in ("src/la/spmv.cpp", "src/dtmc/explicit_dtmc.cpp",
+                     "tests/mc_transient_test.cpp", "bench/sweep_reference.hpp"):
+            self.assertEqual(run(src, path), [], path)
+
+    def test_masked_kernels_and_mentions_are_clean(self):
+        src = """\
+        la::spmmLeftMasked(A, X, k, masks, Y, exec);
+        // the sweep calls spmvLeft( once per step
+        const char* doc = "multiplyLeft(pi, next)";
+        """
+        self.assertEqual(run(src, "src/mc/bounded.cpp"), [])
+
+    def test_allow_comment_suppresses(self):
+        src = """\
+        // lint:allow(transient-step: the one forward step in mc/)
+        la::spmvLeft(dtmc_.matrix(), x_, scratch_, exec_);
+        """
+        self.assertEqual(run(src, "src/mc/transient.cpp"), [])
 
 
 if __name__ == "__main__":
