@@ -326,7 +326,7 @@ BuildResult buildFromExploration(Exploration exploration,
     exploration.packedStates = {};
   }
 
-  BuildResult result{ExplicitDtmc::fromRaw(std::move(raw), options.orientation),
+  BuildResult result{ExplicitDtmc::fromRaw(std::move(raw)),
                      exploration.reachabilityIterations, exploration.seconds};
   MS_LOG_INFO("buildExplicit: %u states, %llu transitions, RI=%u",
               result.dtmc.numStates(),

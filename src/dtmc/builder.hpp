@@ -32,15 +32,6 @@ struct BuildOptions {
   double probFloor = 0.0;
   /// Warn when a row's probability mass deviates from 1 by more than this.
   double massTolerance = 1e-9;
-  /// Which CSR orientations the built matrix keeps resident (kBoth, the
-  /// default, doubles matrix bytes over a single orientation). Forward-only
-  /// sweeps (transient R=?[I=T]/R=?[C<=T], steady state) read the transpose
-  /// and can build kTransposeOnly to halve the model-cache footprint;
-  /// bounded path formulas and unbounded value iteration advance through
-  /// the original rows and *refuse* (clear per-property error, no silent
-  /// rebuild) on a transpose-only model. The engine folds this into its
-  /// cache key, so differently-oriented builds never share an entry.
-  la::KeepOrientation orientation = la::KeepOrientation::kBoth;
 };
 
 struct BuildResult {

@@ -7,13 +7,13 @@
 
 namespace mimostat::dtmc {
 
-ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw, la::KeepOrientation keep) {
+ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw) {
   ExplicitDtmc d;
   assert(!raw.rowPtr.empty());
   assert(raw.initial.size() == raw.rowPtr.size() - 1);
   const auto numStates = static_cast<std::uint32_t>(raw.rowPtr.size() - 1);
   d.matrix_ = la::CsrMatrix::fromCsr(std::move(raw.rowPtr), std::move(raw.col),
-                                     std::move(raw.val), numStates, keep);
+                                     std::move(raw.val), numStates);
   d.initial_ = std::move(raw.initial);
   d.states_ = std::move(raw.states);
   d.layout_ = std::move(raw.layout);

@@ -95,12 +95,8 @@ class ExplicitDtmc {
     std::vector<State> states;
     VarLayout layout;
   };
-  /// `keep` controls which CSR orientations stay resident (see
-  /// la::KeepOrientation); a dropped orientation's accessors throw, and
-  /// checkers that need it refuse with a clear error instead of rebuilding.
-  static ExplicitDtmc fromRaw(Raw raw,
-                              la::KeepOrientation keep =
-                                  la::KeepOrientation::kBoth);
+  /// Takes ownership; the matrix keeps both CSR orientations resident.
+  static ExplicitDtmc fromRaw(Raw raw);
 
  private:
   la::CsrMatrix matrix_;

@@ -40,14 +40,9 @@ stats::Interval meanInterval95(const stats::RunningStats& stats) {
   return {stats.mean() - half, stats.mean() + half};
 }
 
-/// Cache keys fold build options that change the built matrix (probFloor
-/// drops and renormalizes transitions; orientation drops CSR arrays a
-/// checker may require) into the structural signature, so requests with
-/// different build options never share an entry — a kBoth request must
-/// never be served a cached transpose-only matrix. The reverse is safe:
-/// analyzeExact may upgrade a transpose-only entry to kBoth in place
-/// (rebuildOrientation), leaving a superset of the key's promised arrays
-/// under the same key.
+/// Cache keys fold the one build option that changes the built matrix
+/// (probFloor drops and renormalizes transitions) into the structural
+/// signature, so requests with different floors never share an entry.
 /// Quotient-cache entries live in the same map as full builds; the salt
 /// keeps a quotient key from ever colliding with its structural key even
 /// for an empty digest.
@@ -60,11 +55,6 @@ std::uint64_t cacheKeyFor(std::uint64_t signatureHash,
     std::uint64_t floorBits = 0;
     std::memcpy(&floorBits, &buildOptions.probFloor, sizeof(floorBits));
     key = util::hashCombine(key, util::mix64(floorBits));
-  }
-  if (buildOptions.orientation != la::KeepOrientation::kBoth) {
-    key = util::hashCombine(
-        key, util::mix64(static_cast<std::uint64_t>(buildOptions.orientation) +
-                         0x5EEDu));
   }
   return key;
 }
@@ -334,69 +324,80 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
   // Root of the request's span tree; every phase span below parents here
   // (directly or via CheckOptions::traceParent for cross-thread tasks).
   obs::Span span("engine.analyze");
-  if (request.model == nullptr) {
-    throw std::invalid_argument("AnalysisRequest: model is null");
-  }
-  const RequestOptions& options = request.options;
-
-  // Resolve the cache key and the backend.
-  std::uint64_t key = 0;
-  Backend backend = options.backend;
-  std::optional<dtmc::Exploration> exploration;
-  if (options.modelKey) {
-    key = *options.modelKey;
-    if (backend == Backend::kAuto) {
-      // A caller-supplied key implies a model the caller expects to be
-      // buildable (typically a key echoed from a previous exact response).
-      backend = Backend::kExact;
+  // Every exit counts as an answered request, failed ones included.
+  const auto record = [&](double totalSeconds) {
+    requestCount_.inc();
+    requestLatencyNs_.recordSeconds(queueSeconds + totalSeconds);
+  };
+  try {
+    if (request.model == nullptr) {
+      throw std::invalid_argument("AnalysisRequest: model is null");
     }
-  } else {
-    // One exploration yields the key and, unless sampling (which needs the
-    // key only as a label), the CSR a miss assembles. Sampling and kAuto
-    // cap it at the state budget — sampled models are typically huge. Its
-    // rows are computed on the pool; the result is the sequential one.
-    exploration = dtmc::explore(
-        *request.model,
-        exploreOptionsFor(options.build,
-                          backend == Backend::kExact
-                              ? options.build.maxStates
-                              : options.stateBudget + 1,
-                          backend != Backend::kSampling),
-        laRunnerFor(pool_));
-    key = cacheKeyFor(exploration->hash, options.build);
-    if (backend == Backend::kAuto) {
-      bool cached = false;
-      {
-        const util::MutexLock lock(cacheMutex_);
-        cached = modelCache_.find(key) != modelCache_.end();
+    const RequestOptions& options = request.options;
+
+    // Resolve the cache key and the backend.
+    std::uint64_t key = 0;
+    Backend backend = options.backend;
+    std::optional<dtmc::Exploration> exploration;
+    if (options.modelKey) {
+      key = *options.modelKey;
+      if (backend == Backend::kAuto) {
+        // A caller-supplied key implies a model the caller expects to be
+        // buildable (typically a key echoed from a previous exact response).
+        backend = Backend::kExact;
       }
-      backend = (cached || (exploration->exact &&
-                            exploration->states <= options.stateBudget))
-                    ? Backend::kExact
-                    : Backend::kSampling;
+    } else {
+      // One exploration yields the key and, unless sampling (which needs
+      // the key only as a label), the CSR a miss assembles. Sampling and
+      // kAuto cap it at the state budget — sampled models are typically
+      // huge. Its rows are computed on the pool; the result is the
+      // sequential one.
+      exploration = dtmc::explore(
+          *request.model,
+          exploreOptionsFor(options.build,
+                            backend == Backend::kExact
+                                ? options.build.maxStates
+                                : options.stateBudget + 1,
+                            backend != Backend::kSampling),
+          laRunnerFor(pool_));
+      key = cacheKeyFor(exploration->hash, options.build);
+      if (backend == Backend::kAuto) {
+        bool cached = false;
+        {
+          const util::MutexLock lock(cacheMutex_);
+          cached = modelCache_.find(key) != modelCache_.end();
+        }
+        backend = (cached || (exploration->exact &&
+                              exploration->states <= options.stateBudget))
+                      ? Backend::kExact
+                      : Backend::kSampling;
+      }
     }
-  }
-  const double keySeconds = exploration ? exploration->seconds : 0.0;
-  // Only a kExact exploration may be truncated when it reaches the build
-  // (which then fails at once); a kAuto one whose key was cached is not kept.
-  if (exploration && (backend == Backend::kSampling ||
-                      (options.backend == Backend::kAuto &&
-                       !exploration->exact))) {
-    exploration.reset();
-  }
+    const double keySeconds = exploration ? exploration->seconds : 0.0;
+    // Only a kExact exploration may be truncated when it reaches the build
+    // (which then fails at once); a kAuto one whose key was cached is not
+    // kept.
+    if (exploration && (backend == Backend::kSampling ||
+                        (options.backend == Backend::kAuto &&
+                         !exploration->exact))) {
+      exploration.reset();
+    }
 
-  AnalysisResponse response =
-      backend == Backend::kExact
-          ? analyzeExact(request, key, exploration ? &*exploration : nullptr,
-                         span.id())
-          : analyzeSampling(request, key, span.id());
-  response.timing.queueSeconds = queueSeconds;
-  response.timing.keySeconds = keySeconds;
-  response.totalSeconds = span.stopSeconds();
-  response.timing.totalSeconds = response.totalSeconds;
-  requestCount_.inc();
-  requestLatencyNs_.recordSeconds(queueSeconds + response.totalSeconds);
-  return response;
+    AnalysisResponse response =
+        backend == Backend::kExact
+            ? analyzeExact(request, key,
+                           exploration ? &*exploration : nullptr, span.id())
+            : analyzeSampling(request, key, span.id());
+    response.timing.queueSeconds = queueSeconds;
+    response.timing.keySeconds = keySeconds;
+    response.totalSeconds = span.stopSeconds();
+    response.timing.totalSeconds = response.totalSeconds;
+    record(response.totalSeconds);
+    return response;
+  } catch (...) {
+    record(span.stopSeconds());
+    throw;
+  }
 }
 
 AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
@@ -423,9 +424,9 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   }
   const double parseSeconds = parseSpan.stopSeconds();
 
-  // The build phase covers cache lookup, assembling the explored CSR (or
+  // The build phase covers cache lookup and assembling the explored CSR (or
   // the wait joining an in-flight build — "dtmc.build" nests here on a
-  // miss) and any orientation rebuild below.
+  // miss).
   obs::Span buildSpan("engine.build", traceParent);
   const la::TaskRunner runner = laRunnerFor(pool_);
   bool cacheHit = false;
@@ -438,58 +439,12 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   if (exploration != nullptr) *exploration = dtmc::Exploration{};
   response.cacheHit = cacheHit;
 
-  // Rebuild-on-demand: a transpose-only model (built or cached under a
-  // kTransposeOnly key) cannot serve forward traversals — bounded groups,
-  // unbounded value iteration, reachability rewards. Instead of refusing
-  // per property (mc::requireForwardOrientation), rebuild with both
-  // orientations and upgrade the cache entry under the SAME key: serving a
-  // superset of the key's promised arrays is safe, only the reverse is
-  // forbidden. Refusal remains when the request disables the rebuild.
-  if (request.options.rebuildOrientation &&
-      !built->dtmc.matrix().hasOriginal()) {
-    bool needsForward = false;
-    for (const ParsedSlot& slot : parsed) {
-      if (!slot.property) continue;
-      needsForward =
-          needsForward ||
-          slot.property->kind == pctl::Property::Kind::kProb ||
-          slot.property->reward.kind == pctl::RewardQuery::Kind::kReachability;
-    }
-    if (needsForward) {
-      dtmc::BuildOptions upgraded = request.options.build;
-      upgraded.orientation = la::KeepOrientation::kBoth;
-      std::shared_ptr<const BuiltModel> replacement =
-          builtModel(*request.model, upgraded, key, nullptr, runner);
-      std::promise<std::shared_ptr<const BuiltModel>> promise;
-      promise.set_value(replacement);
-      {
-        const util::MutexLock lock(cacheMutex_);
-        const auto it = modelCache_.find(key);
-        if (it != modelCache_.end()) cacheBytes_ -= it->second.bytes;
-        CacheSlot slot;
-        slot.future = promise.get_future().share();
-        slot.lastUsed = ++useCounter_;
-        slot.bytes = replacement->approxBytes;
-        cacheBytes_ += replacement->approxBytes;
-        modelCache_[key] = std::move(slot);
-        ++buildCount_;
-        buildCounter_.inc();
-        evictLocked();
-      }
-      response.orientationRebuilt = true;
-      response.buildSeconds = built->buildSeconds + replacement->buildSeconds;
-      built = std::move(replacement);
-    }
-  }
-
   response.timing.buildSeconds = buildSpan.stopSeconds();
 
   response.states = built->dtmc.numStates();
   response.transitions = built->dtmc.numTransitions();
   response.reachabilityIterations = built->reachabilityIterations;
-  if (!response.orientationRebuilt) {
-    response.buildSeconds = built->buildSeconds;
-  }
+  response.buildSeconds = built->buildSeconds;
 
   // Properties the plan (and the reduction stage's probe) will cover; the
   // engine maps indices around parse failures.
@@ -501,9 +456,6 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
     planned.push_back(*parsed[i].property);
     slotOf.push_back(i);
   }
-  pctl::PlanOptions planOptions;
-  planOptions.batchBounded = request.options.batchBounded;
-  planOptions.batchTransients = request.options.batchHorizons;
 
   // ---- State-space reduction stage -------------------------------------
   // On models past the auto threshold (or when forced on), replace the
@@ -525,7 +477,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
       // The plan compiled here is purely syntactic and deterministic — the
       // checker recompiles the identical plan below; only its mask table
       // and reward names matter to the partition.
-      const pctl::EvalPlan probePlan = pctl::buildPlan(planned, planOptions);
+      const pctl::EvalPlan probePlan = pctl::buildPlan(planned);
       mc::CheckOptions probeOptions;
       probeOptions.traceParent = reduceSpan.id();
       const mc::Checker probe(built->dtmc, *request.model, probeOptions,
@@ -605,10 +557,11 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   }
 
   // Parallel linear algebra: unless the request brings its own runner, la::
-  // kernels (transient multiplies, power iteration, Jacobi sweeps) fan out
-  // over the engine pool. Nested pool_.run is deadlock-free (the property
-  // task drains its own sub-batch) and every kernel is bit-identical at any
-  // pool size, so this only changes wall-clock.
+  // kernels (transient multiplies, masked bounded traversals, power
+  // iteration) fan out over the engine pool, at the request's threshold and
+  // SIMD target. Nested pool_.run is deadlock-free (the property task
+  // drains its own sub-batch) and every kernel is bit-identical at any pool
+  // size, so this only changes wall-clock.
   // Check phase: plan compilation ("pctl.plan", stamped into PlanStats by
   // the checker) plus plan execution. Group tasks run on pool threads, so
   // their spans parent through CheckOptions::traceParent rather than the
@@ -630,17 +583,6 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   }
   if (checkOptions.exec.runner == nullptr && options_.parallelLinearAlgebra) {
     checkOptions.exec.runner = laRunnerFor(pool_);
-    // A threshold the request set explicitly (even to the la:: default)
-    // always wins; the engine default only fills the unset case.
-    if (!checkOptions.exec.parallelThresholdNnz) {
-      checkOptions.exec.parallelThresholdNnz = options_.laParallelThresholdNnz;
-    }
-  }
-  // SIMD target is orthogonal to the runner: the engine default fills the
-  // unset case whether or not the request brought its own runner (a
-  // request-pinned Exec::simd always wins).
-  if (!checkOptions.exec.simd && options_.simd) {
-    checkOptions.exec.simd = options_.simd;
   }
   const mc::Checker checker(built->dtmc, *request.model, checkOptions,
                             propertyCache_);
@@ -652,7 +594,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   // engine only maps indices around parse failures and surfaces the plan
   // counters on the response.
   const std::vector<mc::CheckResult> checks = checker.checkAll(
-      planned, planOptions, &response.plan,
+      planned, &response.plan,
       [this](std::vector<std::function<void()>> tasks) {
         pool_.run(std::move(tasks));
       });

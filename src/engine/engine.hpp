@@ -53,7 +53,6 @@
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
 #include "engine/request.hpp"
-#include "la/exec.hpp"
 #include "engine/result.hpp"
 #include "engine/thread_pool.hpp"
 #include "obs/metrics.hpp"
@@ -78,23 +77,14 @@ struct EngineOptions {
   /// Shared property-parse cache; nullptr uses the process-wide
   /// pctl::PropertyCache::global() (shared with every mc::Checker).
   pctl::PropertyCache* propertyCache = nullptr;
-  /// Fan la:: kernels (transient multiplies, power iteration, Jacobi
-  /// sweeps) out over the engine pool on the exact backend. Results are
-  /// bit-identical at any pool size, so this is purely a throughput knob.
-  /// A runner the request brings in RequestOptions::check.exec wins over
-  /// the engine's.
+  /// Fan la:: kernels (transient multiplies, masked bounded traversals,
+  /// power iteration) out over the engine pool on the exact backend.
+  /// Results are bit-identical at any pool size, so this is purely a
+  /// throughput knob. A runner the request brings in
+  /// RequestOptions::check.exec wins over the engine's; the request's
+  /// check.exec also carries the nnz threshold and SIMD target the kernels
+  /// use (la::Exec's defaults unless the request sets them).
   bool parallelLinearAlgebra = true;
-  /// Default nnz threshold below which la:: calls stay sequential; applied
-  /// when the engine injects its own pool, i.e. to requests that bring
-  /// neither a runner nor a threshold in RequestOptions::check.exec (a
-  /// request with its own runner owns its whole exec and is never touched).
-  std::uint64_t laParallelThresholdNnz = la::Exec::kDefaultParallelThresholdNnz;
-  /// Default SIMD dispatch target for la:: kernels; applied to requests
-  /// that don't pin one in RequestOptions::check.exec.simd. nullopt = the
-  /// process-wide la::activeSimdTarget() (MIMOSTAT_SIMD env override, else
-  /// the widest supported target). Outputs are bit-identical across
-  /// targets, so this is a performance/debugging knob only.
-  std::optional<la::SimdTarget> simd;
   /// Metrics sink for engine counters, pool histograms and the
   /// request-latency histogram behind EngineStats percentiles; nullptr uses
   /// the process-wide obs::MetricsRegistry::global() (injectable like

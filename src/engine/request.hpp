@@ -38,21 +38,6 @@ struct RequestOptions {
   /// kAuto falls back to sampling when the reachable state count exceeds
   /// this budget.
   std::uint64_t stateBudget = 2'000'000;
-  /// Group R=?[I=T] / R=?[C<=T] properties into one transient sweep to the
-  /// maximum horizon instead of one sweep per property.
-  bool batchHorizons = true;
-  /// Group bounded path formulas (U<=k / F<=k / G<=k / X) into one masked
-  /// SpMM traversal per request instead of one backward iteration per
-  /// formula. Values are bit-identical either way; off = per-formula.
-  bool batchBounded = true;
-  /// When a request needs forward (right-product) access — bounded
-  /// traversals, unbounded value iteration, reachability rewards — but the
-  /// model at hand is transpose-only (a kTransposeOnly build option or a
-  /// cached entry from one), rebuild it with both orientations and upgrade
-  /// the cache entry in place instead of refusing via
-  /// mc::requireForwardOrientation. Off = keep the refusal (the error
-  /// surfaces per property, siblings still answer).
-  bool rebuildOrientation = true;
   /// Precomputed model signature (e.g. from a previous response). When set,
   /// the engine skips the key exploration and uses this as the cache key;
   /// the caller asserts it identifies the model's transition structure.

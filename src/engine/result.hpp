@@ -27,7 +27,7 @@ struct PhaseTiming {
   /// the build assembles. 0 when RequestOptions::modelKey is set.
   double keySeconds = 0.0;
   /// Model acquisition: cache lookup + assembling the explored CSR (or the
-  /// wait joining an in-flight build) + any orientation rebuild.
+  /// wait joining an in-flight build).
   double buildSeconds = 0.0;
   /// State-space reduction stage: plan compilation probe, mask/reward
   /// evaluation, quotient-cache lookup and (on a miss) the bisimulation
@@ -115,9 +115,9 @@ struct AnalysisResult {
   /// Iterative-solver report when the exact backend ran one for this
   /// property (unbounded operators, R=?[F psi], R=?[S]); absent for
   /// transient/bounded properties and the sampling backend. Carries the
-  /// solver's own name (SolveStats::solver: "gauss-seidel", "jacobi",
-  /// "power", "power+cesaro"). Deterministic for a fixed model and
-  /// property at any thread count.
+  /// solver's own name (SolveStats::solver: "gauss-seidel", "power" or
+  /// "elimination"). Deterministic for a fixed model and property at any
+  /// thread count.
   std::optional<la::SolveStats> solver;
   /// Seconds spent checking this property (for batched properties: the
   /// shared sweep's total, attributed to every member of the group).
@@ -139,12 +139,6 @@ struct AnalysisResponse {
   std::uint64_t modelKey = 0;
   /// The built DTMC was served from the engine's model cache.
   bool cacheHit = false;
-  /// The cached model was transpose-only but the request needed forward
-  /// (right-product) access, so the engine rebuilt it with both
-  /// orientations and upgraded the cache entry in place
-  /// (RequestOptions::rebuildOrientation). buildSeconds includes the
-  /// rebuild.
-  bool orientationRebuilt = false;
   /// Model statistics (exact backend; zero when sampled).
   std::uint64_t states = 0;
   std::uint64_t transitions = 0;

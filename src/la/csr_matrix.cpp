@@ -8,17 +8,7 @@ namespace mimostat::la {
 
 CsrMatrix CsrMatrix::fromCsr(std::vector<std::uint64_t> rowPtr,
                              std::vector<std::uint32_t> col,
-                             std::vector<double> val, std::uint32_t numCols,
-                             bool withTranspose) {
-  return fromCsr(std::move(rowPtr), std::move(col), std::move(val), numCols,
-                 withTranspose ? KeepOrientation::kBoth
-                               : KeepOrientation::kOriginalOnly);
-}
-
-CsrMatrix CsrMatrix::fromCsr(std::vector<std::uint64_t> rowPtr,
-                             std::vector<std::uint32_t> col,
-                             std::vector<double> val, std::uint32_t numCols,
-                             KeepOrientation keep) {
+                             std::vector<double> val, std::uint32_t numCols) {
   assert(!rowPtr.empty());
   assert(rowPtr.back() == col.size());
   assert(col.size() == val.size());
@@ -28,42 +18,15 @@ CsrMatrix CsrMatrix::fromCsr(std::vector<std::uint64_t> rowPtr,
   m.val_ = std::move(val);
   m.numCols_ = numCols;
   m.buildBlocks();
-  if (keep != KeepOrientation::kOriginalOnly) {
-    m.transpose_ = std::make_shared<const CsrMatrix>(m.buildTranspose());
-  }
-  if (keep == KeepOrientation::kTransposeOnly) {
-    // rowPtr stays resident: it carries numRows and numNonZeros, and costs
-    // 8 bytes/row against the ~12 bytes/nonzero col+val release.
-    m.col_ = {};
-    m.val_ = {};
-    m.blockStart_ = {0, 0};
-    m.hasOriginal_ = false;
-  }
+  m.transpose_ = std::make_shared<const CsrMatrix>(m.buildTranspose());
   return m;
-}
-
-void CsrMatrix::throwOriginalDropped() {
-  throw std::logic_error(
-      "la::CsrMatrix: original orientation was dropped at build time "
-      "(KeepOrientation::kTransposeOnly); right products, value iteration "
-      "and direct col()/val() access need KeepOrientation::kBoth or "
-      "kOriginalOnly");
-}
-
-void CsrMatrix::requireOriginal(const char* who) const {
-  if (hasOriginal_) return;
-  throw std::logic_error(
-      std::string(who) +
-      ": matrix was built with KeepOrientation::kTransposeOnly; the "
-      "original-orientation CSR arrays this kernel reads were dropped");
 }
 
 const CsrMatrix& CsrMatrix::transposed() const {
   if (transpose_ == nullptr) {
     throw std::logic_error(
-        "la::CsrMatrix: built without a transpose "
-        "(KeepOrientation::kOriginalOnly); left products and backward "
-        "walks need KeepOrientation::kBoth or kTransposeOnly");
+        "la::CsrMatrix: no transpose (a transpose and a default-constructed "
+        "matrix have none)");
   }
   return *transpose_;
 }

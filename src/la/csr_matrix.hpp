@@ -16,14 +16,6 @@
 //      so each transpose row lists its sources in ascending (row, slot)
 //      order — exactly the accumulation order of the legacy scatter loop,
 //      which is what makes the gather kernel bit-identical to it.
-//
-// Orientation residency: both orientations resident doubles matrix bytes.
-// Workloads that only ever propagate forward (left products / transient
-// sweeps read the transpose) or only backward (right products / value
-// iteration read the original) can drop the unused orientation at build
-// time via KeepOrientation; a dropped orientation's accessors throw
-// std::logic_error instead of returning stale data, and approxBytes — the
-// engine cache's accounting unit — reflects what is actually resident.
 #pragma once
 
 #include <cstdint>
@@ -31,13 +23,6 @@
 #include <vector>
 
 namespace mimostat::la {
-
-/// Which CSR orientations a matrix keeps resident after construction.
-enum class KeepOrientation {
-  kBoth,          ///< original + eager stable transpose (the default)
-  kOriginalOnly,  ///< no transpose: left products/backward walks unavailable
-  kTransposeOnly, ///< original col/val dropped: right products unavailable
-};
 
 class CsrMatrix {
  public:
@@ -48,23 +33,11 @@ class CsrMatrix {
   CsrMatrix() = default;
 
   /// Take ownership of CSR arrays. rowPtr.size() == numRows + 1 and
-  /// rowPtr.back() == col.size() == val.size() are asserted. When
-  /// `withTranspose` the transpose (with its own block table) is built
-  /// eagerly; spmvLeft/spmmLeft and transposed() require it.
+  /// rowPtr.back() == col.size() == val.size() are asserted. The transpose
+  /// (with its own block table) is built eagerly.
   static CsrMatrix fromCsr(std::vector<std::uint64_t> rowPtr,
                            std::vector<std::uint32_t> col,
-                           std::vector<double> val, std::uint32_t numCols,
-                           bool withTranspose = true);
-
-  /// As above with explicit orientation control. kTransposeOnly builds the
-  /// stable transpose and then releases the original col/val arrays and
-  /// block table (rowPtr stays: it carries the row count and nonzero
-  /// count); kOriginalOnly never builds the transpose. The bool overload
-  /// maps true -> kBoth, false -> kOriginalOnly.
-  static CsrMatrix fromCsr(std::vector<std::uint64_t> rowPtr,
-                           std::vector<std::uint32_t> col,
-                           std::vector<double> val, std::uint32_t numCols,
-                           KeepOrientation keep);
+                           std::vector<double> val, std::uint32_t numCols);
 
   [[nodiscard]] std::uint32_t numRows() const {
     return static_cast<std::uint32_t>(rowPtr_.size() - 1);
@@ -75,28 +48,15 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<std::uint64_t>& rowPtr() const {
     return rowPtr_;
   }
-  [[nodiscard]] const std::vector<std::uint32_t>& col() const {
-    if (!hasOriginal_) throwOriginalDropped();
-    return col_;
-  }
-  [[nodiscard]] const std::vector<double>& val() const {
-    if (!hasOriginal_) throwOriginalDropped();
-    return val_;
-  }
+  [[nodiscard]] const std::vector<std::uint32_t>& col() const { return col_; }
+  [[nodiscard]] const std::vector<double>& val() const { return val_; }
 
-  /// The original orientation's col/val arrays are resident (false only
-  /// after a kTransposeOnly build).
-  [[nodiscard]] bool hasOriginal() const { return hasOriginal_; }
-  /// Throws std::logic_error naming `who` when the original orientation was
-  /// dropped — called once at kernel entry, not per element.
-  void requireOriginal(const char* who) const;
-
-  /// The transpose built at construction; null when it was not requested
-  /// (and always null on the transpose itself — it is not recursive).
+  /// The transpose built at construction; null on the transpose itself (it
+  /// is not recursive) and on a default-constructed matrix.
   [[nodiscard]] const CsrMatrix* transpose() const { return transpose_.get(); }
   [[nodiscard]] bool hasTranspose() const { return transpose_ != nullptr; }
   /// Accessor for kernels that require the transpose; throws
-  /// std::logic_error when the matrix was built without one.
+  /// std::logic_error when the matrix has none.
   [[nodiscard]] const CsrMatrix& transposed() const;
 
   // --- block table (parallel row partition; original orientation only) ---
@@ -112,12 +72,9 @@ class CsrMatrix {
 
   /// Resident bytes of the CSR arrays, block table and (when present) the
   /// transpose — the unit the engine's model-cache byte accounting uses.
-  /// Dropped orientations contribute nothing.
   [[nodiscard]] std::uint64_t approxBytes() const;
 
  private:
-  [[noreturn]] static void throwOriginalDropped();
-
   void buildBlocks();
   [[nodiscard]] CsrMatrix buildTranspose() const;
 
@@ -125,7 +82,6 @@ class CsrMatrix {
   std::vector<std::uint32_t> col_;
   std::vector<double> val_;
   std::uint32_t numCols_ = 0;
-  bool hasOriginal_ = true;
   std::vector<std::uint32_t> blockStart_{0, 0};
   /// Shared (immutable) so a copy reuses the transpose instead of doubling
   /// it — note a copy still deep-copies this matrix's own CSR arrays.

@@ -24,32 +24,25 @@ namespace mimostat::la {
 using TaskRunner = std::function<void(std::vector<std::function<void()>>)>;
 
 struct Exec {
-  /// Threshold used when parallelThresholdNnz is unset.
+  /// The default parallelThresholdNnz.
   static constexpr std::uint64_t kDefaultParallelThresholdNnz = 1ull << 15;
 
   /// Empty = run sequentially on the calling thread.
   TaskRunner runner;
   /// Work with fewer nonzeros than this stays sequential even when a
   /// runner is present — below it, task dispatch costs more than the spin
-  /// over the nonzeros. nullopt = kDefaultParallelThresholdNnz; optional so
-  /// an injector (the engine) can distinguish "unset" from an explicitly
-  /// chosen value, including one equal to the default.
-  std::optional<std::uint64_t> parallelThresholdNnz;
+  /// over the nonzeros.
+  std::uint64_t parallelThresholdNnz = kDefaultParallelThresholdNnz;
   /// Force the SIMD dispatch target for this call. nullopt = the
   /// process-wide la::activeSimdTarget() (MIMOSTAT_SIMD env override, else
   /// the widest supported target). Outputs are bit-identical across
   /// targets by construction, so this is a performance/testing knob only —
   /// an unsupported forced target degrades to scalar.
   std::optional<SimdTarget> simd;
-  /// Force the SpMM column-panel width (clamped to the kernels' register
-  /// cap). nullopt = la::spmmPanelWidth's L2-budget choice. Exists so tests
-  /// and benches can pin odd panel boundaries; results never depend on it.
-  std::optional<std::size_t> spmmPanelColumns;
 
   /// Should a kernel over `nnz` nonzeros fan out?
   [[nodiscard]] bool parallelFor(std::uint64_t nnz) const {
-    return runner != nullptr &&
-           nnz >= parallelThresholdNnz.value_or(kDefaultParallelThresholdNnz);
+    return runner != nullptr && nnz >= parallelThresholdNnz;
   }
 };
 

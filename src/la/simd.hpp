@@ -2,8 +2,8 @@
 // kernels.
 //
 // Targets are probed once per process (cpuid on x86, architecture baseline
-// elsewhere) and can be forced per call (la::Exec::simd), per engine
-// (engine::EngineOptions::simd) or process-wide (the MIMOSTAT_SIMD
+// elsewhere) and can be forced per call (la::Exec::simd, which a request
+// sets through its check options) or process-wide (the MIMOSTAT_SIMD
 // environment variable: "scalar", "sse2", "avx2" or "neon"; an invalid or
 // unsupported value falls back to scalar with a warning). Forcing exists so
 // one host can exercise every compiled path — the tests assert each target
@@ -95,9 +95,6 @@ inline constexpr std::size_t kSimdTargetCount = 4;
 struct SpmmStats {
   /// Column panels processed — CSR traversals per step (ceil(k / width)).
   std::uint64_t panels = 0;
-  /// Tasks fanned out when the call went parallel (row blocks x panels —
-  /// the column-wise split); 0 for sequential calls.
-  std::uint64_t columnTasks = 0;
   /// The dispatch target the kernels ran on.
   SimdTarget target = SimdTarget::kScalar;
 };

@@ -3,65 +3,20 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
 
 #include "la/spmv.hpp"
 #include "obs/trace.hpp"
 
 namespace mimostat::la {
 
-const char* solverKindName(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kGaussSeidel:
-      return "gauss-seidel";
-    case SolverKind::kJacobi:
-      return "jacobi";
-    case SolverKind::kGaussSeidelRB:
-      return "gauss-seidel-rb";
-  }
-  return "?";
-}
-
-namespace {
-
-/// nnz-balanced partition of an active row list, the same shape as the
-/// matrix's block table: boundaries depend only on the active rows and
-/// their nonzero counts — never on thread count — so per-chunk deltas
-/// (combined with exact max) and write-backs are bit-stable at any pool
-/// size, and skewed rows cannot load-imbalance the pool. Returns the chunk
-/// boundaries and reports the total active nonzeros through `activeNnz`.
-std::vector<std::size_t> chunkActiveRows(
-    const std::uint64_t* rowPtr, const std::vector<std::uint32_t>& active,
-    std::uint64_t& activeNnz) {
-  std::vector<std::size_t> chunkStart{0};
-  activeNnz = 0;
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < active.size(); ++i) {
-    const std::uint64_t rowNnz = rowPtr[active[i] + 1] - rowPtr[active[i]];
-    activeNnz += rowNnz;
-    acc += rowNnz;
-    if (acc >= CsrMatrix::kBlockNnz && i + 1 < active.size()) {
-      chunkStart.push_back(i + 1);
-      acc = 0;
-    }
-  }
-  chunkStart.push_back(active.size());
-  return chunkStart;
-}
-
-}  // namespace
-
-SolveStats GaussSeidel::solve(const CsrMatrix& P,
-                              const std::vector<std::uint32_t>& active,
-                              const double* b, std::vector<double>& x,
-                              const SolverOptions& options,
-                              const Exec& exec) const {
-  (void)exec;  // in-place sweeps are order-dependent: sequential by design
+SolveStats gaussSeidel(const CsrMatrix& P,
+                       const std::vector<std::uint32_t>& active,
+                       const double* b, std::vector<double>& x,
+                       const SolverOptions& options) {
   const obs::Span span("la.solve.gauss-seidel");
-  P.requireOriginal("la::GaussSeidel");
   assert(x.size() == P.numRows());
   SolveStats stats;
-  stats.solver = solverKindName(SolverKind::kGaussSeidel);
+  stats.solver = "gauss-seidel";
   if (active.empty()) {
     stats.converged = true;
     return stats;
@@ -89,168 +44,6 @@ SolveStats GaussSeidel::solve(const CsrMatrix& P,
   return stats;
 }
 
-SolveStats Jacobi::solve(const CsrMatrix& P,
-                         const std::vector<std::uint32_t>& active,
-                         const double* b, std::vector<double>& x,
-                         const SolverOptions& options, const Exec& exec) const {
-  const obs::Span span("la.solve.jacobi");
-  P.requireOriginal("la::Jacobi");
-  assert(x.size() == P.numRows());
-  SolveStats stats;
-  stats.solver = solverKindName(SolverKind::kJacobi);
-  if (active.empty()) {
-    stats.converged = true;
-    return stats;
-  }
-  const std::uint64_t* rowPtr = P.rowPtr().data();
-  const std::uint32_t* col = P.col().data();
-  const double* val = P.val().data();
-
-  std::uint64_t activeNnz = 0;
-  const std::vector<std::size_t> chunkStart =
-      chunkActiveRows(rowPtr, active, activeNnz);
-  const std::size_t chunks = chunkStart.size() - 1;
-  std::vector<double> next(active.size());
-  std::vector<double> chunkDelta(chunks);
-
-  const auto sweepChunk = [&](std::size_t c) {
-    double delta = 0.0;
-    for (std::size_t i = chunkStart[c]; i < chunkStart[c + 1]; ++i) {
-      const std::uint32_t s = active[i];
-      double acc = b != nullptr ? b[s] : 0.0;
-      for (std::uint64_t k = rowPtr[s]; k < rowPtr[s + 1]; ++k) {
-        acc += val[k] * x[col[k]];
-      }
-      delta = std::max(delta, std::fabs(acc - x[s]));
-      next[i] = acc;
-    }
-    chunkDelta[c] = delta;
-  };
-
-  // Gate on the nonzeros the sweep actually touches: prob0/prob1 can
-  // shrink the active set orders of magnitude below the full matrix, and
-  // per-iteration pool dispatch must amortize against the real work.
-  const bool parallel = exec.parallelFor(activeNnz) && chunks > 1;
-  for (std::uint64_t iter = 0; iter < options.maxIterations; ++iter) {
-    ++stats.iterations;
-    if (parallel) {
-      // The task batch is rebuilt per iteration (the runner consumes it);
-      // a handful of closure allocations amortize against the O(grain)
-      // row sweeps each chunk performs.
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve(chunks);
-      for (std::size_t c = 0; c < chunks; ++c) {
-        tasks.push_back([&sweepChunk, c] { sweepChunk(c); });
-      }
-      exec.runner(std::move(tasks));
-    } else {
-      for (std::size_t c = 0; c < chunks; ++c) sweepChunk(c);
-    }
-    for (std::size_t i = 0; i < active.size(); ++i) x[active[i]] = next[i];
-    double maxDelta = 0.0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      maxDelta = std::max(maxDelta, chunkDelta[c]);
-    }
-    stats.residual = maxDelta;
-    if (maxDelta < options.epsilon) {
-      stats.converged = true;
-      return stats;
-    }
-  }
-  return stats;
-}
-
-SolveStats GaussSeidelRB::solve(const CsrMatrix& P,
-                                const std::vector<std::uint32_t>& active,
-                                const double* b, std::vector<double>& x,
-                                const SolverOptions& options,
-                                const Exec& exec) const {
-  const obs::Span span("la.solve.gauss-seidel-rb");
-  P.requireOriginal("la::GaussSeidelRB");
-  assert(x.size() == P.numRows());
-  SolveStats stats;
-  stats.solver = solverKindName(SolverKind::kGaussSeidelRB);
-  if (active.empty()) {
-    stats.converged = true;
-    return stats;
-  }
-  const std::uint64_t* rowPtr = P.rowPtr().data();
-  const std::uint32_t* col = P.col().data();
-  const double* val = P.val().data();
-
-  std::uint64_t activeNnz = 0;
-  const std::vector<std::size_t> chunkStart =
-      chunkActiveRows(rowPtr, active, activeNnz);
-  const std::size_t chunks = chunkStart.size() - 1;
-  std::vector<double> next(active.size());
-  std::vector<double> chunkDelta(chunks);
-
-  const auto sweepChunk = [&](std::size_t c) {
-    double delta = 0.0;
-    for (std::size_t i = chunkStart[c]; i < chunkStart[c + 1]; ++i) {
-      const std::uint32_t s = active[i];
-      double acc = b != nullptr ? b[s] : 0.0;
-      for (std::uint64_t k = rowPtr[s]; k < rowPtr[s + 1]; ++k) {
-        acc += val[k] * x[col[k]];
-      }
-      delta = std::max(delta, std::fabs(acc - x[s]));
-      next[i] = acc;
-    }
-    chunkDelta[c] = delta;
-  };
-
-  // The per-phase write barrier is what makes the coloring deterministic:
-  // chunks of one color compute into `next` reading only committed state,
-  // then the phase commits before the other color starts — so the second
-  // color always sees the first color's fresh values, at any pool size.
-  const bool parallel = exec.parallelFor(activeNnz) && chunks > 2;
-  const auto runPhase = [&](std::size_t color) {
-    if (parallel) {
-      std::vector<std::function<void()>> tasks;
-      tasks.reserve((chunks + 1) / 2);
-      for (std::size_t c = color; c < chunks; c += 2) {
-        tasks.push_back([&sweepChunk, c] { sweepChunk(c); });
-      }
-      exec.runner(std::move(tasks));
-    } else {
-      for (std::size_t c = color; c < chunks; c += 2) sweepChunk(c);
-    }
-    for (std::size_t c = color; c < chunks; c += 2) {
-      for (std::size_t i = chunkStart[c]; i < chunkStart[c + 1]; ++i) {
-        x[active[i]] = next[i];
-      }
-    }
-  };
-
-  for (std::uint64_t iter = 0; iter < options.maxIterations; ++iter) {
-    ++stats.iterations;
-    runPhase(0);
-    if (chunks > 1) runPhase(1);
-    double maxDelta = 0.0;
-    for (std::size_t c = 0; c < chunks; ++c) {
-      maxDelta = std::max(maxDelta, chunkDelta[c]);
-    }
-    stats.residual = maxDelta;
-    if (maxDelta < options.epsilon) {
-      stats.converged = true;
-      return stats;
-    }
-  }
-  return stats;
-}
-
-std::unique_ptr<LinearSolver> makeLinearSolver(SolverKind kind) {
-  switch (kind) {
-    case SolverKind::kGaussSeidel:
-      return std::make_unique<GaussSeidel>();
-    case SolverKind::kJacobi:
-      return std::make_unique<Jacobi>();
-    case SolverKind::kGaussSeidelRB:
-      return std::make_unique<GaussSeidelRB>();
-  }
-  return std::make_unique<GaussSeidel>();
-}
-
 PowerResult PowerIteration::run(const CsrMatrix& P,
                                 std::vector<double> initial,
                                 const PowerOptions& options,
@@ -258,11 +51,9 @@ PowerResult PowerIteration::run(const CsrMatrix& P,
   const obs::Span span("la.solve.power");
   assert(initial.size() == P.numRows());
   PowerResult result;
-  result.stats.solver = options.cesaroAveraging ? "power+cesaro" : "power";
+  result.stats.solver = "power";
   std::vector<double> pi = std::move(initial);
   std::vector<double> next(pi.size());
-  std::vector<double> average;
-  if (options.cesaroAveraging) average.assign(pi.size(), 0.0);
 
   for (std::uint64_t iter = 1; iter <= options.maxIterations; ++iter) {
     spmvLeft(P, pi, next, exec);
@@ -275,23 +66,12 @@ PowerResult PowerIteration::run(const CsrMatrix& P,
     pi.swap(next);
     result.stats.iterations = iter;
     result.stats.residual = delta;
-    if (options.cesaroAveraging) {
-      for (std::size_t s = 0; s < pi.size(); ++s) average[s] += pi[s];
-    }
-    if (!options.cesaroAveraging && delta < options.epsilon) {
+    if (delta < options.epsilon) {
       result.stats.converged = true;
       break;
     }
   }
-
-  if (options.cesaroAveraging && result.stats.iterations > 0) {
-    const double scale = 1.0 / static_cast<double>(result.stats.iterations);
-    for (double& v : average) v *= scale;
-    result.distribution = std::move(average);
-    result.stats.converged = true;  // the Cesaro limit exists for finite chains
-  } else {
-    result.distribution = std::move(pi);
-  }
+  result.distribution = std::move(pi);
   return result;
 }
 

@@ -1,21 +1,16 @@
-// la::Solver — iterative solvers for the engine's two linear-algebra
-// problem shapes, each reporting iterations / residual / convergence.
+// la::Solver — the iterative solvers behind the engine's two
+// linear-algebra problem shapes, each reporting iterations / residual /
+// convergence.
 //
 //   1. Fixed-point linear systems  x = P x + b  restricted to an active row
 //      set (unbounded-until probabilities, expected reachability rewards):
-//      LinearSolver with GaussSeidel (in-place sweeps, the legacy default —
-//      bit-identical to the pre-refactor value iteration), Jacobi
-//      (two-buffer, deterministic parallel over the block table; different
-//      iterates than Gauss-Seidel but the same fixed point) and
-//      GaussSeidelRB (red-black block coloring: parallel like Jacobi,
-//      GS-like coupling between the two colors).
+//      gaussSeidel, in-place sweeps bit-identical to the pre-refactor value
+//      iteration.
 //   2. Stationary distributions  pi = pi P  (steady-state rewards):
-//      PowerIteration, absorbing the legacy mc::steady loop including its
-//      Cesaro-averaging option for periodic chains.
+//      PowerIteration, absorbing the legacy mc::steady loop.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,25 +19,16 @@
 
 namespace mimostat::la {
 
-/// Which LinearSolver serves the unbounded-until linear systems.
-enum class SolverKind {
-  kGaussSeidel,
-  kJacobi,
-  kGaussSeidelRB,
-};
-
-[[nodiscard]] const char* solverKindName(SolverKind kind);
-
 /// Convergence report every solver produces.
 struct SolveStats {
   std::uint64_t iterations = 0;
   /// Termination metric at the last iteration: max-norm update delta for
-  /// the linear solvers, L1 iterate delta for power iteration.
+  /// Gauss-Seidel, L1 iterate delta for power iteration.
   double residual = 0.0;
   bool converged = false;
-  /// Which solver produced this report ("gauss-seidel", "jacobi", "power",
-  /// "power+cesaro") — stamped by the solver itself, so the name can never
-  /// drift from the stats it describes.
+  /// Which solver produced this report ("gauss-seidel", "power") — stamped
+  /// by the solver itself, so the name can never drift from the stats it
+  /// describes.
   std::string solver;
 };
 
@@ -51,65 +37,20 @@ struct SolverOptions {
   std::uint64_t maxIterations = 1'000'000;
 };
 
-/// Solves x = P x + b restricted to `active` rows; rows outside the set keep
-/// their incoming x values (fixed boundary conditions, e.g. prob1 states at
-/// 1.0). `b == nullptr` means b = 0.
-class LinearSolver {
- public:
-  virtual ~LinearSolver() = default;
-  virtual SolveStats solve(const CsrMatrix& P,
-                           const std::vector<std::uint32_t>& active,
-                           const double* b, std::vector<double>& x,
-                           const SolverOptions& options,
-                           const Exec& exec = {}) const = 0;
-};
-
-/// In-place sweeps in ascending active order. Inherently sequential (each
-/// update reads earlier updates of the same sweep); `exec` is ignored.
-/// Bit-identical to the legacy mc::unbounded value iteration.
-class GaussSeidel final : public LinearSolver {
- public:
-  SolveStats solve(const CsrMatrix& P,
-                   const std::vector<std::uint32_t>& active, const double* b,
-                   std::vector<double>& x, const SolverOptions& options,
-                   const Exec& exec = {}) const override;
-};
-
-/// Two-buffer sweeps reading only the previous iterate, so active rows
-/// partition into parallel chunks; bit-identical at any thread count
-/// (per-chunk max-deltas combine exactly). Typically needs more iterations
-/// than Gauss-Seidel but each one fans out.
-class Jacobi final : public LinearSolver {
- public:
-  SolveStats solve(const CsrMatrix& P,
-                   const std::vector<std::uint32_t>& active, const double* b,
-                   std::vector<double>& x, const SolverOptions& options,
-                   const Exec& exec = {}) const override;
-};
-
-/// Red-black (block-colored) Gauss-Seidel: the active rows are chunked by
-/// the same fixed nnz balance as the block table and the chunks colored by
-/// parity. A sweep runs two phases — all red chunks, commit, then all
-/// black chunks — so black updates read the red values of the SAME sweep
-/// (Gauss-Seidel coupling across colors) while chunks within a phase read
-/// only pre-phase state (Jacobi within a color). Phases fan out over the
-/// pool and, because nothing commits until a phase completes, results are
-/// bit-identical at any thread count. Convergence sits between Jacobi and
-/// sequential Gauss-Seidel; the fixed point is the same.
-class GaussSeidelRB final : public LinearSolver {
- public:
-  SolveStats solve(const CsrMatrix& P,
-                   const std::vector<std::uint32_t>& active, const double* b,
-                   std::vector<double>& x, const SolverOptions& options,
-                   const Exec& exec = {}) const override;
-};
-
-[[nodiscard]] std::unique_ptr<LinearSolver> makeLinearSolver(SolverKind kind);
+/// Solves x = P x + b restricted to `active` rows by in-place sweeps in
+/// ascending active order; rows outside the set keep their incoming x
+/// values (fixed boundary conditions, e.g. prob1 states at 1.0).
+/// `b == nullptr` means b = 0. Inherently sequential: each update reads
+/// earlier updates of the same sweep. Bit-identical to the legacy
+/// mc::unbounded value iteration.
+SolveStats gaussSeidel(const CsrMatrix& P,
+                       const std::vector<std::uint32_t>& active,
+                       const double* b, std::vector<double>& x,
+                       const SolverOptions& options);
 
 struct PowerOptions {
   double epsilon = 1e-13;  ///< L1 convergence threshold
   std::uint64_t maxIterations = 200'000;
-  bool cesaroAveraging = false;  ///< average iterates (periodic chains)
 };
 
 struct PowerResult {
@@ -118,11 +59,10 @@ struct PowerResult {
 };
 
 /// pi_{t+1} = pi_t P from `initial` until the L1 delta drops below epsilon
-/// (or, with Cesaro averaging, for maxIterations averaged iterates — the
-/// Cesaro limit always exists for finite chains, so that mode always reports
-/// converged). The multiply runs on the block table via `exec`; the delta
-/// reduction stays sequential, keeping results bit-identical to the legacy
-/// scalar loop at any thread count.
+/// or maxIterations run out (then converged stays false). The multiply runs
+/// on the block table via `exec`; the delta reduction stays sequential,
+/// keeping results bit-identical to the legacy scalar loop at any thread
+/// count.
 class PowerIteration {
  public:
   [[nodiscard]] PowerResult run(const CsrMatrix& P,

@@ -87,24 +87,13 @@ void forEachBlock(const CsrMatrix& M, const Exec& exec, const Body& body) {
   exec.runner(std::move(tasks));
 }
 
-std::size_t panelWidthFor(const CsrMatrix& M, std::size_t k,
-                          std::size_t lanes, const Exec& exec) {
-  if (exec.spmmPanelColumns) {
-    std::size_t w = *exec.spmmPanelColumns;
-    if (w < 1) w = 1;
-    if (w > detail::kMaxPanelColumns) w = detail::kMaxPanelColumns;
-    return w;
-  }
-  return spmmPanelWidth(M.numCols(), k, lanes);
-}
-
 void spmmImpl(const CsrMatrix& M, const std::vector<double>& X, std::size_t k,
               const BitVector* masks, std::vector<double>& Y,
               const Exec& exec, SpmmStats* stats) {
   assert(X.size() == static_cast<std::size_t>(M.numCols()) * k);
   SimdTarget target = SimdTarget::kScalar;
   const detail::KernelSet& ks = dispatchKernels(exec, &target);
-  if (stats != nullptr) *stats = SpmmStats{0, 0, target};
+  if (stats != nullptr) *stats = SpmmStats{0, target};
   Y.resize(static_cast<std::size_t>(M.numRows()) * k);
   if (k == 0) return;  // empty tile: nothing to traverse
   const detail::CsrView view = viewOf(M);
@@ -134,7 +123,7 @@ void spmmImpl(const CsrMatrix& M, const std::vector<double>& X, std::size_t k,
   // panels (L2-sized when that keeps a panel's X slice cache-resident — see
   // spmmPanelWidth) and reuse one CSR traversal per panel. Each panel's
   // packed-mask pointers are resolved once, outside the row loops.
-  const std::size_t width = panelWidthFor(M, k, ks.lanes, exec);
+  const std::size_t width = spmmPanelWidth(M.numCols(), k, ks.lanes);
   const std::size_t panels = (k + width - 1) / width;
   std::vector<std::vector<const std::uint64_t*>> panelMasks;
   if (masks != nullptr) {
@@ -149,7 +138,6 @@ void spmmImpl(const CsrMatrix& M, const std::vector<double>& X, std::size_t k,
     }
   }
 
-  std::uint64_t columnTasks = 0;
   if (!exec.parallelFor(M.numNonZeros()) ||
       (M.blockCount() <= 1 && panels <= 1)) {
     for (std::size_t p = 0; p < panels; ++p) {
@@ -180,16 +168,12 @@ void spmmImpl(const CsrMatrix& M, const std::vector<double>& X, std::size_t k,
         });
       }
     }
-    columnTasks = tasks.size();
     exec.runner(std::move(tasks));
   }
 
   const SimdMetrics& metrics = simdMetrics();
   metrics.panels.add(panels);
-  if (stats != nullptr) {
-    stats->panels = panels;
-    stats->columnTasks = columnTasks;
-  }
+  if (stats != nullptr) stats->panels = panels;
 }
 
 #ifndef NDEBUG
@@ -207,7 +191,6 @@ bool masksMatch(const std::vector<BitVector>& masks, std::size_t k,
 
 void spmv(const CsrMatrix& A, const std::vector<double>& x,
           std::vector<double>& y, const Exec& exec) {
-  A.requireOriginal("la::spmv");
   assert(x.size() == A.numCols());
   const detail::KernelSet& ks = dispatchKernels(exec, nullptr);
   const detail::CsrView view = viewOf(A);
@@ -228,30 +211,27 @@ void spmvLeft(const CsrMatrix& A, const std::vector<double>& x,
   // and gather are bitwise-equal (kernel note above), so picking by
   // sparsity is invisible to results. The support scan exits as soon as x
   // is provably dense, so dense steps pay O(cap), not O(n). The scatter
-  // reads the original orientation, so a transpose-only matrix always
-  // takes the (bitwise-identical) gather below. The scatter stays scalar —
-  // it is support-bound, not lane-bound — so it skips SIMD dispatch.
+  // stays scalar — it is support-bound, not lane-bound — so it skips SIMD
+  // dispatch.
   const std::uint32_t n = A.numRows();
-  if (A.hasOriginal()) {
-    const std::uint32_t sparseCap = n / 64 + 1;
-    std::uint32_t support = 0;
-    for (std::uint32_t s = 0; s < n && support <= sparseCap; ++s) {
-      support += x[s] != 0.0 ? 1 : 0;
-    }
-    if (support <= sparseCap) {
-      const std::uint64_t* rowPtr = A.rowPtr().data();
-      const std::uint32_t* col = A.col().data();
-      const double* val = A.val().data();
-      y.assign(T.numRows(), 0.0);
-      for (std::uint32_t s = 0; s < n; ++s) {
-        const double xs = x[s];
-        if (xs == 0.0) continue;
-        for (std::uint64_t k = rowPtr[s]; k < rowPtr[s + 1]; ++k) {
-          y[col[k]] += xs * val[k];
-        }
+  const std::uint32_t sparseCap = n / 64 + 1;
+  std::uint32_t support = 0;
+  for (std::uint32_t s = 0; s < n && support <= sparseCap; ++s) {
+    support += x[s] != 0.0 ? 1 : 0;
+  }
+  if (support <= sparseCap) {
+    const std::uint64_t* rowPtr = A.rowPtr().data();
+    const std::uint32_t* col = A.col().data();
+    const double* val = A.val().data();
+    y.assign(T.numRows(), 0.0);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      const double xs = x[s];
+      if (xs == 0.0) continue;
+      for (std::uint64_t k = rowPtr[s]; k < rowPtr[s + 1]; ++k) {
+        y[col[k]] += xs * val[k];
       }
-      return;
     }
+    return;
   }
 
   const detail::KernelSet& ks = dispatchKernels(exec, nullptr);
@@ -264,7 +244,6 @@ void spmvLeft(const CsrMatrix& A, const std::vector<double>& x,
 
 void spmm(const CsrMatrix& A, const std::vector<double>& X, std::size_t k,
           std::vector<double>& Y, const Exec& exec, SpmmStats* stats) {
-  A.requireOriginal("la::spmm");
   spmmImpl(A, X, k, nullptr, Y, exec, stats);
 }
 
@@ -276,7 +255,6 @@ void spmmLeft(const CsrMatrix& A, const std::vector<double>& X, std::size_t k,
 void spmmMasked(const CsrMatrix& A, const std::vector<double>& X,
                 std::size_t k, const std::vector<BitVector>& masks,
                 std::vector<double>& Y, const Exec& exec, SpmmStats* stats) {
-  A.requireOriginal("la::spmmMasked");
   assert(A.numRows() == A.numCols());
   assert(masksMatch(masks, k, A.numRows()));
   spmmImpl(A, X, k, masks.data(), Y, exec, stats);

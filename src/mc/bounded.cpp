@@ -1,30 +1,15 @@
 #include "mc/bounded.hpp"
 
 #include <cassert>
-#include <stdexcept>
 
 #include "la/spmv.hpp"
 
 namespace mimostat::mc {
 
-void requireForwardOrientation(const dtmc::ExplicitDtmc& dtmc,
-                               const char* who) {
-  if (!dtmc.matrix().hasOriginal()) {
-    throw std::invalid_argument(
-        std::string(who) +
-        ": bounded path formulas advance through the original row "
-        "orientation, which this model dropped "
-        "(dtmc::BuildOptions::orientation = KeepOrientation::kTransposeOnly "
-        "keeps only the transpose); rebuild with kBoth or kOriginalOnly, or "
-        "restrict transpose-only models to transient/steady-state queries");
-  }
-}
-
 std::vector<double> boundedUntil(const dtmc::ExplicitDtmc& dtmc,
                                  const la::BitVector& phi,
                                  const la::BitVector& psi, std::uint64_t bound,
                                  const la::Exec& exec) {
-  requireForwardOrientation(dtmc, "mc::boundedUntil");
   const std::uint32_t n = dtmc.numStates();
   assert(phi.size() == n && psi.size() == n);
 
@@ -63,7 +48,6 @@ std::vector<double> boundedGlobally(const dtmc::ExplicitDtmc& dtmc,
 
 std::vector<double> nextProb(const dtmc::ExplicitDtmc& dtmc,
                              const la::BitVector& psi, const la::Exec& exec) {
-  requireForwardOrientation(dtmc, "mc::nextProb");
   const std::uint32_t n = dtmc.numStates();
   assert(psi.size() == n);
   // One unmasked propagation of the psi indicator. The legacy loop summed

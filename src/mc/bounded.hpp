@@ -23,13 +23,6 @@
 
 namespace mimostat::mc {
 
-/// Bounded propagation reads the original row orientation; throw a clear
-/// std::invalid_argument (naming BuildOptions::orientation and the rebuild
-/// options) when this model was built transpose-only. Shared by every
-/// bounded operator here and by the checker's batched bounded group.
-void requireForwardOrientation(const dtmc::ExplicitDtmc& dtmc,
-                               const char* who);
-
 /// Per-state probability of (phi U<=bound psi). phi/psi are packed state
 /// sets of numStates bits.
 [[nodiscard]] std::vector<double> boundedUntil(const dtmc::ExplicitDtmc& dtmc,

@@ -82,14 +82,7 @@ CheckResult Checker::checkSingle(
   obs::Span span("mc.single", options_.traceParent);
   CheckResult result;
 
-  const auto reachOptions = [&] {
-    ReachOptions ro;
-    ro.epsilon = options_.epsilon;
-    ro.maxIterations = options_.maxIterations;
-    ro.solver = options_.linearSolver;
-    ro.exec = options_.exec;
-    return ro;
-  };
+  const ReachOptions reachOptions{options_.epsilon, options_.maxIterations};
   // Elimination-selected unbounded paths answer exactly, no epsilon; the
   // toggle is resolved by the engine (kAuto never reaches here as on).
   const bool elim = reduce::eliminationOn(options_.reduction);
@@ -111,55 +104,28 @@ CheckResult Checker::checkSingle(
 
   if (property.kind == pctl::Property::Kind::kProb) {
     const pctl::PathFormula& path = property.prob.path;
-    std::vector<double> values;
-    switch (path.kind) {
-      case pctl::PathFormula::Kind::kNext:
-        values = nextProb(dtmc_, maskAt(single.psiMask), options_.exec);
-        break;
-      case pctl::PathFormula::Kind::kFinally: {
-        const la::BitVector& psi = maskAt(single.psiMask);
-        if (path.bound) {
-          values = boundedFinally(dtmc_, psi, *path.bound, options_.exec);
-        } else {
-          ReachResult reach = elim ? reachProbByElimination(dtmc_, psi)
-                                   : reachProb(dtmc_, psi, reachOptions());
-          recordReach(reach);
-          values = std::move(reach.stateValues);
-        }
-        break;
-      }
-      case pctl::PathFormula::Kind::kGlobally: {
-        // The plan interned the *negated* operand: G phi = 1 - F !phi,
-        // bounded and unbounded alike.
-        const la::BitVector& notPhi = maskAt(single.psiMask);
-        if (path.bound) {
-          values = boundedFinally(dtmc_, notPhi, *path.bound, options_.exec);
-        } else {
-          ReachResult reach = elim ? reachProbByElimination(dtmc_, notPhi)
-                                   : reachProb(dtmc_, notPhi, reachOptions());
-          recordReach(reach);
-          values = std::move(reach.stateValues);
-        }
-        for (double& v : values) v = 1.0 - v;
-        break;
-      }
-      case pctl::PathFormula::Kind::kUntil: {
-        const la::BitVector phiTrue(dtmc_.numStates(), true);
-        const la::BitVector& phi = single.phiMask == pctl::EvalPlan::kNoMask
-                                       ? phiTrue
-                                       : maskAt(single.phiMask);
-        const la::BitVector& psi = maskAt(single.psiMask);
-        if (path.bound) {
-          values = boundedUntil(dtmc_, phi, psi, *path.bound, options_.exec);
-        } else {
-          ReachResult reach =
-              elim ? untilProbByElimination(dtmc_, phi, psi)
-                   : untilProb(dtmc_, phi, psi, reachOptions());
-          recordReach(reach);
-          values = std::move(reach.stateValues);
-        }
-        break;
-      }
+    if (pctl::isTimeBounded(path)) {
+      throw std::logic_error(
+          "mc::Checker: time-bounded formulas run in the bounded group");
+    }
+    // The plan interned the *negated* operand of G: G phi = 1 - F !phi.
+    const la::BitVector& psi = maskAt(single.psiMask);
+    ReachResult reach;
+    if (path.kind == pctl::PathFormula::Kind::kUntil) {
+      const la::BitVector phiTrue(dtmc_.numStates(), true);
+      const la::BitVector& phi = single.phiMask == pctl::EvalPlan::kNoMask
+                                     ? phiTrue
+                                     : maskAt(single.phiMask);
+      reach = elim ? untilProbByElimination(dtmc_, phi, psi)
+                   : untilProb(dtmc_, phi, psi, reachOptions);
+    } else {
+      reach = elim ? reachProbByElimination(dtmc_, psi)
+                   : reachProb(dtmc_, psi, reachOptions);
+    }
+    recordReach(reach);
+    std::vector<double> values = std::move(reach.stateValues);
+    if (path.kind == pctl::PathFormula::Kind::kGlobally) {
+      for (double& v : values) v = 1.0 - v;
     }
     result.value = fromInitial(dtmc_, values);
     result.stateValues = std::move(values);
@@ -172,16 +138,11 @@ CheckResult Checker::checkSingle(
     const std::vector<double> reward = dtmc_.evalReward(model_, rq.rewardName);
     switch (rq.kind) {
       case pctl::RewardQuery::Kind::kInstantaneous:
-        result.value = instantaneousReward(dtmc_, reward, rq.bound,
-                                           options_.exec);
-        break;
       case pctl::RewardQuery::Kind::kCumulative:
-        result.value = cumulativeReward(dtmc_, reward, rq.bound,
-                                        options_.exec);
-        break;
+        throw std::logic_error(
+            "mc::Checker: I=/C<= rewards run in the transient group");
       case pctl::RewardQuery::Kind::kSteadyState: {
         SteadyOptions so;
-        so.cesaroAveraging = options_.cesaroSteadyState;
         so.exec = options_.exec;
         const SteadyResult ss = steadyStateDistribution(dtmc_, so);
         result.value = steadyStateReward(ss, reward);
@@ -195,7 +156,7 @@ CheckResult Checker::checkSingle(
             elim ? expectedReachRewardByElimination(dtmc_, reward,
                                                     maskAt(single.psiMask))
                  : expectedReachReward(dtmc_, reward, maskAt(single.psiMask),
-                                       reachOptions());
+                                       reachOptions);
         recordReach(reach);
         result.value = fromInitial(dtmc_, reach.stateValues);
         result.stateValues = std::move(reach.stateValues);
@@ -218,10 +179,6 @@ void Checker::runBoundedGroup(
     const std::vector<std::string>& maskErrors,
     std::vector<CheckResult>& results, pctl::PlanStats* planStats) const {
   obs::Span groupSpan("mc.boundedTraversal", options_.traceParent);
-  // Refuse transpose-only models before any per-column work: checkAll's
-  // group task captures this as a per-property error on every bounded
-  // readout, so sibling transient/steady properties still answer.
-  requireForwardOrientation(dtmc_, "mc::Checker (bounded group)");
   const std::uint32_t n = dtmc_.numStates();
   constexpr std::size_t kNoPos = static_cast<std::size_t>(-1);
 
@@ -479,13 +436,12 @@ void Checker::runTransientGroup(const pctl::EvalPlan& plan,
 }
 
 std::vector<CheckResult> Checker::checkAll(
-    const std::vector<pctl::Property>& properties,
-    const pctl::PlanOptions& planOptions, pctl::PlanStats* planStats,
+    const std::vector<pctl::Property>& properties, pctl::PlanStats* planStats,
     const la::TaskRunner& runner) const {
   // Plan phase: compile the property set and evaluate the shared mask
   // table. Runs on the calling thread, before any group task is scheduled.
   obs::Span planSpan("pctl.plan", options_.traceParent);
-  const pctl::EvalPlan plan = pctl::buildPlan(properties, planOptions);
+  const pctl::EvalPlan plan = pctl::buildPlan(properties);
   std::vector<CheckResult> results(properties.size());
 
   // Shared atom masks, each evaluated once; failures (unknown atoms or

@@ -49,17 +49,10 @@ struct CheckOptions {
   /// Cap for unbounded operators' value iteration.
   double epsilon = 1e-12;
   std::uint64_t maxIterations = 1'000'000;
-  /// Use Cesàro averaging for R=?[S] on periodic chains.
-  bool cesaroSteadyState = false;
-  /// Which la::LinearSolver runs unbounded-until value iteration. The
-  /// Gauss-Seidel default is bit-identical to the legacy loop; Jacobi and
-  /// the red-black GaussSeidelRB converge to the same fixed point on
-  /// parallelizable sweeps.
-  la::SolverKind linearSolver = la::SolverKind::kGaussSeidel;
   /// Parallel execution for la:: kernels (transient multiplies, masked
-  /// bounded traversals, power iteration, Jacobi/red-black sweeps).
-  /// Results are bit-identical with or without a runner; the
-  /// AnalysisEngine injects its pool here by default.
+  /// bounded traversals, power iteration). Results are bit-identical with
+  /// or without a runner; the AnalysisEngine injects its pool here by
+  /// default.
   la::Exec exec;
   /// State-space reduction knobs. The checker consults only the
   /// elimination toggle: when reduce::eliminationOn(reduction) holds,
@@ -132,7 +125,6 @@ class Checker {
   /// plan's dedup/batching counters.
   [[nodiscard]] std::vector<CheckResult> checkAll(
       const std::vector<pctl::Property>& properties,
-      const pctl::PlanOptions& planOptions = {},
       pctl::PlanStats* planStats = nullptr,
       const la::TaskRunner& runner = {}) const;
 
@@ -146,9 +138,10 @@ class Checker {
       const pctl::StateFormula& f) const;
 
  private:
-  /// One property evaluated outside any group (unbounded operators,
-  /// rewards, and bounded formulas when the plan's batching is off). The
-  /// property's state sets are read from the plan's interned mask table
+  /// One property evaluated outside any group: an unbounded operator, a
+  /// steady-state reward or a reachability reward (the plan routes every
+  /// time-bounded formula and I=/C<= reward to a group). The property's
+  /// state sets are read from the plan's interned mask table
   /// (single.phiMask/psiMask), not re-evaluated privately.
   [[nodiscard]] CheckResult checkSingle(
       const pctl::Property& property, const pctl::EvalPlan::Single& single,

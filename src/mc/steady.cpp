@@ -22,7 +22,6 @@ SteadyResult steadyStateDistribution(const dtmc::ExplicitDtmc& dtmc,
   la::PowerOptions po;
   po.epsilon = options.epsilon;
   po.maxIterations = options.maxIterations;
-  po.cesaroAveraging = options.cesaroAveraging;
   la::PowerResult pr = la::PowerIteration{}.run(
       dtmc.matrix(), dtmc.initialDistribution(), po, options.exec);
   SteadyResult result;

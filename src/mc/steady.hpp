@@ -2,9 +2,10 @@
 //
 // The paper argues its DTMCs are finite, irreducible and aperiodic and hence
 // possess a unique stationary distribution; P2 evaluated past the mixing
-// point is the BER. The solve itself lives in la::PowerIteration (with
-// Cesaro averaging as a fallback for periodic chains); this layer binds it
-// to the DTMC's initial distribution and adds structural checks.
+// point is the BER. The solve itself lives in la::PowerIteration; this
+// layer binds it to the DTMC's initial distribution and adds structural
+// checks. Power iteration does not converge on periodic chains: it reports
+// converged = false once maxIterations run out.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@ namespace mimostat::mc {
 struct SteadyOptions {
   double epsilon = 1e-13;          ///< L1 convergence threshold
   std::uint64_t maxIterations = 200'000;
-  bool cesaroAveraging = false;    ///< average iterates (periodic chains)
   la::Exec exec;                   ///< parallel multiply (bit-stable)
 };
 
@@ -30,7 +30,7 @@ struct SteadyResult {
   bool converged = false;
   /// L1 delta of the last iterate (the power solver's residual).
   double residual = 0.0;
-  /// Solver that produced the distribution ("power" / "power+cesaro").
+  /// Solver that produced the distribution ("power").
   std::string solver;
 };
 

@@ -85,11 +85,9 @@ ReachResult untilProb(const dtmc::ExplicitDtmc& dtmc, const la::BitVector& phi,
   }
   if (undetermined.empty()) return result;
 
-  const la::SolverOptions so{options.epsilon, options.maxIterations};
   la::SolveStats stats =
-      makeLinearSolver(options.solver)
-          ->solve(dtmc.matrix(), undetermined, nullptr, result.stateValues,
-                  so, options.exec);
+      la::gaussSeidel(dtmc.matrix(), undetermined, nullptr, result.stateValues,
+                      {options.epsilon, options.maxIterations});
   result.iterations = stats.iterations;
   result.converged = stats.converged;
   result.residual = stats.residual;
@@ -129,11 +127,9 @@ ReachResult expectedReachReward(const dtmc::ExplicitDtmc& dtmc,
 
   // x(s) = r(s) + sum_t P(s,t) x(t), target states fixed at 0. Infinite
   // neighbours propagate naturally through the sum.
-  const la::SolverOptions so{options.epsilon, options.maxIterations};
   la::SolveStats stats =
-      makeLinearSolver(options.solver)
-          ->solve(dtmc.matrix(), active, reward.data(), result.stateValues,
-                  so, options.exec);
+      la::gaussSeidel(dtmc.matrix(), active, reward.data(), result.stateValues,
+                      {options.epsilon, options.maxIterations});
   result.iterations = stats.iterations;
   result.converged = stats.converged;
   result.residual = stats.residual;

@@ -1,10 +1,7 @@
 // Unbounded reachability: P(phi U psi) via the classic PRISM pipeline —
 // Prob0 / Prob1 graph precomputation (on the matrix's cached stable
-// transpose) followed by a la::LinearSolver on the remaining states.
-//
-// The default Gauss-Seidel solver is bit-identical to the legacy in-place
-// value iteration; Jacobi converges to the same fixed point with different
-// iterates and fans each sweep out over a thread pool deterministically.
+// transpose) followed by la::gaussSeidel on the remaining states,
+// bit-identical to the legacy in-place value iteration.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +10,6 @@
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "la/bit_vector.hpp"
-#include "la/exec.hpp"
 #include "la/solver.hpp"
 
 namespace mimostat::mc {
@@ -21,9 +17,6 @@ namespace mimostat::mc {
 struct ReachOptions {
   double epsilon = 1e-12;       ///< value-iteration convergence threshold
   std::uint64_t maxIterations = 1'000'000;
-  /// Which la::LinearSolver runs the value iteration.
-  la::SolverKind solver = la::SolverKind::kGaussSeidel;
-  la::Exec exec;
 };
 
 struct ReachResult {

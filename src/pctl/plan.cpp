@@ -47,8 +47,7 @@ std::uint64_t EvalPlan::transientSteps() const {
   return steps;
 }
 
-EvalPlan buildPlan(const std::vector<Property>& properties,
-                   const PlanOptions& options) {
+EvalPlan buildPlan(const std::vector<Property>& properties) {
   EvalPlan plan;
   MaskInterner masks{plan, {}};
   std::vector<std::uint64_t> singleHashes;
@@ -120,7 +119,7 @@ EvalPlan buildPlan(const std::vector<Property>& properties,
 
     if (p.kind == Property::Kind::kProb) {
       const PathFormula& path = p.prob.path;
-      if (options.batchBounded && isTimeBounded(path)) {
+      if (isTimeBounded(path)) {
         EvalPlan::BoundedReadout readout;
         readout.property = i;
         switch (path.kind) {
@@ -168,7 +167,7 @@ EvalPlan buildPlan(const std::vector<Property>& properties,
     const bool horizonBatchable =
         rq.kind == RewardQuery::Kind::kInstantaneous ||
         rq.kind == RewardQuery::Kind::kCumulative;
-    if (options.batchTransients && horizonBatchable) {
+    if (horizonBatchable) {
       EvalPlan::TransientEntry entry;
       entry.property = i;
       entry.cumulative = rq.kind == RewardQuery::Kind::kCumulative;

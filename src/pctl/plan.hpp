@@ -41,14 +41,6 @@
 
 namespace mimostat::pctl {
 
-struct PlanOptions {
-  /// Group bounded path formulas (U<=k / F<=k / G<=k / X) into one masked
-  /// SpMM traversal; off = each becomes an independent single task.
-  bool batchBounded = true;
-  /// Group R=?[I=T] / R=?[C<=T] into one transient sweep; off = singles.
-  bool batchTransients = true;
-};
-
 struct PlanStats {
   /// Distinct tasks the plan will execute: masks + traversal columns +
   /// reward vectors + one task per non-empty group + singles.
@@ -157,7 +149,6 @@ struct EvalPlan {
 /// Compile a property list into a deduplicated evaluation plan. Purely
 /// syntactic — never touches a model, never throws on semantic problems
 /// (unknown atoms surface when the plan is executed).
-[[nodiscard]] EvalPlan buildPlan(const std::vector<Property>& properties,
-                                 const PlanOptions& options = {});
+[[nodiscard]] EvalPlan buildPlan(const std::vector<Property>& properties);
 
 }  // namespace mimostat::pctl

@@ -443,11 +443,10 @@ TEST(ExploreKey, BuildOptionsNeverShareAKey) {
   const viterbi::ReducedViterbiModel model(viterbiParams(4));
   engine::AnalysisEngine eng;
   std::vector<std::uint64_t> keys;
-  for (int variant = 0; variant < 4; ++variant) {
+  for (int variant = 0; variant < 3; ++variant) {
     dtmc::BuildOptions options;
     if (variant == 1) options.probFloor = 1e-3;
     if (variant == 2) options.probFloor = 2e-3;
-    if (variant == 3) options.orientation = la::KeepOrientation::kTransposeOnly;
     keys.push_back(eng.ensureBuilt(model, options)->signature);
   }
   for (std::size_t i = 0; i < keys.size(); ++i) {
@@ -455,7 +454,7 @@ TEST(ExploreKey, BuildOptionsNeverShareAKey) {
       EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
     }
   }
-  EXPECT_EQ(eng.buildCount(), 4u);
+  EXPECT_EQ(eng.buildCount(), 3u);
 }
 
 TEST(ExploreKey, IdenticalBuildsShareAKey) {

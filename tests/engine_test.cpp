@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "engine/thread_pool.hpp"
 #include "mc/checker.hpp"
 #include "mc/transient.hpp"
+#include "obs/metrics.hpp"
 #include "pctl/parser.hpp"
 #include "smc/smc.hpp"
 #include "test_models.hpp"
@@ -698,6 +700,71 @@ TEST(Engine, SingleOverBudgetModelStaysResident) {
   (void)eng.ensureBuilt(model, {}, std::nullopt, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(eng.buildCount(), 1u);
+}
+
+TEST(Engine, FailedRequestsAreCounted) {
+  // EngineStats::requests counts failed requests too, through analyze()
+  // (which rethrows) and analyzeAll() (which captures the failure).
+  obs::MetricsRegistry registry;
+  engine::EngineOptions options;
+  options.metrics = &registry;
+  options.threads = 2;
+  engine::AnalysisEngine eng(options);
+  const auto model = test::randomModel(300, 5, 41);
+
+  engine::AnalysisRequest ok;
+  ok.model = &model;
+  ok.properties = {"P=? [ F<=5 target ]"};
+  ASSERT_TRUE(eng.analyze(ok).ok());
+
+  engine::AnalysisRequest tooBig = ok;
+  tooBig.options.backend = engine::Backend::kExact;
+  tooBig.options.build.maxStates = 10;
+  EXPECT_THROW((void)eng.analyze(tooBig), std::runtime_error);
+  const auto responses = eng.analyzeAll({tooBig});
+  ASSERT_EQ(responses.size(), 1u);
+  EXPECT_FALSE(responses[0].error.empty());
+
+  EXPECT_EQ(eng.stats().requests, 3u);
+  EXPECT_EQ(registry.snapshot().counterValue("engine.requests"), 3u);
+}
+
+TEST(Engine, RequestThresholdAloneGetsTheEnginePool) {
+  // A request that sets only check.exec.parallelThresholdNnz (no runner)
+  // still runs its la:: kernels on the engine pool: below the default
+  // threshold the kernels stay sequential, at 1 they fan out over the
+  // matrix's two row blocks. Values are bitwise equal either way.
+  const auto model = test::randomModel(2500, 10, 79);
+  const auto run = [&](std::uint64_t threshold) {
+    obs::MetricsRegistry registry;
+    engine::EngineOptions options;
+    options.metrics = &registry;
+    options.threads = 2;
+    engine::AnalysisEngine eng(options);
+    engine::AnalysisRequest request;
+    request.model = &model;
+    request.properties = {"R=? [ I=40 ]", "P=? [ F<=20 target ]", "R=? [ S ]"};
+    request.options.check.exec.parallelThresholdNnz = threshold;
+    const engine::AnalysisResponse response = eng.analyze(request);
+    EXPECT_TRUE(response.ok()) << response.error;
+    std::vector<double> values;
+    for (const auto& result : response.results) values.push_back(result.value);
+    return std::make_pair(
+        values, registry.histogramSnapshot("engine.pool.task_run_ns").count);
+  };
+  const auto built = dtmc::buildExplicit(model);
+  ASSERT_GE(built.dtmc.matrix().blockCount(), 2u);
+  ASSERT_LT(built.dtmc.numTransitions(),
+            la::Exec::kDefaultParallelThresholdNnz);
+
+  const auto [defaultValues, defaultTasks] =
+      run(la::Exec::kDefaultParallelThresholdNnz);
+  const auto [forcedValues, forcedTasks] = run(1);
+  EXPECT_GT(forcedTasks, defaultTasks);
+  ASSERT_EQ(forcedValues.size(), defaultValues.size());
+  EXPECT_EQ(std::memcmp(forcedValues.data(), defaultValues.data(),
+                        defaultValues.size() * sizeof(double)),
+            0);
 }
 
 TEST(PropertyCache, SharedAcrossEngineAndCheckers) {

@@ -90,7 +90,7 @@ inline dtmc::BuildResult legacyBuildExplicit(
   const double w = 1.0 / static_cast<double>(initialIdx.size());
   for (const auto idx : initialIdx) raw.initial[idx] += w;
 
-  return {dtmc::ExplicitDtmc::fromRaw(std::move(raw), options.orientation),
+  return {dtmc::ExplicitDtmc::fromRaw(std::move(raw)),
           reachabilityIterations, 0.0};
 }
 

@@ -240,7 +240,7 @@ TEST(Bounded, BatchedPlanBitIdenticalToPerFormulaAt128Threads) {
     options.exec = exec;
     const mc::Checker checker(d, model, options);
     pctl::PlanStats stats;
-    const auto results = checker.checkAll(properties, {}, &stats);
+    const auto results = checker.checkAll(properties, &stats);
     // 5 formulas, every one batched into the single shared traversal.
     EXPECT_EQ(stats.traversalsSaved, (5u + 12u + 9u + 12u + 1u) - 12u);
     std::vector<double> values;
@@ -272,7 +272,7 @@ TEST(Bounded, PlanDedupSharesColumnsAcrossThresholds) {
       pctl::parseProperty("P=? [ G<=7 !\"target\" ]"),
   };
   pctl::PlanStats stats;
-  const auto results = checker.checkAll(properties, {}, &stats);
+  const auto results = checker.checkAll(properties, &stats);
   // One mask, one column, three readouts: per-formula would traverse
   // 4 + 11 + 7 steps, the shared column traverses 11.
   EXPECT_EQ(stats.tasksPlanned, 3u);  // mask + column + group task
@@ -349,7 +349,7 @@ TEST(Bounded, DuplicateSinglesShareOneSolveBitwise) {
       pctl::parseProperty("P=? [ F s=30 ]"),  // structurally identical
   };
   pctl::PlanStats stats;
-  const auto results = checker.checkAll(properties, {}, &stats);
+  const auto results = checker.checkAll(properties, &stats);
   EXPECT_EQ(stats.tasksDeduped, 1u);
   ASSERT_TRUE(results[0].ok());
   ASSERT_TRUE(results[1].ok());

@@ -45,18 +45,6 @@ TEST(Steady, BirthDeathGeometric) {
   }
 }
 
-TEST(Steady, CesaroHandlesPeriodicChain) {
-  const auto model = test::cycleModel(4);
-  const auto d = dtmc::buildExplicit(model).dtmc;
-  mc::SteadyOptions options;
-  options.cesaroAveraging = true;
-  options.maxIterations = 4000;
-  const auto ss = mc::steadyStateDistribution(d, options);
-  for (const double pi : ss.distribution) {
-    EXPECT_NEAR(pi, 0.25, 1e-3);
-  }
-}
-
 TEST(Steady, RewardMatchesDistributionDot) {
   const auto model = test::twoStateChain(0.4, 0.1);
   const auto d = dtmc::buildExplicit(model).dtmc;

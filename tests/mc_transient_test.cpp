@@ -195,7 +195,7 @@ std::vector<double> checkAllValues(const dtmc::ExplicitDtmc& d,
     parsed.push_back(checker.parsedProperty(text));
   }
   std::vector<double> values;
-  for (const auto& result : checker.checkAll(parsed, {}, &stats)) {
+  for (const auto& result : checker.checkAll(parsed, &stats)) {
     EXPECT_TRUE(result.ok()) << result.error;
     values.push_back(result.value);
   }
@@ -404,11 +404,11 @@ TEST(TransientStop, ReducedViterbiL6TableSetMatchesOracle) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     engine::EngineOptions options;
     options.threads = workers;
-    options.laParallelThresholdNnz = 1;
     engine::AnalysisEngine eng(options);
     engine::AnalysisRequest request;
     request.model = &model;
     request.properties = properties;
+    request.options.check.exec.parallelThresholdNnz = 1;
     const auto response = eng.analyze(request);
     ASSERT_EQ(response.results.size(), properties.size());
     for (const auto& result : response.results) {

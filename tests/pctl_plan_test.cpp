@@ -1,6 +1,6 @@
 // pctl:: evaluation-plan tests: structural hashing/equality, normalization
 // (double negation, trivially-true phi), subformula and column dedup, plan
-// stats arithmetic, and the batching opt-outs.
+// stats arithmetic, and which group each property kind lands in.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -158,19 +158,42 @@ TEST(EvalPlan, MixedRequestPartition) {
   EXPECT_EQ(plan.stats.traversalsSaved, 24u);
 }
 
-TEST(EvalPlan, BatchingOptOutsRouteToSingles) {
-  pctl::PlanOptions off;
-  off.batchBounded = false;
-  off.batchTransients = false;
-  const auto plan = pctl::buildPlan(parseAll({
-                                        "P=? [ F<=10 \"target\" ]",
-                                        "R=? [ I=40 ]",
-                                    }),
-                                    off);
-  EXPECT_TRUE(plan.bounded.empty());
-  EXPECT_TRUE(plan.transients.empty());
-  EXPECT_EQ(plan.singles.size(), 2u);
-  EXPECT_EQ(plan.stats.traversalsSaved, 0u);
+TEST(EvalPlan, TimeBoundedFormulasAlwaysJoinAGroup) {
+  // mc::Checker answers singles only for unbounded operators, steady state
+  // and reachability rewards; it relies on every time-bounded formula
+  // landing in the bounded group and every I=/C<= in the transient group.
+  const auto properties = parseAll({
+      "P=? [ X \"a\" ]",
+      "P=? [ \"a\" U<=4 \"b\" ]",
+      "P=? [ F<=6 \"b\" ]",
+      "P=? [ G<=3 \"a\" ]",
+      "R=? [ I=10 ]",
+      "R=? [ C<=7 ]",
+      "P=? [ F \"b\" ]",
+      "P=? [ \"a\" U \"b\" ]",
+      "R=? [ S ]",
+      "R=? [ F \"b\" ]",
+  });
+  const auto plan = pctl::buildPlan(properties);
+  std::vector<std::size_t> bounded, transients, singles;
+  for (const auto& readout : plan.bounded) bounded.push_back(readout.property);
+  for (const auto& entry : plan.transients) {
+    transients.push_back(entry.property);
+  }
+  for (const auto& single : plan.singles) singles.push_back(single.property);
+  EXPECT_EQ(bounded, (std::vector<std::size_t>{0, 1, 2, 3}));
+  EXPECT_EQ(transients, (std::vector<std::size_t>{4, 5}));
+  EXPECT_EQ(singles, (std::vector<std::size_t>{6, 7, 8, 9}));
+  for (const std::size_t i : singles) {
+    const pctl::Property& p = properties[i];
+    if (p.kind == pctl::Property::Kind::kProb) {
+      EXPECT_FALSE(pctl::isTimeBounded(p.prob.path)) << i;
+    } else {
+      EXPECT_TRUE(p.reward.kind == pctl::RewardQuery::Kind::kSteadyState ||
+                  p.reward.kind == pctl::RewardQuery::Kind::kReachability)
+          << i;
+    }
+  }
 }
 
 TEST(EvalPlan, StructurallyIdenticalSinglesRunOnce) {

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Unit tests for the determinism/concurrency linter's rules engine.
+"""Unit tests for the determinism/concurrency linter's rules engine and the
+option census.
 
 Feeds known-bad and known-good C++ snippets to check_invariants.check_source
-and asserts exactly which rules fire on which lines. Registered as the
+and asserts exactly which rules fire on which lines, and checks which
+declarations option_census counts as option fields. Registered as the
 `lint_selftest` ctest so a rule regression (a rule going silent, or a fixed
 false positive coming back) fails the suite, not just CI.
 
@@ -11,14 +13,18 @@ Run directly: python3 tools/lint/lint_selftest.py
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import sys
+import tempfile
 import textwrap
 import unittest
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import check_invariants  # noqa: E402
+import option_census  # noqa: E402
 
 
 def run(source: str, path: str = "src/fake/file.cpp"):
@@ -543,6 +549,86 @@ class TransientStepTest(unittest.TestCase):
         la::spmvLeft(dtmc_.matrix(), x_, scratch_, exec_);
         """
         self.assertEqual(run(src, "src/mc/transient.cpp"), [])
+
+
+def census(source: str, path: str = "src/fake/options.hpp"):
+    """option_census on a dedented header; returns [(name, fields), ...]."""
+    entries = option_census.census_source(textwrap.dedent(source), path)
+    return [(e.name, e.fields) for e in entries]
+
+
+class OptionCensusTest(unittest.TestCase):
+    def test_data_members_are_counted(self):
+        src = """\
+        namespace mimostat::fake {
+        struct FakeOptions {
+          double epsilon = 1e-12;
+          std::uint64_t maxIterations = 1'000'000;
+          std::optional<int> pinned;
+          std::vector<int> blocks{0, 0};
+          std::function<void(int)> hook;
+          std::uint64_t budget = 1ull << 30;
+        };
+        }  // namespace mimostat::fake
+        """
+        self.assertEqual(census(src), [("fake::FakeOptions", 6)])
+
+    def test_member_functions_are_not_fields(self):
+        src = """\
+        struct Exec {
+          int threshold = 3;
+          [[nodiscard]] bool parallelFor(std::uint64_t nnz) const {
+            return nnz >= threshold;
+          }
+          void reset();
+          Exec() = default;
+        };
+        """
+        self.assertEqual(census(src), [("Exec", 1)])
+
+    def test_static_constants_aliases_and_nested_types_are_not_fields(self):
+        src = """\
+        struct FakeOptions {
+          static constexpr std::uint64_t kDefault = 1ull << 15;
+          using Runner = std::function<void()>;
+          enum class Mode { kA, kB };
+          struct Inner { int a; int b; };
+          Mode mode = Mode::kA;
+        };
+        """
+        self.assertEqual(census(src), [("FakeOptions", 1)])
+
+    def test_comments_and_strings_are_not_fields(self):
+        src = """\
+        struct FakeOptions {
+          // bool retired = false;
+          /* int gone = 0;
+             int alsoGone = 1; */
+          const char* name = "int fake; double other;";
+          int kept = 0;  ///< trailing doc; with a semicolon
+        };
+        """
+        self.assertEqual(census(src), [("FakeOptions", 2)])
+
+    def test_other_structs_are_not_counted(self):
+        src = """\
+        struct PlanStats { int a = 0; int b = 0; };
+        struct ReachOptions { double epsilon = 1e-12; };
+        """
+        self.assertEqual(census(src), [("ReachOptions", 1)])
+
+    def test_total_above_the_ceiling_fails(self):
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "src", "fake"))
+            with open(os.path.join(root, "src", "fake", "a.hpp"), "w",
+                      encoding="utf-8") as handle:
+                handle.write("struct AOptions { int a = 0; int b = 1; };\n")
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                self.assertEqual(
+                    option_census.main(["--root", root, "--max", "2"]), 0)
+                self.assertEqual(
+                    option_census.main(["--root", root, "--max", "1"]), 1)
+            self.assertIn("total: 2 option fields", out.getvalue())
 
 
 if __name__ == "__main__":
