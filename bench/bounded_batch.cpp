@@ -9,7 +9,7 @@
 //      one full matrix traversal per step per formula (sum of bounds
 //      traversals in total);
 //   2. planned/batched: one engine request — pctl::buildPlan compiles the
-//      set into columns of ONE masked SpMM traversal (la::spmmMasked), so
+//      set into columns of ONE masked SpMM traversal (masked la::spmm), so
 //      the whole group costs max(bounds) traversals (~1 per step instead
 //      of k).
 //
@@ -32,7 +32,7 @@
 #include "dtmc/builder.hpp"
 #include "dtmc/model.hpp"
 #include "engine/engine.hpp"
-#include "mc/bounded.hpp"
+#include "mc/checker.hpp"
 #include "util/hash.hpp"
 #include "util/timer.hpp"
 
@@ -86,7 +86,7 @@ class RandomChainModel : public dtmc::Model {
   std::uint32_t fanout_;
 };
 
-/// The pre-refactor mc::boundedUntil private loop (phi = true), verbatim —
+/// The pre-refactor per-formula bounded-until loop (phi = true), verbatim —
 /// the per-formula reference the planned path must reproduce bit for bit.
 std::vector<double> legacyBoundedFinally(const dtmc::ExplicitDtmc& dtmc,
                                          const std::vector<std::uint8_t>& psi,

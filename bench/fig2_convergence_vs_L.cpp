@@ -7,7 +7,7 @@
 // deep-counter model whose "nc<k>" reward structures answer every L, one
 // property per point. The runner coalesces all points into one engine
 // request — a single transient pass to the common horizon — asserted
-// bit-identical to a raw la::spmvLeft propagation per L.
+// bit-identical to a raw left la::spmm propagation per L.
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -62,7 +62,7 @@ int main() {
   }
 
   // Bit-identical cross-check against an independent path: fresh build,
-  // one raw la::spmvLeft propagation per L (no stationary stop).
+  // one raw left la::spmm propagation per L (no stationary stop).
   const auto build = dtmc::buildExplicit(*model);
   const double maxDiff =
       bench::sweepVsHandRolledMaxDiff(table, build.dtmc, *model);

@@ -1,16 +1,14 @@
 // bench_la — the linear-algebra backbone under load.
 //
-//   1. SpMV: the legacy scalar scatter multiplyLeft vs the blocked gather
-//      (la::spmvLeft, sequential) vs the row-partitioned parallel gather at
-//      1/2/8 pool threads, propagating a distribution over a large random
-//      stochastic chain.
-//   2. SpMM: k transient sweeps per-call (k matrix traversals per step) vs
-//      one SpMM-batched mc::TransientSweep (one traversal per step).
-//   3. Masked SpMM: the legacy n x k byte-mask frozen-entry loop vs
-//      la::spmmMasked over packed la::BitVector column masks, sequential
-//      and at 1/2/8 pool threads — same values bit for bit, 8x less mask
-//      memory (the mask_bytes columns in the CSV).
-//   4. SIMD dispatch: masked SpMM forced to scalar vs every compiled-and-
+//   1. SpMV: the legacy scalar scatter loop vs the blocked gather (left
+//      la::spmm, k = 1, sequential) vs the row-partitioned parallel gather
+//      at 1/2/8 pool threads, propagating a distribution over a large
+//      random stochastic chain.
+//   2. Masked SpMM: the legacy n x k byte-mask frozen-entry loop vs masked
+//      la::spmm over packed la::BitVector column masks, sequential and at
+//      1/2/8 pool threads — same values bit for bit, 8x less mask memory
+//      (the mask_bytes columns in the CSV).
+//   3. SIMD dispatch: masked SpMM forced to scalar vs every compiled-and-
 //      supported vector target (sequential and at 2/8 pool threads). The
 //      forced-scalar output is the oracle; each target's panel count and
 //      per-panel traversal time land in the simd_target/panels/
@@ -42,7 +40,6 @@
 #include "la/exec.hpp"
 #include "la/simd.hpp"
 #include "la/spmv.hpp"
-#include "mc/transient.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -96,7 +93,7 @@ dtmc::ExplicitDtmc randomChain(const Config& config) {
   return dtmc::ExplicitDtmc::fromRaw(std::move(raw));
 }
 
-/// The pre-refactor scalar scatter multiplyLeft, kept verbatim as the
+/// The pre-refactor scalar scatter left product, kept verbatim as the
 /// reference the la:: paths must reproduce bit for bit.
 void scalarScatterLeft(const la::CsrMatrix& m, const std::vector<double>& x,
                        std::vector<double>& y) {
@@ -113,7 +110,7 @@ void scalarScatterLeft(const la::CsrMatrix& m, const std::vector<double>& x,
 /// The pre-refactor byte-mask frozen-entry SpMM, kept verbatim as the
 /// oracle for the packed-mask kernel: wherever mask[s*k+j] is set, output
 /// (s, j) keeps X's value; everywhere else the row gathers in CSR order —
-/// the identical floating-point sequence la::spmmMasked must produce.
+/// the identical floating-point sequence masked la::spmm must produce.
 void byteMaskedSpmm(const la::CsrMatrix& m, const std::vector<double>& X,
                     std::size_t k, const std::vector<std::uint8_t>& mask,
                     std::vector<double>& Y) {
@@ -240,15 +237,15 @@ int main(int argc, char** argv) {
         scalarScatterLeft(P, x, y);
       },
       scalarSec);
-  record("spmv", "scalar-scatter", 0, scalarSec, scalarSec, 0.0);
+  record("spmm-k1", "scalar-scatter", 0, scalarSec, scalarSec, 0.0);
 
   double blockedSec = 0.0;
   const std::vector<double> blockedPi = propagate(
       [&](const std::vector<double>& x, std::vector<double>& y) {
-        la::spmvLeft(P, x, y);
+        la::spmm(P, x, 1, y, {}, la::Side::kLeft);
       },
       blockedSec);
-  record("spmv", "blocked-gather", 0, blockedSec, scalarSec,
+  record("spmm-k1", "blocked-gather", 0, blockedSec, scalarSec,
          maxAbsDiff(blockedPi, scalarPi));
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
@@ -258,47 +255,11 @@ int main(int argc, char** argv) {
     double seconds = 0.0;
     const std::vector<double> pi = propagate(
         [&](const std::vector<double>& x, std::vector<double>& y) {
-          la::spmvLeft(P, x, y, exec);
+          la::spmm(P, x, 1, y, exec, la::Side::kLeft);
         },
         seconds);
-    record("spmv", "parallel-gather", threads, seconds, scalarSec,
+    record("spmm-k1", "parallel-gather", threads, seconds, scalarSec,
            maxAbsDiff(pi, scalarPi));
-  }
-
-  // ---- SpMM: k transient sweeps, per-call vs batched.
-  std::printf("\n=== per-call vs SpMM-batched transient sweep (k=%zu) ===\n",
-              config.rhs);
-  std::vector<std::vector<double>> starts;
-  for (std::size_t j = 0; j < config.rhs; ++j) {
-    std::vector<double> start(P.numRows(), 0.0);
-    start[(P.numRows() / config.rhs) * j] = 1.0;
-    starts.push_back(std::move(start));
-  }
-
-  double perCallSec = 0.0;
-  std::vector<std::vector<double>> perCall;
-  {
-    const util::Stopwatch timer;
-    for (std::size_t j = 0; j < config.rhs; ++j) {
-      mc::TransientSweep sweep(chain, {starts[j]});
-      sweep.advanceTo(config.steps);
-      perCall.push_back(sweep.distributionAt(0));
-    }
-    perCallSec = timer.elapsedSeconds();
-  }
-  record("spmm", "per-call-sweeps", 0, perCallSec, perCallSec, 0.0);
-
-  {
-    const util::Stopwatch timer;
-    mc::TransientSweep sweep(chain, starts);
-    sweep.advanceTo(config.steps);
-    const double seconds = timer.elapsedSeconds();
-    double worst = 0.0;
-    for (std::size_t j = 0; j < config.rhs; ++j) {
-      const double diff = maxAbsDiff(sweep.distributionAt(j), perCall[j]);
-      if (diff > worst) worst = diff;
-    }
-    record("spmm", "spmm-batched", 0, seconds, perCallSec, worst);
   }
 
   // ---- masked SpMM: the bounded-traversal update shape. k column masks
@@ -365,7 +326,7 @@ int main(int argc, char** argv) {
   double packedSec = 0.0;
   const std::vector<double> packedOut = propagateMasked(
       [&](const std::vector<double>& X, std::vector<double>& Y) {
-        la::spmmMasked(P, X, config.rhs, packedMasks, Y);
+        la::spmm(P, X, config.rhs, Y, {}, la::Side::kRight, &packedMasks);
       },
       packedSec);
   record("spmm-masked", "bitvector", 0, packedSec, byteMaskSec,
@@ -378,7 +339,8 @@ int main(int argc, char** argv) {
     double seconds = 0.0;
     const std::vector<double> out = propagateMasked(
         [&](const std::vector<double>& X, std::vector<double>& Y) {
-          la::spmmMasked(P, X, config.rhs, packedMasks, Y, exec);
+          la::spmm(P, X, config.rhs, Y, exec, la::Side::kRight,
+                   &packedMasks);
         },
         seconds);
     record("spmm-masked", "bitvector", threads, seconds, byteMaskSec,
@@ -400,8 +362,8 @@ int main(int argc, char** argv) {
   double simdScalarSec = 0.0;
   const std::vector<double> simdScalarOut = propagateMasked(
       [&](const std::vector<double>& X, std::vector<double>& Y) {
-        la::spmmMasked(P, X, config.rhs, packedMasks, Y, scalarSimdExec,
-                       &scalarStats);
+        la::spmm(P, X, config.rhs, Y, scalarSimdExec, la::Side::kRight,
+                 &packedMasks, &scalarStats);
       },
       simdScalarSec);
   record("spmm-simd", "scalar", 0, simdScalarSec, simdScalarSec,
@@ -420,7 +382,8 @@ int main(int argc, char** argv) {
     double seconds = 0.0;
     const std::vector<double> out = propagateMasked(
         [&](const std::vector<double>& X, std::vector<double>& Y) {
-          la::spmmMasked(P, X, config.rhs, packedMasks, Y, exec, &stats);
+          la::spmm(P, X, config.rhs, Y, exec, la::Side::kRight,
+                   &packedMasks, &stats);
         },
         seconds);
     record("spmm-simd", name, 0, seconds, simdScalarSec,
@@ -438,8 +401,8 @@ int main(int argc, char** argv) {
       double pooledSec = 0.0;
       const std::vector<double> pooledOut = propagateMasked(
           [&](const std::vector<double>& X, std::vector<double>& Y) {
-            la::spmmMasked(P, X, config.rhs, packedMasks, Y, pooled,
-                           &pooledStats);
+            la::spmm(P, X, config.rhs, Y, pooled, la::Side::kRight,
+                     &packedMasks, &pooledStats);
           },
           pooledSec);
       record("spmm-simd", name, threads, pooledSec, simdScalarSec,

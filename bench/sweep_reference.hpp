@@ -3,7 +3,7 @@
 // means bit-identical; NaN (e.g. a failed row exported as NaN) propagates
 // so it can never read as a pass.
 //
-// R=?[I=T] rows are re-answered with a raw la::spmvLeft loop: T multiplies
+// R=?[I=T] rows are re-answered with a raw left la::spmm loop: T multiplies
 // from pi_0, no mc::TransientSweep and so no stationary stop, then pi_T . r
 // summed left to right. A wrong fixed-point exit in the sweep shows up here
 // as a nonzero difference. Any other row is re-checked with a fresh
@@ -30,7 +30,7 @@ inline double rawInstantaneousReward(const dtmc::ExplicitDtmc& dtmc,
   std::vector<double> pi = dtmc.initialDistribution();
   std::vector<double> next(pi.size());
   for (std::uint64_t t = 0; t < steps; ++t) {
-    la::spmvLeft(dtmc.matrix(), pi, next);
+    la::spmm(dtmc.matrix(), pi, 1, next, {}, la::Side::kLeft);
     pi.swap(next);
   }
   double acc = 0.0;

@@ -8,7 +8,7 @@
 // shared model, one property per point. The runner coalesces every point
 // into a single engine request, so all horizons ride one 1000-step
 // transient sweep — and the numbers are asserted bit-identical to a raw
-// la::spmvLeft propagation per horizon, which has no stationary stop.
+// left la::spmm propagation per horizon, which has no stationary stop.
 //
 // `--csv <path>` additionally writes the sweep's long-format CSV (used by
 // the CI sweep-smoke job as a workflow artifact). `--trace <path>` enables
@@ -89,7 +89,7 @@ int main(int argc, char** argv) {
   }
 
   // Bit-identical cross-check against an independent path: fresh build,
-  // one raw la::spmvLeft propagation per T (no stationary stop).
+  // one raw left la::spmm propagation per T (no stationary stop).
   const auto build = dtmc::buildExplicit(*model);
   const double maxDiff =
       bench::sweepVsHandRolledMaxDiff(table, build.dtmc, *model);

@@ -6,7 +6,7 @@
 //
 // The horizon study is a declarative sweep::SweepSpec sharing one model:
 // the runner coalesces the three horizons into a single engine request
-// (one transient sweep), asserted bit-identical to a raw la::spmvLeft
+// (one transient sweep), asserted bit-identical to a raw left la::spmm
 // propagation per horizon.
 //
 // `--trace <path>` enables the process tracer and writes the run's span
@@ -86,7 +86,7 @@ int main(int argc, char** argv) {
               "(quantizer-width provenance; see README).\n");
 
   // Bit-identical cross-check against an independent path: fresh build,
-  // one raw la::spmvLeft propagation per horizon (no stationary stop).
+  // one raw left la::spmm propagation per horizon (no stationary stop).
   const auto build = dtmc::buildExplicit(*model);
   const double maxDiff =
       bench::sweepVsHandRolledMaxDiff(table, build.dtmc, *model);

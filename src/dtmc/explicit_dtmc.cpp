@@ -3,8 +3,6 @@
 #include <cassert>
 #include <cmath>
 
-#include "la/spmv.hpp"
-
 namespace mimostat::dtmc {
 
 ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw) {
@@ -48,20 +46,6 @@ double ExplicitDtmc::maxRowDeviation() const {
     worst = std::max(worst, std::fabs(sum - 1.0));
   }
   return worst;
-}
-
-void ExplicitDtmc::multiplyLeft(const std::vector<double>& x,
-                                std::vector<double>& y,
-                                const la::Exec& exec) const {
-  assert(x.size() == numStates());
-  la::spmvLeft(matrix_, x, y, exec);
-}
-
-void ExplicitDtmc::multiplyRight(const std::vector<double>& x,
-                                 std::vector<double>& y,
-                                 const la::Exec& exec) const {
-  assert(x.size() == numStates());
-  la::spmv(matrix_, x, y, exec);
 }
 
 }  // namespace mimostat::dtmc

@@ -1,11 +1,7 @@
 // Explicit-state DTMC: the transition matrix as an owned la::CsrMatrix
 // (blocked layout + stable transpose) plus the decoded state table, initial
 // distribution, and the model-facing atom/reward evaluation hooks.
-//
-// All numeric access goes through the la:: layer: multiplyLeft/multiplyRight
-// are thin forwarders to la::spmvLeft/la::spmv and accept an optional
-// la::Exec to fan the product out over a thread pool (bit-identical results
-// at any pool size — see la/spmv.hpp for the determinism contract).
+// Products with the matrix go through la::spmm on matrix().
 #pragma once
 
 #include <cstdint>
@@ -17,7 +13,6 @@
 #include "dtmc/state.hpp"
 #include "la/bit_vector.hpp"
 #include "la/csr_matrix.hpp"
-#include "la/exec.hpp"
 
 namespace mimostat::dtmc {
 
@@ -75,16 +70,6 @@ class ExplicitDtmc {
 
   /// Verify every row sums to 1 within `tol`; returns the worst deviation.
   [[nodiscard]] double maxRowDeviation() const;
-
-  /// y = x * P (row vector times matrix). x.size()==numStates. Results are
-  /// bit-identical with or without an exec runner.
-  void multiplyLeft(const std::vector<double>& x, std::vector<double>& y,
-                    const la::Exec& exec = {}) const;
-
-  /// y = P * x (matrix times column vector) — used by bounded-until backward
-  /// iterations.
-  void multiplyRight(const std::vector<double>& x, std::vector<double>& y,
-                     const la::Exec& exec = {}) const;
 
   // --- construction (used by Builder) ---
   struct Raw {

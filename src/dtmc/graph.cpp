@@ -4,35 +4,9 @@
 #include <cassert>
 #include <numeric>
 
+#include "la/bit_vector.hpp"
+
 namespace mimostat::dtmc {
-
-namespace {
-
-/// Transposed adjacency (CSR of the reversed digraph), probabilities ignored.
-struct Transpose {
-  std::vector<std::uint64_t> rowPtr;
-  std::vector<std::uint32_t> col;
-};
-
-Transpose transposeOf(const ExplicitDtmc& dtmc) {
-  const std::uint32_t n = dtmc.numStates();
-  Transpose t;
-  t.rowPtr.assign(n + 1, 0);
-  for (std::uint64_t k = 0; k < dtmc.numTransitions(); ++k) {
-    ++t.rowPtr[dtmc.col()[k] + 1];
-  }
-  for (std::uint32_t i = 0; i < n; ++i) t.rowPtr[i + 1] += t.rowPtr[i];
-  t.col.resize(dtmc.numTransitions());
-  std::vector<std::uint64_t> cursor(t.rowPtr.begin(), t.rowPtr.end() - 1);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    for (std::uint64_t k = dtmc.rowPtr()[s]; k < dtmc.rowPtr()[s + 1]; ++k) {
-      t.col[cursor[dtmc.col()[k]]++] = s;
-    }
-  }
-  return t;
-}
-
-}  // namespace
 
 SccDecomposition computeSccs(const ExplicitDtmc& dtmc) {
   // Iterative Tarjan (explicit stack; models can have millions of states).
@@ -109,10 +83,6 @@ SccDecomposition computeSccs(const ExplicitDtmc& dtmc) {
   return result;
 }
 
-bool isIrreducible(const ExplicitDtmc& dtmc) {
-  return computeSccs(dtmc).numComponents == 1;
-}
-
 std::uint32_t chainPeriod(const ExplicitDtmc& dtmc) {
   const std::uint32_t n = dtmc.numStates();
   assert(n > 0);
@@ -144,46 +114,6 @@ std::uint32_t chainPeriod(const ExplicitDtmc& dtmc) {
     }
   }
   return g == 0 ? 1 : static_cast<std::uint32_t>(g);
-}
-
-la::BitVector backwardReachable(const ExplicitDtmc& dtmc,
-                                const la::BitVector& target) {
-  const Transpose t = transposeOf(dtmc);
-  la::BitVector reach(target);
-  std::vector<std::uint32_t> queue;
-  // forEachSetBit is ascending, matching the legacy byte-vector seed scan.
-  reach.forEachSetBit(
-      [&](std::size_t s) { queue.push_back(static_cast<std::uint32_t>(s)); });
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::uint32_t v = queue[head];
-    for (std::uint64_t k = t.rowPtr[v]; k < t.rowPtr[v + 1]; ++k) {
-      const std::uint32_t u = t.col[k];
-      if (!reach.get(u)) {
-        reach.set(u);
-        queue.push_back(u);
-      }
-    }
-  }
-  return reach;
-}
-
-la::BitVector forwardReachable(const ExplicitDtmc& dtmc,
-                               const la::BitVector& from) {
-  la::BitVector reach(from);
-  std::vector<std::uint32_t> queue;
-  reach.forEachSetBit(
-      [&](std::size_t s) { queue.push_back(static_cast<std::uint32_t>(s)); });
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const std::uint32_t u = queue[head];
-    for (std::uint64_t k = dtmc.rowPtr()[u]; k < dtmc.rowPtr()[u + 1]; ++k) {
-      const std::uint32_t v = dtmc.col()[k];
-      if (!reach.get(v)) {
-        reach.set(v);
-        queue.push_back(v);
-      }
-    }
-  }
-  return reach;
 }
 
 }  // namespace mimostat::dtmc

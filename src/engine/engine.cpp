@@ -10,7 +10,6 @@
 #include "dtmc/signature.hpp"
 #include "mc/checker.hpp"
 #include "pctl/hash.hpp"
-#include "mc/transient.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "pctl/parser.hpp"
@@ -143,21 +142,11 @@ pctl::Property AnalysisEngine::parsedProperty(const std::string& text) {
   return propertyCache_->get(text);
 }
 
-std::uint64_t AnalysisEngine::buildCount() const { return stats().builds; }
-
-std::uint64_t AnalysisEngine::cacheHitCount() const {
-  return stats().cacheHits;
-}
-
-std::size_t AnalysisEngine::cachedModelCount() const {
-  return stats().cachedModels;
-}
-
 EngineStats AnalysisEngine::stats() const {
   // The one sanctioned read path for the cacheMutex_-guarded counters: a
   // snapshot under the lock, so a stats() racing an eviction or a build
   // completion can never observe a half-updated (cachedModels, cacheBytes)
-  // pair. buildCount()/cacheHitCount()/cachedModelCount() all route here.
+  // pair.
   EngineStats stats;
   {
     const util::MutexLock lock(cacheMutex_);

@@ -180,11 +180,6 @@ class AnalysisEngine {
 
   // --- instrumentation (tests, ops) ---
   [[nodiscard]] EngineStats stats() const;
-  /// DTMC builds actually performed (cache misses).
-  [[nodiscard]] std::uint64_t buildCount() const;
-  /// ensureBuilt calls served from cache.
-  [[nodiscard]] std::uint64_t cacheHitCount() const;
-  [[nodiscard]] std::size_t cachedModelCount() const;
   void clearModelCache();
 
   [[nodiscard]] std::size_t threadCount() const { return pool_.threadCount(); }

@@ -56,7 +56,7 @@ CsrMatrix CsrMatrix::buildTranspose() const {
   t.val_.resize(val_.size());
   // Stable counting sort: scanning (row, slot) ascending means every
   // transpose row ends up source-ordered exactly like the legacy scatter
-  // loop's contribution order — the bit-identity contract of spmvLeft.
+  // loop's contribution order — the bit-identity contract of left la::spmm.
   std::vector<std::uint64_t> cursor(t.rowPtr_.begin(), t.rowPtr_.end() - 1);
   for (std::uint32_t r = 0; r < n; ++r) {
     for (std::uint64_t k = rowPtr_[r]; k < rowPtr_[r + 1]; ++k) {

@@ -51,12 +51,9 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<std::uint32_t>& col() const { return col_; }
   [[nodiscard]] const std::vector<double>& val() const { return val_; }
 
-  /// The transpose built at construction; null on the transpose itself (it
-  /// is not recursive) and on a default-constructed matrix.
-  [[nodiscard]] const CsrMatrix* transpose() const { return transpose_.get(); }
-  [[nodiscard]] bool hasTranspose() const { return transpose_ != nullptr; }
-  /// Accessor for kernels that require the transpose; throws
-  /// std::logic_error when the matrix has none.
+  /// The transpose built at construction. Throws std::logic_error on the
+  /// transpose itself (it is not recursive) and on a default-constructed
+  /// matrix.
   [[nodiscard]] const CsrMatrix& transposed() const;
 
   // --- block table (parallel row partition; original orientation only) ---

@@ -1,5 +1,5 @@
-// la::SimdTarget — the runtime-dispatched vector backend for the spmv.cpp
-// kernels.
+// la::SimdTarget — the runtime-dispatched vector backend for la::spmm
+// (spmv.cpp).
 //
 // Targets are probed once per process (cpuid on x86, architecture baseline
 // elsewhere) and can be forced per call (la::Exec::simd, which a request
@@ -90,8 +90,8 @@ inline constexpr std::size_t kSimdTargetCount = 4;
 [[nodiscard]] std::size_t spmmPanelWidth(std::uint32_t rhsRows, std::size_t k,
                                          std::size_t lanes);
 
-/// Per-call traversal accounting the SpMM entry points can surface (the
-/// bounded-group executor sums these into pctl::PlanStats).
+/// Per-call traversal accounting la::spmm can surface (the bounded-group
+/// executor sums these into pctl::PlanStats).
 struct SpmmStats {
   /// Column panels processed — CSR traversals per step (ceil(k / width)).
   std::uint64_t panels = 0;

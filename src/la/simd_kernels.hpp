@@ -5,14 +5,13 @@
 // flags).
 //
 // Layout: every target supplies a KernelSet of three function pointers —
-// a column-panel gather (the SpMM workhorse), a plain row gather (SpMV /
-// width-1) and a frozen-row-skipping masked row gather (the per-formula
-// bounded-until shape). The panel gather is one shared template over a
-// "lanes" policy (vector type + load/store/broadcast/mul/add); the row
-// gathers share a template over a per-row reduction policy. Policies never
-// expose an FMA: multiply and add round separately, exactly like the scalar
-// reference, which is what keeps every target bit-identical (see
-// simd.hpp's determinism note).
+// a column-panel gather (the k > 1 workhorse), a plain row gather (k = 1)
+// and a frozen-row-skipping masked row gather (one bounded-until column).
+// The panel gather is one shared template over a "lanes" policy (vector
+// type + load/store/broadcast/mul/add); the row gathers share a template
+// over a per-row reduction policy. Policies never expose an FMA: multiply
+// and add round separately, exactly like the scalar reference, which is
+// what keeps every target bit-identical (see simd.hpp's determinism note).
 #pragma once
 
 #include <cstddef>
@@ -52,7 +51,7 @@ using RowGatherFn = void (*)(const CsrView& m, const double* x, double* y,
                              std::uint32_t rowBegin, std::uint32_t rowEnd);
 
 /// Width-1 masked gather: frozen rows (set bit in `maskWords`) copy x and
-/// skip their gather outright — the per-formula bounded-until work profile.
+/// skip their gather outright — the legacy bounded-until work profile.
 using MaskedRowGatherFn = void (*)(const CsrView& m, const double* x,
                                    const std::uint64_t* maskWords, double* y,
                                    std::uint32_t rowBegin,

@@ -56,7 +56,7 @@ PowerResult PowerIteration::run(const CsrMatrix& P,
   std::vector<double> next(pi.size());
 
   for (std::uint64_t iter = 1; iter <= options.maxIterations; ++iter) {
-    spmvLeft(P, pi, next, exec);
+    spmm(P, pi, 1, next, exec, Side::kLeft);
     // The L1 delta reduction stays a single ascending scan regardless of
     // how the multiply was partitioned — bit-identical at any pool size.
     double delta = 0.0;

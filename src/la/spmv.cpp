@@ -10,23 +10,10 @@ namespace mimostat::la {
 
 namespace {
 
-// Bit-compatibility note: the legacy ExplicitDtmc::multiplyLeft scatter
-// skipped whole zero-valued source rows. These kernels do NOT branch on
-// zero and are still bit-identical to it: a skipped term is v * (+-0.0)
-// which is +-0.0, and acc + (+-0.0) can only change acc's bits when acc is
-// -0.0 and the term +0.0. An accumulator can become -0.0 only from
-// negative-zero terms (exact cancellation of finite terms rounds to +0.0),
-// i.e. only when the matrix carries negative values or x carries -0.0 —
-// neither occurs for the engine's stochastic matrices, distributions and
-// value vectors. Dropping the branch keeps the gather loop a pure
-// multiply-add stream the compiler can pipeline (tests assert bitwise
-// equality against the legacy scatter, zeros included).
-//
-// Since the SIMD dispatch layer (la/simd.hpp) the kernels themselves live
-// in simd_kernels.hpp as per-target instantiations: lanes run across the k
-// RHS columns of one row, never across a row's nonzeros, so every target
-// reproduces the scalar reference bit for bit. This file owns the dispatch
-// resolution, the column-panel decomposition and the block/panel fan-out.
+// The kernels themselves live in simd_kernels.hpp as per-target
+// instantiations. This file owns the dispatch resolution, the left-side
+// point-mass scatter, the column-panel decomposition and the block/panel
+// fan-out (bit-compatibility conditions: see spmv.hpp).
 
 /// Process-wide dispatch/panel counters. Handles are resolved once and
 /// cached — MetricsRegistry::counter takes the registry mutex, the cached
@@ -53,16 +40,13 @@ const SimdMetrics& simdMetrics() {
   return *kMetrics;
 }
 
-/// Resolve the call's dispatch target, bump the obs counters, return the
-/// kernel set to run.
-const detail::KernelSet& dispatchKernels(const Exec& exec,
-                                         SimdTarget* resolved) {
+/// Resolve the call's dispatch target and bump the obs counters.
+SimdTarget dispatchTarget(const Exec& exec) {
   const SimdTarget target = resolveSimdTarget(exec.simd);
   const SimdMetrics& metrics = simdMetrics();
   metrics.dispatch.inc();
   metrics.byTarget[static_cast<std::size_t>(target)].inc();
-  if (resolved != nullptr) *resolved = target;
-  return detail::kernelsFor(target);
+  return target;
 }
 
 detail::CsrView viewOf(const CsrMatrix& M) {
@@ -91,8 +75,8 @@ void spmmImpl(const CsrMatrix& M, const std::vector<double>& X, std::size_t k,
               const BitVector* masks, std::vector<double>& Y,
               const Exec& exec, SpmmStats* stats) {
   assert(X.size() == static_cast<std::size_t>(M.numCols()) * k);
-  SimdTarget target = SimdTarget::kScalar;
-  const detail::KernelSet& ks = dispatchKernels(exec, &target);
+  const SimdTarget target = dispatchTarget(exec);
+  const detail::KernelSet& ks = detail::kernelsFor(target);
   if (stats != nullptr) *stats = SpmmStats{0, target};
   Y.resize(static_cast<std::size_t>(M.numRows()) * k);
   if (k == 0) return;  // empty tile: nothing to traverse
@@ -100,10 +84,11 @@ void spmmImpl(const CsrMatrix& M, const std::vector<double>& X, std::size_t k,
 
   if (k == 1) {
     // Single-column fast path: the panel loop's per-entry width iteration
-    // costs ~2x against the plain row gather on width-1 workloads
-    // (per-formula bounded checks). Frozen rows skip their gather outright
-    // — the accumulator would be discarded anyway — matching the legacy
-    // bounded-until loop's work profile as well as its bits.
+    // costs ~2x against the plain row gather on width-1 workloads (one
+    // bounded column, transient sweeps, power iteration). Frozen rows skip
+    // their gather outright — the accumulator would be discarded anyway —
+    // matching the legacy bounded-until loop's work profile as well as its
+    // bits.
     const std::uint64_t* mw =
         masks != nullptr ? masks[0].words().data() : nullptr;
     forEachBlock(M, exec, [&](std::uint32_t begin, std::uint32_t end) {
@@ -176,6 +161,37 @@ void spmmImpl(const CsrMatrix& M, const std::vector<double>& X, std::size_t k,
   if (stats != nullptr) stats->panels = panels;
 }
 
+/// Left product of a near-point-mass x by the source-major scatter: it
+/// costs only the support rows' nonzeros, where the transpose gather always
+/// traverses every nonzero. Returns false (y untouched) once x has more
+/// than n/64 + 1 nonzeros; the support scan stops there, so a dense x pays
+/// O(n/64), not O(n). Scatter and gather are bitwise-equal (spmv.hpp), so
+/// the choice is invisible to results. The scatter is support-bound, not
+/// lane-bound, so it stays scalar and skips SIMD dispatch.
+bool scatterPointMass(const CsrMatrix& A, const std::vector<double>& x,
+                      std::vector<double>& y) {
+  const std::uint32_t n = A.numRows();
+  assert(x.size() == n);
+  const std::uint32_t sparseCap = n / 64 + 1;
+  std::uint32_t support = 0;
+  for (std::uint32_t s = 0; s < n && support <= sparseCap; ++s) {
+    support += x[s] != 0.0 ? 1 : 0;
+  }
+  if (support > sparseCap) return false;
+  const std::uint64_t* rowPtr = A.rowPtr().data();
+  const std::uint32_t* col = A.col().data();
+  const double* val = A.val().data();
+  y.assign(A.numCols(), 0.0);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    const double xs = x[s];
+    if (xs == 0.0) continue;
+    for (std::uint64_t k = rowPtr[s]; k < rowPtr[s + 1]; ++k) {
+      y[col[k]] += xs * val[k];
+    }
+  }
+  return true;
+}
+
 #ifndef NDEBUG
 bool masksMatch(const std::vector<BitVector>& masks, std::size_t k,
                 std::uint32_t numRows) {
@@ -189,85 +205,24 @@ bool masksMatch(const std::vector<BitVector>& masks, std::size_t k,
 
 }  // namespace
 
-void spmv(const CsrMatrix& A, const std::vector<double>& x,
-          std::vector<double>& y, const Exec& exec) {
-  assert(x.size() == A.numCols());
-  const detail::KernelSet& ks = dispatchKernels(exec, nullptr);
-  const detail::CsrView view = viewOf(A);
-  y.resize(A.numRows());
-  forEachBlock(A, exec, [&](std::uint32_t begin, std::uint32_t end) {
-    ks.rowGather(view, x.data(), y.data(), begin, end);
-  });
-}
-
-void spmvLeft(const CsrMatrix& A, const std::vector<double>& x,
-              std::vector<double>& y, const Exec& exec) {
-  const CsrMatrix& T = A.transposed();
-  assert(x.size() == T.numCols());
-
-  // Near-point-mass x (a single initial state, the first transient steps):
-  // the legacy source-major scatter costs only the support's nonzeros,
-  // while the target-major gather always traverses every nonzero. Scatter
-  // and gather are bitwise-equal (kernel note above), so picking by
-  // sparsity is invisible to results. The support scan exits as soon as x
-  // is provably dense, so dense steps pay O(cap), not O(n). The scatter
-  // stays scalar — it is support-bound, not lane-bound — so it skips SIMD
-  // dispatch.
-  const std::uint32_t n = A.numRows();
-  const std::uint32_t sparseCap = n / 64 + 1;
-  std::uint32_t support = 0;
-  for (std::uint32_t s = 0; s < n && support <= sparseCap; ++s) {
-    support += x[s] != 0.0 ? 1 : 0;
+void spmm(const CsrMatrix& A, const std::vector<double>& X, std::size_t k,
+          std::vector<double>& Y, const Exec& exec, Side side,
+          const std::vector<BitVector>* masks, SpmmStats* stats) {
+  if (masks != nullptr) {
+    assert(A.numRows() == A.numCols());
+    assert(masksMatch(*masks, k, A.numRows()));
   }
-  if (support <= sparseCap) {
-    const std::uint64_t* rowPtr = A.rowPtr().data();
-    const std::uint32_t* col = A.col().data();
-    const double* val = A.val().data();
-    y.assign(T.numRows(), 0.0);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      const double xs = x[s];
-      if (xs == 0.0) continue;
-      for (std::uint64_t k = rowPtr[s]; k < rowPtr[s + 1]; ++k) {
-        y[col[k]] += xs * val[k];
-      }
-    }
+  const BitVector* maskData = masks != nullptr ? masks->data() : nullptr;
+  if (side == Side::kRight) {
+    spmmImpl(A, X, k, maskData, Y, exec, stats);
     return;
   }
-
-  const detail::KernelSet& ks = dispatchKernels(exec, nullptr);
-  const detail::CsrView view = viewOf(T);
-  y.resize(T.numRows());
-  forEachBlock(T, exec, [&](std::uint32_t begin, std::uint32_t end) {
-    ks.rowGather(view, x.data(), y.data(), begin, end);
-  });
-}
-
-void spmm(const CsrMatrix& A, const std::vector<double>& X, std::size_t k,
-          std::vector<double>& Y, const Exec& exec, SpmmStats* stats) {
-  spmmImpl(A, X, k, nullptr, Y, exec, stats);
-}
-
-void spmmLeft(const CsrMatrix& A, const std::vector<double>& X, std::size_t k,
-              std::vector<double>& Y, const Exec& exec, SpmmStats* stats) {
-  spmmImpl(A.transposed(), X, k, nullptr, Y, exec, stats);
-}
-
-void spmmMasked(const CsrMatrix& A, const std::vector<double>& X,
-                std::size_t k, const std::vector<BitVector>& masks,
-                std::vector<double>& Y, const Exec& exec, SpmmStats* stats) {
-  assert(A.numRows() == A.numCols());
-  assert(masksMatch(masks, k, A.numRows()));
-  spmmImpl(A, X, k, masks.data(), Y, exec, stats);
-}
-
-void spmmLeftMasked(const CsrMatrix& A, const std::vector<double>& X,
-                    std::size_t k, const std::vector<BitVector>& masks,
-                    std::vector<double>& Y, const Exec& exec,
-                    SpmmStats* stats) {
   const CsrMatrix& T = A.transposed();
-  assert(A.numRows() == A.numCols());
-  assert(masksMatch(masks, k, A.numRows()));
-  spmmImpl(T, X, k, masks.data(), Y, exec, stats);
+  if (k == 1 && masks == nullptr && scatterPointMass(A, X, Y)) {
+    if (stats != nullptr) *stats = SpmmStats{1, SimdTarget::kScalar};
+    return;
+  }
+  spmmImpl(T, X, k, maskData, Y, exec, stats);
 }
 
 }  // namespace mimostat::la

@@ -1,51 +1,54 @@
-// Sparse matrix-vector and matrix-multivector products.
+// la::spmm — the one sparse matrix product every numeric path runs on.
 //
-// All entry points are row-partitioned gathers over the matrix's fixed
-// block table: each output row is produced by exactly one task with a fixed
-// accumulation order, so results are bit-identical sequentially and at any
-// thread count.
+//   Side::kRight:  Y = A X    (bounded value iteration, the X operator)
+//   Side::kLeft:   Y = X^T A  (transient propagation, power iteration)
 //
-// Bit-compatibility with the legacy dtmc::ExplicitDtmc loops:
-//   - spmv reproduces multiplyRight exactly (same per-row accumulation);
-//   - spmvLeft gathers over the stable transpose, whose row order is
-//     precisely the ascending-source order the legacy scatter multiplyLeft
-//     accumulated in — so it reproduces the scatter bit for bit (including
-//     across the scatter's zero-source skip; see the kernel note in
-//     spmv.cpp for why the skipped +-0.0 terms are bitwise-neutral here).
+// X and Y are row-major tiles of k vectors: vector j of row s at X[s*k + j].
+// k == 1 is a plain vector; k == 0 is a valid empty tile. A left product
+// gathers over the matrix's resident stable transpose.
 //
-// The SpMM variants push k right-hand sides through one matrix traversal per
-// call — X and Y are row-major n x k (vector j of state s at X[s*k + j]) —
-// and compute, per vector, the identical floating-point sequence as k
-// separate SpMV calls.
+// Optional per-column masks (one packed la::BitVector of numRows bits per
+// column) freeze entries: wherever masks[j] has bit s set, Y[s*k + j] keeps
+// X[s*k + j] instead of the product. This is the update shape of bounded
+// until (psi states frozen at 1.0, !phi states at 0.0), so k bounded
+// formulas advance as k columns of one traversal per step. Masking only
+// selects between already-computed values; an all-zero BitVector is an
+// unmasked column. Masked products require a square matrix.
 //
-// The masked SpMM variants additionally take k column masks, one packed
-// la::BitVector of numRows bits per right-hand side: wherever column j's
-// mask has bit s set, output (s, j) keeps X's value instead of the gathered
-// product — per-column frozen/absorbing entries. This is exactly the update
-// shape of bounded-until value iteration (x_{t+1}(s) = psi(s) ? 1 :
-// (!phi(s) ? 0 : sum P(s,.) x_t), with psi/!phi states frozen at their
-// initial 1/0), so k bounded-path formulas advance as k columns of ONE
-// masked traversal per step, each column bit-identical to its own
-// per-formula loop. The kernel tests membership by word-indexed bit reads
-// inside the fixed block table; per-row additions stay sequential, so
-// masking only *selects* between already-computed values and the outputs
-// are bit-identical to the legacy n x k byte-mask path (kept in tests and
-// benches as the oracle) at any thread count — while the masks themselves
-// cost 8x less memory.
+// Determinism. Every kernel is a row gather over the matrix's fixed block
+// table: each output row is produced by exactly one task with a fixed
+// accumulation order, so results are bit-identical sequentially, at any
+// thread count and on every SIMD target. Vector lanes run across the k
+// columns of one row, never across a row's nonzeros, and FMA stays off, so
+// each column's floating-point sequence is that of its own scalar loop. A
+// k-column product therefore equals k single-column products bit for bit.
 //
-// Every kernel dispatches to a SIMD target (la/simd.hpp: scalar, SSE2,
-// AVX2 or NEON — probed once, forceable via Exec::simd or MIMOSTAT_SIMD).
-// Vector lanes run across the k RHS columns of a row, never across a row's
-// nonzeros, and FMA stays off, so every target reproduces the scalar
-// reference bit for bit. The SpMM variants additionally tile the k columns
-// into lane-aligned panels (one CSR traversal per panel, L2-sized when
-// that keeps a panel's X slice cache-resident) and, when parallel, fan out
-// a row-block x column-panel task grid — the column-wise split that beats
-// pure block-row parallelism on wide, short groups.
+// A left product reproduces the source-major scatter loop
+//   for s: if (x[s] != 0) for (c, v) in row s: y[c] += x[s] * v
+// bit for bit: the transpose lists each column's sources in ascending
+// order, the scatter's accumulation order. The gather does not skip zero
+// sources; a skipped term is x * (+-0.0) = +-0.0, and adding it can change
+// an accumulator's bits only when the accumulator is -0.0 and the term
+// +0.0. An accumulator becomes -0.0 only from negative-zero terms, i.e.
+// only when A holds negative values or X holds -0.0 — never the case for
+// stochastic matrices, distributions and value vectors.
+//
+// A left, k == 1, unmasked product whose input has at most n/64 + 1 nonzeros
+// (a point mass: the first transient steps, power iteration's start) runs
+// that scatter directly over the support rows instead of gathering over
+// every nonzero. It is chosen from the input alone and returns the same
+// bits.
+//
+// Every gather dispatches to a SIMD target (la/simd.hpp: scalar, SSE2, AVX2
+// or NEON; Exec::simd or MIMOSTAT_SIMD forces one). k > 1 tiles the columns
+// into lane-aligned panels (one CSR traversal per panel, L2-sized when that
+// keeps a panel's X slice resident) and, when parallel, fans out a
+// row-block x column-panel task grid. `stats` (optional) receives the
+// call's panel count and target; the sparse scatter reports one scalar
+// panel.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "la/bit_vector.hpp"
@@ -55,45 +58,16 @@
 
 namespace mimostat::la {
 
-/// y = A x (row gather). x.size() == numCols, y resized to numRows.
-void spmv(const CsrMatrix& A, const std::vector<double>& x,
-          std::vector<double>& y, const Exec& exec = {});
+/// Which side of A the tile multiplies from.
+enum class Side { kRight, kLeft };
 
-/// y = x^T A (left product via the transpose). x.size() == numRows, y
-/// resized to numCols. Requires A.hasTranspose().
-void spmvLeft(const CsrMatrix& A, const std::vector<double>& x,
-              std::vector<double>& y, const Exec& exec = {});
-
-/// Y = A X for k column vectors stored row-major (n x k).
-/// X.size() == numCols * k, Y resized to numRows * k. `stats` (optional)
-/// receives the call's panel/dispatch accounting (same for the variants
-/// below); k == 0 is a valid empty tile.
+/// Y = A X (kRight: X has numCols rows, Y numRows) or Y = X^T A (kLeft: X
+/// has numRows rows, Y numCols), k columns each, Y resized. `masks`, when
+/// given, holds k BitVectors of numRows bits.
 void spmm(const CsrMatrix& A, const std::vector<double>& X, std::size_t k,
           std::vector<double>& Y, const Exec& exec = {},
+          Side side = Side::kRight,
+          const std::vector<BitVector>* masks = nullptr,
           SpmmStats* stats = nullptr);
-
-/// Y = X^T A for k row vectors stored row-major (n x k). Requires
-/// A.hasTranspose(). X.size() == numRows * k, Y resized to numCols * k.
-void spmmLeft(const CsrMatrix& A, const std::vector<double>& X, std::size_t k,
-              std::vector<double>& Y, const Exec& exec = {},
-              SpmmStats* stats = nullptr);
-
-/// Y = A X with per-entry freezing: Y[s*k+j] = masks[j].get(s) ? X[s*k+j]
-/// : (A X)[s*k+j]. Requires a square-shaped use (X rows must line up with
-/// output rows, i.e. numRows == numCols), which the DTMC transition
-/// matrices always satisfy. masks.size() == k, each of numRows bits (an
-/// all-zero BitVector is an unmasked column).
-void spmmMasked(const CsrMatrix& A, const std::vector<double>& X,
-                std::size_t k, const std::vector<BitVector>& masks,
-                std::vector<double>& Y, const Exec& exec = {},
-                SpmmStats* stats = nullptr);
-
-/// Y = X^T A with per-entry freezing over the output rows (same contract
-/// as spmmMasked, via the stable transpose). Requires A.hasTranspose() and
-/// numRows == numCols.
-void spmmLeftMasked(const CsrMatrix& A, const std::vector<double>& X,
-                    std::size_t k, const std::vector<BitVector>& masks,
-                    std::vector<double>& Y, const Exec& exec = {},
-                    SpmmStats* stats = nullptr);
 
 }  // namespace mimostat::la

@@ -1,17 +1,28 @@
 #include "mc/checker.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
 #include "la/spmv.hpp"
-#include "mc/bounded.hpp"
 #include "mc/steady.hpp"
 #include "mc/transient.hpp"
 #include "mc/unbounded.hpp"
 #include "obs/trace.hpp"
 
 namespace mimostat::mc {
+
+double fromInitial(const dtmc::ExplicitDtmc& dtmc,
+                   const std::vector<double>& stateValues) {
+  const auto& init = dtmc.initialDistribution();
+  assert(stateValues.size() == init.size());
+  double acc = 0.0;
+  for (std::size_t s = 0; s < init.size(); ++s) {
+    if (init[s] > 0.0) acc += init[s] * stateValues[s];
+  }
+  return acc;
+}
 
 Checker::Checker(const dtmc::ExplicitDtmc& dtmc, const dtmc::Model& model,
                  CheckOptions options, pctl::PropertyCache* parseCache)
@@ -303,11 +314,11 @@ void Checker::runBoundedGroup(
       // traversal step is too hot for default tracing but invaluable when
       // profiling the masked SpMM itself.
       obs::Span step("mc.boundedTraversal.step");
-      la::spmmMasked(dtmc_.matrix(), X, width, colMasks, scratch,
-                     options_.exec, &stepStats);
+      la::spmm(dtmc_.matrix(), X, width, scratch, options_.exec,
+               la::Side::kRight, &colMasks, &stepStats);
     } else {
-      la::spmmMasked(dtmc_.matrix(), X, width, colMasks, scratch,
-                     options_.exec, &stepStats);
+      la::spmm(dtmc_.matrix(), X, width, scratch, options_.exec,
+               la::Side::kRight, &colMasks, &stepStats);
     }
     spmmPanels += stepStats.panels;
     X.swap(scratch);

@@ -10,7 +10,7 @@
 // into a deduplicated task DAG and executed in groups —
 //
 //   - every bounded path formula (U<=k / F<=k / G<=k / X) becomes a column
-//     of ONE shared masked SpMM traversal (la::spmmMasked): k bounded
+//     of ONE shared masked SpMM traversal (masked la::spmm): k bounded
 //     formulas cost one matrix traversal per step instead of k, and each
 //     column's floating-point sequence is identical to its own per-formula
 //     loop, so batching changes wall-clock only, never values;
@@ -97,6 +97,10 @@ struct CheckResult {
 
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
+
+/// Weigh per-state values by the initial distribution.
+[[nodiscard]] double fromInitial(const dtmc::ExplicitDtmc& dtmc,
+                                 const std::vector<double>& stateValues);
 
 class Checker {
  public:

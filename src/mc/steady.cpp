@@ -33,12 +33,6 @@ SteadyResult steadyStateDistribution(const dtmc::ExplicitDtmc& dtmc,
   return result;
 }
 
-double steadyStateReward(const dtmc::ExplicitDtmc& dtmc,
-                         const std::vector<double>& reward,
-                         const SteadyOptions& options) {
-  return steadyStateReward(steadyStateDistribution(dtmc, options), reward);
-}
-
 double steadyStateReward(const SteadyResult& steady,
                          const std::vector<double>& reward) {
   assert(reward.size() == steady.distribution.size());

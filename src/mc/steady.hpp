@@ -49,13 +49,8 @@ struct ChainStructure {
 [[nodiscard]] SteadyResult steadyStateDistribution(
     const dtmc::ExplicitDtmc& dtmc, const SteadyOptions& options = {});
 
-/// Long-run average reward: pi . r (R=? [ S ] for a state reward).
-[[nodiscard]] double steadyStateReward(const dtmc::ExplicitDtmc& dtmc,
-                                       const std::vector<double>& reward,
-                                       const SteadyOptions& options = {});
-
-/// pi . r against an already-solved distribution — for callers that also
-/// need the SteadyResult's solver report.
+/// Long-run average reward pi . r (R=? [ S ] for a state reward) against
+/// a solved distribution.
 [[nodiscard]] double steadyStateReward(const SteadyResult& steady,
                                        const std::vector<double>& reward);
 

@@ -12,7 +12,7 @@
 //     "F<=T flag" resolve to the same mask.
 //   - columns: bounded-path traversal columns. Every bounded
 //     until/finally/globally/next formula becomes a readout of one column
-//     of a shared masked SpMM traversal (la::spmmMasked); columns with the
+//     of a shared masked SpMM traversal (masked la::spmm); columns with the
 //     same (phi, psi, masked) key are deduplicated, so the same "U<=T" body
 //     at two thresholds advances ONCE and is sampled at both bounds.
 //   - transients: R=?[I=T] / R=?[C<=T] entries sharing one forward sweep

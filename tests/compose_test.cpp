@@ -52,7 +52,9 @@ TEST(Compose, IndependenceOfMarginals) {
         "P=? [ F<=0 m0_s=1 & m1_s=1 ]";  // placeholder, checked below
     (void)both;
     // P(both components in state 1 at time t) = product of marginals.
-    const auto pi = mc::transientDistribution(d, t);
+    mc::TransientSweep sweep(d);
+    sweep.advanceTo(t);
+    const auto& pi = sweep.distribution();
     double joint = 0.0;
     const auto i0 = d.varLayout().indexOf("m0_s");
     const auto i1 = d.varLayout().indexOf("m1_s");

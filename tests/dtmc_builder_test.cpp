@@ -5,6 +5,7 @@
 
 #include "dtmc/builder.hpp"
 #include "dtmc/io.hpp"
+#include "la/spmv.hpp"
 #include "test_models.hpp"
 
 namespace mimostat {
@@ -127,8 +128,9 @@ TEST(Builder, MultiplyLeftRightConsistent) {
   for (std::size_t i = 0; i < x.size(); ++i) x[i] = 0.01 * (i + 1);
   std::vector<double> left;
   std::vector<double> right;
-  result.dtmc.multiplyLeft(x, left);
-  result.dtmc.multiplyRight(x, right);
+  const la::CsrMatrix& P = result.dtmc.matrix();
+  la::spmm(P, x, 1, left, {}, la::Side::kLeft);
+  la::spmm(P, x, 1, right);
   // x P 1 == x . (P 1) == sum(x) since rows sum to 1.
   double sumLeft = 0.0;
   double sumX = 0.0;
@@ -139,7 +141,7 @@ TEST(Builder, MultiplyLeftRightConsistent) {
   }
   std::vector<double> ones(x.size(), 1.0);
   std::vector<double> pOnes;
-  result.dtmc.multiplyRight(ones, pOnes);
+  la::spmm(P, ones, 1, pOnes);
   for (std::size_t i = 0; i < x.size(); ++i) dotRight += x[i] * pOnes[i];
   EXPECT_NEAR(sumLeft, sumX, 1e-10);
   EXPECT_NEAR(dotRight, sumX, 1e-10);

@@ -454,7 +454,7 @@ TEST(ExploreKey, BuildOptionsNeverShareAKey) {
       EXPECT_NE(keys[i], keys[j]) << i << " vs " << j;
     }
   }
-  EXPECT_EQ(eng.buildCount(), 3u);
+  EXPECT_EQ(eng.stats().builds, 3u);
 }
 
 TEST(ExploreKey, IdenticalBuildsShareAKey) {
@@ -469,7 +469,7 @@ TEST(ExploreKey, IdenticalBuildsShareAKey) {
   bool hit = false;
   (void)eng.ensureBuilt(merged, {}, std::nullopt, &hit);
   EXPECT_TRUE(hit);
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
 }
 
 // ------------------------------------------- one exploration per request
@@ -532,7 +532,7 @@ TEST(ExploreOnce, ColdWarmAndModelKeyRequests) {
   EXPECT_TRUE(keyed.cacheHit);
   EXPECT_EQ(model.take(), 0u);
   EXPECT_EQ(keyed.timing.keySeconds, 0.0);
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
 
   // ensureBuilt without a key explores once too.
   engine::AnalysisEngine fresh;

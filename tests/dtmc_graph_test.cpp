@@ -16,7 +16,6 @@ TEST(Scc, SingleComponentCycle) {
   const auto scc = dtmc::computeSccs(d);
   EXPECT_EQ(scc.numComponents, 1u);
   EXPECT_EQ(scc.bottomComponents.size(), 1u);
-  EXPECT_TRUE(dtmc::isIrreducible(d));
 }
 
 TEST(Scc, LineHasOneComponentPerState) {
@@ -24,7 +23,6 @@ TEST(Scc, LineHasOneComponentPerState) {
   const auto scc = dtmc::computeSccs(d);
   EXPECT_EQ(scc.numComponents, 6u);
   EXPECT_EQ(scc.bottomComponents.size(), 1u);  // only the absorbing end
-  EXPECT_FALSE(dtmc::isIrreducible(d));
 }
 
 TEST(Scc, GamblersRuinHasTwoBottoms) {
@@ -55,37 +53,13 @@ TEST(Period, CycleHasPeriodN) {
 TEST(Period, SelfLoopMakesAperiodic) {
   test::MatrixModel model({{0.5, 0.5, 0.0}, {0.0, 0.0, 1.0}, {1.0, 0.0, 0.0}});
   const auto d = build(model);
-  ASSERT_TRUE(dtmc::isIrreducible(d));
+  ASSERT_EQ(dtmc::computeSccs(d).numComponents, 1u);  // irreducible
   EXPECT_EQ(dtmc::chainPeriod(d), 1u);
 }
 
 TEST(Period, TwoCycleEvenPeriod) {
   const auto d = build(test::cycleModel(2));
   EXPECT_EQ(dtmc::chainPeriod(d), 2u);
-}
-
-TEST(Reachability, BackwardClosure) {
-  const auto d = build(test::lineModel(5));
-  la::BitVector target(5);
-  target.set(4);
-  const auto reach = dtmc::backwardReachable(d, target);
-  for (std::uint32_t s = 0; s < 5; ++s) {
-    EXPECT_TRUE(reach.get(s)) << "state " << s;
-  }
-}
-
-TEST(Reachability, ForwardClosure) {
-  const auto d = build(test::gamblersRuin(4, 0.5, 2));
-  // From the absorbing state 0 (BFS index lookup needed): find its index.
-  la::BitVector from(d.numStates());
-  std::uint32_t zeroIdx = ~0u;
-  for (std::uint32_t s = 0; s < d.numStates(); ++s) {
-    if (d.state(s)[0] == 0) zeroIdx = s;
-  }
-  ASSERT_NE(zeroIdx, ~0u);
-  from.set(zeroIdx);
-  const auto reach = dtmc::forwardReachable(d, from);
-  EXPECT_EQ(reach.count(), 1u);  // absorbing: only itself
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "dtmc/signature.hpp"
 #include "engine/engine.hpp"
 #include "engine/thread_pool.hpp"
+#include "legacy_loops.hpp"
 #include "mc/checker.hpp"
 #include "mc/transient.hpp"
 #include "obs/metrics.hpp"
@@ -95,13 +96,20 @@ TEST(TransientSweep, MatchesPerCallBitForBit) {
   const auto build = dtmc::buildExplicit(model);
   const auto reward = build.dtmc.evalReward(model, "");
 
+  // Unsorted, repeated horizons ride one sweep in the checker's plan; each
+  // answer equals its own legacy propagation bit for bit.
   const std::vector<std::uint64_t> horizons{50, 1, 7, 7, 0, 23};
-  const auto batched =
-      mc::instantaneousRewardAtHorizons(build.dtmc, reward, horizons);
+  const mc::Checker checker(build.dtmc, model);
+  std::vector<pctl::Property> properties;
+  for (const std::uint64_t h : horizons) {
+    properties.push_back(
+        checker.parsedProperty("R=? [ I=" + std::to_string(h) + " ]"));
+  }
+  const auto batched = checker.checkAll(properties);
   ASSERT_EQ(batched.size(), horizons.size());
   for (std::size_t i = 0; i < horizons.size(); ++i) {
-    EXPECT_EQ(batched[i],
-              mc::instantaneousReward(build.dtmc, reward, horizons[i]))
+    EXPECT_EQ(batched[i].value,
+              test::legacyInstantaneous(build.dtmc, reward, horizons[i]))
         << "horizon " << horizons[i];
   }
 }
@@ -169,7 +177,7 @@ TEST(Engine, EnsureBuiltModelKeyMatchesPerCallBitForBit) {
   EXPECT_EQ(response.modelKey, built->signature);
   EXPECT_EQ(response.timing.keySeconds, 0.0);
   EXPECT_EQ(response.states, built->dtmc.numStates());
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
   ASSERT_EQ(response.results.size(), props.size());
   for (std::size_t i = 0; i < props.size(); ++i) {
     ASSERT_TRUE(response.results[i].ok()) << response.results[i].error;
@@ -186,12 +194,12 @@ TEST(Engine, SecondRequestSkipsBuild) {
 
   const auto first = eng.analyze(request);
   EXPECT_FALSE(first.cacheHit);
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
 
   const auto second = eng.analyze(request);
   EXPECT_TRUE(second.cacheHit);
-  EXPECT_EQ(eng.buildCount(), 1u);
-  EXPECT_EQ(eng.cacheHitCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
+  EXPECT_EQ(eng.stats().cacheHits, 1u);
   EXPECT_EQ(second.results[0].value, first.results[0].value);
 
   // A structurally identical but distinct model object also hits.
@@ -200,7 +208,7 @@ TEST(Engine, SecondRequestSkipsBuild) {
   cloneRequest.model = &clone;
   const auto third = eng.analyze(cloneRequest);
   EXPECT_TRUE(third.cacheHit);
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
 }
 
 TEST(Engine, BuildOptionsArePartOfTheCacheKey) {
@@ -215,7 +223,7 @@ TEST(Engine, BuildOptionsArePartOfTheCacheKey) {
   const auto flooredBuild = eng.ensureBuilt(model, floored, std::nullopt, &hit);
   EXPECT_FALSE(hit);
   EXPECT_NE(plain->signature, flooredBuild->signature);
-  EXPECT_EQ(eng.buildCount(), 2u);
+  EXPECT_EQ(eng.stats().builds, 2u);
 }
 
 TEST(Engine, AnalyzeAllIsolatesFailingRequests) {
@@ -249,7 +257,7 @@ TEST(Engine, ModelKeySkipsProbe) {
   const auto response = eng.analyze(request);
   EXPECT_TRUE(response.cacheHit);
   EXPECT_EQ(response.modelKey, built->signature);
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
 }
 
 TEST(Engine, ConcurrentIdenticalRequestsAgree) {
@@ -273,7 +281,7 @@ TEST(Engine, ConcurrentIdenticalRequestsAgree) {
     for (auto& t : threads) t.join();
   }
 
-  EXPECT_EQ(eng.buildCount(), 1u);  // concurrent requests share one build
+  EXPECT_EQ(eng.stats().builds, 1u);  // concurrent requests share one build
   for (int i = 0; i < kThreads; ++i) {
     ASSERT_EQ(responses[i].results.size(), request.properties.size());
     for (std::size_t p = 0; p < request.properties.size(); ++p) {
@@ -309,7 +317,7 @@ TEST(Engine, AnalyzeAllKeepsRequestOrder) {
   EXPECT_NEAR(responses[3].results[1].value, 0.3 / 0.7, 1e-9);
   EXPECT_LT(responses[3].results[0].value, responses[3].results[1].value);
   // chainA was built once, chainB once.
-  EXPECT_EQ(eng.buildCount(), 2u);
+  EXPECT_EQ(eng.stats().builds, 2u);
 }
 
 TEST(Engine, SubmitResolvesAsynchronously) {
@@ -336,7 +344,7 @@ TEST(Engine, AutoFallsBackToSamplingPastStateBudget) {
 
   const auto response = eng.analyze(request);
   EXPECT_EQ(response.backend, engine::Backend::kSampling);
-  EXPECT_EQ(eng.buildCount(), 0u);  // sampling never materializes the DTMC
+  EXPECT_EQ(eng.stats().builds, 0u);  // sampling never materializes the DTMC
 
   ASSERT_TRUE(response.results[0].ok());
   EXPECT_TRUE(response.results[0].interval95.has_value());
@@ -627,8 +635,8 @@ TEST(Engine, CacheEvictsLeastRecentlyUsed) {
   for (auto& model : models) {
     (void)eng.ensureBuilt(model);
   }
-  EXPECT_EQ(eng.buildCount(), 4u);
-  EXPECT_LE(eng.cachedModelCount(), 2u);
+  EXPECT_EQ(eng.stats().builds, 4u);
+  EXPECT_LE(eng.stats().cachedModels, 2u);
 
   // The most recent entry is still cached; the oldest is gone.
   bool hit = false;
@@ -674,7 +682,7 @@ TEST(Engine, ByteBudgetEvictsSoOneHugeModelCannotPinTheCache) {
   engine::AnalysisEngine eng(options);
   (void)eng.ensureBuilt(first);
   (void)eng.ensureBuilt(second);
-  EXPECT_EQ(eng.buildCount(), 2u);
+  EXPECT_EQ(eng.stats().builds, 2u);
   EXPECT_EQ(eng.stats().cachedModels, 1u);
   EXPECT_LE(eng.stats().cacheBytes, options.maxCacheBytes);
 
@@ -699,7 +707,7 @@ TEST(Engine, SingleOverBudgetModelStaysResident) {
   bool hit = false;
   (void)eng.ensureBuilt(model, {}, std::nullopt, &hit);
   EXPECT_TRUE(hit);
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
 }
 
 TEST(Engine, FailedRequestsAreCounted) {

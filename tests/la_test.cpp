@@ -1,6 +1,6 @@
-// la:: subsystem tests: SpMV/SpMM against dense references and the legacy
-// ExplicitDtmc loops (bitwise), solver convergence on known chains,
-// bit-identical determinism at 1/2/8 pool threads, and empty-row /
+// la:: subsystem tests: la::spmm against dense references and the verbatim
+// legacy loops of legacy_loops.hpp (bitwise), solver convergence on known
+// chains, bit-identical determinism at 1/2/8 pool threads, and empty-row /
 // absorbing-state edge cases.
 #include <gtest/gtest.h>
 
@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "dtmc/builder.hpp"
@@ -21,6 +23,7 @@
 #include "la/simd.hpp"
 #include "la/solver.hpp"
 #include "la/spmv.hpp"
+#include "legacy_loops.hpp"
 #include "obs/metrics.hpp"
 #include "mc/checker.hpp"
 #include "mc/steady.hpp"
@@ -95,33 +98,8 @@ std::vector<double> randomVector(std::uint32_t n, std::uint64_t seed,
   return x;
 }
 
-/// The pre-refactor ExplicitDtmc::multiplyLeft scatter loop, verbatim.
-std::vector<double> legacyScatterLeft(const la::CsrMatrix& m,
-                                      const std::vector<double>& x) {
-  std::vector<double> y(m.numCols(), 0.0);
-  for (std::uint32_t s = 0; s < m.numRows(); ++s) {
-    const double xs = x[s];
-    if (xs == 0.0) continue;
-    for (std::uint64_t k = m.rowPtr()[s]; k < m.rowPtr()[s + 1]; ++k) {
-      y[m.col()[k]] += xs * m.val()[k];
-    }
-  }
-  return y;
-}
-
-/// The pre-refactor ExplicitDtmc::multiplyRight gather loop, verbatim.
-std::vector<double> legacyGatherRight(const la::CsrMatrix& m,
-                                      const std::vector<double>& x) {
-  std::vector<double> y(m.numRows(), 0.0);
-  for (std::uint32_t s = 0; s < m.numRows(); ++s) {
-    double acc = 0.0;
-    for (std::uint64_t k = m.rowPtr()[s]; k < m.rowPtr()[s + 1]; ++k) {
-      acc += m.val()[k] * x[m.col()[k]];
-    }
-    y[s] = acc;
-  }
-  return y;
-}
+using test::legacyGatherRight;
+using test::legacyScatterLeft;
 
 // ------------------------------------------------------------- CsrMatrix
 
@@ -155,7 +133,8 @@ TEST(CsrMatrix, TransposeRoundTripsEntries) {
       EXPECT_EQ(t.val()[k], m.dense[r][c]);
     }
   }
-  EXPECT_FALSE(t.hasTranspose());  // not recursive
+  EXPECT_THROW(static_cast<void>(t.transposed()),
+               std::logic_error);  // not recursive
 }
 
 TEST(CsrMatrix, ApproxBytesCountsTranspose) {
@@ -182,7 +161,7 @@ TEST(Spmv, MatchesDenseReference) {
   const DenseCsr m = randomMatrix(n, 5, 23);
   const std::vector<double> x = randomVector(n, 5);
   std::vector<double> y;
-  la::spmv(m.csr, x, y);
+  la::spmm(m.csr, x, 1, y);
   for (std::uint32_t r = 0; r < n; ++r) {
     double expect = 0.0;
     for (std::uint32_t c = 0; c < n; ++c) expect += m.dense[r][c] * x[c];
@@ -194,7 +173,7 @@ TEST(Spmv, RightMatchesLegacyLoopBitwise) {
   const DenseCsr m = randomMatrix(500, 6, 29);
   const std::vector<double> x = randomVector(500, 7, 0.3);
   std::vector<double> y;
-  la::spmv(m.csr, x, y);
+  la::spmm(m.csr, x, 1, y);
   EXPECT_TRUE(bitEqual(y, legacyGatherRight(m.csr, x)));
 }
 
@@ -204,7 +183,7 @@ TEST(SpmvLeft, MatchesLegacyScatterBitwise) {
   const DenseCsr m = randomMatrix(500, 6, 31);
   const std::vector<double> x = randomVector(500, 9, 0.4);
   std::vector<double> y;
-  la::spmvLeft(m.csr, x, y);
+  la::spmm(m.csr, x, 1, y, {}, la::Side::kLeft);
   EXPECT_TRUE(bitEqual(y, legacyScatterLeft(m.csr, x)));
 }
 
@@ -213,7 +192,7 @@ TEST(SpmvLeft, MatchesDenseReference) {
   const DenseCsr m = randomMatrix(n, 5, 37);
   const std::vector<double> x = randomVector(n, 11);
   std::vector<double> y;
-  la::spmvLeft(m.csr, x, y);
+  la::spmm(m.csr, x, 1, y, {}, la::Side::kLeft);
   for (std::uint32_t c = 0; c < n; ++c) {
     double expect = 0.0;
     for (std::uint32_t r = 0; r < n; ++r) expect += x[r] * m.dense[r][c];
@@ -225,14 +204,14 @@ TEST(Spmv, EmptyRowsProduceZeros) {
   const DenseCsr m = randomMatrix(50, 4, 41, /*emptyRows=*/{0, 17, 49});
   const std::vector<double> x = randomVector(50, 13);
   std::vector<double> y;
-  la::spmv(m.csr, x, y);
+  la::spmm(m.csr, x, 1, y);
   EXPECT_EQ(y[0], 0.0);
   EXPECT_EQ(y[17], 0.0);
   EXPECT_EQ(y[49], 0.0);
   // Left products through empty rows contribute nothing; states nobody
   // points at (empty transpose rows) come out zero.
   std::vector<double> yl;
-  la::spmvLeft(m.csr, x, yl);
+  la::spmm(m.csr, x, 1, yl, {}, la::Side::kLeft);
   EXPECT_TRUE(bitEqual(yl, legacyScatterLeft(m.csr, x)));
 }
 
@@ -246,7 +225,7 @@ TEST(SpmvLeft, SparseFastPathMatchesGatherBitwise) {
   pointMass[3] = 0.7;
   pointMass[n - 2] = 0.3;
   std::vector<double> y;
-  la::spmvLeft(m.csr, pointMass, y);
+  la::spmm(m.csr, pointMass, 1, y, {}, la::Side::kLeft);
   EXPECT_TRUE(bitEqual(y, legacyScatterLeft(m.csr, pointMass)));
   for (std::uint32_t c = 0; c < n; ++c) {
     const double expect =
@@ -269,18 +248,18 @@ TEST(Spmm, MatchesPerVectorSpmvBitwise) {
   std::vector<double> Y;
   la::spmm(m.csr, X, k, Y);
   std::vector<double> Yl;
-  la::spmmLeft(m.csr, X, k, Yl);
+  la::spmm(m.csr, X, k, Yl, {}, la::Side::kLeft);
   for (std::size_t j = 0; j < k; ++j) {
     std::vector<double> x(n);
     for (std::uint32_t s = 0; s < n; ++s) x[s] = X[s * k + j];
     std::vector<double> y;
-    la::spmv(m.csr, x, y);
+    la::spmm(m.csr, x, 1, y);
     std::vector<double> yl;
-    la::spmvLeft(m.csr, x, yl);
+    la::spmm(m.csr, x, 1, yl, {}, la::Side::kLeft);
     for (std::uint32_t s = 0; s < n; ++s) {
       EXPECT_EQ(Y[s * k + j], y[s]) << "spmm vector " << j << " state " << s;
       EXPECT_EQ(Yl[s * k + j], yl[s])
-          << "spmmLeft vector " << j << " state " << s;
+          << "left vector " << j << " state " << s;
     }
   }
 }
@@ -301,21 +280,25 @@ std::vector<la::BitVector> columnMasks(const std::vector<std::uint8_t>& mask,
   return cols;
 }
 
-/// Reference masked update: per column j, frozen entries keep X, the rest
-/// take the plain per-column SpMV value.
-std::vector<double> maskedReference(const la::CsrMatrix& m,
-                                    const std::vector<double>& X,
-                                    std::size_t k,
-                                    const std::vector<std::uint8_t>& mask) {
-  const std::uint32_t n = m.numRows();
-  std::vector<double> Y(X.size());
+/// Reference la::spmm from the verbatim legacy loops: column j of X through
+/// the row gather (right) or the source-major scatter (left); wherever
+/// `mask` (row-major n x k bytes, optional) is set, the entry keeps X.
+std::vector<double> legacySpmm(const la::CsrMatrix& m,
+                               const std::vector<double>& X, std::size_t k,
+                               la::Side side,
+                               const std::vector<std::uint8_t>* mask) {
+  const bool right = side == la::Side::kRight;
+  const std::uint32_t inRows = right ? m.numCols() : m.numRows();
+  const std::uint32_t outRows = right ? m.numRows() : m.numCols();
+  std::vector<double> Y(static_cast<std::size_t>(outRows) * k);
   for (std::size_t j = 0; j < k; ++j) {
-    std::vector<double> x(n);
-    for (std::uint32_t s = 0; s < n; ++s) x[s] = X[s * k + j];
-    std::vector<double> y;
-    la::spmv(m, x, y);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      Y[s * k + j] = mask[s * k + j] ? X[s * k + j] : y[s];
+    std::vector<double> x(inRows);
+    for (std::uint32_t s = 0; s < inRows; ++s) x[s] = X[s * k + j];
+    const std::vector<double> y =
+        right ? legacyGatherRight(m, x) : legacyScatterLeft(m, x);
+    for (std::uint32_t s = 0; s < outRows; ++s) {
+      const bool frozen = mask != nullptr && (*mask)[s * k + j] != 0;
+      Y[s * k + j] = frozen ? X[s * k + j] : y[s];
     }
   }
   return Y;
@@ -333,23 +316,27 @@ TEST(SpmmMasked, FrozenEntriesKeepXAndLiveEntriesMatchSpmvBitwise) {
     mask[i] = rng.nextDouble() < 0.3 ? 1 : 0;
   }
   std::vector<double> Y;
-  la::spmmMasked(m.csr, X, k, columnMasks(mask, n, k), Y);
-  EXPECT_TRUE(bitEqual(Y, maskedReference(m.csr, X, k, mask)));
+  std::vector<la::BitVector> packed = columnMasks(mask, n, k);
+  la::spmm(m.csr, X, k, Y, {}, la::Side::kRight, &packed);
+  EXPECT_TRUE(
+      bitEqual(Y, legacySpmm(m.csr, X, k, la::Side::kRight, &mask)));
 
   // The all-zero mask degenerates to plain spmm.
   std::fill(mask.begin(), mask.end(), 0);
   std::vector<double> plain;
   la::spmm(m.csr, X, k, plain);
-  la::spmmMasked(m.csr, X, k, columnMasks(mask, n, k), Y);
+  packed = columnMasks(mask, n, k);
+  la::spmm(m.csr, X, k, Y, {}, la::Side::kRight, &packed);
   EXPECT_TRUE(bitEqual(Y, plain));
 
-  // spmmLeftMasked freezes over the transpose product the same way.
+  // A left masked product freezes over the transpose product the same way.
   std::fill(mask.begin(), mask.end(), 0);
   for (std::size_t i = 0; i < mask.size(); i += 7) mask[i] = 1;
   std::vector<double> leftPlain;
-  la::spmmLeft(m.csr, X, k, leftPlain);
+  la::spmm(m.csr, X, k, leftPlain, {}, la::Side::kLeft);
   std::vector<double> leftMasked;
-  la::spmmLeftMasked(m.csr, X, k, columnMasks(mask, n, k), leftMasked);
+  packed = columnMasks(mask, n, k);
+  la::spmm(m.csr, X, k, leftMasked, {}, la::Side::kLeft, &packed);
   for (std::size_t i = 0; i < leftMasked.size(); ++i) {
     const double expect = mask[i] ? X[i] : leftPlain[i];
     EXPECT_EQ(leftMasked[i], expect) << i;
@@ -369,13 +356,14 @@ TEST(SpmmMasked, BitIdenticalAcrossPoolSizes) {
   }
   const std::vector<la::BitVector> packed = columnMasks(mask, n, k);
   std::vector<double> seq;
-  la::spmmMasked(m.csr, X, k, packed, seq);
+  la::spmm(m.csr, X, k, seq, {}, la::Side::kRight, &packed);
   // The packed path must also equal the byte-mask reference exactly.
-  EXPECT_TRUE(bitEqual(seq, maskedReference(m.csr, X, k, mask)));
+  EXPECT_TRUE(
+      bitEqual(seq, legacySpmm(m.csr, X, k, la::Side::kRight, &mask)));
   for (const std::size_t threads : {1u, 2u, 8u}) {
     engine::ThreadPool pool(threads);
     std::vector<double> Y;
-    la::spmmMasked(m.csr, X, k, packed, Y, poolExec(pool));
+    la::spmm(m.csr, X, k, Y, poolExec(pool), la::Side::kRight, &packed);
     EXPECT_TRUE(bitEqual(Y, seq)) << threads << " threads";
   }
 }
@@ -387,17 +375,17 @@ TEST(Spmv, BitIdenticalAcrossPoolSizes) {
   ASSERT_GE(m.csr.blockCount(), 2u);
   const std::vector<double> x = randomVector(5000, 15, 0.2);
   std::vector<double> seq;
-  la::spmv(m.csr, x, seq);
+  la::spmm(m.csr, x, 1, seq);
   std::vector<double> seqLeft;
-  la::spmvLeft(m.csr, x, seqLeft);
+  la::spmm(m.csr, x, 1, seqLeft, {}, la::Side::kLeft);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     engine::ThreadPool pool(threads);
     const la::Exec exec = poolExec(pool);
     std::vector<double> y;
-    la::spmv(m.csr, x, y, exec);
+    la::spmm(m.csr, x, 1, y, exec);
     EXPECT_TRUE(bitEqual(y, seq)) << threads << " threads (right)";
     std::vector<double> yl;
-    la::spmvLeft(m.csr, x, yl, exec);
+    la::spmm(m.csr, x, 1, yl, exec, la::Side::kLeft);
     EXPECT_TRUE(bitEqual(yl, seqLeft)) << threads << " threads (left)";
   }
 }
@@ -411,14 +399,115 @@ TEST(Spmm, BitIdenticalAcrossPoolSizes) {
     X[i] = static_cast<double>((i * 2654435761u) % 1000) / 997.0;
   }
   std::vector<double> seq;
-  la::spmmLeft(m.csr, X, k, seq);
+  la::spmm(m.csr, X, k, seq, {}, la::Side::kLeft);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     engine::ThreadPool pool(threads);
     std::vector<double> Y;
-    la::spmmLeft(m.csr, X, k, Y, poolExec(pool));
+    la::spmm(m.csr, X, k, Y, poolExec(pool), la::Side::kLeft);
     EXPECT_TRUE(bitEqual(Y, seq)) << threads << " threads";
   }
 }
+
+// ------------------------------------------ la::spmm vs the legacy loops
+
+/// Random sparse n x n matrix, `fanout` draws per row (duplicates summed),
+/// built without a dense copy.
+la::CsrMatrix randomSparse(std::uint32_t n, std::uint32_t fanout,
+                           std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<std::uint64_t> rowPtr{0};
+  std::vector<std::uint32_t> col;
+  std::vector<double> val;
+  std::map<std::uint32_t, double> row;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    row.clear();
+    for (std::uint32_t k = 0; k < fanout; ++k) {
+      const auto j = static_cast<std::uint32_t>(rng.nextBounded(n));
+      row[j] += rng.nextDouble() + 0.05;
+    }
+    for (const auto& [j, v] : row) {
+      col.push_back(j);
+      val.push_back(v);
+    }
+    rowPtr.push_back(col.size());
+  }
+  return la::CsrMatrix::fromCsr(std::move(rowPtr), std::move(col),
+                                std::move(val), n);
+}
+
+/// (side, masked, k, threads); threads == 0 runs without a runner.
+using SpmmShape = std::tuple<la::Side, bool, std::size_t, std::size_t>;
+
+class SpmmGrid : public ::testing::TestWithParam<SpmmShape> {};
+
+TEST_P(SpmmGrid, MatchesLegacyLoopsBitwise) {
+  const auto [side, masked, k, threads] = GetParam();
+  // 3000 rows x 8 draws: two row blocks each way, so pooled runs fan out.
+  static const la::CsrMatrix A = randomSparse(3000, 8, 0x5eedull);
+  ASSERT_GE(A.blockCount(), 2u);
+  ASSERT_GE(A.transposed().blockCount(), 2u);
+  const std::uint32_t n = A.numRows();
+
+  std::optional<engine::ThreadPool> pool;
+  la::Exec exec;
+  if (threads > 0) {
+    pool.emplace(threads);
+    exec = poolExec(*pool);
+  }
+  util::Xoshiro256 rng(1000 + k);
+  std::vector<double> X(static_cast<std::size_t>(n) * k);
+  std::vector<std::uint8_t> mask(X.size());
+  for (std::size_t i = 0; i < X.size(); ++i) {
+    X[i] = rng.nextDouble() < 0.2 ? 0.0 : rng.nextDouble();
+    mask[i] = rng.nextBounded(4) == 0 ? 1 : 0;
+  }
+  const std::vector<la::BitVector> packed = columnMasks(mask, n, k);
+  const auto run = [&](const std::vector<double>& tile) {
+    std::vector<double> Y(3, -1.0);  // stale contents must not leak
+    la::spmm(A, tile, k, Y, exec, side, masked ? &packed : nullptr);
+    return Y;
+  };
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  const auto dispatches = [&] {
+    return registry.snapshot().counterValue("la.simd.dispatch");
+  };
+
+  const std::uint64_t before = dispatches();
+  EXPECT_TRUE(bitEqual(run(X), legacySpmm(A, X, k, side,
+                                          masked ? &mask : nullptr)));
+  // A dense tile always runs the dispatched gather.
+  EXPECT_GT(dispatches(), before);
+
+  if (side == la::Side::kLeft && !masked && k == 1) {
+    // A point mass takes the source-major scatter, which skips SIMD
+    // dispatch, and still returns the legacy bits.
+    std::vector<double> pointMass(n, 0.0);
+    pointMass[7] = 0.75;
+    pointMass[n - 3] = 0.25;
+    const std::uint64_t scatterBefore = dispatches();
+    const std::vector<double> Y = run(pointMass);
+    EXPECT_EQ(dispatches(), scatterBefore);
+    EXPECT_TRUE(bitEqual(Y, legacySpmm(A, pointMass, 1, side, nullptr)));
+  }
+}
+
+std::string spmmShapeName(const ::testing::TestParamInfo<SpmmShape>& info) {
+  const auto [side, masked, k, threads] = info.param;
+  return std::string(side == la::Side::kRight ? "Right" : "Left") +
+         (masked ? "Masked" : "Plain") + "K" + std::to_string(k) +
+         (threads == 0 ? std::string("Seq")
+                       : "Threads" + std::to_string(threads));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, SpmmGrid,
+    ::testing::Combine(::testing::Values(la::Side::kRight, la::Side::kLeft),
+                       ::testing::Bool(),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{3}, std::size_t{8}),
+                       ::testing::Values(std::size_t{0}, std::size_t{1},
+                                         std::size_t{2}, std::size_t{8})),
+    spmmShapeName);
 
 TEST(Exec, ThresholdKeepsSmallMatricesSequential) {
   const DenseCsr m = randomMatrix(50, 4, 59);
@@ -431,10 +520,10 @@ TEST(Exec, ThresholdKeepsSmallMatricesSequential) {
   exec.parallelThresholdNnz = 1u << 20;  // far above this matrix
   const std::vector<double> x = randomVector(50, 17);
   std::vector<double> y;
-  la::spmv(m.csr, x, y, exec);
+  la::spmm(m.csr, x, 1, y, exec);
   EXPECT_FALSE(ran);
   exec.parallelThresholdNnz = 1;
-  la::spmv(m.csr, x, y, exec);
+  la::spmm(m.csr, x, 1, y, exec);
   // A single block also stays sequential; only multi-block matrices fan out.
   EXPECT_EQ(ran, m.csr.blockCount() > 1);
 }
@@ -567,57 +656,22 @@ TEST(Power, ParallelBitIdentical) {
   }
 }
 
-// ------------------------------------------------- TransientSweep (SpMM)
-
-TEST(TransientSweep, MultiVectorMatchesSoloSweepsBitwise) {
-  const auto model = test::randomModel(90, 3, 83);
-  const auto d = dtmc::buildExplicit(model).dtmc;
-  const std::uint32_t n = d.numStates();
-  // Three start distributions: the initial one and two unit vectors.
-  std::vector<std::vector<double>> starts{d.initialDistribution()};
-  std::vector<double> unit(n, 0.0);
-  unit[n / 2] = 1.0;
-  starts.push_back(unit);
-  std::fill(unit.begin(), unit.end(), 0.0);
-  unit[n - 1] = 1.0;
-  starts.push_back(unit);
-
-  mc::TransientSweep batched(d, starts);
-  batched.advanceTo(9);
-  const auto reward = d.evalReward(model, "");
-  for (std::size_t j = 0; j < starts.size(); ++j) {
-    mc::TransientSweep solo(d, {starts[j]});
-    solo.advanceTo(9);
-    EXPECT_TRUE(bitEqual(batched.distributionAt(j), solo.distributionAt(0)))
-        << j;
-    EXPECT_EQ(batched.expectedRewardAt(j, reward),
-              solo.expectedRewardAt(0, reward))
-        << j;
-  }
-  // The single-vector constructor is the k = 1 batch from the initial
-  // distribution.
-  mc::TransientSweep plain(d);
-  plain.advanceTo(9);
-  EXPECT_TRUE(bitEqual(plain.distribution(), batched.distributionAt(0)));
-  EXPECT_EQ(plain.expectedReward(reward), batched.expectedRewardAt(0, reward));
-
-  // Single-vector accessors refuse multi-vector sweeps instead of silently
-  // returning interleaved data.
-  EXPECT_THROW(static_cast<void>(batched.distribution()), std::logic_error);
-  EXPECT_THROW(static_cast<void>(batched.expectedReward(reward)),
-               std::logic_error);
-}
+// -------------------------------------------------------- TransientSweep
 
 TEST(TransientSweep, ParallelExecMatchesSequentialBitwise) {
   const auto model = test::randomModel(2500, 10, 89);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto reward = d.evalReward(model, "");
-  const double seq = mc::instantaneousReward(d, reward, 25);
+  mc::TransientSweep seq(d);
+  seq.advanceTo(25);
   for (const std::size_t threads : {2u, 8u}) {
     engine::ThreadPool pool(threads);
-    const double parallel =
-        mc::instantaneousReward(d, reward, 25, poolExec(pool));
-    EXPECT_EQ(parallel, seq) << threads;
+    mc::TransientSweep parallel(d, poolExec(pool));
+    parallel.advanceTo(25);
+    EXPECT_TRUE(bitEqual(parallel.distribution(), seq.distribution()))
+        << threads;
+    EXPECT_EQ(parallel.expectedReward(reward), seq.expectedReward(reward))
+        << threads;
   }
 }
 
@@ -822,37 +876,42 @@ SpmmCase makeSpmmCase(std::uint32_t n, std::size_t k, std::uint64_t seed) {
   return c;
 }
 
-/// All six dispatched kernels run under one Exec. The spmv pair uses
-/// column 0 of X (or zeros when k == 0 — the empty tile still exercises
-/// resize-and-return).
-struct KernelOutputs {
-  std::vector<double> v, vl, m, ml, mm, mlm;
+/// One la::spmm output, labelled by its shape.
+struct KernelRun {
+  std::string shape;
+  std::vector<double> y;
 };
 
-KernelOutputs runAllKernels(const SpmmCase& c, const la::Exec& exec) {
+/// Every la::spmm shape under one Exec: right and left, each as a k = 1
+/// product of X's column 0 (zeros when k == 0 — the empty tile still
+/// exercises resize-and-return), as the plain k-column tile and as the
+/// masked tile.
+std::vector<KernelRun> runAllShapes(const SpmmCase& c, const la::Exec& exec) {
   const std::uint32_t n = c.m.csr.numRows();
   std::vector<double> x(n, 0.0);
   if (c.k > 0) {
     for (std::uint32_t s = 0; s < n; ++s) x[s] = c.X[s * c.k];
   }
-  KernelOutputs o;
-  la::spmv(c.m.csr, x, o.v, exec);
-  la::spmvLeft(c.m.csr, x, o.vl, exec);
-  la::spmm(c.m.csr, c.X, c.k, o.m, exec);
-  la::spmmLeft(c.m.csr, c.X, c.k, o.ml, exec);
-  la::spmmMasked(c.m.csr, c.X, c.k, c.packed, o.mm, exec);
-  la::spmmLeftMasked(c.m.csr, c.X, c.k, c.packed, o.mlm, exec);
-  return o;
+  std::vector<KernelRun> runs;
+  for (const la::Side side : {la::Side::kRight, la::Side::kLeft}) {
+    const std::string name = side == la::Side::kRight ? "right" : "left";
+    runs.push_back({name + " k=1", {}});
+    la::spmm(c.m.csr, x, 1, runs.back().y, exec, side);
+    runs.push_back({name, {}});
+    la::spmm(c.m.csr, c.X, c.k, runs.back().y, exec, side);
+    runs.push_back({name + " masked", {}});
+    la::spmm(c.m.csr, c.X, c.k, runs.back().y, exec, side, &c.packed);
+  }
+  return runs;
 }
 
-void expectAllBitEqual(const KernelOutputs& got, const KernelOutputs& want,
+void expectAllBitEqual(const std::vector<KernelRun>& got,
+                       const std::vector<KernelRun>& want,
                        const std::string& label) {
-  EXPECT_TRUE(bitEqual(got.v, want.v)) << label << " spmv";
-  EXPECT_TRUE(bitEqual(got.vl, want.vl)) << label << " spmvLeft";
-  EXPECT_TRUE(bitEqual(got.m, want.m)) << label << " spmm";
-  EXPECT_TRUE(bitEqual(got.ml, want.ml)) << label << " spmmLeft";
-  EXPECT_TRUE(bitEqual(got.mm, want.mm)) << label << " spmmMasked";
-  EXPECT_TRUE(bitEqual(got.mlm, want.mlm)) << label << " spmmLeftMasked";
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(bitEqual(got[i].y, want[i].y)) << label << " " << got[i].shape;
+  }
 }
 
 TEST(Simd, TailSizesBitwiseMatchScalarAndDenseOracle) {
@@ -877,8 +936,8 @@ TEST(Simd, TailSizesBitwiseMatchScalarAndDenseOracle) {
         const std::string label = std::string(la::simdTargetName(target)) +
                                   " n=" + std::to_string(n) +
                                   " k=" + std::to_string(k);
-        expectAllBitEqual(runAllKernels(c, exec),
-                          runAllKernels(c, scalarExec), label);
+        expectAllBitEqual(runAllShapes(c, exec), runAllShapes(c, scalarExec),
+                          label);
         // The vectorized spmm also has to be *right*, not merely
         // self-consistent: check against the dense oracle.
         std::vector<double> Y;
@@ -901,14 +960,14 @@ TEST(Simd, EmptyTileAndEmptyMatrixAreValid) {
   const SpmmCase c = makeSpmmCase(50, 3, 7);
   std::vector<double> Y(5, 1.0);
   la::SpmmStats stats;
-  la::spmm(c.m.csr, {}, 0, Y, la::Exec{}, &stats);
+  la::spmm(c.m.csr, {}, 0, Y, {}, la::Side::kRight, nullptr, &stats);
   EXPECT_TRUE(Y.empty());
   EXPECT_EQ(stats.panels, 0u);
   // A 0 x 0 matrix with a non-zero column count is the other degenerate
   // axis: the product is an empty tile whatever k says.
   const la::CsrMatrix empty = la::CsrMatrix::fromCsr({0}, {}, {}, 0);
   std::vector<double> Ze(3, 1.0);
-  la::spmm(empty, {}, 4, Ze, la::Exec{}, &stats);
+  la::spmm(empty, {}, 4, Ze, {}, la::Side::kRight, nullptr, &stats);
   EXPECT_TRUE(Ze.empty());
 }
 
@@ -921,17 +980,17 @@ TEST(Simd, ForcedDispatchBitIdenticalAcrossTargetsAndThreads) {
   ASSERT_GE(c.m.csr.blockCount(), 2u);
   la::Exec scalarExec;
   scalarExec.simd = la::SimdTarget::kScalar;
-  const KernelOutputs ref = runAllKernels(c, scalarExec);
+  const std::vector<KernelRun> ref = runAllShapes(c, scalarExec);
   for (const la::SimdTarget target : supportedTargets()) {
     la::Exec exec;
     exec.simd = target;
-    expectAllBitEqual(runAllKernels(c, exec), ref,
+    expectAllBitEqual(runAllShapes(c, exec), ref,
                       std::string(la::simdTargetName(target)) + " seq");
     for (const std::size_t threads : {1u, 2u, 8u}) {
       engine::ThreadPool pool(threads);
       la::Exec pexec = poolExec(pool);
       pexec.simd = target;
-      expectAllBitEqual(runAllKernels(c, pexec), ref,
+      expectAllBitEqual(runAllShapes(c, pexec), ref,
                         std::string(la::simdTargetName(target)) + " x" +
                             std::to_string(threads));
     }
@@ -949,13 +1008,15 @@ TEST(Simd, OddPanelWidthsExerciseUnalignedColumnOffsets) {
     la::Exec scalarExec;
     scalarExec.simd = la::SimdTarget::kScalar;
     std::vector<double> ref;
-    la::spmmMasked(c.m.csr, c.X, c.k, c.packed, ref, scalarExec);
+    la::spmm(c.m.csr, c.X, c.k, ref, scalarExec, la::Side::kRight,
+             &c.packed);
     for (const la::SimdTarget target : supportedTargets()) {
       la::Exec exec;
       exec.simd = target;
       std::vector<double> Y;
       la::SpmmStats stats;
-      la::spmmMasked(c.m.csr, c.X, c.k, c.packed, Y, exec, &stats);
+      la::spmm(c.m.csr, c.X, c.k, Y, exec, la::Side::kRight, &c.packed,
+               &stats);
       EXPECT_TRUE(bitEqual(Y, ref))
           << la::simdTargetName(target) << " k=" << k;
       const std::size_t lanes = la::simdLanes(target);
@@ -978,7 +1039,7 @@ TEST(Simd, SpmmStatsReportPanelsTasksAndTarget) {
   const SpmmCase c = makeSpmmCase(1000, 40, 313);
   la::SpmmStats stats;
   std::vector<double> Y;
-  la::spmm(c.m.csr, c.X, c.k, Y, la::Exec{}, &stats);
+  la::spmm(c.m.csr, c.X, c.k, Y, {}, la::Side::kRight, nullptr, &stats);
   EXPECT_EQ(stats.panels, 3u);
   EXPECT_EQ(stats.target, la::resolveSimdTarget(std::nullopt));
 
@@ -986,15 +1047,23 @@ TEST(Simd, SpmmStatsReportPanelsTasksAndTarget) {
   engine::ThreadPool pool(2);
   la::Exec exec = poolExec(pool);
   exec.simd = la::SimdTarget::kScalar;
-  la::spmm(c.m.csr, c.X, c.k, Y, exec, &stats);
+  la::spmm(c.m.csr, c.X, c.k, Y, exec, la::Side::kRight, nullptr, &stats);
   EXPECT_EQ(stats.panels, 3u);
   EXPECT_EQ(stats.target, la::SimdTarget::kScalar);
 
   // The k == 1 fast path counts as one panel.
   const SpmmCase single = makeSpmmCase(200, 1, 5);
-  la::spmmMasked(single.m.csr, single.X, 1, single.packed, Y, la::Exec{},
-                 &stats);
+  la::spmm(single.m.csr, single.X, 1, Y, {}, la::Side::kRight,
+           &single.packed, &stats);
   EXPECT_EQ(stats.panels, 1u);
+
+  // The left point-mass scatter is one scalar traversal.
+  std::vector<double> pointMass(200, 0.0);
+  pointMass[3] = 1.0;
+  la::spmm(single.m.csr, pointMass, 1, Y, {}, la::Side::kLeft, nullptr,
+           &stats);
+  EXPECT_EQ(stats.panels, 1u);
+  EXPECT_EQ(stats.target, la::SimdTarget::kScalar);
 }
 
 TEST(Simd, DispatchAndPanelCountersTick) {

@@ -8,8 +8,8 @@
 #include "engine/thread_pool.hpp"
 #include "la/bit_vector.hpp"
 #include "lump/bisim.hpp"
+#include "legacy_loops.hpp"
 #include "lump/verify.hpp"
-#include "mc/transient.hpp"
 #include "test_models.hpp"
 #include "viterbi/model_reduced.hpp"
 
@@ -70,8 +70,8 @@ TEST(Lump, QuotientPreservesTransientRewards) {
       quotientReward[b] = reward[result.representative[b]];
     }
     for (const std::uint64_t t : {1ULL, 5ULL, 17ULL}) {
-      EXPECT_NEAR(mc::instantaneousReward(d, reward, t),
-                  mc::instantaneousReward(result.quotient, quotientReward, t),
+      EXPECT_NEAR(test::legacyInstantaneous(d, reward, t),
+                  test::legacyInstantaneous(result.quotient, quotientReward, t),
                   1e-10)
           << "seed " << seed << " t " << t;
     }

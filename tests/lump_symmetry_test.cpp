@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "dtmc/builder.hpp"
+#include "legacy_loops.hpp"
 #include "lump/symmetry.hpp"
-#include "mc/transient.hpp"
 #include "test_models.hpp"
 
 namespace mimostat {
@@ -54,8 +54,8 @@ TEST(Symmetry, QuotientPreservesSymmetricRewards) {
   const auto fullReward = full.dtmc.evalReward(model, "");
   const auto reducedReward = reduced.dtmc.evalReward(reducedModel, "");
   for (const std::uint64_t t : {1ULL, 3ULL, 10ULL, 40ULL}) {
-    EXPECT_NEAR(mc::instantaneousReward(full.dtmc, fullReward, t),
-                mc::instantaneousReward(reduced.dtmc, reducedReward, t),
+    EXPECT_NEAR(test::legacyInstantaneous(full.dtmc, fullReward, t),
+                test::legacyInstantaneous(reduced.dtmc, reducedReward, t),
                 1e-11)
         << "t=" << t;
   }

@@ -8,7 +8,8 @@
 #include "dtmc/builder.hpp"
 #include "engine/thread_pool.hpp"
 #include "la/exec.hpp"
-#include "mc/bounded.hpp"
+#include "la/spmv.hpp"
+#include "legacy_loops.hpp"
 #include "mc/checker.hpp"
 #include "pctl/parser.hpp"
 #include "test_models.hpp"
@@ -22,83 +23,55 @@ bool bitEqual(const std::vector<double>& a, const std::vector<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-/// The pre-refactor mc::boundedUntil private loop, verbatim — the reference
-/// the masked-SpMM path must reproduce bit for bit.
-std::vector<double> legacyBoundedUntil(const dtmc::ExplicitDtmc& dtmc,
-                                       const std::vector<std::uint8_t>& phi,
-                                       const std::vector<std::uint8_t>& psi,
-                                       std::uint64_t bound) {
-  const std::uint32_t n = dtmc.numStates();
-  std::vector<double> x(n);
-  for (std::uint32_t s = 0; s < n; ++s) x[s] = psi[s] ? 1.0 : 0.0;
-  std::vector<double> next(n);
-  for (std::uint64_t j = 0; j < bound; ++j) {
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if (psi[s]) {
-        next[s] = 1.0;
-      } else if (!phi[s]) {
-        next[s] = 0.0;
-      } else {
-        double acc = 0.0;
-        for (std::uint64_t k = dtmc.rowPtr()[s]; k < dtmc.rowPtr()[s + 1]; ++k) {
-          acc += dtmc.val()[k] * x[dtmc.col()[k]];
-        }
-        next[s] = acc;
-      }
-    }
-    x.swap(next);
-  }
-  return x;
+/// Per-state values of one property through mc::Checker.
+std::vector<double> stateValues(const dtmc::ExplicitDtmc& d,
+                                const dtmc::Model& model,
+                                const std::string& property) {
+  return mc::Checker(d, model).check(property).stateValues;
 }
 
-/// The pre-refactor mc::nextProb skip loop, verbatim.
-std::vector<double> legacyNextProb(const dtmc::ExplicitDtmc& dtmc,
-                                   const std::vector<std::uint8_t>& psi) {
-  const std::uint32_t n = dtmc.numStates();
-  std::vector<double> x(n);
-  for (std::uint32_t s = 0; s < n; ++s) {
-    double acc = 0.0;
-    for (std::uint64_t k = dtmc.rowPtr()[s]; k < dtmc.rowPtr()[s + 1]; ++k) {
-      if (psi[dtmc.col()[k]]) acc += dtmc.val()[k];
-    }
-    x[s] = acc;
-  }
-  return x;
+/// P=?[property] from the initial distribution, through mc::Checker.
+double fromInit(const dtmc::ExplicitDtmc& d, const dtmc::Model& model,
+                const std::string& property) {
+  return mc::Checker(d, model).check(property).value;
 }
 
 TEST(Bounded, FinallyOnLineNeedsExactlyDistanceSteps) {
   const auto model = test::lineModel(6);
   const auto d = dtmc::buildExplicit(model).dtmc;
-  la::BitVector psi(6);
-  psi.set(5);
   // From state 0 the target is 5 steps away.
-  EXPECT_NEAR(mc::boundedFinally(d, psi, 4)[0], 0.0, 1e-15);
-  EXPECT_NEAR(mc::boundedFinally(d, psi, 5)[0], 1.0, 1e-15);
-  EXPECT_NEAR(mc::boundedFinally(d, psi, 100)[0], 1.0, 1e-15);
+  EXPECT_NEAR(fromInit(d, model, "P=? [ F<=4 s=5 ]"), 0.0, 1e-15);
+  EXPECT_NEAR(fromInit(d, model, "P=? [ F<=5 s=5 ]"), 1.0, 1e-15);
+  EXPECT_NEAR(fromInit(d, model, "P=? [ F<=100 s=5 ]"), 1.0, 1e-15);
 }
 
 TEST(Bounded, MonotoneInBound) {
   const auto model = test::randomModel(25, 3, 17);
   const auto d = dtmc::buildExplicit(model).dtmc;
-  const auto psi = d.evalAtom(model, "target");
   double prev = -1.0;
   for (const std::uint64_t k : {0ULL, 1ULL, 2ULL, 4ULL, 8ULL, 16ULL}) {
-    const double v = mc::fromInitial(d, mc::boundedFinally(d, psi, k));
+    const double v = fromInit(
+        d, model, "P=? [ F<=" + std::to_string(k) + " \"target\" ]");
     EXPECT_GE(v, prev - 1e-12);
     prev = v;
   }
 }
 
 TEST(Bounded, GloballyIsComplementOfFinallyNot) {
+  // G<=k !target = 1 - F<=k target, state by state, against the verbatim
+  // legacy loop.
   const auto model = test::randomModel(20, 3, 31);
   const auto d = dtmc::buildExplicit(model).dtmc;
-  const auto target = d.evalAtom(model, "target");
-  const la::BitVector notTarget = ~target;
+  const std::vector<std::uint8_t> target =
+      d.evalAtom(model, "target").toBytes();
+  const std::vector<std::uint8_t> all(d.numStates(), 1);
   for (const std::uint64_t k : {0ULL, 3ULL, 7ULL}) {
-    const auto g = mc::boundedGlobally(d, notTarget, k);
-    const auto f = mc::boundedFinally(d, target, k);
+    const auto g = stateValues(
+        d, model, "P=? [ G<=" + std::to_string(k) + " !\"target\" ]");
+    const auto f = test::legacyBoundedUntil(d, all, target, k);
+    ASSERT_EQ(g.size(), f.size());
     for (std::size_t s = 0; s < g.size(); ++s) {
-      EXPECT_NEAR(g[s], 1.0 - f[s], 1e-12);
+      EXPECT_EQ(g[s], 1.0 - f[s]) << "G<=" << k << " state " << s;
     }
   }
 }
@@ -107,8 +80,8 @@ TEST(Bounded, UntilZeroBoundIsPsiIndicator) {
   const auto model = test::randomModel(10, 2, 3);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto psi = d.evalAtom(model, "target");
-  const la::BitVector phi(d.numStates(), true);
-  const auto x = mc::boundedUntil(d, phi, psi, 0);
+  const auto x = stateValues(d, model, "P=? [ true U<=0 \"target\" ]");
+  ASSERT_EQ(x.size(), d.numStates());
   for (std::size_t s = 0; s < x.size(); ++s) {
     EXPECT_EQ(x[s], psi.get(s) ? 1.0 : 0.0);
   }
@@ -119,12 +92,9 @@ TEST(Bounded, UntilBlockedByPhi) {
   // 0 for every bound.
   test::MatrixModel model({{0, 1, 0}, {0, 0, 1}, {0, 0, 1}});
   const auto d = dtmc::buildExplicit(model).dtmc;
-  la::BitVector phi = la::BitVector::fromBytes({1, 0, 1});
-  const la::BitVector psi = la::BitVector::fromBytes({0, 0, 1});
-  EXPECT_NEAR(mc::boundedUntil(d, phi, psi, 10)[0], 0.0, 1e-15);
+  EXPECT_NEAR(fromInit(d, model, "P=? [ !(s=1) U<=10 s=2 ]"), 0.0, 1e-15);
   // With phi allowing state 1 it reaches in 2 steps.
-  phi.set(1);
-  EXPECT_NEAR(mc::boundedUntil(d, phi, psi, 2)[0], 1.0, 1e-15);
+  EXPECT_NEAR(fromInit(d, model, "P=? [ true U<=2 s=2 ]"), 1.0, 1e-15);
 }
 
 TEST(Bounded, GamblersRuinSymmetric) {
@@ -132,24 +102,17 @@ TEST(Bounded, GamblersRuinSymmetric) {
   // probability as hitting n within k steps.
   const auto model = test::gamblersRuin(6, 0.5, 3);
   const auto d = dtmc::buildExplicit(model).dtmc;
-  const auto varIdx = d.varLayout().indexOf("s");
-  la::BitVector ruin(d.numStates());
-  la::BitVector win(d.numStates());
-  for (std::uint32_t s = 0; s < d.numStates(); ++s) {
-    if (d.varValue(s, varIdx) == 0) ruin.set(s);
-    if (d.varValue(s, varIdx) == 6) win.set(s);
-  }
   for (const std::uint64_t k : {3ULL, 9ULL, 30ULL}) {
-    EXPECT_NEAR(mc::fromInitial(d, mc::boundedFinally(d, ruin, k)),
-                mc::fromInitial(d, mc::boundedFinally(d, win, k)), 1e-12);
+    const std::string bound = std::to_string(k);
+    EXPECT_NEAR(fromInit(d, model, "P=? [ F<=" + bound + " s=0 ]"),
+                fromInit(d, model, "P=? [ F<=" + bound + " s=6 ]"), 1e-12);
   }
 }
 
 TEST(Bounded, NextProbability) {
   const auto model = test::twoStateChain(0.3, 0.4);
   const auto d = dtmc::buildExplicit(model).dtmc;
-  const la::BitVector psi = la::BitVector::fromBytes({0, 1});
-  const auto x = mc::nextProb(d, psi);
+  const auto x = stateValues(d, model, "P=? [ X s=1 ]");
   EXPECT_NEAR(x[0], 0.3, 1e-15);
   EXPECT_NEAR(x[1], 0.6, 1e-15);
 }
@@ -166,6 +129,9 @@ TEST(Bounded, FromInitialWeighsDistribution) {
 // ------------------------------------------ masked-SpMM path vs legacy loops
 
 TEST(Bounded, MaskedKernelMatchesLegacyLoopBitwise) {
+  // The bounded group's step, one column at a time: a masked la::spmm
+  // freezing psi at 1.0 and !phi at 0.0 reproduces the legacy until loop,
+  // and an unmasked product of the psi indicator the legacy next loop.
   const auto model = test::randomModel(400, 4, 71);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto psi = d.evalAtom(model, "target");
@@ -173,17 +139,34 @@ TEST(Bounded, MaskedKernelMatchesLegacyLoopBitwise) {
   std::vector<std::uint8_t> phiBytes(d.numStates());
   for (std::uint32_t s = 0; s < d.numStates(); ++s) phiBytes[s] = s % 3 != 0;
   const la::BitVector phi = la::BitVector::fromBytes(phiBytes);
+  std::vector<double> indicator(d.numStates(), 0.0);
+  psi.forEachSetBit([&](std::size_t s) { indicator[s] = 1.0; });
+
+  const auto masked = [&](const la::BitVector& frozen, std::uint64_t bound) {
+    const std::vector<la::BitVector> masks{frozen};
+    std::vector<double> x = indicator;
+    std::vector<double> next;
+    for (std::uint64_t j = 0; j < bound; ++j) {
+      la::spmm(d.matrix(), x, 1, next, {}, la::Side::kRight, &masks);
+      x.swap(next);
+    }
+    return x;
+  };
+  la::BitVector untilFrozen = ~phi;
+  untilFrozen |= psi;
   for (const std::uint64_t k : {0ULL, 1ULL, 7ULL, 33ULL}) {
-    EXPECT_TRUE(bitEqual(mc::boundedUntil(d, phi, psi, k),
-                         legacyBoundedUntil(d, phiBytes, psiBytes, k)))
+    EXPECT_TRUE(bitEqual(masked(untilFrozen, k),
+                         test::legacyBoundedUntil(d, phiBytes, psiBytes, k)))
         << "U<=" << k;
-    EXPECT_TRUE(bitEqual(mc::boundedFinally(d, psi, k),
-                         legacyBoundedUntil(
+    EXPECT_TRUE(bitEqual(masked(psi, k),
+                         test::legacyBoundedUntil(
                              d, std::vector<std::uint8_t>(d.numStates(), 1),
                              psiBytes, k)))
         << "F<=" << k;
   }
-  EXPECT_TRUE(bitEqual(mc::nextProb(d, psi), legacyNextProb(d, psiBytes)));
+  std::vector<double> next;
+  la::spmm(d.matrix(), indicator, 1, next);
+  EXPECT_TRUE(bitEqual(next, test::legacyNextProb(d, psiBytes)));
 }
 
 /// Per-property reference values via the verbatim legacy loops.
@@ -193,18 +176,18 @@ std::vector<double> legacyReference(const dtmc::ExplicitDtmc& d,
   const std::vector<std::uint8_t> all(d.numStates(), 1);
   std::vector<double> expected;
   expected.push_back(
-      mc::fromInitial(d, legacyBoundedUntil(d, all, target, 5)));
+      mc::fromInitial(d, test::legacyBoundedUntil(d, all, target, 5)));
   expected.push_back(
-      mc::fromInitial(d, legacyBoundedUntil(d, all, target, 12)));
+      mc::fromInitial(d, test::legacyBoundedUntil(d, all, target, 12)));
   {
-    // G<=9 !target = 1 - F<=9 target (legacy boundedGlobally semantics).
-    auto g = legacyBoundedUntil(d, all, target, 9);
+    // G<=9 !target = 1 - F<=9 target.
+    auto g = test::legacyBoundedUntil(d, all, target, 9);
     for (double& v : g) v = 1.0 - v;
     expected.push_back(mc::fromInitial(d, g));
   }
   expected.push_back(
-      mc::fromInitial(d, legacyBoundedUntil(d, phi, target, 12)));
-  expected.push_back(mc::fromInitial(d, legacyNextProb(d, target)));
+      mc::fromInitial(d, test::legacyBoundedUntil(d, phi, target, 12)));
+  expected.push_back(mc::fromInitial(d, test::legacyNextProb(d, target)));
   return expected;
 }
 
@@ -281,10 +264,10 @@ TEST(Bounded, PlanDedupSharesColumnsAcrossThresholds) {
       d.evalAtom(model, "target").toBytes();
   const std::vector<std::uint8_t> all(d.numStates(), 1);
   EXPECT_TRUE(bitEqual(results[0].stateValues,
-                       legacyBoundedUntil(d, all, target, 4)));
+                       test::legacyBoundedUntil(d, all, target, 4)));
   EXPECT_TRUE(bitEqual(results[1].stateValues,
-                       legacyBoundedUntil(d, all, target, 11)));
-  auto g = legacyBoundedUntil(d, all, target, 7);
+                       test::legacyBoundedUntil(d, all, target, 11)));
+  auto g = test::legacyBoundedUntil(d, all, target, 7);
   for (double& v : g) v = 1.0 - v;
   EXPECT_TRUE(bitEqual(results[2].stateValues, g));
 }
@@ -303,10 +286,12 @@ TEST(Bounded, CheckAllIsolatesBrokenProperties) {
   EXPECT_FALSE(results[1].ok());
   EXPECT_NE(results[1].error.find("bogus"), std::string::npos);
   EXPECT_TRUE(results[2].ok());
-  // The healthy siblings still match the per-formula path bitwise.
+  // The healthy siblings still match the legacy per-formula loop bitwise.
   const auto target = d.evalAtom(model, "target");
-  EXPECT_TRUE(bitEqual(results[2].stateValues,
-                       mc::boundedFinally(d, target, 8)));
+  EXPECT_TRUE(bitEqual(
+      results[2].stateValues,
+      test::legacyBoundedUntil(d, std::vector<std::uint8_t>(d.numStates(), 1),
+                               target.toBytes(), 8)));
 }
 
 TEST(Bounded, TransientGroupIsolatesBrokenRewards) {

@@ -49,7 +49,8 @@ TEST(Steady, RewardMatchesDistributionDot) {
   const auto model = test::twoStateChain(0.4, 0.1);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const std::vector<double> reward{0.0, 1.0};
-  EXPECT_NEAR(mc::steadyStateReward(d, reward), 0.4 / 0.5, 1e-9);
+  EXPECT_NEAR(mc::steadyStateReward(mc::steadyStateDistribution(d), reward),
+              0.4 / 0.5, 1e-9);
 }
 
 TEST(Steady, StructureOfIrreducibleAperiodicChain) {

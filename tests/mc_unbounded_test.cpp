@@ -3,7 +3,7 @@
 #include <cmath>
 
 #include "dtmc/builder.hpp"
-#include "mc/bounded.hpp"
+#include "mc/checker.hpp"
 #include "mc/unbounded.hpp"
 #include "test_models.hpp"
 
@@ -126,7 +126,8 @@ TEST(Unbounded, BoundedConvergesToUnbounded) {
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto psi = d.evalAtom(model, "target");
   const auto unbounded = mc::reachProb(d, psi);
-  const auto bounded = mc::boundedFinally(d, psi, 2000);
+  const auto bounded =
+      mc::Checker(d, model).check("P=? [ F<=2000 \"target\" ]").stateValues;
   for (std::uint32_t s = 0; s < d.numStates(); ++s) {
     EXPECT_NEAR(bounded[s], unbounded.stateValues[s], 1e-6);
   }

@@ -3,10 +3,13 @@
 // every model, not just the hand-picked ones.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "dtmc/builder.hpp"
 #include "legacy_builder.hpp"
+#include "legacy_loops.hpp"
 #include "lump/bisim.hpp"
-#include "mc/bounded.hpp"
+#include "mc/checker.hpp"
 #include "mc/transient.hpp"
 #include "mc/unbounded.hpp"
 #include "test_models.hpp"
@@ -18,29 +21,30 @@ class RandomChainProperties : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   RandomChainProperties()
       : model_(test::randomModel(35, 3, GetParam())),
-        dtmc_(dtmc::buildExplicit(model_).dtmc) {}
+        dtmc_(dtmc::buildExplicit(model_).dtmc),
+        checker_(dtmc_, model_) {}
 
   test::MatrixModel model_;
   dtmc::ExplicitDtmc dtmc_;
+  mc::Checker checker_;
 };
 
 TEST_P(RandomChainProperties, TransientStaysNormalized) {
-  auto pi = dtmc_.initialDistribution();
-  std::vector<double> next(pi.size());
+  mc::TransientSweep sweep(dtmc_);
   for (int t = 0; t < 40; ++t) {
-    dtmc_.multiplyLeft(pi, next);
-    pi.swap(next);
+    sweep.advance();
     double total = 0.0;
-    for (const double p : pi) total += p;
+    for (const double p : sweep.distribution()) total += p;
     ASSERT_NEAR(total, 1.0, 1e-9) << "t=" << t;
   }
 }
 
 TEST_P(RandomChainProperties, BoundedFinallyMonotoneAndBounded) {
-  const auto psi = dtmc_.evalAtom(model_, "target");
   double previous = -1.0;
   for (const std::uint64_t k : {0ULL, 1ULL, 3ULL, 6ULL, 12ULL, 24ULL}) {
-    const double v = mc::fromInitial(dtmc_, mc::boundedFinally(dtmc_, psi, k));
+    const double v =
+        checker_.check("P=? [ F<=" + std::to_string(k) + " \"target\" ]")
+            .value;
     ASSERT_GE(v, previous - 1e-12);
     ASSERT_GE(v, 0.0);
     ASSERT_LE(v, 1.0 + 1e-12);
@@ -49,10 +53,8 @@ TEST_P(RandomChainProperties, BoundedFinallyMonotoneAndBounded) {
 }
 
 TEST_P(RandomChainProperties, GloballyFinallyComplement) {
-  const auto target = dtmc_.evalAtom(model_, "target");
-  const la::BitVector notTarget = ~target;
-  const auto g = mc::boundedGlobally(dtmc_, notTarget, 9);
-  const auto f = mc::boundedFinally(dtmc_, target, 9);
+  const auto g = checker_.check("P=? [ G<=9 !\"target\" ]").stateValues;
+  const auto f = checker_.check("P=? [ F<=9 \"target\" ]").stateValues;
   for (std::size_t s = 0; s < g.size(); ++s) {
     ASSERT_NEAR(g[s] + f[s], 1.0, 1e-10);
   }
@@ -61,7 +63,8 @@ TEST_P(RandomChainProperties, GloballyFinallyComplement) {
 TEST_P(RandomChainProperties, UnboundedDominatesBounded) {
   const auto psi = dtmc_.evalAtom(model_, "target");
   const auto unbounded = mc::reachProb(dtmc_, psi);
-  const auto bounded = mc::boundedFinally(dtmc_, psi, 50);
+  const auto bounded =
+      checker_.check("P=? [ F<=50 \"target\" ]").stateValues;
   for (std::size_t s = 0; s < bounded.size(); ++s) {
     ASSERT_LE(bounded[s], unbounded.stateValues[s] + 1e-9);
   }
@@ -76,8 +79,8 @@ TEST_P(RandomChainProperties, LumpingPreservesRewardTransients) {
     quotientReward[b] = reward[lumped.representative[b]];
   }
   for (const std::uint64_t t : {2ULL, 8ULL, 21ULL}) {
-    ASSERT_NEAR(mc::instantaneousReward(dtmc_, reward, t),
-                mc::instantaneousReward(lumped.quotient, quotientReward, t),
+    ASSERT_NEAR(test::legacyInstantaneous(dtmc_, reward, t),
+                test::legacyInstantaneous(lumped.quotient, quotientReward, t),
                 1e-9);
   }
 }
@@ -124,30 +127,29 @@ TEST_P(RandomChainProperties, LumpingIsIdempotent) {
 }
 
 TEST_P(RandomChainProperties, CumulativeRewardIsMonotoneAndConsistent) {
-  const auto reward = dtmc_.evalReward(model_, "");
   double previous = 0.0;
   for (const std::uint64_t t : {1ULL, 4ULL, 16ULL, 64ULL}) {
-    const double c = mc::cumulativeReward(dtmc_, reward, t);
+    const double c =
+        checker_.check("R=? [ C<=" + std::to_string(t) + " ]").value;
     ASSERT_GE(c, previous - 1e-12);  // nonnegative rewards accumulate
     previous = c;
   }
   // C<=k equals the sum of instantaneous rewards at 0..k-1.
   double manual = 0.0;
   for (std::uint64_t t = 0; t < 8; ++t) {
-    manual += mc::instantaneousReward(dtmc_, reward, t);
+    manual += checker_.check("R=? [ I=" + std::to_string(t) + " ]").value;
   }
-  ASSERT_NEAR(mc::cumulativeReward(dtmc_, reward, 8), manual, 1e-9);
+  ASSERT_NEAR(checker_.check("R=? [ C<=8 ]").value, manual, 1e-9);
 }
 
 TEST_P(RandomChainProperties, UntilDecomposition) {
   // P(phi U<=k psi) >= P(psi now) and <= P(F<=k psi), for any phi.
   const auto psi = dtmc_.evalAtom(model_, "target");
-  la::BitVector phi(dtmc_.numStates());
-  for (std::uint32_t s = 0; s < dtmc_.numStates(); ++s) {
-    if ((s % 3) != 0) phi.set(s);  // arbitrary restriction
-  }
-  const auto until = mc::boundedUntil(dtmc_, phi, psi, 12);
-  const auto finallyAll = mc::boundedFinally(dtmc_, psi, 12);
+  const auto until =  // arbitrary restriction
+      checker_.check("P=? [ (s<25 & !(s=3) & !(s=7)) U<=12 \"target\" ]")
+          .stateValues;
+  const auto finallyAll =
+      checker_.check("P=? [ F<=12 \"target\" ]").stateValues;
   for (std::uint32_t s = 0; s < dtmc_.numStates(); ++s) {
     ASSERT_GE(until[s], (psi.get(s) ? 1.0 : 0.0) - 1e-12);
     ASSERT_LE(until[s], finallyAll[s] + 1e-12);

@@ -249,7 +249,7 @@ TEST(SweepRunner, SharedModelCoalescesIntoOneBatchedRequest) {
   const auto table = runner.run(spec);
   ASSERT_TRUE(table.ok());
   ASSERT_EQ(table.size(), 5u);
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
   for (const auto& row : table.rows()) {
     EXPECT_TRUE(row.batched) << "horizons of a shared model share one sweep";
     // The serving request's plan counters ride into every row: horizons
@@ -264,7 +264,7 @@ TEST(SweepRunner, SharedModelCoalescesIntoOneBatchedRequest) {
   const sweep::Runner uncoalesced(perPoint, sweep::RunOptions{false});
   const auto separate = uncoalesced.run(spec);
   ASSERT_TRUE(separate.ok());
-  EXPECT_EQ(perPoint.buildCount(), 1u);
+  EXPECT_EQ(perPoint.stats().builds, 1u);
   for (std::size_t i = 0; i < table.size(); ++i) {
     EXPECT_EQ(table.rows()[i].value, separate.rows()[i].value);
   }
@@ -290,7 +290,7 @@ TEST(SweepRunner, StructurallyEqualModelsShareOneBuild) {
   const sweep::Runner runner(eng);
   const auto table = runner.run(spec);
   ASSERT_TRUE(table.ok());
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
   EXPECT_EQ(eng.stats().cacheHits, 4u);
 }
 
@@ -325,7 +325,7 @@ TEST(SweepRunner, EmptyPropertyListSkipsPointWithoutBuilding) {
   spec.space.cross(Axis::ints("n", 1, 3));
   spec.factory = [](const Params& p) -> std::shared_ptr<const dtmc::Model> {
     // The skipped point gets a structurally distinct model: if the runner
-    // wrongly issued a request for it, buildCount would reach 2.
+    // wrongly issued a request for it, stats().builds would reach 2.
     if (p.getInt("n") == 2) {
       return std::make_shared<test::MatrixModel>(
           test::gamblersRuin(10, 0.5, 5));
@@ -347,7 +347,7 @@ TEST(SweepRunner, EmptyPropertyListSkipsPointWithoutBuilding) {
   EXPECT_TRUE(table.ok());
   EXPECT_EQ(asInt(table.rows()[0].params[0]), 1);
   EXPECT_EQ(asInt(table.rows()[1].params[0]), 3);
-  EXPECT_EQ(eng.buildCount(), 1u);  // the skipped point was never built
+  EXPECT_EQ(eng.stats().builds, 1u);  // the skipped point was never built
 
   // Every point skipped: no requests at all, an empty table (regression
   // test — this used to index an empty responses vector).
@@ -538,7 +538,7 @@ TEST(SweepRunner, OptionsHookPicksSolverPerPoint) {
             table.rows()[1].solver->iterations);
   EXPECT_NEAR(table.rows()[0].value, table.rows()[1].value, 1e-4);
   // Both points ran against one cached build despite separate requests.
-  EXPECT_EQ(eng.buildCount(), 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
 }
 
 TEST(SweepRunner, OptionsHookFailureIsIsolatedPerPoint) {

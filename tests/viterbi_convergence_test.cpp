@@ -73,8 +73,9 @@ TEST(Convergence, SteadyStateReached) {
       mc::detectRewardSteadyState(build.dtmc, reward, 1e-12, 16, 5000);
   EXPECT_TRUE(detection.converged);
   // Table IV: values at T=100/400/1000 differ only marginally.
-  const double t100 = mc::instantaneousReward(build.dtmc, reward, 100);
-  const double t1000 = mc::instantaneousReward(build.dtmc, reward, 1000);
+  const mc::Checker checker(build.dtmc, model);
+  const double t100 = checker.check("R=? [ I=100 ]").value;
+  const double t1000 = checker.check("R=? [ I=1000 ]").value;
   EXPECT_NEAR(t100, t1000, 1e-4 + 0.05 * t1000);
 }
 

@@ -65,14 +65,14 @@ scalar reference at any thread count) and its byte-stable exports:
                        elsewhere is one off-by-one away from handing a
                        caller quotient-indexed values under an
                        original-indexed contract.
-  transient-step       Forward propagation calls (`multiplyLeft(`,
-                       `spmvLeft(`, `spmmLeft(`) in src/ outside src/la/ +
-                       src/dtmc/explicit_dtmc.*. Every pi_{t+1} = pi_t P in
-                       mc/ rides mc::TransientSweep::advance, which owns the
-                       exact stationary stop (stop multiplying once a step
+  transient-step       Left products (`Side::kLeft`, the forward side of
+                       la::spmm) in src/ outside src/la/. Every
+                       pi_{t+1} = pi_t P in mc/ rides
+                       mc::TransientSweep::advance, which owns the exact
+                       stationary stop (stop multiplying once a step
                        returns its input bit for bit); a hand-rolled loop
                        forks that exit and its bitwise-oracle tests. Only
-                       the sweep's own two kernel calls carry an allow.
+                       the sweep's own kernel call carries an allow.
 
 Escape hatch: a line (or the line above it) containing
     lint:allow(<rule>) or lint:allow(<rule>: <reason>)
@@ -559,20 +559,22 @@ def check_simd_intrinsics(path: str, lines: list[str]) -> list[Violation]:
 
 
 def check_transient_step(path: str, lines: list[str]) -> list[Violation]:
-    """Flag forward-propagation kernel calls outside the sweep primitive.
+    """Flag left (forward-propagation) products outside the sweep primitive.
 
     mc::TransientSweep::advance is the one place a distribution steps
     forward, so every transient answer shares its stationary stop and its
-    bitwise oracles. src/la/ defines the kernels and
-    src/dtmc/explicit_dtmc.* wraps them; tests/ and bench/ run raw loops as
-    independent oracles, so the rule only applies to the rest of src/.
+    bitwise oracles. A left product is spelled `Side::kLeft` at the one
+    entry point la::spmm, so the token marks every call site. src/la/
+    defines the kernel (and power iteration's left product); tests/ and
+    bench/ run raw loops as independent oracles, so the rule only applies
+    to the rest of src/.
     """
     posix = _posix(path)
     if not re.search(r"(^|/)src/", posix):
         return []
-    if re.search(r"(^|/)src/la/|(^|/)src/dtmc/explicit_dtmc\.", posix):
+    if re.search(r"(^|/)src/la/", posix):
         return []
-    pattern = re.compile(r"\b(?:multiplyLeft|spmvLeft|spmmLeft)\s*\(")
+    pattern = re.compile(r"\bSide\s*::\s*kLeft\b")
     out = []
     for idx, line in enumerate(lines):
         stripped = _strip_comments_and_strings(line)

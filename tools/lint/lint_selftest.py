@@ -515,38 +515,41 @@ class SimdIntrinsicsTest(unittest.TestCase):
 
 
 class TransientStepTest(unittest.TestCase):
-    def test_hand_rolled_propagation_in_mc_flagged(self):
+    def test_hand_rolled_left_product_in_mc_flagged(self):
         src = """\
         for (std::uint64_t t = 0; t < steps; ++t) {
-          dtmc.multiplyLeft(pi, next, exec);
-          la::spmvLeft(dtmc.matrix(), pi, next, exec);
-          la::spmmLeft(dtmc.matrix(), X, k, Y, exec);
+          la::spmm(dtmc.matrix(), pi, 1, next, exec, la::Side::kLeft);
+          la::spmm(dtmc.matrix(), X, k, Y, exec,
+                   la::Side::kLeft, &masks);
+          const auto side = Side :: kLeft;
         }
         """
-        self.assertEqual(run(src, "src/mc/transient.cpp"),
-                         [(2, "transient-step"), (3, "transient-step"),
-                          (4, "transient-step")])
+        self.assertEqual(run(src, "src/mc/checker.cpp"),
+                         [(2, "transient-step"), (4, "transient-step"),
+                          (5, "transient-step")])
 
-    def test_kernel_homes_and_oracles_are_exempt(self):
+    def test_kernel_home_and_oracles_are_exempt(self):
         src = """\
-        la::spmvLeft(matrix_, x, y, exec);
+        spmm(P, pi, 1, next, exec, Side::kLeft);
         """
-        for path in ("src/la/spmv.cpp", "src/dtmc/explicit_dtmc.cpp",
+        for path in ("src/la/solver.cpp", "src/la/spmv.cpp",
                      "tests/mc_transient_test.cpp", "bench/sweep_reference.hpp"):
             self.assertEqual(run(src, path), [], path)
 
-    def test_masked_kernels_and_mentions_are_clean(self):
+    def test_right_products_and_mentions_are_clean(self):
         src = """\
-        la::spmmLeftMasked(A, X, k, masks, Y, exec);
-        // the sweep calls spmvLeft( once per step
-        const char* doc = "multiplyLeft(pi, next)";
+        la::spmm(A, X, k, Y, exec, la::Side::kRight, &masks, &stats);
+        la::spmm(A, X, k, Y, exec);
+        // the sweep calls la::spmm(..., la::Side::kLeft) once per step
+        const char* doc = "Side::kLeft";
+        const int kLeftover = 3;
         """
-        self.assertEqual(run(src, "src/mc/bounded.cpp"), [])
+        self.assertEqual(run(src, "src/mc/checker.cpp"), [])
 
     def test_allow_comment_suppresses(self):
         src = """\
         // lint:allow(transient-step: the one forward step in mc/)
-        la::spmvLeft(dtmc_.matrix(), x_, scratch_, exec_);
+        la::spmm(dtmc_.matrix(), x_, 1, scratch_, exec_, la::Side::kLeft);
         """
         self.assertEqual(run(src, "src/mc/transient.cpp"), [])
 
