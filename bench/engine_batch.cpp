@@ -6,6 +6,11 @@
 // horizons matrix-vector passes); the engine's batcher advances ONE sweep to
 // the maximum horizon. Expected speedups: sum(T)/max(T) for a horizon sweep
 // (~5.5x for T=100..1000) and #rewards for a reward-family sweep (~15x).
+//
+// The batched request pins reduction off: its contract is bit-for-bit
+// equality with per-call checking on the unreduced model. The default path
+// quotients these long plans; its row reports the drift from per-call,
+// bounded by the reduction tolerance (1e-9).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -25,7 +30,20 @@ struct SweepResult {
   double perCallSeconds = 0.0;
   double batchedSeconds = 0.0;
   double maxAbsDiff = 0.0;
+  /// The default (quotienting) path: applied, and its drift from per-call.
+  bool reducedApplied = false;
+  double reducedMaxAbsDiff = 0.0;
 };
+
+double maxAbsDiff(const engine::AnalysisResponse& response,
+                  const std::vector<double>& reference) {
+  double maxDiff = 0.0;
+  for (std::size_t i = 0; i < reference.size(); ++i) {
+    const double diff = response.results[i].value - reference[i];
+    maxDiff = std::max(maxDiff, diff < 0 ? -diff : diff);
+  }
+  return maxDiff;
+}
 
 SweepResult compareSweep(const dtmc::Model& model,
                          const std::vector<std::string>& properties) {
@@ -53,30 +71,41 @@ SweepResult compareSweep(const dtmc::Model& model,
   request.model = &model;
   request.properties = properties;
   request.options.modelKey = built->signature;
+  request.options.reduction.quotient = reduce::Toggle::kOff;
   {
     const util::Stopwatch timer;
     const auto response = engine.analyze(request);
     result.batchedSeconds = timer.elapsedSeconds();
-    for (std::size_t i = 0; i < properties.size(); ++i) {
-      const double diff = response.results[i].value - perCall[i];
-      result.maxAbsDiff = std::max(result.maxAbsDiff, diff < 0 ? -diff : diff);
-    }
+    result.maxAbsDiff = maxAbsDiff(response, perCall);
   }
+  request.options.reduction.quotient = reduce::Toggle::kAuto;
+  const auto reduced = engine.analyze(request);
+  result.reducedApplied = reduced.reduction.applied;
+  result.reducedMaxAbsDiff = maxAbsDiff(reduced, perCall);
   return result;
 }
 
-void report(const char* title, const SweepResult& result) {
+/// Prints the row; true when batching is bit-for-bit and the default path
+/// quotiented within 1e-9.
+bool report(const char* title, const SweepResult& result) {
   std::printf("%-34s per-call %8.3fs   batched %8.3fs   speedup %5.1fx   "
               "max|diff| %.1e\n",
               title, result.perCallSeconds, result.batchedSeconds,
               result.perCallSeconds / result.batchedSeconds,
               result.maxAbsDiff);
+  const bool reducedOk =
+      result.reducedApplied && result.reducedMaxAbsDiff <= 1e-9;
+  std::printf("%-34s quotient max|diff| %.1e (applied, within 1e-9: %s)\n",
+              "  default path:", result.reducedMaxAbsDiff,
+              reducedOk ? "yes" : "NO");
+  return result.maxAbsDiff == 0.0 && reducedOk;
 }
 
 }  // namespace
 
 int main() {
   std::printf("=== Engine horizon batching vs per-call checks ===\n\n");
+  bool ok = true;
 
   // Table III-style: P2 of the L=6 Viterbi decoder at T=100..1000.
   {
@@ -86,7 +115,8 @@ int main() {
     for (std::uint64_t horizon = 100; horizon <= 1000; horizon += 100) {
       properties.push_back("R=? [ I=" + std::to_string(horizon) + " ]");
     }
-    report("Table III sweep (T=100..1000):", compareSweep(model, properties));
+    ok = report("Table III sweep (T=100..1000):",
+                compareSweep(model, properties)) && ok;
   }
 
   // Table IV-style: C1 of the convergence model at T=100..1000.
@@ -99,7 +129,8 @@ int main() {
     for (std::uint64_t horizon = 100; horizon <= 1000; horizon += 100) {
       properties.push_back("R=? [ I=" + std::to_string(horizon) + " ]");
     }
-    report("Table IV sweep (T=100..1000):", compareSweep(model, properties));
+    ok = report("Table IV sweep (T=100..1000):",
+                compareSweep(model, properties)) && ok;
   }
 
   // Figure 2-style: fifteen nc<L> rewards at one horizon (one sweep serves
@@ -112,9 +143,9 @@ int main() {
     for (int L = 2; L <= 16; ++L) {
       properties.push_back("R{\"nc" + std::to_string(L) + "\"}=? [ I=500 ]");
     }
-    report("Figure 2 sweep (nc2..nc16, I=500):",
-           compareSweep(model, properties));
+    ok = report("Figure 2 sweep (nc2..nc16, I=500):",
+                compareSweep(model, properties)) && ok;
   }
 
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -8,9 +8,15 @@
 // summed left to right. A wrong fixed-point exit in the sweep shows up here
 // as a nonzero difference. Any other row is re-checked with a fresh
 // mc::Checker, the per-call loop the sweep replaced.
+//
+// The bitwise comparison holds on the unreduced path, so the drivers pin
+// reduction off for it; defaultPathWithinTolerance re-runs the spec on the
+// default path, which quotients their long plans, and checks it within the
+// reduction tolerance of the same loop.
 #pragma once
 
 #include <cmath>
+#include <cstdio>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -19,7 +25,9 @@
 #include "dtmc/model.hpp"
 #include "la/spmv.hpp"
 #include "mc/checker.hpp"
+#include "reduce/reduce.hpp"
 #include "sweep/result_table.hpp"
+#include "sweep/runner.hpp"
 
 namespace mimostat::bench {
 
@@ -62,6 +70,32 @@ inline double sweepVsHandRolledMaxDiff(const sweep::ResultTable& table,
     if (diff > maxDiff) maxDiff = diff;
   }
   return maxDiff;
+}
+
+/// Re-run `spec` with the quotient on kAuto: every row must have been
+/// answered on the quotient, within 1e-9 of the raw loop. Prints one line.
+inline bool defaultPathWithinTolerance(const sweep::Runner& runner,
+                                       sweep::SweepSpec spec,
+                                       const dtmc::ExplicitDtmc& dtmc,
+                                       const dtmc::Model& model) {
+  spec.options.reduction.quotient = reduce::Toggle::kAuto;
+  const sweep::ResultTable table = runner.run(spec);
+  bool applied = !table.rows().empty();
+  for (const auto& row : table.rows()) {
+    applied = applied && row.reduction.applied;
+  }
+  const double maxDiff = sweepVsHandRolledMaxDiff(table, dtmc, model);
+  const bool ok = applied && maxDiff <= 1e-9;
+  const sweep::ResultRow* first =
+      table.rows().empty() ? nullptr : &table.rows().front();
+  std::printf("Default path: quotient %llu -> %llu states, max|diff| = %.3g "
+              "(applied, within 1e-9: %s)\n",
+              static_cast<unsigned long long>(
+                  first ? first->reduction.statesBefore : 0),
+              static_cast<unsigned long long>(
+                  first ? first->reduction.statesAfter : 0),
+              maxDiff, ok ? "yes" : "NO");
+  return ok;
 }
 
 }  // namespace mimostat::bench

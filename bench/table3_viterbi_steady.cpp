@@ -9,6 +9,9 @@
 // into a single engine request, so all horizons ride one 1000-step
 // transient sweep — and the numbers are asserted bit-identical to a raw
 // left la::spmm propagation per horizon, which has no stationary stop.
+// That comparison pins the unreduced path (reduction off); the default
+// path, which quotients the decoder for the 1,000-pass plan, is checked
+// against the same propagation within the reduction tolerance (1e-9).
 //
 // `--csv <path>` additionally writes the sweep's long-format CSV (used by
 // the CI sweep-smoke job as a workflow artifact). `--trace <path>` enables
@@ -65,6 +68,7 @@ int main(int argc, char** argv) {
             std::int64_t{50}, std::int64_t{100}, std::int64_t{300},
             std::int64_t{600}, std::int64_t{1000}}));
   spec.share(model);
+  spec.options.reduction.quotient = reduce::Toggle::kOff;
   spec.properties = [](const sweep::Params& p) {
     return std::vector<std::string>{"R=? [ I=" + std::to_string(p.getInt("T")) +
                                     " ]"};
@@ -110,6 +114,9 @@ int main(int argc, char** argv) {
                   rows.front().plan.traversalsSaved),
               planOk ? "yes" : "NO");
 
+  const bool reducedOk =
+      bench::defaultPathWithinTolerance(runner, spec, build.dtmc, *model);
+
   const auto built = engine.ensureBuilt(*model);
   const auto reward = built->dtmc.evalReward(*model, "");
   const auto detection =
@@ -141,5 +148,5 @@ int main(int argc, char** argv) {
     std::printf("Trace JSON written to %s (%zu spans)\n", tracePath,
                 obs::Tracer::global().events().size());
   }
-  return identical && planOk && table.ok() ? 0 : 1;
+  return identical && planOk && reducedOk && table.ok() ? 0 : 1;
 }

@@ -7,7 +7,9 @@
 // The horizon study is a declarative sweep::SweepSpec sharing one model:
 // the runner coalesces the three horizons into a single engine request
 // (one transient sweep), asserted bit-identical to a raw left la::spmm
-// propagation per horizon.
+// propagation per horizon. That comparison pins the unreduced path
+// (reduction off); the default path, which quotients the model for the
+// 1,000-pass plan, is checked against the same propagation within 1e-9.
 //
 // `--trace <path>` enables the process tracer and writes the run's span
 // tree as Chrome trace-event JSON (Perfetto / chrome://tracing).
@@ -53,6 +55,7 @@ int main(int argc, char** argv) {
   spec.space.cross(sweep::Axis::values(
       "T", {std::int64_t{100}, std::int64_t{400}, std::int64_t{1000}}));
   spec.share(model);
+  spec.options.reduction.quotient = reduce::Toggle::kOff;
   spec.properties = [](const sweep::Params& p) {
     return std::vector<std::string>{"R=? [ I=" + std::to_string(p.getInt("T")) +
                                     " ]"};
@@ -94,6 +97,8 @@ int main(int argc, char** argv) {
   std::printf("Sweep vs hand-rolled loop: max|diff| = %.3g "
               "(bit-identical: %s)\n",
               maxDiff, identical ? "yes" : "NO");
+  const bool reducedOk =
+      bench::defaultPathWithinTolerance(runner, spec, build.dtmc, *model);
 
   // Plan-stat guard: the 3 coalesced horizons share one transient sweep;
   // traversals_saved == 0 would mean batching silently reverted to
@@ -129,5 +134,5 @@ int main(int argc, char** argv) {
     std::printf("Trace JSON written to %s (%zu spans)\n", tracePath,
                 obs::Tracer::global().events().size());
   }
-  return identical && planOk && table.ok() ? 0 : 1;
+  return identical && planOk && reducedOk && table.ok() ? 0 : 1;
 }

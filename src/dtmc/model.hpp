@@ -15,6 +15,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -55,6 +57,19 @@ class Model {
   /// Default reward (empty name or "default") is 0.
   [[nodiscard]] virtual double stateReward(const State& s,
                                            std::string_view name) const;
+
+  /// Parameter fingerprint: a hash of everything that defines the model,
+  /// computed without exploring it. Contract: two models with equal
+  /// fingerprints are interchangeable — the same variables, initial states,
+  /// transitions, atoms and rewards. The engine then serves the second
+  /// model from the first one's cache entry without exploring it
+  /// (engine::AnalysisEngine, "Model cache"). Implementations hash a
+  /// per-class tag plus every constructor input (doubles by bit pattern);
+  /// a subclass that changes any of the above must override it. Default:
+  /// no fingerprint, so the engine explores the model for its cache key.
+  [[nodiscard]] virtual std::optional<std::uint64_t> fingerprint() const {
+    return std::nullopt;
+  }
 
   /// Convenience: layout built from variables().
   [[nodiscard]] VarLayout layout() const { return VarLayout(variables()); }

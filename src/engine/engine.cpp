@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include <cstring>
-
 #include "dtmc/signature.hpp"
 #include "mc/checker.hpp"
 #include "pctl/hash.hpp"
@@ -41,7 +39,8 @@ stats::Interval meanInterval95(const stats::RunningStats& stats) {
 
 /// Cache keys fold the one build option that changes the built matrix
 /// (probFloor drops and renormalizes transitions) into the structural
-/// signature, so requests with different floors never share an entry.
+/// signature, so requests with different floors never share an entry. The
+/// fingerprint aliases fold it into the model fingerprint the same way.
 /// Quotient-cache entries live in the same map as full builds; the salt
 /// keeps a quotient key from ever colliding with its structural key even
 /// for an empty digest.
@@ -49,13 +48,9 @@ constexpr std::uint64_t kQuotientKeySalt = 0x9D0712E6C2B5A34Full;
 
 std::uint64_t cacheKeyFor(std::uint64_t signatureHash,
                           const dtmc::BuildOptions& buildOptions) {
-  std::uint64_t key = signatureHash;
-  if (buildOptions.probFloor != 0.0) {
-    std::uint64_t floorBits = 0;
-    std::memcpy(&floorBits, &buildOptions.probFloor, sizeof(floorBits));
-    key = util::hashCombine(key, util::mix64(floorBits));
-  }
-  return key;
+  return buildOptions.probFloor == 0.0
+             ? signatureHash
+             : util::hashCombineDouble(signatureHash, buildOptions.probFloor);
 }
 
 /// The hashed (and kept) rows follow the build's probability floor, so a
@@ -134,7 +129,8 @@ AnalysisEngine::AnalysisEngine(EngineOptions options)
       buildCounter_(metrics_->counter("engine.builds")),
       cacheHitCounter_(metrics_->counter("engine.cache_hits")),
       quotientBuildCounter_(metrics_->counter("engine.quotient_builds")),
-      quotientHitCounter_(metrics_->counter("engine.quotient_hits")) {}
+      quotientHitCounter_(metrics_->counter("engine.quotient_hits")),
+      fingerprintHitCounter_(metrics_->counter("engine.fingerprint_hits")) {}
 
 AnalysisEngine::~AnalysisEngine() = default;
 
@@ -171,7 +167,45 @@ EngineStats AnalysisEngine::stats() const {
 void AnalysisEngine::clearModelCache() {
   const util::MutexLock lock(cacheMutex_);
   modelCache_.clear();
+  fingerprintKeys_.clear();
   cacheBytes_ = 0;
+}
+
+void AnalysisEngine::eraseSlotLocked(CacheMap::iterator slot) {
+  cacheBytes_ -= slot->second.bytes;
+  for (const std::uint64_t alias : slot->second.aliases) {
+    fingerprintKeys_.erase(alias);
+  }
+  modelCache_.erase(slot);
+}
+
+std::optional<std::uint64_t> AnalysisEngine::fingerprintKey(
+    const dtmc::Model& model, const dtmc::BuildOptions& build) {
+  const std::optional<std::uint64_t> fingerprint = model.fingerprint();
+  if (!fingerprint) return std::nullopt;
+  std::uint64_t key = 0;
+  {
+    const util::MutexLock lock(cacheMutex_);
+    const auto it = fingerprintKeys_.find(cacheKeyFor(*fingerprint, build));
+    if (it == fingerprintKeys_.end()) return std::nullopt;
+    key = it->second;
+  }
+  fingerprintHitCounter_.inc();
+  return key;
+}
+
+void AnalysisEngine::recordFingerprint(const dtmc::Model& model,
+                                       const dtmc::BuildOptions& build,
+                                       std::uint64_t key) {
+  const std::optional<std::uint64_t> fingerprint = model.fingerprint();
+  if (!fingerprint) return;
+  const std::uint64_t alias = cacheKeyFor(*fingerprint, build);
+  const util::MutexLock lock(cacheMutex_);
+  const auto slot = modelCache_.find(key);
+  if (slot == modelCache_.end()) return;  // evicted since its fill
+  if (fingerprintKeys_.emplace(alias, key).second) {
+    slot->second.aliases.push_back(alias);
+  }
 }
 
 void AnalysisEngine::evictLocked() {
@@ -195,8 +229,7 @@ void AnalysisEngine::evictLocked() {
       }
     }
     if (victim == modelCache_.end()) return;
-    cacheBytes_ -= victim->second.bytes;
-    modelCache_.erase(victim);
+    eraseSlotLocked(victim);
   }
 }
 
@@ -249,10 +282,7 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::getOrCompute(
     {
       const util::MutexLock lock(cacheMutex_);
       const auto it = modelCache_.find(key);
-      if (it != modelCache_.end()) {
-        cacheBytes_ -= it->second.bytes;
-        modelCache_.erase(it);
-      }
+      if (it != modelCache_.end()) eraseSlotLocked(it);
     }
     promise.set_exception(std::current_exception());
     throw;
@@ -264,16 +294,21 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
     std::optional<std::uint64_t> key, bool* cacheHit) {
   const la::TaskRunner runner = laRunnerFor(pool_);
   std::optional<dtmc::Exploration> exploration;
+  if (!key) key = fingerprintKey(model, buildOptions);
   if (!key) {
     exploration = dtmc::explore(
         model, exploreOptionsFor(buildOptions, buildOptions.maxStates, true),
         runner);
     key = cacheKeyFor(exploration->hash, buildOptions);
   }
-  return getOrCompute(*key, false, cacheHit, [&] {
-    return builtModel(model, buildOptions, *key,
-                      exploration ? &*exploration : nullptr, runner);
-  });
+  const bool exact = exploration && exploration->exact;
+  std::shared_ptr<const BuiltModel> built =
+      getOrCompute(*key, false, cacheHit, [&] {
+        return builtModel(model, buildOptions, *key,
+                          exploration ? &*exploration : nullptr, runner);
+      });
+  if (exact) recordFingerprint(model, buildOptions, *key);
+  return built;
 }
 
 std::shared_ptr<const BuiltModel> AnalysisEngine::quotientFor(
@@ -324,15 +359,21 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
     }
     const RequestOptions& options = request.options;
 
-    // Resolve the cache key and the backend.
+    // Resolve the cache key and the backend. A caller-supplied key, or a
+    // fingerprint aliased to a resident entry, names the entry without an
+    // exploration.
     std::uint64_t key = 0;
     Backend backend = options.backend;
     std::optional<dtmc::Exploration> exploration;
-    if (options.modelKey) {
-      key = *options.modelKey;
+    const std::optional<std::uint64_t> knownKey =
+        options.modelKey ? options.modelKey
+                         : fingerprintKey(*request.model, options.build);
+    if (knownKey) {
+      key = *knownKey;
       if (backend == Backend::kAuto) {
         // A caller-supplied key implies a model the caller expects to be
-        // buildable (typically a key echoed from a previous exact response).
+        // buildable (typically a key echoed from a previous exact
+        // response); a fingerprint hit names a cached build.
         backend = Backend::kExact;
       }
     } else {
@@ -418,12 +459,14 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   // miss).
   obs::Span buildSpan("engine.build", traceParent);
   const la::TaskRunner runner = laRunnerFor(pool_);
+  const bool exact = exploration != nullptr && exploration->exact;
   bool cacheHit = false;
   std::shared_ptr<const BuiltModel> built =
       getOrCompute(key, false, &cacheHit, [&] {
         return builtModel(*request.model, request.options.build, key,
                           exploration, runner);
       });
+  if (exact) recordFingerprint(*request.model, request.options.build, key);
   // A hit never needs the explored matrix; free it before reduce and check.
   if (exploration != nullptr) *exploration = dtmc::Exploration{};
   response.cacheHit = cacheHit;
@@ -447,7 +490,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   }
 
   // ---- State-space reduction stage -------------------------------------
-  // On models past the auto threshold (or when forced on), replace the
+  // On large models or long plans (or when forced on), replace the
   // checking substrate with the plan-aware bisimulation quotient: the
   // initial partition is seeded by exactly the atom masks and reward
   // vectors this request's plan needs, so labels the plan never reads
@@ -457,23 +500,41 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   // projection and the initial-distribution-weighted answers are exact
   // (strong lumping). Quotients are cached in the model cache keyed by
   // (structural key, label/reward digest).
+  //
+  // The stage's plan is compiled once, before the decision: its pass count
+  // drives kAuto and its mask table seeds the partition. The decision
+  // depends only on the model and the plan, so a request answers with the
+  // same bits whatever the cache holds. The plan is purely syntactic and
+  // deterministic (the checker recompiles the identical plan below);
+  // compiling it after the build rather than before measured lower peak
+  // memory on cold MIMO requests.
   const reduce::Options& reduction = request.options.reduction;
-  if (!planned.empty() &&
-      reduce::quotientSelected(reduction, built->dtmc.numStates())) {
+  obs::Span probePlanSpan("pctl.plan", traceParent);
+  std::optional<pctl::EvalPlan> probePlan;
+  if (!planned.empty() && reduction.quotient != reduce::Toggle::kOff) {
+    probePlan = pctl::buildPlan(planned);
+  }
+  const double probePlanSeconds = probePlanSpan.stopSeconds();
+  const std::uint64_t fullStates = built->dtmc.numStates();
+  const std::uint64_t planPasses =
+      probePlan ? reduce::planPasses(*probePlan) : 0;
+  const bool quotient =
+      probePlan && reduce::quotientSelected(reduction, fullStates, planPasses);
+  if (probePlan && !quotient) {  // only kAuto declines
+    response.reduction.skipReason =
+        reduce::quotientAutoSkipReason(fullStates, planPasses);
+  }
+  if (quotient) {
     obs::Span reduceSpan("engine.reduce", traceParent);
     ReductionStats reductionStats;
     try {
-      // The plan compiled here is purely syntactic and deterministic — the
-      // checker recompiles the identical plan below; only its mask table
-      // and reward names matter to the partition.
-      const pctl::EvalPlan probePlan = pctl::buildPlan(planned);
       mc::CheckOptions probeOptions;
       probeOptions.traceParent = reduceSpan.id();
       const mc::Checker probe(built->dtmc, *request.model, probeOptions,
                               propertyCache_);
       std::vector<la::BitVector> maskBits;
-      maskBits.reserve(probePlan.masks.size());
-      for (const auto& mask : probePlan.masks) {
+      maskBits.reserve(probePlan->masks.size());
+      for (const auto& mask : probePlan->masks) {
         maskBits.push_back(probe.evalStateFormula(*mask));
       }
       // Reward structures any reward property resolves. plan.rewardNames
@@ -496,8 +557,8 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
       }
 
       dtmc::LabelRewardDigest digest;
-      for (std::size_t m = 0; m < probePlan.masks.size(); ++m) {
-        digest.addMask(pctl::structuralHash(*probePlan.masks[m]), maskBits[m]);
+      for (std::size_t m = 0; m < probePlan->masks.size(); ++m) {
+        digest.addMask(pctl::structuralHash(*probePlan->masks[m]), maskBits[m]);
       }
       for (std::size_t r = 0; r < rewardNames.size(); ++r) {
         digest.addReward(rewardNames[r], rewardVectors[r]);
@@ -603,7 +664,8 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   }
 
   response.timing.checkSeconds = checkSpan.stopSeconds();
-  response.timing.planSeconds = parseSeconds + response.plan.planSeconds;
+  response.timing.planSeconds =
+      parseSeconds + probePlanSeconds + response.plan.planSeconds;
   return response;
 }
 

@@ -8,9 +8,15 @@
 //      reachability exploration (dtmc::explore), so repeated requests
 //      against the same design skip the build. The same exploration keeps
 //      the normalized CSR: a miss assembles the DTMC from it, a hit drops
-//      it — every request without RequestOptions::modelKey explores its
-//      state space exactly once. Cached DTMCs store transition structure
-//      only; atoms/rewards always re-resolve through the requesting model.
+//      it — a request without RequestOptions::modelKey explores its state
+//      space at most once. After an exact exploration the engine also
+//      records the model's parameter fingerprint (dtmc::Model::fingerprint)
+//      on the cache entry, so a later request whose model has the same
+//      fingerprint skips the exploration altogether and proceeds as a
+//      modelKey request (a warm request costs a hash lookup). Aliases go
+//      with their entry on eviction. Cached DTMCs store transition
+//      structure only; atoms/rewards always re-resolve through the
+//      requesting model.
 //   2. Evaluation planning: the request's property set is compiled by
 //      pctl::buildPlan into a deduplicated task DAG (mc::Checker::checkAll
 //      executes it). All bounded path formulas (U<=k / F<=k / G<=k / X)
@@ -163,9 +169,11 @@ class AnalysisEngine {
   [[nodiscard]] std::future<AnalysisResponse> submit(AnalysisRequest request);
 
   /// Build (or fetch from cache) the explicit DTMC for a model. Concurrent
-  /// calls for the same key share one build. Without `key` the model is
-  /// explored once for its cache key, and a miss builds from that same
-  /// exploration; `key` skips it (a miss then builds with buildExplicit).
+  /// calls for the same key share one build. Without `key` a model whose
+  /// fingerprint names a resident entry is served from it; otherwise the
+  /// model is explored once for its cache key, and a miss builds from that
+  /// same exploration. `key` skips both (a miss then builds with
+  /// buildExplicit).
   /// When `cacheHit` is non-null it is set to whether the entry was served
   /// from cache (joining an in-flight build counts as a hit).
   [[nodiscard]] std::shared_ptr<const BuiltModel> ensureBuilt(
@@ -190,10 +198,25 @@ class AnalysisEngine {
     std::uint64_t lastUsed = 0;
     /// Approximate bytes of the completed build; 0 while in flight.
     std::uint64_t bytes = 0;
+    /// Fingerprint aliases (fingerprintKeys_ entries) naming this slot.
+    std::vector<std::uint64_t> aliases;
   };
+  using CacheMap = std::unordered_map<std::uint64_t, CacheSlot>;
 
   /// Evict ready LRU entries down to the entry-count and byte budgets.
   void evictLocked() MIMOSTAT_REQUIRES(cacheMutex_);
+  /// Drop one slot with its bytes and fingerprint aliases.
+  void eraseSlotLocked(CacheMap::iterator slot) MIMOSTAT_REQUIRES(cacheMutex_);
+
+  /// The cache key of the resident entry `model`'s fingerprint is aliased
+  /// to (under `build`'s options), counting a fingerprint hit; nullopt
+  /// when the model has no fingerprint or no entry carries it.
+  [[nodiscard]] std::optional<std::uint64_t> fingerprintKey(
+      const dtmc::Model& model, const dtmc::BuildOptions& build);
+  /// Alias `model`'s fingerprint to the entry under `key`, if still
+  /// resident. Only after an exact exploration produced `key` from `model`.
+  void recordFingerprint(const dtmc::Model& model,
+                         const dtmc::BuildOptions& build, std::uint64_t key);
 
   /// The model cache's one fill primitive (builds and quotients): the entry
   /// under `key`, computed and inserted on a miss. Concurrent calls for one
@@ -221,7 +244,8 @@ class AnalysisEngine {
   /// latency histogram). Opens the per-request "engine.analyze" span.
   AnalysisResponse analyzeQueued(const AnalysisRequest& request,
                                  double queueSeconds);
-  /// `exploration` is the request's key exploration (null with modelKey).
+  /// `exploration` is the request's key exploration (null with modelKey or
+  /// a fingerprint hit).
   AnalysisResponse analyzeExact(const AnalysisRequest& request,
                                 std::uint64_t key,
                                 dtmc::Exploration* exploration,
@@ -252,9 +276,15 @@ class AnalysisEngine {
   obs::Counter quotientBuildCounter_;
   /// lint:allow(guarded-by: internally synchronized handle)
   obs::Counter quotientHitCounter_;
+  /// Requests and ensureBuilt calls whose fingerprint skipped the key
+  /// exploration. lint:allow(guarded-by: internally synchronized handle)
+  obs::Counter fingerprintHitCounter_;
 
   mutable util::Mutex cacheMutex_;
-  std::unordered_map<std::uint64_t, CacheSlot> modelCache_
+  CacheMap modelCache_ MIMOSTAT_GUARDED_BY(cacheMutex_);
+  /// cacheKeyFor(fingerprint, build options) -> structural key of a
+  /// resident slot (which lists the alias in CacheSlot::aliases).
+  std::unordered_map<std::uint64_t, std::uint64_t> fingerprintKeys_
       MIMOSTAT_GUARDED_BY(cacheMutex_);
   std::uint64_t useCounter_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
   std::uint64_t buildCount_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;

@@ -41,14 +41,17 @@ struct RequestOptions {
   /// Precomputed model signature (e.g. from a previous response). When set,
   /// the engine skips the key exploration and uses this as the cache key;
   /// the caller asserts it identifies the model's transition structure.
+  /// Unset, a model whose fingerprint (dtmc::Model::fingerprint) names a
+  /// cached build skips the exploration the same way.
   std::optional<std::uint64_t> modelKey;
   /// State-space reduction (exact backend): plan-aware bisimulation
   /// quotienting before checking plus the exact state-elimination checker
-  /// for unbounded singles. The defaults auto-reduce large models only
-  /// (reduce::Options::minQuotientStates) and resolve the elimination
-  /// toggle from whether a quotient applied. This field is authoritative:
-  /// the engine copies it into check.reduction (with kAuto resolved), so a
-  /// value set in `check` directly is overwritten.
+  /// for unbounded singles. The defaults quotient large models and long
+  /// plans only (reduce::quotientSelected: 100,000 states or 256 plan
+  /// passes) and resolve the elimination toggle from whether a quotient
+  /// applied. This field is authoritative: the engine copies it into
+  /// check.reduction (with kAuto resolved), so a value set in `check`
+  /// directly is overwritten.
   reduce::Options reduction;
   dtmc::BuildOptions build;
   mc::CheckOptions check;

@@ -24,16 +24,18 @@ struct PhaseTiming {
   double queueSeconds = 0.0;
   /// Model key: the one dtmc::explore pass ("dtmc.explore") that hashes
   /// the reachable chain into the cache key and, on a miss, yields the CSR
-  /// the build assembles. 0 when RequestOptions::modelKey is set.
+  /// the build assembles. 0 when RequestOptions::modelKey is set or the
+  /// model's fingerprint named a cached build.
   double keySeconds = 0.0;
   /// Model acquisition: cache lookup + assembling the explored CSR (or the
   /// wait joining an in-flight build).
   double buildSeconds = 0.0;
-  /// State-space reduction stage: plan compilation probe, mask/reward
-  /// evaluation, quotient-cache lookup and (on a miss) the bisimulation
-  /// refinement. 0 when the stage did not run.
+  /// State-space reduction stage: mask/reward evaluation, quotient-cache
+  /// lookup and (on a miss) the bisimulation refinement. 0 when the stage
+  /// did not run.
   double reduceSeconds = 0.0;
-  /// Property parsing + evaluation-plan compilation (exact backend).
+  /// Property parsing + evaluation-plan compilation, the reduction
+  /// stage's plan included (exact backend).
   double planSeconds = 0.0;
   /// Plan execution (exact) or sampling (smc) across all properties.
   double checkSeconds = 0.0;
@@ -77,8 +79,11 @@ struct ReductionStats {
   std::uint64_t transitionsAfter = 0;
   /// Signature-refinement rounds of the (possibly cached) quotient build.
   std::uint32_t refinementRounds = 0;
-  /// Why the stage gave up on this request (the message of what it threw,
-  /// "unknown exception" for a non-std one); empty when it did not fail.
+  /// Why the stage did not apply on this request: kAuto's decline
+  /// ("auto: 8193 states < 100000, 14 plan passes < 256"), or the message
+  /// of what the stage threw ("unknown exception" for a non-std one).
+  /// Empty when the stage was off or ran without failing (an identity
+  /// quotient included).
   std::string skipReason;
   /// Wall-clock of the reduction stage for this request (cache hits pay
   /// only the mask/reward evaluation + lookup). Mirrors

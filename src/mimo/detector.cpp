@@ -7,8 +7,26 @@
 #include <limits>
 
 #include "comm/channel.hpp"
+#include "util/hash.hpp"
 
 namespace mimostat::mimo {
+
+// A new MimoParams field changes the size: hash it below, then update the
+// size.
+static_assert(sizeof(MimoParams) == 48,
+              "hashParams must hash every MimoParams field");
+
+std::uint64_t hashParams(std::uint64_t classTag, const MimoParams& params) {
+  std::uint64_t hash = util::mix64(classTag);
+  hash = util::hashCombineInt(hash, params.nr);
+  hash = util::hashCombineInt(hash, params.nt);
+  hash = util::hashCombineDouble(hash, params.snrDb);
+  hash = util::hashCombineInt(hash, params.hLevels);
+  hash = util::hashCombineDouble(hash, params.hRange);
+  hash = util::hashCombineInt(hash, params.yLevels);
+  hash = util::hashCombineDouble(hash, params.yRange);
+  return hash;
+}
 
 MimoParams mimo1x2Params() { return MimoParams{}; }
 

@@ -38,6 +38,11 @@ struct MimoParams {
   [[nodiscard]] int numHypotheses() const { return 1 << nt; }
 };
 
+/// Fingerprint hash of every MimoParams field, seeded with a per-model
+/// class tag (dtmc::Model::fingerprint).
+[[nodiscard]] std::uint64_t hashParams(std::uint64_t classTag,
+                                       const MimoParams& params);
+
 /// The paper's 1x2 detector configuration (SNR 8 dB).
 [[nodiscard]] MimoParams mimo1x2Params();
 /// The paper's 1x4 detector configuration (SNR 12 dB, coarser quantizers).

@@ -83,6 +83,11 @@ MimoDetectorModel::MimoDetectorModel(const MimoParams& params)
   }
 }
 
+std::optional<std::uint64_t> MimoDetectorModel::fingerprint() const {
+  constexpr std::uint64_t kFingerprintTag = 0x4D696D6F44657465ull;
+  return hashParams(kFingerprintTag, params());
+}
+
 std::vector<dtmc::VarSpec> MimoDetectorModel::variables() const {
   const MimoParams& p = params();
   std::vector<dtmc::VarSpec> vars;

@@ -41,6 +41,9 @@ class MimoDetectorModel : public dtmc::Model {
   /// Default reward = flag.
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view name) const override;
+  /// Hash of the class and every MimoParams field
+  /// (dtmc::Model::fingerprint).
+  [[nodiscard]] std::optional<std::uint64_t> fingerprint() const override;
 
   [[nodiscard]] const MimoParams& params() const { return detector_.params(); }
   [[nodiscard]] const MlDetector& detector() const { return detector_; }

@@ -1,6 +1,7 @@
 #include "reduce/reduce.hpp"
 
 #include <cassert>
+#include <string>
 #include <utility>
 
 #include "lump/bisim.hpp"
@@ -8,16 +9,37 @@
 
 namespace mimostat::reduce {
 
-bool quotientSelected(const Options& options, std::uint64_t numStates) {
+namespace {
+
+/// kAuto quotients models of at least this many states whatever the plan.
+constexpr std::uint64_t kAutoMinStates = 100'000;
+/// ...and plans of at least this many matrix passes whatever the size.
+constexpr std::uint64_t kAutoMinPlanPasses = 256;
+
+}  // namespace
+
+std::uint64_t planPasses(const pctl::EvalPlan& plan) {
+  return plan.boundedSteps() * plan.columns.size() + plan.transientSteps();
+}
+
+bool quotientSelected(const Options& options, std::uint64_t numStates,
+                      std::uint64_t planPasses) {
   switch (options.quotient) {
     case Toggle::kOn:
       return true;
     case Toggle::kOff:
       return false;
     case Toggle::kAuto:
-      return numStates >= options.minQuotientStates;
+      return numStates >= kAutoMinStates || planPasses >= kAutoMinPlanPasses;
   }
   return false;
+}
+
+std::string quotientAutoSkipReason(std::uint64_t numStates,
+                                   std::uint64_t planPasses) {
+  return "auto: " + std::to_string(numStates) + " states < " +
+         std::to_string(kAutoMinStates) + ", " + std::to_string(planPasses) +
+         " plan passes < " + std::to_string(kAutoMinPlanPasses);
 }
 
 bool eliminationOn(const Options& options) {

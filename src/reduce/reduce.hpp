@@ -24,11 +24,13 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "la/bit_vector.hpp"
 #include "la/exec.hpp"
+#include "pctl/plan.hpp"
 
 namespace mimostat::reduce {
 
@@ -37,11 +39,11 @@ enum class Toggle : std::uint8_t { kAuto, kOn, kOff };
 
 struct Options {
   /// Plan-aware bisimulation quotient of the whole request. kAuto fires
-  /// when the built model has at least `minQuotientStates` states (small
-  /// models gain nothing over the refinement cost); kOn always tries,
-  /// kOff never. An attempted quotient that does not shrink the model is
-  /// discarded (the check phase runs unreduced) but cached, so repeated
-  /// requests skip the refinement.
+  /// when the built model is large or the request's plan is long (see
+  /// quotientSelected) — otherwise the refinement costs more than the
+  /// check it shrinks; kOn always tries, kOff never. An attempted quotient
+  /// that does not shrink the model is discarded (the check phase runs
+  /// unreduced) but cached, so repeated requests skip the refinement.
   Toggle quotient = Toggle::kAuto;
   /// State-elimination checker for unbounded reachability / expected-reward
   /// singles (exact Gaussian elimination instead of Prob0/1 + iterative
@@ -52,9 +54,6 @@ struct Options {
   /// carry the reduction tolerance contract. A standalone mc::Checker
   /// treats kAuto as off.
   Toggle elimination = Toggle::kAuto;
-  /// kAuto quotient threshold (states). The default keeps small models —
-  /// including every in-repo bit-identity bench — on the unreduced path.
-  std::uint64_t minQuotientStates = 100'000;
   /// kAuto elimination cap on the quotient's state count.
   std::uint64_t eliminationMaxStates = 50'000;
   /// Transition probabilities are bucketed to this resolution during
@@ -66,8 +65,26 @@ struct Options {
   double rewardResolution = 1e-12;
 };
 
-/// Engine policy: should the quotient stage run for an n-state model?
-[[nodiscard]] bool quotientSelected(const Options& options, std::uint64_t numStates);
+/// Matrix passes a plan's check makes: boundedSteps() x columns for the
+/// shared bounded traversal plus transientSteps() for the transient sweep.
+/// Unbounded and steady-state singles count 0.
+[[nodiscard]] std::uint64_t planPasses(const pctl::EvalPlan& plan);
+
+/// Engine policy: should the quotient stage run for an n-state model
+/// checked by a plan of `planPasses` passes? kAuto fires at 100,000 states
+/// or 256 passes (fixed constants, never probed): one pass over the
+/// paper's Viterbi decoders costs about as much as 1/120 (L=6) to 1/55
+/// (L=7) of their refinement, so a 1,300-pass Table I/III plan repays it
+/// many times, while MIMO's 14-pass plans quotient for their size alone.
+/// Depends only on (model, plan), never on cache state or timing.
+[[nodiscard]] bool quotientSelected(const Options& options,
+                                    std::uint64_t numStates,
+                                    std::uint64_t planPasses);
+
+/// Why kAuto declined, e.g. "auto: 8193 states < 100000, 14 plan passes
+/// < 256".
+[[nodiscard]] std::string quotientAutoSkipReason(std::uint64_t numStates,
+                                                 std::uint64_t planPasses);
 
 /// mc::Checker policy: elimination runs only when explicitly on — kAuto
 /// belongs to the engine (see Options::elimination).

@@ -1,8 +1,9 @@
 #include "sweep/runner.hpp"
 
+#include <cstdint>
 #include <limits>
+#include <map>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 namespace mimostat::sweep {
@@ -58,13 +59,15 @@ ResultTable Runner::run(const SweepSpec& spec) const {
   }
 
   // Group points into engine requests: every point whose factory returned
-  // the same model object joins one request (in point order), so sibling
-  // horizons batch into one transient sweep. An options hook opts out:
-  // sibling points may carry different backend/solver/seed configuration,
-  // so each point issues its own request.
+  // the same model object, or a model with the same fingerprint (equal
+  // fingerprints mean interchangeable models), joins one request (in point
+  // order), so sibling horizons batch into one transient sweep. An options
+  // hook opts out: sibling points may carry different backend/solver/seed
+  // configuration, so each point issues its own request.
   const bool coalesce = options_.coalesce && !spec.optionsFor;
   std::vector<engine::AnalysisRequest> requests;
-  std::unordered_map<const dtmc::Model*, std::size_t> groupOf;
+  // Keyed by (has fingerprint, fingerprint or model address).
+  std::map<std::pair<bool, std::uint64_t>, std::size_t> groupOf;
   for (std::size_t p = 0; p < points.size(); ++p) {
     PointPlan& plan = plans[p];
     // A generator may return an empty list to skip a point: it contributes
@@ -72,7 +75,13 @@ ResultTable Runner::run(const SweepSpec& spec) const {
     if (!plan.error.empty() || plan.properties.empty()) continue;
     std::size_t group = requests.size();
     if (coalesce) {
-      const auto [it, inserted] = groupOf.emplace(plan.model.get(), group);
+      const std::optional<std::uint64_t> fingerprint =
+          plan.model->fingerprint();
+      const std::uint64_t address =
+          reinterpret_cast<std::uintptr_t>(plan.model.get());
+      const auto [it, inserted] = groupOf.emplace(
+          std::pair{fingerprint.has_value(), fingerprint.value_or(address)},
+          group);
       group = it->second;
       if (inserted) requests.emplace_back();
     } else {

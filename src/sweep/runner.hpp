@@ -3,8 +3,10 @@
 // The runner is where the declarative spec recovers everything the
 // hand-rolled bench loops lost:
 //   - points sharing one model object (SweepSpec::share, or a factory that
-//     memoizes) coalesce into a single engine request, so their horizon
-//     properties ride one batched transient sweep;
+//     memoizes) or models with equal fingerprints (dtmc::Model::fingerprint,
+//     e.g. a factory that builds a fresh ReducedViterbiModel per horizon)
+//     coalesce into a single engine request, so their horizon properties
+//     ride one batched transient sweep;
 //   - distinct-but-structurally-equal models still share one DTMC build
 //     through the engine's signature-keyed model cache;
 //   - independent requests run concurrently on the engine's pool, while
@@ -21,8 +23,8 @@
 namespace mimostat::sweep {
 
 struct RunOptions {
-  /// Merge points whose factory returned the same model object into one
-  /// engine request (one build + one batched sweep for all their horizon
+  /// Merge points whose factory returned the same model object, or models
+  /// with equal fingerprints, into one engine request (one build + one batched sweep for all their horizon
   /// properties). Turn off to issue one request per point — e.g. when
   /// sampling, where coalescing changes the per-property seed derivation
   /// (results stay deterministic either way, but the two layouts draw

@@ -28,9 +28,10 @@ namespace mimostat::sweep {
 
 /// Produces the model a point is checked against. The returned pointer is
 /// kept alive by the runner for the duration of the sweep. Returning the
-/// SAME shared_ptr for several points marks them as sharing one model, which
-/// lets the runner coalesce their properties into a single engine request
-/// (one build, one batched transient sweep). Distinct-but-structurally-equal
+/// SAME shared_ptr for several points — or models with equal fingerprints
+/// (dtmc::Model::fingerprint) — marks them as sharing one model, which lets
+/// the runner coalesce their properties into a single engine request (one
+/// build, one batched transient sweep). Distinct-but-structurally-equal
 /// models still share one build through the engine's signature-keyed cache.
 using ModelFactory =
     std::function<std::shared_ptr<const dtmc::Model>(const Params&)>;

@@ -2,6 +2,7 @@
 // property signatures, the lumping signatures and the BDD unique table.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -33,6 +34,19 @@ namespace mimostat::util {
 /// Combine two hashes (boost-style, widened to 64 bits).
 [[nodiscard]] constexpr std::uint64_t hashCombine(std::uint64_t a, std::uint64_t b) {
   return a ^ (b + 0x9E3779B97F4A7C15ULL + (a << 12) + (a >> 4));
+}
+
+/// Fold one integer parameter into a running hash.
+[[nodiscard]] constexpr std::uint64_t hashCombineInt(std::uint64_t hash,
+                                                     std::int64_t value) {
+  return hashCombine(hash, mix64(static_cast<std::uint64_t>(value)));
+}
+
+/// Fold one double parameter into a running hash by its bit pattern, so
+/// values that compare equal but differ in bits (0.0 and -0.0) hash apart.
+[[nodiscard]] constexpr std::uint64_t hashCombineDouble(std::uint64_t hash,
+                                                        double value) {
+  return hashCombine(hash, mix64(std::bit_cast<std::uint64_t>(value)));
 }
 
 /// Hash functor for std::vector<int32_t> (the DTMC state type).

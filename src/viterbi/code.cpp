@@ -4,8 +4,28 @@
 #include <cmath>
 
 #include "util/fixed_point.hpp"
+#include "util/hash.hpp"
 
 namespace mimostat::viterbi {
+
+// A new ViterbiParams field changes the size: hash it below, then update
+// the size.
+static_assert(sizeof(ViterbiParams) == 56,
+              "hashParams must hash every ViterbiParams field");
+
+std::uint64_t hashParams(std::uint64_t classTag, const ViterbiParams& params) {
+  std::uint64_t hash = util::mix64(classTag);
+  hash = util::hashCombineInt(hash, params.tracebackLength);
+  hash = util::hashCombineDouble(hash, params.snrDb);
+  hash = util::hashCombineInt(hash, params.quantLevels);
+  hash = util::hashCombineDouble(hash, params.quantRange);
+  hash = util::hashCombineInt(hash, params.pmCap);
+  hash = util::hashCombineInt(hash, params.bmCap);
+  hash = util::hashCombineDouble(hash, params.bmScale);
+  hash = util::hashCombineInt(hash, params.withErrorCounter ? 1 : 0);
+  hash = util::hashCombineInt(hash, params.errorThreshold);
+  return hash;
+}
 
 TrellisKernel::TrellisKernel(const ViterbiParams& params)
     : params_(params),

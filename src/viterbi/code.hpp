@@ -34,6 +34,11 @@ struct ViterbiParams {
   int errorThreshold = 1;    ///< P3: "number of errors > errorThreshold"
 };
 
+/// Fingerprint hash of every ViterbiParams field, seeded with a per-model
+/// class tag (dtmc::Model::fingerprint).
+[[nodiscard]] std::uint64_t hashParams(std::uint64_t classTag,
+                                       const ViterbiParams& params);
+
 /// One add-compare-select outcome.
 struct AcsResult {
   std::int32_t pm0 = 0;   ///< normalized new path metric of internal state 0

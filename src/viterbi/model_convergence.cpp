@@ -4,12 +4,20 @@
 #include <cassert>
 #include <charconv>
 
+#include "util/hash.hpp"
+
 namespace mimostat::viterbi {
 
 ConvergenceViterbiModel::ConvergenceViterbiModel(const ViterbiParams& params,
                                                  int maxCount)
     : kernel_(params), maxCount_(maxCount) {
   assert(maxCount_ > params.tracebackLength);
+}
+
+std::optional<std::uint64_t> ConvergenceViterbiModel::fingerprint() const {
+  constexpr std::uint64_t kFingerprintTag = 0x436F6E7656697465ull;
+  return util::hashCombineInt(hashParams(kFingerprintTag, kernel_.params()),
+                              maxCount_);
 }
 
 std::vector<dtmc::VarSpec> ConvergenceViterbiModel::variables() const {

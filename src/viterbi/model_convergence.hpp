@@ -39,6 +39,8 @@ class ConvergenceViterbiModel : public dtmc::Model {
   /// Default reward = (count > L); "nc<k>" = (count > k).
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view name) const override;
+  /// Hash of the class and its parameters (dtmc::Model::fingerprint).
+  [[nodiscard]] std::optional<std::uint64_t> fingerprint() const override;
 
   [[nodiscard]] const ViterbiParams& params() const { return kernel_.params(); }
   [[nodiscard]] int maxCount() const { return maxCount_; }

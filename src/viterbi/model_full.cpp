@@ -8,6 +8,11 @@ namespace mimostat::viterbi {
 FullViterbiModel::FullViterbiModel(const ViterbiParams& params)
     : kernel_(params) {}
 
+std::optional<std::uint64_t> FullViterbiModel::fingerprint() const {
+  constexpr std::uint64_t kFingerprintTag = 0x46756C6C56697465ull;
+  return hashParams(kFingerprintTag, kernel_.params());
+}
+
 std::vector<dtmc::VarSpec> FullViterbiModel::variables() const {
   const ViterbiParams& p = kernel_.params();
   const int L = p.tracebackLength;

@@ -32,6 +32,8 @@ class FullViterbiModel : public dtmc::Model {
   /// Default reward = flag (the paper's reward model for P2).
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view name) const override;
+  /// Hash of the class and its parameters (dtmc::Model::fingerprint).
+  [[nodiscard]] std::optional<std::uint64_t> fingerprint() const override;
 
   [[nodiscard]] const ViterbiParams& params() const { return kernel_.params(); }
   [[nodiscard]] const TrellisKernel& kernel() const { return kernel_; }

@@ -8,6 +8,11 @@ namespace mimostat::viterbi {
 ReducedViterbiModel::ReducedViterbiModel(const ViterbiParams& params)
     : kernel_(params) {}
 
+std::optional<std::uint64_t> ReducedViterbiModel::fingerprint() const {
+  constexpr std::uint64_t kFingerprintTag = 0x5265647563656456ull;
+  return hashParams(kFingerprintTag, kernel_.params());
+}
+
 std::vector<dtmc::VarSpec> ReducedViterbiModel::variables() const {
   const ViterbiParams& p = kernel_.params();
   const int stages = numStages();

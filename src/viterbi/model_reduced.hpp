@@ -34,6 +34,8 @@ class ReducedViterbiModel : public dtmc::Model {
                           std::string_view name) const override;
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view name) const override;
+  /// Hash of the class and its parameters (dtmc::Model::fingerprint).
+  [[nodiscard]] std::optional<std::uint64_t> fingerprint() const override;
 
   [[nodiscard]] const ViterbiParams& params() const { return kernel_.params(); }
   [[nodiscard]] const TrellisKernel& kernel() const { return kernel_; }

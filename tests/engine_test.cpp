@@ -137,6 +137,9 @@ TEST(Engine, BatchedSweepMatchesPerCallBitForBit) {
   engine::AnalysisRequest request;
   request.model = &model;
   request.properties = props;
+  // Bitwise against the unreduced oracle: the 350-pass plan would quotient
+  // under kAuto.
+  request.options.reduction.quotient = reduce::Toggle::kOff;
   const auto response = eng.analyze(request);
 
   ASSERT_EQ(response.results.size(), props.size());
@@ -150,6 +153,16 @@ TEST(Engine, BatchedSweepMatchesPerCallBitForBit) {
   EXPECT_TRUE(response.results[0].batched);
   EXPECT_TRUE(response.results[6].batched);
   EXPECT_FALSE(response.results[7].batched);
+
+  // The auto path quotients and stays within the reduction tolerance.
+  request.options.reduction.quotient = reduce::Toggle::kAuto;
+  const auto reduced = eng.analyze(request);
+  EXPECT_TRUE(reduced.reduction.applied);
+  ASSERT_EQ(reduced.results.size(), props.size());
+  for (std::size_t i = 0; i < props.size(); ++i) {
+    ASSERT_TRUE(reduced.results[i].ok()) << reduced.results[i].error;
+    EXPECT_NEAR(reduced.results[i].value, reference[i], 1e-9) << props[i];
+  }
 }
 
 TEST(Engine, EnsureBuiltModelKeyMatchesPerCallBitForBit) {
@@ -172,6 +185,9 @@ TEST(Engine, EnsureBuiltModelKeyMatchesPerCallBitForBit) {
   request.properties = props;
   request.options.backend = engine::Backend::kExact;
   request.options.modelKey = built->signature;
+  // Bitwise against the unreduced oracle: the 350-pass plan would quotient
+  // under kAuto.
+  request.options.reduction.quotient = reduce::Toggle::kOff;
   const auto response = eng.analyze(request);
   EXPECT_TRUE(response.cacheHit);
   EXPECT_EQ(response.modelKey, built->signature);
@@ -182,6 +198,16 @@ TEST(Engine, EnsureBuiltModelKeyMatchesPerCallBitForBit) {
   for (std::size_t i = 0; i < props.size(); ++i) {
     ASSERT_TRUE(response.results[i].ok()) << response.results[i].error;
     EXPECT_EQ(response.results[i].value, reference[i]) << props[i];
+  }
+
+  // The auto path quotients and stays within the reduction tolerance.
+  request.options.reduction.quotient = reduce::Toggle::kAuto;
+  const auto reduced = eng.analyze(request);
+  EXPECT_TRUE(reduced.reduction.applied);
+  ASSERT_EQ(reduced.results.size(), props.size());
+  for (std::size_t i = 0; i < props.size(); ++i) {
+    ASSERT_TRUE(reduced.results[i].ok()) << reduced.results[i].error;
+    EXPECT_NEAR(reduced.results[i].value, reference[i], 1e-9) << props[i];
   }
 }
 

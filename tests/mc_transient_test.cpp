@@ -320,6 +320,9 @@ TEST(TransientStop, ReducedViterbiL6TableSetMatchesOracle) {
     request.model = &model;
     request.properties = properties;
     request.options.check.exec.parallelThresholdNnz = 1;
+    // Bitwise against the unreduced oracle: the 1,300-pass plan would
+    // quotient under kAuto.
+    request.options.reduction.quotient = reduce::Toggle::kOff;
     const auto response = eng.analyze(request);
     ASSERT_EQ(response.results.size(), properties.size());
     for (const auto& result : response.results) {
@@ -334,6 +337,22 @@ TEST(TransientStop, ReducedViterbiL6TableSetMatchesOracle) {
               legacyCumulative(build.dtmc, reward, 300));
     EXPECT_GT(response.plan.transientMultiplies, 0u);
     EXPECT_LT(response.plan.transientMultiplies, 300u);
+
+    // The auto path quotients and stays within the reduction tolerance.
+    request.options.reduction.quotient = reduce::Toggle::kAuto;
+    const auto reduced = eng.analyze(request);
+    EXPECT_TRUE(reduced.reduction.applied);
+    ASSERT_EQ(reduced.results.size(), properties.size());
+    for (const auto& result : reduced.results) {
+      ASSERT_TRUE(result.ok()) << result.error;
+    }
+    for (std::size_t i = 0; i < horizons.size(); ++i) {
+      EXPECT_NEAR(reduced.results[i + 1].value,
+                  legacyInstantaneous(build.dtmc, reward, horizons[i]), 1e-9)
+          << properties[i + 1];
+    }
+    EXPECT_NEAR(reduced.results.back().value,
+                legacyCumulative(build.dtmc, reward, 300), 1e-9);
   }
 }
 

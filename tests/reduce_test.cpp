@@ -19,6 +19,8 @@
 #include "mc/unbounded.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "pctl/parser.hpp"
+#include "pctl/plan.hpp"
 #include "reduce/eliminate.hpp"
 #include "reduce/reduce.hpp"
 #include "test_models.hpp"
@@ -46,15 +48,16 @@ test::MatrixModel birthDeathToGoal(std::uint32_t n, double up) {
 }
 
 TEST(ReduceOptions, SelectionHeuristics) {
-  reduce::Options options;  // kAuto / kAuto, threshold 100'000
-  EXPECT_FALSE(reduce::quotientSelected(options, 99'999));
-  EXPECT_TRUE(reduce::quotientSelected(options, 100'000));
-  options.minQuotientStates = 10;
-  EXPECT_TRUE(reduce::quotientSelected(options, 10));
+  reduce::Options options;  // kAuto: 100'000 states or 256 plan passes
+  EXPECT_FALSE(reduce::quotientSelected(options, 99'999, 255));
+  EXPECT_TRUE(reduce::quotientSelected(options, 100'000, 0));
+  EXPECT_TRUE(reduce::quotientSelected(options, 10, 256));
+  EXPECT_EQ(reduce::quotientAutoSkipReason(8193, 14),
+            "auto: 8193 states < 100000, 14 plan passes < 256");
   options.quotient = reduce::Toggle::kOn;
-  EXPECT_TRUE(reduce::quotientSelected(options, 1));
+  EXPECT_TRUE(reduce::quotientSelected(options, 1, 0));
   options.quotient = reduce::Toggle::kOff;
-  EXPECT_FALSE(reduce::quotientSelected(options, 1'000'000));
+  EXPECT_FALSE(reduce::quotientSelected(options, 1'000'000, 1'000'000));
 
   // The checker-level predicate honors only an explicit kOn.
   options.elimination = reduce::Toggle::kAuto;
@@ -72,6 +75,53 @@ TEST(ReduceOptions, SelectionHeuristics) {
   EXPECT_FALSE(reduce::eliminationAutoFires(options, false, 10));
   options.elimination = reduce::Toggle::kOn;
   EXPECT_FALSE(reduce::eliminationAutoFires(options, true, 10));
+}
+
+TEST(ReduceOptions, PlanPassesCountTraversalWork) {
+  const auto parse = [](const std::vector<std::string>& texts) {
+    std::vector<pctl::Property> properties;
+    for (const auto& text : texts) {
+      properties.push_back(pctl::parseProperty(text));
+    }
+    return pctl::buildPlan(properties);
+  };
+  // The Table I/III set: one 300-step column plus a 1000-step sweep.
+  EXPECT_EQ(reduce::planPasses(parse({"P=? [ G<=300 !flag ]",
+                                      "R=? [ I=100 ]", "R=? [ I=1000 ]"})),
+            1300u);
+  // Two columns to step 8 (MIMO-style); cumulative C<=5 sweeps 4 steps.
+  EXPECT_EQ(reduce::planPasses(parse({"P=? [ F<=8 flag=1 ]",
+                                      "P=? [ F<=8 x=1 ]", "R=? [ C<=5 ]"})),
+            20u);
+  // Unbounded and steady-state singles count 0.
+  EXPECT_EQ(reduce::planPasses(parse({"P=? [ F flag=1 ]", "R=? [ S ]"})), 0u);
+}
+
+TEST(EngineReduce, AutoDeclineRecordsItsReason) {
+  // A short plan on a small model: kAuto declines, and says why.
+  const test::SymmetricBanksModel model(8, 0.3, 0.2);
+  engine::EngineOptions engineOptions;
+  engineOptions.threads = 2;
+  obs::MetricsRegistry metrics;
+  engineOptions.metrics = &metrics;
+  engine::AnalysisEngine eng(engineOptions);
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"P=? [ F<=10 any ]"};
+  const auto response = eng.analyze(request);
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_FALSE(response.reduction.applied);
+  EXPECT_EQ(response.reduction.skipReason,
+            "auto: " + std::to_string(response.states) +
+                " states < 100000, 10 plan passes < 256");
+  EXPECT_EQ(response.timing.reduceSeconds, 0.0);
+
+  // A 256-pass plan on the same model quotients.
+  request.properties = {"P=? [ F<=256 any ]"};
+  const auto reduced = eng.analyze(request);
+  ASSERT_TRUE(reduced.ok()) << reduced.error;
+  EXPECT_TRUE(reduced.reduction.applied);
+  EXPECT_TRUE(reduced.reduction.skipReason.empty());
 }
 
 TEST(ReduceQuotient, BuildQuotientLiftProject) {

@@ -13,11 +13,13 @@
 #include "dtmc/builder.hpp"
 #include "engine/engine.hpp"
 #include "mc/checker.hpp"
+#include "obs/metrics.hpp"
 #include "sweep/param_space.hpp"
 #include "sweep/result_table.hpp"
 #include "sweep/runner.hpp"
 #include "sweep/spec.hpp"
 #include "test_models.hpp"
+#include "viterbi/model_reduced.hpp"
 
 namespace mimostat {
 namespace {
@@ -292,6 +294,36 @@ TEST(SweepRunner, StructurallyEqualModelsShareOneBuild) {
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(eng.stats().builds, 1u);
   EXPECT_EQ(eng.stats().cacheHits, 4u);
+}
+
+TEST(SweepRunner, EqualFingerprintsCoalesceIntoOneRequest) {
+  // A fresh model object per point, all with the same parameters: equal
+  // fingerprints make them one request, so the horizons share one sweep.
+  sweep::SweepSpec spec("fingerprints");
+  spec.space.cross(Axis::ints("T", 10, 50, 10));
+  spec.properties = [](const Params& p) {
+    return std::vector<std::string>{
+        "R=? [ I=" + std::to_string(p.getInt("T")) + " ]"};
+  };
+  spec.factory = [](const Params&) {
+    viterbi::ViterbiParams params;
+    params.tracebackLength = 3;
+    return std::make_shared<viterbi::ReducedViterbiModel>(params);
+  };
+  obs::MetricsRegistry metrics;
+  engine::EngineOptions options;
+  options.metrics = &metrics;
+  engine::AnalysisEngine eng(options);
+  const sweep::Runner runner(eng);
+  const auto table = runner.run(spec);
+  ASSERT_TRUE(table.ok());
+  ASSERT_EQ(table.size(), 5u);
+  EXPECT_EQ(eng.stats().requests, 1u);
+  EXPECT_EQ(eng.stats().builds, 1u);
+  for (const auto& row : table.rows()) {
+    EXPECT_TRUE(row.batched);
+    EXPECT_GT(row.plan.traversalsSaved, 0u);
+  }
 }
 
 TEST(SweepRunner, FactoryFailureIsIsolatedPerPoint) {
