@@ -228,7 +228,7 @@ bool runWorkload(const Workload& workload, const Config& config,
                                                 build.dtmc.numStates(), 1.0),
                                 error);
     iterSeconds = iterTimer.elapsedSeconds();
-    if (!iterative.converged) {
+    if (iterative.solver && !iterative.solver->converged) {
       fail("iterative MTTFE baseline did not converge");
     } else {
       const double reference = weightedValue(build.dtmc, iterative.stateValues);

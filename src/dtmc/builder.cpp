@@ -15,6 +15,10 @@ namespace mimostat::dtmc {
 
 namespace {
 
+/// The build warns when a row's probability mass deviates from 1 by more
+/// than this.
+constexpr double kMassTolerance = 1e-9;
+
 std::uint64_t hashBits(std::uint64_t h, double value) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -314,7 +318,7 @@ BuildResult buildFromExploration(Exploration exploration,
     throw std::invalid_argument(
         "buildFromExploration: the exploration kept no matrix");
   }
-  if (exploration.worstMassDeviation > options.massTolerance) {
+  if (exploration.worstMassDeviation > kMassTolerance) {
     MS_LOG_WARN("buildExplicit: worst transition-mass deviation %.3e",
                 exploration.worstMassDeviation);
   }

@@ -30,8 +30,6 @@ struct BuildOptions {
   /// Drop transitions with probability below this and renormalize
   /// (PRISM-style 1e-15 discard when set; 0 disables).
   double probFloor = 0.0;
-  /// Warn when a row's probability mass deviates from 1 by more than this.
-  double massTolerance = 1e-9;
 };
 
 struct BuildResult {

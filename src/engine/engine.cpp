@@ -314,11 +314,10 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
 std::shared_ptr<const BuiltModel> AnalysisEngine::quotientFor(
     const BuiltModel& full, std::uint64_t quotientKey,
     const std::vector<const la::BitVector*>& masks,
-    const std::vector<const std::vector<double>*>& rewards,
-    const reduce::Options& reduction, bool* cacheHit) {
+    const std::vector<const std::vector<double>*>& rewards, bool* cacheHit) {
   return getOrCompute(quotientKey, true, cacheHit, [&] {
     reduce::ReducedModel reduced = reduce::buildQuotient(
-        full.dtmc, masks, rewards, reduction, laRunnerFor(pool_));
+        full.dtmc, masks, rewards, laRunnerFor(pool_));
     auto built = std::make_shared<BuiltModel>();
     built->signature = quotientKey;
     built->reachabilityIterations = full.reachabilityIterations;
@@ -420,9 +419,8 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
             : analyzeSampling(request, key, span.id());
     response.timing.queueSeconds = queueSeconds;
     response.timing.keySeconds = keySeconds;
-    response.totalSeconds = span.stopSeconds();
-    response.timing.totalSeconds = response.totalSeconds;
-    record(response.totalSeconds);
+    response.timing.totalSeconds = span.stopSeconds();
+    record(response.timing.totalSeconds);
     return response;
   } catch (...) {
     record(span.stopSeconds());
@@ -577,8 +575,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
 
       bool quotientCacheHit = false;
       std::shared_ptr<const BuiltModel> reducedBuilt = quotientFor(
-          *built, quotientKey, maskPtrs, rewardPtrs, reduction,
-          &quotientCacheHit);
+          *built, quotientKey, maskPtrs, rewardPtrs, &quotientCacheHit);
       const reduce::ReductionInfo& info = *reducedBuilt->reduction;
       reductionStats.cacheHit = quotientCacheHit;
       reductionStats.statesBefore = info.statesBefore;
@@ -619,18 +616,8 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   obs::Span checkSpan("engine.check", traceParent);
   mc::CheckOptions checkOptions = request.options.check;
   checkOptions.traceParent = checkSpan.id();
-  // RequestOptions::reduction is authoritative; the engine resolves the
-  // elimination kAuto here (fire only when a quotient applied and stayed
-  // within the elimination size cap), so the checker never sees kAuto as
-  // anything but off.
-  checkOptions.reduction = reduction;
-  if (checkOptions.reduction.elimination == reduce::Toggle::kAuto) {
-    checkOptions.reduction.elimination =
-        reduce::eliminationAutoFires(reduction, response.reduction.applied,
-                                     built->dtmc.numStates())
-            ? reduce::Toggle::kOn
-            : reduce::Toggle::kOff;
-  }
+  checkOptions.elimination = reduce::eliminationSelected(
+      response.reduction.applied, built->dtmc.numStates());
   if (checkOptions.exec.runner == nullptr && options_.parallelLinearAlgebra) {
     checkOptions.exec.runner = laRunnerFor(pool_);
   }

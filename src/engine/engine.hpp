@@ -236,8 +236,7 @@ class AnalysisEngine {
   [[nodiscard]] std::shared_ptr<const BuiltModel> quotientFor(
       const BuiltModel& full, std::uint64_t quotientKey,
       const std::vector<const la::BitVector*>& masks,
-      const std::vector<const std::vector<double>*>& rewards,
-      const reduce::Options& reduction, bool* cacheHit);
+      const std::vector<const std::vector<double>*>& rewards, bool* cacheHit);
 
   /// analyze() with a measured queue wait (analyzeAll/submit tasks pass the
   /// enqueue timestamp so the wait lands in timing.queueSeconds and the

@@ -45,15 +45,13 @@ struct RequestOptions {
   /// cached build skips the exploration the same way.
   std::optional<std::uint64_t> modelKey;
   /// State-space reduction (exact backend): plan-aware bisimulation
-  /// quotienting before checking plus the exact state-elimination checker
-  /// for unbounded singles. The defaults quotient large models and long
-  /// plans only (reduce::quotientSelected: 100,000 states or 256 plan
-  /// passes) and resolve the elimination toggle from whether a quotient
-  /// applied. This field is authoritative: the engine copies it into
-  /// check.reduction (with kAuto resolved), so a value set in `check`
-  /// directly is overwritten.
+  /// quotienting before checking. The default quotients large models and
+  /// long plans only (reduce::quotientSelected: 100,000 states or 256 plan
+  /// passes).
   reduce::Options reduction;
   dtmc::BuildOptions build;
+  /// Checker options. The engine overwrites check.elimination with
+  /// reduce::eliminationSelected (a small quotient applied).
   mc::CheckOptions check;
   /// Sampling backend: path counts and the request's base seed. Each
   /// property of a request samples from its own seed derived from

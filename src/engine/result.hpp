@@ -159,10 +159,9 @@ struct AnalysisResponse {
   /// stage was off or skipped). `states`/`transitions` above always report
   /// the full model — the quotient's counts live here.
   ReductionStats reduction;
-  /// Wall-clock for the whole request.
-  double totalSeconds = 0.0;
-  /// Per-phase wall-clock breakdown (queue/key/build/reduce/plan/check).
-  /// Sums may be less than totalSeconds; the remainder is engine overhead.
+  /// Per-phase wall-clock breakdown (queue/key/build/reduce/plan/check) and
+  /// the whole request (timing.totalSeconds). Phase sums may be less than
+  /// the total; the remainder is engine overhead.
   PhaseTiming timing;
   /// Request-level failure (null model, state-space overflow, ...). Set by
   /// analyzeAll/submit instead of losing sibling responses to a rethrow;

@@ -9,10 +9,17 @@
 
 namespace mimostat::la {
 
+namespace {
+
+/// Gauss-Seidel stopping rule: max-norm update threshold and sweep cap.
+constexpr double kGaussSeidelEpsilon = 1e-12;
+constexpr std::uint64_t kGaussSeidelMaxSweeps = 1'000'000;
+
+}  // namespace
+
 SolveStats gaussSeidel(const CsrMatrix& P,
                        const std::vector<std::uint32_t>& active,
-                       const double* b, std::vector<double>& x,
-                       const SolverOptions& options) {
+                       const double* b, std::vector<double>& x) {
   const obs::Span span("la.solve.gauss-seidel");
   assert(x.size() == P.numRows());
   SolveStats stats;
@@ -24,7 +31,7 @@ SolveStats gaussSeidel(const CsrMatrix& P,
   const std::uint64_t* rowPtr = P.rowPtr().data();
   const std::uint32_t* col = P.col().data();
   const double* val = P.val().data();
-  for (std::uint64_t iter = 0; iter < options.maxIterations; ++iter) {
+  for (std::uint64_t iter = 0; iter < kGaussSeidelMaxSweeps; ++iter) {
     ++stats.iterations;
     double maxDelta = 0.0;
     for (const std::uint32_t s : active) {
@@ -36,7 +43,7 @@ SolveStats gaussSeidel(const CsrMatrix& P,
       x[s] = acc;
     }
     stats.residual = maxDelta;
-    if (maxDelta < options.epsilon) {
+    if (maxDelta < kGaussSeidelEpsilon) {
       stats.converged = true;
       return stats;
     }

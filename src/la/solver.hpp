@@ -19,7 +19,9 @@
 
 namespace mimostat::la {
 
-/// Convergence report every solver produces.
+/// Convergence report every solver produces. mc:: hands it on unchanged to
+/// mc::CheckResult and the engine response; mc::'s exact elimination paths
+/// fill one too ({eliminated states, 0, true, "elimination"}).
 struct SolveStats {
   std::uint64_t iterations = 0;
   /// Termination metric at the last iteration: max-norm update delta for
@@ -32,21 +34,17 @@ struct SolveStats {
   std::string solver;
 };
 
-struct SolverOptions {
-  double epsilon = 1e-12;
-  std::uint64_t maxIterations = 1'000'000;
-};
-
 /// Solves x = P x + b restricted to `active` rows by in-place sweeps in
 /// ascending active order; rows outside the set keep their incoming x
 /// values (fixed boundary conditions, e.g. prob1 states at 1.0).
-/// `b == nullptr` means b = 0. Inherently sequential: each update reads
+/// `b == nullptr` means b = 0. Stops once a sweep's max-norm update drops
+/// below 1e-12, or after 1,000,000 sweeps (converged stays false); both
+/// constants live in solver.cpp. Inherently sequential: each update reads
 /// earlier updates of the same sweep. Bit-identical to the legacy
 /// mc::unbounded value iteration.
 SolveStats gaussSeidel(const CsrMatrix& P,
                        const std::vector<std::uint32_t>& active,
-                       const double* b, std::vector<double>& x,
-                       const SolverOptions& options);
+                       const double* b, std::vector<double>& x);
 
 struct PowerOptions {
   double epsilon = 1e-13;  ///< L1 convergence threshold

@@ -93,19 +93,6 @@ CheckResult Checker::checkSingle(
   obs::Span span("mc.single", options_.traceParent);
   CheckResult result;
 
-  const ReachOptions reachOptions{options_.epsilon, options_.maxIterations};
-  // Elimination-selected unbounded paths answer exactly, no epsilon; the
-  // toggle is resolved by the engine (kAuto never reaches here as on).
-  const bool elim = reduce::eliminationOn(options_.reduction);
-  const auto recordReach = [&](const ReachResult& reach) {
-    // Prob0/Prob1 may classify every state, in which case no linear solver
-    // ran — the report stays absent rather than claiming a 0-iteration
-    // convergence.
-    if (reach.solver.empty()) return;
-    result.solver = la::SolveStats{reach.iterations, reach.residual,
-                                   reach.converged, reach.solver};
-  };
-
   // State sets come from the plan's shared mask table — evaluated once per
   // checkAll, shared with the bounded group's columns and with any sibling
   // single over the same set.
@@ -127,13 +114,13 @@ CheckResult Checker::checkSingle(
       const la::BitVector& phi = single.phiMask == pctl::EvalPlan::kNoMask
                                      ? phiTrue
                                      : maskAt(single.phiMask);
-      reach = elim ? untilProbByElimination(dtmc_, phi, psi)
-                   : untilProb(dtmc_, phi, psi, reachOptions);
+      reach = options_.elimination ? untilProbByElimination(dtmc_, phi, psi)
+                                   : untilProb(dtmc_, phi, psi);
     } else {
-      reach = elim ? reachProbByElimination(dtmc_, psi)
-                   : reachProb(dtmc_, psi, reachOptions);
+      reach = options_.elimination ? reachProbByElimination(dtmc_, psi)
+                                   : reachProb(dtmc_, psi);
     }
-    recordReach(reach);
+    result.solver = std::move(reach.solver);
     std::vector<double> values = std::move(reach.stateValues);
     if (path.kind == pctl::PathFormula::Kind::kGlobally) {
       for (double& v : values) v = 1.0 - v;
@@ -153,22 +140,18 @@ CheckResult Checker::checkSingle(
         throw std::logic_error(
             "mc::Checker: I=/C<= rewards run in the transient group");
       case pctl::RewardQuery::Kind::kSteadyState: {
-        SteadyOptions so;
-        so.exec = options_.exec;
-        const SteadyResult ss = steadyStateDistribution(dtmc_, so);
+        la::PowerResult ss = steadyStateDistribution(dtmc_, options_.exec);
         result.value = steadyStateReward(ss, reward);
-        result.solver =
-            la::SolveStats{ss.iterations, ss.residual, ss.converged,
-                           ss.solver};
+        result.solver = std::move(ss.stats);
         break;
       }
       case pctl::RewardQuery::Kind::kReachability: {
+        const la::BitVector& psi = maskAt(single.psiMask);
         ReachResult reach =
-            elim ? expectedReachRewardByElimination(dtmc_, reward,
-                                                    maskAt(single.psiMask))
-                 : expectedReachReward(dtmc_, reward, maskAt(single.psiMask),
-                                       reachOptions);
-        recordReach(reach);
+            options_.elimination
+                ? expectedReachRewardByElimination(dtmc_, reward, psi)
+                : expectedReachReward(dtmc_, reward, psi);
+        result.solver = std::move(reach.solver);
         result.value = fromInitial(dtmc_, reach.stateValues);
         result.stateValues = std::move(reach.stateValues);
         break;

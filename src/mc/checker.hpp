@@ -41,26 +41,20 @@
 #include "pctl/parser.hpp"
 #include "pctl/plan.hpp"
 #include "pctl/property_cache.hpp"
-#include "reduce/reduce.hpp"
 
 namespace mimostat::mc {
 
 struct CheckOptions {
-  /// Cap for unbounded operators' value iteration.
-  double epsilon = 1e-12;
-  std::uint64_t maxIterations = 1'000'000;
   /// Parallel execution for la:: kernels (transient multiplies, masked
   /// bounded traversals, power iteration). Results are bit-identical with
   /// or without a runner; the AnalysisEngine injects its pool here by
   /// default.
   la::Exec exec;
-  /// State-space reduction knobs. The checker consults only the
-  /// elimination toggle: when reduce::eliminationOn(reduction) holds,
-  /// unbounded reachability / reachability-reward singles are answered by
-  /// exact state elimination (solver name "elimination") instead of an
-  /// iterative solver. kAuto is resolved by the AnalysisEngine (which knows
-  /// whether a quotient applied); a standalone Checker treats it as off.
-  reduce::Options reduction;
+  /// Answer unbounded reachability / reachability-reward singles by exact
+  /// state elimination (solver name "elimination") instead of Gauss-Seidel.
+  /// The AnalysisEngine sets it by reduce::eliminationSelected (a quotient
+  /// applied and is small); a standalone Checker leaves it off.
+  bool elimination = false;
   /// obs:: span id the checker's phase spans ("pctl.plan", "mc.single",
   /// "mc.boundedTraversal", "mc.transientSweep") parent to. Needed because
   /// group tasks may run on pool threads, where the tracer's same-thread
@@ -85,10 +79,11 @@ struct CheckResult {
   /// property of the same checkAll call (a multi-column bounded traversal
   /// or a multi-horizon transient sweep).
   bool batched = false;
-  /// Iterative-solver report when the property ran one (unbounded
-  /// operators, R=?[F psi], R=?[S]); absent for transient/bounded
-  /// properties (direct propagations) and when Prob0/Prob1 classified
-  /// every state. The solver stamps its own name in SolveStats::solver.
+  /// Solver report when the property ran one (unbounded operators,
+  /// R=?[F psi], R=?[S]), passed on unchanged from la:: ("gauss-seidel",
+  /// "power") or the elimination path ("elimination"); absent for
+  /// transient/bounded properties (direct propagations) and when
+  /// Prob0/Prob1 classified every state.
   std::optional<la::SolveStats> solver;
   /// Non-empty when this property failed (unknown atom/variable, ...).
   /// Filled by checkAll — sibling properties still produce values;

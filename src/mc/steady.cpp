@@ -1,7 +1,6 @@
 #include "mc/steady.hpp"
 
 #include <cassert>
-#include <utility>
 
 #include "dtmc/graph.hpp"
 
@@ -17,23 +16,13 @@ ChainStructure analyzeStructure(const dtmc::ExplicitDtmc& dtmc) {
   return cs;
 }
 
-SteadyResult steadyStateDistribution(const dtmc::ExplicitDtmc& dtmc,
-                                     const SteadyOptions& options) {
-  la::PowerOptions po;
-  po.epsilon = options.epsilon;
-  po.maxIterations = options.maxIterations;
-  la::PowerResult pr = la::PowerIteration{}.run(
-      dtmc.matrix(), dtmc.initialDistribution(), po, options.exec);
-  SteadyResult result;
-  result.distribution = std::move(pr.distribution);
-  result.iterations = pr.stats.iterations;
-  result.converged = pr.stats.converged;
-  result.residual = pr.stats.residual;
-  result.solver = std::move(pr.stats.solver);
-  return result;
+la::PowerResult steadyStateDistribution(const dtmc::ExplicitDtmc& dtmc,
+                                        const la::Exec& exec) {
+  return la::PowerIteration{}.run(dtmc.matrix(), dtmc.initialDistribution(),
+                                  la::PowerOptions{}, exec);
 }
 
-double steadyStateReward(const SteadyResult& steady,
+double steadyStateReward(const la::PowerResult& steady,
                          const std::vector<double>& reward) {
   assert(reward.size() == steady.distribution.size());
   double acc = 0.0;

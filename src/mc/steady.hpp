@@ -5,11 +5,10 @@
 // point is the BER. The solve itself lives in la::PowerIteration; this
 // layer binds it to the DTMC's initial distribution and adds structural
 // checks. Power iteration does not converge on periodic chains: it reports
-// converged = false once maxIterations run out.
+// converged = false once la::PowerOptions' iteration cap runs out.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "dtmc/explicit_dtmc.hpp"
@@ -17,22 +16,6 @@
 #include "la/solver.hpp"
 
 namespace mimostat::mc {
-
-struct SteadyOptions {
-  double epsilon = 1e-13;          ///< L1 convergence threshold
-  std::uint64_t maxIterations = 200'000;
-  la::Exec exec;                   ///< parallel multiply (bit-stable)
-};
-
-struct SteadyResult {
-  std::vector<double> distribution;
-  std::uint64_t iterations = 0;
-  bool converged = false;
-  /// L1 delta of the last iterate (the power solver's residual).
-  double residual = 0.0;
-  /// Solver that produced the distribution ("power").
-  std::string solver;
-};
 
 /// Structural summary used to justify steady-state existence.
 struct ChainStructure {
@@ -45,13 +28,14 @@ struct ChainStructure {
 [[nodiscard]] ChainStructure analyzeStructure(const dtmc::ExplicitDtmc& dtmc);
 
 /// Stationary distribution by la::PowerIteration from the initial
-/// distribution.
-[[nodiscard]] SteadyResult steadyStateDistribution(
-    const dtmc::ExplicitDtmc& dtmc, const SteadyOptions& options = {});
+/// distribution, under the default la::PowerOptions. `exec` parallelizes
+/// the multiply (bit-stable at any thread count).
+[[nodiscard]] la::PowerResult steadyStateDistribution(
+    const dtmc::ExplicitDtmc& dtmc, const la::Exec& exec = {});
 
 /// Long-run average reward pi . r (R=? [ S ] for a state reward) against
 /// a solved distribution.
-[[nodiscard]] double steadyStateReward(const SteadyResult& steady,
+[[nodiscard]] double steadyStateReward(const la::PowerResult& steady,
                                        const std::vector<double>& reward);
 
 }  // namespace mimostat::mc

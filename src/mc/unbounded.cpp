@@ -67,7 +67,7 @@ la::BitVector prob1States(const dtmc::ExplicitDtmc& dtmc,
 }
 
 ReachResult untilProb(const dtmc::ExplicitDtmc& dtmc, const la::BitVector& phi,
-                      const la::BitVector& psi, const ReachOptions& options) {
+                      const la::BitVector& psi) {
   const std::uint32_t n = dtmc.numStates();
   assert(phi.size() == n && psi.size() == n);
 
@@ -85,26 +85,20 @@ ReachResult untilProb(const dtmc::ExplicitDtmc& dtmc, const la::BitVector& phi,
   }
   if (undetermined.empty()) return result;
 
-  la::SolveStats stats =
-      la::gaussSeidel(dtmc.matrix(), undetermined, nullptr, result.stateValues,
-                      {options.epsilon, options.maxIterations});
-  result.iterations = stats.iterations;
-  result.converged = stats.converged;
-  result.residual = stats.residual;
-  result.solver = std::move(stats.solver);
+  result.solver = la::gaussSeidel(dtmc.matrix(), undetermined, nullptr,
+                                  result.stateValues);
   return result;
 }
 
-ReachResult reachProb(const dtmc::ExplicitDtmc& dtmc, const la::BitVector& psi,
-                      const ReachOptions& options) {
+ReachResult reachProb(const dtmc::ExplicitDtmc& dtmc,
+                      const la::BitVector& psi) {
   const la::BitVector phi(dtmc.numStates(), true);
-  return untilProb(dtmc, phi, psi, options);
+  return untilProb(dtmc, phi, psi);
 }
 
 ReachResult expectedReachReward(const dtmc::ExplicitDtmc& dtmc,
                                 const std::vector<double>& reward,
-                                const la::BitVector& psi,
-                                const ReachOptions& options) {
+                                const la::BitVector& psi) {
   const std::uint32_t n = dtmc.numStates();
   assert(reward.size() == n && psi.size() == n);
 
@@ -127,15 +121,25 @@ ReachResult expectedReachReward(const dtmc::ExplicitDtmc& dtmc,
 
   // x(s) = r(s) + sum_t P(s,t) x(t), target states fixed at 0. Infinite
   // neighbours propagate naturally through the sum.
-  la::SolveStats stats =
-      la::gaussSeidel(dtmc.matrix(), active, reward.data(), result.stateValues,
-                      {options.epsilon, options.maxIterations});
-  result.iterations = stats.iterations;
-  result.converged = stats.converged;
-  result.residual = stats.residual;
-  result.solver = std::move(stats.solver);
+  result.solver =
+      la::gaussSeidel(dtmc.matrix(), active, reward.data(), result.stateValues);
   return result;
 }
+
+namespace {
+
+/// Exact elimination answer; no report when precomputation answered every
+/// state, matching the iterative paths.
+ReachResult eliminationResult(reduce::EliminationResult elim) {
+  ReachResult result;
+  result.stateValues = std::move(elim.stateValues);
+  if (elim.eliminated > 0) {
+    result.solver = la::SolveStats{elim.eliminated, 0.0, true, "elimination"};
+  }
+  return result;
+}
+
+}  // namespace
 
 ReachResult untilProbByElimination(const dtmc::ExplicitDtmc& dtmc,
                                    const la::BitVector& phi,
@@ -144,17 +148,7 @@ ReachResult untilProbByElimination(const dtmc::ExplicitDtmc& dtmc,
   const la::BitVector prob0 = prob0States(dtmc, phi, psi);
   const la::BitVector prob1 = prob1FromProb0(dtmc, phi, psi, prob0);
 
-  reduce::EliminationResult elim =
-      reduce::eliminateUntilProb(dtmc, prob0, prob1);
-  ReachResult result;
-  result.stateValues = std::move(elim.stateValues);
-  result.iterations = elim.eliminated;
-  result.residual = 0.0;
-  result.converged = true;
-  // Empty solver name when precomputation answered everything, matching the
-  // iterative paths' convention.
-  if (elim.eliminated > 0) result.solver = "elimination";
-  return result;
+  return eliminationResult(reduce::eliminateUntilProb(dtmc, prob0, prob1));
 }
 
 ReachResult reachProbByElimination(const dtmc::ExplicitDtmc& dtmc,
@@ -171,15 +165,8 @@ ReachResult expectedReachRewardByElimination(const dtmc::ExplicitDtmc& dtmc,
   const la::BitVector phi(n, true);
   const la::BitVector reachesPsi = prob1States(dtmc, phi, psi);
 
-  reduce::EliminationResult elim =
-      reduce::eliminateReachReward(dtmc, reward, psi, reachesPsi);
-  ReachResult result;
-  result.stateValues = std::move(elim.stateValues);
-  result.iterations = elim.eliminated;
-  result.residual = 0.0;
-  result.converged = true;
-  if (elim.eliminated > 0) result.solver = "elimination";
-  return result;
+  return eliminationResult(
+      reduce::eliminateReachReward(dtmc, reward, psi, reachesPsi));
 }
 
 }  // namespace mimostat::mc

@@ -5,7 +5,7 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "dtmc/explicit_dtmc.hpp"
@@ -14,20 +14,13 @@
 
 namespace mimostat::mc {
 
-struct ReachOptions {
-  double epsilon = 1e-12;       ///< value-iteration convergence threshold
-  std::uint64_t maxIterations = 1'000'000;
-};
-
 struct ReachResult {
   std::vector<double> stateValues;
-  std::uint64_t iterations = 0;
-  bool converged = true;
-  /// Max-norm update delta of the last iteration.
-  double residual = 0.0;
-  /// Name of the la:: solver that ran the value iteration; empty when
-  /// Prob0/Prob1 classified every state and no solver was needed.
-  std::string solver;
+  /// Report of the solve over the undetermined states: la::gaussSeidel's
+  /// own stats, or the elimination variants' {eliminated states, 0, true,
+  /// "elimination"}. Absent when Prob0/Prob1 classified every state and
+  /// nothing was solved.
+  std::optional<la::SolveStats> solver;
 };
 
 /// States with P(phi U psi) = 0: complement of backward reachability of psi
@@ -44,28 +37,26 @@ struct ReachResult {
 /// Full unbounded until probabilities.
 [[nodiscard]] ReachResult untilProb(const dtmc::ExplicitDtmc& dtmc,
                                     const la::BitVector& phi,
-                                    const la::BitVector& psi,
-                                    const ReachOptions& options = {});
+                                    const la::BitVector& psi);
 
 /// P(F psi) = P(true U psi).
 [[nodiscard]] ReachResult reachProb(const dtmc::ExplicitDtmc& dtmc,
-                                    const la::BitVector& psi,
-                                    const ReachOptions& options = {});
+                                    const la::BitVector& psi);
 
 /// Expected reward accumulated before reaching psi (R=? [ F psi ]).
 /// States from which psi is reached with probability < 1 get +infinity
 /// (PRISM semantics); psi states accumulate nothing.
 [[nodiscard]] ReachResult expectedReachReward(
     const dtmc::ExplicitDtmc& dtmc, const std::vector<double>& reward,
-    const la::BitVector& psi, const ReachOptions& options = {});
+    const la::BitVector& psi);
 
 // Elimination-backed variants: same Prob0/Prob1 precomputation, but the
 // undetermined states are solved exactly by reduce:: state elimination
-// instead of an iterative solver. ReachResult::iterations reports the
-// number of eliminated states, residual is 0 and the solver name is
-// "elimination" (empty when precomputation classified every state, matching
-// the iterative paths' "no solver ran" convention). Selected through
-// mc::CheckOptions::reduction / engine auto-selection.
+// instead of an iterative solver. The report's iterations count the
+// eliminated states, its residual is 0 and its solver name is
+// "elimination" (absent when precomputation classified every state, as on
+// the iterative paths). Selected through mc::CheckOptions::elimination,
+// which the engine sets by reduce::eliminationSelected.
 
 /// P(phi U psi) by state elimination.
 [[nodiscard]] ReachResult untilProbByElimination(const dtmc::ExplicitDtmc& dtmc,

@@ -10,8 +10,8 @@
 //
 // Graph precomputation (Prob0/Prob1) belongs to mc::, which owns the model
 // semantics; this layer only sees the boundary classification. Fill-in can
-// be quadratic on adversarial graphs — callers gate by state count
-// (reduce::Options::eliminationMaxStates) or run it on the coarse quotient.
+// be quadratic on adversarial graphs — the engine runs it only on a coarse
+// quotient (reduce::eliminationSelected).
 #pragma once
 
 #include <cstdint>

@@ -15,6 +15,8 @@ namespace {
 constexpr std::uint64_t kAutoMinStates = 100'000;
 /// ...and plans of at least this many matrix passes whatever the size.
 constexpr std::uint64_t kAutoMinPlanPasses = 256;
+/// Elimination answers on quotients of at most this many states.
+constexpr std::uint64_t kEliminationMaxStates = 50'000;
 
 }  // namespace
 
@@ -42,27 +44,18 @@ std::string quotientAutoSkipReason(std::uint64_t numStates,
          " plan passes < " + std::to_string(kAutoMinPlanPasses);
 }
 
-bool eliminationOn(const Options& options) {
-  return options.elimination == Toggle::kOn;
-}
-
-bool eliminationAutoFires(const Options& options, bool quotientApplied,
-                          std::uint64_t quotientStates) {
-  if (options.elimination != Toggle::kAuto) return false;
-  return quotientApplied && quotientStates <= options.eliminationMaxStates;
+bool eliminationSelected(bool quotientApplied, std::uint64_t quotientStates) {
+  return quotientApplied && quotientStates <= kEliminationMaxStates;
 }
 
 ReducedModel buildQuotient(const dtmc::ExplicitDtmc& dtmc,
                            const std::vector<const la::BitVector*>& masks,
                            const std::vector<const std::vector<double>*>& rewards,
-                           const Options& options,
                            const la::TaskRunner& runner) {
   obs::Span span("reduce.quotient");
-  const lump::InitialKeys keys = lump::keysFromMasksAndRewards(
-      dtmc.numStates(), masks, rewards, options.rewardResolution);
-  lump::LumpOptions lumpOptions;
-  lumpOptions.probResolution = options.probResolution;
-  lump::LumpResult lumped = lump::lump(dtmc, keys, lumpOptions, runner);
+  const lump::InitialKeys keys =
+      lump::keysFromMasksAndRewards(dtmc.numStates(), masks, rewards);
+  lump::LumpResult lumped = lump::lump(dtmc, keys, {}, runner);
 
   ReducedModel reduced;
   reduced.info.blockOf = std::move(lumped.partition.blockOf);

@@ -45,24 +45,6 @@ struct Options {
   /// that does not shrink the model is discarded (the check phase runs
   /// unreduced) but cached, so repeated requests skip the refinement.
   Toggle quotient = Toggle::kAuto;
-  /// State-elimination checker for unbounded reachability / expected-reward
-  /// singles (exact Gaussian elimination instead of Prob0/1 + iterative
-  /// solver). kOn forces it at the mc::Checker level. kAuto is resolved by
-  /// the engine: it fires only when the quotient stage actually applied and
-  /// the quotient is at most `eliminationMaxStates` states — elimination
-  /// fill-in is bounded on the coarse quotient, and those answers already
-  /// carry the reduction tolerance contract. A standalone mc::Checker
-  /// treats kAuto as off.
-  Toggle elimination = Toggle::kAuto;
-  /// kAuto elimination cap on the quotient's state count.
-  std::uint64_t eliminationMaxStates = 50'000;
-  /// Transition probabilities are bucketed to this resolution during
-  /// signature refinement (lump::LumpOptions::probResolution).
-  double probResolution = 1e-12;
-  /// Reward values are bucketed to this resolution when seeding the initial
-  /// partition — states merged across a bucket boundary may differ by up to
-  /// one resolution step in any keyed reward.
-  double rewardResolution = 1e-12;
 };
 
 /// Matrix passes a plan's check makes: boundedSteps() x columns for the
@@ -86,14 +68,14 @@ struct Options {
 [[nodiscard]] std::string quotientAutoSkipReason(std::uint64_t numStates,
                                                  std::uint64_t planPasses);
 
-/// mc::Checker policy: elimination runs only when explicitly on — kAuto
-/// belongs to the engine (see Options::elimination).
-[[nodiscard]] bool eliminationOn(const Options& options);
-
-/// Engine policy for resolving elimination kAuto (see Options::elimination).
-[[nodiscard]] bool eliminationAutoFires(const Options& options,
-                                        bool quotientApplied,
-                                        std::uint64_t quotientStates);
+/// Engine policy: answer unbounded reachability / expected-reward singles
+/// by exact state elimination (mc::CheckOptions::elimination) instead of
+/// Gauss-Seidel? Fires only when the quotient stage applied and the
+/// quotient has at most 50,000 states (a fixed constant): elimination
+/// fill-in stays bounded on a coarse quotient, and those answers already
+/// carry the reduction tolerance contract.
+[[nodiscard]] bool eliminationSelected(bool quotientApplied,
+                                       std::uint64_t quotientStates);
 
 /// Lift/project metadata tying a quotient to its base model. This is the
 /// only sanctioned crossing between quotient-block and original-state
@@ -124,15 +106,17 @@ struct ReducedModel {
 };
 
 /// Plan-aware quotient: the initial partition separates states exactly by
-/// the given evaluated masks (one bit per state each) and bucketed reward
-/// vectors — the plan's needs, nothing more. Deterministic: block ids are
-/// assigned in ascending state order, with or without `runner` (which only
-/// spreads the signature refinement, see lump::lump).
+/// the given evaluated masks (one bit per state each) and reward vectors
+/// (bucketed, like transition probabilities during refinement, at lump::'s
+/// default 1e-12 resolution) — the plan's needs, nothing more.
+/// Deterministic: block ids are assigned in ascending state order, with or
+/// without `runner` (which only spreads the signature refinement, see
+/// lump::lump).
 [[nodiscard]] ReducedModel buildQuotient(
     const dtmc::ExplicitDtmc& dtmc,
     const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
-    const Options& options = {}, const la::TaskRunner& runner = {});
+    const la::TaskRunner& runner = {});
 
 /// Quotient per-block values -> original per-state values (block-map
 /// indirection: every member of a block reads its block's value).

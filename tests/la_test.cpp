@@ -589,9 +589,10 @@ TEST(GaussSeidel, MatchesLegacyValueIterationBitwise) {
   }
 
   const mc::ReachResult reach = mc::reachProb(d, psi);
-  EXPECT_TRUE(reach.converged);
-  EXPECT_GT(reach.iterations, 0u);
-  EXPECT_LT(reach.residual, 1e-12);
+  ASSERT_TRUE(reach.solver.has_value());
+  EXPECT_TRUE(reach.solver->converged);
+  EXPECT_GT(reach.solver->iterations, 0u);
+  EXPECT_LT(reach.solver->residual, 1e-12);
   EXPECT_TRUE(bitEqual(reach.stateValues, legacy));
 }
 
@@ -605,8 +606,9 @@ TEST(GaussSeidel, KnownChainGamblersRuin) {
     if (d.varValue(s, varIdx) == 10) psi.set(s);
   }
   const mc::ReachResult reach = mc::reachProb(d, psi);
-  ASSERT_TRUE(reach.converged);
-  EXPECT_EQ(reach.solver, "gauss-seidel");
+  ASSERT_TRUE(reach.solver.has_value());
+  ASSERT_TRUE(reach.solver->converged);
+  EXPECT_EQ(reach.solver->solver, "gauss-seidel");
   double fromInit = 0.0;
   for (std::uint32_t s = 0; s < d.numStates(); ++s) {
     fromInit += d.initialDistribution()[s] * reach.stateValues[s];
@@ -634,24 +636,23 @@ TEST(Power, MatchesLegacySteadyLoopBitwise) {
     if (delta < 1e-13) break;
   }
 
-  const mc::SteadyResult ss = mc::steadyStateDistribution(d);
-  EXPECT_TRUE(ss.converged);
-  EXPECT_EQ(ss.iterations, iterations);
-  EXPECT_LT(ss.residual, 1e-13);
+  const la::PowerResult ss = mc::steadyStateDistribution(d);
+  EXPECT_TRUE(ss.stats.converged);
+  EXPECT_EQ(ss.stats.iterations, iterations);
+  EXPECT_LT(ss.stats.residual, 1e-13);
   EXPECT_TRUE(bitEqual(ss.distribution, pi));
 }
 
 TEST(Power, ParallelBitIdentical) {
   const auto model = test::randomModel(2500, 10, 79);
   const auto d = dtmc::buildExplicit(model).dtmc;
-  const mc::SteadyResult seq = mc::steadyStateDistribution(d);
+  const la::PowerResult seq = mc::steadyStateDistribution(d);
   for (const std::size_t threads : {1u, 2u, 8u}) {
     engine::ThreadPool pool(threads);
-    mc::SteadyOptions options;
-    options.exec = poolExec(pool);
-    const mc::SteadyResult parallel = mc::steadyStateDistribution(d, options);
-    EXPECT_EQ(parallel.iterations, seq.iterations) << threads;
-    EXPECT_EQ(parallel.residual, seq.residual) << threads;
+    const la::PowerResult parallel =
+        mc::steadyStateDistribution(d, poolExec(pool));
+    EXPECT_EQ(parallel.stats.iterations, seq.stats.iterations) << threads;
+    EXPECT_EQ(parallel.stats.residual, seq.stats.residual) << threads;
     EXPECT_TRUE(bitEqual(parallel.distribution, seq.distribution)) << threads;
   }
 }

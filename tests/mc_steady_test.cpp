@@ -15,7 +15,7 @@ TEST(Steady, TwoStateStationary) {
   const auto model = test::twoStateChain(a, b);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto ss = mc::steadyStateDistribution(d);
-  EXPECT_TRUE(ss.converged);
+  EXPECT_TRUE(ss.stats.converged);
   EXPECT_NEAR(ss.distribution[0], b / (a + b), 1e-10);
   EXPECT_NEAR(ss.distribution[1], a / (a + b), 1e-10);
 }
@@ -34,7 +34,7 @@ TEST(Steady, BirthDeathGeometric) {
   test::MatrixModel model(std::move(matrix));
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto ss = mc::steadyStateDistribution(d);
-  ASSERT_TRUE(ss.converged);
+  ASSERT_TRUE(ss.stats.converged);
   const double r = p / q;
   double z = 0.0;
   for (int i = 0; i < 5; ++i) z += std::pow(r, i);

@@ -22,7 +22,8 @@ TEST(Unbounded, FairGamblersRuinClosedForm) {
       if (d.varValue(s, varIdx) == static_cast<std::int32_t>(n)) win.set(s);
     }
     const auto result = mc::reachProb(d, win);
-    EXPECT_TRUE(result.converged);
+    ASSERT_TRUE(result.solver.has_value());
+    EXPECT_TRUE(result.solver->converged);
     EXPECT_NEAR(mc::fromInitial(d, result.stateValues),
                 static_cast<double>(start) / n, 1e-9);
   }
@@ -90,13 +91,13 @@ TEST(Unbounded, Prob1Identification) {
 }
 
 TEST(Unbounded, GraphPrecomputationMakesValueIterationExact) {
-  // When prob0/prob1 cover everything, no iterations are needed.
+  // When prob0/prob1 cover everything, no solver runs.
   const auto model = test::lineModel(5);
   const auto d = dtmc::buildExplicit(model).dtmc;
   la::BitVector psi(5);
   psi.set(4);
   const auto result = mc::reachProb(d, psi);
-  EXPECT_EQ(result.iterations, 0u);
+  EXPECT_FALSE(result.solver.has_value());
   EXPECT_NEAR(result.stateValues[0], 1.0, 1e-15);
 }
 

@@ -59,22 +59,10 @@ TEST(ReduceOptions, SelectionHeuristics) {
   options.quotient = reduce::Toggle::kOff;
   EXPECT_FALSE(reduce::quotientSelected(options, 1'000'000, 1'000'000));
 
-  // The checker-level predicate honors only an explicit kOn.
-  options.elimination = reduce::Toggle::kAuto;
-  EXPECT_FALSE(reduce::eliminationOn(options));
-  options.elimination = reduce::Toggle::kOn;
-  EXPECT_TRUE(reduce::eliminationOn(options));
-  options.elimination = reduce::Toggle::kOff;
-  EXPECT_FALSE(reduce::eliminationOn(options));
-
-  // Engine auto-resolution: quotient applied AND small enough, kAuto only.
-  options.elimination = reduce::Toggle::kAuto;
-  options.eliminationMaxStates = 100;
-  EXPECT_TRUE(reduce::eliminationAutoFires(options, true, 100));
-  EXPECT_FALSE(reduce::eliminationAutoFires(options, true, 101));
-  EXPECT_FALSE(reduce::eliminationAutoFires(options, false, 10));
-  options.elimination = reduce::Toggle::kOn;
-  EXPECT_FALSE(reduce::eliminationAutoFires(options, true, 10));
+  // Elimination: the quotient applied AND has at most 50,000 states.
+  EXPECT_TRUE(reduce::eliminationSelected(true, 50'000));
+  EXPECT_FALSE(reduce::eliminationSelected(true, 50'001));
+  EXPECT_FALSE(reduce::eliminationSelected(false, 10));
 }
 
 TEST(ReduceOptions, PlanPassesCountTraversalWork) {
@@ -192,10 +180,11 @@ TEST(ReduceElimination, MatchesIterativeUntil) {
     EXPECT_NEAR(exact.stateValues[s], iterative.stateValues[s], 1e-8)
         << "state " << s;
   }
-  EXPECT_EQ(exact.solver, "elimination");
-  EXPECT_TRUE(exact.converged);
-  EXPECT_EQ(exact.residual, 0.0);
-  EXPECT_GT(exact.iterations, 0u);  // = states eliminated
+  ASSERT_TRUE(exact.solver.has_value());
+  EXPECT_EQ(exact.solver->solver, "elimination");
+  EXPECT_TRUE(exact.solver->converged);
+  EXPECT_EQ(exact.solver->residual, 0.0);
+  EXPECT_GT(exact.solver->iterations, 0u);  // = states eliminated
 }
 
 TEST(ReduceElimination, MatchesIterativeReward) {
@@ -215,7 +204,8 @@ TEST(ReduceElimination, MatchesIterativeReward) {
     EXPECT_NEAR(exact.stateValues[s], iterative.stateValues[s], 1e-7 * scale)
         << "state " << s;
   }
-  EXPECT_EQ(exact.solver, "elimination");
+  ASSERT_TRUE(exact.solver.has_value());
+  EXPECT_EQ(exact.solver->solver, "elimination");
 }
 
 TEST(ReduceElimination, InfiniteRewardStatesAgree) {
@@ -250,15 +240,14 @@ TEST(ReduceElimination, InfiniteRewardStatesAgree) {
 
 TEST(ReduceElimination, AllStatesClassifiedRunsNoElimination) {
   // psi covers every state: Prob1 classifies everything and elimination has
-  // nothing to do — same empty-solver convention as the iterative path.
+  // nothing to do — no solver report, as on the iterative path.
   const auto model = test::twoStateChain(0.3, 0.4);
   const auto build = dtmc::buildExplicit(model);
   la::BitVector psi(build.dtmc.numStates());
   psi.set(0);
   psi.set(1);
   const mc::ReachResult r = mc::reachProbByElimination(build.dtmc, psi);
-  EXPECT_TRUE(r.solver.empty());
-  EXPECT_EQ(r.iterations, 0u);
+  EXPECT_FALSE(r.solver.has_value());
   EXPECT_EQ(r.stateValues[0], 1.0);
   EXPECT_EQ(r.stateValues[1], 1.0);
 }
@@ -278,7 +267,7 @@ TEST(ReduceElimination, CheckerSelectsEliminationViaOptions) {
     const auto build = dtmc::buildExplicit(model);
     const mc::Checker iterative(build.dtmc, model);
     mc::CheckOptions options;
-    options.reduction.elimination = reduce::Toggle::kOn;
+    options.elimination = true;
     const mc::Checker eliminating(build.dtmc, model, options);
 
     const mc::CheckResult ref = iterative.check(property);
@@ -287,7 +276,7 @@ TEST(ReduceElimination, CheckerSelectsEliminationViaOptions) {
     EXPECT_EQ(elim.solver->solver, "elimination") << property;
     const double scale = std::max(1.0, std::abs(ref.value));
     EXPECT_NEAR(elim.value, ref.value, 1e-7 * scale) << property;
-    // A standalone checker treats kAuto as off: the reference ran the
+    // A default checker leaves elimination off: the reference ran the
     // iterative solver, never elimination.
     ASSERT_TRUE(ref.solver.has_value()) << property;
     EXPECT_NE(ref.solver->solver, "elimination") << property;
@@ -304,6 +293,7 @@ const std::vector<std::string> kBanksProperties{
     "R=? [ C<=30 ]",
     "P=? [ G<=15 !any ]",
     "P=? [ F any ]",
+    "R=? [ F any ]",
 };
 
 std::vector<double> engineValues(const engine::AnalysisResponse& response) {
@@ -368,6 +358,16 @@ TEST(EngineReduce, ForcedQuotientAppliesAndCaches) {
   // The response still reports the full model; the quotient lives in
   // reduction.
   EXPECT_EQ(first.states, 256u);
+  // The applied 9-state quotient selects elimination for R=? [ F any ]; the
+  // unreduced reference ran Gauss-Seidel. (P=? [ F any ] carries no report:
+  // Prob1 answers it alone.)
+  const auto solverOf = [](const engine::AnalysisResponse& response) {
+    const auto& r = response.results.back();
+    EXPECT_EQ(r.property, "R=? [ F any ]");
+    return r.solver ? r.solver->solver : std::string("none");
+  };
+  EXPECT_EQ(solverOf(first), "elimination");
+  EXPECT_EQ(solverOf(reference), "gauss-seidel");
 
   const std::vector<double> firstValues = engineValues(first);
   ASSERT_EQ(firstValues.size(), referenceValues.size());

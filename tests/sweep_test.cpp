@@ -540,18 +540,20 @@ TEST(SweepRunner, OptionsHookScalesSamplingPerPoint) {
 }
 
 TEST(SweepRunner, OptionsHookPicksSolverPerPoint) {
-  // The hook sets the solver's stopping threshold per point: the loose
-  // point stops after fewer Gauss-Seidel sweeps, near the tight one's value.
-  const auto model = std::make_shared<test::MatrixModel>(
-      test::gamblersRuin(20, 0.45, 10));
+  // The hook sets the quotient toggle per point: the unreduced point solves
+  // R=? [ F any ] by Gauss-Seidel, the quotiented one by exact elimination
+  // (the engine selects it on a small applied quotient), and both agree.
+  const auto model = std::make_shared<test::SymmetricBanksModel>(8, 0.3, 0.2);
 
-  sweep::SweepSpec spec("solver-epsilon");
-  spec.space.cross(Axis::strings("epsilon", {"loose", "tight"}));
+  sweep::SweepSpec spec("solver-per-point");
+  spec.space.cross(Axis::strings("quotient", {"off", "on"}));
   spec.share(model);
-  spec.withProperties({"P=? [ F s=20 ]"});
+  spec.withProperties({"R=? [ F any ]"});
   spec.withOptionsHook([](const Params& p, const engine::RequestOptions& base) {
     engine::RequestOptions options = base;
-    options.check.epsilon = p.getString("epsilon") == "loose" ? 1e-6 : 1e-12;
+    options.reduction.quotient = p.getString("quotient") == "on"
+                                     ? reduce::Toggle::kOn
+                                     : reduce::Toggle::kOff;
     return options;
   });
 
@@ -563,12 +565,10 @@ TEST(SweepRunner, OptionsHookPicksSolverPerPoint) {
   ASSERT_TRUE(table.rows()[0].solver.has_value());
   ASSERT_TRUE(table.rows()[1].solver.has_value());
   EXPECT_EQ(table.rows()[0].solver->solver, "gauss-seidel");
-  EXPECT_EQ(table.rows()[1].solver->solver, "gauss-seidel");
+  EXPECT_EQ(table.rows()[1].solver->solver, "elimination");
   EXPECT_TRUE(table.rows()[0].solver->converged);
   EXPECT_TRUE(table.rows()[1].solver->converged);
-  EXPECT_LT(table.rows()[0].solver->iterations,
-            table.rows()[1].solver->iterations);
-  EXPECT_NEAR(table.rows()[0].value, table.rows()[1].value, 1e-4);
+  EXPECT_NEAR(table.rows()[0].value, table.rows()[1].value, 1e-9);
   // Both points ran against one cached build despite separate requests.
   EXPECT_EQ(eng.stats().builds, 1u);
 }
