@@ -20,9 +20,7 @@ void sweepRow(mimostat::engine::AnalysisEngine& engine,
               const mimostat::viterbi::ViterbiParams& params) {
   using namespace mimostat;
   const viterbi::ReducedViterbiModel model(params);
-  const auto built = engine.ensureBuilt(model);
-  const auto p2 =
-      bench::checkRows(engine, model, *built, {"R=? [ I=400 ]"})[0];
+  const auto p2 = bench::checkRows(engine, model, {"R=? [ I=400 ]"})[0];
   std::printf("%-8d %-8d %-8d %10llu %14.8f %10.3f\n", params.quantLevels,
               params.pmCap, params.bmCap,
               static_cast<unsigned long long>(p2.states), p2.value,

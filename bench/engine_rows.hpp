@@ -1,9 +1,9 @@
-// Shared by the paper-table benches that check properties on one built
-// model: build the model once with AnalysisEngine::ensureBuilt, then answer
-// each property set as an exact-backend request keyed by the build's
-// signature (RequestOptions::modelKey), so no request re-explores the
-// state space. Rows carry the paper's table columns: the built model's
-// size, its construction time and the per-property check time.
+// Shared by the paper-table benches that check property sets on one model:
+// each set is an exact-backend request. The first request builds the model;
+// a later one on a fingerprinted model (dtmc::Model::fingerprint) is served
+// from the engine's cache without re-exploring the state space. Rows carry
+// the paper's table columns: the built model's size, its construction time
+// and the per-property check time.
 #pragma once
 
 #include <stdexcept>
@@ -17,17 +17,15 @@
 
 namespace mimostat::bench {
 
-/// Checks `properties` on `model`, whose build `built` came from
-/// `engine.ensureBuilt(model)`. Throws on the first failed property.
+/// Checks `properties` on `model`. Throws on a failed request or on the
+/// first failed property.
 inline std::vector<core::GuaranteeReport> checkRows(
     engine::AnalysisEngine& engine, const dtmc::Model& model,
-    const engine::BuiltModel& built,
     const std::vector<std::string>& properties) {
   engine::AnalysisRequest request;
   request.model = &model;
   request.properties = properties;
   request.options.backend = engine::Backend::kExact;
-  request.options.modelKey = built.signature;
   const engine::AnalysisResponse response = engine.analyze(request);
 
   std::vector<core::GuaranteeReport> rows;
@@ -38,10 +36,10 @@ inline std::vector<core::GuaranteeReport> checkRows(
     row.property = result.property;
     row.value = result.value;
     row.satisfied = result.satisfied;
-    row.states = built.dtmc.numStates();
-    row.transitions = built.dtmc.numTransitions();
-    row.reachabilityIterations = built.reachabilityIterations;
-    row.buildSeconds = built.buildSeconds;
+    row.states = response.states;
+    row.transitions = response.transitions;
+    row.reachabilityIterations = response.reachabilityIterations;
+    row.buildSeconds = response.buildSeconds;
     row.checkSeconds = result.checkSeconds;
     rows.push_back(std::move(row));
   }

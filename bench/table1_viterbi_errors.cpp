@@ -65,22 +65,19 @@ int main() {
   std::printf("\nBuilding reduced model M_R and checking properties...\n");
   engine::AnalysisEngine engine;
   const viterbi::ReducedViterbiModel reducedP12(params);
-  const auto builtP12 = engine.ensureBuilt(reducedP12);
-
   const viterbi::ReducedViterbiModel reducedP3(paramsP3);
-  const auto builtP3 = engine.ensureBuilt(reducedP3);
 
   // One request per row, so each row's check time is its own.
   const std::uint64_t horizon = 300;
   std::vector<core::GuaranteeReport> rows;
   rows.push_back(bench::checkRows(
-      engine, reducedP12, *builtP12,
+      engine, reducedP12,
       {core::metricProperty(core::MetricKind::kBestCase, horizon)})[0]);
   rows.push_back(bench::checkRows(
-      engine, reducedP12, *builtP12,
+      engine, reducedP12,
       {core::metricProperty(core::MetricKind::kAverageCase, horizon)})[0]);
   rows.push_back(bench::checkRows(
-      engine, reducedP3, *builtP3,
+      engine, reducedP3,
       {core::metricProperty(core::MetricKind::kWorstCase, horizon, 1)})[0]);
   std::printf("\n%s\n", core::formatReportTable(
                             "Table I (reduced model M_R)", rows)

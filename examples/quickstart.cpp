@@ -56,11 +56,11 @@ int main() {
   std::printf("P3 (more than 1 error):        %.6f\n", p3.results[0].value);
 
   // 4. Re-checking the first design at new horizons skips the DTMC build:
-  //    the engine serves it from the model cache.
+  //    the engine serves it from the model cache, and the model's parameter
+  //    fingerprint skips even the state-space exploration.
   engine::AnalysisRequest again;
   again.model = &model;
   again.properties = {"R=? [ I=600 ]", "R=? [ I=1000 ]"};
-  again.options.modelKey = response.modelKey;  // skip even the probe
   const auto sweep = engine.analyze(again);
   std::printf("P2 at T=600/1000 (cache hit: %s): %.4f / %.4f\n",
               sweep.cacheHit ? "yes" : "no", sweep.results[0].value,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
@@ -11,6 +12,7 @@
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
 #include "pctl/parser.hpp"
+#include "pctl/property_cache.hpp"
 #include "smc/smc.hpp"
 #include "stats/gaussian.hpp"
 #include "util/hash.hpp"
@@ -116,14 +118,9 @@ std::uint64_t approxDtmcBytes(const dtmc::ExplicitDtmc& dtmc) {
 
 AnalysisEngine::AnalysisEngine(EngineOptions options)
     : options_(options),
-      propertyCache_(options.propertyCache != nullptr
-                         ? options.propertyCache
-                         : &pctl::PropertyCache::global()),
-      pool_(options.threads, options.metrics != nullptr
-                                 ? options.metrics
-                                 : &obs::MetricsRegistry::global()),
-      metrics_(options.metrics != nullptr ? options.metrics
-                                          : &obs::MetricsRegistry::global()),
+      pool_(options.threads,
+            options.metrics != nullptr ? options.metrics : &ownMetrics_),
+      metrics_(options.metrics != nullptr ? options.metrics : &ownMetrics_),
       requestLatencyNs_(metrics_->histogram("engine.request_ns")),
       requestCount_(metrics_->counter("engine.requests")),
       buildCounter_(metrics_->counter("engine.builds")),
@@ -135,28 +132,29 @@ AnalysisEngine::AnalysisEngine(EngineOptions options)
 AnalysisEngine::~AnalysisEngine() = default;
 
 pctl::Property AnalysisEngine::parsedProperty(const std::string& text) {
-  return propertyCache_->get(text);
+  return pctl::PropertyCache::global().get(text);
 }
 
 EngineStats AnalysisEngine::stats() const {
-  // The one sanctioned read path for the cacheMutex_-guarded counters: a
-  // snapshot under the lock, so a stats() racing an eviction or a build
-  // completion can never observe a half-updated (cachedModels, cacheBytes)
-  // pair.
+  // The cache levels are one snapshot under the lock, so a stats() racing an
+  // eviction or a build completion can never observe a half-updated
+  // (cachedModels, cacheBytes) pair.
   EngineStats stats;
   {
     const util::MutexLock lock(cacheMutex_);
-    stats.builds = buildCount_;
-    stats.cacheHits = cacheHits_;
     stats.cachedModels = modelCache_.size();
     stats.cacheBytes = cacheBytes_;
-    stats.quotientBuilds = quotientBuilds_;
-    stats.quotientHits = quotientHits_;
   }
-  // Latency percentiles come from the registry's shard-merged request
-  // histogram (nanoseconds); engines sharing one registry share it.
-  const obs::HistogramSnapshot latency =
-      metrics_->histogramSnapshot("engine.request_ns");
+  // Counts and latency percentiles come from the registry; engines sharing
+  // one registry share them. The constructor registered every name read
+  // here (the request histogram is in nanoseconds).
+  const obs::MetricsSnapshot metrics = metrics_->snapshot();
+  stats.builds = metrics.counterValue("engine.builds");
+  stats.cacheHits = metrics.counterValue("engine.cache_hits");
+  stats.quotientBuilds = metrics.counterValue("engine.quotient_builds");
+  stats.quotientHits = metrics.counterValue("engine.quotient_hits");
+  const obs::HistogramSnapshot& latency =
+      *metrics.histogram("engine.request_ns");
   stats.requests = latency.count;
   stats.p50RequestSeconds = latency.p50() * 1e-9;
   stats.p90RequestSeconds = latency.p90() * 1e-9;
@@ -242,12 +240,10 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::getOrCompute(
     const util::MutexLock lock(cacheMutex_);
     const auto it = modelCache_.find(key);
     if (it != modelCache_.end()) {
-      ++(quotient ? quotientHits_ : cacheHits_);
       (quotient ? quotientHitCounter_ : cacheHitCounter_).inc();
       it->second.lastUsed = ++useCounter_;
       joined = it->second.future;
     } else {
-      ++(quotient ? quotientBuilds_ : buildCount_);
       (quotient ? quotientBuildCounter_ : buildCounter_).inc();
       CacheSlot slot;
       slot.future = promise.get_future().share();
@@ -291,10 +287,10 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::getOrCompute(
 
 std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
     const dtmc::Model& model, const dtmc::BuildOptions& buildOptions,
-    std::optional<std::uint64_t> key, bool* cacheHit) {
+    bool* cacheHit) {
   const la::TaskRunner runner = laRunnerFor(pool_);
   std::optional<dtmc::Exploration> exploration;
-  if (!key) key = fingerprintKey(model, buildOptions);
+  std::optional<std::uint64_t> key = fingerprintKey(model, buildOptions);
   if (!key) {
     exploration = dtmc::explore(
         model, exploreOptionsFor(buildOptions, buildOptions.maxStates, true),
@@ -358,35 +354,33 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
     }
     const RequestOptions& options = request.options;
 
-    // Resolve the cache key and the backend. A caller-supplied key, or a
-    // fingerprint aliased to a resident entry, names the entry without an
-    // exploration.
+    // Resolve the cache key and the backend. A fingerprint aliased to a
+    // resident entry names a cached build without an exploration (so kAuto
+    // resolves to exact).
     std::uint64_t key = 0;
     Backend backend = options.backend;
     std::optional<dtmc::Exploration> exploration;
     const std::optional<std::uint64_t> knownKey =
-        options.modelKey ? options.modelKey
-                         : fingerprintKey(*request.model, options.build);
+        fingerprintKey(*request.model, options.build);
     if (knownKey) {
       key = *knownKey;
-      if (backend == Backend::kAuto) {
-        // A caller-supplied key implies a model the caller expects to be
-        // buildable (typically a key echoed from a previous exact
-        // response); a fingerprint hit names a cached build.
-        backend = Backend::kExact;
-      }
+      if (backend == Backend::kAuto) backend = Backend::kExact;
     } else {
       // One exploration yields the key and, unless sampling (which needs
       // the key only as a label), the CSR a miss assembles. Sampling and
-      // kAuto cap it at the state budget — sampled models are typically
-      // huge. Its rows are computed on the pool; the result is the
-      // sequential one.
+      // kAuto cap it one past the state budget (saturating, so an unlimited
+      // budget explores everything) — sampled models are typically huge.
+      // Its rows are computed on the pool; the result is the sequential one.
+      const std::uint64_t budgetCap =
+          options.stateBudget == std::numeric_limits<std::uint64_t>::max()
+              ? options.stateBudget
+              : options.stateBudget + 1;
       exploration = dtmc::explore(
           *request.model,
           exploreOptionsFor(options.build,
                             backend == Backend::kExact
                                 ? options.build.maxStates
-                                : options.stateBudget + 1,
+                                : budgetCap,
                             backend != Backend::kSampling),
           laRunnerFor(pool_));
       key = cacheKeyFor(exploration->hash, options.build);
@@ -528,8 +522,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
     try {
       mc::CheckOptions probeOptions;
       probeOptions.traceParent = reduceSpan.id();
-      const mc::Checker probe(built->dtmc, *request.model, probeOptions,
-                              propertyCache_);
+      const mc::Checker probe(built->dtmc, *request.model, probeOptions);
       std::vector<la::BitVector> maskBits;
       maskBits.reserve(probePlan->masks.size());
       for (const auto& mask : probePlan->masks) {
@@ -621,8 +614,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   if (checkOptions.exec.runner == nullptr && options_.parallelLinearAlgebra) {
     checkOptions.exec.runner = laRunnerFor(pool_);
   }
-  const mc::Checker checker(built->dtmc, *request.model, checkOptions,
-                            propertyCache_);
+  const mc::Checker checker(built->dtmc, *request.model, checkOptions);
 
   // Plan across every parsed property of the request: bounded path
   // formulas advance as columns of one masked SpMM traversal, transient

@@ -8,15 +8,15 @@
 //      reachability exploration (dtmc::explore), so repeated requests
 //      against the same design skip the build. The same exploration keeps
 //      the normalized CSR: a miss assembles the DTMC from it, a hit drops
-//      it — a request without RequestOptions::modelKey explores its state
-//      space at most once. After an exact exploration the engine also
-//      records the model's parameter fingerprint (dtmc::Model::fingerprint)
-//      on the cache entry, so a later request whose model has the same
-//      fingerprint skips the exploration altogether and proceeds as a
-//      modelKey request (a warm request costs a hash lookup). Aliases go
-//      with their entry on eviction. Cached DTMCs store transition
-//      structure only; atoms/rewards always re-resolve through the
-//      requesting model.
+//      it — a request explores its state space at most once. After an
+//      exact exploration the engine also records the model's parameter
+//      fingerprint (dtmc::Model::fingerprint) on the cache entry, so a
+//      later request whose model has the same fingerprint skips the
+//      exploration altogether (a warm request costs a hash lookup). The
+//      fingerprint is the only way to skip it: a cache key is never taken
+//      on the caller's word. Aliases go with their entry on eviction.
+//      Cached DTMCs store transition structure only; atoms/rewards always
+//      re-resolve through the requesting model.
 //   2. Evaluation planning: the request's property set is compiled by
 //      pctl::buildPlan into a deduplicated task DAG (mc::Checker::checkAll
 //      executes it). All bounded path formulas (U<=k / F<=k / G<=k / X)
@@ -41,9 +41,9 @@
 //      bit-identical for a fixed seed at any pool size.
 //
 // Callers own their engine: construct one AnalysisEngine per process (or per
-// test) and keep it alive while its cache should be reused. To check several
-// property sets against one build, ensureBuilt the model once and pass the
-// returned BuiltModel::signature as RequestOptions::modelKey.
+// test) and keep it alive while its cache should be reused. Several property
+// sets checked against one fingerprinted model share one build and one
+// exploration; a model without a fingerprint is explored once per request.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +63,6 @@
 #include "engine/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "pctl/ast.hpp"
-#include "pctl/property_cache.hpp"
 #include "reduce/reduce.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
@@ -80,9 +79,6 @@ struct EngineOptions {
   /// the total exceeds this, so one huge model cannot pin the cache.
   /// 0 = unlimited.
   std::uint64_t maxCacheBytes = 1ull << 30;
-  /// Shared property-parse cache; nullptr uses the process-wide
-  /// pctl::PropertyCache::global() (shared with every mc::Checker).
-  pctl::PropertyCache* propertyCache = nullptr;
   /// Fan la:: kernels (transient multiplies, masked bounded traversals,
   /// power iteration) out over the engine pool on the exact backend.
   /// Results are bit-identical at any pool size, so this is purely a
@@ -92,14 +88,16 @@ struct EngineOptions {
   /// use (la::Exec's defaults unless the request sets them).
   bool parallelLinearAlgebra = true;
   /// Metrics sink for engine counters, pool histograms and the
-  /// request-latency histogram behind EngineStats percentiles; nullptr uses
-  /// the process-wide obs::MetricsRegistry::global() (injectable like
-  /// `propertyCache`, so tests get an isolated registry). Note that engines
-  /// sharing a registry share its histograms.
+  /// request-latency histogram; EngineStats reads its counts from it.
+  /// nullptr gives the engine a registry of its own, so an engine only ever
+  /// reports its own requests. Engines sharing an injected registry share
+  /// its counts.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Counters exposed for tests, sweeps and ops dashboards.
+/// Counters exposed for tests, sweeps and ops dashboards. The counts are
+/// read from the engine's metrics registry ("engine.*"); the cache levels
+/// from the cache itself.
 struct EngineStats {
   /// DTMC builds actually performed (cache misses).
   std::uint64_t builds = 0;
@@ -169,22 +167,19 @@ class AnalysisEngine {
   [[nodiscard]] std::future<AnalysisResponse> submit(AnalysisRequest request);
 
   /// Build (or fetch from cache) the explicit DTMC for a model. Concurrent
-  /// calls for the same key share one build. Without `key` a model whose
-  /// fingerprint names a resident entry is served from it; otherwise the
-  /// model is explored once for its cache key, and a miss builds from that
-  /// same exploration. `key` skips both (a miss then builds with
-  /// buildExplicit).
+  /// calls for the same key share one build. A model whose fingerprint
+  /// names a resident entry is served from it; otherwise the model is
+  /// explored once for its cache key, and a miss builds from that same
+  /// exploration.
   /// When `cacheHit` is non-null it is set to whether the entry was served
   /// from cache (joining an in-flight build counts as a hit).
   [[nodiscard]] std::shared_ptr<const BuiltModel> ensureBuilt(
       const dtmc::Model& model, const dtmc::BuildOptions& buildOptions = {},
-      std::optional<std::uint64_t> key = std::nullopt,
       bool* cacheHit = nullptr);
 
   /// Memoized property parse shared by every request (delegates to the
-  /// engine's pctl::PropertyCache — by default the process-wide one).
+  /// process-wide pctl::PropertyCache::global()).
   [[nodiscard]] pctl::Property parsedProperty(const std::string& text);
-  [[nodiscard]] pctl::PropertyCache& propertyCache() { return *propertyCache_; }
 
   // --- instrumentation (tests, ops) ---
   [[nodiscard]] EngineStats stats() const;
@@ -221,8 +216,8 @@ class AnalysisEngine {
   /// The model cache's one fill primitive (builds and quotients): the entry
   /// under `key`, computed and inserted on a miss. Concurrent calls for one
   /// key share one computation (joiners receive its exception; a failure
-  /// leaves no entry). `quotient` picks the counters; `cacheHit` reports a
-  /// hit when non-null.
+  /// leaves no entry). `quotient` picks the registry counters; `cacheHit`
+  /// reports a hit when non-null.
   [[nodiscard]] std::shared_ptr<const BuiltModel> getOrCompute(
       std::uint64_t key, bool quotient, bool* cacheHit,
       const std::function<std::shared_ptr<const BuiltModel>()>& compute);
@@ -243,8 +238,8 @@ class AnalysisEngine {
   /// latency histogram). Opens the per-request "engine.analyze" span.
   AnalysisResponse analyzeQueued(const AnalysisRequest& request,
                                  double queueSeconds);
-  /// `exploration` is the request's key exploration (null with modelKey or
-  /// a fingerprint hit).
+  /// `exploration` is the request's key exploration (null after a
+  /// fingerprint hit).
   AnalysisResponse analyzeExact(const AnalysisRequest& request,
                                 std::uint64_t key,
                                 dtmc::Exploration* exploration,
@@ -256,8 +251,10 @@ class AnalysisEngine {
   /// Set in the constructor, immutable afterwards.
   /// lint:allow(guarded-by: constructor-initialized, read-only after)
   EngineOptions options_;
-  /// lint:allow(guarded-by: constructor-initialized, read-only after)
-  pctl::PropertyCache* propertyCache_;
+  /// The registry used when EngineOptions::metrics is null. Declared before
+  /// pool_, which records into it.
+  /// lint:allow(guarded-by: owns its own mutex)
+  obs::MetricsRegistry ownMetrics_;
   /// Internally synchronized. lint:allow(guarded-by: owns its own mutex)
   ThreadPool pool_;
   /// Resolved once in the constructor; handles are internally synchronized
@@ -286,11 +283,7 @@ class AnalysisEngine {
   std::unordered_map<std::uint64_t, std::uint64_t> fingerprintKeys_
       MIMOSTAT_GUARDED_BY(cacheMutex_);
   std::uint64_t useCounter_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
-  std::uint64_t buildCount_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
-  std::uint64_t cacheHits_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
   std::uint64_t cacheBytes_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
-  std::uint64_t quotientBuilds_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
-  std::uint64_t quotientHits_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
 };
 
 }  // namespace mimostat::engine

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -38,12 +37,6 @@ struct RequestOptions {
   /// kAuto falls back to sampling when the reachable state count exceeds
   /// this budget.
   std::uint64_t stateBudget = 2'000'000;
-  /// Precomputed model signature (e.g. from a previous response). When set,
-  /// the engine skips the key exploration and uses this as the cache key;
-  /// the caller asserts it identifies the model's transition structure.
-  /// Unset, a model whose fingerprint (dtmc::Model::fingerprint) names a
-  /// cached build skips the exploration the same way.
-  std::optional<std::uint64_t> modelKey;
   /// State-space reduction (exact backend): plan-aware bisimulation
   /// quotienting before checking. The default quotients large models and
   /// long plans only (reduce::quotientSelected: 100,000 states or 256 plan

@@ -24,8 +24,8 @@ struct PhaseTiming {
   double queueSeconds = 0.0;
   /// Model key: the one dtmc::explore pass ("dtmc.explore") that hashes
   /// the reachable chain into the cache key and, on a miss, yields the CSR
-  /// the build assembles. 0 when RequestOptions::modelKey is set or the
-  /// model's fingerprint named a cached build.
+  /// the build assembles. 0 when the model's fingerprint named a cached
+  /// build.
   double keySeconds = 0.0;
   /// Model acquisition: cache lookup + assembling the explored CSR (or the
   /// wait joining an in-flight build).
@@ -139,8 +139,8 @@ struct AnalysisResult {
 struct AnalysisResponse {
   std::vector<AnalysisResult> results;
   Backend backend{};
-  /// The structural model signature used as the cache key (reusable as
-  /// RequestOptions::modelKey).
+  /// The structural model signature used as the cache key (provenance: it
+  /// names the DTMC that answered, and is not an input to later requests).
   std::uint64_t modelKey = 0;
   /// The built DTMC was served from the engine's model cache.
   bool cacheHit = false;

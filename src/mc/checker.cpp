@@ -25,12 +25,8 @@ double fromInitial(const dtmc::ExplicitDtmc& dtmc,
 }
 
 Checker::Checker(const dtmc::ExplicitDtmc& dtmc, const dtmc::Model& model,
-                 CheckOptions options, pctl::PropertyCache* parseCache)
-    : dtmc_(dtmc),
-      model_(model),
-      options_(options),
-      parseCache_(parseCache != nullptr ? parseCache
-                                        : &pctl::PropertyCache::global()) {}
+                 CheckOptions options)
+    : dtmc_(dtmc), model_(model), options_(options) {}
 
 la::BitVector Checker::evalStateFormula(const pctl::StateFormula& f) const {
   using Kind = pctl::StateFormula::Kind;
@@ -553,7 +549,7 @@ CheckResult Checker::check(const pctl::Property& property) const {
 }
 
 pctl::Property Checker::parsedProperty(std::string_view propertyText) const {
-  return parseCache_->get(propertyText);
+  return pctl::PropertyCache::global().get(propertyText);
 }
 
 CheckResult Checker::check(std::string_view propertyText) const {

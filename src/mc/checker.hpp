@@ -100,12 +100,11 @@ struct CheckResult {
 class Checker {
  public:
   /// The model reference supplies atoms/rewards; both must outlive the
-  /// checker. Parses are memoized in `parseCache` — by default the
-  /// process-wide pctl::PropertyCache::global(), shared with the
-  /// AnalysisEngine, so a property parsed anywhere is parsed once.
+  /// checker. Parses are memoized in the process-wide
+  /// pctl::PropertyCache::global(), shared with the AnalysisEngine, so a
+  /// property parsed anywhere is parsed once.
   Checker(const dtmc::ExplicitDtmc& dtmc, const dtmc::Model& model,
-          CheckOptions options = {},
-          pctl::PropertyCache* parseCache = nullptr);
+          CheckOptions options = {});
 
   /// Evaluate a parsed property (a one-property plan). Throws on semantic
   /// failures (unknown atoms/variables).
@@ -170,7 +169,6 @@ class Checker {
   const dtmc::ExplicitDtmc& dtmc_;
   const dtmc::Model& model_;
   CheckOptions options_;
-  pctl::PropertyCache* parseCache_;
 };
 
 }  // namespace mimostat::mc

@@ -17,11 +17,12 @@
 //      ordering. Snapshot iteration is name-sorted (std::map) so dashboards
 //      and logs are stable.
 //
-// The registry is injectable like pctl::PropertyCache: library code takes a
-// MetricsRegistry* defaulting to MetricsRegistry::global(), tests inject a
-// private instance. Handles (Counter/Gauge/Histogram) are cheap value types
-// pointing at registry-owned storage; they stay valid for the registry's
-// lifetime (reset() zeroes values but never frees storage).
+// Process-wide kernels record into MetricsRegistry::global(). An
+// AnalysisEngine records into an injected registry, or else into one it
+// owns, so each engine's counts live in exactly one place. Handles
+// (Counter/Gauge/Histogram) are cheap value types pointing at
+// registry-owned storage; they stay valid for the registry's lifetime
+// (reset() zeroes values but never frees storage).
 //
 // Histogram buckets: values < 4 get exact buckets; from 4 up, each power of
 // two splits into 4 sub-buckets (2 significant bits, HdrHistogram-style),
@@ -180,7 +181,8 @@ class MetricsRegistry {
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  /// The process-wide registry (what every component uses by default).
+  /// The process-wide registry: la:: kernels record into it; engines do
+  /// not (each records into its injected or owned registry).
   [[nodiscard]] static MetricsRegistry& global();
 
   /// Find-or-create handles; repeated calls with one name return handles to

@@ -6,7 +6,7 @@
 // is the single shared map: get() parses on miss and returns a copy of the
 // memoized AST (Property is cheap to copy — its formula nodes are shared
 // immutable pointers). global() is the process-wide instance that every
-// component uses by default.
+// component parses through.
 #pragma once
 
 #include <cstdint>
@@ -42,8 +42,7 @@ class PropertyCache {
   [[nodiscard]] std::uint64_t misses() const;
   void clear();
 
-  /// The process-wide cache shared by the engine and every checker that is
-  /// not given an explicit cache.
+  /// The process-wide cache shared by the engine and every checker.
   [[nodiscard]] static PropertyCache& global();
 
  private:

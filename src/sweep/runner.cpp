@@ -14,9 +14,6 @@ namespace {
 struct PointPlan {
   std::shared_ptr<const dtmc::Model> model;
   std::vector<std::string> properties;
-  /// This point's engine options (the spec's, unless an OptionsHook
-  /// overrode them).
-  engine::RequestOptions options;
   std::string error;
   /// Which request serves this point, and where its properties start in
   /// that request's property list.
@@ -46,13 +43,7 @@ ResultTable Runner::run(const SweepSpec& spec) const {
       plan.properties = spec.properties(points[p]);
       if (plan.properties.empty()) continue;
       plan.model = spec.factory(points[p]);
-      if (plan.model == nullptr) {
-        plan.error = "model factory returned null";
-        continue;  // the hook must not run (or mask the error) for a dead point
-      }
-      plan.options = spec.optionsFor
-                         ? spec.optionsFor(points[p], spec.options)
-                         : spec.options;
+      if (plan.model == nullptr) plan.error = "model factory returned null";
     } catch (const std::exception& e) {
       plan.error = e.what();
     }
@@ -61,10 +52,7 @@ ResultTable Runner::run(const SweepSpec& spec) const {
   // Group points into engine requests: every point whose factory returned
   // the same model object, or a model with the same fingerprint (equal
   // fingerprints mean interchangeable models), joins one request (in point
-  // order), so sibling horizons batch into one transient sweep. An options
-  // hook opts out: sibling points may carry different backend/solver/seed
-  // configuration, so each point issues its own request.
-  const bool coalesce = options_.coalesce && !spec.optionsFor;
+  // order), so sibling horizons batch into one transient sweep.
   std::vector<engine::AnalysisRequest> requests;
   // Keyed by (has fingerprint, fingerprint or model address).
   std::map<std::pair<bool, std::uint64_t>, std::size_t> groupOf;
@@ -73,25 +61,15 @@ ResultTable Runner::run(const SweepSpec& spec) const {
     // A generator may return an empty list to skip a point: it contributes
     // no rows — and must not cost a model build either.
     if (!plan.error.empty() || plan.properties.empty()) continue;
-    std::size_t group = requests.size();
-    if (coalesce) {
-      const std::optional<std::uint64_t> fingerprint =
-          plan.model->fingerprint();
-      const std::uint64_t address =
-          reinterpret_cast<std::uintptr_t>(plan.model.get());
-      const auto [it, inserted] = groupOf.emplace(
-          std::pair{fingerprint.has_value(), fingerprint.value_or(address)},
-          group);
-      group = it->second;
-      if (inserted) requests.emplace_back();
-    } else {
-      requests.emplace_back();
-    }
+    const std::optional<std::uint64_t> fingerprint = plan.model->fingerprint();
+    const std::uint64_t address =
+        reinterpret_cast<std::uintptr_t>(plan.model.get());
+    const auto [it, inserted] = groupOf.emplace(
+        std::pair{fingerprint.has_value(), fingerprint.value_or(address)},
+        requests.size());
+    const std::size_t group = it->second;
+    if (inserted) requests.push_back({plan.model.get(), {}, spec.options});
     engine::AnalysisRequest& request = requests[group];
-    if (request.model == nullptr) {
-      request.model = plan.model.get();
-      request.options = plan.options;
-    }
     plan.group = group;
     plan.offset = request.properties.size();
     request.properties.insert(request.properties.end(),

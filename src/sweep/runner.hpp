@@ -5,8 +5,8 @@
 //   - points sharing one model object (SweepSpec::share, or a factory that
 //     memoizes) or models with equal fingerprints (dtmc::Model::fingerprint,
 //     e.g. a factory that builds a fresh ReducedViterbiModel per horizon)
-//     coalesce into a single engine request, so their horizon properties
-//     ride one batched transient sweep;
+//     always coalesce into a single engine request, so their horizon
+//     properties ride one batched transient sweep;
 //   - distinct-but-structurally-equal models still share one DTMC build
 //     through the engine's signature-keyed model cache;
 //   - independent requests run concurrently on the engine's pool, while
@@ -22,20 +22,9 @@
 
 namespace mimostat::sweep {
 
-struct RunOptions {
-  /// Merge points whose factory returned the same model object, or models
-  /// with equal fingerprints, into one engine request (one build + one batched sweep for all their horizon
-  /// properties). Turn off to issue one request per point — e.g. when
-  /// sampling, where coalescing changes the per-property seed derivation
-  /// (results stay deterministic either way, but the two layouts draw
-  /// different streams).
-  bool coalesce = true;
-};
-
 class Runner {
  public:
-  explicit Runner(engine::AnalysisEngine& engine, RunOptions options = {})
-      : engine_(engine), options_(options) {}
+  explicit Runner(engine::AnalysisEngine& engine) : engine_(engine) {}
 
   /// Enumerate the spec's points, run them, and collect the tidy table.
   /// Throws std::invalid_argument when the spec has no factory or no
@@ -44,7 +33,6 @@ class Runner {
 
  private:
   engine::AnalysisEngine& engine_;
-  RunOptions options_;
 };
 
 }  // namespace mimostat::sweep

@@ -29,8 +29,8 @@ namespace mimostat::sweep {
 /// Produces the model a point is checked against. The returned pointer is
 /// kept alive by the runner for the duration of the sweep. Returning the
 /// SAME shared_ptr for several points — or models with equal fingerprints
-/// (dtmc::Model::fingerprint) — marks them as sharing one model, which lets
-/// the runner coalesce their properties into a single engine request (one
+/// (dtmc::Model::fingerprint) — marks them as sharing one model, and the
+/// runner coalesces their properties into a single engine request (one
 /// build, one batched transient sweep). Distinct-but-structurally-equal
 /// models still share one build through the engine's signature-keyed cache.
 using ModelFactory =
@@ -41,14 +41,6 @@ using ModelFactory =
 /// its model factory is never invoked (the generator runs first).
 using PropertyGenerator =
     std::function<std::vector<std::string>(const Params&)>;
-
-/// Produces the engine options for one point from the point and the spec's
-/// shared base options — e.g. scale `smc.paths` with the horizon, or pick
-/// the solver by expected state count. When set, points never coalesce
-/// across each other (sibling points may disagree on backend/solver/seed
-/// configuration), so each point issues its own engine request.
-using OptionsHook = std::function<engine::RequestOptions(
-    const Params&, const engine::RequestOptions&)>;
 
 struct SweepSpec {
   SweepSpec() = default;
@@ -62,9 +54,6 @@ struct SweepSpec {
   /// Engine options applied to every point (backend, state budget, build
   /// and check options, sampling seeds...).
   engine::RequestOptions options;
-  /// Optional per-point override of `options` (see OptionsHook). Runs after
-  /// the property generator, so skipped points never invoke it.
-  OptionsHook optionsFor;
 
   /// Bind every point to one shared model instance (the common case for
   /// horizon/reward-family sweeps; enables cross-point coalescing).
@@ -76,12 +65,6 @@ struct SweepSpec {
   /// Bind a fixed property list to every point.
   SweepSpec& withProperties(std::vector<std::string> fixed) {
     properties = [fixed = std::move(fixed)](const Params&) { return fixed; };
-    return *this;
-  }
-
-  /// Set the per-point options hook (disables cross-point coalescing).
-  SweepSpec& withOptionsHook(OptionsHook hook) {
-    optionsFor = std::move(hook);
     return *this;
   }
 };

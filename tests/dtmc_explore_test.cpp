@@ -467,7 +467,7 @@ TEST(ExploreKey, IdenticalBuildsShareAKey) {
   engine::AnalysisEngine eng;
   (void)eng.ensureBuilt(duplicates);
   bool hit = false;
-  (void)eng.ensureBuilt(merged, {}, std::nullopt, &hit);
+  (void)eng.ensureBuilt(merged, {}, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(eng.stats().builds, 1u);
 }
@@ -525,16 +525,9 @@ TEST(ExploreOnce, ColdWarmAndModelKeyRequests) {
   ASSERT_TRUE(warm.ok());
   EXPECT_TRUE(warm.cacheHit);
   EXPECT_EQ(model.take(), warm.states);
-
-  request.options.modelKey = cold.modelKey;
-  const auto keyed = eng.analyze(request);
-  ASSERT_TRUE(keyed.ok());
-  EXPECT_TRUE(keyed.cacheHit);
-  EXPECT_EQ(model.take(), 0u);
-  EXPECT_EQ(keyed.timing.keySeconds, 0.0);
   EXPECT_EQ(eng.stats().builds, 1u);
 
-  // ensureBuilt without a key explores once too.
+  // ensureBuilt explores once too.
   engine::AnalysisEngine fresh;
   const auto built = fresh.ensureBuilt(model);
   EXPECT_EQ(model.take(), built->dtmc.numStates());

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -166,9 +167,9 @@ TEST(Engine, BatchedSweepMatchesPerCallBitForBit) {
 }
 
 TEST(Engine, EnsureBuiltModelKeyMatchesPerCallBitForBit) {
-  // The paper-table benches' path: build once with ensureBuilt, then send
-  // exact requests keyed by the build's signature. A keyed request must
-  // skip the key exploration, hit the cache and match per-call checking.
+  // Build once with ensureBuilt, then send exact requests on the same
+  // fingerprinted model. Each request must skip the key exploration through
+  // the fingerprint alias, hit the cache and match per-call checking.
   const auto model = smallViterbi();
   const std::vector<std::uint64_t> horizons{1, 5, 25, 100, 300};
   std::vector<std::string> props;
@@ -184,7 +185,6 @@ TEST(Engine, EnsureBuiltModelKeyMatchesPerCallBitForBit) {
   request.model = &model;
   request.properties = props;
   request.options.backend = engine::Backend::kExact;
-  request.options.modelKey = built->signature;
   // Bitwise against the unreduced oracle: the 350-pass plan would quotient
   // under kAuto.
   request.options.reduction.quotient = reduce::Toggle::kOff;
@@ -246,7 +246,7 @@ TEST(Engine, BuildOptionsArePartOfTheCacheKey) {
   dtmc::BuildOptions floored;
   floored.probFloor = 1e-3;
   bool hit = true;
-  const auto flooredBuild = eng.ensureBuilt(model, floored, std::nullopt, &hit);
+  const auto flooredBuild = eng.ensureBuilt(model, floored, &hit);
   EXPECT_FALSE(hit);
   EXPECT_NE(plain->signature, flooredBuild->signature);
   EXPECT_EQ(eng.stats().builds, 2u);
@@ -273,17 +273,60 @@ TEST(Engine, ModelKeySkipsProbe) {
   const auto model = smallViterbi();
   engine::AnalysisEngine eng;
   bool hit = true;
-  const auto built = eng.ensureBuilt(model, {}, std::nullopt, &hit);
+  const auto built = eng.ensureBuilt(model, {}, &hit);
   EXPECT_FALSE(hit);
 
   engine::AnalysisRequest request;
   request.model = &model;
   request.properties = {"R=? [ I=10 ]"};
-  request.options.modelKey = built->signature;
   const auto response = eng.analyze(request);
   EXPECT_TRUE(response.cacheHit);
   EXPECT_EQ(response.modelKey, built->signature);
+  EXPECT_EQ(response.timing.keySeconds, 0.0);
   EXPECT_EQ(eng.stats().builds, 1u);
+}
+
+TEST(Engine, UnlimitedStateBudgetStaysExact) {
+  // kAuto explores one state past the budget; at an unlimited budget that
+  // cap must saturate, not wrap to 0 (a truncated exploration would send
+  // every model to the sampling backend).
+  const auto model = smallViterbi();
+  engine::AnalysisEngine eng(engineOptions(1, 8));
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"R=? [ I=10 ]"};
+  request.options.stateBudget = std::numeric_limits<std::uint64_t>::max();
+  const auto response = eng.analyze(request);
+  ASSERT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(response.backend, engine::Backend::kExact);
+  EXPECT_EQ(response.results[0].samples, 0u);
+  EXPECT_EQ(response.states, dtmc::buildExplicit(model).dtmc.numStates());
+  EXPECT_EQ(response.results[0].value,
+            perCallReference(model, request.properties)[0]);
+}
+
+TEST(Engine, DefaultEnginesKeepSeparateStats) {
+  // Without an injected registry every engine counts in its own: an idle
+  // sibling reports nothing of another engine's requests.
+  const auto model = smallViterbi();
+  engine::AnalysisEngine busy;
+  engine::AnalysisEngine idle;
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"R=? [ I=10 ]"};
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(busy.analyze(request).ok());
+
+  const engine::EngineStats busyStats = busy.stats();
+  EXPECT_EQ(busyStats.requests, 3u);
+  EXPECT_EQ(busyStats.builds, 1u);
+  EXPECT_EQ(busyStats.cacheHits, 2u);
+  EXPECT_GT(busyStats.p50RequestSeconds, 0.0);
+
+  const engine::EngineStats idleStats = idle.stats();
+  EXPECT_EQ(idleStats.requests, 0u);
+  EXPECT_EQ(idleStats.builds, 0u);
+  EXPECT_EQ(idleStats.cacheHits, 0u);
+  EXPECT_EQ(idleStats.p50RequestSeconds, 0.0);
 }
 
 TEST(Engine, ConcurrentIdenticalRequestsAgree) {
@@ -666,9 +709,9 @@ TEST(Engine, CacheEvictsLeastRecentlyUsed) {
 
   // The most recent entry is still cached; the oldest is gone.
   bool hit = false;
-  (void)eng.ensureBuilt(models[3], {}, std::nullopt, &hit);
+  (void)eng.ensureBuilt(models[3], {}, &hit);
   EXPECT_TRUE(hit);
-  (void)eng.ensureBuilt(models[0], {}, std::nullopt, &hit);
+  (void)eng.ensureBuilt(models[0], {}, &hit);
   EXPECT_FALSE(hit);
 }
 
@@ -714,9 +757,9 @@ TEST(Engine, ByteBudgetEvictsSoOneHugeModelCannotPinTheCache) {
 
   // The survivor is the most recently used entry.
   bool hit = false;
-  (void)eng.ensureBuilt(second, {}, std::nullopt, &hit);
+  (void)eng.ensureBuilt(second, {}, &hit);
   EXPECT_TRUE(hit);
-  (void)eng.ensureBuilt(first, {}, std::nullopt, &hit);
+  (void)eng.ensureBuilt(first, {}, &hit);
   EXPECT_FALSE(hit);
 }
 
@@ -731,7 +774,7 @@ TEST(Engine, SingleOverBudgetModelStaysResident) {
   (void)eng.ensureBuilt(model);
   EXPECT_EQ(eng.stats().cachedModels, 1u);
   bool hit = false;
-  (void)eng.ensureBuilt(model, {}, std::nullopt, &hit);
+  (void)eng.ensureBuilt(model, {}, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(eng.stats().builds, 1u);
 }
@@ -802,32 +845,37 @@ TEST(Engine, RequestThresholdAloneGetsTheEnginePool) {
 }
 
 TEST(PropertyCache, SharedAcrossEngineAndCheckers) {
-  // One injected cache serves the engine and every checker: the property is
-  // parsed once, every later consumer hits.
-  pctl::PropertyCache cache;
+  // The process-wide cache serves the engine and every checker: a property
+  // is parsed once, every later consumer hits. The property string is
+  // unique to this test, so the counts are relative to the cache's state
+  // on entry.
+  pctl::PropertyCache& cache = pctl::PropertyCache::global();
+  const std::string property = "R=? [ I=4243 ]";
   const auto model = smallViterbi();
+  const std::uint64_t missesBefore = cache.misses();
+  const std::uint64_t hitsBefore = cache.hits();
 
   engine::EngineOptions options;
   options.threads = 1;
-  options.propertyCache = &cache;
   engine::AnalysisEngine eng(options);
   engine::AnalysisRequest request;
   request.model = &model;
-  request.properties = {"R=? [ I=10 ]"};
+  request.properties = {property};
+  // Bitwise against the unreduced checker: the long horizon would quotient
+  // under kAuto.
+  request.options.reduction.quotient = reduce::Toggle::kOff;
   const auto response = eng.analyze(request);
   ASSERT_TRUE(response.ok());
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(cache.misses(), missesBefore + 1);
+  const std::size_t sizeAfterEngine = cache.size();
 
   const auto build = dtmc::buildExplicit(model);
-  const mc::Checker checker(build.dtmc, model, {}, &cache);
-  const auto result = checker.check("R=? [ I=10 ]");
+  const mc::Checker checker(build.dtmc, model);
+  const auto result = checker.check(property);
   EXPECT_EQ(result.value, response.results[0].value);
-  EXPECT_EQ(cache.size(), 1u);  // no re-parse, no second entry
-  EXPECT_GE(cache.hits(), 1u);
-
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.misses(), missesBefore + 1);  // no re-parse
+  EXPECT_EQ(cache.size(), sizeAfterEngine);     // no second entry
+  EXPECT_GE(cache.hits(), hitsBefore + 1);
 }
 
 TEST(PropertyCache, EntryCapBoundsGrowth) {
@@ -842,6 +890,10 @@ TEST(PropertyCache, EntryCapBoundsGrowth) {
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.get("R=? [ I=3 ]").reward.bound, 3u);  // still served
   EXPECT_EQ(cache.misses(), 3u);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  (void)cache.get("R=? [ I=3 ]");  // cleared: parses again
+  EXPECT_EQ(cache.misses(), 4u);
 }
 
 TEST(PropertyCache, DefaultsToProcessWideGlobal) {

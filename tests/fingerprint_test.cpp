@@ -226,7 +226,7 @@ TEST(Fingerprint, SecondObjectIsServedFromTheCacheBitForBit) {
     // ensureBuilt: a third object, same parameters.
     const auto third = c.make();
     bool hit = false;
-    const auto built = eng.ensureBuilt(*third, {}, std::nullopt, &hit);
+    const auto built = eng.ensureBuilt(*third, {}, &hit);
     EXPECT_TRUE(hit);
     EXPECT_EQ(built->signature, dtmc::explore(*third).hash);
     EXPECT_EQ(metrics.snapshot().counterValue("engine.fingerprint_hits"), 2u);

@@ -260,16 +260,18 @@ TEST(SweepRunner, SharedModelCoalescesIntoOneBatchedRequest) {
     EXPECT_GT(row.plan.tasksPlanned, 0u);
   }
 
-  // Turning coalescing off gives per-point requests with identical values
-  // (still one build, through the model cache).
+  // One engine request per point gives identical values (still one build,
+  // through the model cache).
   engine::AnalysisEngine perPoint;
-  const sweep::Runner uncoalesced(perPoint, sweep::RunOptions{false});
-  const auto separate = uncoalesced.run(spec);
-  ASSERT_TRUE(separate.ok());
-  EXPECT_EQ(perPoint.stats().builds, 1u);
   for (std::size_t i = 0; i < table.size(); ++i) {
-    EXPECT_EQ(table.rows()[i].value, separate.rows()[i].value);
+    engine::AnalysisRequest request;
+    request.model = model.get();
+    request.properties = {table.rows()[i].property};
+    const auto response = perPoint.analyze(request);
+    ASSERT_TRUE(response.ok());
+    EXPECT_EQ(table.rows()[i].value, response.results[0].value);
   }
+  EXPECT_EQ(perPoint.stats().builds, 1u);
 }
 
 TEST(SweepRunner, StructurallyEqualModelsShareOneBuild) {
@@ -328,9 +330,10 @@ TEST(SweepRunner, EqualFingerprintsCoalesceIntoOneRequest) {
 
 TEST(SweepRunner, FactoryFailureIsIsolatedPerPoint) {
   sweep::SweepSpec spec("faulty");
-  spec.space.cross(Axis::ints("n", 1, 3));
+  spec.space.cross(Axis::ints("n", 1, 4));
   spec.factory = [](const Params& p) -> std::shared_ptr<const dtmc::Model> {
     if (p.getInt("n") == 2) throw std::runtime_error("factory boom");
+    if (p.getInt("n") == 4) return nullptr;
     auto model = std::make_shared<test::MatrixModel>(
         test::twoStateChain(0.3, 0.4));
     model->withRewards({0.0, 1.0});
@@ -341,8 +344,8 @@ TEST(SweepRunner, FactoryFailureIsIsolatedPerPoint) {
   engine::AnalysisEngine eng;
   const sweep::Runner runner(eng);
   const auto table = runner.run(spec);
-  ASSERT_EQ(table.size(), 3u);
-  EXPECT_EQ(table.errorCount(), 1u);
+  ASSERT_EQ(table.size(), 4u);
+  EXPECT_EQ(table.errorCount(), 2u);
   EXPECT_TRUE(table.rows()[0].ok());
   EXPECT_EQ(table.rows()[1].error, "factory boom");
   // A failed row never exports as a passing zero.
@@ -350,6 +353,8 @@ TEST(SweepRunner, FactoryFailureIsIsolatedPerPoint) {
   EXPECT_FALSE(table.rows()[1].satisfied);
   EXPECT_TRUE(table.rows()[2].ok());
   EXPECT_EQ(table.rows()[0].value, table.rows()[2].value);
+  EXPECT_EQ(table.rows()[3].error, "model factory returned null");
+  EXPECT_TRUE(std::isnan(table.rows()[3].value));
 }
 
 TEST(SweepRunner, EmptyPropertyListSkipsPointWithoutBuilding) {
@@ -500,103 +505,6 @@ TEST(ResultTable, GuaranteeReportsFeedCoreReport) {
   const std::string formatted =
       core::formatReportTable("Sweep results", reports);
   EXPECT_NE(formatted.find("a=1 b=1 R=? [ I=5 ]"), std::string::npos);
-}
-
-// ---------------------------------------------- per-point options hook
-
-TEST(SweepRunner, OptionsHookScalesSamplingPerPoint) {
-  // The ROADMAP follow-up scenario: scale smc.paths with the point. One
-  // shared model would normally coalesce both points into a single request
-  // (one shared RequestOptions); the hook forces per-point requests, so
-  // each point's path budget sticks.
-  const auto model = std::make_shared<test::MatrixModel>(
-      test::twoStateChain(0.3, 0.4));
-  model->withLabel("one", {0, 1});
-
-  sweep::SweepSpec spec("hooked");
-  spec.space.cross(Axis::ints("T", 4, 8, 4));
-  spec.share(model);
-  spec.properties = [](const Params& p) {
-    return std::vector<std::string>{
-        "P=? [ F<=" + std::to_string(p.getInt("T")) + " \"one\" ]"};
-  };
-  spec.options.backend = engine::Backend::kSampling;
-  spec.options.smc.paths = 100;
-  spec.options.smc.seed = 7;
-  spec.withOptionsHook([](const Params& p, const engine::RequestOptions& base) {
-    engine::RequestOptions options = base;
-    options.smc.paths =
-        base.smc.paths * static_cast<std::uint64_t>(p.getInt("T"));
-    return options;
-  });
-
-  engine::AnalysisEngine eng;
-  const sweep::Runner runner(eng);
-  const auto table = runner.run(spec);
-  ASSERT_TRUE(table.ok());
-  ASSERT_EQ(table.size(), 2u);
-  EXPECT_EQ(table.rows()[0].samples, 400u);  // T=4: base 100 x 4
-  EXPECT_EQ(table.rows()[1].samples, 800u);  // T=8: base 100 x 8
-}
-
-TEST(SweepRunner, OptionsHookPicksSolverPerPoint) {
-  // The hook sets the quotient toggle per point: the unreduced point solves
-  // R=? [ F any ] by Gauss-Seidel, the quotiented one by exact elimination
-  // (the engine selects it on a small applied quotient), and both agree.
-  const auto model = std::make_shared<test::SymmetricBanksModel>(8, 0.3, 0.2);
-
-  sweep::SweepSpec spec("solver-per-point");
-  spec.space.cross(Axis::strings("quotient", {"off", "on"}));
-  spec.share(model);
-  spec.withProperties({"R=? [ F any ]"});
-  spec.withOptionsHook([](const Params& p, const engine::RequestOptions& base) {
-    engine::RequestOptions options = base;
-    options.reduction.quotient = p.getString("quotient") == "on"
-                                     ? reduce::Toggle::kOn
-                                     : reduce::Toggle::kOff;
-    return options;
-  });
-
-  engine::AnalysisEngine eng;
-  const sweep::Runner runner(eng);
-  const auto table = runner.run(spec);
-  ASSERT_TRUE(table.ok());
-  ASSERT_EQ(table.size(), 2u);
-  ASSERT_TRUE(table.rows()[0].solver.has_value());
-  ASSERT_TRUE(table.rows()[1].solver.has_value());
-  EXPECT_EQ(table.rows()[0].solver->solver, "gauss-seidel");
-  EXPECT_EQ(table.rows()[1].solver->solver, "elimination");
-  EXPECT_TRUE(table.rows()[0].solver->converged);
-  EXPECT_TRUE(table.rows()[1].solver->converged);
-  EXPECT_NEAR(table.rows()[0].value, table.rows()[1].value, 1e-9);
-  // Both points ran against one cached build despite separate requests.
-  EXPECT_EQ(eng.stats().builds, 1u);
-}
-
-TEST(SweepRunner, OptionsHookFailureIsIsolatedPerPoint) {
-  const auto model = std::make_shared<test::MatrixModel>(
-      test::twoStateChain(0.3, 0.4));
-  sweep::SweepSpec spec("hook-throws");
-  spec.space.cross(Axis::ints("T", 1, 3));
-  spec.factory = [&model](const Params& p)
-      -> std::shared_ptr<const dtmc::Model> {
-    // Point T=3 has no model: its row must report the factory failure, not
-    // whatever the hook would have done.
-    if (p.getInt("T") == 3) return nullptr;
-    return model;
-  };
-  spec.withProperties({"P=? [ F \"one\" ]"});
-  spec.withOptionsHook([](const Params& p, const engine::RequestOptions& base) {
-    if (p.getInt("T") >= 2) throw std::runtime_error("bad point");
-    return base;
-  });
-  engine::AnalysisEngine eng;
-  const sweep::Runner runner(eng);
-  const auto table = runner.run(spec);
-  ASSERT_EQ(table.size(), 3u);
-  EXPECT_TRUE(table.rows()[0].ok());
-  EXPECT_EQ(table.rows()[1].error, "bad point");
-  EXPECT_EQ(table.rows()[2].error, "model factory returned null");
 }
 
 // ------------------------------------------- solver diagnostic columns

@@ -313,7 +313,7 @@ class GuardedByTest(unittest.TestCase):
         self.assertEqual(run(src), [])
 
     def test_inline_accessor_return_not_flagged(self):
-        # The engine.hpp false positive: `return *propertyCache_;`.
+        # An inline accessor that returns a member: `return *cache_;`.
         src = """\
         class Engine {
           util::Mutex mutex_;
