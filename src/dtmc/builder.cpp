@@ -32,7 +32,11 @@ struct PackedKeys {
   using Key = std::uint64_t;
   const VarLayout* layout;
   [[nodiscard]] Key key(const State& s) const { return layout->pack(s); }
-  [[nodiscard]] State state(Key key) const { return layout->unpack(key); }
+  /// `key` decoded into `scratch`.
+  const State& state(Key key, State& scratch) const {
+    layout->unpackInto(key, scratch);
+    return scratch;
+  }
   [[nodiscard]] static std::uint64_t hash(Key key) { return util::mix64(key); }
 };
 
@@ -40,7 +44,9 @@ struct PackedKeys {
 struct WideKeys {
   using Key = State;
   [[nodiscard]] static Key key(State&& s) { return std::move(s); }
-  [[nodiscard]] static const State& state(const Key& key) { return key; }
+  static const State& state(const Key& key, State& /*scratch*/) {
+    return key;
+  }
   [[nodiscard]] static std::uint64_t hash(const Key& key) {
     return util::fnv1a(key.data(), key.size() * sizeof(std::int32_t));
   }
@@ -59,7 +65,8 @@ constexpr std::size_t kChunkEntries = std::size_t{1} << 11;
 constexpr std::size_t kMaxChunks = 16;
 
 /// explore()'s BFS over `Keys`-typed state keys, continuing hash `h`.
-/// `table` (a member of `e`) receives the state table in discovery order.
+/// `table` (a member of `e.raw`) receives the state table in discovery
+/// order.
 ///
 /// Each level runs in windows of states, each in two phases. The parallel
 /// phase computes a pure function of each state into its chunk's slots:
@@ -138,6 +145,7 @@ void exploreWith(const Model& model, const Keys& keys,
     std::vector<std::uint32_t> found;
     std::vector<std::size_t> rowEnd;  ///< per state, into entries
     std::vector<double> mass;         ///< per state, before normalizing
+    State scratch;                    ///< the expanded state, decoded
     /// The first state whose row threw; later states are not expanded.
     std::size_t failed = 0;
     std::exception_ptr error;
@@ -156,7 +164,7 @@ void exploreWith(const Model& model, const Keys& keys,
     for (std::size_t s = c.begin; s < c.end; ++s) {
       try {
         c.out.clear();
-        model.transitions(keys.state(table[s]), c.out);
+        model.transitions(keys.state(table[s], c.scratch), c.out);
         c.row.clear();
         for (Transition& t : c.out) {
           c.row.push_back({t.prob, keys.key(std::move(t.target))});
@@ -264,8 +272,7 @@ void exploreWith(const Model& model, const Keys& keys,
   e.hash = truncated ? util::hashCombine(h, util::mix64(~options.maxStates))
                      : h;
   if (truncated || !options.keepMatrix) {
-    table = {};
-    raw = {};
+    raw = {};  // the state table with it
     return;
   }
   raw.initial.assign(table.size(), 0.0);
@@ -294,8 +301,7 @@ Exploration explore(const Model& model, const ExploreOptions& options,
 
   Exploration e;
   if (layout.fitsInU64()) {
-    exploreWith(model, PackedKeys{&layout}, options, runner, h, e.packedStates,
-                e);
+    exploreWith(model, PackedKeys{&layout}, options, runner, h, e.raw.keys, e);
   } else {
     exploreWith(model, WideKeys{}, options, runner, h, e.raw.states, e);
   }
@@ -321,13 +327,6 @@ BuildResult buildFromExploration(Exploration exploration,
   if (exploration.worstMassDeviation > kMassTolerance) {
     MS_LOG_WARN("buildExplicit: worst transition-mass deviation %.3e",
                 exploration.worstMassDeviation);
-  }
-  if (!exploration.packedStates.empty()) {
-    raw.states.reserve(exploration.packedStates.size());
-    for (const std::uint64_t key : exploration.packedStates) {
-      raw.states.push_back(raw.layout.unpack(key));
-    }
-    exploration.packedStates = {};
   }
 
   BuildResult result{ExplicitDtmc::fromRaw(std::move(raw)),

@@ -62,10 +62,9 @@ struct Exploration {
   double worstMassDeviation = 0.0;  ///< max |row mass - 1| before normalizing
   double seconds = 0.0;
   /// keepMatrix and exact only: CSR, initial distribution and layout, plus
-  /// the state table — in raw.states for layouts wider than 64 bits, as
-  /// packed keys (decoded by a build) otherwise.
+  /// the state table — packed keys in raw.keys when the layout fits 64
+  /// bits, raw.states otherwise. A build keeps it in that form.
   ExplicitDtmc::Raw raw;
-  std::vector<std::uint64_t> packedStates;
 };
 
 /// Explore the reachable state space of `model`. Never throws on large

@@ -1,38 +1,77 @@
 #include "dtmc/explicit_dtmc.hpp"
 
-#include <cassert>
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace mimostat::dtmc {
 
 ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw) {
+  if (raw.rowPtr.empty()) {
+    throw std::invalid_argument("ExplicitDtmc::fromRaw: empty rowPtr");
+  }
+  const std::size_t rows = raw.rowPtr.size() - 1;
+  if (raw.initial.size() != rows) {
+    throw std::invalid_argument(
+        "ExplicitDtmc::fromRaw: initial distribution length differs from "
+        "the row count");
+  }
+  const bool packed = !raw.keys.empty();
+  if (packed && (!raw.states.empty() || !raw.layout.fitsInU64())) {
+    throw std::invalid_argument(
+        "ExplicitDtmc::fromRaw: packed keys need an empty State table and a "
+        "layout that fits 64 bits");
+  }
+  if ((packed ? raw.keys.size() : raw.states.size()) != rows) {
+    throw std::invalid_argument(
+        "ExplicitDtmc::fromRaw: state table length differs from the row "
+        "count");
+  }
   ExplicitDtmc d;
-  assert(!raw.rowPtr.empty());
-  assert(raw.initial.size() == raw.rowPtr.size() - 1);
-  const auto numStates = static_cast<std::uint32_t>(raw.rowPtr.size() - 1);
   d.matrix_ = la::CsrMatrix::fromCsr(std::move(raw.rowPtr), std::move(raw.col),
-                                     std::move(raw.val), numStates);
+                                     std::move(raw.val),
+                                     static_cast<std::uint32_t>(rows));
   d.initial_ = std::move(raw.initial);
+  d.keys_ = std::move(raw.keys);
   d.states_ = std::move(raw.states);
   d.layout_ = std::move(raw.layout);
   return d;
 }
 
+void ExplicitDtmc::copyStatesInto(const std::vector<std::uint32_t>& indices,
+                                  Raw& raw) const {
+  if (keys_.empty()) {
+    raw.states.reserve(raw.states.size() + indices.size());
+    for (const std::uint32_t i : indices) raw.states.push_back(states_[i]);
+  } else {
+    raw.keys.reserve(raw.keys.size() + indices.size());
+    for (const std::uint32_t i : indices) raw.keys.push_back(keys_[i]);
+  }
+}
+
+std::uint64_t ExplicitDtmc::stateTableBytes() const {
+  // 8 bytes a packed state; an unpacked one is a vector header plus its
+  // heap block of int32 values.
+  return keys_.size() * sizeof(std::uint64_t) +
+         states_.size() *
+             (sizeof(State) + layout_.numVars() * sizeof(std::int32_t));
+}
+
 la::BitVector ExplicitDtmc::evalAtom(const Model& model,
                                      std::string_view name) const {
   la::BitVector truth(numStates());
-  for (std::uint32_t i = 0; i < numStates(); ++i) {
-    if (model.atom(states_[i], name)) truth.set(i);
-  }
+  forEachState([&](std::uint32_t i, const State& s) {
+    if (model.atom(s, name)) truth.set(i);
+  });
   return truth;
 }
 
 std::vector<double> ExplicitDtmc::evalReward(const Model& model,
                                              std::string_view name) const {
   std::vector<double> reward(numStates());
-  for (std::uint32_t i = 0; i < numStates(); ++i) {
-    reward[i] = model.stateReward(states_[i], name);
-  }
+  forEachState([&](std::uint32_t i, const State& s) {
+    reward[i] = model.stateReward(s, name);
+  });
   return reward;
 }
 

@@ -32,7 +32,7 @@ void writeSta(const ExplicitDtmc& dtmc, std::ostream& os) {
   os << ")\n";
   for (std::uint32_t s = 0; s < dtmc.numStates(); ++s) {
     os << s << ":(";
-    const State& st = dtmc.state(s);
+    const State st = dtmc.state(s);
     for (std::size_t i = 0; i < st.size(); ++i) {
       if (i != 0) os << ',';
       os << st[i];
@@ -66,8 +66,9 @@ void writeLab(const ExplicitDtmc& dtmc, const Model& model,
   os << '\n';
   for (std::uint32_t s = 0; s < dtmc.numStates(); ++s) {
     bool any = false;
+    const State state = dtmc.state(s);
     for (std::size_t i = 0; i < labels.size(); ++i) {
-      if (model.atom(dtmc.state(s), labels[i])) {
+      if (model.atom(state, labels[i])) {
         if (!any) {
           os << s << ':';
           any = true;

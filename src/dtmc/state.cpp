@@ -14,20 +14,25 @@ int bitsFor(std::int64_t rangeSize) {
 }  // namespace
 
 VarLayout::VarLayout(const std::vector<VarSpec>& vars) : vars_(vars) {
-  bitWidth_.reserve(vars_.size());
-  bitOffset_.reserve(vars_.size());
+  std::vector<int> bitWidth;
+  bitWidth.reserve(vars_.size());
   for (const auto& v : vars_) {
     assert(v.hi >= v.lo);
-    bitWidth_.push_back(bitsFor(v.rangeSize()));
-    totalBits_ += bitWidth_.back();
+    bitWidth.push_back(bitsFor(v.rangeSize()));
+    totalBits_ += bitWidth.back();
   }
   // Lexicographic packing: variable 0 takes the most significant bits, so
   // comparing packed keys as integers orders states exactly as State's
   // operator< does (each field is a monotone offset from its lower bound).
+  // A 0-bit field reads bit 0 through an empty mask: its offset stays below
+  // 64 even when the fields before it fill the whole word.
   int offset = totalBits_;
-  for (const int width : bitWidth_) {
+  fields_.reserve(vars_.size());
+  for (std::size_t i = 0; i < vars_.size(); ++i) {
+    const int width = bitWidth[i];
     offset -= width;
-    bitOffset_.push_back(offset);
+    fields_.push_back({width == 64 ? ~0ULL : (1ULL << width) - 1, vars_[i].lo,
+                       width == 0 ? 0 : offset});
   }
 }
 
@@ -50,21 +55,16 @@ std::uint64_t VarLayout::pack(const State& s) const {
   std::uint64_t packed = 0;
   for (std::size_t i = 0; i < vars_.size(); ++i) {
     assert(s[i] >= vars_[i].lo && s[i] <= vars_[i].hi);
-    const auto rel = static_cast<std::uint64_t>(s[i] - vars_[i].lo);
-    packed |= rel << bitOffset_[i];
+    const auto rel = static_cast<std::uint64_t>(
+        static_cast<std::int64_t>(s[i]) - vars_[i].lo);
+    packed |= rel << fields_[i].shift;
   }
   return packed;
 }
 
 State VarLayout::unpack(std::uint64_t packed) const {
-  assert(fitsInU64());
-  State s(vars_.size());
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    const std::uint64_t mask =
-        bitWidth_[i] == 64 ? ~0ULL : ((1ULL << bitWidth_[i]) - 1);
-    const auto rel = (packed >> bitOffset_[i]) & mask;
-    s[i] = vars_[i].lo + static_cast<std::int32_t>(rel);
-  }
+  State s;
+  unpackInto(packed, s);
   return s;
 }
 

@@ -1,9 +1,9 @@
 // DTMC state representation.
 //
 // A state is a full assignment of values to the model's state variables
-// (paper §IV-A-1). We store it as a flat int32 vector; a VarLayout can pack
-// a state into a single uint64 for memory-lean reachability counting of the
-// paper's huge "original" models.
+// (paper §IV-A-1). Models exchange states as flat int32 vectors; a VarLayout
+// packs a state into a single uint64, the form explored and built state
+// tables keep whenever the layout fits 64 bits.
 #pragma once
 
 #include <cassert>
@@ -48,6 +48,18 @@ class VarLayout {
 
   [[nodiscard]] std::uint64_t pack(const State& s) const;
   [[nodiscard]] State unpack(std::uint64_t packed) const;
+  /// unpack() into `out` (resized to numVars()), reusing its storage.
+  void unpackInto(std::uint64_t packed, State& out) const {
+    assert(fitsInU64());
+    out.resize(fields_.size());
+    std::int32_t* value = out.data();
+    for (const Field& f : fields_) *value++ = f.decode(packed);
+  }
+  /// Value of variable `var` in a packed state, without decoding the rest.
+  [[nodiscard]] std::int32_t field(std::uint64_t packed,
+                                   std::size_t var) const {
+    return fields_[var].decode(packed);
+  }
 
   /// Log2-style upper bound on the number of syntactically possible states
   /// (product of variable ranges), saturating at ~1e18.
@@ -55,8 +67,19 @@ class VarLayout {
 
  private:
   std::vector<VarSpec> vars_;
-  std::vector<int> bitWidth_;
-  std::vector<int> bitOffset_;
+  /// One packed variable, kept in one contiguous table so decoding a whole
+  /// state walks 16 bytes a variable.
+  struct Field {
+    std::uint64_t mask;  ///< as many low bits set as the field is wide
+    std::int32_t lo;
+    int shift;
+    [[nodiscard]] std::int32_t decode(std::uint64_t packed) const {
+      // In 64 bits: a full-range int32 field's offset exceeds INT32_MAX.
+      return static_cast<std::int32_t>(
+          lo + static_cast<std::int64_t>((packed >> shift) & mask));
+    }
+  };
+  std::vector<Field> fields_;
   int totalBits_ = 0;
 };
 

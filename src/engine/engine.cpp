@@ -47,12 +47,37 @@ stats::Interval meanInterval95(const stats::RunningStats& stats) {
 /// keeps a quotient key from ever colliding with its structural key even
 /// for an empty digest.
 constexpr std::uint64_t kQuotientKeySalt = 0x9D0712E6C2B5A34Full;
+/// Keeps quotient aliases apart from the fingerprint aliases of full builds.
+constexpr std::uint64_t kQuotientAliasSalt = 0x51A5E7C0A11A5E50ull;
 
 std::uint64_t cacheKeyFor(std::uint64_t signatureHash,
                           const dtmc::BuildOptions& buildOptions) {
   return buildOptions.probFloor == 0.0
              ? signatureHash
              : util::hashCombineDouble(signatureHash, buildOptions.probFloor);
+}
+
+/// The quotient alias of `model`'s reduction under `plan`: its fingerprint
+/// (with the build options), each plan mask's structural hash in plan order
+/// and the sorted reward names. Model::fingerprint()'s contract fixes the
+/// layout, atoms and rewards, so the mask bits, reward vectors and digest
+/// the quotient key hashes are functions of the alias. nullopt without a
+/// fingerprint.
+std::optional<std::uint64_t> quotientAlias(
+    const dtmc::Model& model, const dtmc::BuildOptions& build,
+    const pctl::EvalPlan& plan, const std::vector<std::string>& rewardNames) {
+  const std::optional<std::uint64_t> fingerprint = model.fingerprint();
+  if (!fingerprint) return std::nullopt;
+  std::uint64_t h =
+      util::hashCombine(cacheKeyFor(*fingerprint, build) ^ kQuotientAliasSalt,
+                        util::mix64(plan.masks.size()));
+  for (const auto& mask : plan.masks) {
+    h = util::hashCombine(h, pctl::structuralHash(*mask));
+  }
+  for (const std::string& name : rewardNames) {
+    h = util::hashCombine(h, util::fnv1a(name.data(), name.size()));
+  }
+  return h;
 }
 
 /// The hashed (and kept) rows follow the build's probability floor, so a
@@ -107,13 +132,12 @@ const char* backendName(Backend backend) {
 }
 
 std::uint64_t approxDtmcBytes(const dtmc::ExplicitDtmc& dtmc) {
-  const std::uint64_t states = dtmc.numStates();
-  const std::uint64_t vars = dtmc.varLayout().numVars();
   // CSR arrays (including the stable transpose and block tables, via the
-  // matrix's own accounting); initial distribution; one heap-allocated
-  // int32 vector per decoded state.
-  return dtmc.matrix().approxBytes() + states * sizeof(double) +
-         states * (sizeof(dtmc::State) + vars * sizeof(std::int32_t));
+  // matrix's own accounting); initial distribution; the state table (8
+  // bytes a state when packed).
+  return dtmc.matrix().approxBytes() +
+         std::uint64_t{dtmc.numStates()} * sizeof(double) +
+         dtmc.stateTableBytes();
 }
 
 AnalysisEngine::AnalysisEngine(EngineOptions options)
@@ -127,7 +151,9 @@ AnalysisEngine::AnalysisEngine(EngineOptions options)
       cacheHitCounter_(metrics_->counter("engine.cache_hits")),
       quotientBuildCounter_(metrics_->counter("engine.quotient_builds")),
       quotientHitCounter_(metrics_->counter("engine.quotient_hits")),
-      fingerprintHitCounter_(metrics_->counter("engine.fingerprint_hits")) {}
+      fingerprintHitCounter_(metrics_->counter("engine.fingerprint_hits")),
+      quotientAliasHitCounter_(
+          metrics_->counter("engine.quotient_alias_hits")) {}
 
 AnalysisEngine::~AnalysisEngine() = default;
 
@@ -196,14 +222,37 @@ void AnalysisEngine::recordFingerprint(const dtmc::Model& model,
                                        const dtmc::BuildOptions& build,
                                        std::uint64_t key) {
   const std::optional<std::uint64_t> fingerprint = model.fingerprint();
-  if (!fingerprint) return;
-  const std::uint64_t alias = cacheKeyFor(*fingerprint, build);
+  if (fingerprint) recordAlias(cacheKeyFor(*fingerprint, build), key);
+}
+
+void AnalysisEngine::recordAlias(std::uint64_t alias, std::uint64_t key) {
   const util::MutexLock lock(cacheMutex_);
   const auto slot = modelCache_.find(key);
   if (slot == modelCache_.end()) return;  // evicted since its fill
   if (fingerprintKeys_.emplace(alias, key).second) {
     slot->second.aliases.push_back(alias);
   }
+}
+
+std::shared_future<std::shared_ptr<const BuiltModel>>
+AnalysisEngine::joinLocked(CacheSlot& slot, bool quotient) {
+  (quotient ? quotientHitCounter_ : cacheHitCounter_).inc();
+  slot.lastUsed = ++useCounter_;
+  return slot.future;
+}
+
+std::shared_ptr<const BuiltModel> AnalysisEngine::quotientByAlias(
+    std::uint64_t alias) {
+  std::shared_future<std::shared_ptr<const BuiltModel>> joined;
+  {
+    const util::MutexLock lock(cacheMutex_);
+    const auto it = fingerprintKeys_.find(alias);
+    if (it == fingerprintKeys_.end()) return nullptr;
+    // Eviction drops a slot's aliases with it, so the slot is resident.
+    joined = joinLocked(modelCache_.at(it->second), true);
+  }
+  quotientAliasHitCounter_.inc();
+  return joined.get();  // waits for an in-flight fill; rethrows failures
 }
 
 void AnalysisEngine::evictLocked() {
@@ -240,9 +289,7 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::getOrCompute(
     const util::MutexLock lock(cacheMutex_);
     const auto it = modelCache_.find(key);
     if (it != modelCache_.end()) {
-      (quotient ? quotientHitCounter_ : cacheHitCounter_).inc();
-      it->second.lastUsed = ++useCounter_;
-      joined = it->second.future;
+      joined = joinLocked(it->second, quotient);
     } else {
       (quotient ? quotientBuildCounter_ : buildCounter_).inc();
       CacheSlot slot;
@@ -520,14 +567,6 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
     obs::Span reduceSpan("engine.reduce", traceParent);
     ReductionStats reductionStats;
     try {
-      mc::CheckOptions probeOptions;
-      probeOptions.traceParent = reduceSpan.id();
-      const mc::Checker probe(built->dtmc, *request.model, probeOptions);
-      std::vector<la::BitVector> maskBits;
-      maskBits.reserve(probePlan->masks.size());
-      for (const auto& mask : probePlan->masks) {
-        maskBits.push_back(probe.evalStateFormula(*mask));
-      }
       // Reward structures any reward property resolves. plan.rewardNames
       // covers only the transient group, so gather from the properties and
       // deduplicate in sorted order (the digest is order-independent, but
@@ -541,34 +580,54 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
       std::sort(rewardNames.begin(), rewardNames.end());
       rewardNames.erase(std::unique(rewardNames.begin(), rewardNames.end()),
                         rewardNames.end());
-      std::vector<std::vector<double>> rewardVectors;
-      rewardVectors.reserve(rewardNames.size());
-      for (const std::string& name : rewardNames) {
-        rewardVectors.push_back(built->dtmc.evalReward(*request.model, name));
-      }
 
-      dtmc::LabelRewardDigest digest;
-      for (std::size_t m = 0; m < probePlan->masks.size(); ++m) {
-        digest.addMask(pctl::structuralHash(*probePlan->masks[m]), maskBits[m]);
-      }
-      for (std::size_t r = 0; r < rewardNames.size(); ++r) {
-        digest.addReward(rewardNames[r], rewardVectors[r]);
-      }
-      const std::uint64_t quotientKey = util::hashCombine(
-          key ^ kQuotientKeySalt, util::mix64(digest.hash()));
+      // A fingerprinted model reaches a quotient it has seen through its
+      // alias, without evaluating masks and rewards over the full model.
+      const std::optional<std::uint64_t> alias = quotientAlias(
+          *request.model, request.options.build, *probePlan, rewardNames);
+      std::shared_ptr<const BuiltModel> reducedBuilt =
+          alias ? quotientByAlias(*alias) : nullptr;
+      bool quotientCacheHit = reducedBuilt != nullptr;
+      if (!reducedBuilt) {
+        mc::CheckOptions probeOptions;
+        probeOptions.traceParent = reduceSpan.id();
+        const mc::Checker probe(built->dtmc, *request.model, probeOptions);
+        std::vector<la::BitVector> maskBits;
+        maskBits.reserve(probePlan->masks.size());
+        for (const auto& mask : probePlan->masks) {
+          maskBits.push_back(probe.evalStateFormula(*mask));
+        }
+        std::vector<std::vector<double>> rewardVectors;
+        rewardVectors.reserve(rewardNames.size());
+        for (const std::string& name : rewardNames) {
+          rewardVectors.push_back(
+              built->dtmc.evalReward(*request.model, name));
+        }
 
-      std::vector<const la::BitVector*> maskPtrs;
-      maskPtrs.reserve(maskBits.size());
-      for (const la::BitVector& bits : maskBits) maskPtrs.push_back(&bits);
-      std::vector<const std::vector<double>*> rewardPtrs;
-      rewardPtrs.reserve(rewardVectors.size());
-      for (const std::vector<double>& v : rewardVectors) {
-        rewardPtrs.push_back(&v);
-      }
+        dtmc::LabelRewardDigest digest;
+        for (std::size_t m = 0; m < probePlan->masks.size(); ++m) {
+          digest.addMask(pctl::structuralHash(*probePlan->masks[m]),
+                         maskBits[m]);
+        }
+        for (std::size_t r = 0; r < rewardNames.size(); ++r) {
+          digest.addReward(rewardNames[r], rewardVectors[r]);
+        }
+        const std::uint64_t quotientKey = util::hashCombine(
+            key ^ kQuotientKeySalt, util::mix64(digest.hash()));
 
-      bool quotientCacheHit = false;
-      std::shared_ptr<const BuiltModel> reducedBuilt = quotientFor(
-          *built, quotientKey, maskPtrs, rewardPtrs, &quotientCacheHit);
+        std::vector<const la::BitVector*> maskPtrs;
+        maskPtrs.reserve(maskBits.size());
+        for (const la::BitVector& bits : maskBits) maskPtrs.push_back(&bits);
+        std::vector<const std::vector<double>*> rewardPtrs;
+        rewardPtrs.reserve(rewardVectors.size());
+        for (const std::vector<double>& v : rewardVectors) {
+          rewardPtrs.push_back(&v);
+        }
+
+        reducedBuilt = quotientFor(*built, quotientKey, maskPtrs, rewardPtrs,
+                                   &quotientCacheHit);
+        if (alias) recordAlias(*alias, quotientKey);
+      }
       const reduce::ReductionInfo& info = *reducedBuilt->reduction;
       reductionStats.cacheHit = quotientCacheHit;
       reductionStats.statesBefore = info.statesBefore;

@@ -14,7 +14,11 @@
 //      later request whose model has the same fingerprint skips the
 //      exploration altogether (a warm request costs a hash lookup). The
 //      fingerprint is the only way to skip it: a cache key is never taken
-//      on the caller's word. Aliases go with their entry on eviction.
+//      on the caller's word. A fingerprinted model's plan-aware quotient
+//      is aliased the same way (fingerprint, the plan's masks and reward
+//      names), so a warm request reaches it without evaluating masks and
+//      rewards over the full model. Aliases go with their entry on
+//      eviction.
 //      Cached DTMCs store transition structure only; atoms/rewards always
 //      re-resolve through the requesting model.
 //   2. Evaluation planning: the request's property set is compiled by
@@ -131,8 +135,9 @@ struct BuiltModel {
   double buildSeconds = 0.0;
   /// The structural signature this entry is cached under.
   std::uint64_t signature = 0;
-  /// Approximate resident size of `dtmc` (CSR arrays + decoded state table
-  /// + initial distribution) used for the cache's byte accounting.
+  /// Approximate resident size of `dtmc` (CSR arrays + state table, 8 B a
+  /// state when packed + initial distribution) used for the cache's byte
+  /// accounting.
   std::uint64_t approxBytes = 0;
   /// Set on quotient entries only: the block map and reduction counters of
   /// the plan-aware bisimulation quotient this entry holds. An entry whose
@@ -212,6 +217,17 @@ class AnalysisEngine {
   /// resident. Only after an exact exploration produced `key` from `model`.
   void recordFingerprint(const dtmc::Model& model,
                          const dtmc::BuildOptions& build, std::uint64_t key);
+  /// Add `alias` to fingerprintKeys_ for the slot under `key`, if still
+  /// resident; the slot lists it, so eviction drops it.
+  void recordAlias(std::uint64_t alias, std::uint64_t key);
+  /// The quotient entry `alias` names, joined under one lock hold as
+  /// getOrCompute's hit path joins (counting a quotient hit and an alias
+  /// hit); nullptr when no resident slot carries the alias.
+  [[nodiscard]] std::shared_ptr<const BuiltModel> quotientByAlias(
+      std::uint64_t alias);
+  /// A hit on `slot`: count it, bump its LRU stamp and share its future.
+  [[nodiscard]] std::shared_future<std::shared_ptr<const BuiltModel>>
+  joinLocked(CacheSlot& slot, bool quotient) MIMOSTAT_REQUIRES(cacheMutex_);
 
   /// The model cache's one fill primitive (builds and quotients): the entry
   /// under `key`, computed and inserted on a miss. Concurrent calls for one
@@ -275,11 +291,17 @@ class AnalysisEngine {
   /// Requests and ensureBuilt calls whose fingerprint skipped the key
   /// exploration. lint:allow(guarded-by: internally synchronized handle)
   obs::Counter fingerprintHitCounter_;
+  /// Reduction stages whose quotient alias skipped the full-model mask and
+  /// reward evaluation.
+  /// lint:allow(guarded-by: internally synchronized handle)
+  obs::Counter quotientAliasHitCounter_;
 
   mutable util::Mutex cacheMutex_;
   CacheMap modelCache_ MIMOSTAT_GUARDED_BY(cacheMutex_);
-  /// cacheKeyFor(fingerprint, build options) -> structural key of a
-  /// resident slot (which lists the alias in CacheSlot::aliases).
+  /// Aliases -> key of a resident slot (which lists the alias in
+  /// CacheSlot::aliases): cacheKeyFor(fingerprint, build options) names a
+  /// full build, a quotient alias (fingerprint, plan masks, reward names)
+  /// names a quotient.
   std::unordered_map<std::uint64_t, std::uint64_t> fingerprintKeys_
       MIMOSTAT_GUARDED_BY(cacheMutex_);
   std::uint64_t useCounter_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;

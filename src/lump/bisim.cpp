@@ -179,11 +179,9 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
     raw.initial[blockOf[s]] += dtmc.initialDistribution()[s];
   }
 
-  // Quotient state table: representatives (keeps VarCmp properties usable).
-  raw.states.reserve(result.partition.numBlocks);
-  for (std::uint32_t b = 0; b < result.partition.numBlocks; ++b) {
-    raw.states.push_back(dtmc.state(result.representative[b]));
-  }
+  // Quotient state table: representatives (keeps VarCmp properties usable),
+  // copied in the original table's form.
+  dtmc.copyStatesInto(result.representative, raw);
 
   result.quotient = dtmc::ExplicitDtmc::fromRaw(std::move(raw));
   result.seconds = span.stopSeconds();

@@ -46,10 +46,11 @@ struct LumpResult {
 using InitialKeys = std::vector<std::uint64_t>;
 
 /// Coarsest lumping quotient respecting the initial keys.
-/// The quotient's states() table stores the representative original states,
-/// and its VarLayout is inherited — so pCTL variable comparisons keep
-/// working on the quotient as long as the compared variables are constant
-/// within blocks (true whenever they are part of the initial keys).
+/// The quotient's state table holds the representative original states (in
+/// the original table's form: packed keys stay packed), and its VarLayout
+/// is inherited — so pCTL variable comparisons keep working on the quotient
+/// as long as the compared variables are constant within blocks (true
+/// whenever they are part of the initial keys).
 /// `runner` computes each round's signatures in parallel; block ids are
 /// still assigned in state order, so every output is bitwise the same with
 /// or without it.

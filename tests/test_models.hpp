@@ -10,10 +10,22 @@
 #include <utility>
 #include <vector>
 
+#include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
 #include "util/rng.hpp"
 
 namespace mimostat::test {
+
+/// The two state tables hold the same states at every index (either table
+/// may be packed).
+inline bool sameStateTables(const dtmc::ExplicitDtmc& a,
+                            const dtmc::ExplicitDtmc& b) {
+  if (a.numStates() != b.numStates()) return false;
+  for (std::uint32_t i = 0; i < a.numStates(); ++i) {
+    if (a.state(i) != b.state(i)) return false;
+  }
+  return true;
+}
 
 /// DTMC given directly as a dense transition matrix over one variable "s".
 /// Optional labels (name -> per-state truth) and per-state default rewards.
