@@ -70,7 +70,7 @@ class RandomChainModel : public dtmc::Model {
     return {dtmc::State{0}};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     const auto u = static_cast<std::uint32_t>(s[0]);
     double total = 0.0;
     std::vector<std::pair<std::uint32_t, double>> row;
@@ -84,7 +84,7 @@ class RandomChainModel : public dtmc::Model {
       total += w;
     }
     for (const auto& [target, w] : row) {
-      out.push_back({w / total, dtmc::State{static_cast<std::int32_t>(target)}});
+      out.add(w / total, dtmc::State{static_cast<std::int32_t>(target)});
     }
   }
 

@@ -34,13 +34,13 @@ class WalkModel : public dtmc::Model {
     return {{n_ / 2}};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     const std::int32_t x = s[0];
-    out.push_back({0.5, {x}});  // lazy
-    if (x > 0) out.push_back({0.25, {x - 1}});
-    if (x < n_ - 1) out.push_back({0.25, {x + 1}});
-    if (x == 0) out.push_back({0.25, {0}});
-    if (x == n_ - 1) out.push_back({0.25, {n_ - 1}});
+    out.add(0.5, {x});  // lazy
+    if (x > 0) out.add(0.25, {x - 1});
+    if (x < n_ - 1) out.add(0.25, {x + 1});
+    if (x == 0) out.add(0.25, {0});
+    if (x == n_ - 1) out.add(0.25, {n_ - 1});
   }
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view /*name*/) const override {

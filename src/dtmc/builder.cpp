@@ -27,11 +27,17 @@ std::uint64_t hashBits(std::uint64_t h, double value) {
 
 /// State keys for layouts that fit 64 bits. VarLayout packs
 /// lexicographically, so `<` on keys is State's order: rows sort, and
-/// duplicate targets merge, exactly as on the unpacked states.
+/// duplicate targets merge, exactly as on the unpacked states. Rows are a
+/// packed sink's entries: the sink packs each target as the model adds it.
 struct PackedKeys {
   using Key = std::uint64_t;
+  using Entry = PackedTransition;
   const VarLayout* layout;
   [[nodiscard]] Key key(const State& s) const { return layout->pack(s); }
+  [[nodiscard]] Successors sink() const { return Successors(*layout); }
+  static std::vector<Entry>& row(Successors& sink) {
+    return sink.packedEntries();
+  }
   /// `key` decoded into `scratch`.
   const State& state(Key key, State& scratch) const {
     layout->unpackInto(key, scratch);
@@ -43,7 +49,12 @@ struct PackedKeys {
 /// Layouts wider than 64 bits: the state vector is its own key.
 struct WideKeys {
   using Key = State;
+  using Entry = Transition;
   [[nodiscard]] static Key key(State&& s) { return std::move(s); }
+  [[nodiscard]] static Successors sink() { return {}; }
+  static std::vector<Entry>& row(Successors& sink) {
+    return sink.stateEntries();
+  }
   static const State& state(const Key& key, State& /*scratch*/) {
     return key;
   }
@@ -70,22 +81,19 @@ constexpr std::size_t kMaxChunks = 16;
 ///
 /// Each level runs in windows of states, each in two phases. The parallel
 /// phase computes a pure function of each state into its chunk's slots:
-/// the model's successors, packed and normalized, the row's mass, and each
-/// target's number when the (unchanging) index already holds it. The
-/// ordered phase, on the calling thread, walks the window in state order,
-/// interns the targets the lookup missed and emits hash and CSR exactly as
-/// a one-state-at-a-time BFS would — so every output is bitwise the same
-/// with or without `runner`, at any pool size.
+/// the model's successors, normalized in place in the chunk's sink, the
+/// row's mass, and each target's number when the (unchanging) index
+/// already holds it. The ordered phase, on the calling thread, walks the
+/// window in state order, interns the targets the lookup missed and emits
+/// hash and CSR exactly as a one-state-at-a-time BFS would — so every
+/// output is bitwise the same with or without `runner`, at any pool size.
 template <class Keys>
 void exploreWith(const Model& model, const Keys& keys,
                  const ExploreOptions& options, const la::TaskRunner& runner,
                  std::uint64_t h, std::vector<typename Keys::Key>& table,
                  Exploration& e) {
   using Key = typename Keys::Key;
-  struct Entry {
-    double prob;
-    Key target;
-  };
+  using Entry = typename Keys::Entry;
   // Open-addressing index over the state table: a slot holds a state
   // number + 1 (0 = empty) and keys compare through the table, so a slot
   // costs 4 bytes and every key — the all-ones u64 included — is storable.
@@ -139,8 +147,7 @@ void exploreWith(const Model& model, const Keys& keys,
   struct alignas(64) Chunk {
     std::size_t begin = 0;
     std::size_t end = 0;
-    std::vector<Transition> out;
-    std::vector<Entry> row;
+    Successors sink;  ///< one state's row, normalized in place
     std::vector<Entry> entries;
     std::vector<std::uint32_t> found;
     std::vector<std::size_t> rowEnd;  ///< per state, into entries
@@ -151,6 +158,7 @@ void exploreWith(const Model& model, const Keys& keys,
     std::exception_ptr error;
   };
   std::vector<Chunk> chunks(kMaxChunks);
+  for (Chunk& c : chunks) c.sink = keys.sink();
   std::size_t widestRow = 0;
 
   // Parallel phase: mutates only `c`.
@@ -163,18 +171,15 @@ void exploreWith(const Model& model, const Keys& keys,
     c.error = nullptr;
     for (std::size_t s = c.begin; s < c.end; ++s) {
       try {
-        c.out.clear();
-        model.transitions(keys.state(table[s], c.scratch), c.out);
-        c.row.clear();
-        for (Transition& t : c.out) {
-          c.row.push_back({t.prob, keys.key(std::move(t.target))});
-        }
+        c.sink.clear();
+        model.transitions(keys.state(table[s], c.scratch), c.sink);
+        std::vector<Entry>& row = Keys::row(c.sink);
         // Transition-less states are absorbing (self-loop) — one convention
         // shared with smc::PathSampler, so the exact and sampling backends
         // answer the same chain for models with dead-end states.
-        if (c.row.empty()) c.row.push_back({1.0, table[s]});
-        c.mass.push_back(normalizeTransitions(c.row, options.probFloor));
-        for (Entry& entry : c.row) {
+        if (row.empty()) row.push_back({1.0, table[s]});
+        c.mass.push_back(normalizeTransitions(row, options.probFloor));
+        for (Entry& entry : row) {
           const std::uint32_t slot =
               lookup ? slots[probe(entry.target, Keys::hash(entry.target))]
                      : 0;
@@ -251,8 +256,7 @@ void exploreWith(const Model& model, const Keys& keys,
         c.found.reserve(expected);
         c.rowEnd.reserve(c.end - c.begin);
         c.mass.reserve(c.end - c.begin);
-        c.out.reserve(widestRow);
-        c.row.reserve(widestRow);
+        Keys::row(c.sink).reserve(widestRow);
       }
       // A single inline chunk interns every target in the ordered phase;
       // looking them up first would only probe twice.

@@ -6,12 +6,17 @@
 // optionally, the CSR buildFromExploration assembles without a second BFS.
 // buildExplicit, countReachable and dtmc::modelSignature wrap it.
 //
+// Each chunk of rows owns one dtmc::Successors sink. On a layout that fits
+// 64 bits the sink packs every target into its u64 key as the model adds
+// it, so no successor owns heap memory; a row is normalized in place in
+// the sink and copied into the chunk's entries.
+//
 // Given a task runner, explore (and buildExplicit) computes each window of
-// a level's rows on it — the model's transitions(), packing, normalizing
-// and a read-only index lookup — while numbering, hashing and CSR emission
-// stay on the calling thread in state order. Every output is bitwise the
-// same with or without a runner, at any pool size. Model methods must then
-// be safe to call concurrently (see dtmc/model.hpp).
+// a level's rows on it — the model's transitions() into the chunk's sink,
+// normalizing and a read-only index lookup — while numbering, hashing and
+// CSR emission stay on the calling thread in state order. Every output is
+// bitwise the same with or without a runner, at any pool size. Model
+// methods must then be safe to call concurrently (see dtmc/model.hpp).
 #pragma once
 
 #include <cstdint>

@@ -53,18 +53,18 @@ std::vector<State> SynchronousProduct::initialStates() const {
   return product;
 }
 
-void SynchronousProduct::transitions(const State& s,
-                                     std::vector<Transition>& out) const {
-  // Product distribution, built component by component.
+void SynchronousProduct::transitions(const State& s, Successors& out) const {
+  // Product distribution, built component by component; each component's
+  // successors arrive in a State-form sink.
   std::vector<Transition> partial{{1.0, {}}};
-  std::vector<Transition> componentSucc;
+  Successors componentSucc;
   for (std::size_t i = 0; i < components_.size(); ++i) {
     componentSucc.clear();
     components_[i]->transitions(componentState(s, i), componentSucc);
     std::vector<Transition> next;
-    next.reserve(partial.size() * componentSucc.size());
+    next.reserve(partial.size() * componentSucc.stateEntries().size());
     for (const Transition& prefix : partial) {
-      for (const Transition& suffix : componentSucc) {
+      for (const Transition& suffix : componentSucc.stateEntries()) {
         Transition combined;
         combined.prob = prefix.prob * suffix.prob;
         combined.target = prefix.target;
@@ -75,7 +75,7 @@ void SynchronousProduct::transitions(const State& s,
     }
     partial = std::move(next);
   }
-  for (Transition& t : partial) out.push_back(std::move(t));
+  for (const Transition& t : partial) out.add(t.prob, t.target);
 }
 
 bool SynchronousProduct::atom(const State& s, std::string_view name) const {

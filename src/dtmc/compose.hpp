@@ -24,7 +24,7 @@ class SynchronousProduct : public Model {
 
   [[nodiscard]] std::vector<VarSpec> variables() const override;
   [[nodiscard]] std::vector<State> initialStates() const override;
-  void transitions(const State& s, std::vector<Transition>& out) const override;
+  void transitions(const State& s, Successors& out) const override;
   /// OR of the component atoms; names of the form "m<i>_<atom>" address a
   /// single component.
   [[nodiscard]] bool atom(const State& s, std::string_view name) const override;

@@ -310,15 +310,16 @@ std::vector<State> ImportedModel::initialStates() const {
   return initial;
 }
 
-void ImportedModel::transitions(const State& s,
-                                std::vector<Transition>& out) const {
+void ImportedModel::transitions(const State& s, Successors& out) const {
   const std::uint32_t idx = indexOf(s);
   const auto& d = imported_.dtmc;
+  State& target = out.scratch(s);
   for (std::uint64_t k = d.rowPtr()[idx]; k < d.rowPtr()[idx + 1]; ++k) {
-    out.push_back({d.val()[k], {static_cast<std::int32_t>(d.col()[k])}});
+    target[0] = static_cast<std::int32_t>(d.col()[k]);
+    out.add(d.val()[k], target);
   }
   if (d.rowPtr()[idx] == d.rowPtr()[idx + 1]) {
-    out.push_back({1.0, s});  // missing row: absorbing
+    out.add(1.0, s);  // missing row: absorbing
   }
 }
 

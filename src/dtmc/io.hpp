@@ -70,7 +70,7 @@ class ImportedModel : public Model {
 
   [[nodiscard]] std::vector<VarSpec> variables() const override;
   [[nodiscard]] std::vector<State> initialStates() const override;
-  void transitions(const State& s, std::vector<Transition>& out) const override;
+  void transitions(const State& s, Successors& out) const override;
   [[nodiscard]] bool atom(const State& s, std::string_view name) const override;
   [[nodiscard]] double stateReward(const State& s,
                                    std::string_view name) const override;

@@ -10,7 +10,12 @@
 // thread, and must not mutate shared state. The engine computes a cold
 // request's exploration rows on its pool (dtmc::explore with a runner) and
 // smc:: draws paths there, so transitions() runs on several threads at
-// once. Every in-repo model is immutable after construction.
+// once. Every in-repo model is immutable after construction. Per-call
+// scratch comes from the caller: transitions() writes into a
+// dtmc::Successors sink that its caller owns (one per explore chunk, one
+// per path sampler) and edits the scratch State that sink lends, so a model
+// needs neither per-call heap state nor per-thread state (the lint rule
+// hidden-thread-state keeps `thread_local` out of src/ outside obs::).
 #pragma once
 
 #include <algorithm>
@@ -32,6 +37,72 @@ struct Transition {
   State target;
 };
 
+/// One successor on a layout that fits 64 bits: the target's VarLayout key.
+/// Keys order as the states do, so rows of either form sort, merge and sum
+/// identically.
+struct PackedTransition {
+  double prob = 0.0;
+  std::uint64_t target = 0;
+};
+
+/// The sink Model::transitions writes one state's successors into.
+///
+/// Constructed with a layout that fits 64 bits, it packs each target into
+/// the layout's u64 key as it is added, so no successor owns heap memory.
+/// Otherwise (no layout, or a layout wider than 64 bits) it keeps
+/// Transitions — the same two-form split as Exploration's state table.
+/// Entries stay in the order they were added. A sink is not thread-safe:
+/// each caller that may run concurrently owns its own.
+class Successors {
+ public:
+  /// State form.
+  Successors() = default;
+  /// Packed form when `layout` fits 64 bits, State form otherwise. The
+  /// layout must outlive the sink.
+  explicit Successors(const VarLayout& layout)
+      : layout_(layout.fitsInU64() ? &layout : nullptr) {}
+
+  /// Append one successor. Duplicate targets are allowed.
+  void add(double prob, const State& target) {
+    if (layout_ != nullptr) {
+      packed_.push_back({prob, layout_->pack(target)});
+    } else {
+      states_.push_back({prob, target});
+    }
+  }
+
+  /// A copy of `s` in storage the sink reuses across calls (no allocation
+  /// once it has held a state of this width). Models edit it into each
+  /// target and add() it, instead of copying `s` per call or per successor.
+  /// `s` must not be the scratch itself.
+  [[nodiscard]] State& scratch(const State& s) {
+    scratch_.assign(s.begin(), s.end());
+    return scratch_;
+  }
+
+  [[nodiscard]] bool isPacked() const { return layout_ != nullptr; }
+  [[nodiscard]] bool empty() const {
+    return isPacked() ? packed_.empty() : states_.empty();
+  }
+  /// Drop the entries (keeping their storage).
+  void clear() {
+    packed_.clear();
+    states_.clear();
+  }
+  /// The entries of a packed sink (isPacked()).
+  [[nodiscard]] std::vector<PackedTransition>& packedEntries() {
+    return packed_;
+  }
+  /// The entries of a State-form sink (!isPacked()).
+  [[nodiscard]] std::vector<Transition>& stateEntries() { return states_; }
+
+ private:
+  const VarLayout* layout_ = nullptr;
+  std::vector<PackedTransition> packed_;
+  std::vector<Transition> states_;
+  State scratch_;
+};
+
 class Model {
  public:
   virtual ~Model() = default;
@@ -42,12 +113,20 @@ class Model {
   /// Initial states (taken as a uniform distribution when more than one).
   [[nodiscard]] virtual std::vector<State> initialStates() const = 0;
 
-  /// Append the successor distribution of `s` to `out`. Implementations may
-  /// emit duplicate targets; the builder merges them. Probabilities must sum
-  /// to 1 within 1e-9. Emitting nothing declares `s` absorbing: the builder
-  /// and the path sampler both materialize a self-loop, so every consumer
-  /// sees the same chain.
-  virtual void transitions(const State& s, std::vector<Transition>& out) const = 0;
+  /// Add the successor distribution of `s` to `out`, one out.add() per
+  /// successor. Contract:
+  ///  - duplicate targets are allowed; every consumer merges them, summing
+  ///    in sorted-target order;
+  ///  - probabilities must sum to 1 within 1e-9;
+  ///  - adding nothing declares `s` absorbing: the builder and the path
+  ///    sampler both materialize a self-loop, so every consumer sees the
+  ///    same chain;
+  ///  - the model keeps no other per-call heap state: it edits the scratch
+  ///    State out.scratch(s) lends rather than copying `s`, and keeps
+  ///    per-successor work in fixed-size locals. Wrappers that collect an
+  ///    inner model's successors (lump::SymmetryReducedModel,
+  ///    SynchronousProduct) do so in a State-form sink of their own.
+  virtual void transitions(const State& s, Successors& out) const = 0;
 
   /// Truth of the named atomic proposition in state `s`.
   /// Default: no atoms (returns false for every name).

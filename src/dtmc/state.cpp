@@ -49,19 +49,6 @@ std::size_t VarLayout::tryIndexOf(const std::string& name) const {
   return npos;
 }
 
-std::uint64_t VarLayout::pack(const State& s) const {
-  assert(fitsInU64());
-  assert(s.size() == vars_.size());
-  std::uint64_t packed = 0;
-  for (std::size_t i = 0; i < vars_.size(); ++i) {
-    assert(s[i] >= vars_[i].lo && s[i] <= vars_[i].hi);
-    const auto rel = static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(s[i]) - vars_[i].lo);
-    packed |= rel << fields_[i].shift;
-  }
-  return packed;
-}
-
 State VarLayout::unpack(std::uint64_t packed) const {
   State s;
   unpackInto(packed, s);

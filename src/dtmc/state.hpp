@@ -46,7 +46,20 @@ class VarLayout {
   [[nodiscard]] std::size_t tryIndexOf(const std::string& name) const;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  [[nodiscard]] std::uint64_t pack(const State& s) const;
+  /// The key of `s` (a state of this layout; fitsInU64()).
+  [[nodiscard]] std::uint64_t pack(const State& s) const {
+    assert(fitsInU64());
+    assert(s.size() == fields_.size());
+    std::uint64_t packed = 0;
+    for (std::size_t i = 0; i < fields_.size(); ++i) {
+      assert(s[i] >= vars_[i].lo && s[i] <= vars_[i].hi);
+      // In 64 bits, as decode: a full-range int32 offset exceeds INT32_MAX.
+      const auto rel = static_cast<std::uint64_t>(
+          static_cast<std::int64_t>(s[i]) - fields_[i].lo);
+      packed |= rel << fields_[i].shift;
+    }
+    return packed;
+  }
   [[nodiscard]] State unpack(std::uint64_t packed) const;
   /// unpack() into `out` (resized to numVars()), reusing its storage.
   void unpackInto(std::uint64_t packed, State& out) const {

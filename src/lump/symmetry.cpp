@@ -51,13 +51,14 @@ std::vector<dtmc::State> SymmetryReducedModel::initialStates() const {
 }
 
 void SymmetryReducedModel::transitions(const dtmc::State& s,
-                                       std::vector<dtmc::Transition>& out) const {
+                                       dtmc::Successors& out) const {
   // `s` is already canonical (a valid state of the inner model); duplicates
-  // after canonicalising the successors are merged by the builder.
-  const std::size_t begin = out.size();
-  inner_.transitions(s, out);
-  for (std::size_t i = begin; i < out.size(); ++i) {
-    out[i].target = canonicalize(out[i].target);
+  // after canonicalising the successors are merged by the builder. The
+  // inner successors arrive in a State-form sink.
+  dtmc::Successors inner;
+  inner_.transitions(s, inner);
+  for (const dtmc::Transition& t : inner.stateEntries()) {
+    out.add(t.prob, canonicalize(t.target));
   }
 }
 
@@ -84,8 +85,10 @@ bool SymmetryReducedModel::verifySymmetry(const std::vector<std::string>& atoms,
   if (initial.empty()) return false;
   dtmc::State current = initial[rng.nextBounded(initial.size())];
 
-  std::vector<dtmc::Transition> succ;
-  std::vector<dtmc::Transition> succSwapped;
+  dtmc::Successors succSink;
+  dtmc::Successors swappedSink;
+  std::vector<dtmc::Transition>& succ = succSink.stateEntries();
+  std::vector<dtmc::Transition>& succSwapped = swappedSink.stateEntries();
   for (int iter = 0; iter < samples; ++iter) {
     // Pick a random pair of blocks to swap.
     const std::size_t b1 = rng.nextBounded(blocks_.size());
@@ -107,8 +110,8 @@ bool SymmetryReducedModel::verifySymmetry(const std::vector<std::string>& atoms,
 
     succ.clear();
     succSwapped.clear();
-    inner_.transitions(current, succ);
-    inner_.transitions(swapped, succSwapped);
+    inner_.transitions(current, succSink);
+    inner_.transitions(swapped, swappedSink);
     for (auto& t : succ) t.target = canonicalize(t.target);
     for (auto& t : succSwapped) t.target = canonicalize(t.target);
     dtmc::normalizeTransitions(succ, 0.0);

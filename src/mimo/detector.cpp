@@ -1,10 +1,11 @@
 #include "mimo/detector.hpp"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "comm/channel.hpp"
 #include "util/hash.hpp"
@@ -58,13 +59,6 @@ MimoParams mimo1x4Params() {
   return p;
 }
 
-MlDetector::MlDetector(const MimoParams& params)
-    : params_(params),
-      hQuant_(params.hLevels, params.hRange),
-      yQuant_(params.yLevels, params.yRange) {
-  assert(params_.nr >= 1);
-}
-
 namespace {
 
 /// Per-block residual |y_b - sum_k h_{b,k} bpsk(s_k)| for hypothesis s.
@@ -76,7 +70,53 @@ double blockResidual(double y, const double* h, int nt, int hypothesis) {
   return std::fabs(y - expected);
 }
 
+/// `params`, once checked against the detector's bounds.
+const MimoParams& checked(const MimoParams& params) {
+  if (params.nr < 1 || params.nr > MlDetector::kMaxBlocks) {
+    throw std::invalid_argument("MlDetector: nr must be in 1.." +
+                                std::to_string(MlDetector::kMaxBlocks));
+  }
+  if (params.nt < 1) {
+    throw std::invalid_argument("MlDetector: nt must be at least 1");
+  }
+  std::int64_t entries = params.yLevels;
+  for (int k = 0; k < params.nt; ++k) {
+    entries *= 2 * std::int64_t{params.hLevels};
+    if (entries > MlDetector::kMaxTableEntries) {
+      throw std::invalid_argument(
+          "MlDetector: the residual table would exceed kMaxTableEntries");
+    }
+  }
+  return params;
+}
+
 }  // namespace
+
+MlDetector::MlDetector(const MimoParams& params)
+    : params_(checked(params)),
+      hQuant_(params.hLevels, params.hRange),
+      yQuant_(params.yLevels, params.yRange) {
+  const int nt = params_.nt;
+  int hCodes = 1;
+  for (int k = 0; k < nt; ++k) hCodes *= params_.hLevels;
+  numCodes_ = hCodes * params_.yLevels;
+  residual_.resize(static_cast<std::size_t>(params_.numHypotheses()) *
+                   static_cast<std::size_t>(numCodes_));
+  std::vector<double> hv(static_cast<std::size_t>(nt));
+  for (int code = 0; code < numCodes_; ++code) {
+    // Decode the mixed radix: the y cell last, channel cell 0 first.
+    const double yv = yQuant_.value(code % params_.yLevels);
+    int hCode = code / params_.yLevels;
+    for (int k = nt - 1; k >= 0; --k) {
+      hv[static_cast<std::size_t>(k)] = hQuant_.value(hCode % params_.hLevels);
+      hCode /= params_.hLevels;
+    }
+    for (int s = 0; s < params_.numHypotheses(); ++s) {
+      residual_[static_cast<std::size_t>(s * numCodes_ + code)] =
+          blockResidual(yv, hv.data(), nt, s);
+    }
+  }
+}
 
 int MlDetector::detectAnalog(const std::vector<double>& y,
                              const std::vector<double>& h) const {
@@ -98,48 +138,36 @@ int MlDetector::detectAnalog(const std::vector<double>& y,
   return best;
 }
 
-int MlDetector::detectQuantized(const std::vector<int>& yCells,
-                                const std::vector<int>& hCells) const {
+int MlDetector::detectQuantized(std::span<const int> yCells,
+                                std::span<const int> hCells) const {
   assert(yCells.size() == static_cast<std::size_t>(params_.numBlocks()));
   assert(hCells.size() == static_cast<std::size_t>(params_.numChannelParts()));
-  const int nt = params_.nt;
-  const auto blocks = yCells.size();
+  const auto nt = static_cast<std::size_t>(params_.nt);
+  const std::size_t blocks = yCells.size();
 
   // Quantized metrics frequently tie in exact arithmetic; floating-point
   // addition is not associative, so a naive block-order sum would break the
   // block-permutation symmetry the DTMC reduction relies on. Accumulate in
-  // a canonical block order (sorted by the block's cell tuple) so the
+  // ascending block-code order (the block tuples' sorted order) so the
   // decision is a function of the block multiset only.
-  std::array<std::size_t, 2 * kMaxBlocks> order;
-  assert(blocks <= order.size());
-  for (std::size_t b = 0; b < blocks; ++b) order[b] = b;
-  const auto blockLess = [&](std::size_t a, std::size_t b) {
-    for (int k = 0; k < nt; ++k) {
-      const int ha = hCells[a * static_cast<std::size_t>(nt) +
-                            static_cast<std::size_t>(k)];
-      const int hb = hCells[b * static_cast<std::size_t>(nt) +
-                            static_cast<std::size_t>(k)];
-      if (ha != hb) return ha < hb;
+  std::array<int, 2 * kMaxBlocks> codes;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    int code = 0;
+    for (std::size_t k = 0; k < nt; ++k) {
+      code = code * params_.hLevels + hCells[b * nt + k];
     }
-    return yCells[a] < yCells[b];
-  };
-  std::sort(order.begin(), order.begin() + blocks, blockLess);
+    code = code * params_.yLevels + yCells[b];
+    std::size_t i = b;
+    for (; i > 0 && codes[i - 1] > code; --i) codes[i] = codes[i - 1];
+    codes[i] = code;
+  }
 
   int best = 0;
   double bestMetric = std::numeric_limits<double>::infinity();
-  std::array<double, 2 * kMaxBlocks> hv;
   for (int s = 0; s < params_.numHypotheses(); ++s) {
+    const double* residual = residual_.data() + s * numCodes_;
     double metric = 0.0;
-    for (std::size_t i = 0; i < blocks; ++i) {
-      const std::size_t b = order[i];
-      const double yv = yQuant_.value(yCells[b]);
-      for (int k = 0; k < nt; ++k) {
-        hv[static_cast<std::size_t>(k)] = hQuant_.value(
-            hCells[b * static_cast<std::size_t>(nt) +
-                   static_cast<std::size_t>(k)]);
-      }
-      metric += blockResidual(yv, hv.data(), nt, s);
-    }
+    for (std::size_t i = 0; i < blocks; ++i) metric += residual[codes[i]];
     if (metric < bestMetric) {
       bestMetric = metric;
       best = s;

@@ -10,9 +10,18 @@
 // Monte-Carlo baseline and a quantized datapath operating on quantizer cell
 // indices — the latter is the function embedded in the DTMC model, so model
 // and simulation share the decision logic.
+//
+// The quantized datapath decides from a residual table. A metric block's
+// cells — its nt channel cells in mixed radix, then its y cell — form its
+// block code, and residual[s][code] holds |y - sum_k h_k bpsk(s_k)| for
+// hypothesis s, computed once from the quantizers' reconstruction values.
+// Block codes ascend exactly as the block tuples sort, so summing the
+// table in ascending code order adds the same doubles in the same order
+// as recomputing each residual in canonical block order would.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "comm/quantizer.hpp"
@@ -53,9 +62,14 @@ struct MimoParams {
 class MlDetector {
  public:
   /// Upper bound on Nr supported by the permutation-stable quantized
-  /// metric accumulator.
+  /// metric accumulator (its stack arrays hold 2 * kMaxBlocks blocks).
   static constexpr int kMaxBlocks = 16;
+  /// Upper bound on the residual table's entries (hypotheses x block
+  /// codes = 2^nt * hLevels^nt * yLevels).
+  static constexpr std::int64_t kMaxTableEntries = std::int64_t{1} << 22;
 
+  /// Throws std::invalid_argument unless 1 <= nr <= kMaxBlocks, nt >= 1
+  /// and the residual table fits kMaxTableEntries.
   explicit MlDetector(const MimoParams& params);
 
   [[nodiscard]] const MimoParams& params() const { return params_; }
@@ -74,16 +88,23 @@ class MlDetector {
   [[nodiscard]] int detectAnalog(const std::vector<double>& y,
                                  const std::vector<double>& h) const;
 
-  /// ML decision from quantizer cell indices (reconstruction-value metric).
-  /// Accumulation order is canonicalised so the decision is invariant under
-  /// metric-block permutation — required by the symmetry reduction.
-  [[nodiscard]] int detectQuantized(const std::vector<int>& yCells,
-                                    const std::vector<int>& hCells) const;
+  /// ML decision from quantizer cell indices (reconstruction-value metric),
+  /// with `yCells` and `hCells` laid out as detectAnalog's y and h. The
+  /// block codes are insertion-sorted and each hypothesis sums its table
+  /// entries in ascending code order: a canonical accumulation order, so
+  /// the decision is invariant under metric-block permutation — required
+  /// by the symmetry reduction. Ties decide the smallest index.
+  [[nodiscard]] int detectQuantized(std::span<const int> yCells,
+                                    std::span<const int> hCells) const;
 
  private:
   MimoParams params_;
   comm::UniformQuantizer hQuant_;
   comm::UniformQuantizer yQuant_;
+  /// Block codes: hLevels^nt * yLevels.
+  int numCodes_ = 0;
+  /// residual_[s * numCodes_ + code]: the block residual of hypothesis s.
+  std::vector<double> residual_;
 };
 
 }  // namespace mimostat::mimo

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 #include "comm/channel.hpp"
 #include "comm/rayleigh.hpp"
@@ -61,13 +62,21 @@ std::vector<double> conditionalYCellProbs(const comm::UniformQuantizer& hQuant,
   return probs;
 }
 
+/// `params`, once checked to be an Nt = 1 system.
+const MimoParams& singleStream(const MimoParams& params) {
+  // The DTMC model covers the paper's evaluated configurations (Nt = 1);
+  // the detector/simulator additionally support the 2x2 system of Eq. 14.
+  if (params.nt != 1) {
+    throw std::invalid_argument(
+        "MimoDetectorModel: models Nt = 1 systems only");
+  }
+  return params;
+}
+
 }  // namespace
 
 MimoDetectorModel::MimoDetectorModel(const MimoParams& params)
-    : detector_(params) {
-  // The DTMC model covers the paper's evaluated configurations (Nt = 1);
-  // the detector/simulator additionally support the 2x2 system of Eq. 14.
-  assert(params.nt == 1 && "MimoDetectorModel models Nt=1 systems");
+    : detector_(singleStream(params)) {
   const comm::RayleighFading fading(detector_.hQuantizer());
   hCellProbs_ = fading.cellProbabilities();
 
@@ -107,85 +116,80 @@ std::vector<dtmc::State> MimoDetectorModel::initialStates() const {
   return {dtmc::State(variables().size(), 0)};
 }
 
-void MimoDetectorModel::enumerateProduct(const dtmc::State& base, int blockIdx,
-                                         bool assignChannel, double probSoFar,
-                                         dtmc::State& current,
-                                         std::vector<dtmc::Transition>& out) const {
+void MimoDetectorModel::drawChannel(int block, double prob, dtmc::State& next,
+                                    dtmc::Successors& out) const {
   const MimoParams& p = params();
-  if (blockIdx == p.numBlocks()) {
-    out.push_back({probSoFar, current});
+  if (block == p.numBlocks()) {
+    out.add(prob, next);
     return;
   }
-  if (assignChannel) {
-    for (int hc = 0; hc < p.hLevels; ++hc) {
-      const double prob = hCellProbs_[static_cast<std::size_t>(hc)];
-      if (prob <= 0.0) continue;
-      current[idxH(blockIdx)] = hc;
-      enumerateProduct(base, blockIdx + 1, assignChannel, probSoFar * prob,
-                       current, out);
-    }
-    current[idxH(blockIdx)] = base[idxH(blockIdx)];
-  } else {
-    const int hc = current[idxH(blockIdx)];
-    const int x = current[idxX()];
-    const auto& dist = yCellProbs_[static_cast<std::size_t>(hc)]
-                                  [static_cast<std::size_t>(x)];
-    for (int yc = 0; yc < p.yLevels; ++yc) {
-      const double prob = dist[static_cast<std::size_t>(yc)];
-      if (prob <= 0.0) continue;
-      current[idxY(blockIdx)] = yc;
-      enumerateProduct(base, blockIdx + 1, assignChannel, probSoFar * prob,
-                       current, out);
-    }
-    current[idxY(blockIdx)] = base[idxY(blockIdx)];
+  for (int hc = 0; hc < p.hLevels; ++hc) {
+    const double cellProb = hCellProbs_[static_cast<std::size_t>(hc)];
+    if (cellProb <= 0.0) continue;
+    next[idxH(block)] = hc;
+    drawChannel(block + 1, prob * cellProb, next, out);
+  }
+}
+
+void MimoDetectorModel::drawObservations(int block, double prob,
+                                         const Cells& h, Cells& y,
+                                         dtmc::State& next,
+                                         dtmc::Successors& out) const {
+  const MimoParams& p = params();
+  const int x = next[idxX()];
+  if (block == p.numBlocks()) {
+    // The ML decision is combinational: it sets the flag of every target.
+    const auto blocks = static_cast<std::size_t>(p.numBlocks());
+    const int detected =
+        detector_.detectQuantized({y.data(), blocks}, {h.data(), blocks});
+    next[idxFlag()] = (detected != x) ? 1 : 0;
+    out.add(prob, next);
+    return;
+  }
+  const auto b = static_cast<std::size_t>(block);
+  const std::vector<double>& dist = yCellProbs(h[b], x);
+  for (int yc = 0; yc < p.yLevels; ++yc) {
+    const double cellProb = dist[static_cast<std::size_t>(yc)];
+    if (cellProb <= 0.0) continue;
+    next[idxY(block)] = yc;
+    y[b] = yc;
+    drawObservations(block + 1, prob * cellProb, h, y, next, out);
   }
 }
 
 void MimoDetectorModel::transitions(const dtmc::State& s,
-                                    std::vector<dtmc::Transition>& out) const {
+                                    dtmc::Successors& out) const {
   const MimoParams& p = params();
+  dtmc::State& next = out.scratch(s);
   const int phase = s[idxPhase()];
 
   if (phase == 0) {
     // Draw x and all channel cells; observations reset to cell 0 until the
     // receive phase fills them in.
-    dtmc::State next(s);
     next[idxPhase()] = 1;
     for (int b = 0; b < p.numBlocks(); ++b) next[idxY(b)] = 0;
     for (int x = 0; x < 2; ++x) {
       next[idxX()] = x;
-      dtmc::State current(next);
-      enumerateProduct(next, 0, /*assignChannel=*/true, 0.5, current, out);
+      drawChannel(0, 0.5, next, out);
     }
   } else if (phase == 1) {
     // Draw all observation cells conditioned on (h, x).
-    const std::size_t start = out.size();
-    dtmc::State next(s);
     next[idxPhase()] = 2;
-    dtmc::State current(next);
-    enumerateProduct(next, 0, /*assignChannel=*/false, 1.0, current, out);
-    // The ML decision is combinational: apply it to every emitted target.
-    std::vector<int> yCells(static_cast<std::size_t>(p.numBlocks()));
-    std::vector<int> hCells(static_cast<std::size_t>(p.numBlocks()));
-    for (std::size_t i = start; i < out.size(); ++i) {
-      auto& t = out[i];
-      for (int b = 0; b < p.numBlocks(); ++b) {
-        yCells[static_cast<std::size_t>(b)] = t.target[idxY(b)];
-        hCells[static_cast<std::size_t>(b)] = t.target[idxH(b)];
-      }
-      const int detected = detector_.detectQuantized(yCells, hCells);
-      t.target[idxFlag()] = (detected != t.target[idxX()]) ? 1 : 0;
+    Cells h{};
+    Cells y{};
+    for (int b = 0; b < p.numBlocks(); ++b) {
+      h[static_cast<std::size_t>(b)] = s[idxH(b)];
     }
+    drawObservations(0, 1.0, h, y, next, out);
   } else {
     // Detect phase: registers reset, pipeline restarts; flag is sticky.
-    dtmc::State next(s);
     next[idxPhase()] = 0;
     next[idxX()] = 0;
     for (int b = 0; b < p.numBlocks(); ++b) {
       next[idxH(b)] = 0;
       next[idxY(b)] = 0;
     }
-    out.push_back({1.0, std::move(next)});
+    out.add(1.0, next);
   }
 }
 

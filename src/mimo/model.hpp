@@ -17,9 +17,15 @@
 // decision only through the symmetric metric sum, so the block-permutation
 // group is a symmetry (Table II); symmetryBlocks() exposes the block
 // structure for lump::SymmetryReducedModel.
+//
+// transitions() allocates nothing per call: phases 0 and 1 enumerate their
+// cell products into the scratch state the dtmc::Successors sink lends and
+// add each leaf as it is reached. The receive phase keeps the h and y cells
+// in stack arrays and decides each leaf from MlDetector's residual table.
 #pragma once
 
 #include <array>
+#include <vector>
 
 #include "dtmc/model.hpp"
 #include "lump/symmetry.hpp"
@@ -29,12 +35,14 @@ namespace mimostat::mimo {
 
 class MimoDetectorModel : public dtmc::Model {
  public:
+  /// Throws std::invalid_argument unless params.nt == 1 (the paper's
+  /// evaluated configurations), and what MlDetector throws.
   explicit MimoDetectorModel(const MimoParams& params);
 
   [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override;
   [[nodiscard]] std::vector<dtmc::State> initialStates() const override;
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override;
+                   dtmc::Successors& out) const override;
   /// Atom "error" = (flag == 1).
   [[nodiscard]] bool atom(const dtmc::State& s,
                           std::string_view name) const override;
@@ -65,10 +73,25 @@ class MimoDetectorModel : public dtmc::Model {
   }
 
  private:
-  void enumerateProduct(const dtmc::State& base, int blockIdx,
-                        bool assignChannel, double probSoFar,
-                        dtmc::State& current,
-                        std::vector<dtmc::Transition>& out) const;
+  /// P(y cell | h cell, x) of one metric block.
+  [[nodiscard]] const std::vector<double>& yCellProbs(int hCell, int x) const {
+    return yCellProbs_[static_cast<std::size_t>(hCell)]
+                      [static_cast<std::size_t>(x)];
+  }
+
+  /// Per-block cells of one state.
+  using Cells = std::array<int, 2 * MlDetector::kMaxBlocks>;
+
+  /// Phase 0: every channel-cell assignment of blocks [block, numBlocks),
+  /// written into `next` and added to `out` with probability `prob` times
+  /// the cells' probabilities.
+  void drawChannel(int block, double prob, dtmc::State& next,
+                   dtmc::Successors& out) const;
+  /// Phase 1: every observation-cell assignment of blocks
+  /// [block, numBlocks) given the channel cells `h` (`y` and `next` carry
+  /// the cells drawn so far); each leaf's flag is the ML decision's error.
+  void drawObservations(int block, double prob, const Cells& h, Cells& y,
+                        dtmc::State& next, dtmc::Successors& out) const;
 
   MlDetector detector_;
   std::vector<double> hCellProbs_;

@@ -67,9 +67,9 @@ Environment PmlModel::environmentFor(const dtmc::State& s) const {
 }
 
 void PmlModel::transitions(const dtmc::State& s,
-                           std::vector<dtmc::Transition>& out) const {
+                           dtmc::Successors& out) const {
   const Environment env = environmentFor(s);
-  const std::size_t begin = out.size();
+  bool enabled = false;
 
   for (const Command& command : decl_.module.commands) {
     if (!isTruthy(evaluate(*command.guard, env))) continue;
@@ -81,7 +81,7 @@ void PmlModel::transitions(const dtmc::State& s,
                         decl_.module.name + "'");
       }
       if (prob == 0.0) continue;
-      dtmc::State target(s);
+      dtmc::State& target = out.scratch(s);
       for (const Assignment& assignment : update.assignments) {
         bool assigned = false;
         for (std::size_t i = 0; i < varSpecs_.size(); ++i) {
@@ -102,13 +102,14 @@ void PmlModel::transitions(const dtmc::State& s,
                           assignment.var + "'");
         }
       }
-      out.push_back({prob, std::move(target)});
+      out.add(prob, target);
+      enabled = true;
     }
   }
 
-  if (out.size() == begin) {
+  if (!enabled) {
     // No enabled command: absorbing self-loop (PRISM's convention).
-    out.push_back({1.0, s});
+    out.add(1.0, s);
   }
 }
 

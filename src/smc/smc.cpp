@@ -62,19 +62,20 @@ const dtmc::State& PathSampler::reset() {
 }
 
 const dtmc::State& PathSampler::step() {
-  scratch_.clear();
-  model_.transitions(state_, scratch_);
-  if (scratch_.empty()) return state_;  // transition-less state: absorbing
-  const double mass = dtmc::normalizeTransitions(scratch_, 0.0);
+  successors_.clear();
+  model_.transitions(state_, successors_);
+  if (successors_.empty()) return state_;  // transition-less: absorbing
+  std::vector<dtmc::Transition>& row = successors_.stateEntries();
+  const double mass = dtmc::normalizeTransitions(row, 0.0);
   double u = rng_.nextDouble() * mass;
-  for (const auto& t : scratch_) {
+  for (const auto& t : row) {
     u -= t.prob;
     if (u <= 0.0) {
       state_ = t.target;
       return state_;
     }
   }
-  state_ = scratch_.back().target;  // numeric tail
+  state_ = row.back().target;  // numeric tail
   return state_;
 }
 

@@ -70,7 +70,7 @@ class PathSampler {
   dtmc::VarLayout layout_;
   util::Xoshiro256 rng_;
   dtmc::State state_;
-  std::vector<dtmc::Transition> scratch_;
+  dtmc::Successors successors_;  // State form: the draw keeps the target
 };
 
 struct SmcOptions {

@@ -37,8 +37,8 @@ std::vector<dtmc::State> ConvergenceViterbiModel::initialStates() const {
   return {s};
 }
 
-void ConvergenceViterbiModel::transitions(
-    const dtmc::State& s, std::vector<dtmc::Transition>& out) const {
+void ConvergenceViterbiModel::transitions(const dtmc::State& s,
+                                          dtmc::Successors& out) const {
   const ViterbiParams& p = kernel_.params();
   const std::int32_t pm0 = s[idxPm0()];
   const std::int32_t pm1 = s[idxPm1()];
@@ -50,14 +50,14 @@ void ConvergenceViterbiModel::transitions(
       const double prob = 0.5 * kernel_.cellProb(xNew, xPrev, q);
       if (prob <= 0.0) continue;
       const AcsResult acs = kernel_.acs(pm0, pm1, q);
-      dtmc::State next(s);
+      dtmc::State& next = out.scratch(s);
       next[idxPm0()] = acs.pm0;
       next[idxPm1()] = acs.pm1;
       next[idxX0()] = xNew;
       const bool convergent = acs.prev0 == acs.prev1;
       next[idxCount()] =
           convergent ? 0 : std::min<std::int32_t>(count + 1, maxCount_);
-      out.push_back({prob, std::move(next)});
+      out.add(prob, next);
     }
   }
 }

@@ -32,7 +32,7 @@ class ConvergenceViterbiModel : public dtmc::Model {
   [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override;
   [[nodiscard]] std::vector<dtmc::State> initialStates() const override;
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override;
+                   dtmc::Successors& out) const override;
   /// Atom "nonconv" = (count > L).
   [[nodiscard]] bool atom(const dtmc::State& s,
                           std::string_view name) const override;

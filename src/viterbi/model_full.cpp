@@ -43,7 +43,7 @@ std::vector<dtmc::State> FullViterbiModel::initialStates() const {
 }
 
 void FullViterbiModel::transitions(const dtmc::State& s,
-                                   std::vector<dtmc::Transition>& out) const {
+                                   dtmc::Successors& out) const {
   const ViterbiParams& p = kernel_.params();
   const int L = p.tracebackLength;
   const std::int32_t pm0 = s[idxPm0()];
@@ -56,7 +56,7 @@ void FullViterbiModel::transitions(const dtmc::State& s,
       if (prob <= 0.0) continue;
 
       const AcsResult acs = kernel_.acs(pm0, pm1, q);
-      dtmc::State next(s);
+      dtmc::State& next = out.scratch(s);
       next[idxPm0()] = acs.pm0;
       next[idxPm1()] = acs.pm1;
       // Writeback: advance the trellis by one stage.
@@ -81,7 +81,7 @@ void FullViterbiModel::transitions(const dtmc::State& s,
         next[idxErrs()] =
             std::min<std::int32_t>(s[idxErrs()] + flag, p.errorThreshold + 1);
       }
-      out.push_back({prob, std::move(next)});
+      out.add(prob, next);
     }
   }
 }

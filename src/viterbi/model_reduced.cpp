@@ -41,7 +41,7 @@ std::vector<dtmc::State> ReducedViterbiModel::initialStates() const {
 }
 
 void ReducedViterbiModel::transitions(const dtmc::State& s,
-                                      std::vector<dtmc::Transition>& out) const {
+                                      dtmc::Successors& out) const {
   const ViterbiParams& p = kernel_.params();
   const int stages = numStages();
   const std::int32_t pm0 = s[idxPm0()];
@@ -54,7 +54,7 @@ void ReducedViterbiModel::transitions(const dtmc::State& s,
       if (prob <= 0.0) continue;
 
       const AcsResult acs = kernel_.acs(pm0, pm1, q);
-      dtmc::State next(s);
+      dtmc::State& next = out.scratch(s);
       next[idxPm0()] = acs.pm0;
       next[idxPm1()] = acs.pm1;
       next[idxX0()] = xNew;
@@ -80,7 +80,7 @@ void ReducedViterbiModel::transitions(const dtmc::State& s,
         next[idxErrs()] =
             std::min<std::int32_t>(s[idxErrs()] + e, p.errorThreshold + 1);
       }
-      out.push_back({prob, std::move(next)});
+      out.add(prob, next);
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "engine/engine.hpp"
 #include "engine/thread_pool.hpp"
 #include "legacy_builder.hpp"
+#include "legacy_loops.hpp"
 #include "mimo/model.hpp"
 #include "obs/metrics.hpp"
 #include "pml/model.hpp"
@@ -116,15 +117,15 @@ class DuplicateTargetsModel : public dtmc::Model {
     return {{0, 0}};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     const int next = (s[0] + 1) % 7;
     const int tilt = s[1] < 3 ? s[1] + 1 : -3;
-    out.push_back({0.1, {next, tilt}});
-    out.push_back({0.2, {s[0], s[1]}});
-    out.push_back({0.3, {next, tilt}});
-    out.push_back({0.15, {0, s[1]}});
-    out.push_back({0.05, {next, tilt}});
-    out.push_back({0.2, {0, s[1]}});
+    out.add(0.1, {next, tilt});
+    out.add(0.2, {s[0], s[1]});
+    out.add(0.3, {next, tilt});
+    out.add(0.15, {0, s[1]});
+    out.add(0.05, {next, tilt});
+    out.add(0.2, {0, s[1]});
   }
 };
 
@@ -139,9 +140,11 @@ class MergedTargetsModel : public dtmc::Model {
     return DuplicateTargetsModel().initialStates();
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
-    DuplicateTargetsModel().transitions(s, out);
-    (void)dtmc::normalizeTransitions(out, 0.0);
+                   dtmc::Successors& out) const override {
+    dtmc::Successors duplicates;
+    DuplicateTargetsModel().transitions(s, duplicates);
+    (void)dtmc::normalizeTransitions(duplicates.stateEntries(), 0.0);
+    for (const auto& t : duplicates.stateEntries()) out.add(t.prob, t.target);
   }
 };
 
@@ -157,33 +160,14 @@ class AllOnesKeyModel : public dtmc::Model {
     return {{kMax, kMax, 3}};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     if (s[2] == 3) {
-      out.push_back({0.5, {0, 0, 0}});
-      out.push_back({0.5, {kMax, kMax, 3}});
+      out.add(0.5, {0, 0, 0});
+      out.add(0.5, {kMax, kMax, 3});
     } else if (s[2] < 2) {
-      out.push_back({0.25, {kMax, s[1], s[2] + 1}});
-      out.push_back({0.75, {kMax, kMax, 3}});
+      out.add(0.25, {kMax, s[1], s[2] + 1});
+      out.add(0.75, {kMax, kMax, 3});
     }  // c == 2: dead end
-  }
-};
-
-/// Three 31-bit variables (93 bits): the explorer falls back to State keys.
-class WideModel : public dtmc::Model {
- public:
-  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
-    return {{"a", 0, 0x7FFFFFFF}, {"b", -0x40000000, 0x3FFFFFFF},
-            {"c", 0, 0x7FFFFFFF}};
-  }
-  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
-    return {{5, 0, 1}, {0, -7, 0}, {5, 0, 1}};
-  }
-  void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
-    if (s[0] >= 40) return;  // dead ends
-    out.push_back({0.5, {s[0] + 3, -s[1], s[2]}});
-    out.push_back({0.25, {s[0] + 1, s[1] - 1, 0x7FFFFFFF - s[2]}});
-    out.push_back({0.25, {s[0] + 3, -s[1], s[2]}});
   }
 };
 
@@ -215,12 +199,45 @@ TEST(ExploreOracle, MimoDetectorsMatchLegacyBuilder) {
   expectLegacyBuild(mimo::MimoDetectorModel(mimoParams(4)));  // 1x4
 }
 
+/// The paper's design at snrDb + `offset` (perfbench sweeps +-2 dB).
+mimo::MimoParams paperParams(int nr, double offset) {
+  mimo::MimoParams p = nr == 2 ? mimo::mimo1x2Params() : mimo::mimo1x4Params();
+  p.snrDb += offset;
+  return p;
+}
+
+/// At paper size, the sink-writing model with its table decision explores
+/// bit for bit as the verbatim vector-building model with its recomputed
+/// decision does, and the builder matches the legacy builder on it,
+/// sequentially and on 1/2/8-thread pools.
+void expectVerbatimMimo(int nr) {
+  for (const double offset : {-2.0, 0.0, 2.0}) {
+    SCOPED_TRACE("1x" + std::to_string(nr) + " at " +
+                 std::to_string(offset) + " dB");
+    const mimo::MimoParams params = paperParams(nr, offset);
+    const mimo::MimoDetectorModel model(params);
+    const dtmc::Exploration verbatim =
+        dtmc::explore(test::LegacyMimoDetectorModel(params));
+    EXPECT_TRUE(verbatim.exact);
+    expectSameExploration(dtmc::explore(model), verbatim);
+    expectLegacyBuild(model);
+  }
+}
+
+TEST(ExploreOracle, PaperMimo1x2MatchesTheVerbatimModel) {
+  expectVerbatimMimo(2);
+}
+
+TEST(ExploreOracle, PaperMimo1x4MatchesTheVerbatimModel) {
+  expectVerbatimMimo(4);
+}
+
 TEST(ExploreOracle, PmlModelMatchesLegacyBuilder) {
   expectLegacyBuild(pml::PmlModel(kPmlSource));
 }
 
 TEST(ExploreOracle, EdgeCasesMatchLegacyBuilder) {
-  expectLegacyBuild(WideModel());  // State-keyed fallback
+  expectLegacyBuild(test::WideModel());  // State-keyed fallback
   expectLegacyBuild(test::MatrixModel({{0.0, 1.0, 0.0},
                                        {0.0, 0.0, 1.0},
                                        {0.0, 0.0, 0.0}}));  // dead end
@@ -302,9 +319,9 @@ class FailingFanOutModel : public dtmc::Model {
     return {{0}};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     if (s[0] == 0) {
-      for (int k = 1; k <= 40; ++k) out.push_back({1.0 / 40.0, {k}});
+      for (int k = 1; k <= 40; ++k) out.add(1.0 / 40.0, {k});
       return;
     }
     for (const int failing : failing_) {
@@ -312,7 +329,7 @@ class FailingFanOutModel : public dtmc::Model {
         throw std::runtime_error("state " + std::to_string(failing));
       }
     }
-    if (s[0] <= 40) out.push_back({1.0, {s[0] + 40}});
+    if (s[0] <= 40) out.add(1.0, {s[0] + 40});
   }
 
  private:
@@ -485,7 +502,7 @@ class CountingModel : public dtmc::Model {
     return inner_.initialStates();
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     calls_.fetch_add(1, std::memory_order_relaxed);
     inner_.transitions(s, out);
   }

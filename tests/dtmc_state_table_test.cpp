@@ -49,9 +49,9 @@ class WideModel : public dtmc::Model {
     return {at(0)};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
-    out.push_back({0.5, at(s[0])});
-    out.push_back({0.5, at((s[0] + 1) % 4)});
+                   dtmc::Successors& out) const override {
+    out.add(0.5, at(s[0]));
+    out.add(0.5, at((s[0] + 1) % 4));
   }
   [[nodiscard]] bool atom(const dtmc::State& s,
                           std::string_view name) const override {

@@ -655,10 +655,10 @@ TEST(ModelSignature, WideLayoutFallsBackToVectorProbe) {
       return {{0, 0, 0}};
     }
     void transitions(const dtmc::State& s,
-                     std::vector<dtmc::Transition>& out) const override {
+                     dtmc::Successors& out) const override {
       dtmc::State next = s;
       next[0] = (s[0] + 1) % 3;
-      out.push_back({1.0, next});
+      out.add(1.0, next);
     }
   };
   WideModel model;

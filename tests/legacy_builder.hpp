@@ -50,14 +50,15 @@ inline dtmc::BuildResult legacyBuildExplicit(
 
   std::uint32_t frontierBegin = 0;
   std::uint32_t reachabilityIterations = 0;
-  std::vector<Transition> scratch;
+  dtmc::Successors sink;  // State form
+  std::vector<Transition>& scratch = sink.stateEntries();
 
   while (frontierBegin < states.size()) {
     const auto frontierEnd = static_cast<std::uint32_t>(states.size());
     ++reachabilityIterations;
     for (std::uint32_t s = frontierBegin; s < frontierEnd; ++s) {
       scratch.clear();
-      model.transitions(states[s], scratch);
+      model.transitions(states[s], sink);
       if (scratch.empty()) scratch.push_back({1.0, states[s]});
       (void)dtmc::normalizeTransitions(scratch, options.probFloor);
       std::vector<Transition> row;

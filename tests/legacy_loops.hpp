@@ -1,15 +1,32 @@
-// The pre-refactor numeric loops, verbatim: the independent oracles the
-// la::spmm-based paths (mc::Checker's bounded group and transient sweep,
-// power iteration) must reproduce bit for bit. They index the CSR arrays
-// directly and call no la:: kernel, so a kernel bug cannot hide in both
-// sides of a comparison.
+// The pre-refactor loops, verbatim: the independent oracles the optimized
+// paths must reproduce bit for bit.
+//  - Numeric loops for the la::spmm-based paths (mc::Checker's bounded
+//    group and transient sweep, power iteration). They index the CSR
+//    arrays directly and call no la:: kernel, so a kernel bug cannot hide
+//    in both sides of a comparison.
+//  - The MIMO detector's transition function and quantized ML decision as
+//    they were before dtmc::Successors and the residual table: a
+//    vector-building enumeration with per-call State copies, and a decision
+//    that recomputes every block residual from quantizer values.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <string_view>
 #include <vector>
 
+#include "comm/channel.hpp"
+#include "comm/rayleigh.hpp"
+#include "comm/snr.hpp"
 #include "dtmc/explicit_dtmc.hpp"
+#include "dtmc/model.hpp"
 #include "la/csr_matrix.hpp"
+#include "mimo/model.hpp"
+#include "stats/gaussian.hpp"
 
 namespace mimostat::test {
 
@@ -122,5 +139,271 @@ inline double legacyCumulative(const dtmc::ExplicitDtmc& dtmc,
   }
   return total;
 }
+
+/// Per-block residual |y_b - sum_k h_{b,k} bpsk(s_k)| for hypothesis s.
+inline double legacyBlockResidual(double y, const double* h, int nt,
+                                  int hypothesis) {
+  double expected = 0.0;
+  for (int k = 0; k < nt; ++k) {
+    expected += h[k] * comm::bpsk((hypothesis >> k) & 1);
+  }
+  return std::fabs(y - expected);
+}
+
+/// MlDetector::detectQuantized before the residual table: sorts the block
+/// indices by cell tuple and recomputes each residual from the quantizers'
+/// reconstruction values.
+inline int legacyDetectQuantized(const mimo::MlDetector& detector,
+                                 const std::vector<int>& yCells,
+                                 const std::vector<int>& hCells) {
+  const mimo::MimoParams& params_ = detector.params();
+  const comm::UniformQuantizer& hQuant_ = detector.hQuantizer();
+  const comm::UniformQuantizer& yQuant_ = detector.yQuantizer();
+  constexpr int kMaxBlocks = mimo::MlDetector::kMaxBlocks;
+  const int nt = params_.nt;
+  const auto blocks = yCells.size();
+
+  // Quantized metrics frequently tie in exact arithmetic; floating-point
+  // addition is not associative, so a naive block-order sum would break the
+  // block-permutation symmetry the DTMC reduction relies on. Accumulate in
+  // a canonical block order (sorted by the block's cell tuple) so the
+  // decision is a function of the block multiset only.
+  std::array<std::size_t, 2 * kMaxBlocks> order;
+  for (std::size_t b = 0; b < blocks; ++b) order[b] = b;
+  const auto blockLess = [&](std::size_t a, std::size_t b) {
+    for (int k = 0; k < nt; ++k) {
+      const int ha = hCells[a * static_cast<std::size_t>(nt) +
+                            static_cast<std::size_t>(k)];
+      const int hb = hCells[b * static_cast<std::size_t>(nt) +
+                            static_cast<std::size_t>(k)];
+      if (ha != hb) return ha < hb;
+    }
+    return yCells[a] < yCells[b];
+  };
+  std::sort(order.begin(), order.begin() + blocks, blockLess);
+
+  int best = 0;
+  double bestMetric = std::numeric_limits<double>::infinity();
+  std::array<double, 2 * kMaxBlocks> hv;
+  for (int s = 0; s < params_.numHypotheses(); ++s) {
+    double metric = 0.0;
+    for (std::size_t i = 0; i < blocks; ++i) {
+      const std::size_t b = order[i];
+      const double yv = yQuant_.value(yCells[b]);
+      for (int k = 0; k < nt; ++k) {
+        hv[static_cast<std::size_t>(k)] = hQuant_.value(
+            hCells[b * static_cast<std::size_t>(nt) +
+                   static_cast<std::size_t>(k)]);
+      }
+      metric += legacyBlockResidual(yv, hv.data(), nt, s);
+    }
+    if (metric < bestMetric) {
+      bestMetric = metric;
+      best = s;
+    }
+  }
+  return best;
+}
+
+/// P(y-cell | h in h-cell, x) by composite-Simpson integration of the
+/// Gaussian mixture over the h-cell:
+///   (1 / P(h-cell)) * Int_cell phi(h; 0, sigma_h) * P(y-cell | mean h*s) dh.
+/// This is the exact conditional law of the system the simulator runs
+/// (analog fading quantized at the receiver), not a cell-midpoint
+/// approximation — so the DTMC and the Monte-Carlo baseline agree in
+/// distribution, not just approximately.
+inline std::vector<double> legacyConditionalYCellProbs(
+    const comm::UniformQuantizer& hQuant, int hCell,
+    const comm::UniformQuantizer& yQuant, double bpskSymbol,
+    double noiseSigma, double hCellMass) {
+  const double hSigma = comm::RayleighFading::perDimensionSigma();
+  double lo = hQuant.lowerThreshold(hCell);
+  double hi = hQuant.upperThreshold(hCell);
+  // Clip the unbounded outer cells where the fading density is negligible.
+  const double clip = 9.0 * hSigma;
+  if (std::isinf(lo)) lo = -clip;
+  if (std::isinf(hi)) hi = clip;
+
+  constexpr int kIntervals = 512;  // even; Simpson error ~ (width/N)^4
+  const double width = hi - lo;
+  const double step = width / kIntervals;
+
+  std::vector<double> probs(static_cast<std::size_t>(yQuant.levels()), 0.0);
+  for (int i = 0; i <= kIntervals; ++i) {
+    const double h = lo + step * i;
+    const double weight = (i == 0 || i == kIntervals) ? 1.0
+                          : (i % 2 == 1)              ? 4.0
+                                                      : 2.0;
+    const double density = stats::normalPdf(h / hSigma) / hSigma;
+    const auto cells = yQuant.cellProbabilities(h * bpskSymbol, noiseSigma);
+    for (int yc = 0; yc < yQuant.levels(); ++yc) {
+      probs[static_cast<std::size_t>(yc)] +=
+          weight * density * cells[static_cast<std::size_t>(yc)];
+    }
+  }
+  const double scale = step / 3.0 / hCellMass;
+  double total = 0.0;
+  for (double& p : probs) {
+    p *= scale;
+    total += p;
+  }
+  // Remove the residual quadrature error so the DTMC rows sum to exactly 1.
+  assert(std::fabs(total - 1.0) < 1e-6);
+  for (double& p : probs) p /= total;
+  return probs;
+}
+
+/// mimo::MimoDetectorModel with the transition function it had before
+/// dtmc::Successors: the successors are enumerated into a vector of
+/// Transitions (one heap State each, plus the `next`/`current` copies and
+/// the yCells/hCells vectors) and decided by legacyDetectQuantized, then
+/// handed to the sink in emission order. It builds its own cell
+/// probabilities, as the model's constructor did before the change;
+/// everything else forwards to the model it wraps.
+class LegacyMimoDetectorModel : public dtmc::Model {
+ public:
+  explicit LegacyMimoDetectorModel(const mimo::MimoParams& params)
+      : model_(params) {
+    const mimo::MlDetector& detector = model_.detector();
+    hCellProbs_ = comm::RayleighFading(detector.hQuantizer())
+                      .cellProbabilities();
+    const double sigma = comm::noiseSigmaPerDimension(params.snrDb);
+    yCellProbs_.resize(static_cast<std::size_t>(params.hLevels));
+    for (int hc = 0; hc < params.hLevels; ++hc) {
+      for (int x = 0; x < 2; ++x) {
+        yCellProbs_[static_cast<std::size_t>(hc)]
+                   [static_cast<std::size_t>(x)] = legacyConditionalYCellProbs(
+            detector.hQuantizer(), hc, detector.yQuantizer(), comm::bpsk(x),
+            sigma, hCellProbs_[static_cast<std::size_t>(hc)]);
+      }
+    }
+  }
+
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return model_.variables();
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return model_.initialStates();
+  }
+  [[nodiscard]] bool atom(const dtmc::State& s,
+                          std::string_view name) const override {
+    return model_.atom(s, name);
+  }
+  [[nodiscard]] double stateReward(const dtmc::State& s,
+                                   std::string_view name) const override {
+    return model_.stateReward(s, name);
+  }
+
+  void transitions(const dtmc::State& s,
+                   dtmc::Successors& sink) const override {
+    std::vector<dtmc::Transition> out;
+    legacyTransitions(s, out);
+    for (const dtmc::Transition& t : out) sink.add(t.prob, t.target);
+  }
+
+ private:
+  [[nodiscard]] const mimo::MimoParams& params() const {
+    return model_.params();
+  }
+  [[nodiscard]] std::size_t idxPhase() const { return model_.idxPhase(); }
+  [[nodiscard]] std::size_t idxX() const { return model_.idxX(); }
+  [[nodiscard]] std::size_t idxH(int block) const {
+    return model_.idxH(block);
+  }
+  [[nodiscard]] std::size_t idxY(int block) const {
+    return model_.idxY(block);
+  }
+  [[nodiscard]] std::size_t idxFlag() const { return model_.idxFlag(); }
+
+  // From here on the pre-sink MimoDetectorModel::enumerateProduct and
+  // ::transitions, verbatim.
+  void enumerateProduct(const dtmc::State& base, int blockIdx,
+                        bool assignChannel, double probSoFar,
+                        dtmc::State& current,
+                        std::vector<dtmc::Transition>& out) const {
+    const mimo::MimoParams& p = params();
+    if (blockIdx == p.numBlocks()) {
+      out.push_back({probSoFar, current});
+      return;
+    }
+    if (assignChannel) {
+      for (int hc = 0; hc < p.hLevels; ++hc) {
+        const double prob = hCellProbs_[static_cast<std::size_t>(hc)];
+        if (prob <= 0.0) continue;
+        current[idxH(blockIdx)] = hc;
+        enumerateProduct(base, blockIdx + 1, assignChannel, probSoFar * prob,
+                         current, out);
+      }
+      current[idxH(blockIdx)] = base[idxH(blockIdx)];
+    } else {
+      const int hc = current[idxH(blockIdx)];
+      const int x = current[idxX()];
+      const auto& dist = yCellProbs_[static_cast<std::size_t>(hc)]
+                                    [static_cast<std::size_t>(x)];
+      for (int yc = 0; yc < p.yLevels; ++yc) {
+        const double prob = dist[static_cast<std::size_t>(yc)];
+        if (prob <= 0.0) continue;
+        current[idxY(blockIdx)] = yc;
+        enumerateProduct(base, blockIdx + 1, assignChannel, probSoFar * prob,
+                         current, out);
+      }
+      current[idxY(blockIdx)] = base[idxY(blockIdx)];
+    }
+  }
+
+  void legacyTransitions(const dtmc::State& s,
+                         std::vector<dtmc::Transition>& out) const {
+    const mimo::MimoParams& p = params();
+    const int phase = s[idxPhase()];
+
+    if (phase == 0) {
+      // Draw x and all channel cells; observations reset to cell 0 until the
+      // receive phase fills them in.
+      dtmc::State next(s);
+      next[idxPhase()] = 1;
+      for (int b = 0; b < p.numBlocks(); ++b) next[idxY(b)] = 0;
+      for (int x = 0; x < 2; ++x) {
+        next[idxX()] = x;
+        dtmc::State current(next);
+        enumerateProduct(next, 0, /*assignChannel=*/true, 0.5, current, out);
+      }
+    } else if (phase == 1) {
+      // Draw all observation cells conditioned on (h, x).
+      const std::size_t start = out.size();
+      dtmc::State next(s);
+      next[idxPhase()] = 2;
+      dtmc::State current(next);
+      enumerateProduct(next, 0, /*assignChannel=*/false, 1.0, current, out);
+      // The ML decision is combinational: apply it to every emitted target.
+      std::vector<int> yCells(static_cast<std::size_t>(p.numBlocks()));
+      std::vector<int> hCells(static_cast<std::size_t>(p.numBlocks()));
+      for (std::size_t i = start; i < out.size(); ++i) {
+        auto& t = out[i];
+        for (int b = 0; b < p.numBlocks(); ++b) {
+          yCells[static_cast<std::size_t>(b)] = t.target[idxY(b)];
+          hCells[static_cast<std::size_t>(b)] = t.target[idxH(b)];
+        }
+        const int detected =
+            legacyDetectQuantized(model_.detector(), yCells, hCells);
+        t.target[idxFlag()] = (detected != t.target[idxX()]) ? 1 : 0;
+      }
+    } else {
+      // Detect phase: registers reset, pipeline restarts; flag is sticky.
+      dtmc::State next(s);
+      next[idxPhase()] = 0;
+      next[idxX()] = 0;
+      for (int b = 0; b < p.numBlocks(); ++b) {
+        next[idxH(b)] = 0;
+        next[idxY(b)] = 0;
+      }
+      out.push_back({1.0, std::move(next)});
+    }
+  }
+
+  mimo::MimoDetectorModel model_;
+  std::vector<double> hCellProbs_;
+  /// yCellProbs_[hCell][x] = distribution over y cells.
+  std::vector<std::array<std::vector<double>, 2>> yCellProbs_;
+};
 
 }  // namespace mimostat::test

@@ -73,10 +73,12 @@ class AsymmetricBanksModel : public test::SymmetricBanksModel {
  public:
   AsymmetricBanksModel() : SymmetricBanksModel(3, 0.3, 0.2) {}
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
-    SymmetricBanksModel::transitions(s, out);
+                   dtmc::Successors& out) const override {
+    dtmc::Successors symmetric;
+    SymmetricBanksModel::transitions(s, symmetric);
+    std::vector<dtmc::Transition>& row = symmetric.stateEntries();
     // Skew: make the all-flip branch depend on component 0 asymmetrically.
-    for (auto& t : out) {
+    for (auto& t : row) {
       if (s[0] == 1 && t.target[0] == 0) {
         t.prob *= 0.5;
       }
@@ -84,8 +86,8 @@ class AsymmetricBanksModel : public test::SymmetricBanksModel {
     // Renormalize so rows still sum to 1 (keeps the model well-formed but
     // breaks exchangeability).
     double total = 0.0;
-    for (const auto& t : out) total += t.prob;
-    for (auto& t : out) t.prob /= total;
+    for (const auto& t : row) total += t.prob;
+    for (const auto& t : row) out.add(t.prob / total, t.target);
   }
 };
 

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "comm/channel.hpp"
+#include "legacy_loops.hpp"
 #include "mimo/detector.hpp"
 #include "mimo/sim.hpp"
 #include "util/rng.hpp"
@@ -199,6 +203,117 @@ TEST(Detector2x2, QuantizedPermutationInvariant) {
     std::swap(hCells[2 * b1], hCells[2 * b2]);
     std::swap(hCells[2 * b1 + 1], hCells[2 * b2 + 1]);
     EXPECT_EQ(detector.detectQuantized(yCells, hCells), base) << trial;
+  }
+}
+
+TEST(Detector, RejectsParametersItsArraysCannotHold) {
+  mimo::MimoParams p = mimo::mimo1x2Params();
+  p.nr = mimo::MlDetector::kMaxBlocks + 1;  // 17
+  EXPECT_THROW(mimo::MlDetector{p}, std::invalid_argument);
+  p.nr = 0;
+  EXPECT_THROW(mimo::MlDetector{p}, std::invalid_argument);
+  p = mimo::mimo1x2Params();
+  p.nt = 0;
+  EXPECT_THROW(mimo::MlDetector{p}, std::invalid_argument);
+  p.nt = 12;  // 2^12 * 3^12 * 6 table entries
+  EXPECT_THROW(mimo::MlDetector{p}, std::invalid_argument);
+  p.nt = 1;
+  p.nr = mimo::MlDetector::kMaxBlocks;
+  EXPECT_NO_THROW(mimo::MlDetector{p});
+  EXPECT_NO_THROW(mimo::MlDetector{mimo::mimo1x2Params()});
+  EXPECT_NO_THROW(mimo::MlDetector{mimo::mimo1x4Params()});
+  EXPECT_NO_THROW(mimo::MlDetector{mimo::mimo2x2Params()});
+}
+
+/// The best metric is shared by two hypotheses: the decision is a tie.
+bool isTie(const mimo::MlDetector& detector, const std::vector<int>& yCells,
+           const std::vector<int>& hCells) {
+  const mimo::MimoParams& p = detector.params();
+  const auto nt = static_cast<std::size_t>(p.nt);
+  std::vector<std::vector<int>> tuples;
+  for (std::size_t b = 0; b < yCells.size(); ++b) {
+    std::vector<int> tuple(hCells.begin() + static_cast<std::ptrdiff_t>(b * nt),
+                           hCells.begin() +
+                               static_cast<std::ptrdiff_t>((b + 1) * nt));
+    tuple.push_back(yCells[b]);
+    tuples.push_back(std::move(tuple));
+  }
+  std::sort(tuples.begin(), tuples.end());
+  std::vector<double> metrics;
+  std::vector<double> hv(nt);
+  for (int s = 0; s < p.numHypotheses(); ++s) {
+    double metric = 0.0;
+    for (const auto& tuple : tuples) {
+      for (std::size_t k = 0; k < nt; ++k) {
+        hv[k] = detector.hQuantizer().value(tuple[k]);
+      }
+      metric += test::legacyBlockResidual(
+          detector.yQuantizer().value(tuple.back()), hv.data(), p.nt, s);
+    }
+    metrics.push_back(metric);
+  }
+  const double best = *std::min_element(metrics.begin(), metrics.end());
+  return std::count(metrics.begin(), metrics.end(), best) > 1;
+}
+
+TEST(Detector, TableDecisionMatchesTheVerbatimOneExhaustively) {
+  // Test-sized 1x2, 1x4 and 2x2 detectors: every (h, y) cell tuple.
+  mimo::MimoParams p12;
+  p12.nr = 2;
+  p12.hLevels = 2;
+  p12.hRange = 1.2;
+  p12.yLevels = 3;
+  p12.yRange = 1.8;
+  mimo::MimoParams p14 = p12;
+  p14.nr = 4;
+  p14.yLevels = 2;
+  mimo::MimoParams p22 = p12;
+  p22.nt = 2;
+  for (const mimo::MimoParams& p : {p12, p14, p22}) {
+    SCOPED_TRACE(std::to_string(p.nt) + "x" + std::to_string(p.nr));
+    const mimo::MlDetector detector(p);
+    const auto blocks = static_cast<std::size_t>(p.numBlocks());
+    const auto nt = static_cast<std::size_t>(p.nt);
+    std::vector<int> yCells(blocks, 0);
+    std::vector<int> hCells(blocks * nt, 0);
+    std::size_t tuples = 0;
+    std::size_t ties = 0;
+    std::size_t ones = 0;
+    bool more = true;
+    while (more) {
+      const int want = test::legacyDetectQuantized(detector, yCells, hCells);
+      ASSERT_EQ(detector.detectQuantized(yCells, hCells), want) << tuples;
+      ++tuples;
+      ties += isTie(detector, yCells, hCells) ? 1 : 0;
+      ones += want != 0 ? 1 : 0;
+      // Next tuple: an odometer over every h cell, then every y cell.
+      more = false;
+      for (int& c : hCells) {
+        if (++c < p.hLevels) {
+          more = true;
+          break;
+        }
+        c = 0;
+      }
+      if (more) continue;
+      for (int& c : yCells) {
+        if (++c < p.yLevels) {
+          more = true;
+          break;
+        }
+        c = 0;
+      }
+    }
+    std::size_t expected = 1;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      for (std::size_t k = 0; k < nt; ++k) {
+        expected *= static_cast<std::size_t>(p.hLevels);
+      }
+      expected *= static_cast<std::size_t>(p.yLevels);
+    }
+    EXPECT_EQ(tuples, expected);
+    EXPECT_GT(ties, 0u);  // the tie-break is exercised
+    EXPECT_GT(ones, 0u);  // and both kinds of decision occur
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "dtmc/builder.hpp"
 #include "lump/symmetry.hpp"
 #include "mc/checker.hpp"
@@ -19,6 +21,18 @@ mimo::MimoParams tinyParams() {
   p.yLevels = 3;
   p.yRange = 1.8;
   return p;
+}
+
+TEST(MimoModel, RejectsParametersItCannotModel) {
+  // Nt = 2 would read numChannelParts() = 2 * numBlocks() h cells from
+  // rows that hold numBlocks() of them.
+  EXPECT_THROW(mimo::MimoDetectorModel{mimo::mimo2x2Params()},
+               std::invalid_argument);
+  mimo::MimoParams wide = tinyParams();
+  wide.nr = mimo::MlDetector::kMaxBlocks + 1;  // the detector's bound
+  EXPECT_THROW(mimo::MimoDetectorModel{wide}, std::invalid_argument);
+  EXPECT_NO_THROW(mimo::MimoDetectorModel{mimo::mimo1x2Params()});
+  EXPECT_NO_THROW(mimo::MimoDetectorModel{mimo::mimo1x4Params()});
 }
 
 TEST(MimoModel, RowsAreStochastic) {

@@ -38,9 +38,9 @@ class CountingRing : public dtmc::Model {
     return {{1}};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
-    out.push_back({0.5, {s[0]}});
-    out.push_back({0.5, {(s[0] + 1) % kRing}});
+                   dtmc::Successors& out) const override {
+    out.add(0.5, {s[0]});
+    out.add(0.5, {(s[0] + 1) % kRing});
   }
   [[nodiscard]] bool atom(const dtmc::State& s,
                           std::string_view name) const override {

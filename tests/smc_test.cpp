@@ -6,6 +6,7 @@
 #include "dtmc/builder.hpp"
 #include "mc/checker.hpp"
 #include "mc/transient.hpp"
+#include "mimo/model.hpp"
 #include "smc/smc.hpp"
 #include "test_models.hpp"
 #include "viterbi/model_convergence.hpp"
@@ -42,6 +43,79 @@ TEST(Smc, SamplerIsDeterministicPerSeed) {
   smc::PathSampler b(model, 42);
   for (int i = 0; i < 200; ++i) {
     EXPECT_EQ(a.step(), b.step());
+  }
+}
+
+/// The path sampler's loop as it was before the successor sink: a
+/// State-vector row per step, normalized and walked by one uniform draw.
+class VerbatimSampler {
+ public:
+  VerbatimSampler(const dtmc::Model& model, std::uint64_t seed)
+      : model_(model), rng_(seed) {
+    reset();
+  }
+  const dtmc::State& reset() {
+    const std::vector<dtmc::State> initial = model_.initialStates();
+    state_ = initial[rng_.nextBounded(initial.size())];
+    return state_;
+  }
+  const dtmc::State& step() {
+    std::vector<dtmc::Transition>& row = sink_.stateEntries();
+    row.clear();
+    model_.transitions(state_, sink_);
+    if (row.empty()) return state_;  // transition-less state: absorbing
+    const double mass = dtmc::normalizeTransitions(row, 0.0);
+    double u = rng_.nextDouble() * mass;
+    for (const auto& t : row) {
+      u -= t.prob;
+      if (u <= 0.0) {
+        state_ = t.target;
+        return state_;
+      }
+    }
+    state_ = row.back().target;  // numeric tail
+    return state_;
+  }
+  [[nodiscard]] const dtmc::State& state() const { return state_; }
+
+ private:
+  const dtmc::Model& model_;
+  util::Xoshiro256 rng_;
+  dtmc::State state_;
+  dtmc::Successors sink_;  // State form
+};
+
+/// 10,000 steps per seed: PathSampler walks the verbatim sampler's path.
+void expectVerbatimPaths(const dtmc::Model& model) {
+  for (const std::uint64_t seed : {1u, 7u, 42u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    smc::PathSampler sampler(model, seed);
+    VerbatimSampler verbatim(model, seed);
+    ASSERT_EQ(sampler.state(), verbatim.state());
+    ASSERT_EQ(sampler.reset(), verbatim.reset());
+    for (int t = 0; t < 10'000; ++t) {
+      ASSERT_EQ(sampler.step(), verbatim.step()) << "step " << t;
+    }
+  }
+}
+
+TEST(Smc, SamplerWalksTheVerbatimPath) {
+  mimo::MimoParams mimoParams;  // test-sized 1x2
+  mimoParams.hLevels = 2;
+  mimoParams.hRange = 1.2;
+  mimoParams.yLevels = 3;
+  mimoParams.yRange = 1.8;
+  {
+    SCOPED_TRACE("MIMO 1x2");
+    expectVerbatimPaths(mimo::MimoDetectorModel(mimoParams));
+  }
+  {
+    SCOPED_TRACE("reduced Viterbi");
+    expectVerbatimPaths(viterbi::ReducedViterbiModel(viterbi::ViterbiParams{}));
+  }
+  {
+    SCOPED_TRACE("wide (more than 64 bits)");
+    expectVerbatimPaths(test::WideModel());
   }
 }
 

@@ -62,11 +62,11 @@ class MatrixModel : public dtmc::Model {
     return states;
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     const auto row = static_cast<std::size_t>(s[0]);
     for (std::size_t j = 0; j < matrix_[row].size(); ++j) {
       if (matrix_[row][j] > 0.0) {
-        out.push_back({matrix_[row][j], {static_cast<std::int32_t>(j)}});
+        out.add(matrix_[row][j], {static_cast<std::int32_t>(j)});
       }
     }
   }
@@ -151,6 +151,26 @@ inline MatrixModel randomModel(std::uint32_t n, std::uint32_t fanout,
   return model;
 }
 
+/// Three 31-bit variables (93 bits): explorers and samplers fall back to
+/// State vectors. States with a >= 40 are dead ends.
+class WideModel : public dtmc::Model {
+ public:
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"a", 0, 0x7FFFFFFF}, {"b", -0x40000000, 0x3FFFFFFF},
+            {"c", 0, 0x7FFFFFFF}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{5, 0, 1}, {0, -7, 0}, {5, 0, 1}};
+  }
+  void transitions(const dtmc::State& s,
+                   dtmc::Successors& out) const override {
+    if (s[0] >= 40) return;  // dead ends
+    out.add(0.5, {s[0] + 3, -s[1], s[2]});
+    out.add(0.25, {s[0] + 1, s[1] - 1, 0x7FFFFFFF - s[2]});
+    out.add(0.25, {s[0] + 3, -s[1], s[2]});
+  }
+};
+
 /// k identical independent sub-chains observed through a symmetric reward —
 /// a toy model with a block symmetry, used by the symmetry tests.
 /// Variables: c0..c_{k-1}, each a two-state chain (P(0->1)=a, P(1->0)=b);
@@ -170,7 +190,7 @@ class SymmetricBanksModel : public dtmc::Model {
     return {dtmc::State(static_cast<std::size_t>(k_), 0)};
   }
   void transitions(const dtmc::State& s,
-                   std::vector<dtmc::Transition>& out) const override {
+                   dtmc::Successors& out) const override {
     // Product of independent per-component flips.
     std::vector<dtmc::Transition> partial{{1.0, {}}};
     for (int i = 0; i < k_; ++i) {
@@ -186,7 +206,7 @@ class SymmetricBanksModel : public dtmc::Model {
       }
       partial = std::move(next);
     }
-    for (auto& t : partial) out.push_back(std::move(t));
+    for (const auto& t : partial) out.add(t.prob, t.target);
   }
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view /*name*/) const override {

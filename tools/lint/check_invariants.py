@@ -73,6 +73,15 @@ scalar reference at any thread count) and its byte-stable exports:
                        returns its input bit for bit); a hand-rolled loop
                        forks that exit and its bitwise-oracle tests. Only
                        the sweep's own kernel call carries an allow.
+  hidden-thread-state  `thread_local` in src/ outside src/obs/. Models and
+                       the layers that call them are reentrant: per-call
+                       scratch comes from the caller (dtmc::Successors lends
+                       the scratch State a model edits), so the result of a
+                       call never depends on which pool thread ran it or
+                       what that thread ran before. Per-thread state hidden
+                       in a model breaks the dtmc/model.hpp concurrency
+                       contract. obs:: keeps its per-thread span stack and
+                       metric shard.
 
 Escape hatch: a line (or the line above it) containing
     lint:allow(<rule>) or lint:allow(<rule>: <reason>)
@@ -597,6 +606,39 @@ def check_transient_step(path: str, lines: list[str]) -> list[Violation]:
     return out
 
 
+def check_hidden_thread_state(path: str, lines: list[str]) -> list[Violation]:
+    """Flag `thread_local` in src/ outside src/obs/.
+
+    obs:: owns the only per-thread state (the current span, the metric
+    shard); everything else takes its scratch from the caller. tests/ and
+    bench/ are not scoped.
+    """
+    posix = _posix(path)
+    if not re.search(r"(^|/)src/", posix):
+        return []
+    if re.search(r"(^|/)src/obs/", posix):
+        return []
+    pattern = re.compile(r"\bthread_local\b")
+    out = []
+    for idx, line in enumerate(lines):
+        stripped = _strip_comments_and_strings(line)
+        if pattern.search(stripped) and not _allowed(
+            lines, idx, "hidden-thread-state"
+        ):
+            out.append(
+                Violation(
+                    path,
+                    idx + 1,
+                    "hidden-thread-state",
+                    "thread_local outside src/obs/ — take per-call scratch "
+                    "from the caller (a model edits the scratch State its "
+                    "dtmc::Successors sink lends), so results never depend "
+                    "on which thread ran the call",
+                )
+            )
+    return out
+
+
 RULES = {
     "unordered-iteration": check_unordered_iteration,
     "raw-rng": check_raw_rng,
@@ -608,6 +650,7 @@ RULES = {
     "reduction-boundary": check_reduction_boundary,
     "simd-intrinsics": check_simd_intrinsics,
     "transient-step": check_transient_step,
+    "hidden-thread-state": check_hidden_thread_state,
 }
 
 

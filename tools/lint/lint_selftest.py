@@ -444,7 +444,8 @@ class EngineTest(unittest.TestCase):
         expected = {"unordered-iteration", "raw-rng", "raw-thread",
                     "atomic-float", "byte-truth-mask", "guarded-by",
                     "raw-wallclock", "reduction-boundary",
-                    "simd-intrinsics", "transient-step"}
+                    "simd-intrinsics", "transient-step",
+                    "hidden-thread-state"}
         self.assertEqual(set(check_invariants.RULES), expected)
 
     def test_clean_source_exits_zero_via_main(self):
@@ -552,6 +553,40 @@ class TransientStepTest(unittest.TestCase):
         la::spmm(dtmc_.matrix(), x_, 1, scratch_, exec_, la::Side::kLeft);
         """
         self.assertEqual(run(src, "src/mc/transient.cpp"), [])
+
+
+class HiddenThreadStateTest(unittest.TestCase):
+    def test_thread_local_in_a_model_flagged(self):
+        src = """\
+        void Model::transitions(const State& s, Successors& out) const {
+          thread_local State scratch;
+          static thread_local std::vector<int> cells;
+        }
+        """
+        self.assertEqual(run(src, "src/mimo/model.cpp"),
+                         [(2, "hidden-thread-state"),
+                          (3, "hidden-thread-state")])
+
+    def test_obs_tests_and_bench_are_exempt(self):
+        src = "thread_local std::uint64_t t_currentSpan = 0;"
+        for path in ("src/obs/trace.cpp", "src/obs/metrics.cpp",
+                     "tests/obs_test.cpp", "bench/micro_kernels.cpp"):
+            self.assertEqual(run(src, path), [], path)
+
+    def test_mentions_are_clean(self):
+        src = """\
+        // no thread_local scratch: the sink lends it
+        const char* doc = "thread_local";
+        State scratch_local;
+        """
+        self.assertEqual(run(src, "src/dtmc/builder.cpp"), [])
+
+    def test_allow_comment_suppresses(self):
+        src = """\
+        // lint:allow(hidden-thread-state: per-thread RNG cache)
+        thread_local util::Xoshiro256 rng(1);
+        """
+        self.assertEqual(run(src, "src/smc/smc.cpp"), [])
 
 
 def census(source: str, path: str = "src/fake/options.hpp"):
