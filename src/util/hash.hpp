@@ -1,5 +1,5 @@
 // Hashing helpers shared by the explicit-state exploration, the model and
-// property signatures, the lumping signatures and the BDD unique table.
+// property signatures and the lumping signatures.
 #pragma once
 
 #include <bit>
