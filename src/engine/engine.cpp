@@ -849,17 +849,4 @@ std::vector<AnalysisResponse> AnalysisEngine::analyzeAll(
   return responses;
 }
 
-std::future<AnalysisResponse> AnalysisEngine::submit(AnalysisRequest request) {
-  const std::uint64_t enqueuedNs = obs::monotonicNanos();
-  auto task = std::make_shared<std::packaged_task<AnalysisResponse()>>(
-      [this, request = std::move(request), enqueuedNs] {
-        const double queueSeconds =
-            static_cast<double>(obs::monotonicNanos() - enqueuedNs) * 1e-9;
-        return analyzeQueued(request, queueSeconds);
-      });
-  std::future<AnalysisResponse> future = task->get_future();
-  pool_.post([task] { (*task)(); });
-  return future;
-}
-
 }  // namespace mimostat::engine

@@ -30,7 +30,7 @@
 //      evaluated once. Batched values are bit-identical to per-call
 //      checking; AnalysisResponse::plan reports tasksPlanned /
 //      tasksDeduped / traversalsSaved.
-//   3. Concurrency: independent requests (analyzeAll/submit) and the
+//   3. Concurrency: independent requests (analyzeAll) and the
 //      property groups within a request run on a shared thread pool;
 //      results keep deterministic request/property order.
 //   4. Backend selection: exact mc::Checker, or smc:: sampling — chosen per
@@ -118,7 +118,7 @@ struct EngineStats {
   /// Reduction stages served from the quotient cache (joining an in-flight
   /// refinement counts).
   std::uint64_t quotientHits = 0;
-  /// Requests answered (analyze/analyzeAll/submit, failed ones included).
+  /// Requests answered (analyze/analyzeAll, failed ones included).
   std::uint64_t requests = 0;
   /// Request-latency percentiles (queue wait included) from the engine's
   /// "engine.request_ns" histogram — the serve:: readiness numbers.
@@ -166,10 +166,6 @@ class AnalysisEngine {
   /// request order regardless of scheduling.
   [[nodiscard]] std::vector<AnalysisResponse> analyzeAll(
       const std::vector<AnalysisRequest>& requests);
-
-  /// Asynchronous analyze. The request's model must stay alive until the
-  /// future resolves.
-  [[nodiscard]] std::future<AnalysisResponse> submit(AnalysisRequest request);
 
   /// Build (or fetch from cache) the explicit DTMC for a model. Concurrent
   /// calls for the same key share one build. A model whose fingerprint
@@ -249,7 +245,7 @@ class AnalysisEngine {
       const std::vector<const la::BitVector*>& masks,
       const std::vector<const std::vector<double>*>& rewards, bool* cacheHit);
 
-  /// analyze() with a measured queue wait (analyzeAll/submit tasks pass the
+  /// analyze() with a measured queue wait (analyzeAll tasks pass the
   /// enqueue timestamp so the wait lands in timing.queueSeconds and the
   /// latency histogram). Opens the per-request "engine.analyze" span.
   AnalysisResponse analyzeQueued(const AnalysisRequest& request,

@@ -19,7 +19,7 @@ enum class Backend;  // request.hpp
 /// Diagnostics only: values and orderings the engine exports never depend
 /// on these numbers.
 struct PhaseTiming {
-  /// Seconds between enqueue (analyzeAll/submit) and the moment a worker
+  /// Seconds between enqueue (analyzeAll) and the moment a worker
   /// picked the request up; 0 for synchronous analyze().
   double queueSeconds = 0.0;
   /// Model key: the one dtmc::explore pass ("dtmc.explore") that hashes
@@ -164,7 +164,7 @@ struct AnalysisResponse {
   /// the total; the remainder is engine overhead.
   PhaseTiming timing;
   /// Request-level failure (null model, state-space overflow, ...). Set by
-  /// analyzeAll/submit instead of losing sibling responses to a rethrow;
+  /// analyzeAll instead of losing sibling responses to a rethrow;
   /// when non-empty, `results` is empty.
   std::string error;
 

@@ -121,18 +121,4 @@ void ThreadPool::run(std::vector<std::function<void()>> tasks) {
   if (batch->error) std::rethrow_exception(batch->error);
 }
 
-void ThreadPool::post(std::function<void()> task) {
-  auto batch = std::make_shared<Batch>();
-  batch->tasks.push_back(std::move(task));
-  if (metrics_ != nullptr) {
-    batch->enqueuedNs = obs::monotonicNanos();
-    queueDepth_.add(1);
-  }
-  {
-    const util::MutexLock lock(mutex_);
-    queue_.push_back(std::move(batch));
-  }
-  wake_.notify_one();
-}
-
 }  // namespace mimostat::engine

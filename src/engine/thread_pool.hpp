@@ -1,10 +1,10 @@
 // Batch-oriented thread pool for the analysis engine.
 //
-// Two entry points: run() executes a batch of tasks and blocks until all
+// One entry point: run() executes a batch of tasks and blocks until all
 // complete — crucially, the *calling* thread also drains tasks from its own
 // batch, so a pooled task may itself call run() for sub-tasks (request-level
 // parallelism nesting property-group parallelism) without any risk of
-// pool-exhaustion deadlock. post() enqueues a single fire-and-forget task.
+// pool-exhaustion deadlock.
 //
 // Determinism contract: the pool never reorders results because callers
 // write into pre-assigned slots; scheduling order is irrelevant.
@@ -54,10 +54,6 @@ class ThreadPool {
   /// executing its own batch. The first exception thrown by a task is
   /// rethrown here after the batch completes.
   void run(std::vector<std::function<void()>> tasks) MIMOSTAT_EXCLUDES(mutex_);
-
-  /// Enqueue one task without waiting for it. The destructor drains every
-  /// queued task before joining, so posted work always runs.
-  void post(std::function<void()> task) MIMOSTAT_EXCLUDES(mutex_);
 
  private:
   struct Batch {

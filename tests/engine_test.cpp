@@ -389,19 +389,6 @@ TEST(Engine, AnalyzeAllKeepsRequestOrder) {
   EXPECT_EQ(eng.stats().builds, 2u);
 }
 
-TEST(Engine, SubmitResolvesAsynchronously) {
-  const auto model = smallViterbi();
-  engine::AnalysisEngine eng(engineOptions(2, 8));
-  engine::AnalysisRequest request;
-  request.model = &model;
-  request.properties = {"R=? [ I=20 ]"};
-  auto future = eng.submit(request);
-  const auto response = future.get();
-  ASSERT_EQ(response.results.size(), 1u);
-  EXPECT_TRUE(response.results[0].ok());
-  EXPECT_GT(response.results[0].value, 0.0);
-}
-
 TEST(Engine, AutoFallsBackToSamplingPastStateBudget) {
   const auto model = test::gamblersRuin(200, 0.5, 100);
   engine::AnalysisEngine eng;
