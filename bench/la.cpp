@@ -89,7 +89,7 @@ dtmc::ExplicitDtmc randomChain(const Config& config) {
     raw.rowPtr.push_back(raw.col.size());
   }
   raw.initial.assign(config.states, 1.0 / config.states);
-  raw.states.assign(config.states, dtmc::State{});
+  raw.keys.assign(config.states, 0);  // no variables: every key is 0
   return dtmc::ExplicitDtmc::fromRaw(std::move(raw));
 }
 

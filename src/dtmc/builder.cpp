@@ -25,44 +25,6 @@ std::uint64_t hashBits(std::uint64_t h, double value) {
   return util::hashCombine(h, util::mix64(bits));
 }
 
-/// State keys for layouts that fit 64 bits. VarLayout packs
-/// lexicographically, so `<` on keys is State's order: rows sort, and
-/// duplicate targets merge, exactly as on the unpacked states. Rows are a
-/// packed sink's entries: the sink packs each target as the model adds it.
-struct PackedKeys {
-  using Key = std::uint64_t;
-  using Entry = PackedTransition;
-  const VarLayout* layout;
-  [[nodiscard]] Key key(const State& s) const { return layout->pack(s); }
-  [[nodiscard]] Successors sink() const { return Successors(*layout); }
-  static std::vector<Entry>& row(Successors& sink) {
-    return sink.packedEntries();
-  }
-  /// `key` decoded into `scratch`.
-  const State& state(Key key, State& scratch) const {
-    layout->unpackInto(key, scratch);
-    return scratch;
-  }
-  [[nodiscard]] static std::uint64_t hash(Key key) { return util::mix64(key); }
-};
-
-/// Layouts wider than 64 bits: the state vector is its own key.
-struct WideKeys {
-  using Key = State;
-  using Entry = Transition;
-  [[nodiscard]] static Key key(State&& s) { return std::move(s); }
-  [[nodiscard]] static Successors sink() { return {}; }
-  static std::vector<Entry>& row(Successors& sink) {
-    return sink.stateEntries();
-  }
-  static const State& state(const Key& key, State& /*scratch*/) {
-    return key;
-  }
-  [[nodiscard]] static std::uint64_t hash(const Key& key) {
-    return util::fnv1a(key.data(), key.size() * sizeof(std::int32_t));
-  }
-};
-
 // Window sizing for explore()'s two-phase levels. Fixed constants: the
 // schedule never depends on the host, and results never depend on it at
 // all (the ordered phase alone numbers states and extends the hash).
@@ -75,9 +37,10 @@ constexpr std::size_t kChunkEntries = std::size_t{1} << 11;
 /// ...and a window at most this many tasks.
 constexpr std::size_t kMaxChunks = 16;
 
-/// explore()'s BFS over `Keys`-typed state keys, continuing hash `h`.
-/// `table` (a member of `e.raw`) receives the state table in discovery
-/// order.
+/// explore()'s BFS over the packed keys of `layout`, continuing hash `h`.
+/// `e.raw.keys` receives the state table in discovery order. VarLayout
+/// packs lexicographically, so `<` on keys is State's order: rows sort, and
+/// duplicate targets merge, exactly as on the unpacked states.
 ///
 /// Each level runs in windows of states, each in two phases. The parallel
 /// phase computes a pure function of each state into its chunk's slots:
@@ -87,13 +50,10 @@ constexpr std::size_t kMaxChunks = 16;
 /// window in state order, interns the targets the lookup missed and emits
 /// hash and CSR exactly as a one-state-at-a-time BFS would — so every
 /// output is bitwise the same with or without `runner`, at any pool size.
-template <class Keys>
-void exploreWith(const Model& model, const Keys& keys,
+void exploreWith(const Model& model, const VarLayout& layout,
                  const ExploreOptions& options, const la::TaskRunner& runner,
-                 std::uint64_t h, std::vector<typename Keys::Key>& table,
-                 Exploration& e) {
-  using Key = typename Keys::Key;
-  using Entry = typename Keys::Entry;
+                 std::uint64_t h, Exploration& e) {
+  std::vector<std::uint64_t>& table = e.raw.keys;
   // Open-addressing index over the state table: a slot holds a state
   // number + 1 (0 = empty) and keys compare through the table, so a slot
   // costs 4 bytes and every key — the all-ones u64 included — is storable.
@@ -101,26 +61,26 @@ void exploreWith(const Model& model, const Keys& keys,
   std::vector<std::uint32_t> slots(1024, 0);
   bool truncated = false;
   // The slot holding `key`, or the empty slot where it belongs. Read-only.
-  const auto probe = [&](const Key& key, std::uint64_t hash) {
+  const auto probe = [&](std::uint64_t key, std::uint64_t hash) {
     std::size_t slot = hash & (slots.size() - 1);
-    while (slots[slot] != 0 && !(table[slots[slot] - 1] == key)) {
+    while (slots[slot] != 0 && table[slots[slot] - 1] != key) {
       slot = (slot + 1) & (slots.size() - 1);
     }
     return slot;
   };
   // The number of `key`; a new state extends the hashed state table, and
   // the first one past the cap truncates the exploration.
-  const auto intern = [&](Key&& key) {
-    const std::uint64_t hash = Keys::hash(key);
+  const auto intern = [&](std::uint64_t key) {
+    const std::uint64_t hash = util::mix64(key);
     std::size_t slot = probe(key, hash);
     if (slots[slot] != 0) return slots[slot] - 1;
     const auto number = static_cast<std::uint32_t>(table.size());
-    table.push_back(std::move(key));
+    table.push_back(key);
     slots[slot] = number + 1;
     if (2 * table.size() > slots.size()) {
       slots.assign(2 * slots.size(), 0);
       for (std::uint32_t n = 0; n < table.size(); ++n) {
-        slot = Keys::hash(table[n]) & (slots.size() - 1);
+        slot = util::mix64(table[n]) & (slots.size() - 1);
         while (slots[slot] != 0) slot = (slot + 1) & (slots.size() - 1);
         slots[slot] = n + 1;
       }
@@ -131,8 +91,8 @@ void exploreWith(const Model& model, const Keys& keys,
   };
 
   std::vector<std::uint32_t> initial;
-  for (State& s : model.initialStates()) {
-    initial.push_back(intern(keys.key(std::move(s))));
+  for (const State& s : model.initialStates()) {
+    initial.push_back(intern(layout.pack(s)));
     if (truncated) break;
   }
   for (const std::uint32_t number : initial) {
@@ -145,10 +105,11 @@ void exploreWith(const Model& model, const Keys& keys,
   // buffers belong to this call and are reused by every window; chunks sit
   // on their own cache lines, as each task grows its own vectors.
   struct alignas(64) Chunk {
+    explicit Chunk(const VarLayout& layout) : sink(layout) {}
     std::size_t begin = 0;
     std::size_t end = 0;
     Successors sink;  ///< one state's row, normalized in place
-    std::vector<Entry> entries;
+    std::vector<PackedTransition> entries;
     std::vector<std::uint32_t> found;
     std::vector<std::size_t> rowEnd;  ///< per state, into entries
     std::vector<double> mass;         ///< per state, before normalizing
@@ -157,8 +118,9 @@ void exploreWith(const Model& model, const Keys& keys,
     std::size_t failed = 0;
     std::exception_ptr error;
   };
-  std::vector<Chunk> chunks(kMaxChunks);
-  for (Chunk& c : chunks) c.sink = keys.sink();
+  std::vector<Chunk> chunks;
+  chunks.reserve(kMaxChunks);
+  for (std::size_t t = 0; t < kMaxChunks; ++t) chunks.emplace_back(layout);
   std::size_t widestRow = 0;
 
   // Parallel phase: mutates only `c`.
@@ -172,19 +134,20 @@ void exploreWith(const Model& model, const Keys& keys,
     for (std::size_t s = c.begin; s < c.end; ++s) {
       try {
         c.sink.clear();
-        model.transitions(keys.state(table[s], c.scratch), c.sink);
-        std::vector<Entry>& row = Keys::row(c.sink);
+        layout.unpackInto(table[s], c.scratch);
+        model.transitions(c.scratch, c.sink);
+        std::vector<PackedTransition>& row = c.sink.entries();
         // Transition-less states are absorbing (self-loop) — one convention
         // shared with smc::PathSampler, so the exact and sampling backends
         // answer the same chain for models with dead-end states.
         if (row.empty()) row.push_back({1.0, table[s]});
         c.mass.push_back(normalizeTransitions(row, options.probFloor));
-        for (Entry& entry : row) {
+        for (const PackedTransition& entry : row) {
           const std::uint32_t slot =
-              lookup ? slots[probe(entry.target, Keys::hash(entry.target))]
+              lookup ? slots[probe(entry.target, util::mix64(entry.target))]
                      : 0;
           c.found.push_back(slot);
-          c.entries.push_back(std::move(entry));
+          c.entries.push_back(entry);
         }
         c.rowEnd.push_back(c.entries.size());
       } catch (...) {
@@ -211,7 +174,7 @@ void exploreWith(const Model& model, const Keys& keys,
       for (; k < c.rowEnd[i]; ++k) {
         const std::uint32_t col =
             c.found[k] != 0 ? c.found[k] - 1
-                            : intern(std::move(c.entries[k].target));
+                            : intern(c.entries[k].target);
         if (truncated) return;
         h = hashBits(util::hashCombine(h, util::mix64(col)),
                      c.entries[k].prob);
@@ -256,7 +219,7 @@ void exploreWith(const Model& model, const Keys& keys,
         c.found.reserve(expected);
         c.rowEnd.reserve(c.end - c.begin);
         c.mass.reserve(c.end - c.begin);
-        Keys::row(c.sink).reserve(widestRow);
+        c.sink.entries().reserve(widestRow);
       }
       // A single inline chunk interns every target in the ordered phase;
       // looking them up first would only probe twice.
@@ -304,11 +267,7 @@ Exploration explore(const Model& model, const ExploreOptions& options,
   }
 
   Exploration e;
-  if (layout.fitsInU64()) {
-    exploreWith(model, PackedKeys{&layout}, options, runner, h, e.raw.keys, e);
-  } else {
-    exploreWith(model, WideKeys{}, options, runner, h, e.raw.states, e);
-  }
+  exploreWith(model, layout, options, runner, h, e);
   if (!e.raw.rowPtr.empty()) e.raw.layout = layout;
   e.seconds = span.stopSeconds();
   return e;

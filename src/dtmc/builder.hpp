@@ -1,15 +1,14 @@
 // Explicit-state reachability. dtmc::explore is the library's one BFS: level
 // by level (the level count is PRISM's "reachability iterations", RI, of
-// the paper's Tables III-V), over packed u64 state keys when the layout
-// fits 64 bits and State vectors otherwise, normalizing and hashing each
-// row as it is emitted. One pass yields the engine's cache key and,
-// optionally, the CSR buildFromExploration assembles without a second BFS.
-// buildExplicit, countReachable and dtmc::modelSignature wrap it.
+// the paper's Tables III-V), over packed u64 state keys, normalizing and
+// hashing each row as it is emitted. One pass yields the engine's cache key
+// and, optionally, the CSR buildFromExploration assembles without a second
+// BFS. buildExplicit, countReachable and dtmc::modelSignature wrap it.
 //
-// Each chunk of rows owns one dtmc::Successors sink. On a layout that fits
-// 64 bits the sink packs every target into its u64 key as the model adds
-// it, so no successor owns heap memory; a row is normalized in place in
-// the sink and copied into the chunk's entries.
+// Each chunk of rows owns one dtmc::Successors sink, which packs every
+// target into its u64 key as the model adds it, so no successor owns heap
+// memory; a row is normalized in place in the sink and copied into the
+// chunk's entries.
 //
 // Given a task runner, explore (and buildExplicit) computes each window of
 // a level's rows on it — the model's transitions() into the chunk's sink,
@@ -33,7 +32,8 @@ struct BuildOptions {
   /// Abort when the reachable set exceeds this size.
   std::uint64_t maxStates = 20'000'000;
   /// Drop transitions with probability below this and renormalize
-  /// (PRISM-style 1e-15 discard when set; 0 disables).
+  /// (PRISM-style 1e-15 discard when set; 0 disables). A floor that would
+  /// empty a row makes the build throw std::invalid_argument.
   double probFloor = 0.0;
 };
 
@@ -67,15 +67,16 @@ struct Exploration {
   double worstMassDeviation = 0.0;  ///< max |row mass - 1| before normalizing
   double seconds = 0.0;
   /// keepMatrix and exact only: CSR, initial distribution and layout, plus
-  /// the state table — packed keys in raw.keys when the layout fits 64
-  /// bits, raw.states otherwise. A build keeps it in that form.
+  /// the state table as packed keys in raw.keys, which a build keeps.
   ExplicitDtmc::Raw raw;
 };
 
 /// Explore the reachable state space of `model`. Never throws on large
-/// models: past options.maxStates it stops with exact = false. When
-/// transitions() throws, the exception of the lowest-numbered failing state
-/// the BFS reaches propagates, with or without `runner`.
+/// models: past options.maxStates it stops with exact = false. Throws
+/// std::invalid_argument when the model's layout needs more than 64 bits.
+/// When transitions() throws (or options.probFloor empties a row), the
+/// exception of the lowest-numbered failing state the BFS reaches
+/// propagates, with or without `runner`.
 [[nodiscard]] Exploration explore(const Model& model,
                                   const ExploreOptions& options = {},
                                   const la::TaskRunner& runner = {});

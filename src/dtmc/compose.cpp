@@ -11,10 +11,9 @@ SynchronousProduct::SynchronousProduct(std::vector<const Model*> components)
   assert(!components_.empty());
   std::size_t offset = 0;
   for (const Model* component : components_) {
-    const std::size_t width = component->variables().size();
+    layouts_.push_back(component->layout());
     offsets_.push_back(offset);
-    widths_.push_back(width);
-    offset += width;
+    offset += layouts_.back().numVars();
   }
 }
 
@@ -30,9 +29,9 @@ std::vector<VarSpec> SynchronousProduct::variables() const {
 }
 
 State SynchronousProduct::componentState(const State& s, std::size_t idx) const {
-  return State(s.begin() + static_cast<std::ptrdiff_t>(offsets_[idx]),
-               s.begin() + static_cast<std::ptrdiff_t>(offsets_[idx] +
-                                                       widths_[idx]));
+  const auto first = s.begin() + static_cast<std::ptrdiff_t>(offsets_[idx]);
+  const auto width = static_cast<std::ptrdiff_t>(layouts_[idx].numVars());
+  return State(first, first + width);
 }
 
 std::vector<State> SynchronousProduct::initialStates() const {
@@ -54,28 +53,27 @@ std::vector<State> SynchronousProduct::initialStates() const {
 }
 
 void SynchronousProduct::transitions(const State& s, Successors& out) const {
-  // Product distribution, built component by component; each component's
-  // successors arrive in a State-form sink.
-  std::vector<Transition> partial{{1.0, {}}};
-  Successors componentSucc;
+  // Product distribution, built component by component on packed keys: the
+  // product layout lists the component fields in order, so a product key is
+  // the component keys concatenated, component 0 in the high bits. `out`
+  // packs by the product's layout.
+  std::vector<PackedTransition> partial{{1.0, 0}};
   for (std::size_t i = 0; i < components_.size(); ++i) {
-    componentSucc.clear();
+    Successors componentSucc(layouts_[i]);
     components_[i]->transitions(componentState(s, i), componentSucc);
-    std::vector<Transition> next;
-    next.reserve(partial.size() * componentSucc.stateEntries().size());
-    for (const Transition& prefix : partial) {
-      for (const Transition& suffix : componentSucc.stateEntries()) {
-        Transition combined;
-        combined.prob = prefix.prob * suffix.prob;
-        combined.target = prefix.target;
-        combined.target.insert(combined.target.end(), suffix.target.begin(),
-                               suffix.target.end());
-        next.push_back(std::move(combined));
+    const int shift = layouts_[i].totalBits();
+    std::vector<PackedTransition> next;
+    next.reserve(partial.size() * componentSucc.entries().size());
+    for (const PackedTransition& prefix : partial) {
+      for (const PackedTransition& suffix : componentSucc.entries()) {
+        // A shift by 64 is undefined; only an all-zero prefix meets it.
+        const std::uint64_t high = shift == 64 ? 0 : prefix.target << shift;
+        next.push_back({prefix.prob * suffix.prob, high | suffix.target});
       }
     }
     partial = std::move(next);
   }
-  for (const Transition& t : partial) out.add(t.prob, t.target);
+  out.entries().insert(out.entries().end(), partial.begin(), partial.end());
 }
 
 bool SynchronousProduct::atom(const State& s, std::string_view name) const {

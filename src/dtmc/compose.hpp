@@ -39,8 +39,8 @@ class SynchronousProduct : public Model {
 
  private:
   std::vector<const Model*> components_;
+  std::vector<VarLayout> layouts_;    // per component
   std::vector<std::size_t> offsets_;  // variable offset per component
-  std::vector<std::size_t> widths_;   // variable count per component
 };
 
 }  // namespace mimostat::dtmc

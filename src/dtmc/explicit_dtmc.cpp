@@ -16,13 +16,7 @@ ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw) {
         "ExplicitDtmc::fromRaw: initial distribution length differs from "
         "the row count");
   }
-  const bool packed = !raw.keys.empty();
-  if (packed && (!raw.states.empty() || !raw.layout.fitsInU64())) {
-    throw std::invalid_argument(
-        "ExplicitDtmc::fromRaw: packed keys need an empty State table and a "
-        "layout that fits 64 bits");
-  }
-  if ((packed ? raw.keys.size() : raw.states.size()) != rows) {
+  if (raw.keys.size() != rows) {
     throw std::invalid_argument(
         "ExplicitDtmc::fromRaw: state table length differs from the row "
         "count");
@@ -33,28 +27,14 @@ ExplicitDtmc ExplicitDtmc::fromRaw(Raw raw) {
                                      static_cast<std::uint32_t>(rows));
   d.initial_ = std::move(raw.initial);
   d.keys_ = std::move(raw.keys);
-  d.states_ = std::move(raw.states);
   d.layout_ = std::move(raw.layout);
   return d;
 }
 
 void ExplicitDtmc::copyStatesInto(const std::vector<std::uint32_t>& indices,
                                   Raw& raw) const {
-  if (keys_.empty()) {
-    raw.states.reserve(raw.states.size() + indices.size());
-    for (const std::uint32_t i : indices) raw.states.push_back(states_[i]);
-  } else {
-    raw.keys.reserve(raw.keys.size() + indices.size());
-    for (const std::uint32_t i : indices) raw.keys.push_back(keys_[i]);
-  }
-}
-
-std::uint64_t ExplicitDtmc::stateTableBytes() const {
-  // 8 bytes a packed state; an unpacked one is a vector header plus its
-  // heap block of int32 values.
-  return keys_.size() * sizeof(std::uint64_t) +
-         states_.size() *
-             (sizeof(State) + layout_.numVars() * sizeof(std::int32_t));
+  raw.keys.reserve(raw.keys.size() + indices.size());
+  for (const std::uint32_t i : indices) raw.keys.push_back(keys_[i]);
 }
 
 la::BitVector ExplicitDtmc::evalAtom(const Model& model,

@@ -4,9 +4,9 @@
 // Products with the matrix go through la::spmm on matrix().
 //
 // The state table keeps the form dtmc::explore produced it in: one packed
-// u64 key per state when the layout fits 64 bits (8 bytes a state, no
-// per-state heap block from exploration to eviction), State vectors
-// otherwise. state(i) decodes a copy; varValue reads one field.
+// u64 key per state (8 bytes a state, no per-state heap block from
+// exploration to eviction). state(i) decodes a copy; varValue reads one
+// field.
 #pragma once
 
 #include <cstdint>
@@ -52,21 +52,21 @@ class ExplicitDtmc {
   /// Variable layout of the source model.
   [[nodiscard]] const VarLayout& varLayout() const { return layout_; }
 
-  /// The variable assignment of state `idx` (decoded from its key when
-  /// the table is packed).
+  /// The variable assignment of state `idx`, decoded from its key.
   [[nodiscard]] State state(std::uint32_t idx) const {
-    return keys_.empty() ? states_[idx] : layout_.unpack(keys_[idx]);
+    return layout_.unpack(keys_[idx]);
   }
 
   /// Value of variable `varIdx` in state `stateIdx`.
   [[nodiscard]] std::int32_t varValue(std::uint32_t stateIdx,
                                       std::size_t varIdx) const {
-    return keys_.empty() ? states_[stateIdx][varIdx]
-                         : layout_.field(keys_[stateIdx], varIdx);
+    return layout_.field(keys_[stateIdx], varIdx);
   }
 
   /// Resident bytes of the state table.
-  [[nodiscard]] std::uint64_t stateTableBytes() const;
+  [[nodiscard]] std::uint64_t stateTableBytes() const {
+    return keys_.size() * sizeof(std::uint64_t);
+  }
 
   /// Per-state truth set of an atomic proposition (packed, one bit per
   /// state), evaluated through the source model's atom() hook.
@@ -86,30 +86,24 @@ class ExplicitDtmc {
     std::vector<std::uint32_t> col;
     std::vector<double> val;
     std::vector<double> initial;
-    /// The state table: `keys` packed by `layout` (which then fits 64
-    /// bits), or `states`; the other one stays empty.
+    /// The state table: one key per row, packed by `layout`.
     std::vector<std::uint64_t> keys;
-    std::vector<State> states;
     VarLayout layout;
   };
   /// Takes ownership; the matrix keeps both CSR orientations resident.
   /// Throws std::invalid_argument when rowPtr is empty, or the initial
   /// distribution or the state table does not have one entry per row.
   static ExplicitDtmc fromRaw(Raw raw);
-  /// Append the states `indices` to `raw`'s table, in this table's form
-  /// (a quotient keeps its representatives' keys).
+  /// Append the keys of states `indices` to `raw`'s table (a quotient keeps
+  /// its representatives' keys).
   void copyStatesInto(const std::vector<std::uint32_t>& indices,
                       Raw& raw) const;
 
  private:
-  /// Calls f(index, state) for every state in order; a packed table
-  /// decodes into one scratch State.
+  /// Calls f(index, state) for every state in order, decoding into one
+  /// scratch State.
   template <class F>
   void forEachState(F&& f) const {
-    if (keys_.empty()) {
-      for (std::uint32_t i = 0; i < states_.size(); ++i) f(i, states_[i]);
-      return;
-    }
     State scratch;
     for (std::uint32_t i = 0; i < keys_.size(); ++i) {
       layout_.unpackInto(keys_[i], scratch);
@@ -120,7 +114,6 @@ class ExplicitDtmc {
   la::CsrMatrix matrix_;
   std::vector<double> initial_;
   std::vector<std::uint64_t> keys_;
-  std::vector<State> states_;
   VarLayout layout_;
 };
 

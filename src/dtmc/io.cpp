@@ -6,6 +6,7 @@
 #include <istream>
 #include <ostream>
 #include <limits>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
@@ -157,7 +158,7 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
         current.push_back(c);
       }
     }
-    raw.states.assign(numStates, State(names.size(), 0));
+    std::vector<State> states(numStates, State(names.size(), 0));
     std::vector<VarSpec> specs;
     for (const auto& name : names) {
       specs.push_back({name, std::numeric_limits<std::int32_t>::max(),
@@ -175,7 +176,7 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
       if (idx >= numStates) {
         throw std::runtime_error("readTra: .sta state index out of range");
       }
-      State& state = raw.states[idx];
+      State& state = states[idx];
       std::size_t var = 0;
       std::string token;
       for (std::size_t i = colon + 1; i < line.size(); ++i) {
@@ -198,21 +199,23 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
         throw std::runtime_error("readTra: wrong arity in .sta line");
       }
     }
-    for (std::uint32_t s = 0; s < numStates; ++s) {
+    for (const State& state : states) {
       for (std::size_t v = 0; v < specs.size(); ++v) {
-        specs[v].lo = std::min(specs[v].lo, raw.states[s][v]);
-        specs[v].hi = std::max(specs[v].hi, raw.states[s][v]);
+        specs[v].lo = std::min(specs[v].lo, state[v]);
+        specs[v].hi = std::max(specs[v].hi, state[v]);
       }
     }
+    // Throws std::invalid_argument when the ranges need more than 64 bits.
     raw.layout = VarLayout(specs);
+    raw.keys.reserve(numStates);
+    for (const State& state : states) raw.keys.push_back(raw.layout.pack(state));
   } else {
-    // No state file: identity state table over one index variable.
+    // No state file: identity state table over one index variable, whose
+    // key is its value.
     raw.layout = VarLayout(
         {{"s", 0, static_cast<std::int32_t>(numStates) - 1}});
-    raw.states.reserve(numStates);
-    for (std::uint32_t s = 0; s < numStates; ++s) {
-      raw.states.push_back({static_cast<std::int32_t>(s)});
-    }
+    raw.keys.resize(numStates);
+    std::iota(raw.keys.begin(), raw.keys.end(), std::uint64_t{0});
   }
   return ExplicitDtmc::fromRaw(std::move(raw));
 }

@@ -48,8 +48,10 @@ struct ImportedExplicit {
 };
 
 /// Parse a .tra stream (+ optional .sta for the variable layout). The
-/// initial distribution is a point mass on `initialState`.
-/// Throws std::runtime_error on malformed input.
+/// initial distribution is a point mass on `initialState`. The state table
+/// packs each .sta row by the layout of the observed value ranges.
+/// Throws std::runtime_error on malformed input, std::invalid_argument when
+/// those ranges need more than 64 bits.
 [[nodiscard]] ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
                                    std::uint32_t initialState = 0);
 

@@ -1,5 +1,9 @@
 #include "dtmc/model.hpp"
 
+#include <algorithm>
+#include <sstream>
+#include <stdexcept>
+
 namespace mimostat::dtmc {
 
 bool Model::atom(const State& /*s*/, std::string_view /*name*/) const {
@@ -8,6 +12,45 @@ bool Model::atom(const State& /*s*/, std::string_view /*name*/) const {
 
 double Model::stateReward(const State& /*s*/, std::string_view /*name*/) const {
   return 0.0;
+}
+
+double normalizeTransitions(std::vector<PackedTransition>& row, double floor) {
+  if (row.empty()) return 0.0;
+  std::sort(row.begin(), row.end(),
+            [](const PackedTransition& a, const PackedTransition& b) {
+              return a.target < b.target;
+            });
+  // Merge duplicates in place.
+  std::size_t out = 0;
+  for (std::size_t i = 1; i < row.size(); ++i) {
+    if (row[i].target == row[out].target) {
+      row[out].prob += row[i].prob;
+    } else {
+      row[++out] = row[i];
+    }
+  }
+  row.resize(out + 1);
+
+  double mass = 0.0;
+  for (const auto& t : row) mass += t.prob;
+
+  if (floor > 0.0) {
+    std::erase_if(row,
+                  [floor](const PackedTransition& t) { return t.prob < floor; });
+    if (row.empty()) {
+      std::ostringstream message;
+      message << "probability floor " << floor
+              << " removes every transition of a row";
+      throw std::invalid_argument(message.str());
+    }
+    double kept = 0.0;
+    for (const auto& t : row) kept += t.prob;
+    if (kept > 0.0 && kept != mass) {
+      const double scale = mass / kept;
+      for (auto& t : row) t.prob *= scale;
+    }
+  }
+  return mass;
 }
 
 }  // namespace mimostat::dtmc

@@ -6,6 +6,10 @@
 // Labels (atomic propositions) and reward structures are exposed by name so
 // pCTL properties can refer to them.
 //
+// Successors are written as packed u64 keys of the model's VarLayout, the
+// only form rows take from the model's add() to cache eviction; a model
+// whose variables need more than 64 bits has no layout and is rejected.
+//
 // Concurrency contract: every method may be called concurrently, from any
 // thread, and must not mutate shared state. The engine computes a cold
 // request's exploration rows on its pool (dtmc::explore with a runner) and
@@ -18,28 +22,19 @@
 // hidden-thread-state keeps `thread_local` out of src/ outside obs::).
 #pragma once
 
-#include <algorithm>
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "dtmc/state.hpp"
 
 namespace mimostat::dtmc {
 
-/// One probabilistic successor: (probability, target state).
-struct Transition {
-  double prob = 0.0;
-  State target;
-};
-
-/// One successor on a layout that fits 64 bits: the target's VarLayout key.
-/// Keys order as the states do, so rows of either form sort, merge and sum
-/// identically.
+/// One successor: its probability and the target's VarLayout key. Keys
+/// order as the states do, so rows sort and duplicate targets merge exactly
+/// as on the unpacked states.
 struct PackedTransition {
   double prob = 0.0;
   std::uint64_t target = 0;
@@ -47,28 +42,18 @@ struct PackedTransition {
 
 /// The sink Model::transitions writes one state's successors into.
 ///
-/// Constructed with a layout that fits 64 bits, it packs each target into
-/// the layout's u64 key as it is added, so no successor owns heap memory.
-/// Otherwise (no layout, or a layout wider than 64 bits) it keeps
-/// Transitions — the same two-form split as Exploration's state table.
-/// Entries stay in the order they were added. A sink is not thread-safe:
-/// each caller that may run concurrently owns its own.
+/// It packs each target into its layout's u64 key as it is added, so no
+/// successor owns heap memory. Entries stay in the order they were added.
+/// A sink is not thread-safe: each caller that may run concurrently owns
+/// its own.
 class Successors {
  public:
-  /// State form.
-  Successors() = default;
-  /// Packed form when `layout` fits 64 bits, State form otherwise. The
-  /// layout must outlive the sink.
-  explicit Successors(const VarLayout& layout)
-      : layout_(layout.fitsInU64() ? &layout : nullptr) {}
+  /// `layout` is the model's (Model::layout()) and must outlive the sink.
+  explicit Successors(const VarLayout& layout) : layout_(&layout) {}
 
   /// Append one successor. Duplicate targets are allowed.
   void add(double prob, const State& target) {
-    if (layout_ != nullptr) {
-      packed_.push_back({prob, layout_->pack(target)});
-    } else {
-      states_.push_back({prob, target});
-    }
+    entries_.push_back({prob, layout_->pack(target)});
   }
 
   /// A copy of `s` in storage the sink reuses across calls (no allocation
@@ -80,26 +65,15 @@ class Successors {
     return scratch_;
   }
 
-  [[nodiscard]] bool isPacked() const { return layout_ != nullptr; }
-  [[nodiscard]] bool empty() const {
-    return isPacked() ? packed_.empty() : states_.empty();
-  }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
   /// Drop the entries (keeping their storage).
-  void clear() {
-    packed_.clear();
-    states_.clear();
-  }
-  /// The entries of a packed sink (isPacked()).
-  [[nodiscard]] std::vector<PackedTransition>& packedEntries() {
-    return packed_;
-  }
-  /// The entries of a State-form sink (!isPacked()).
-  [[nodiscard]] std::vector<Transition>& stateEntries() { return states_; }
+  void clear() { entries_.clear(); }
+  /// The entries, in the order they were added.
+  [[nodiscard]] std::vector<PackedTransition>& entries() { return entries_; }
 
  private:
-  const VarLayout* layout_ = nullptr;
-  std::vector<PackedTransition> packed_;
-  std::vector<Transition> states_;
+  const VarLayout* layout_;
+  std::vector<PackedTransition> entries_;
   State scratch_;
 };
 
@@ -123,9 +97,9 @@ class Model {
   ///    same chain;
   ///  - the model keeps no other per-call heap state: it edits the scratch
   ///    State out.scratch(s) lends rather than copying `s`, and keeps
-  ///    per-successor work in fixed-size locals. Wrappers that collect an
-  ///    inner model's successors (lump::SymmetryReducedModel,
-  ///    SynchronousProduct) do so in a State-form sink of their own.
+  ///    per-successor work in fixed-size locals. lump::SymmetryReducedModel
+  ///    lets its inner model add into `out` and rewrites the appended keys
+  ///    in place.
   virtual void transitions(const State& s, Successors& out) const = 0;
 
   /// Truth of the named atomic proposition in state `s`.
@@ -150,49 +124,16 @@ class Model {
     return std::nullopt;
   }
 
-  /// Convenience: layout built from variables().
+  /// Layout built from variables(); throws std::invalid_argument when the
+  /// variables need more than 64 bits.
   [[nodiscard]] VarLayout layout() const { return VarLayout(variables()); }
 };
 
 /// Sort a successor list by target, merge duplicate targets (summing their
 /// probabilities in sorted order) and optionally drop entries below
 /// `floor`, renormalizing the remainder. Returns the total probability mass
-/// before normalization (should be ~1). `Entry` is Transition or any
-/// {prob, target} pair whose targets compare like State: on packed keys,
-/// which order as the states do, the same std::sort makes the same
-/// comparisons, so duplicates merge bit-identically.
-template <class Entry>
-double normalizeTransitions(std::vector<Entry>& row, double floor) {
-  if (row.empty()) return 0.0;
-  std::sort(row.begin(), row.end(), [](const Entry& a, const Entry& b) {
-    return a.target < b.target;
-  });
-  // Merge duplicates in place.
-  std::size_t out = 0;
-  for (std::size_t i = 1; i < row.size(); ++i) {
-    if (row[i].target == row[out].target) {
-      row[out].prob += row[i].prob;
-    } else {
-      ++out;
-      if (out != i) row[out] = std::move(row[i]);
-    }
-  }
-  row.resize(out + 1);
-
-  double mass = 0.0;
-  for (const auto& t : row) mass += t.prob;
-
-  if (floor > 0.0) {
-    std::erase_if(row, [floor](const Entry& t) { return t.prob < floor; });
-    assert(!row.empty() && "probability floor removed all transitions");
-    double kept = 0.0;
-    for (const auto& t : row) kept += t.prob;
-    if (kept > 0.0 && kept != mass) {
-      const double scale = mass / kept;
-      for (auto& t : row) t.prob *= scale;
-    }
-  }
-  return mass;
-}
+/// before normalization (should be ~1). Throws std::invalid_argument when
+/// the floor would remove every entry of a non-empty row.
+double normalizeTransitions(std::vector<PackedTransition>& row, double floor);
 
 }  // namespace mimostat::dtmc

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <sstream>
+#include <stdexcept>
 
 namespace mimostat::dtmc {
 
@@ -20,6 +21,11 @@ VarLayout::VarLayout(const std::vector<VarSpec>& vars) : vars_(vars) {
     assert(v.hi >= v.lo);
     bitWidth.push_back(bitsFor(v.rangeSize()));
     totalBits_ += bitWidth.back();
+  }
+  if (totalBits_ > 64) {
+    throw std::invalid_argument(
+        "VarLayout: the state variables need " + std::to_string(totalBits_) +
+        " bits; a packed state key holds at most 64");
   }
   // Lexicographic packing: variable 0 takes the most significant bits, so
   // comparing packed keys as integers orders states exactly as State's
@@ -53,15 +59,6 @@ State VarLayout::unpack(std::uint64_t packed) const {
   State s;
   unpackInto(packed, s);
   return s;
-}
-
-double VarLayout::potentialStateCount() const {
-  double product = 1.0;
-  for (const auto& v : vars_) {
-    product *= static_cast<double>(v.rangeSize());
-    if (product > 1e18) return 1e18;
-  }
-  return product;
 }
 
 std::string formatState(const VarLayout& layout, const State& s) {

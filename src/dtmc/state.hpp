@@ -1,9 +1,10 @@
 // DTMC state representation.
 //
 // A state is a full assignment of values to the model's state variables
-// (paper §IV-A-1). Models exchange states as flat int32 vectors; a VarLayout
-// packs a state into a single uint64, the form explored and built state
-// tables keep whenever the layout fits 64 bits.
+// (paper §IV-A-1). Models read states as flat int32 vectors; a VarLayout
+// packs a state into a single uint64 key, the one form successor sinks,
+// explored and built state tables keep. A layout wider than 64 bits cannot
+// be constructed, so every model that has a layout packs.
 #pragma once
 
 #include <cassert>
@@ -26,16 +27,16 @@ struct VarSpec {
   }
 };
 
-/// Bit-packing layout derived from a variable list. Supports packing states
-/// whose total width fits in 64 bits; wider models must use the vector form.
-/// Packing is lexicographic (variable 0 in the high bits): for two states of
-/// this layout, pack(a) < pack(b) exactly when a < b.
+/// Bit-packing layout derived from a variable list. Packing is
+/// lexicographic (variable 0 in the high bits): for two states of this
+/// layout, pack(a) < pack(b) exactly when a < b.
 class VarLayout {
  public:
   VarLayout() = default;
+  /// Throws std::invalid_argument when the variables need more than 64
+  /// bits (the message names the count).
   explicit VarLayout(const std::vector<VarSpec>& vars);
 
-  [[nodiscard]] bool fitsInU64() const { return totalBits_ <= 64; }
   [[nodiscard]] int totalBits() const { return totalBits_; }
   [[nodiscard]] std::size_t numVars() const { return vars_.size(); }
   [[nodiscard]] const std::vector<VarSpec>& vars() const { return vars_; }
@@ -46,9 +47,8 @@ class VarLayout {
   [[nodiscard]] std::size_t tryIndexOf(const std::string& name) const;
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
-  /// The key of `s` (a state of this layout; fitsInU64()).
+  /// The key of `s` (a state of this layout).
   [[nodiscard]] std::uint64_t pack(const State& s) const {
-    assert(fitsInU64());
     assert(s.size() == fields_.size());
     std::uint64_t packed = 0;
     for (std::size_t i = 0; i < fields_.size(); ++i) {
@@ -63,7 +63,6 @@ class VarLayout {
   [[nodiscard]] State unpack(std::uint64_t packed) const;
   /// unpack() into `out` (resized to numVars()), reusing its storage.
   void unpackInto(std::uint64_t packed, State& out) const {
-    assert(fitsInU64());
     out.resize(fields_.size());
     std::int32_t* value = out.data();
     for (const Field& f : fields_) *value++ = f.decode(packed);
@@ -73,10 +72,16 @@ class VarLayout {
                                    std::size_t var) const {
     return fields_[var].decode(packed);
   }
-
-  /// Log2-style upper bound on the number of syntactically possible states
-  /// (product of variable ranges), saturating at ~1e18.
-  [[nodiscard]] double potentialStateCount() const;
+  /// Overwrite variable `var` of a packed state with `value` (in range).
+  void setField(std::uint64_t& packed, std::size_t var,
+                std::int32_t value) const {
+    const Field& f = fields_[var];
+    assert(value >= vars_[var].lo && value <= vars_[var].hi);
+    packed = (packed & ~(f.mask << f.shift)) |
+             (static_cast<std::uint64_t>(static_cast<std::int64_t>(value) -
+                                         f.lo)
+              << f.shift);
+  }
 
  private:
   std::vector<VarSpec> vars_;

@@ -1,7 +1,9 @@
 #include "lump/symmetry.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <array>
+#include <cmath>
+#include <stdexcept>
 
 #include "util/rng.hpp"
 
@@ -9,32 +11,56 @@ namespace mimostat::lump {
 
 SymmetryReducedModel::SymmetryReducedModel(const dtmc::Model& inner,
                                            BlockStructure blocks)
-    : inner_(inner), blocks_(std::move(blocks)) {
-  assert(!blocks_.empty());
-  [[maybe_unused]] const std::size_t arity = blocks_.front().size();
-  for ([[maybe_unused]] const auto& block : blocks_) {
-    assert(block.size() == arity && "all symmetry blocks must have equal arity");
+    : inner_(inner), blocks_(std::move(blocks)), layout_(inner.layout()) {
+  const auto reject = [](const char* why) {
+    throw std::invalid_argument(std::string("SymmetryReducedModel: ") + why);
+  };
+  if (blocks_.empty()) reject("no symmetry blocks");
+  const std::size_t arity = blocks_.front().size();
+  if (blocks_.size() * arity > kMaxBlockVars) {
+    reject("the blocks list more than kMaxBlockVars variables");
+  }
+  std::vector<bool> listed(layout_.numVars(), false);
+  for (const auto& block : blocks_) {
+    if (block.size() != arity) reject("symmetry blocks differ in arity");
+    for (const std::size_t var : block) {
+      if (var >= listed.size()) reject("block index is not a state variable");
+      if (listed[var]) reject("variable listed in two blocks");
+      listed[var] = true;
+    }
   }
 }
 
-dtmc::State SymmetryReducedModel::canonicalize(const dtmc::State& s) const {
-  // Extract block tuples, sort lexicographically, write back.
+std::uint64_t SymmetryReducedModel::canonicalKey(std::uint64_t key) const {
+  // Extract block tuples, sort lexicographically, write back: block b gets
+  // the b-th smallest tuple. Equal tuples are interchangeable, so the sort
+  // need not be stable.
   const std::size_t arity = blocks_.front().size();
-  std::vector<std::vector<std::int32_t>> tuples(blocks_.size());
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
-    tuples[b].resize(arity);
+  const std::size_t numBlocks = blocks_.size();
+  std::array<std::int32_t, kMaxBlockVars> values{};  // tuple b at b * arity
+  std::array<std::uint8_t, kMaxBlockVars> order{};   // blocks, by tuple
+  for (std::size_t b = 0; b < numBlocks; ++b) {
+    order[b] = static_cast<std::uint8_t>(b);
     for (std::size_t i = 0; i < arity; ++i) {
-      tuples[b][i] = s[blocks_[b][i]];
+      values[b * arity + i] = layout_.field(key, blocks_[b][i]);
     }
   }
-  std::sort(tuples.begin(), tuples.end());
-  dtmc::State canonical(s);
-  for (std::size_t b = 0; b < blocks_.size(); ++b) {
+  const auto tuple = [&](std::uint8_t b) { return values.begin() + b * arity; };
+  std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(numBlocks),
+            [&](std::uint8_t a, std::uint8_t b) {
+              return std::lexicographical_compare(tuple(a), tuple(a) + arity,
+                                                  tuple(b), tuple(b) + arity);
+            });
+  for (std::size_t b = 0; b < numBlocks; ++b) {
     for (std::size_t i = 0; i < arity; ++i) {
-      canonical[blocks_[b][i]] = tuples[b][i];
+      layout_.setField(key, blocks_[b][i], tuple(order[b])[i]);
     }
   }
-  return canonical;
+  return key;
+}
+
+dtmc::State SymmetryReducedModel::canonicalize(const dtmc::State& s) const {
+  return layout_.unpack(canonicalKey(layout_.pack(s)));
 }
 
 std::vector<dtmc::VarSpec> SymmetryReducedModel::variables() const {
@@ -53,12 +79,13 @@ std::vector<dtmc::State> SymmetryReducedModel::initialStates() const {
 void SymmetryReducedModel::transitions(const dtmc::State& s,
                                        dtmc::Successors& out) const {
   // `s` is already canonical (a valid state of the inner model); duplicates
-  // after canonicalising the successors are merged by the builder. The
-  // inner successors arrive in a State-form sink.
-  dtmc::Successors inner;
-  inner_.transitions(s, inner);
-  for (const dtmc::Transition& t : inner.stateEntries()) {
-    out.add(t.prob, canonicalize(t.target));
+  // after canonicalising the successors are merged by the builder. `out`
+  // packs by this model's layout, which is the inner model's.
+  std::vector<dtmc::PackedTransition>& entries = out.entries();
+  const std::size_t begin = entries.size();
+  inner_.transitions(s, out);
+  for (std::size_t i = begin; i < entries.size(); ++i) {
+    entries[i].target = canonicalKey(entries[i].target);
   }
 }
 
@@ -76,7 +103,6 @@ bool SymmetryReducedModel::verifySymmetry(const std::vector<std::string>& atoms,
                                           int samples,
                                           std::uint64_t seed) const {
   util::Xoshiro256 rng(seed);
-  const std::vector<dtmc::VarSpec> vars = inner_.variables();
 
   // Random walk from an initial state; at each visited state check that one
   // random adjacent-block swap preserves rewards/atoms and the canonical
@@ -85,10 +111,10 @@ bool SymmetryReducedModel::verifySymmetry(const std::vector<std::string>& atoms,
   if (initial.empty()) return false;
   dtmc::State current = initial[rng.nextBounded(initial.size())];
 
-  dtmc::Successors succSink;
-  dtmc::Successors swappedSink;
-  std::vector<dtmc::Transition>& succ = succSink.stateEntries();
-  std::vector<dtmc::Transition>& succSwapped = swappedSink.stateEntries();
+  dtmc::Successors succSink(layout_);
+  dtmc::Successors swappedSink(layout_);
+  std::vector<dtmc::PackedTransition>& succ = succSink.entries();
+  std::vector<dtmc::PackedTransition>& succSwapped = swappedSink.entries();
   for (int iter = 0; iter < samples; ++iter) {
     // Pick a random pair of blocks to swap.
     const std::size_t b1 = rng.nextBounded(blocks_.size());
@@ -108,12 +134,14 @@ bool SymmetryReducedModel::verifySymmetry(const std::vector<std::string>& atoms,
       }
     }
 
-    succ.clear();
-    succSwapped.clear();
+    // Canonical keys order as the canonical states do, so the normalized
+    // rows, and the walk's draw, are those of the unpacked rows.
+    succSink.clear();
+    swappedSink.clear();
     inner_.transitions(current, succSink);
     inner_.transitions(swapped, swappedSink);
-    for (auto& t : succ) t.target = canonicalize(t.target);
-    for (auto& t : succSwapped) t.target = canonicalize(t.target);
+    for (auto& t : succ) t.target = canonicalKey(t.target);
+    for (auto& t : succSwapped) t.target = canonicalKey(t.target);
     dtmc::normalizeTransitions(succ, 0.0);
     dtmc::normalizeTransitions(succSwapped, 0.0);
     if (succ.size() != succSwapped.size()) return false;
@@ -124,7 +152,7 @@ bool SymmetryReducedModel::verifySymmetry(const std::vector<std::string>& atoms,
 
     // Walk one random step.
     if (!succ.empty()) {
-      current = succ[rng.nextBounded(succ.size())].target;
+      layout_.unpackInto(succ[rng.nextBounded(succ.size())].target, current);
     }
   }
   return true;

@@ -7,10 +7,16 @@
 //
 // SymmetryReducedModel wraps any dtmc::Model with a block structure and
 // canonicalises initial states and transition targets on the fly, so the
-// explicit builder directly explores the quotient.
+// explicit builder directly explores the quotient. Targets are
+// canonicalised as packed keys: the inner model adds its successors
+// straight into the caller's sink, and canonicalKey rewrites each appended
+// key in place, reading the block fields and sorting the block tuples in
+// fixed-size stack arrays.
 #pragma once
 
-#include <memory>
+#include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "dtmc/model.hpp"
@@ -24,8 +30,16 @@ using BlockStructure = std::vector<std::vector<std::size_t>>;
 
 class SymmetryReducedModel : public dtmc::Model {
  public:
+  /// Most variables all blocks together may list (canonicalKey's stack
+  /// arrays hold one value each).
+  static constexpr std::size_t kMaxBlockVars = 64;
+
   /// @param inner  the full model (must outlive this wrapper)
   /// @param blocks interchangeable variable blocks
+  /// Throws std::invalid_argument when `blocks` is empty, its blocks differ
+  /// in arity, an index is not a variable of `inner` or appears twice, or
+  /// the blocks list more than kMaxBlockVars variables; and when the inner
+  /// layout needs more than 64 bits.
   SymmetryReducedModel(const dtmc::Model& inner, BlockStructure blocks);
 
   [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override;
@@ -39,6 +53,8 @@ class SymmetryReducedModel : public dtmc::Model {
 
   /// Canonical (sorted-block) representative of a state's orbit.
   [[nodiscard]] dtmc::State canonicalize(const dtmc::State& s) const;
+  /// canonicalize() on a key of the inner model's layout.
+  [[nodiscard]] std::uint64_t canonicalKey(std::uint64_t key) const;
 
   /// Spot-check that the inner model is actually symmetric: for `samples`
   /// random reachable-ish states, every block permutation must preserve the
@@ -50,6 +66,7 @@ class SymmetryReducedModel : public dtmc::Model {
  private:
   const dtmc::Model& inner_;
   BlockStructure blocks_;
+  dtmc::VarLayout layout_;
 };
 
 }  // namespace mimostat::lump

@@ -50,7 +50,8 @@ std::uint64_t deriveSeed(std::uint64_t seed, std::uint64_t stream) {
 }
 
 PathSampler::PathSampler(const dtmc::Model& model, std::uint64_t seed)
-    : model_(model), layout_(model.layout()), rng_(seed) {
+    : model_(model), layout_(model.layout()), rng_(seed),
+      successors_(layout_) {
   reset();
 }
 
@@ -65,17 +66,20 @@ const dtmc::State& PathSampler::step() {
   successors_.clear();
   model_.transitions(state_, successors_);
   if (successors_.empty()) return state_;  // transition-less: absorbing
-  std::vector<dtmc::Transition>& row = successors_.stateEntries();
+  // Keys order as the states do, so the row is in the same order as a
+  // State-vector row and the same draw picks the same target.
+  std::vector<dtmc::PackedTransition>& row = successors_.entries();
   const double mass = dtmc::normalizeTransitions(row, 0.0);
   double u = rng_.nextDouble() * mass;
+  std::uint64_t target = row.back().target;  // numeric tail
   for (const auto& t : row) {
     u -= t.prob;
     if (u <= 0.0) {
-      state_ = t.target;
-      return state_;
+      target = t.target;
+      break;
     }
   }
-  state_ = row.back().target;  // numeric tail
+  layout_.unpackInto(target, state_);
   return state_;
 }
 

@@ -56,7 +56,12 @@ using TaskRunner = std::function<void(std::vector<std::function<void()>>)>;
 /// absorbing (self-loop), matching the convention of explicit-state tools.
 class PathSampler {
  public:
+  /// Throws std::invalid_argument when the model's layout needs more than
+  /// 64 bits.
   PathSampler(const dtmc::Model& model, std::uint64_t seed);
+  /// Not copyable: successors_ points at this sampler's own layout_.
+  PathSampler(const PathSampler&) = delete;
+  PathSampler& operator=(const PathSampler&) = delete;
 
   /// Restart at a random initial state; returns it.
   const dtmc::State& reset();
@@ -70,7 +75,7 @@ class PathSampler {
   dtmc::VarLayout layout_;
   util::Xoshiro256 rng_;
   dtmc::State state_;
-  dtmc::Successors successors_;  // State form: the draw keeps the target
+  dtmc::Successors successors_;  // packs by layout_; the draw unpacks
 };
 
 struct SmcOptions {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "dtmc/builder.hpp"
 #include "dtmc/io.hpp"
@@ -13,13 +15,27 @@ namespace {
 
 TEST(VarLayout, PackUnpackRoundTrip) {
   dtmc::VarLayout layout({{"a", 0, 6}, {"b", -2, 2}, {"c", 0, 1}});
-  EXPECT_TRUE(layout.fitsInU64());
   EXPECT_EQ(layout.totalBits(), 3 + 3 + 1);
   const dtmc::State s{5, -1, 1};
   EXPECT_EQ(layout.unpack(layout.pack(s)), s);
   EXPECT_EQ(layout.indexOf("b"), 1u);
   EXPECT_EQ(layout.tryIndexOf("missing"), dtmc::VarLayout::npos);
-  EXPECT_NEAR(layout.potentialStateCount(), 7.0 * 5.0 * 2.0, 1e-9);
+}
+
+TEST(VarLayout, RejectsLayoutsWiderThan64Bits) {
+  try {
+    (void)dtmc::VarLayout(test::WideModel().variables());
+    FAIL() << "a 93-bit layout was constructed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("93 bits"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)test::WideModel().layout(), std::invalid_argument);
+  // One bit more than a full word: 32 + 32 + 1.
+  EXPECT_THROW((void)dtmc::VarLayout({{"a", INT32_MIN, INT32_MAX},
+                                      {"b", INT32_MIN, INT32_MAX},
+                                      {"c", 0, 1}}),
+               std::invalid_argument);
 }
 
 TEST(VarLayout, PackingIsLexicographic) {
@@ -45,27 +61,50 @@ TEST(VarLayout, FormatState) {
 }
 
 TEST(NormalizeTransitions, MergesDuplicates) {
-  std::vector<dtmc::Transition> ts;
-  ts.push_back({0.25, {1}});
-  ts.push_back({0.25, {1}});
-  ts.push_back({0.5, {0}});
+  std::vector<dtmc::PackedTransition> ts;
+  ts.push_back({0.25, 1});
+  ts.push_back({0.25, 1});
+  ts.push_back({0.5, 0});
   const double mass = dtmc::normalizeTransitions(ts, 0.0);
   EXPECT_NEAR(mass, 1.0, 1e-15);
   ASSERT_EQ(ts.size(), 2u);
-  EXPECT_EQ(ts[0].target, dtmc::State{0});
+  EXPECT_EQ(ts[0].target, 0u);
   EXPECT_NEAR(ts[1].prob, 0.5, 1e-15);
 }
 
 TEST(NormalizeTransitions, FloorDropsAndRenormalizes) {
-  std::vector<dtmc::Transition> ts;
-  ts.push_back({1e-20, {0}});
-  ts.push_back({0.5, {1}});
-  ts.push_back({0.5 - 1e-20, {2}});
+  std::vector<dtmc::PackedTransition> ts;
+  ts.push_back({1e-20, 0});
+  ts.push_back({0.5, 1});
+  ts.push_back({0.5 - 1e-20, 2});
   dtmc::normalizeTransitions(ts, 1e-15);
   ASSERT_EQ(ts.size(), 2u);
   double total = 0.0;
   for (const auto& t : ts) total += t.prob;
   EXPECT_NEAR(total, 1.0, 1e-12);
+}
+
+/// A floor above every probability of a row would leave it empty — a
+/// substochastic chain. Checked with exceptions, so it holds in Release.
+TEST(NormalizeTransitions, FloorThatEmptiesARowThrows) {
+  std::vector<dtmc::PackedTransition> ts{{0.5, 0}, {0.5, 1}};
+  try {
+    (void)dtmc::normalizeTransitions(ts, 0.6);
+    FAIL() << "the floor emptied the row silently";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("0.6"), std::string::npos)
+        << e.what();
+  }
+  dtmc::BuildOptions options;
+  options.probFloor = 0.6;
+  EXPECT_THROW((void)dtmc::buildExplicit(test::twoStateChain(0.5, 0.5),
+                                         options),
+               std::invalid_argument);
+  // A floor that keeps one entry per row still builds.
+  options.probFloor = 0.4;
+  EXPECT_EQ(dtmc::buildExplicit(test::twoStateChain(0.5, 0.5), options)
+                .dtmc.numStates(),
+            2u);
 }
 
 TEST(Builder, TwoStateChain) {

@@ -48,7 +48,6 @@ void expectSameExploration(const dtmc::Exploration& got,
   EXPECT_EQ(got.reachabilityIterations, want.reachabilityIterations);
   EXPECT_EQ(got.worstMassDeviation, want.worstMassDeviation);
   EXPECT_EQ(got.raw.keys, want.raw.keys);
-  EXPECT_EQ(got.raw.states, want.raw.states);
   EXPECT_EQ(got.raw.rowPtr, want.raw.rowPtr);
   EXPECT_EQ(got.raw.col, want.raw.col);
   EXPECT_TRUE(bitEqual(got.raw.val, want.raw.val));
@@ -141,10 +140,8 @@ class MergedTargetsModel : public dtmc::Model {
   }
   void transitions(const dtmc::State& s,
                    dtmc::Successors& out) const override {
-    dtmc::Successors duplicates;
-    DuplicateTargetsModel().transitions(s, duplicates);
-    (void)dtmc::normalizeTransitions(duplicates.stateEntries(), 0.0);
-    for (const auto& t : duplicates.stateEntries()) out.add(t.prob, t.target);
+    DuplicateTargetsModel().transitions(s, out);
+    (void)dtmc::normalizeTransitions(out.entries(), 0.0);
   }
 };
 
@@ -237,7 +234,6 @@ TEST(ExploreOracle, PmlModelMatchesLegacyBuilder) {
 }
 
 TEST(ExploreOracle, EdgeCasesMatchLegacyBuilder) {
-  expectLegacyBuild(test::WideModel());  // State-keyed fallback
   expectLegacyBuild(test::MatrixModel({{0.0, 1.0, 0.0},
                                        {0.0, 0.0, 1.0},
                                        {0.0, 0.0, 0.0}}));  // dead end
@@ -279,6 +275,17 @@ TEST(ExploreOracle, MaxStatesOverflowThrowsLikeLegacy) {
   // Exactly maxStates reachable states still build.
   options.maxStates = 10;
   EXPECT_EQ(dtmc::buildExplicit(model, options).dtmc.numStates(), 10u);
+}
+
+TEST(Explore, RejectsLayoutsWiderThan64Bits) {
+  const test::WideModel model;
+  EXPECT_THROW((void)dtmc::explore(model), std::invalid_argument);
+  EXPECT_THROW((void)dtmc::buildExplicit(model), std::invalid_argument);
+  EXPECT_THROW((void)dtmc::countReachable(model), std::invalid_argument);
+  EXPECT_THROW((void)dtmc::modelSignature(model), std::invalid_argument);
+  engine::ThreadPool pool(2);
+  EXPECT_THROW((void)dtmc::explore(model, {}, engine::laRunnerFor(pool)),
+               std::invalid_argument);
 }
 
 TEST(Explore, KeysWithoutMatrixMatchBuildCounts) {

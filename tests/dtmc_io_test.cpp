@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "dtmc/builder.hpp"
 #include "dtmc/io.hpp"
@@ -40,7 +42,24 @@ TEST(IoImport, TraWithoutStaUsesIndexVariable) {
   dtmc::writeTra(original, tra);
   const auto imported = dtmc::readTra(tra, nullptr, 1);
   EXPECT_EQ(imported.varLayout().vars()[0].name, "s");
+  EXPECT_EQ(imported.state(1), dtmc::State{1});
   EXPECT_NEAR(imported.initialDistribution()[1], 1.0, 1e-15);
+}
+
+TEST(IoImport, StaWiderThan64BitsThrows) {
+  // Three variables over the full int32 range need 96 bits.
+  std::stringstream tra("2 2\n0 1 1.0\n1 1 1.0\n");
+  std::stringstream sta(
+      "(a,b,c)\n"
+      "0:(-2147483648,-2147483648,-2147483648)\n"
+      "1:(2147483647,2147483647,2147483647)\n");
+  try {
+    (void)dtmc::readTra(tra, &sta, 0);
+    FAIL() << "a 96-bit .sta was read";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("96 bits"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(IoImport, MalformedInputsThrow) {

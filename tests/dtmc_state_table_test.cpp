@@ -1,9 +1,8 @@
-// ExplicitDtmc's state table in its two forms: packed u64 keys when the
-// layout fits 64 bits (as dtmc::explore produced them), State vectors
-// otherwise. Every reader — state(), varValue(), evalAtom(), evalReward(),
-// the PRISM export and a quotient's representatives — answers exactly as
-// the model evaluated on the decoded states does, and fromRaw rejects a
-// table whose length is not the row count.
+// ExplicitDtmc's state table: packed u64 keys, as dtmc::explore produced
+// them. Every reader — state(), varValue(), evalAtom(), evalReward(), the
+// PRISM export and a quotient's representatives — answers exactly as the
+// model evaluated on the decoded states does, and fromRaw rejects a table
+// whose length is not the row count.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -35,47 +34,30 @@ mimo::MimoParams smallMimo1x2() {
   return p;
 }
 
-/// A 4-state cycle over c whose layout is 95 bits wide: three wide
-/// variables follow c. Atom "even" = c is even; reward = c.
-class WideModel : public dtmc::Model {
- public:
-  static constexpr std::int32_t kWide = 1'000'000'000;
-
-  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
-    return {{"c", 0, 3}, {"a", -kWide, kWide}, {"b", -kWide, kWide},
-            {"d", -kWide, kWide}};
-  }
-  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
-    return {at(0)};
-  }
-  void transitions(const dtmc::State& s,
-                   dtmc::Successors& out) const override {
-    out.add(0.5, at(s[0]));
-    out.add(0.5, at((s[0] + 1) % 4));
-  }
-  [[nodiscard]] bool atom(const dtmc::State& s,
-                          std::string_view name) const override {
-    return name == "even" && s[0] % 2 == 0;
-  }
-  [[nodiscard]] double stateReward(const dtmc::State& s,
-                                   std::string_view /*name*/) const override {
-    return s[0];
-  }
-
- private:
-  static dtmc::State at(std::int32_t c) {
-    return {c, c * 7 - 900'000'000, 900'000'000 - c * 11, kWide - c};
-  }
-};
-
-/// PRISM export of `d`: .tra, .sta, .lab (over `labels`) and .srew.
-std::string exportAll(const dtmc::ExplicitDtmc& d, const dtmc::Model& model,
-                      const std::vector<std::string>& labels) {
+/// The PRISM state file `d` writes.
+std::string writtenSta(const dtmc::ExplicitDtmc& d) {
   std::ostringstream os;
-  dtmc::writeTra(d, os);
   dtmc::writeSta(d, os);
-  dtmc::writeLab(d, model, labels, os);
-  dtmc::writeSrew(d, model, "", os);
+  return os.str();
+}
+
+/// The PRISM state file of a table holding `keys`, from decoded states.
+std::string staOf(const dtmc::VarLayout& layout,
+                  const std::vector<std::uint64_t>& keys) {
+  std::ostringstream os;
+  os << '(';
+  for (std::size_t v = 0; v < layout.numVars(); ++v) {
+    os << (v == 0 ? "" : ",") << layout.vars()[v].name;
+  }
+  os << ")\n";
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const dtmc::State s = layout.unpack(keys[i]);
+    os << i << ":(";
+    for (std::size_t v = 0; v < s.size(); ++v) {
+      os << (v == 0 ? "" : ",") << s[v];
+    }
+    os << ")\n";
+  }
   return os.str();
 }
 
@@ -93,12 +75,6 @@ dtmc::ExplicitDtmc::Raw threeRows() {
 TEST(StateTable, FromRawRejectsTablesOfTheWrongLength) {
   {
     dtmc::ExplicitDtmc::Raw raw = threeRows();
-    raw.states = {{0}, {1}, {2}};
-    EXPECT_EQ(dtmc::ExplicitDtmc::fromRaw(std::move(raw)).state(2),
-              dtmc::State{2});
-  }
-  {
-    dtmc::ExplicitDtmc::Raw raw = threeRows();
     raw.keys = {0, 1, 2};
     const dtmc::ExplicitDtmc d = dtmc::ExplicitDtmc::fromRaw(std::move(raw));
     EXPECT_EQ(d.state(2), dtmc::State{2});
@@ -110,20 +86,11 @@ TEST(StateTable, FromRawRejectsTablesOfTheWrongLength) {
     EXPECT_THROW((void)dtmc::ExplicitDtmc::fromRaw(std::move(raw)),
                  std::invalid_argument);
   };
-  rejects([](auto& raw) { raw.states = {{0}, {1}}; });     // short
   rejects([](auto& raw) { raw.keys = {0, 1}; });           // short
   rejects([](auto& raw) { raw.keys = {0, 1, 2, 0}; });     // long
-  rejects([](auto& raw) { raw.states.clear(); });          // missing
-  rejects([](auto& raw) {                                  // both forms
-    raw.keys = {0, 1, 2};
-    raw.states = {{0}, {1}, {2}};
-  });
-  rejects([](auto& raw) {                                  // wide layout
-    raw.keys = {0, 1, 2};
-    raw.layout = WideModel().layout();
-  });
+  rejects([](auto& raw) { raw.keys.clear(); });            // missing
   rejects([](auto& raw) {                                  // initial
-    raw.states = {{0}, {1}, {2}};
+    raw.keys = {0, 1, 2};
     raw.initial.pop_back();
   });
   rejects([](auto& raw) {                                  // no rows at all
@@ -136,19 +103,9 @@ TEST(StateTable, PackedTableMatchesTheDecodedStates) {
   const mimo::MimoDetectorModel model(smallMimo1x2());
   dtmc::Exploration explored = dtmc::explore(model);
   const dtmc::VarLayout layout = model.layout();
-  ASSERT_TRUE(layout.fitsInU64());
   const std::vector<std::uint64_t> keys = explored.raw.keys;
   ASSERT_EQ(keys.size(), explored.states);
-  EXPECT_TRUE(explored.raw.states.empty());
 
-  // The same chain with the State table a build made before packing.
-  dtmc::ExplicitDtmc::Raw unpackedRaw = explored.raw;
-  unpackedRaw.keys.clear();
-  for (const std::uint64_t key : keys) {
-    unpackedRaw.states.push_back(layout.unpack(key));
-  }
-  const dtmc::ExplicitDtmc unpacked =
-      dtmc::ExplicitDtmc::fromRaw(std::move(unpackedRaw));
   const dtmc::ExplicitDtmc packed =
       dtmc::buildFromExploration(std::move(explored), {}).dtmc;
   ASSERT_EQ(packed.numStates(), keys.size());
@@ -167,64 +124,23 @@ TEST(StateTable, PackedTableMatchesTheDecodedStates) {
   }
   EXPECT_EQ(packed.evalAtom(model, "error"), error);
   EXPECT_EQ(packed.evalReward(model, ""), reward);
-  EXPECT_EQ(unpacked.evalAtom(model, "error"), error);
-  EXPECT_EQ(unpacked.evalReward(model, ""), reward);
-  EXPECT_EQ(exportAll(packed, model, {"error"}),
-            exportAll(unpacked, model, {"error"}));
+  EXPECT_EQ(writtenSta(packed), staOf(layout, keys));
 
   // The quotient keeps its representatives' keys.
   const lump::InitialKeys initial =
       lump::keysFromMasksAndRewards(packed.numStates(), {&error}, {&reward});
   const lump::LumpResult fromPacked = lump::lump(packed, initial);
-  const lump::LumpResult fromUnpacked = lump::lump(unpacked, initial);
   ASSERT_LT(fromPacked.partition.numBlocks, packed.numStates());
-  EXPECT_EQ(fromPacked.representative, fromUnpacked.representative);
   EXPECT_EQ(fromPacked.quotient.stateTableBytes(),
             fromPacked.partition.numBlocks * sizeof(std::uint64_t));
+  std::vector<std::uint64_t> representatives;
   for (std::uint32_t b = 0; b < fromPacked.partition.numBlocks; ++b) {
+    representatives.push_back(keys[fromPacked.representative[b]]);
     EXPECT_EQ(fromPacked.quotient.state(b),
-              layout.unpack(keys[fromPacked.representative[b]]))
+              layout.unpack(representatives.back()))
         << "block " << b;
   }
-  EXPECT_TRUE(test::sameStateTables(fromPacked.quotient,
-                                    fromUnpacked.quotient));
-  EXPECT_EQ(exportAll(fromPacked.quotient, model, {"error"}),
-            exportAll(fromUnpacked.quotient, model, {"error"}));
-}
-
-TEST(StateTable, WideLayoutKeepsStateVectors) {
-  const WideModel model;
-  const dtmc::VarLayout layout = model.layout();
-  ASSERT_FALSE(layout.fitsInU64());
-  dtmc::Exploration explored = dtmc::explore(model);
-  EXPECT_TRUE(explored.raw.keys.empty());
-  const std::vector<dtmc::State> states = explored.raw.states;
-  ASSERT_EQ(states.size(), 4u);
-  const dtmc::ExplicitDtmc d =
-      dtmc::buildFromExploration(std::move(explored), {}).dtmc;
-  EXPECT_EQ(d.stateTableBytes(),
-            4 * (sizeof(dtmc::State) + 4 * sizeof(std::int32_t)));
-
-  la::BitVector even(d.numStates());
-  std::vector<double> reward(d.numStates());
-  for (std::uint32_t i = 0; i < d.numStates(); ++i) {
-    EXPECT_EQ(d.state(i), states[i]);
-    for (std::size_t v = 0; v < layout.numVars(); ++v) {
-      EXPECT_EQ(d.varValue(i, v), states[i][v]);
-    }
-    if (model.atom(states[i], "even")) even.set(i);
-    reward[i] = model.stateReward(states[i], "");
-  }
-  EXPECT_EQ(d.evalAtom(model, "even"), even);
-  EXPECT_EQ(d.evalReward(model, ""), reward);
-
-  // Seeded by "even" alone, c = 0, 2 and c = 1, 3 lump.
-  const lump::LumpResult lumped = lump::lump(
-      d, lump::keysFromMasksAndRewards(d.numStates(), {&even}, {}));
-  ASSERT_EQ(lumped.partition.numBlocks, 2u);
-  for (std::uint32_t b = 0; b < 2; ++b) {
-    EXPECT_EQ(lumped.quotient.state(b), states[lumped.representative[b]]);
-  }
+  EXPECT_EQ(writtenSta(fromPacked.quotient), staOf(layout, representatives));
 }
 
 TEST(VarLayout, RoundTripsAtExactly64BitsAndWithZeroBitFields) {
@@ -238,7 +154,6 @@ TEST(VarLayout, RoundTripsAtExactly64BitsAndWithZeroBitFields) {
                                 {"lo", kMin, kMax},
                                 {"z2", 0, 0}});
   ASSERT_EQ(layout.totalBits(), 64);
-  ASSERT_TRUE(layout.fitsInU64());
   const std::vector<dtmc::State> states{
       {5, kMin, -3, kMin, 0}, {5, kMax, -3, kMax, 0}, {5, -1, -3, 0, 0},
       {5, 0, -3, -1, 0},      {5, kMin, -3, kMax, 0}, {5, 123, -3, -456, 0}};

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -629,38 +630,10 @@ TEST(Engine, BackendsAgreeOnTransitionlessStates) {
   EXPECT_EQ(sig.hash, dtmc::modelSignature(explicitLoop).hash);
 }
 
-TEST(ModelSignature, WideLayoutFallsBackToVectorProbe) {
-  // A layout wider than 64 bits cannot pack; the probe must still work via
-  // the vector-state path.
-  class WideModel : public dtmc::Model {
-   public:
-    [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
-      return {{"a", 0, 0x7FFFFFFF}, {"b", 0, 0x7FFFFFFF},
-              {"c", 0, 0x7FFFFFFF}};
-    }
-    [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
-      return {{0, 0, 0}};
-    }
-    void transitions(const dtmc::State& s,
-                     dtmc::Successors& out) const override {
-      dtmc::State next = s;
-      next[0] = (s[0] + 1) % 3;
-      out.add(1.0, next);
-    }
-  };
-  WideModel model;
-  EXPECT_FALSE(model.layout().fitsInU64());
-  const auto sig = dtmc::modelSignature(model);
-  EXPECT_TRUE(sig.exact);
-  EXPECT_EQ(sig.states, 3u);
-  EXPECT_EQ(sig.hash, dtmc::modelSignature(model).hash);
-}
-
 TEST(ModelSignature, PackedProbeMatchesBuildCounts) {
   // gamblersRuin packs into u64, so the exploration takes the packed-key
   // path; its state/transition counts must match the explicit build.
   const auto model = test::gamblersRuin(64, 0.4, 32);
-  ASSERT_TRUE(model.layout().fitsInU64());
   const auto sig = dtmc::modelSignature(model);
   const auto build = dtmc::buildExplicit(model);
   EXPECT_TRUE(sig.exact);
@@ -764,6 +737,47 @@ TEST(Engine, SingleOverBudgetModelStaysResident) {
   (void)eng.ensureBuilt(model, {}, &hit);
   EXPECT_TRUE(hit);
   EXPECT_EQ(eng.stats().builds, 1u);
+}
+
+/// A model no VarLayout can hold fails its own request, with the layout's
+/// message, and leaves a sibling request's answer alone.
+TEST(Engine, WideLayoutFailsOnlyItsOwnRequest) {
+  const test::WideModel wide;
+  const auto model = smallViterbi();
+  engine::AnalysisEngine eng(engineOptions(2, 8));
+  std::vector<engine::AnalysisRequest> requests(2);
+  requests[0].model = &wide;
+  requests[0].properties = {"P=? [ F<=3 a=8 ]"};
+  requests[1].model = &model;
+  requests[1].properties = {"R=? [ I=20 ]"};
+  const auto responses = eng.analyzeAll(requests);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_NE(responses[0].error.find("93 bits"), std::string::npos)
+      << responses[0].error;
+  ASSERT_TRUE(responses[1].ok()) << responses[1].error;
+  ASSERT_EQ(responses[1].results.size(), 1u);
+  EXPECT_TRUE(responses[1].results[0].ok());
+}
+
+/// A probability floor that would empty a row is an error of the request
+/// (in every build type), not a silently substochastic chain.
+TEST(Engine, FloorThatEmptiesARowFailsTheRequest) {
+  const auto chain = test::twoStateChain(0.5, 0.5);
+  const auto model = smallViterbi();
+  engine::AnalysisEngine eng(engineOptions(2, 8));
+  std::vector<engine::AnalysisRequest> requests(2);
+  requests[0].model = &chain;
+  requests[0].properties = {"P=? [ F<=3 s=1 ]"};
+  requests[0].options.build.probFloor = 0.6;
+  requests[1].model = &model;
+  requests[1].properties = {"R=? [ I=20 ]"};
+  const auto responses = eng.analyzeAll(requests);
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_NE(responses[0].error.find("probability floor 0.6"),
+            std::string::npos)
+      << responses[0].error;
+  ASSERT_TRUE(responses[1].ok()) << responses[1].error;
+  EXPECT_THROW((void)eng.analyze(requests[0]), std::invalid_argument);
 }
 
 TEST(Engine, FailedRequestsAreCounted) {

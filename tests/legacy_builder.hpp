@@ -3,7 +3,9 @@
 // vector of per-state transition vectors and assembled into CSR at the end.
 // Kept verbatim as the bitwise oracle for dtmc::buildExplicit (state
 // numbering, rowPtr/col/val, initial distribution and reachability
-// iterations must all match it exactly).
+// iterations must all match it exactly). It collects each row through a
+// packed dtmc::Successors sink and unpacks it, and hands its State table
+// to ExplicitDtmc packed.
 #pragma once
 
 #include <cmath>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "dtmc/builder.hpp"
+#include "legacy_loops.hpp"
 #include "util/hash.hpp"
 
 namespace mimostat::test {
@@ -21,7 +24,6 @@ namespace mimostat::test {
 inline dtmc::BuildResult legacyBuildExplicit(
     const dtmc::Model& model, const dtmc::BuildOptions& options = {}) {
   using dtmc::State;
-  using dtmc::Transition;
   const dtmc::VarLayout layout = model.layout();
   std::unordered_map<State, std::uint32_t, util::VecI32Hash> index;
   std::vector<State> states;
@@ -50,17 +52,16 @@ inline dtmc::BuildResult legacyBuildExplicit(
 
   std::uint32_t frontierBegin = 0;
   std::uint32_t reachabilityIterations = 0;
-  dtmc::Successors sink;  // State form
-  std::vector<Transition>& scratch = sink.stateEntries();
+  dtmc::Successors sink(layout);
+  std::vector<Transition> scratch;
 
   while (frontierBegin < states.size()) {
     const auto frontierEnd = static_cast<std::uint32_t>(states.size());
     ++reachabilityIterations;
     for (std::uint32_t s = frontierBegin; s < frontierEnd; ++s) {
-      scratch.clear();
-      model.transitions(states[s], sink);
+      collectTransitions(model, layout, states[s], sink, scratch);
       if (scratch.empty()) scratch.push_back({1.0, states[s]});
-      (void)dtmc::normalizeTransitions(scratch, options.probFloor);
+      (void)test::normalizeTransitions(scratch, options.probFloor);
       std::vector<Transition> row;
       row.reserve(scratch.size());
       for (auto& t : scratch) {
@@ -76,8 +77,9 @@ inline dtmc::BuildResult legacyBuildExplicit(
 
   dtmc::ExplicitDtmc::Raw raw;
   raw.layout = layout;
-  raw.states = std::move(states);
-  raw.rowPtr.reserve(raw.states.size() + 1);
+  raw.keys.reserve(states.size());
+  for (const State& s : states) raw.keys.push_back(layout.pack(s));
+  raw.rowPtr.reserve(states.size() + 1);
   raw.rowPtr.push_back(0);
   for (auto& row : rows) {
     for (const auto& t : row) {
@@ -87,7 +89,7 @@ inline dtmc::BuildResult legacyBuildExplicit(
     raw.rowPtr.push_back(raw.col.size());
   }
 
-  raw.initial.assign(raw.states.size(), 0.0);
+  raw.initial.assign(states.size(), 0.0);
   const double w = 1.0 / static_cast<double>(initialIdx.size());
   for (const auto idx : initialIdx) raw.initial[idx] += w;
 

@@ -8,6 +8,9 @@
 //    they were before dtmc::Successors and the residual table: a
 //    vector-building enumeration with per-call State copies, and a decision
 //    that recomputes every block residual from quantizer values.
+//  - Rows of State-vector targets and the templated normalizeTransitions
+//    that sorted and merged them, as they were before every layer moved to
+//    packed keys; the legacy builder and the verbatim sampler run on them.
 #pragma once
 
 #include <algorithm>
@@ -17,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "comm/channel.hpp"
@@ -29,6 +33,68 @@
 #include "stats/gaussian.hpp"
 
 namespace mimostat::test {
+
+/// One probabilistic successor: (probability, target state).
+struct Transition {
+  double prob = 0.0;
+  dtmc::State target;
+};
+
+/// Sort a successor list by target, merge duplicate targets (summing their
+/// probabilities in sorted order) and optionally drop entries below
+/// `floor`, renormalizing the remainder. Returns the total probability mass
+/// before normalization (should be ~1). `Entry` is Transition or any
+/// {prob, target} pair whose targets compare like State: on packed keys,
+/// which order as the states do, the same std::sort makes the same
+/// comparisons, so duplicates merge bit-identically.
+template <class Entry>
+double normalizeTransitions(std::vector<Entry>& row, double floor) {
+  if (row.empty()) return 0.0;
+  std::sort(row.begin(), row.end(), [](const Entry& a, const Entry& b) {
+    return a.target < b.target;
+  });
+  // Merge duplicates in place.
+  std::size_t out = 0;
+  for (std::size_t i = 1; i < row.size(); ++i) {
+    if (row[i].target == row[out].target) {
+      row[out].prob += row[i].prob;
+    } else {
+      ++out;
+      if (out != i) row[out] = std::move(row[i]);
+    }
+  }
+  row.resize(out + 1);
+
+  double mass = 0.0;
+  for (const auto& t : row) mass += t.prob;
+
+  if (floor > 0.0) {
+    std::erase_if(row, [floor](const Entry& t) { return t.prob < floor; });
+    assert(!row.empty() && "probability floor removed all transitions");
+    double kept = 0.0;
+    for (const auto& t : row) kept += t.prob;
+    if (kept > 0.0 && kept != mass) {
+      const double scale = mass / kept;
+      for (auto& t : row) t.prob *= scale;
+    }
+  }
+  return mass;
+}
+
+/// `model`'s successors of `s` with State targets, in the order the model
+/// added them: collected through `sink` (packing by `layout`, the model's)
+/// and unpacked.
+inline void collectTransitions(const dtmc::Model& model,
+                               const dtmc::VarLayout& layout,
+                               const dtmc::State& s, dtmc::Successors& sink,
+                               std::vector<Transition>& out) {
+  sink.clear();
+  model.transitions(s, sink);
+  out.clear();
+  for (const dtmc::PackedTransition& t : sink.entries()) {
+    out.push_back({t.prob, layout.unpack(t.target)});
+  }
+}
 
 /// y = x^T A by the source-major scatter (the old left product).
 inline std::vector<double> legacyScatterLeft(const la::CsrMatrix& m,
@@ -296,9 +362,9 @@ class LegacyMimoDetectorModel : public dtmc::Model {
 
   void transitions(const dtmc::State& s,
                    dtmc::Successors& sink) const override {
-    std::vector<dtmc::Transition> out;
+    std::vector<Transition> out;
     legacyTransitions(s, out);
-    for (const dtmc::Transition& t : out) sink.add(t.prob, t.target);
+    for (const Transition& t : out) sink.add(t.prob, t.target);
   }
 
  private:
@@ -320,7 +386,7 @@ class LegacyMimoDetectorModel : public dtmc::Model {
   void enumerateProduct(const dtmc::State& base, int blockIdx,
                         bool assignChannel, double probSoFar,
                         dtmc::State& current,
-                        std::vector<dtmc::Transition>& out) const {
+                        std::vector<Transition>& out) const {
     const mimo::MimoParams& p = params();
     if (blockIdx == p.numBlocks()) {
       out.push_back({probSoFar, current});
@@ -352,7 +418,7 @@ class LegacyMimoDetectorModel : public dtmc::Model {
   }
 
   void legacyTransitions(const dtmc::State& s,
-                         std::vector<dtmc::Transition>& out) const {
+                         std::vector<Transition>& out) const {
     const mimo::MimoParams& p = params();
     const int phase = s[idxPhase()];
 

@@ -157,7 +157,7 @@ dtmc::ExplicitDtmc rawChain(const std::vector<std::vector<double>>& rows,
       }
     }
     raw.rowPtr.push_back(raw.col.size());
-    raw.states.push_back({static_cast<std::int32_t>(i)});
+    raw.keys.push_back(i);  // the key of s = i
   }
   raw.initial = std::move(initial);
   return dtmc::ExplicitDtmc::fromRaw(std::move(raw));

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 
 #include "dtmc/builder.hpp"
+#include "legacy_loops.hpp"
 #include "mc/checker.hpp"
 #include "mc/transient.hpp"
 #include "mimo/model.hpp"
@@ -48,10 +50,11 @@ TEST(Smc, SamplerIsDeterministicPerSeed) {
 
 /// The path sampler's loop as it was before the successor sink: a
 /// State-vector row per step, normalized and walked by one uniform draw.
+/// The row is collected through a packed sink and unpacked.
 class VerbatimSampler {
  public:
   VerbatimSampler(const dtmc::Model& model, std::uint64_t seed)
-      : model_(model), rng_(seed) {
+      : model_(model), layout_(model.layout()), rng_(seed), sink_(layout_) {
     reset();
   }
   const dtmc::State& reset() {
@@ -60,11 +63,10 @@ class VerbatimSampler {
     return state_;
   }
   const dtmc::State& step() {
-    std::vector<dtmc::Transition>& row = sink_.stateEntries();
-    row.clear();
-    model_.transitions(state_, sink_);
+    std::vector<test::Transition>& row = row_;
+    test::collectTransitions(model_, layout_, state_, sink_, row);
     if (row.empty()) return state_;  // transition-less state: absorbing
-    const double mass = dtmc::normalizeTransitions(row, 0.0);
+    const double mass = test::normalizeTransitions(row, 0.0);
     double u = rng_.nextDouble() * mass;
     for (const auto& t : row) {
       u -= t.prob;
@@ -80,9 +82,11 @@ class VerbatimSampler {
 
  private:
   const dtmc::Model& model_;
+  const dtmc::VarLayout layout_;
   util::Xoshiro256 rng_;
   dtmc::State state_;
-  dtmc::Successors sink_;  // State form
+  dtmc::Successors sink_;
+  std::vector<test::Transition> row_;
 };
 
 /// 10,000 steps per seed: PathSampler walks the verbatim sampler's path.
@@ -113,10 +117,15 @@ TEST(Smc, SamplerWalksTheVerbatimPath) {
     SCOPED_TRACE("reduced Viterbi");
     expectVerbatimPaths(viterbi::ReducedViterbiModel(viterbi::ViterbiParams{}));
   }
-  {
-    SCOPED_TRACE("wide (more than 64 bits)");
-    expectVerbatimPaths(test::WideModel());
-  }
+}
+
+TEST(Smc, SamplerRejectsLayoutsWiderThan64Bits) {
+  const test::WideModel model;
+  EXPECT_THROW((void)smc::PathSampler(model, 1), std::invalid_argument);
+  smc::SmcOptions options;
+  options.paths = 10;
+  EXPECT_THROW((void)smc::estimateProperty(model, "P=? [ F<=3 a=8 ]", options),
+               std::invalid_argument);
 }
 
 TEST(Smc, EstimateMatchesExactChecker) {

@@ -151,8 +151,9 @@ inline MatrixModel randomModel(std::uint32_t n, std::uint32_t fanout,
   return model;
 }
 
-/// Three 31-bit variables (93 bits): explorers and samplers fall back to
-/// State vectors. States with a >= 40 are dead ends.
+/// Three 31-bit variables (93 bits): no VarLayout holds them, so every
+/// explorer and sampler rejects the model. States with a >= 40 are dead
+/// ends.
 class WideModel : public dtmc::Model {
  public:
   [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
@@ -191,22 +192,21 @@ class SymmetricBanksModel : public dtmc::Model {
   }
   void transitions(const dtmc::State& s,
                    dtmc::Successors& out) const override {
-    // Product of independent per-component flips.
-    std::vector<dtmc::Transition> partial{{1.0, {}}};
-    for (int i = 0; i < k_; ++i) {
-      std::vector<dtmc::Transition> next;
-      const double flip = s[static_cast<std::size_t>(i)] == 0 ? a_ : b_;
-      for (const auto& t : partial) {
-        dtmc::State stay = t.target;
-        stay.push_back(s[static_cast<std::size_t>(i)]);
-        next.push_back({t.prob * (1.0 - flip), std::move(stay)});
-        dtmc::State flipped = t.target;
-        flipped.push_back(1 - s[static_cast<std::size_t>(i)]);
-        next.push_back({t.prob * flip, std::move(flipped)});
+    // Product of independent per-component flips: subset m flips component
+    // i when bit k-1-i is set, so the subsets come in the order of a
+    // component-by-component expansion (c0 outermost, stay before flip).
+    const auto k = static_cast<std::size_t>(k_);
+    dtmc::State& target = out.scratch(s);
+    for (std::uint64_t m = 0; m < (std::uint64_t{1} << k); ++m) {
+      double prob = 1.0;
+      for (std::size_t i = 0; i < k; ++i) {
+        const bool flips = ((m >> (k - 1 - i)) & 1) != 0;
+        const double flip = s[i] == 0 ? a_ : b_;
+        prob *= flips ? flip : 1.0 - flip;
+        target[i] = flips ? 1 - s[i] : s[i];
       }
-      partial = std::move(next);
+      out.add(prob, target);
     }
-    for (const auto& t : partial) out.add(t.prob, t.target);
   }
   [[nodiscard]] double stateReward(const dtmc::State& s,
                                    std::string_view /*name*/) const override {

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Unit tests for the determinism/concurrency linter's rules engine and the
-option census.
+"""Unit tests for the determinism/concurrency linter's rules engine, the
+option census and the src/ size ceiling.
 
 Feeds known-bad and known-good C++ snippets to check_invariants.check_source
-and asserts exactly which rules fire on which lines, and checks which
-declarations option_census counts as option fields. Registered as the
+and asserts exactly which rules fire on which lines, checks which
+declarations option_census counts as option fields, and which lines
+src_size counts as code. Registered as the
 `lint_selftest` ctest so a rule regression (a rule going silent, or a fixed
 false positive coming back) fails the suite, not just CI.
 
@@ -25,6 +26,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import check_invariants  # noqa: E402
 import option_census  # noqa: E402
+import src_size  # noqa: E402
 
 
 def run(source: str, path: str = "src/fake/file.cpp"):
@@ -667,6 +669,41 @@ class OptionCensusTest(unittest.TestCase):
                 self.assertEqual(
                     option_census.main(["--root", root, "--max", "1"]), 1)
             self.assertIn("total: 2 option fields", out.getvalue())
+
+
+class SrcSizeTest(unittest.TestCase):
+    def test_comments_and_blank_lines_are_not_code(self):
+        src = textwrap.dedent("""\
+            // A header comment.
+            #include <vector>
+
+            /* A block comment
+               over two lines. */
+            int f() {  // trailing comment: the line still counts
+              return 1;
+            }
+            """)
+        self.assertEqual(src_size.count_source(src), src_size.Count(8, 4))
+
+    def test_comment_markers_inside_strings_are_code(self):
+        src = 'const char* url = "http://example.org";\n'
+        self.assertEqual(src_size.count_source(src), src_size.Count(1, 1))
+
+    def test_total_above_the_ceiling_fails(self):
+        with tempfile.TemporaryDirectory() as root:
+            os.makedirs(os.path.join(root, "src", "fake"))
+            with open(os.path.join(root, "src", "fake", "a.hpp"), "w",
+                      encoding="utf-8") as handle:
+                handle.write("// comment\nint a = 0;\n\nint b = 1;\n")
+            with open(os.path.join(root, "src", "fake", "notes.txt"), "w",
+                      encoding="utf-8") as handle:
+                handle.write("not a source file\n")
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                self.assertEqual(src_size.main(["--root", root, "--max", "2"]),
+                                 0)
+                self.assertEqual(src_size.main(["--root", root, "--max", "1"]),
+                                 1)
+            self.assertIn("total: 2 non-comment lines (4 raw)", out.getvalue())
 
 
 if __name__ == "__main__":
