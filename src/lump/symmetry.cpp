@@ -102,6 +102,8 @@ double SymmetryReducedModel::stateReward(const dtmc::State& s,
 bool SymmetryReducedModel::verifySymmetry(const std::vector<std::string>& atoms,
                                           int samples,
                                           std::uint64_t seed) const {
+  // One block has no permutation but the identity.
+  if (blocks_.size() < 2) return true;
   util::Xoshiro256 rng(seed);
 
   // Random walk from an initial state; at each visited state check that one

@@ -73,6 +73,9 @@ TEST(Symmetry, VerifySymmetryAcceptsSymmetricModel) {
   const test::SymmetricBanksModel model(4, 0.3, 0.2);
   const lump::SymmetryReducedModel reduced(model, singletonBlocks(4));
   EXPECT_TRUE(reduced.verifySymmetry({"any"}, 200, 7));
+  // A single block has no second block to swap with.
+  const lump::SymmetryReducedModel single(model, {{0, 1, 2, 3}});
+  EXPECT_TRUE(single.verifySymmetry({"any"}, 200, 7));
 }
 
 /// A deliberately asymmetric variant: component 0 uses different flip
