@@ -17,6 +17,7 @@ SymmetryReducedModel::SymmetryReducedModel(const dtmc::Model& inner,
   };
   if (blocks_.empty()) reject("no symmetry blocks");
   const std::size_t arity = blocks_.front().size();
+  if (arity == 0) reject("empty symmetry block");
   if (blocks_.size() * arity > kMaxBlockVars) {
     reject("the blocks list more than kMaxBlockVars variables");
   }
@@ -46,11 +47,11 @@ std::uint64_t SymmetryReducedModel::canonicalKey(std::uint64_t key) const {
     }
   }
   const auto tuple = [&](std::uint8_t b) { return values.begin() + b * arity; };
-  std::sort(order.begin(), order.begin() + static_cast<std::ptrdiff_t>(numBlocks),
-            [&](std::uint8_t a, std::uint8_t b) {
-              return std::lexicographical_compare(tuple(a), tuple(a) + arity,
-                                                  tuple(b), tuple(b) + arity);
-            });
+  const auto last = order.begin() + static_cast<std::ptrdiff_t>(numBlocks);
+  std::sort(order.begin(), last, [&](std::uint8_t a, std::uint8_t b) {
+    return std::lexicographical_compare(tuple(a), tuple(a) + arity, tuple(b),
+                                        tuple(b) + arity);
+  });
   for (std::size_t b = 0; b < numBlocks; ++b) {
     for (std::size_t i = 0; i < arity; ++i) {
       layout_.setField(key, blocks_[b][i], tuple(order[b])[i]);

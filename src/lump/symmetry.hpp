@@ -36,10 +36,10 @@ class SymmetryReducedModel : public dtmc::Model {
 
   /// @param inner  the full model (must outlive this wrapper)
   /// @param blocks interchangeable variable blocks
-  /// Throws std::invalid_argument when `blocks` is empty, its blocks differ
-  /// in arity, an index is not a variable of `inner` or appears twice, or
-  /// the blocks list more than kMaxBlockVars variables; and when the inner
-  /// layout needs more than 64 bits.
+  /// Throws std::invalid_argument when `blocks` is empty, a block is empty
+  /// or differs from the first in arity, an index is not a variable of
+  /// `inner` or appears twice, or the blocks list more than kMaxBlockVars
+  /// variables; and when the inner layout needs more than 64 bits.
   SymmetryReducedModel(const dtmc::Model& inner, BlockStructure blocks);
 
   [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override;

@@ -225,6 +225,7 @@ TEST(Symmetry, ConstructorRejectsMalformedBlocks) {
                  std::invalid_argument);
   };
   rejects({});                    // no blocks
+  rejects({{}, {}});              // empty blocks
   rejects({{0, 1}, {2}});         // unequal arity
   rejects({{0}, {7}});            // not a variable
   rejects({{0, 1}, {1, 2}});      // a variable in two blocks
