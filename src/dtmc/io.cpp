@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <fstream>
 #include <istream>
 #include <ostream>
 #include <limits>
@@ -341,29 +340,6 @@ double ImportedModel::stateReward(const State& s,
     if (rewardName == effective) return values[indexOf(s)];
   }
   return 0.0;
-}
-
-namespace {
-std::ofstream openOrThrow(const std::string& path) {
-  std::ofstream file(path);
-  if (!file) throw std::runtime_error("cannot open for writing: " + path);
-  return file;
-}
-}  // namespace
-
-void writeTraFile(const ExplicitDtmc& dtmc, const std::string& path) {
-  auto file = openOrThrow(path);
-  writeTra(dtmc, file);
-}
-
-void writeStaFile(const ExplicitDtmc& dtmc, const std::string& path) {
-  auto file = openOrThrow(path);
-  writeSta(dtmc, file);
-}
-
-void writeDotFile(const ExplicitDtmc& dtmc, const std::string& path) {
-  auto file = openOrThrow(path);
-  writeDot(dtmc, file);
 }
 
 }  // namespace mimostat::dtmc
