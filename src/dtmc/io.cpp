@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <limits>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 namespace mimostat::dtmc {
 
@@ -92,6 +94,32 @@ void writeSrew(const ExplicitDtmc& dtmc, const Model& model,
   for (const auto& [s, r] : nonzero) os << s << ' ' << r << '\n';
 }
 
+namespace {
+
+/// The decimal integer `text` (surrounding blanks allowed) if it lies in
+/// [lo, hi]. Range-checked before any narrowing, so an index of 2^32 is an
+/// error rather than state 0. Throws std::runtime_error naming `what`.
+std::int64_t parseInteger(std::string_view text, std::int64_t lo,
+                          std::int64_t hi, const char* what) {
+  const auto first = text.find_first_not_of(" \t\r");
+  const auto last = text.find_last_not_of(" \t\r");
+  if (first != std::string_view::npos) {
+    text = text.substr(first, last - first + 1);
+  }
+  std::int64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (text.empty() || ec != std::errc{} || end != text.data() + text.size() ||
+      value < lo || value > hi) {
+    throw std::runtime_error(std::string(what) + ": '" + std::string(text) +
+                             "' is not an integer in [" + std::to_string(lo) +
+                             ", " + std::to_string(hi) + "]");
+  }
+  return value;
+}
+
+}  // namespace
+
 ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
                      std::uint32_t initialState) {
   std::uint32_t numStates = 0;
@@ -104,8 +132,9 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
     std::uint32_t dst;
     double prob;
   };
+  // No reserve from the header count: a bogus count must end in the
+  // truncation error below, not in a huge allocation.
   std::vector<Entry> entries;
-  entries.reserve(numTransitions);
   for (std::uint64_t i = 0; i < numTransitions; ++i) {
     Entry e{};
     if (!(tra >> e.src >> e.dst >> e.prob)) {
@@ -113,6 +142,10 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
     }
     if (e.src >= numStates || e.dst >= numStates) {
       throw std::runtime_error("readTra: state index out of range");
+    }
+    // The left-product kernels assume no negative entries (la/spmv.hpp).
+    if (!(e.prob >= 0.0 && e.prob <= 1.0)) {
+      throw std::runtime_error("readTra: probability outside [0, 1]");
     }
     entries.push_back(e);
   }
@@ -170,12 +203,10 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
       if (colon == std::string::npos) {
         throw std::runtime_error("readTra: malformed .sta line");
       }
-      const auto idx =
-          static_cast<std::uint32_t>(std::stoul(line.substr(0, colon)));
-      if (idx >= numStates) {
-        throw std::runtime_error("readTra: .sta state index out of range");
-      }
-      State& state = states[idx];
+      const auto idx = parseInteger(std::string_view(line).substr(0, colon), 0,
+                                    std::int64_t{numStates} - 1,
+                                    "readTra: .sta state index");
+      State& state = states[static_cast<std::size_t>(idx)];
       std::size_t var = 0;
       std::string token;
       for (std::size_t i = colon + 1; i < line.size(); ++i) {
@@ -187,7 +218,10 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
               throw std::runtime_error("readTra: too many values in .sta");
             }
             state[var] = static_cast<std::int32_t>(
-                std::stol(std::exchange(token, {})));
+                parseInteger(std::exchange(token, {}),
+                             std::numeric_limits<std::int32_t>::min(),
+                             std::numeric_limits<std::int32_t>::max(),
+                             "readTra: .sta value"));
             ++var;
           }
         } else {
@@ -235,7 +269,10 @@ std::vector<std::pair<std::string, la::BitVector>> readLab(
       if (eq == std::string::npos || item.size() < eq + 3) {
         throw std::runtime_error("readLab: malformed header item");
       }
-      const auto id = std::stoul(item.substr(0, eq));
+      const auto id = static_cast<std::size_t>(
+          parseInteger(std::string_view(item).substr(0, eq), 0,
+                       std::numeric_limits<std::int64_t>::max(),
+                       "readLab: label id"));
       std::string name = item.substr(eq + 1);
       if (name.front() != '"' || name.back() != '"') {
         throw std::runtime_error("readLab: label name not quoted");
@@ -254,11 +291,9 @@ std::vector<std::pair<std::string, la::BitVector>> readLab(
     if (colon == std::string::npos) {
       throw std::runtime_error("readLab: malformed state line");
     }
-    const auto state =
-        static_cast<std::uint32_t>(std::stoul(line.substr(0, colon)));
-    if (state >= numStates) {
-      throw std::runtime_error("readLab: state index out of range");
-    }
+    const auto state = static_cast<std::uint32_t>(
+        parseInteger(std::string_view(line).substr(0, colon), 0,
+                     std::int64_t{numStates} - 1, "readLab: state index"));
     std::istringstream ls(line.substr(colon + 1));
     std::size_t id = 0;
     while (ls >> id) {

@@ -44,12 +44,14 @@ struct ImportedExplicit {
 /// Parse a .tra stream (+ optional .sta for the variable layout). The
 /// initial distribution is a point mass on `initialState`. The state table
 /// packs each .sta row by the layout of the observed value ranges.
-/// Throws std::runtime_error on malformed input, std::invalid_argument when
-/// those ranges need more than 64 bits.
+/// Throws std::runtime_error on malformed input (an index or value that does
+/// not fit its type, a probability outside [0, 1]), std::invalid_argument
+/// when those ranges need more than 64 bits.
 [[nodiscard]] ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
                                    std::uint32_t initialState = 0);
 
-/// Parse a .lab stream into (name, truth-set) pairs.
+/// Parse a .lab stream into (name, truth-set) pairs. Throws
+/// std::runtime_error on malformed input (an index that does not fit).
 [[nodiscard]] std::vector<std::pair<std::string, la::BitVector>> readLab(
     std::istream& lab, std::uint32_t numStates);
 

@@ -79,6 +79,35 @@ TEST(IoImport, MalformedInputsThrow) {
     std::stringstream tra("2 1\n0 1 1.0\n");
     EXPECT_THROW(dtmc::readTra(tra, nullptr, 7), std::runtime_error);
   }
+  {
+    // A count no input can back is read until the list runs out, not
+    // reserved up front.
+    std::stringstream tra("2 1000000000000000000\n0 1 1.0\n");
+    EXPECT_THROW(dtmc::readTra(tra, nullptr), std::runtime_error);
+  }
+  {
+    // Row sums to 1, but the left-product kernels assume no negative entry.
+    std::stringstream tra("2 3\n0 1 1.5\n0 0 -0.5\n1 1 1.0\n");
+    EXPECT_THROW(dtmc::readTra(tra, nullptr), std::runtime_error);
+  }
+  const auto readWithSta = [](const std::string& staText) {
+    std::stringstream tra("2 2\n0 1 1.0\n1 0 1.0\n");
+    std::stringstream sta(staText);
+    return dtmc::readTra(tra, &sta);
+  };
+  // 2^32 must not wrap to state 0 and overwrite it.
+  EXPECT_THROW(readWithSta("(x)\n0:(1)\n1:(2)\n4294967296:(7)\n"),
+               std::runtime_error);
+  // A value past int32 must not narrow (2^32 + 3 read back as 3).
+  EXPECT_THROW(readWithSta("(x)\n0:(4294967299)\n1:(2)\n"), std::runtime_error);
+  EXPECT_THROW(readWithSta("(x)\nzero:(1)\n1:(2)\n"), std::runtime_error);
+  const auto readLabText = [](const std::string& labText) {
+    std::stringstream lab(labText);
+    return dtmc::readLab(lab, 2);
+  };
+  // 2^32 + 1 must not label state 1.
+  EXPECT_THROW(readLabText("0=\"init\"\n4294967297: 0\n"), std::runtime_error);
+  EXPECT_THROW(readLabText("x=\"init\"\n0: 0\n"), std::runtime_error);
 }
 
 TEST(IoImport, LabRoundTrip) {
