@@ -146,7 +146,6 @@ AnalysisEngine::AnalysisEngine(EngineOptions options)
             options.metrics != nullptr ? options.metrics : &ownMetrics_),
       metrics_(options.metrics != nullptr ? options.metrics : &ownMetrics_),
       requestLatencyNs_(metrics_->histogram("engine.request_ns")),
-      requestCount_(metrics_->counter("engine.requests")),
       buildCounter_(metrics_->counter("engine.builds")),
       cacheHitCounter_(metrics_->counter("engine.cache_hits")),
       quotientBuildCounter_(metrics_->counter("engine.quotient_builds")),
@@ -392,7 +391,6 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
   obs::Span span("engine.analyze");
   // Every exit counts as an answered request, failed ones included.
   const auto record = [&](double totalSeconds) {
-    requestCount_.inc();
     requestLatencyNs_.recordSeconds(queueSeconds + totalSeconds);
   };
   try {

@@ -275,8 +275,6 @@ class AnalysisEngine {
   /// lint:allow(guarded-by: internally synchronized handle)
   obs::Histogram requestLatencyNs_;
   /// lint:allow(guarded-by: internally synchronized handle)
-  obs::Counter requestCount_;
-  /// lint:allow(guarded-by: internally synchronized handle)
   obs::Counter buildCounter_;
   /// lint:allow(guarded-by: internally synchronized handle)
   obs::Counter cacheHitCounter_;

@@ -804,7 +804,6 @@ TEST(Engine, FailedRequestsAreCounted) {
   EXPECT_FALSE(responses[0].error.empty());
 
   EXPECT_EQ(eng.stats().requests, 3u);
-  EXPECT_EQ(registry.snapshot().counterValue("engine.requests"), 3u);
 }
 
 TEST(Engine, RequestThresholdAloneGetsTheEnginePool) {
