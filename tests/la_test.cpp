@@ -530,29 +530,6 @@ TEST(Exec, ThresholdKeepsSmallMatricesSequential) {
 
 // --------------------------------------------------------------- solvers
 
-/// Birth-death chain CSR (absorbing ends): up-probability p from the
-/// interior, states 0 and n-1 self-loop. Sparse by construction, so solver
-/// tests can use chains far beyond what a dense MatrixModel affords.
-la::CsrMatrix birthDeathCsr(std::uint32_t n, double p) {
-  std::vector<std::uint64_t> rowPtr{0};
-  std::vector<std::uint32_t> col;
-  std::vector<double> val;
-  for (std::uint32_t s = 0; s < n; ++s) {
-    if (s == 0 || s == n - 1) {
-      col.push_back(s);
-      val.push_back(1.0);
-    } else {
-      col.push_back(s - 1);
-      val.push_back(1.0 - p);
-      col.push_back(s + 1);
-      val.push_back(p);
-    }
-    rowPtr.push_back(col.size());
-  }
-  return la::CsrMatrix::fromCsr(std::move(rowPtr), std::move(col),
-                                std::move(val), n);
-}
-
 TEST(GaussSeidel, MatchesLegacyValueIterationBitwise) {
   // The legacy mc::unbounded loop, inlined: Gauss-Seidel over undetermined
   // states of P(F top) on a gambler's-ruin chain (interior states hit the
