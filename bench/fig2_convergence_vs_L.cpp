@@ -3,21 +3,19 @@
 // C1 decreases with L and stabilises past L = 5m (m=1 here), empirically
 // justifying the folklore L = 4m..5m traceback-depth rule.
 //
-// The L study is a declarative sweep::SweepSpec: one axis L, one shared
-// deep-counter model whose "nc<k>" reward structures answer every L, one
-// property per point. The runner coalesces all points into one engine
-// request — a single transient pass to the common horizon — asserted
-// bit-identical to a raw left la::spmm propagation per L. That comparison
+// The L study is one engine request: one deep-counter model whose "nc<k>"
+// reward structures answer every L, one property per L, all answered by a
+// single transient pass to the common horizon — asserted bit-identical to
+// a raw left la::spmm propagation per L. That comparison
 // pins the unreduced path (reduction off); the default path, which
 // quotients the model for the 400-pass plan, is checked against the same
 // propagation within 1e-9.
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "dtmc/builder.hpp"
-#include "sweep/runner.hpp"
+#include "engine/engine.hpp"
 #include "sweep_reference.hpp"
 #include "viterbi/model_convergence.hpp"
 
@@ -31,32 +29,29 @@ int main() {
   params.snrDb = 8.0;
   params.tracebackLength = 8;  // default reward's L; nc<k> covers the sweep
   const int maxL = 14;
-  const auto model = std::make_shared<viterbi::ConvergenceViterbiModel>(
-      params, maxL + 2);
+  const viterbi::ConvergenceViterbiModel model(params, maxL + 2);
 
-  sweep::SweepSpec spec("fig2");
-  spec.space.cross(sweep::Axis::ints("L", 2, maxL));
-  spec.share(model);
-  spec.options.reduction.quotient = reduce::Toggle::kOff;
-  spec.properties = [](const sweep::Params& p) {
-    return std::vector<std::string>{
-        "R{\"nc" + std::to_string(p.getInt("L")) + "\"}=? [ I=400 ]"};
-  };
+  engine::AnalysisRequest request;
+  request.model = &model;
+  for (int L = 2; L <= maxL; ++L) {
+    request.properties.push_back("R{\"nc" + std::to_string(L) +
+                                 "\"}=? [ I=400 ]");
+  }
+  request.options.reduction.quotient = reduce::Toggle::kOff;
 
   engine::AnalysisEngine engine;
-  const sweep::Runner runner(engine);
-  const sweep::ResultTable table = runner.run(spec);
-  const auto& rows = table.rows();
+  const engine::AnalysisResponse response = engine.analyze(request);
+  const auto& results = response.results;
 
   std::printf("Model: %llu states, built once for %zu points (one batched "
               "sweep: %s)\n\n",
-              static_cast<unsigned long long>(rows.front().states),
-              rows.size(), rows.front().batched ? "yes" : "no");
+              static_cast<unsigned long long>(response.states),
+              results.size(), results.front().batched ? "yes" : "no");
   std::printf("%-6s %-14s %-14s\n", "L", "C1", "C1(L)/C1(L+1)");
 
   std::vector<double> series;
-  series.reserve(rows.size());
-  for (const auto& row : rows) series.push_back(row.value);
+  series.reserve(results.size());
+  for (const auto& result : results) series.push_back(result.value);
   for (int L = 2; L <= maxL; ++L) {
     const double c1 = series[static_cast<std::size_t>(L - 2)];
     const double ratio = (L < maxL && series[static_cast<std::size_t>(L - 1)] > 0)
@@ -67,15 +62,15 @@ int main() {
 
   // Bit-identical cross-check against an independent path: fresh build,
   // one raw left la::spmm propagation per L (no stationary stop).
-  const auto build = dtmc::buildExplicit(*model);
-  const double maxDiff =
-      bench::sweepVsHandRolledMaxDiff(table, build.dtmc, *model);
+  const auto build = dtmc::buildExplicit(model);
+  const double maxDiff = bench::sweepVsHandRolledMaxDiff(
+      request.properties, response, build.dtmc, model);
   const bool identical = maxDiff == 0.0;
   std::printf("\nSweep vs hand-rolled loop: max|diff| = %.3g "
               "(bit-identical: %s)\n",
               maxDiff, identical ? "yes" : "NO");
   const bool reducedOk =
-      bench::defaultPathWithinTolerance(runner, spec, build.dtmc, *model);
+      bench::defaultPathWithinTolerance(engine, request, build.dtmc, model);
 
   bool monotone = true;
   for (std::size_t i = 1; i < series.size(); ++i) {
@@ -88,5 +83,5 @@ int main() {
   const double atFiveM = series[3];  // L=5 (m=1)
   std::printf("C1 at L=5m is already %.2e (< 1e-2: %s)\n", atFiveM,
               atFiveM < 1e-2 ? "yes" : "NO");
-  return identical && reducedOk && table.ok() ? 0 : 1;
+  return identical && reducedOk && response.ok() ? 0 : 1;
 }

@@ -4,30 +4,29 @@
 // The shape to verify: the value stabilises for T >> RI, so the
 // steady-state P2 can be read off as the BER.
 //
-// The horizon study is a declarative sweep::SweepSpec: one axis T, one
-// shared model, one property per point. The runner coalesces every point
-// into a single engine request, so all horizons ride one 1000-step
-// transient sweep — and the numbers are asserted bit-identical to a raw
-// left la::spmm propagation per horizon, which has no stationary stop.
+// The horizon study is one engine request: one property per T on one
+// model, so all horizons ride one 1000-step transient sweep — and the
+// numbers are asserted bit-identical to a raw left la::spmm propagation
+// per horizon, which has no stationary stop.
 // That comparison pins the unreduced path (reduction off); the default
 // path, which quotients the decoder for the 1,000-pass plan, is checked
 // against the same propagation within the reduction tolerance (1e-9).
 //
-// `--csv <path>` additionally writes the sweep's long-format CSV (used by
-// the CI sweep-smoke job as a workflow artifact). `--trace <path>` enables
+// `--csv <path>` additionally writes the study as `T,property,value,batched`
+// CSV rows, values printed as %.17g (uploaded by CI as a workflow
+// artifact). `--trace <path>` enables
 // the process tracer and writes the run's span tree as Chrome trace-event
 // JSON (load it in Perfetto / chrome://tracing).
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "dtmc/builder.hpp"
+#include "engine/engine.hpp"
 #include "mc/transient.hpp"
 #include "obs/trace.hpp"
-#include "sweep/runner.hpp"
 #include "sweep_reference.hpp"
 #include "viterbi/model_reduced.hpp"
 
@@ -57,88 +56,86 @@ int main(int argc, char** argv) {
   std::printf("(paper: 0.2373 / 0.2394 / 0.2397 / 0.2398, RI=263)\n\n");
 
   viterbi::ViterbiParams params;  // L=6, SNR 5 dB
-  const auto model = std::make_shared<viterbi::ReducedViterbiModel>(params);
+  const viterbi::ReducedViterbiModel model(params);
 
   // Our documented quantizer widths give a much shorter mixing time than
   // the authors' (steady by T~60 vs their T~300); the small-T rows expose
   // the same transient shape their Table III shows between T=100 and 1000.
-  sweep::SweepSpec spec("table3");
-  spec.space.cross(sweep::Axis::values(
-      "T", {std::int64_t{5}, std::int64_t{10}, std::int64_t{25},
-            std::int64_t{50}, std::int64_t{100}, std::int64_t{300},
-            std::int64_t{600}, std::int64_t{1000}}));
-  spec.share(model);
-  spec.options.reduction.quotient = reduce::Toggle::kOff;
-  spec.properties = [](const sweep::Params& p) {
-    return std::vector<std::string>{"R=? [ I=" + std::to_string(p.getInt("T")) +
-                                    " ]"};
-  };
+  const std::vector<int> horizons{5, 10, 25, 50, 100, 300, 600, 1000};
+  engine::AnalysisRequest request;
+  request.model = &model;
+  for (const int T : horizons) {
+    request.properties.push_back("R=? [ I=" + std::to_string(T) + " ]");
+  }
+  request.options.reduction.quotient = reduce::Toggle::kOff;
 
   engine::AnalysisEngine engine;
-  const sweep::Runner runner(engine);
-  const sweep::ResultTable table = runner.run(spec);
-
-  const auto& rows = table.rows();
+  const engine::AnalysisResponse response = engine.analyze(request);
+  const auto& results = response.results;
   std::printf("Model: %llu states, %llu transitions, built once for %zu "
               "points (batched sweep: %.3fs total)\n\n",
-              static_cast<unsigned long long>(rows.front().states),
-              static_cast<unsigned long long>(rows.front().transitions),
-              rows.size(), rows.back().checkSeconds);
+              static_cast<unsigned long long>(response.states),
+              static_cast<unsigned long long>(response.transitions),
+              results.size(), results.back().checkSeconds);
 
   std::printf("%-8s %-14s %-10s\n", "T", "P2", "batched");
-  for (const auto& row : rows) {
-    std::printf("%-8s %-14.6g %-10s\n",
-                sweep::formatParamValue(row.params[0]).c_str(), row.value,
-                row.batched ? "yes" : "no");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::printf("%-8d %-14.6g %-10s\n", horizons[i], results[i].value,
+                results[i].batched ? "yes" : "no");
   }
 
   // Bit-identical cross-check against an independent path: fresh build,
   // one raw left la::spmm propagation per T (no stationary stop).
-  const auto build = dtmc::buildExplicit(*model);
-  const double maxDiff =
-      bench::sweepVsHandRolledMaxDiff(table, build.dtmc, *model);
+  const auto build = dtmc::buildExplicit(model);
+  const double maxDiff = bench::sweepVsHandRolledMaxDiff(
+      request.properties, response, build.dtmc, model);
   const bool identical = maxDiff == 0.0;
   std::printf("\nSweep vs hand-rolled loop: max|diff| = %.3g "
               "(bit-identical: %s)\n",
               maxDiff, identical ? "yes" : "NO");
 
-  // Plan-stat guard: the 8 coalesced horizons must ride one shared sweep.
+  // Plan-stat guard: the 8 horizons must ride one shared sweep.
   // A silent regression to per-horizon cost would keep the values correct
   // but zero these counters — fail loudly instead.
-  const bool planOk = rows.size() < 2 || rows.front().plan.traversalsSaved > 0;
+  const bool planOk = results.size() < 2 || response.plan.traversalsSaved > 0;
   std::printf("Plan stats: tasks=%llu deduped=%llu traversals_saved=%llu "
               "(batching active: %s)\n",
-              static_cast<unsigned long long>(rows.front().plan.tasksPlanned),
-              static_cast<unsigned long long>(rows.front().plan.tasksDeduped),
-              static_cast<unsigned long long>(
-                  rows.front().plan.traversalsSaved),
+              static_cast<unsigned long long>(response.plan.tasksPlanned),
+              static_cast<unsigned long long>(response.plan.tasksDeduped),
+              static_cast<unsigned long long>(response.plan.traversalsSaved),
               planOk ? "yes" : "NO");
 
   const bool reducedOk =
-      bench::defaultPathWithinTolerance(runner, spec, build.dtmc, *model);
+      bench::defaultPathWithinTolerance(engine, request, build.dtmc, model);
 
-  const auto built = engine.ensureBuilt(*model);
-  const auto reward = built->dtmc.evalReward(*model, "");
+  const auto built = engine.ensureBuilt(model);
+  const auto reward = built->dtmc.evalReward(model, "");
   const auto detection =
       mc::detectRewardSteadyState(built->dtmc, reward, 1e-10, 16, 5000);
   std::printf("Steady state detected at T=%llu (P2 -> %.6g): %s\n",
               static_cast<unsigned long long>(detection.step),
               detection.value, detection.converged ? "yes" : "NO");
-  const double drift = rows.back().value - rows[5].value;
+  const double drift = results.back().value - results[5].value;
   std::printf("Shape check: |P2(1000) - P2(300)| = %.2e (< 1e-2: %s)\n",
               drift < 0 ? -drift : drift,
               (drift < 1e-2 && drift > -1e-2) ? "yes" : "NO");
 
   if (csvPath != nullptr) {
     std::ofstream out(csvPath);
-    table.writeCsv(out);
+    out << "T,property,value,batched\n";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      char value[32];
+      std::snprintf(value, sizeof(value), "%.17g", results[i].value);
+      out << horizons[i] << ',' << request.properties[i] << ',' << value
+          << ',' << (results[i].batched ? "true" : "false") << '\n';
+    }
     out.flush();
     if (!out.good()) {
       std::fprintf(stderr, "failed to write sweep CSV to %s\n", csvPath);
       return 3;
     }
     std::printf("\nSweep CSV written to %s (%zu rows)\n", csvPath,
-                table.size());
+                results.size());
   }
   if (tracePath != nullptr) {
     if (!obs::TraceWriter(obs::Tracer::global()).writeFile(tracePath)) {
@@ -148,5 +145,5 @@ int main(int argc, char** argv) {
     std::printf("Trace JSON written to %s (%zu spans)\n", tracePath,
                 obs::Tracer::global().events().size());
   }
-  return identical && planOk && reducedOk && table.ok() ? 0 : 1;
+  return identical && planOk && reducedOk && response.ok() ? 0 : 1;
 }

@@ -4,10 +4,9 @@
 // plus the paper's claim that C1 is checkable within ~120 s on a model of
 // only ~61,000 states thanks to the projection onto (pm0, pm1, x0, count).
 //
-// The horizon study is a declarative sweep::SweepSpec sharing one model:
-// the runner coalesces the three horizons into a single engine request
-// (one transient sweep), asserted bit-identical to a raw left la::spmm
-// propagation per horizon. That comparison pins the unreduced path
+// The horizon study is one engine request: the three horizons on one
+// model ride one transient sweep, asserted bit-identical to a raw left
+// la::spmm propagation per horizon. That comparison pins the unreduced path
 // (reduction off); the default path, which quotients the model for the
 // 1,000-pass plan, is checked against the same propagation within 1e-9.
 //
@@ -15,14 +14,13 @@
 // tree as Chrome trace-event JSON (Perfetto / chrome://tracing).
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "dtmc/builder.hpp"
+#include "engine/engine.hpp"
 #include "mc/steady.hpp"
 #include "obs/trace.hpp"
-#include "sweep/runner.hpp"
 #include "sweep_reference.hpp"
 #include "viterbi/model_convergence.hpp"
 #include "viterbi/sim.hpp"
@@ -48,35 +46,30 @@ int main(int argc, char** argv) {
   viterbi::ViterbiParams params;
   params.tracebackLength = 8;
   params.snrDb = 8.0;
-  const auto model = std::make_shared<viterbi::ConvergenceViterbiModel>(
-      params, /*maxCount=*/12);
+  const viterbi::ConvergenceViterbiModel model(params, /*maxCount=*/12);
 
-  sweep::SweepSpec spec("table4");
-  spec.space.cross(sweep::Axis::values(
-      "T", {std::int64_t{100}, std::int64_t{400}, std::int64_t{1000}}));
-  spec.share(model);
-  spec.options.reduction.quotient = reduce::Toggle::kOff;
-  spec.properties = [](const sweep::Params& p) {
-    return std::vector<std::string>{"R=? [ I=" + std::to_string(p.getInt("T")) +
-                                    " ]"};
-  };
+  const std::vector<int> horizons{100, 400, 1000};
+  engine::AnalysisRequest request;
+  request.model = &model;
+  for (const int T : horizons) {
+    request.properties.push_back("R=? [ I=" + std::to_string(T) + " ]");
+  }
+  request.options.reduction.quotient = reduce::Toggle::kOff;
 
   engine::AnalysisEngine engine;
-  const sweep::Runner runner(engine);
-  const sweep::ResultTable table = runner.run(spec);
-  const auto& rows = table.rows();
+  const engine::AnalysisResponse response = engine.analyze(request);
+  const auto& results = response.results;
 
   std::printf("Model: %llu states, %llu transitions, built once for %zu "
               "points\n\n",
-              static_cast<unsigned long long>(rows.front().states),
-              static_cast<unsigned long long>(rows.front().transitions),
-              rows.size());
+              static_cast<unsigned long long>(response.states),
+              static_cast<unsigned long long>(response.transitions),
+              results.size());
 
   std::printf("%-8s %-14s %-10s\n", "T", "C1", "batched");
-  for (const auto& row : rows) {
-    std::printf("%-8s %-14.6g %-10s\n",
-                sweep::formatParamValue(row.params[0]).c_str(), row.value,
-                row.batched ? "yes" : "no");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    std::printf("%-8d %-14.6g %-10s\n", horizons[i], results[i].value,
+                results[i].batched ? "yes" : "no");
   }
 
   // KNOWN GAP: our C1 magnitude (~2.1e-4) sits below the paper's ~1.0e-3.
@@ -90,29 +83,28 @@ int main(int argc, char** argv) {
 
   // Bit-identical cross-check against an independent path: fresh build,
   // one raw left la::spmm propagation per horizon (no stationary stop).
-  const auto build = dtmc::buildExplicit(*model);
-  const double maxDiff =
-      bench::sweepVsHandRolledMaxDiff(table, build.dtmc, *model);
+  const auto build = dtmc::buildExplicit(model);
+  const double maxDiff = bench::sweepVsHandRolledMaxDiff(
+      request.properties, response, build.dtmc, model);
   const bool identical = maxDiff == 0.0;
   std::printf("Sweep vs hand-rolled loop: max|diff| = %.3g "
               "(bit-identical: %s)\n",
               maxDiff, identical ? "yes" : "NO");
   const bool reducedOk =
-      bench::defaultPathWithinTolerance(runner, spec, build.dtmc, *model);
+      bench::defaultPathWithinTolerance(engine, request, build.dtmc, model);
 
-  // Plan-stat guard: the 3 coalesced horizons share one transient sweep;
+  // Plan-stat guard: the 3 horizons share one transient sweep;
   // traversals_saved == 0 would mean batching silently reverted to
   // per-formula cost — fail loudly.
-  const bool planOk = rows.size() < 2 || rows.front().plan.traversalsSaved > 0;
+  const bool planOk = results.size() < 2 || response.plan.traversalsSaved > 0;
   std::printf("Plan stats: tasks=%llu deduped=%llu traversals_saved=%llu "
               "(batching active: %s)\n",
-              static_cast<unsigned long long>(rows.front().plan.tasksPlanned),
-              static_cast<unsigned long long>(rows.front().plan.tasksDeduped),
-              static_cast<unsigned long long>(
-                  rows.front().plan.traversalsSaved),
+              static_cast<unsigned long long>(response.plan.tasksPlanned),
+              static_cast<unsigned long long>(response.plan.tasksDeduped),
+              static_cast<unsigned long long>(response.plan.traversalsSaved),
               planOk ? "yes" : "NO");
 
-  const auto built = engine.ensureBuilt(*model);
+  const auto built = engine.ensureBuilt(model);
   const auto structure = mc::analyzeStructure(built->dtmc);
   std::printf("\nChain structure: %u SCCs, %u recurrent class(es) — unique "
               "recurrent class, steady state guaranteed: %s\n",
@@ -125,7 +117,7 @@ int main(int argc, char** argv) {
   std::printf("Simulation cross-check (2e6 steps): C1_sim=%.3e "
               "[%.3e, %.3e], model inside: %s\n",
               sim.nonConvergent.estimate(), interval.low, interval.high,
-              interval.contains(rows.back().value) ? "yes" : "NO");
+              interval.contains(results.back().value) ? "yes" : "NO");
   if (tracePath != nullptr) {
     if (!obs::TraceWriter(obs::Tracer::global()).writeFile(tracePath)) {
       std::fprintf(stderr, "failed to write trace JSON to %s\n", tracePath);
@@ -134,5 +126,5 @@ int main(int argc, char** argv) {
     std::printf("Trace JSON written to %s (%zu spans)\n", tracePath,
                 obs::Tracer::global().events().size());
   }
-  return identical && planOk && reducedOk && table.ok() ? 0 : 1;
+  return identical && planOk && reducedOk && response.ok() ? 0 : 1;
 }

@@ -3,17 +3,13 @@
 // probability (C1) is below a target, using one convergence model and the
 // nc<k> reward family (Figure 2's data, used as a design procedure).
 //
-// The L study is written as a declarative sweep::SweepSpec — the whole
-// design space is the ParamSpace, each point binds one R{"ncL"}=?[I=500]
-// property. The runner coalesces all fifteen points into ONE engine
-// request sharing a single 500-step transient sweep (one matrix-vector
-// pass instead of fifteen), and the result comes back as a tidy table
-// ready for CSV/JSON export.
+// The whole design space is one engine request: one R{"ncL"}=?[I=500]
+// property per candidate L on one model, all fifteen answered by a single
+// 500-step transient sweep (one matrix-vector pass instead of fifteen).
 #include <cstdio>
-#include <memory>
 #include <string>
 
-#include "sweep/runner.hpp"
+#include "engine/engine.hpp"
 #include "viterbi/model_convergence.hpp"
 
 int main() {
@@ -24,32 +20,36 @@ int main() {
 
   viterbi::ViterbiParams params;
   params.snrDb = 8.0;
+  const int minL = 2;
   const int maxL = 16;
-  const auto model = std::make_shared<viterbi::ConvergenceViterbiModel>(
-      params, maxL + 2);
+  const viterbi::ConvergenceViterbiModel model(params, maxL + 2);
 
-  sweep::SweepSpec spec("traceback_depth");
-  spec.space.cross(sweep::Axis::ints("L", 2, maxL));
-  spec.share(model);
-  spec.properties = [](const sweep::Params& p) {
-    return std::vector<std::string>{
-        "R{\"nc" + std::to_string(p.getInt("L")) + "\"}=? [ I=500 ]"};
-  };
+  engine::AnalysisRequest request;
+  request.model = &model;
+  for (int L = minL; L <= maxL; ++L) {
+    request.properties.push_back("R{\"nc" + std::to_string(L) +
+                                 "\"}=? [ I=500 ]");
+  }
 
   engine::AnalysisEngine engine;
-  const sweep::Runner runner(engine);
-  const sweep::ResultTable table = runner.run(spec);
+  const engine::AnalysisResponse response = engine.analyze(request);
+  const auto& results = response.results;
 
   std::printf("%-6s %-14s %-10s\n", "L", "C1", "meets goal");
   int chosen = -1;
-  for (const auto& row : table.rows()) {
-    const auto L = static_cast<int>(std::get<std::int64_t>(row.params[0]));
-    const bool ok = row.value <= target;
-    std::printf("%-6d %-14.6e %-10s\n", L, row.value, ok ? "yes" : "no");
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].ok()) {
+      std::fprintf(stderr, "%s: %s\n", request.properties[i].c_str(),
+                   results[i].error.c_str());
+      return 1;
+    }
+    const int L = minL + static_cast<int>(i);
+    const bool ok = results[i].value <= target;
+    std::printf("%-6d %-14.6e %-10s\n", L, results[i].value, ok ? "yes" : "no");
     if (ok && chosen < 0) chosen = L;
   }
-  std::printf("(%zu sweep points answered from %s sweep)\n", table.size(),
-              table.rows().front().batched ? "one batched" : "per-call");
+  std::printf("(%zu sweep points answered from %s sweep)\n", results.size(),
+              results.front().batched ? "one batched" : "per-call");
 
   if (chosen >= 0) {
     std::printf("\nSmallest L meeting the goal: %d (heuristic would say "

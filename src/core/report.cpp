@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
-#include <stdexcept>
 
 namespace mimostat::core {
 
@@ -16,38 +15,6 @@ std::string formatValue(double value) {
     std::snprintf(buffer, sizeof(buffer), "%.6f", value);
   }
   return buffer;
-}
-
-std::string formatValueGrid(const std::string& title,
-                            const std::string& corner,
-                            const std::vector<std::string>& rowLabels,
-                            const std::vector<std::string>& colLabels,
-                            const std::vector<std::vector<double>>& cells) {
-  if (cells.size() != rowLabels.size()) {
-    throw std::invalid_argument("formatValueGrid: cells/rowLabels mismatch");
-  }
-  for (const auto& row : cells) {
-    if (row.size() != colLabels.size()) {
-      throw std::invalid_argument(
-          "formatValueGrid: ragged cells row vs colLabels");
-    }
-  }
-  // Streamed so a label wider than its column widens that cell instead of
-  // being clipped.
-  std::ostringstream os;
-  os << title << '\n';
-  os << std::left << std::setw(14) << corner << std::right;
-  for (const auto& label : colLabels) os << ' ' << std::setw(12) << label;
-  os << '\n';
-  for (std::size_t r = 0; r < rowLabels.size(); ++r) {
-    os << std::left << std::setw(14) << rowLabels[r] << std::right;
-    for (std::size_t c = 0; c < colLabels.size(); ++c) {
-      const double v = cells[r][c];
-      os << ' ' << std::setw(12) << (std::isnan(v) ? "-" : formatValue(v));
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 std::string formatReportTable(const std::string& title,

@@ -34,13 +34,4 @@ struct GuaranteeReport {
 /// Format one scientific-notation value the way the paper prints results.
 [[nodiscard]] std::string formatValue(double value);
 
-/// Format a labelled grid of values in the paper's row-by-column table
-/// style (used by sweep pivots): `corner` heads the row-label column,
-/// cells[r][c] render through formatValue, NaN cells as "-".
-[[nodiscard]] std::string formatValueGrid(
-    const std::string& title, const std::string& corner,
-    const std::vector<std::string>& rowLabels,
-    const std::vector<std::string>& colLabels,
-    const std::vector<std::vector<double>>& cells);
-
 }  // namespace mimostat::core

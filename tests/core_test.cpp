@@ -117,13 +117,6 @@ TEST(Report, LongPropertyKeepsOneLinePerRow) {
   EXPECT_EQ(table.back(), '\n');
 }
 
-TEST(Report, FormatValueGridKeepsLongLabels) {
-  const std::string label(100, 'L');
-  const auto grid = core::formatValueGrid("Grid", "corner", {label}, {"c"},
-                                          {{0.5}});
-  EXPECT_NE(grid.find(label + "     0.500000\n"), std::string::npos) << grid;
-}
-
 TEST(Report, FormatValueSwitchesNotation) {
   EXPECT_EQ(core::formatValue(0.25), "0.250000");
   EXPECT_EQ(core::formatValue(1.08e-5), "1.080e-05");

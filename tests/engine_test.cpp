@@ -270,6 +270,47 @@ TEST(Engine, AnalyzeAllIsolatesFailingRequests) {
   EXPECT_GT(responses[1].results[0].value, 0.0);
 }
 
+TEST(Engine, AnalyzeAllBitIdenticalAcrossThreadCounts) {
+  // A 2 x 3 study (chain parameter a x horizon T), one request per point on
+  // its own model: the same bytes at 1, 2 and 8 pool threads.
+  std::vector<test::MatrixModel> models;
+  std::vector<int> horizons;
+  for (const double a : {0.25, 0.3}) {
+    for (const int T : {3, 13, 23}) {
+      models.push_back(test::twoStateChain(a, 0.4));
+      models.back().withRewards({0.0, 1.0});
+      horizons.push_back(T);
+    }
+  }
+  std::vector<engine::AnalysisRequest> requests(models.size());
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const std::string t = std::to_string(horizons[i]);
+    requests[i].model = &models[i];
+    requests[i].properties = {"R=? [ I=" + t + " ]", "R=? [ C<=" + t + " ]"};
+  }
+
+  std::vector<std::vector<engine::AnalysisResponse>> runs;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    engine::AnalysisEngine eng(engineOptions(threads, 8));
+    runs.push_back(eng.analyzeAll(requests));
+  }
+  for (const auto& run : runs) {
+    ASSERT_EQ(run.size(), requests.size());
+    for (std::size_t i = 0; i < run.size(); ++i) {
+      ASSERT_TRUE(run[i].ok()) << run[i].error;
+      ASSERT_EQ(run[i].results.size(), 2u);
+      for (std::size_t j = 0; j < 2; ++j) {
+        const engine::AnalysisResult& got = run[i].results[j];
+        const engine::AnalysisResult& want = runs[0][i].results[j];
+        EXPECT_EQ(std::memcmp(&got.value, &want.value, sizeof(double)), 0)
+            << requests[i].properties[j] << ": " << got.value << " vs "
+            << want.value;
+        EXPECT_EQ(got.satisfied, want.satisfied);
+      }
+    }
+  }
+}
+
 TEST(Engine, ModelKeySkipsProbe) {
   const auto model = smallViterbi();
   engine::AnalysisEngine eng;

@@ -13,9 +13,6 @@
 #include "mc/checker.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sweep/param_space.hpp"
-#include "sweep/runner.hpp"
-#include "sweep/spec.hpp"
 #include "test_models.hpp"
 #include "util/rng.hpp"
 
@@ -359,46 +356,58 @@ TEST(ObsDeterminism, CheckerResultsBitIdenticalTracingOnVsOff) {
   }
 }
 
-TEST(ObsDeterminism, SweepCsvByteIdenticalTracingOnVsOff) {
-  // Acceptance criterion: the exported sweep artifacts (the paper tables)
-  // are byte-for-byte identical with observability on vs off. Default
-  // export only — the opt-in diagnostic columns carry wall-clock by design.
-  const auto runSweep = [] {
-    sweep::SweepSpec spec("obs_onoff");
-    spec.space.cross(sweep::Axis::doubles("a", {0.25, 0.3}))
-        .cross(sweep::Axis::ints("T", 3, 23, 10));
-    spec.factory = [](const sweep::Params& p) {
-      auto model = std::make_shared<test::MatrixModel>(
-          test::twoStateChain(p.getDouble("a"), 0.4));
-      model->withLabel("one", {0, 1}).withRewards({0.0, 1.0});
-      return model;
-    };
-    spec.properties = [](const sweep::Params& p) {
-      const std::string t = std::to_string(p.getInt("T"));
-      return std::vector<std::string>{"R=? [ I=" + t + " ]",
-                                      "P=? [ F<=" + t + " \"one\" ]"};
-    };
+TEST(ObsDeterminism, AnalyzeAllValuesBitIdenticalTracingOnVsOff) {
+  // The paper studies are engine requests: a 2 x 3 study (chain parameter a
+  // x horizon T, one request per point on its own model) answers the same
+  // bytes with observability on vs off.
+  std::vector<test::MatrixModel> models;
+  std::vector<int> horizons;
+  for (const double a : {0.25, 0.3}) {
+    for (const int T : {3, 13, 23}) {
+      models.push_back(test::twoStateChain(a, 0.4));
+      models.back().withLabel("one", {0, 1}).withRewards({0.0, 1.0});
+      horizons.push_back(T);
+    }
+  }
+  std::vector<engine::AnalysisRequest> requests(models.size());
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    const std::string t = std::to_string(horizons[i]);
+    requests[i].model = &models[i];
+    requests[i].properties = {"R=? [ I=" + t + " ]",
+                              "P=? [ F<=" + t + " \"one\" ]"};
+  }
+  const auto runAll = [&] {
     obs::MetricsRegistry registry;  // keep the global registry untouched
     engine::EngineOptions options;
     options.metrics = &registry;
     engine::AnalysisEngine eng(options);
-    const sweep::ResultTable table = sweep::Runner(eng).run(spec);
-    return std::make_pair(table.toCsv(), table.toJson());
+    return eng.analyzeAll(requests);
   };
 
   obs::Tracer& tracer = obs::Tracer::global();
   tracer.setEnabled(false);
-  const auto off = runSweep();
+  const auto off = runAll();
 
   tracer.setEnabled(true);
   tracer.setDetailEnabled(true);
-  const auto on = runSweep();
+  const auto on = runAll();
   tracer.setDetailEnabled(false);
   tracer.setEnabled(false);
   tracer.clear();
 
-  EXPECT_EQ(off.first, on.first);    // CSV, every byte
-  EXPECT_EQ(off.second, on.second);  // JSON, every byte
+  ASSERT_EQ(off.size(), requests.size());
+  ASSERT_EQ(on.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_TRUE(off[i].ok()) << off[i].error;
+    ASSERT_TRUE(on[i].ok()) << on[i].error;
+    ASSERT_EQ(off[i].results.size(), on[i].results.size());
+    for (std::size_t j = 0; j < off[i].results.size(); ++j) {
+      const double a = off[i].results[j].value;
+      const double b = on[i].results[j].value;
+      EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0)
+          << requests[i].properties[j] << ": " << a << " vs " << b;
+    }
+  }
 }
 
 // --------------------------------------------- engine latency percentiles
