@@ -7,11 +7,11 @@ scalar reference at any thread count) and its byte-stable exports:
 
   unordered-iteration  Iterating a std::unordered_{map,set} feeds
                        implementation-defined order into whatever consumes
-                       the loop. That is exactly the dtmc::modelSignature /
-                       sweep::ResultTable class of bug: exported bytes, row
-                       order or hashes silently depend on libstdc++'s hash
-                       seed. Iterate a sorted copy, or allow explicitly when
-                       the loop is an order-independent reduction.
+                       the loop. That is exactly the dtmc::modelSignature
+                       class of bug: hashes, exported bytes or row order
+                       silently depend on libstdc++'s hash seed. Iterate a
+                       sorted copy, or allow explicitly when the loop is an
+                       order-independent reduction.
   raw-rng              std::rand/srand/std::random_device outside util/rng.
                        All randomness must flow through the counter-derived
                        util:: streams, or sampled results stop being

@@ -392,7 +392,7 @@ class ReductionBoundaryTest(unittest.TestCase):
 
     def test_representative_indexing_flagged(self):
         src = "const auto rep = info.representative[b];"
-        self.assertEqual(rules(src, path="src/sweep/runner.cpp"),
+        self.assertEqual(rules(src, path="src/pctl/plan.cpp"),
                          ["reduction-boundary"])
 
     def test_reduce_lump_mc_own_the_indexing(self):
