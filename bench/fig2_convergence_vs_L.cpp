@@ -6,10 +6,10 @@
 // The L study is one engine request: one deep-counter model whose "nc<k>"
 // reward structures answer every L, one property per L, all answered by a
 // single transient pass to the common horizon — asserted bit-identical to
-// a raw left la::spmm propagation per L. That comparison
-// pins the unreduced path (reduction off); the default path, which
-// quotients the model for the 400-pass plan, is checked against the same
-// propagation within 1e-9.
+// a raw left la::spmm propagation per L. That comparison pins the
+// unreduced path (reduction off); the default path, which quotients the
+// model for the 400-pass plan, is checked against the same propagation
+// within 1e-9.
 #include <cstdio>
 #include <string>
 #include <vector>

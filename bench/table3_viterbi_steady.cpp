@@ -94,9 +94,9 @@ int main(int argc, char** argv) {
               "(bit-identical: %s)\n",
               maxDiff, identical ? "yes" : "NO");
 
-  // Plan-stat guard: the 8 horizons must ride one shared sweep.
-  // A silent regression to per-horizon cost would keep the values correct
-  // but zero these counters — fail loudly instead.
+  // Plan-stat guard: the 8 horizons must ride one shared sweep. A silent
+  // regression to per-horizon cost would keep the values correct but zero
+  // these counters — fail loudly instead.
   const bool planOk = results.size() < 2 || response.plan.traversalsSaved > 0;
   std::printf("Plan stats: tasks=%llu deduped=%llu traversals_saved=%llu "
               "(batching active: %s)\n",
