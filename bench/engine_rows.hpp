@@ -35,7 +35,6 @@ inline std::vector<core::GuaranteeReport> checkRows(
     core::GuaranteeReport row;
     row.property = result.property;
     row.value = result.value;
-    row.satisfied = result.satisfied;
     row.states = response.states;
     row.transitions = response.transitions;
     row.reachabilityIterations = response.reachabilityIterations;

@@ -12,9 +12,6 @@ namespace mimostat::core {
 struct GuaranteeReport {
   std::string property;
   double value = 0.0;
-  /// For bounded properties (P>=p [...], R<=r [...]): whether the bound
-  /// holds from the initial distribution. Always true for =? queries.
-  bool satisfied = true;
   std::uint64_t states = 0;
   std::uint64_t transitions = 0;
   std::uint32_t reachabilityIterations = 0;
