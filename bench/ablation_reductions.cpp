@@ -44,7 +44,8 @@ int main() {
   util::Stopwatch lumpTimer;
   const auto reward = full.dtmc.evalReward(fullModel, "");
   const auto lumped =
-      lump::lump(full.dtmc, lump::keysFromRewardAndLabels(reward, {}));
+      lump::lump(full.dtmc,
+                 lump::keysFromMasksAndRewards(reward.size(), {}, {&reward}));
   const double lumpSeconds = lumpTimer.elapsedSeconds();
 
   std::printf("%-28s %10s %12s %12s %14s\n", "Strategy", "States",

@@ -104,7 +104,8 @@ void BM_Lumping(benchmark::State& state) {
   for (std::uint32_t s = 0; s < d.numStates(); ++s) {
     reward[s] = d.varValue(s, flagIdx);
   }
-  const auto keys = lump::keysFromRewardAndLabels(reward, {});
+  const auto keys =
+      lump::keysFromMasksAndRewards(reward.size(), {}, {&reward});
   for (auto _ : state) {
     const auto result = lump::lump(d, keys);
     benchmark::DoNotOptimize(result.partition.numBlocks);

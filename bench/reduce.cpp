@@ -196,7 +196,9 @@ bool runWorkload(const Workload& workload, const Config& config,
                 static_cast<unsigned long long>(config.elimMaxStates));
     return ok;
   }
-  const la::BitVector qError = reduce::projectMask(reduced.info, error);
+  // The quotient's states are block representatives, and "error" seeded
+  // the partition, so it evaluates on the quotient as on every member.
+  const la::BitVector qError = reduced.quotient.evalAtom(model, "error");
   const std::vector<double> qOnes(reduced.quotient.numStates(), 1.0);
 
   util::Stopwatch elimTimer;

@@ -14,8 +14,4 @@ double RayleighFading::sampleAnalog(util::Xoshiro256& rng) const {
   return perDimensionSigma() * rng.nextGaussian();
 }
 
-int RayleighFading::sampleCell(util::Xoshiro256& rng) const {
-  return quantizer_.index(sampleAnalog(rng));
-}
-
 }  // namespace mimostat::comm

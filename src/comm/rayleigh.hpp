@@ -30,9 +30,6 @@ class RayleighFading {
   /// Sample one analog h-part ~ N(0, 1/2).
   [[nodiscard]] double sampleAnalog(util::Xoshiro256& rng) const;
 
-  /// Sample one quantized h-part cell index.
-  [[nodiscard]] int sampleCell(util::Xoshiro256& rng) const;
-
  private:
   UniformQuantizer quantizer_;
   std::vector<double> probs_;

@@ -45,11 +45,13 @@ constexpr std::size_t kMaxChunks = 16;
 /// Each level runs in windows of states, each in two phases. The parallel
 /// phase computes a pure function of each state into its chunk's slots:
 /// the model's successors, normalized in place in the chunk's sink, the
-/// row's mass, and each target's number when the (unchanging) index
-/// already holds it. The ordered phase, on the calling thread, walks the
-/// window in state order, interns the targets the lookup missed and emits
-/// hash and CSR exactly as a one-state-at-a-time BFS would — so every
-/// output is bitwise the same with or without `runner`, at any pool size.
+/// row's mass and digest, and each target's number when the (unchanging)
+/// index already holds it. The ordered phase, on the calling thread, walks
+/// the window in state order, numbers the targets the lookup missed and
+/// folds each row's digest into the hash — so every output is bitwise the
+/// same with or without `runner`, at any pool size. The next window's tasks
+/// then copy the numbered rows into the CSR at offsets the ordered phase
+/// prefix-summed.
 void exploreWith(const Model& model, const VarLayout& layout,
                  const ExploreOptions& options, const la::TaskRunner& runner,
                  std::uint64_t h, Exploration& e) {
@@ -101,19 +103,21 @@ void exploreWith(const Model& model, const VarLayout& layout,
 
   // One task's share of a window: states [begin, end), their normalized
   // rows concatenated in `entries`, and per entry the target's number + 1
-  // when the lookup found it (0 = intern it in the ordered phase). The
+  // (0 until the ordered phase numbers a target the lookup missed). The
   // buffers belong to this call and are reused by every window; chunks sit
   // on their own cache lines, as each task grows its own vectors.
   struct alignas(64) Chunk {
     explicit Chunk(const VarLayout& layout) : sink(layout) {}
     std::size_t begin = 0;
     std::size_t end = 0;
-    Successors sink;  ///< one state's row, normalized in place
+    std::size_t base = 0;  ///< the CSR offset of the chunk's first entry
+    Successors sink;       ///< one state's row, normalized in place
     std::vector<PackedTransition> entries;
     std::vector<std::uint32_t> found;
-    std::vector<std::size_t> rowEnd;  ///< per state, into entries
-    std::vector<double> mass;         ///< per state, before normalizing
-    State scratch;                    ///< the expanded state, decoded
+    std::vector<std::size_t> rowEnd;     ///< per state, into entries
+    std::vector<double> mass;            ///< per state, before normalizing
+    std::vector<std::uint64_t> digest;   ///< per state: length, keys, probs
+    State scratch;                       ///< the expanded state, decoded
     /// The first state whose row threw; later states are not expanded.
     std::size_t failed = 0;
     std::exception_ptr error;
@@ -129,6 +133,7 @@ void exploreWith(const Model& model, const VarLayout& layout,
     c.found.clear();
     c.rowEnd.clear();
     c.mass.clear();
+    c.digest.clear();
     c.failed = c.end;
     c.error = nullptr;
     for (std::size_t s = c.begin; s < c.end; ++s) {
@@ -142,14 +147,15 @@ void exploreWith(const Model& model, const VarLayout& layout,
         // answer the same chain for models with dead-end states.
         if (row.empty()) row.push_back({1.0, table[s]});
         c.mass.push_back(normalizeTransitions(row, options.probFloor));
+        std::uint64_t digest = util::mix64(row.size());
         for (const PackedTransition& entry : row) {
-          const std::uint32_t slot =
-              lookup ? slots[probe(entry.target, util::mix64(entry.target))]
-                     : 0;
-          c.found.push_back(slot);
+          const std::uint64_t hash = util::mix64(entry.target);
+          c.found.push_back(lookup ? slots[probe(entry.target, hash)] : 0);
           c.entries.push_back(entry);
+          digest = hashBits(util::hashCombine(digest, hash), entry.prob);
         }
         c.rowEnd.push_back(c.entries.size());
+        c.digest.push_back(digest);
       } catch (...) {
         c.failed = s;
         c.error = std::current_exception();
@@ -162,7 +168,9 @@ void exploreWith(const Model& model, const VarLayout& layout,
   // failed expansion is rethrown when its state is reached, so the error is
   // the lowest failing state's, and only if the BFS gets that far.
   ExplicitDtmc::Raw& raw = e.raw;
-  const auto emit = [&](Chunk& c) {
+  std::size_t numbered = 0;  // entries numbered so far
+  const auto numberChunk = [&](Chunk& c) {
+    c.base = numbered;
     std::size_t k = 0;
     for (std::size_t s = c.begin; s < c.end; ++s) {
       if (s == c.failed) std::rethrow_exception(c.error);
@@ -172,22 +180,46 @@ void exploreWith(const Model& model, const VarLayout& layout,
       e.transitions += c.rowEnd[i] - k;
       widestRow = std::max(widestRow, c.rowEnd[i] - k);
       for (; k < c.rowEnd[i]; ++k) {
-        const std::uint32_t col =
-            c.found[k] != 0 ? c.found[k] - 1
-                            : intern(c.entries[k].target);
+        if (c.found[k] == 0) c.found[k] = intern(c.entries[k].target) + 1;
         if (truncated) return;
-        h = hashBits(util::hashCombine(h, util::mix64(col)),
-                     c.entries[k].prob);
-        if (options.keepMatrix) {
-          raw.col.push_back(col);
-          raw.val.push_back(c.entries[k].prob);
-        }
       }
-      if (options.keepMatrix) raw.rowPtr.push_back(raw.col.size());
+      h = util::hashCombine(h, c.digest[i]);
     }
+    numbered += c.entries.size();
+  };
+  // One dispatch a window: task t copies chunk t, which holds the last
+  // window's numbered rows, into the CSR at its offset, then expands it
+  // over its share of the `states` from `w` (= the rows numbered so far).
+  std::size_t pending = 0;  // chunks holding the last window
+  const auto copyThenExpand = [&](std::size_t w, std::size_t states,
+                                  std::size_t tasks) {
+    if (options.keepMatrix) {
+      raw.rowPtr.resize(w + 1);
+      raw.col.resize(numbered);
+      raw.val.resize(numbered);
+    }
+    const std::size_t count = std::max({tasks, pending, std::size_t{1}});
+    la::runTasks(runner, count, [&](std::size_t t) {
+      Chunk& c = chunks[t];
+      const bool copy = options.keepMatrix && t < pending;
+      for (std::size_t s = c.begin, k = 0; copy && s < c.end; ++s) {
+        for (; k < c.rowEnd[s - c.begin]; ++k) {
+          raw.col[c.base + k] = c.found[k] - 1;
+          raw.val[c.base + k] = c.entries[k].prob;
+        }
+        raw.rowPtr[s + 1] = c.base + k;
+      }
+      if (t >= tasks) return;
+      c.begin = w + states * t / tasks;
+      c.end = w + states * (t + 1) / tasks;
+      // A single inline chunk interns every target in the ordered phase;
+      // looking them up first would only probe twice.
+      expand(c, tasks > 1);
+    });
+    pending = tasks;
   };
 
-  raw.rowPtr.push_back(0);
+  raw.rowPtr.assign(1, 0);
   for (std::size_t levelBegin = 0; !truncated && levelBegin < table.size();) {
     const std::size_t levelEnd = table.size();
     ++e.reachabilityIterations;
@@ -209,24 +241,20 @@ void exploreWith(const Model& model, const VarLayout& layout,
                                         std::min(states, kMaxChunks));
       }
       for (std::size_t t = 0; t < tasks; ++t) {
-        Chunk& c = chunks[t];
-        c.begin = w + states * t / tasks;
-        c.end = w + states * (t + 1) / tasks;
         // Grow the buffers here, on the calling thread, to the expected
         // size: memory a worker allocates stays in its malloc arena.
-        const std::size_t expected = (c.end - c.begin) * perState * 5 / 4;
-        c.entries.reserve(expected);
-        c.found.reserve(expected);
-        c.rowEnd.reserve(c.end - c.begin);
-        c.mass.reserve(c.end - c.begin);
+        Chunk& c = chunks[t];
+        const std::size_t rows = states * (t + 1) / tasks - states * t / tasks;
+        c.entries.reserve(rows * perState * 5 / 4);
+        c.found.reserve(rows * perState * 5 / 4);
+        c.rowEnd.reserve(rows);
+        c.mass.reserve(rows);
+        c.digest.reserve(rows);
         c.sink.entries().reserve(widestRow);
       }
-      // A single inline chunk interns every target in the ordered phase;
-      // looking them up first would only probe twice.
-      la::runTasks(runner, tasks,
-                   [&](std::size_t t) { expand(chunks[t], tasks > 1); });
+      copyThenExpand(w, states, tasks);
       for (std::size_t t = 0; t < tasks && !truncated; ++t) {
-        emit(chunks[t]);
+        numberChunk(chunks[t]);
         levelEntries += chunks[t].entries.size();
       }
       w += states;
@@ -242,6 +270,7 @@ void exploreWith(const Model& model, const VarLayout& layout,
     raw = {};  // the state table with it
     return;
   }
+  copyThenExpand(table.size(), 0, 0);  // the last window's rows
   raw.initial.assign(table.size(), 0.0);
   if (!initial.empty()) {
     const double w = 1.0 / static_cast<double>(initial.size());

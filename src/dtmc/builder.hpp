@@ -1,7 +1,7 @@
 // Explicit-state reachability. dtmc::explore is the library's one BFS: level
 // by level (the level count is PRISM's "reachability iterations", RI, of
 // the paper's Tables III-V), over packed u64 state keys, normalizing and
-// hashing each row as it is emitted. One pass yields the engine's cache key
+// digesting each row as it is computed. One pass yields the engine's cache key
 // and, optionally, the CSR buildFromExploration assembles without a second
 // BFS. buildExplicit, countReachable and dtmc::modelSignature wrap it.
 //
@@ -12,10 +12,14 @@
 //
 // Given a task runner, explore (and buildExplicit) computes each window of
 // a level's rows on it — the model's transitions() into the chunk's sink,
-// normalizing and a read-only index lookup — while numbering, hashing and
-// CSR emission stay on the calling thread in state order. Every output is
-// bitwise the same with or without a runner, at any pool size. Model
-// methods must then be safe to call concurrently (see dtmc/model.hpp).
+// normalizing, each row's digest (its length, target keys and probability
+// bits) and a read-only index lookup. The ordered phase on the calling
+// thread only numbers, in state order, the targets the lookup missed (the
+// new states) and folds one digest per row into the hash; the next
+// window's tasks copy the numbered rows into the CSR at prefix-summed
+// offsets. Every output is bitwise the same with or without a runner, at
+// any pool size. Model methods must then be safe to call concurrently (see
+// dtmc/model.hpp).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,5 @@
 #include "dtmc/explicit_dtmc.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace mimostat::dtmc {
@@ -37,34 +35,23 @@ void ExplicitDtmc::copyStatesInto(const std::vector<std::uint32_t>& indices,
   for (const std::uint32_t i : indices) raw.keys.push_back(keys_[i]);
 }
 
-la::BitVector ExplicitDtmc::evalAtom(const Model& model,
-                                     std::string_view name) const {
+la::BitVector ExplicitDtmc::evalAtom(const Model& model, std::string_view name,
+                                     const la::TaskRunner& runner) const {
   la::BitVector truth(numStates());
-  forEachState([&](std::uint32_t i, const State& s) {
+  forEachState(runner, [&](std::uint32_t i, const State& s) {
     if (model.atom(s, name)) truth.set(i);
   });
   return truth;
 }
 
-std::vector<double> ExplicitDtmc::evalReward(const Model& model,
-                                             std::string_view name) const {
+std::vector<double> ExplicitDtmc::evalReward(
+    const Model& model, std::string_view name,
+    const la::TaskRunner& runner) const {
   std::vector<double> reward(numStates());
-  forEachState([&](std::uint32_t i, const State& s) {
+  forEachState(runner, [&](std::uint32_t i, const State& s) {
     reward[i] = model.stateReward(s, name);
   });
   return reward;
-}
-
-double ExplicitDtmc::maxRowDeviation() const {
-  const auto& rowPtr = matrix_.rowPtr();
-  const auto& val = matrix_.val();
-  double worst = 0.0;
-  for (std::uint32_t s = 0; s < numStates(); ++s) {
-    double sum = 0.0;
-    for (std::uint64_t k = rowPtr[s]; k < rowPtr[s + 1]; ++k) sum += val[k];
-    worst = std::max(worst, std::fabs(sum - 1.0));
-  }
-  return worst;
 }
 
 }  // namespace mimostat::dtmc

@@ -1,6 +1,6 @@
 // Explicit-state DTMC: the transition matrix as an owned la::CsrMatrix
-// (blocked layout + stable transpose) plus the state table, initial
-// distribution, and the model-facing atom/reward evaluation hooks.
+// (blocked layout + stable transpose on first use) plus the state table,
+// initial distribution, and the model-facing atom/reward evaluation hooks.
 // Products with the matrix go through la::spmm on matrix().
 //
 // The state table keeps the form dtmc::explore produced it in: one packed
@@ -18,6 +18,7 @@
 #include "dtmc/state.hpp"
 #include "la/bit_vector.hpp"
 #include "la/csr_matrix.hpp"
+#include "la/exec.hpp"
 
 namespace mimostat::dtmc {
 
@@ -30,7 +31,7 @@ class ExplicitDtmc {
     return matrix_.numNonZeros();
   }
 
-  /// The transition matrix (CSR with block table and stable transpose).
+  /// The transition matrix (CSR with block table and lazy transpose).
   [[nodiscard]] const la::CsrMatrix& matrix() const { return matrix_; }
 
   /// CSR accessors (forwarders into matrix()).
@@ -69,16 +70,16 @@ class ExplicitDtmc {
   }
 
   /// Per-state truth set of an atomic proposition (packed, one bit per
-  /// state), evaluated through the source model's atom() hook.
+  /// state), evaluated through the source model's atom() hook — over
+  /// la::runStateRanges on `runner`, bit-identical with or without it.
   [[nodiscard]] la::BitVector evalAtom(const Model& model,
-                                       std::string_view name) const;
+                                       std::string_view name,
+                                       const la::TaskRunner& runner = {}) const;
 
-  /// Per-state reward vector from the source model.
-  [[nodiscard]] std::vector<double> evalReward(const Model& model,
-                                               std::string_view name) const;
-
-  /// Verify every row sums to 1 within `tol`; returns the worst deviation.
-  [[nodiscard]] double maxRowDeviation() const;
+  /// Per-state reward vector from the source model (as evalAtom).
+  [[nodiscard]] std::vector<double> evalReward(
+      const Model& model, std::string_view name,
+      const la::TaskRunner& runner = {}) const;
 
   // --- construction (used by Builder) ---
   struct Raw {
@@ -90,7 +91,7 @@ class ExplicitDtmc {
     std::vector<std::uint64_t> keys;
     VarLayout layout;
   };
-  /// Takes ownership; the matrix keeps both CSR orientations resident.
+  /// Takes ownership; the matrix builds its transpose on first use.
   /// Throws std::invalid_argument when rowPtr is empty, or the initial
   /// distribution or the state table does not have one entry per row.
   static ExplicitDtmc fromRaw(Raw raw);
@@ -100,15 +101,17 @@ class ExplicitDtmc {
                       Raw& raw) const;
 
  private:
-  /// Calls f(index, state) for every state in order, decoding into one
-  /// scratch State.
+  /// Calls f(index, state) for every state, in order within each range of
+  /// la::runStateRanges on `runner`, decoding into one scratch State a range.
   template <class F>
-  void forEachState(F&& f) const {
-    State scratch;
-    for (std::uint32_t i = 0; i < keys_.size(); ++i) {
-      layout_.unpackInto(keys_[i], scratch);
-      f(i, scratch);
-    }
+  void forEachState(const la::TaskRunner& runner, const F& f) const {
+    la::runStateRanges(runner, keys_.size(), [&](std::size_t b, std::size_t e) {
+      State scratch;
+      for (auto i = static_cast<std::uint32_t>(b); i < e; ++i) {
+        layout_.unpackInto(keys_[i], scratch);
+        f(i, scratch);
+      }
+    });
   }
 
   la::CsrMatrix matrix_;

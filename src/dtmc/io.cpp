@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <charconv>
+#include <cmath>
 #include <istream>
 #include <ostream>
 #include <limits>
@@ -43,22 +44,6 @@ void writeSta(const ExplicitDtmc& dtmc, std::ostream& os) {
   }
 }
 
-void writeDot(const ExplicitDtmc& dtmc, std::ostream& os) {
-  os << "digraph dtmc {\n  rankdir=LR;\n";
-  for (std::uint32_t s = 0; s < dtmc.numStates(); ++s) {
-    os << "  s" << s << " [label=\"" << s << "\"";
-    if (dtmc.initialDistribution()[s] > 0.0) os << ", shape=doublecircle";
-    os << "];\n";
-  }
-  for (std::uint32_t s = 0; s < dtmc.numStates(); ++s) {
-    for (std::uint64_t k = dtmc.rowPtr()[s]; k < dtmc.rowPtr()[s + 1]; ++k) {
-      os << "  s" << s << " -> s" << dtmc.col()[k] << " [label=\""
-         << dtmc.val()[k] << "\"];\n";
-    }
-  }
-  os << "}\n";
-}
-
 void writeLab(const ExplicitDtmc& dtmc, const Model& model,
               const std::vector<std::string>& labels, std::ostream& os) {
   for (std::size_t i = 0; i < labels.size(); ++i) {
@@ -95,6 +80,11 @@ void writeSrew(const ExplicitDtmc& dtmc, const Model& model,
 }
 
 namespace {
+
+/// readTra accepts a present row whose probabilities sum to 1 within this:
+/// slack for exports rounded to six significant digits (0.5 and 0.499999
+/// import), while a row missing a share of its mass is rejected.
+constexpr double kRowSumTolerance = 1e-6;
 
 /// The decimal integer `text` (surrounding blanks allowed) if it lies in
 /// [lo, hi]. Range-checked before any narrowing, so an index of 2^32 is an
@@ -167,6 +157,18 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
     raw.rowPtr.push_back(raw.col.size());
     ++row;
   }
+  // Missing rows stay legal (ImportedModel makes them absorbing); a present
+  // one must be a distribution.
+  for (std::uint32_t r = 0; r < numStates; ++r) {
+    const double sum =
+        std::accumulate(raw.val.begin() + raw.rowPtr[r],
+                        raw.val.begin() + raw.rowPtr[r + 1], 0.0);
+    if (raw.rowPtr[r] != raw.rowPtr[r + 1] &&
+        std::fabs(sum - 1.0) > kRowSumTolerance) {
+      throw std::runtime_error("readTra: row " + std::to_string(r) +
+                               " sums to " + std::to_string(sum));
+    }
+  }
 
   if (initialState >= numStates) {
     throw std::runtime_error("readTra: initial state out of range");
@@ -196,6 +198,7 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
       specs.push_back({name, std::numeric_limits<std::int32_t>::max(),
                        std::numeric_limits<std::int32_t>::min()});
     }
+    std::vector<bool> seen(numStates, false);
     std::string line;
     while (std::getline(*sta, line)) {
       if (line.empty()) continue;
@@ -206,6 +209,11 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
       const auto idx = parseInteger(std::string_view(line).substr(0, colon), 0,
                                     std::int64_t{numStates} - 1,
                                     "readTra: .sta state index");
+      if (seen[static_cast<std::size_t>(idx)]) {
+        throw std::runtime_error("readTra: .sta repeats state " +
+                                 std::to_string(idx));
+      }
+      seen[static_cast<std::size_t>(idx)] = true;
       State& state = states[static_cast<std::size_t>(idx)];
       std::size_t var = 0;
       std::string token;
@@ -231,6 +239,11 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
       if (var != names.size()) {
         throw std::runtime_error("readTra: wrong arity in .sta line");
       }
+    }
+    const auto missing = std::find(seen.begin(), seen.end(), false);
+    if (missing != seen.end()) {
+      throw std::runtime_error("readTra: .sta omits state " +
+                               std::to_string(missing - seen.begin()));
     }
     for (const State& state : states) {
       for (std::size_t v = 0; v < specs.size(); ++v) {
@@ -295,12 +308,12 @@ std::vector<std::pair<std::string, la::BitVector>> readLab(
         parseInteger(std::string_view(line).substr(0, colon), 0,
                      std::int64_t{numStates} - 1, "readLab: state index"));
     std::istringstream ls(line.substr(colon + 1));
-    std::size_t id = 0;
+    std::string id;
     while (ls >> id) {
-      if (id >= labels.size()) {
-        throw std::runtime_error("readLab: label id out of range");
-      }
-      labels[id].second.set(state);
+      const auto label = parseInteger(
+          id, 0, static_cast<std::int64_t>(labels.size()) - 1,
+          "readLab: label id");
+      labels[static_cast<std::size_t>(label)].second.set(state);
     }
   }
   return labels;

@@ -18,9 +18,6 @@ void writeTra(const ExplicitDtmc& dtmc, std::ostream& os);
 /// PRISM state file: header "(v1,v2,...)" then "idx:(x1,x2,...)".
 void writeSta(const ExplicitDtmc& dtmc, std::ostream& os);
 
-/// Graphviz digraph (intended for models with < ~200 states).
-void writeDot(const ExplicitDtmc& dtmc, std::ostream& os);
-
 /// PRISM label file: "0=\"init\" 1=\"error\"" header, then "state: ids".
 void writeLab(const ExplicitDtmc& dtmc, const Model& model,
               const std::vector<std::string>& labels, std::ostream& os);

@@ -130,7 +130,8 @@ class Model {
 };
 
 /// Sort a successor list by target, merge duplicate targets (summing their
-/// probabilities in sorted order) and optionally drop entries below
+/// probabilities in sorted order; a strictly ascending list is left as it
+/// is, neither step could change it) and optionally drop entries below
 /// `floor`, renormalizing the remainder. Returns the total probability mass
 /// before normalization (should be ~1). Throws std::invalid_argument when
 /// the floor would remove every entry of a non-empty row.

@@ -1,5 +1,7 @@
 #include "dtmc/signature.hpp"
 
+#include <bit>
+
 #include "dtmc/builder.hpp"
 #include "util/hash.hpp"
 
@@ -16,11 +18,12 @@ ModelSignature modelSignature(const Model& model,
 
 void LabelRewardDigest::addMask(std::uint64_t formulaHash,
                                 const la::BitVector& mask) {
-  // Content hash covers the packed words AND the bit length: a 64-state
-  // all-zero mask must not collide with a 128-state one.
-  std::uint64_t content = util::fnv1a(
-      mask.words().data(), mask.words().size() * sizeof(la::BitVector::Word));
-  content = util::hashCombine(content, util::mix64(mask.size()));
+  // One mix64 per word, then the bit length: a 64-state all-zero mask must
+  // not collide with a 128-state one.
+  std::uint64_t content = util::mix64(mask.size());
+  for (const la::BitVector::Word word : mask.words()) {
+    content = util::hashCombine(content, util::mix64(word));
+  }
   hash_ ^= util::mix64(util::hashCombine(util::mix64(formulaHash), content));
   ++entries_;
 }
@@ -28,9 +31,11 @@ void LabelRewardDigest::addMask(std::uint64_t formulaHash,
 void LabelRewardDigest::addReward(std::string_view name,
                                   const std::vector<double>& values) {
   const std::uint64_t id = util::fnv1a(name.data(), name.size());
-  std::uint64_t content =
-      util::fnv1a(values.data(), values.size() * sizeof(double));
-  content = util::hashCombine(content, util::mix64(values.size()));
+  std::uint64_t content = util::mix64(values.size());
+  for (const double value : values) {
+    content = util::hashCombine(
+        content, util::mix64(std::bit_cast<std::uint64_t>(value)));
+  }
   hash_ ^= util::mix64(util::hashCombine(util::mix64(id), content));
   ++entries_;
 }

@@ -587,8 +587,10 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
           alias ? quotientByAlias(*alias) : nullptr;
       bool quotientCacheHit = reducedBuilt != nullptr;
       if (!reducedBuilt) {
+        const la::TaskRunner runner = laRunnerFor(pool_);
         mc::CheckOptions probeOptions;
         probeOptions.traceParent = reduceSpan.id();
+        probeOptions.exec.runner = runner;
         const mc::Checker probe(built->dtmc, *request.model, probeOptions);
         std::vector<la::BitVector> maskBits;
         maskBits.reserve(probePlan->masks.size());
@@ -599,7 +601,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
         rewardVectors.reserve(rewardNames.size());
         for (const std::string& name : rewardNames) {
           rewardVectors.push_back(
-              built->dtmc.evalReward(*request.model, name));
+              built->dtmc.evalReward(*request.model, name, runner));
         }
 
         dtmc::LabelRewardDigest digest;

@@ -67,18 +67,4 @@ bool BitVector::empty() const {
 
 bool BitVector::full() const { return count() == numBits_; }
 
-BitVector BitVector::fromBytes(const std::vector<std::uint8_t>& bytes) {
-  BitVector result(bytes.size());
-  for (std::size_t i = 0; i < bytes.size(); ++i) {
-    if (bytes[i] != 0) result.set(i);
-  }
-  return result;
-}
-
-std::vector<std::uint8_t> BitVector::toBytes() const {
-  std::vector<std::uint8_t> bytes(numBits_, 0);
-  forEachSetBit([&](std::size_t i) { bytes[i] = 1; });
-  return bytes;
-}
-
 }  // namespace mimostat::la

@@ -89,12 +89,6 @@ class BitVector {
     return static_cast<std::uint64_t>(words_.size()) * sizeof(Word);
   }
 
-  /// Bridges to the legacy byte-per-state representation (tests keep it as
-  /// the bitwise-identity oracle; io keeps it at the file boundary).
-  [[nodiscard]] static BitVector fromBytes(
-      const std::vector<std::uint8_t>& bytes);
-  [[nodiscard]] std::vector<std::uint8_t> toBytes() const;
-
  private:
   /// Re-establish the tail invariant after an op that may set bits past
   /// size() (setAll, operator~).

@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "obs/trace.hpp"
+
 namespace mimostat::la {
 
 CsrMatrix CsrMatrix::fromCsr(std::vector<std::uint64_t> rowPtr,
@@ -18,7 +20,7 @@ CsrMatrix CsrMatrix::fromCsr(std::vector<std::uint64_t> rowPtr,
   m.val_ = std::move(val);
   m.numCols_ = numCols;
   m.buildBlocks();
-  m.transpose_ = std::make_shared<const CsrMatrix>(m.buildTranspose());
+  m.transpose_ = std::make_shared<Transpose>();
   return m;
 }
 
@@ -28,7 +30,11 @@ const CsrMatrix& CsrMatrix::transposed() const {
         "la::CsrMatrix: no transpose (a transpose and a default-constructed "
         "matrix have none)");
   }
-  return *transpose_;
+  std::call_once(transpose_->built, [this] {
+    const obs::Span span("la.transpose");
+    transpose_->matrix = std::make_unique<const CsrMatrix>(buildTranspose());
+  });
+  return *transpose_->matrix;
 }
 
 void CsrMatrix::buildBlocks() {
@@ -74,7 +80,12 @@ std::uint64_t CsrMatrix::approxBytes() const {
                         col_.size() * sizeof(std::uint32_t) +
                         val_.size() * sizeof(double) +
                         blockStart_.size() * sizeof(std::uint32_t);
-  if (transpose_) bytes += transpose_->approxBytes();
+  if (transpose_) {
+    // Every transpose block but the last holds at least kBlockNnz entries.
+    bytes += (std::uint64_t{numCols_} + 1) * sizeof(std::uint64_t) +
+             numNonZeros() * (sizeof(std::uint32_t) + sizeof(double)) +
+             (numNonZeros() / kBlockNnz + 2) * sizeof(std::uint32_t);
+  }
   return bytes;
 }
 

@@ -10,16 +10,19 @@
 //      table depends only on the matrix (never on thread count), so a
 //      row-partitioned kernel assigns every output row to exactly one task
 //      and produces bit-identical results at any pool size.
-//   2. Eager stable transpose: left products (x^T A, the transient hot path)
-//      and backward graph walks (Prob0/Prob1) need column-major access. The
-//      transpose is built once at construction with a stable counting sort,
-//      so each transpose row lists its sources in ascending (row, slot)
-//      order — exactly the accumulation order of the legacy scatter loop,
-//      which is what makes the gather kernel bit-identical to it.
+//   2. Stable transpose, built on first use: left products (x^T A, the
+//      transient hot path) and backward graph walks (Prob0/Prob1) need
+//      column-major access; nothing else does. transposed() builds it once
+//      (std::call_once, so concurrent checkers share one build) with a
+//      stable counting sort, so each transpose row lists its sources in
+//      ascending (row, slot) order — exactly the accumulation order of the
+//      legacy scatter loop, which is what makes the gather kernel
+//      bit-identical to it. A matrix only ever quotiented never builds one.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 namespace mimostat::la {
@@ -34,7 +37,7 @@ class CsrMatrix {
 
   /// Take ownership of CSR arrays. rowPtr.size() == numRows + 1 and
   /// rowPtr.back() == col.size() == val.size() are asserted. The transpose
-  /// (with its own block table) is built eagerly.
+  /// (with its own block table) waits for the first transposed().
   static CsrMatrix fromCsr(std::vector<std::uint64_t> rowPtr,
                            std::vector<std::uint32_t> col,
                            std::vector<double> val, std::uint32_t numCols);
@@ -51,9 +54,9 @@ class CsrMatrix {
   [[nodiscard]] const std::vector<std::uint32_t>& col() const { return col_; }
   [[nodiscard]] const std::vector<double>& val() const { return val_; }
 
-  /// The transpose built at construction. Throws std::logic_error on the
-  /// transpose itself (it is not recursive) and on a default-constructed
-  /// matrix.
+  /// The transpose, built by the first call (thread-safe; copies share it).
+  /// Throws std::logic_error on the transpose itself (it is not recursive)
+  /// and on a default-constructed matrix.
   [[nodiscard]] const CsrMatrix& transposed() const;
 
   // --- block table (parallel row partition; original orientation only) ---
@@ -67,8 +70,9 @@ class CsrMatrix {
     return blockStart_[b + 1];
   }
 
-  /// Resident bytes of the CSR arrays, block table and (when present) the
-  /// transpose — the unit the engine's model-cache byte accounting uses.
+  /// Resident bytes of the CSR arrays and block table, plus the transpose's
+  /// whether or not it is built yet (its block table at its upper bound) —
+  /// the unit the engine's model-cache byte accounting uses.
   [[nodiscard]] std::uint64_t approxBytes() const;
 
  private:
@@ -80,9 +84,14 @@ class CsrMatrix {
   std::vector<double> val_;
   std::uint32_t numCols_ = 0;
   std::vector<std::uint32_t> blockStart_{0, 0};
-  /// Shared (immutable) so a copy reuses the transpose instead of doubling
-  /// it — note a copy still deep-copies this matrix's own CSR arrays.
-  std::shared_ptr<const CsrMatrix> transpose_;
+  /// The transpose and the flag that builds it once. Shared so a copy
+  /// reuses the transpose instead of doubling it — note a copy still
+  /// deep-copies this matrix's own CSR arrays. Null on a transpose.
+  struct Transpose {
+    std::once_flag built;
+    std::unique_ptr<const CsrMatrix> matrix;
+  };
+  std::shared_ptr<Transpose> transpose_;
 };
 
 }  // namespace mimostat::la

@@ -7,8 +7,10 @@
 // with no runner, a 1-thread pool, or an 8-thread pool.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <optional>
 #include <utility>
@@ -61,6 +63,30 @@ void runTasks(const TaskRunner& runner, std::size_t count, const Body& body) {
     tasks.push_back([&body, i] { body(i); });
   }
   runner(std::move(tasks));
+}
+
+/// body(begin, end) over the states [0, n): in fixed ranges of 2^13 states
+/// on `runner` (64-aligned, so each la::BitVector word has one writer, and
+/// never host-dependent), or as one call on the calling thread without a
+/// runner or below kDefaultParallelThresholdNnz states. A throwing body
+/// rethrows the lowest range's exception, the one a sequential pass meets.
+template <class Body>
+void runStateRanges(const TaskRunner& runner, std::size_t n, const Body& body) {
+  constexpr std::size_t kRange = std::size_t{1} << 13;
+  const bool fanOut =
+      runner != nullptr && n >= Exec::kDefaultParallelThresholdNnz;
+  const std::size_t ranges = fanOut ? (n + kRange - 1) / kRange : 1;
+  std::vector<std::exception_ptr> errors(ranges);
+  runTasks(runner, errors.size(), [&](std::size_t r) {
+    try {
+      fanOut ? body(r * kRange, std::min(n, (r + 1) * kRange)) : body(0, n);
+    } catch (...) {
+      errors[r] = std::current_exception();
+    }
+  });
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace mimostat::la

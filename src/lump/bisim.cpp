@@ -43,44 +43,29 @@ std::uint64_t signatureHash(const dtmc::ExplicitDtmc& dtmc, std::uint32_t s,
 
 }  // namespace
 
-InitialKeys keysFromRewardAndLabels(
-    const std::vector<double>& reward,
-    const std::vector<la::BitVector>& labels,
-    double rewardResolution) {
-  InitialKeys keys(reward.size());
-  for (std::size_t s = 0; s < reward.size(); ++s) {
-    const auto bucket =
-        static_cast<std::int64_t>(std::llround(reward[s] / rewardResolution));
-    std::uint64_t key = util::mix64(static_cast<std::uint64_t>(bucket));
-    for (std::size_t l = 0; l < labels.size(); ++l) {
-      assert(labels[l].size() == reward.size());
-      key = util::hashCombine(key, labels[l].get(s) ? l + 1 : 0);
-    }
-    keys[s] = key;
-  }
-  return keys;
-}
-
 InitialKeys keysFromMasksAndRewards(
     std::size_t numStates, const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
-    double rewardResolution) {
+    const la::TaskRunner& runner, double rewardResolution) {
   InitialKeys keys(numStates, 0x9E3779B97F4A7C15ULL);
-  for (std::size_t m = 0; m < masks.size(); ++m) {
-    assert(masks[m] != nullptr && masks[m]->size() == numStates);
-    for (std::size_t s = 0; s < numStates; ++s) {
-      keys[s] = util::hashCombine(keys[s], masks[m]->get(s) ? m + 1 : 0);
+  la::runStateRanges(runner, numStates, [&](std::size_t begin,
+                                            std::size_t end) {
+    for (std::size_t m = 0; m < masks.size(); ++m) {
+      assert(masks[m] != nullptr && masks[m]->size() == numStates);
+      for (std::size_t s = begin; s < end; ++s) {
+        keys[s] = util::hashCombine(keys[s], masks[m]->get(s) ? m + 1 : 0);
+      }
     }
-  }
-  for (const std::vector<double>* reward : rewards) {
-    assert(reward != nullptr && reward->size() == numStates);
-    for (std::size_t s = 0; s < numStates; ++s) {
-      const auto bucket = static_cast<std::int64_t>(
-          std::llround((*reward)[s] / rewardResolution));
-      keys[s] = util::hashCombine(
-          keys[s], util::mix64(static_cast<std::uint64_t>(bucket)));
+    for (const std::vector<double>* reward : rewards) {
+      assert(reward != nullptr && reward->size() == numStates);
+      for (std::size_t s = begin; s < end; ++s) {
+        const auto bucket = static_cast<std::int64_t>(
+            std::llround((*reward)[s] / rewardResolution));
+        keys[s] = util::hashCombine(
+            keys[s], util::mix64(static_cast<std::uint64_t>(bucket)));
+      }
     }
-  }
+  });
   return keys;
 }
 

@@ -59,21 +59,15 @@ using InitialKeys = std::vector<std::uint64_t>;
                               const LumpOptions& options = {},
                               const la::TaskRunner& runner = {});
 
-/// Initial keys from a reward vector (bucketed) and optional packed label
-/// sets (one la::BitVector per label, one bit per state).
-[[nodiscard]] InitialKeys keysFromRewardAndLabels(
-    const std::vector<double>& reward,
-    const std::vector<la::BitVector>& labels,
-    double rewardResolution = 1e-12);
-
 /// Initial keys from an evaluation plan's needs: any number of packed masks
 /// (one bit per state each) and any number of reward vectors (bucketed to
 /// `rewardResolution`). States agreeing on every mask bit and every bucketed
 /// reward share a key; masks/rewards the plan does not need are simply not
 /// passed and never block merging (the reduce:: plan-aware partition).
+/// Computed over la::runStateRanges on `runner`; the same keys without it.
 [[nodiscard]] InitialKeys keysFromMasksAndRewards(
     std::size_t numStates, const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
-    double rewardResolution = 1e-12);
+    const la::TaskRunner& runner = {}, double rewardResolution = 1e-12);
 
 }  // namespace mimostat::lump

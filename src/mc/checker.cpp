@@ -49,7 +49,7 @@ la::BitVector Checker::evalStateFormula(const pctl::StateFormula& f) const {
         }
         return truth;
       }
-      return dtmc_.evalAtom(model_, f.name);
+      return dtmc_.evalAtom(model_, f.name, options_.exec.runner);
     }
     case Kind::kVarCmp: {
       const auto varIdx = dtmc_.varLayout().tryIndexOf(f.name);
@@ -129,7 +129,8 @@ CheckResult Checker::checkSingle(
     }
   } else {
     const pctl::RewardQuery& rq = property.reward;
-    const std::vector<double> reward = dtmc_.evalReward(model_, rq.rewardName);
+    const std::vector<double> reward =
+        dtmc_.evalReward(model_, rq.rewardName, options_.exec.runner);
     switch (rq.kind) {
       case pctl::RewardQuery::Kind::kInstantaneous:
       case pctl::RewardQuery::Kind::kCumulative:
@@ -335,7 +336,8 @@ void Checker::runTransientGroup(const pctl::EvalPlan& plan,
   std::vector<std::string> rewardErrors(plan.rewardNames.size());
   for (std::size_t r = 0; r < plan.rewardNames.size(); ++r) {
     try {
-      rewards[r] = dtmc_.evalReward(model_, plan.rewardNames[r]);
+      rewards[r] =
+          dtmc_.evalReward(model_, plan.rewardNames[r], options_.exec.runner);
     } catch (const std::exception& e) {
       rewardErrors[r] = e.what();
     }

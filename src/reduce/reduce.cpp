@@ -54,7 +54,7 @@ ReducedModel buildQuotient(const dtmc::ExplicitDtmc& dtmc,
                            const la::TaskRunner& runner) {
   obs::Span span("reduce.quotient");
   const lump::InitialKeys keys =
-      lump::keysFromMasksAndRewards(dtmc.numStates(), masks, rewards);
+      lump::keysFromMasksAndRewards(dtmc.numStates(), masks, rewards, runner);
   lump::LumpResult lumped = lump::lump(dtmc, keys, {}, runner);
 
   ReducedModel reduced;
@@ -68,36 +68,6 @@ ReducedModel buildQuotient(const dtmc::ExplicitDtmc& dtmc,
   reduced.quotient = std::move(lumped.quotient);
   reduced.info.seconds = span.stopSeconds();
   return reduced;
-}
-
-std::vector<double> liftStateValues(const ReductionInfo& info,
-                                    const std::vector<double>& blockValues) {
-  assert(blockValues.size() == info.representative.size());
-  std::vector<double> lifted(info.blockOf.size());
-  for (std::size_t s = 0; s < info.blockOf.size(); ++s) {
-    lifted[s] = blockValues[info.blockOf[s]];
-  }
-  return lifted;
-}
-
-la::BitVector projectMask(const ReductionInfo& info,
-                          const la::BitVector& originalMask) {
-  assert(originalMask.size() == info.blockOf.size());
-  la::BitVector projected(info.representative.size());
-  for (std::size_t b = 0; b < info.representative.size(); ++b) {
-    if (originalMask.get(info.representative[b])) projected.set(b);
-  }
-  return projected;
-}
-
-std::vector<double> projectVector(const ReductionInfo& info,
-                                  const std::vector<double>& originalValues) {
-  assert(originalValues.size() == info.blockOf.size());
-  std::vector<double> projected(info.representative.size());
-  for (std::size_t b = 0; b < info.representative.size(); ++b) {
-    projected[b] = originalValues[info.representative[b]];
-  }
-  return projected;
 }
 
 void shrinkToMarker(ReductionInfo& info) {

@@ -11,9 +11,10 @@
 // The quotient's state table stores block representatives (lump:: keeps the
 // VarLayout), so every keyed mask and reward re-evaluates to the same value
 // on the representative as on any block member — mc::Checker runs the plan
-// on the quotient unchanged. Quotient-indexed vectors must not escape this
-// boundary except through the lift/project API below (machine-checked by
-// the `reduction-boundary` lint rule).
+// on the quotient unchanged. Quotient-indexed vectors never leave reduce::,
+// lump:: and mc:: (machine-checked by the `reduction-boundary` lint rule);
+// the engine answers from the quotient's initial distribution, which
+// needs no mapping back.
 //
 // Tolerance contract: quotienting is exact under the Strong Lumping Theorem
 // but changes floating-point accumulation order (block mass sums, merged
@@ -77,9 +78,8 @@ struct Options {
 [[nodiscard]] bool eliminationSelected(bool quotientApplied,
                                        std::uint64_t quotientStates);
 
-/// Lift/project metadata tying a quotient to its base model. This is the
-/// only sanctioned crossing between quotient-block and original-state
-/// indexing.
+/// The block map tying a quotient to its base model. Quotient-block
+/// indexing stays inside the reduction layers (reduce::, lump::, mc::).
 struct ReductionInfo {
   /// blockOf[s] = quotient block of original state s.
   std::vector<std::uint32_t> blockOf;
@@ -118,28 +118,11 @@ struct ReducedModel {
     const std::vector<const std::vector<double>*>& rewards,
     const la::TaskRunner& runner = {});
 
-/// Quotient per-block values -> original per-state values (block-map
-/// indirection: every member of a block reads its block's value).
-[[nodiscard]] std::vector<double> liftStateValues(
-    const ReductionInfo& info, const std::vector<double>& blockValues);
-
-/// Original per-state mask -> quotient per-block mask, reading each block's
-/// representative. Only meaningful for masks that are block-constant (every
-/// mask that seeded the partition is).
-[[nodiscard]] la::BitVector projectMask(const ReductionInfo& info,
-                                        const la::BitVector& originalMask);
-
-/// Original per-state vector -> quotient per-block vector via the block
-/// representatives (block-constant vectors only, e.g. keyed rewards).
-[[nodiscard]] std::vector<double> projectVector(
-    const ReductionInfo& info, const std::vector<double>& originalValues);
-
 /// Strip the per-state tables from an identity quotient's info, keeping the
 /// counters. Used for cache marker entries ("this plan cannot shrink this
 /// model"): the counters still answer the apply/skip decision while the
-/// entry costs no per-state bytes. Lifting/projecting through a shrunk info
-/// is invalid — an identity quotient is never applied, so nothing needs
-/// mapping.
+/// entry costs no per-state bytes. An identity quotient is never applied,
+/// so nothing maps through a shrunk info.
 void shrinkToMarker(ReductionInfo& info);
 
 }  // namespace mimostat::reduce

@@ -30,7 +30,6 @@ class Sprt {
 
   [[nodiscard]] SprtDecision decision() const { return decision_; }
   [[nodiscard]] std::uint64_t observations() const { return n_; }
-  [[nodiscard]] double logLikelihoodRatio() const { return llr_; }
 
  private:
   double p0_;

@@ -7,7 +7,7 @@
 namespace mimostat::util {
 
 namespace {
-LogLevel g_level = LogLevel::kWarn;
+constexpr LogLevel kLevel = LogLevel::kWarn;
 
 const char* levelName(LogLevel level) {
   switch (level) {
@@ -24,12 +24,8 @@ const char* levelName(LogLevel level) {
 }
 }  // namespace
 
-LogLevel logLevel() { return g_level; }
-
-void setLogLevel(LogLevel level) { g_level = level; }
-
 void logMessage(LogLevel level, const char* fmt, ...) {
-  if (static_cast<int>(level) > static_cast<int>(g_level)) return;
+  if (static_cast<int>(level) > static_cast<int>(kLevel)) return;
 
   // Format the whole line into one buffer first, then emit it with a
   // single fwrite under the stream lock: concurrent pool tasks must never

@@ -19,10 +19,6 @@ enum class LogLevel : int {
   kDebug = 3,
 };
 
-/// Global log threshold; messages above this level are dropped.
-LogLevel logLevel();
-void setLogLevel(LogLevel level);
-
 /// printf-style logging. Prefer the LOG_* macros below.
 void logMessage(LogLevel level, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));

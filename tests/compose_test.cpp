@@ -33,7 +33,7 @@ TEST(Compose, ProductStateSpace) {
   const dtmc::SynchronousProduct product({&a, &b});
   const auto d = dtmc::buildExplicit(product).dtmc;
   EXPECT_EQ(d.numStates(), 4u);
-  EXPECT_LT(d.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(d), 1e-12);
 }
 
 TEST(Compose, IndependenceOfMarginals) {
@@ -124,7 +124,7 @@ TEST(Compose, ThreeComponents) {
   const dtmc::SynchronousProduct product({&a, &a, &a});
   const auto d = dtmc::buildExplicit(product).dtmc;
   EXPECT_EQ(d.numStates(), 8u);
-  EXPECT_LT(d.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(d), 1e-12);
 }
 
 }  // namespace

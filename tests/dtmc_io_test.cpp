@@ -90,6 +90,23 @@ TEST(IoImport, MalformedInputsThrow) {
     std::stringstream tra("2 3\n0 1 1.5\n0 0 -0.5\n1 1 1.0\n");
     EXPECT_THROW(dtmc::readTra(tra, nullptr), std::runtime_error);
   }
+  {
+    // A substochastic row names itself and its sum.
+    std::stringstream tra("2 2\n0 1 0.5\n1 0 1.0\n");
+    try {
+      (void)dtmc::readTra(tra, nullptr);
+      ADD_FAILURE() << "a row summing to 0.5 imported";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("row 0 sums to 0.5"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    // Rounding far inside the tolerance still imports.
+    std::stringstream tra("2 3\n0 1 0.5\n0 0 0.499999999999\n1 0 1.0\n");
+    EXPECT_NO_THROW((void)dtmc::readTra(tra, nullptr));
+  }
   const auto readWithSta = [](const std::string& staText) {
     std::stringstream tra("2 2\n0 1 1.0\n1 0 1.0\n");
     std::stringstream sta(staText);
@@ -101,6 +118,10 @@ TEST(IoImport, MalformedInputsThrow) {
   // A value past int32 must not narrow (2^32 + 3 read back as 3).
   EXPECT_THROW(readWithSta("(x)\n0:(4294967299)\n1:(2)\n"), std::runtime_error);
   EXPECT_THROW(readWithSta("(x)\nzero:(1)\n1:(2)\n"), std::runtime_error);
+  // Every state exactly once: an omitted state is not x = 0.
+  EXPECT_THROW(readWithSta("(x)\n0:(1)\n"), std::runtime_error);
+  EXPECT_THROW(readWithSta("(x)\n0:(1)\n0:(2)\n1:(2)\n"),
+               std::runtime_error);
   const auto readLabText = [](const std::string& labText) {
     std::stringstream lab(labText);
     return dtmc::readLab(lab, 2);
@@ -108,6 +129,9 @@ TEST(IoImport, MalformedInputsThrow) {
   // 2^32 + 1 must not label state 1.
   EXPECT_THROW(readLabText("0=\"init\"\n4294967297: 0\n"), std::runtime_error);
   EXPECT_THROW(readLabText("x=\"init\"\n0: 0\n"), std::runtime_error);
+  // A bad token must not silently end the state's label list.
+  EXPECT_THROW(readLabText("0=\"init\" 1=\"goal\"\n0: 0 x 1\n"),
+               std::runtime_error);
 }
 
 TEST(IoImport, LabRoundTrip) {
@@ -170,7 +194,7 @@ TEST(IoImport, ImportedModelAbsorbingOnMissingRows) {
   imported.dtmc = dtmc::readTra(tra, nullptr, 0);
   const dtmc::ImportedModel model(std::move(imported));
   const auto rebuilt = dtmc::buildExplicit(model).dtmc;
-  EXPECT_LT(rebuilt.maxRowDeviation(), 1e-15);
+  EXPECT_LT(test::maxRowDeviation(rebuilt), 1e-15);
 }
 
 }  // namespace

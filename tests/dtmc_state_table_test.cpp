@@ -2,18 +2,24 @@
 // them. Every reader — state(), varValue(), evalAtom(), evalReward(), the
 // PRISM export and a quotient's representatives — answers exactly as the
 // model evaluated on the decoded states does, and fromRaw rejects a table
-// whose length is not the row count.
+// whose length is not the row count. evalAtom, evalReward and the lumping
+// keys answer bit for bit the same on 1/2/8-thread pools.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dtmc/builder.hpp"
 #include "dtmc/io.hpp"
+#include "engine/thread_pool.hpp"
+#include "la/exec.hpp"
 #include "lump/bisim.hpp"
 #include "mimo/model.hpp"
 #include "test_models.hpp"
@@ -178,6 +184,130 @@ TEST(VarLayout, RoundTripsAtExactly64BitsAndWithZeroBitFields) {
   EXPECT_EQ(constant.pack({7, -1}), 0u);
   EXPECT_EQ(constant.unpack(0), (dtmc::State{7, -1}));
   EXPECT_EQ(constant.field(0, 1), -1);
+}
+
+// ------------------------------------------- atoms, rewards and keys on a pool
+
+/// One variable s over [0, n]; atom "third" holds on every third state,
+/// the default reward is s / 4, and atom "boom" throws naming its state on
+/// states 20007 and 30007.
+class CountingModel : public dtmc::Model {
+ public:
+  explicit CountingModel(std::uint32_t n) : n_(static_cast<int>(n)) {}
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"s", 0, n_}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0}};
+  }
+  void transitions(const dtmc::State& s,
+                   dtmc::Successors& out) const override {
+    out.add(1.0, {n_ == 0 ? 0 : (s[0] + 1) % n_});
+  }
+  [[nodiscard]] bool atom(const dtmc::State& s,
+                          std::string_view name) const override {
+    if (name == "boom" && (s[0] == 20007 || s[0] == 30007)) {
+      throw std::runtime_error("state " + std::to_string(s[0]));
+    }
+    return name == "third" && s[0] % 3 == 0;
+  }
+  [[nodiscard]] double stateReward(const dtmc::State& s,
+                                   std::string_view) const override {
+    return s[0] / 4.0;
+  }
+
+ private:
+  int n_;
+};
+
+/// The n-state cycle of CountingModel as a raw table (n = 0 included).
+dtmc::ExplicitDtmc countingChain(std::uint32_t n) {
+  const CountingModel model(n);
+  dtmc::ExplicitDtmc::Raw raw;
+  raw.layout = model.layout();
+  raw.rowPtr.push_back(0);
+  for (std::uint32_t i = 0; i < n; ++i) {
+    raw.col.push_back((i + 1) % n);
+    raw.val.push_back(1.0);
+    raw.rowPtr.push_back(raw.col.size());
+    raw.initial.push_back(i == 0 ? 1.0 : 0.0);
+    raw.keys.push_back(raw.layout.pack({static_cast<std::int32_t>(i)}));
+  }
+  return dtmc::ExplicitDtmc::fromRaw(std::move(raw));
+}
+
+bool bitEqual(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// evalAtom, evalReward and keysFromMasksAndRewards on 1/2/8-thread pools
+/// equal the sequential results bit for bit.
+void expectPooledEqualsSequential(const dtmc::ExplicitDtmc& d,
+                                  const dtmc::Model& model,
+                                  std::string_view atom) {
+  const la::BitVector truth = d.evalAtom(model, atom);
+  const std::vector<double> reward = d.evalReward(model, "");
+  const lump::InitialKeys keys =
+      lump::keysFromMasksAndRewards(d.numStates(), {&truth}, {&reward});
+  for (const std::size_t threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    engine::ThreadPool pool(threads);
+    const la::TaskRunner runner = engine::laRunnerFor(pool);
+    EXPECT_EQ(d.evalAtom(model, atom, runner), truth);
+    EXPECT_TRUE(bitEqual(d.evalReward(model, "", runner), reward));
+    EXPECT_EQ(lump::keysFromMasksAndRewards(d.numStates(), {&truth},
+                                            {&reward}, runner),
+              keys);
+  }
+}
+
+TEST(PooledEvaluation, EqualsSequentialAtRangeAndThresholdEdges) {
+  const auto threshold =
+      static_cast<std::uint32_t>(la::Exec::kDefaultParallelThresholdNnz);
+  for (const std::uint32_t n :
+       {0u, 1u, 63u, 64u, 65u, threshold - 1, threshold, threshold + 1}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const dtmc::ExplicitDtmc d = countingChain(n);
+    const CountingModel model(n);
+    const la::BitVector third = d.evalAtom(model, "third");
+    const std::vector<double> reward = d.evalReward(model, "");
+    ASSERT_EQ(third.size(), n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      ASSERT_EQ(third.get(i), i % 3 == 0) << "state " << i;
+      ASSERT_EQ(reward[i], i / 4.0) << "state " << i;
+    }
+    expectPooledEqualsSequential(d, model, "third");
+  }
+}
+
+TEST(PooledEvaluation, MimoChainsEqualSequential) {
+  for (const mimo::MimoParams& params :
+       {smallMimo1x2(), mimo::mimo1x2Params()}) {
+    const mimo::MimoDetectorModel model(params);
+    const dtmc::ExplicitDtmc d = dtmc::buildExplicit(model).dtmc;
+    SCOPED_TRACE(std::to_string(d.numStates()) + " states");
+    expectPooledEqualsSequential(d, model, "error");
+  }
+}
+
+TEST(PooledEvaluation, ErrorIsTheLowestFailingStates) {
+  // Two failing states in different ranges: every pool reports the one a
+  // sequential pass meets first.
+  const dtmc::ExplicitDtmc d = countingChain(40000);
+  const CountingModel model(40000);
+  for (const std::size_t threads : {0, 1, 2, 8}) {
+    engine::ThreadPool pool(std::max<std::size_t>(threads, 1));
+    const la::TaskRunner runner =
+        threads == 0 ? la::TaskRunner{} : engine::laRunnerFor(pool);
+    try {
+      (void)d.evalAtom(model, "boom", runner);
+      ADD_FAILURE() << "no error at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "state 20007") << threads << " threads";
+    }
+  }
 }
 
 }  // namespace

@@ -51,8 +51,8 @@ endrewards
 )");
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto reward = d.evalReward(model, "");
-  const auto lumped =
-      lump::lump(d, lump::keysFromRewardAndLabels(reward, {}));
+  const auto lumped = lump::lump(
+      d, lump::keysFromMasksAndRewards(d.numStates(), {}, {&reward}));
   EXPECT_LT(lumped.partition.numBlocks, d.numStates());  // 1 and 2 merge
   EXPECT_TRUE(lump::verifyLumpable(d, lumped.partition).lumpable);
 }

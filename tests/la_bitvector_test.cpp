@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "la/bit_vector.hpp"
+#include "test_models.hpp"
 #include "util/rng.hpp"
 
 namespace mimostat {
@@ -64,8 +65,8 @@ TEST(BitVector, BulkOpsMatchByteReference) {
   for (const std::size_t n : kSizes) {
     const auto aBytes = randomBytes(n, 11 + n);
     const auto bBytes = randomBytes(n, 77 + n);
-    const auto a = la::BitVector::fromBytes(aBytes);
-    const auto b = la::BitVector::fromBytes(bBytes);
+    const auto a = test::fromBytes(aBytes);
+    const auto b = test::fromBytes(bBytes);
 
     std::vector<std::uint8_t> andRef(n);
     std::vector<std::uint8_t> orRef(n);
@@ -84,11 +85,11 @@ TEST(BitVector, BulkOpsMatchByteReference) {
     orV |= b;
     la::BitVector diffV = a;
     diffV -= b;
-    EXPECT_EQ(andV, la::BitVector::fromBytes(andRef)) << "n=" << n;
-    EXPECT_EQ(orV, la::BitVector::fromBytes(orRef)) << "n=" << n;
-    EXPECT_EQ(diffV, la::BitVector::fromBytes(diffRef)) << "n=" << n;
-    EXPECT_EQ(~a, la::BitVector::fromBytes(notRef)) << "n=" << n;
-    EXPECT_EQ(andV.toBytes(), andRef) << "n=" << n;
+    EXPECT_EQ(andV, test::fromBytes(andRef)) << "n=" << n;
+    EXPECT_EQ(orV, test::fromBytes(orRef)) << "n=" << n;
+    EXPECT_EQ(diffV, test::fromBytes(diffRef)) << "n=" << n;
+    EXPECT_EQ(~a, test::fromBytes(notRef)) << "n=" << n;
+    EXPECT_EQ(test::toBytes(andV), andRef) << "n=" << n;
   }
 }
 
@@ -133,7 +134,7 @@ TEST(BitVector, EqualityIsSizeAndBits) {
 TEST(BitVector, ForEachSetBitAscending) {
   for (const std::size_t n : kSizes) {
     const auto bytes = randomBytes(n, 123 + n);
-    const auto v = la::BitVector::fromBytes(bytes);
+    const auto v = test::fromBytes(bytes);
 
     std::vector<std::size_t> expected;
     for (std::size_t i = 0; i < n; ++i) {
@@ -148,12 +149,12 @@ TEST(BitVector, ForEachSetBitAscending) {
 TEST(BitVector, FromBytesToBytesRoundTrip) {
   for (const std::size_t n : kSizes) {
     const auto bytes = randomBytes(n, 5 + n);
-    EXPECT_EQ(la::BitVector::fromBytes(bytes).toBytes(), bytes) << "n=" << n;
+    EXPECT_EQ(test::toBytes(test::fromBytes(bytes)), bytes) << "n=" << n;
   }
   // Any non-zero byte counts as set.
   const std::vector<std::uint8_t> loud = {0, 2, 255, 0, 1};
-  const auto v = la::BitVector::fromBytes(loud);
-  EXPECT_EQ(v.toBytes(), (std::vector<std::uint8_t>{0, 1, 1, 0, 1}));
+  const auto v = test::fromBytes(loud);
+  EXPECT_EQ(test::toBytes(v), (std::vector<std::uint8_t>{0, 1, 1, 0, 1}));
 }
 
 TEST(BitVector, ApproxBytesIsEightfoldSmaller) {

@@ -147,6 +147,90 @@ TEST(CsrMatrix, ApproxBytesCountsTranspose) {
   EXPECT_GT(transposeOnly, 0u);
 }
 
+/// The transpose la::CsrMatrix::fromCsr built eagerly before it waited for
+/// first use, verbatim: a stable counting sort over (row, slot), then the
+/// block table over its rows.
+struct EagerTranspose {
+  std::vector<std::uint64_t> rowPtr;
+  std::vector<std::uint32_t> col;
+  std::vector<double> val;
+  std::vector<std::uint32_t> blockStart;
+};
+
+EagerTranspose eagerTranspose(const la::CsrMatrix& m) {
+  const std::uint32_t n = m.numRows();
+  EagerTranspose t;
+  t.rowPtr.assign(static_cast<std::size_t>(m.numCols()) + 1, 0);
+  for (std::uint64_t k = 0; k < m.col().size(); ++k) ++t.rowPtr[m.col()[k] + 1];
+  for (std::uint32_t c = 0; c < m.numCols(); ++c) {
+    t.rowPtr[c + 1] += t.rowPtr[c];
+  }
+  t.col.resize(m.col().size());
+  t.val.resize(m.val().size());
+  std::vector<std::uint64_t> cursor(t.rowPtr.begin(), t.rowPtr.end() - 1);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    for (std::uint64_t k = m.rowPtr()[r]; k < m.rowPtr()[r + 1]; ++k) {
+      const std::uint64_t slot = cursor[m.col()[k]]++;
+      t.col[slot] = r;
+      t.val[slot] = m.val()[k];
+    }
+  }
+  t.blockStart.assign(1, 0);
+  std::uint64_t acc = 0;
+  for (std::uint32_t r = 0; r < m.numCols(); ++r) {
+    acc += t.rowPtr[r + 1] - t.rowPtr[r];
+    if (acc >= la::CsrMatrix::kBlockNnz && r + 1 < m.numCols()) {
+      t.blockStart.push_back(r + 1);
+      acc = 0;
+    }
+  }
+  t.blockStart.push_back(m.numCols());
+  return t;
+}
+
+TEST(CsrMatrix, ConcurrentFirstUseBuildsOneTranspose) {
+  // Several blocks on both sides. Half the threads ask the matrix, half a
+  // copy made before the first use: copies share the transpose.
+  const DenseCsr m = randomMatrix(3000, 8, 23);
+  const la::CsrMatrix copy = m.csr;
+  std::vector<const la::CsrMatrix*> got(8, nullptr);
+  engine::ThreadPool pool(got.size());
+  la::runTasks(engine::laRunnerFor(pool), got.size(), [&](std::size_t t) {
+    got[t] = &(t % 2 == 0 ? m.csr : copy).transposed();
+  });
+  for (const la::CsrMatrix* t : got) EXPECT_EQ(t, got[0]);
+
+  const EagerTranspose want = eagerTranspose(m.csr);
+  const la::CsrMatrix& t = *got[0];
+  EXPECT_EQ(t.numCols(), m.csr.numRows());
+  EXPECT_EQ(t.rowPtr(), want.rowPtr);
+  EXPECT_EQ(t.col(), want.col);
+  EXPECT_TRUE(bitEqual(t.val(), want.val));
+  ASSERT_EQ(t.blockCount() + 1, want.blockStart.size());
+  for (std::size_t b = 0; b < t.blockCount(); ++b) {
+    EXPECT_EQ(t.blockBegin(b), want.blockStart[b]);
+    EXPECT_EQ(t.blockEnd(b), want.blockStart[b + 1]);
+  }
+}
+
+TEST(CsrMatrix, ApproxBytesCountsTheTransposeBeforeItIsBuilt) {
+  const DenseCsr m = randomMatrix(3000, 8, 29);
+  const la::CsrMatrix& a = m.csr;
+  const std::uint64_t before = a.approxBytes();
+  const la::CsrMatrix& t = a.transposed();
+  EXPECT_EQ(a.approxBytes(), before);
+  // The count covers the built transpose: its arrays exactly, its block
+  // table at the bound of one block per kBlockNnz entries.
+  const std::uint64_t own =
+      a.rowPtr().size() * sizeof(std::uint64_t) +
+      a.numNonZeros() * (sizeof(std::uint32_t) + sizeof(double)) +
+      (a.blockCount() + 1) * sizeof(std::uint32_t);
+  ASSERT_GE(before - own, t.approxBytes());
+  EXPECT_LE(before - own - t.approxBytes(),
+            (a.numNonZeros() / la::CsrMatrix::kBlockNnz + 2) *
+                sizeof(std::uint32_t));
+}
+
 TEST(CsrMatrix, EmptyMatrix) {
   const la::CsrMatrix empty;
   EXPECT_EQ(empty.numRows(), 0u);

@@ -27,7 +27,7 @@ TEST(Lump, SymmetricStatesMerge) {
   const auto result = lump::lump(d, keys);
   EXPECT_LT(result.partition.numBlocks, d.numStates());
   EXPECT_EQ(result.quotient.numStates(), result.partition.numBlocks);
-  EXPECT_LT(result.quotient.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(result.quotient), 1e-12);
   const auto report = lump::verifyLumpable(d, result.partition);
   EXPECT_TRUE(report.lumpable) << report.worstMismatch;
 }
@@ -61,7 +61,8 @@ TEST(Lump, QuotientPreservesTransientRewards) {
     const auto model = test::randomModel(60, 3, seed);
     const auto d = dtmc::buildExplicit(model).dtmc;
     const auto reward = d.evalReward(model, "");
-    const auto keys = lump::keysFromRewardAndLabels(reward, {});
+    const auto keys =
+        lump::keysFromMasksAndRewards(reward.size(), {}, {&reward});
     const auto result = lump::lump(d, keys);
     ASSERT_TRUE(lump::verifyLumpable(d, result.partition).lumpable);
     // Quotient reward vector = representative rewards.
@@ -106,7 +107,8 @@ TEST(Lump, SymmetricBanksCollapseToCounts) {
   const auto d = dtmc::buildExplicit(model).dtmc;
   EXPECT_EQ(d.numStates(), 16u);
   const auto reward = d.evalReward(model, "");
-  const auto keys = lump::keysFromRewardAndLabels(reward, {});
+  const auto keys =
+      lump::keysFromMasksAndRewards(reward.size(), {}, {&reward});
   const auto result = lump::lump(d, keys);
   EXPECT_EQ(result.partition.numBlocks, 5u);
   EXPECT_TRUE(lump::verifyLumpable(d, result.partition).lumpable);
@@ -130,7 +132,8 @@ TEST(Lump, CompareProperties) {
   // Lump and wrap the quotient with the same model for atom evaluation
   // (representative states preserve the variable layout).
   const auto reward = full.dtmc.evalReward(model, "");
-  const auto keys = lump::keysFromRewardAndLabels(reward, {});
+  const auto keys =
+      lump::keysFromMasksAndRewards(reward.size(), {}, {&reward});
   const auto lumped = lump::lump(full.dtmc, keys);
   const auto comparisons = lump::compareProperties(
       full.dtmc, model, lumped.quotient, model, {"R=? [ I=7 ]", "R=? [ C<=9 ]"});
@@ -183,7 +186,7 @@ TEST(LumpEdge, UnreachableStatesMergeWithBisimilarReachableOnes) {
     totalInitial += p;
   }
   EXPECT_DOUBLE_EQ(totalInitial, 1.0);
-  EXPECT_LT(result.quotient.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(result.quotient), 1e-12);
 }
 
 TEST(LumpEdge, AbsorbingSelfLoopsMergeByKeyAndStayAbsorbing) {
@@ -266,7 +269,8 @@ TEST(LumpEdge, QuotientByteIdenticalAcrossConcurrentThreads) {
   const auto model = test::randomModel(60, 3, 5);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto reward = d.evalReward(model, "");
-  const auto keys = lump::keysFromMasksAndRewards(d.numStates(), {}, {&reward});
+  const auto keys =
+      lump::keysFromMasksAndRewards(d.numStates(), {}, {&reward});
   const auto reference = lump::lump(d, keys);
 
   for (const int threads : {1, 2, 8}) {

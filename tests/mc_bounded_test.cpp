@@ -63,7 +63,7 @@ TEST(Bounded, GloballyIsComplementOfFinallyNot) {
   const auto model = test::randomModel(20, 3, 31);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const std::vector<std::uint8_t> target =
-      d.evalAtom(model, "target").toBytes();
+      test::toBytes(d.evalAtom(model, "target"));
   const std::vector<std::uint8_t> all(d.numStates(), 1);
   for (const std::uint64_t k : {0ULL, 3ULL, 7ULL}) {
     const auto g = stateValues(
@@ -135,10 +135,10 @@ TEST(Bounded, MaskedKernelMatchesLegacyLoopBitwise) {
   const auto model = test::randomModel(400, 4, 71);
   const auto d = dtmc::buildExplicit(model).dtmc;
   const auto psi = d.evalAtom(model, "target");
-  const std::vector<std::uint8_t> psiBytes = psi.toBytes();
+  const std::vector<std::uint8_t> psiBytes = test::toBytes(psi);
   std::vector<std::uint8_t> phiBytes(d.numStates());
   for (std::uint32_t s = 0; s < d.numStates(); ++s) phiBytes[s] = s % 3 != 0;
-  const la::BitVector phi = la::BitVector::fromBytes(phiBytes);
+  const la::BitVector phi = test::fromBytes(phiBytes);
   std::vector<double> indicator(d.numStates(), 0.0);
   psi.forEachSetBit([&](std::size_t s) { indicator[s] = 1.0; });
 
@@ -216,7 +216,7 @@ TEST(Bounded, BatchedPlanBitIdenticalToPerFormulaAt128Threads) {
     phi[s] = d.varValue(s, varIdx) < 400 && d.varValue(s, varIdx) != 0;
   }
   const std::vector<double> expected =
-      legacyReference(d, target.toBytes(), phi);
+      legacyReference(d, test::toBytes(target), phi);
 
   const auto runAll = [&](const la::Exec& exec) {
     mc::CheckOptions options;
@@ -261,7 +261,7 @@ TEST(Bounded, PlanDedupSharesColumnsAcrossThresholds) {
   EXPECT_EQ(stats.tasksPlanned, 3u);  // mask + column + group task
   EXPECT_EQ(stats.traversalsSaved, 11u);
   const std::vector<std::uint8_t> target =
-      d.evalAtom(model, "target").toBytes();
+      test::toBytes(d.evalAtom(model, "target"));
   const std::vector<std::uint8_t> all(d.numStates(), 1);
   EXPECT_TRUE(bitEqual(results[0].stateValues,
                        test::legacyBoundedUntil(d, all, target, 4)));
@@ -291,7 +291,7 @@ TEST(Bounded, CheckAllIsolatesBrokenProperties) {
   EXPECT_TRUE(bitEqual(
       results[2].stateValues,
       test::legacyBoundedUntil(d, std::vector<std::uint8_t>(d.numStates(), 1),
-                               target.toBytes(), 8)));
+                               test::toBytes(target), 8)));
 }
 
 TEST(Bounded, TransientGroupIsolatesBrokenRewards) {

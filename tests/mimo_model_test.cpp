@@ -7,6 +7,7 @@
 #include "mc/checker.hpp"
 #include "mimo/model.hpp"
 #include "mimo/sim.hpp"
+#include "test_models.hpp"
 
 namespace mimostat {
 namespace {
@@ -38,7 +39,7 @@ TEST(MimoModel, RejectsParametersItCannotModel) {
 TEST(MimoModel, RowsAreStochastic) {
   const mimo::MimoDetectorModel model(tinyParams());
   const auto result = dtmc::buildExplicit(model);
-  EXPECT_LT(result.dtmc.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(result.dtmc), 1e-12);
 }
 
 TEST(MimoModel, ReachabilityFixpointIsFast) {

@@ -5,12 +5,14 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dtmc/builder.hpp"
 #include "engine/engine.hpp"
 #include "engine/thread_pool.hpp"
 #include "mc/checker.hpp"
+#include "mimo/model.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_models.hpp"
@@ -408,6 +410,57 @@ TEST(ObsDeterminism, AnalyzeAllValuesBitIdenticalTracingOnVsOff) {
           << requests[i].properties[j] << ": " << a << " vs " << b;
     }
   }
+}
+
+// ------------------------------------------------ where the transpose is built
+
+TEST(ObsTrace, ColdQuotientedRequestNeverTransposesTheFullChain) {
+  // Only left products and Prob0/Prob1 read a matrix's transpose, which is
+  // built on first use under an "la.transpose" span. A quotiented request
+  // runs them on the quotient, so the full chain's transpose is never
+  // built; an unreduced one builds it once for all its steps.
+  mimo::MimoParams params;
+  params.nr = 2;
+  params.snrDb = 6.0;
+  params.hLevels = 2;
+  params.hRange = 1.2;
+  params.yLevels = 3;
+  params.yRange = 1.8;
+  const mimo::MimoDetectorModel model(params);
+  const auto transposeSpans = [&](reduce::Toggle quotient,
+                                  std::vector<std::string> properties) {
+    obs::MetricsRegistry registry;
+    engine::EngineOptions options;
+    options.metrics = &registry;
+    options.threads = 2;
+    engine::AnalysisEngine eng(options);
+    engine::AnalysisRequest request;
+    request.model = &model;
+    request.properties = std::move(properties);
+    request.options.reduction.quotient = quotient;
+    obs::Tracer& tracer = obs::Tracer::global();
+    tracer.clear();
+    tracer.setEnabled(true);
+    const engine::AnalysisResponse response = eng.analyze(request);
+    tracer.setEnabled(false);
+    EXPECT_TRUE(response.ok());
+    EXPECT_EQ(response.reduction.applied, quotient == reduce::Toggle::kOn);
+    const std::vector<obs::TraceEvent> events = tracer.events();
+    tracer.clear();
+    return std::count_if(events.begin(), events.end(), [](const auto& e) {
+      return std::string_view(e.name) == "la.transpose";
+    });
+  };
+  // Bounded paths take right products only: no transpose at all.
+  EXPECT_EQ(transposeSpans(reduce::Toggle::kOn, {"P=? [ F<=6 error ]"}), 0);
+  // The transient sweep's left products: the quotient's transpose alone...
+  EXPECT_EQ(transposeSpans(reduce::Toggle::kOn,
+                           {"R=? [ I=8 ]", "P=? [ F<=6 error ]"}),
+            1);
+  // ...or, unreduced, the full chain's, once for all eight steps.
+  EXPECT_EQ(transposeSpans(reduce::Toggle::kOff,
+                           {"R=? [ I=8 ]", "P=? [ F<=6 error ]"}),
+            1);
 }
 
 // --------------------------------------------- engine latency percentiles

@@ -8,6 +8,7 @@
 #include "pml/eval.hpp"
 #include "pml/model.hpp"
 #include "pml/parser.hpp"
+#include "test_models.hpp"
 
 namespace mimostat {
 namespace {
@@ -84,7 +85,7 @@ TEST(PmlModel, MatchesClosedForm) {
   const pml::PmlModel model(kTwoStateSource);
   const auto d = dtmc::buildExplicit(model).dtmc;
   EXPECT_EQ(d.numStates(), 2u);
-  EXPECT_LT(d.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(d), 1e-12);
   const mc::Checker checker(d, model);
   EXPECT_NEAR(checker.check("R=? [ I=10 ]").value, twoStateP1(0.3, 0.4, 10),
               1e-12);
@@ -232,7 +233,7 @@ module m
 endmodule
 )");
   const auto result = dtmc::buildExplicit(model);
-  EXPECT_GT(result.dtmc.maxRowDeviation(), 0.4);
+  EXPECT_GT(test::maxRowDeviation(result.dtmc), 0.4);
 }
 
 }  // namespace

@@ -72,7 +72,8 @@ TEST_P(RandomChainProperties, UnboundedDominatesBounded) {
 
 TEST_P(RandomChainProperties, LumpingPreservesRewardTransients) {
   const auto reward = dtmc_.evalReward(model_, "");
-  const auto keys = lump::keysFromRewardAndLabels(reward, {});
+  const auto keys =
+      lump::keysFromMasksAndRewards(reward.size(), {}, {&reward});
   const auto lumped = lump::lump(dtmc_, keys);
   std::vector<double> quotientReward(lumped.quotient.numStates());
   for (std::uint32_t b = 0; b < lumped.quotient.numStates(); ++b) {
@@ -115,14 +116,16 @@ TEST_P(RandomChainProperties, LumpingIsIdempotent) {
   // Lumping the quotient with the inherited keys must not shrink it
   // further: the first pass already reached the coarsest refinement.
   const auto reward = dtmc_.evalReward(model_, "");
-  const auto keys = lump::keysFromRewardAndLabels(reward, {});
+  const auto keys =
+      lump::keysFromMasksAndRewards(reward.size(), {}, {&reward});
   const auto once = lump::lump(dtmc_, keys);
   std::vector<double> quotientReward(once.quotient.numStates());
   for (std::uint32_t b = 0; b < once.quotient.numStates(); ++b) {
     quotientReward[b] = reward[once.representative[b]];
   }
   const auto twice = lump::lump(
-      once.quotient, lump::keysFromRewardAndLabels(quotientReward, {}));
+      once.quotient, lump::keysFromMasksAndRewards(quotientReward.size(), {},
+                                                   {&quotientReward}));
   ASSERT_EQ(twice.partition.numBlocks, once.partition.numBlocks);
 }
 

@@ -3,7 +3,10 @@
 // corner cases.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
+#include <cmath>
+#include <cstdint>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -12,6 +15,7 @@
 
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
+#include "la/bit_vector.hpp"
 #include "util/rng.hpp"
 
 namespace mimostat::test {
@@ -25,6 +29,36 @@ inline bool sameStateTables(const dtmc::ExplicitDtmc& a,
     if (a.state(i) != b.state(i)) return false;
   }
   return true;
+}
+
+/// Bridges to the legacy byte-per-state mask representation, the
+/// bitwise-identity oracle of the bounded-path and mask tests: any non-zero
+/// byte is a set bit.
+inline la::BitVector fromBytes(const std::vector<std::uint8_t>& bytes) {
+  la::BitVector result(bytes.size());
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    if (bytes[i] != 0) result.set(i);
+  }
+  return result;
+}
+
+inline std::vector<std::uint8_t> toBytes(const la::BitVector& v) {
+  std::vector<std::uint8_t> bytes(v.size(), 0);
+  v.forEachSetBit([&](std::size_t i) { bytes[i] = 1; });
+  return bytes;
+}
+
+/// The worst |row sum - 1| over the rows of `d`.
+inline double maxRowDeviation(const dtmc::ExplicitDtmc& d) {
+  double worst = 0.0;
+  for (std::uint32_t s = 0; s < d.numStates(); ++s) {
+    double sum = 0.0;
+    for (std::uint64_t k = d.rowPtr()[s]; k < d.rowPtr()[s + 1]; ++k) {
+      sum += d.val()[k];
+    }
+    worst = std::max(worst, std::fabs(sum - 1.0));
+  }
+  return worst;
 }
 
 /// DTMC given directly as a dense transition matrix over one variable "s".

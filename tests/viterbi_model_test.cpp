@@ -6,6 +6,7 @@
 #include "core/reduction.hpp"
 #include "dtmc/builder.hpp"
 #include "mc/checker.hpp"
+#include "test_models.hpp"
 #include "viterbi/fabs.hpp"
 #include "viterbi/model_full.hpp"
 #include "viterbi/model_reduced.hpp"
@@ -25,8 +26,9 @@ viterbi::ViterbiParams smallParams(int traceLength, bool withErrs = false) {
 TEST(ViterbiModels, RowsAreStochastic) {
   const viterbi::FullViterbiModel full(smallParams(3));
   const viterbi::ReducedViterbiModel reduced(smallParams(3));
-  EXPECT_LT(dtmc::buildExplicit(full).dtmc.maxRowDeviation(), 1e-12);
-  EXPECT_LT(dtmc::buildExplicit(reduced).dtmc.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(dtmc::buildExplicit(full).dtmc), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(dtmc::buildExplicit(reduced).dtmc),
+            1e-12);
 }
 
 TEST(ViterbiModels, ReductionShrinksStateSpace) {
@@ -109,7 +111,7 @@ TEST(ViterbiModels, PaperScaleReducedModelBuilds) {
   const viterbi::ReducedViterbiModel reduced(viterbi::ViterbiParams{});
   const auto result = dtmc::buildExplicit(reduced);
   EXPECT_GT(result.dtmc.numStates(), 1000u);
-  EXPECT_LT(result.dtmc.maxRowDeviation(), 1e-12);
+  EXPECT_LT(test::maxRowDeviation(result.dtmc), 1e-12);
   // BER at SNR 5 dB with this coarse quantizer is substantial (the paper's
   // "poor performance" conclusion) — sanity-band the P2 value.
   const mc::Checker checker(result.dtmc, reduced);

@@ -59,9 +59,8 @@ scalar reference at any thread count) and its byte-stable exports:
                        representative table) in src/ outside src/reduce/ +
                        src/lump/ + src/mc/. The bisimulation quotient's
                        state indexing is private to the reduction layers;
-                       results cross back to original-state indexing only
-                       through reduce::liftStateValues / projectMask /
-                       projectVector. Hand-rolled block-map arithmetic
+                       no result crosses back to original-state indexing.
+                       Hand-rolled block-map arithmetic
                        elsewhere is one off-by-one away from handing a
                        caller quotient-indexed values under an
                        original-indexed contract.
@@ -486,9 +485,8 @@ def check_reduction_boundary(path: str, lines: list[str]) -> list[Violation]:
     """Flag quotient block-map access outside the reduction layers.
 
     src/reduce/ owns the quotient indexing, src/lump/ produces it, and
-    src/mc/ consumes it through the checker; everything else maps between
-    quotient and original indexing exclusively via reduce::liftStateValues /
-    projectMask / projectVector. A `blockOf` read (or representative-table
+    src/mc/ consumes it through the checker; nothing else maps between
+    quotient and original indexing. A `blockOf` read (or representative-table
     indexing) elsewhere hand-rolls that mapping and can silently return
     quotient-indexed vectors where original indexing is promised.
     tests/ and bench/ verify the mapping itself, so they stay free.
@@ -511,10 +509,9 @@ def check_reduction_boundary(path: str, lines: list[str]) -> list[Violation]:
                     idx + 1,
                     "reduction-boundary",
                     "quotient block-map access outside src/reduce/ + "
-                    "src/lump/ + src/mc/ — map results with "
-                    "reduce::liftStateValues / projectMask / projectVector, "
-                    "or add lint:allow(reduction-boundary: <why this is not "
-                    "quotient-index mapping>)",
+                    "src/lump/ + src/mc/ — keep quotient indexing in the "
+                    "reduction layers, or add lint:allow(reduction-boundary: "
+                    "<why this is not quotient-index mapping>)",
                 )
             )
     return out
