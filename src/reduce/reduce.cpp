@@ -1,6 +1,5 @@
 #include "reduce/reduce.hpp"
 
-#include <cassert>
 #include <string>
 #include <utility>
 

@@ -7,7 +7,7 @@ does not count) and prints the raw line count beside it, per top-level
 module and in total. A net drop in src/ with the same behaviour is
 progress; the ceiling (--max) makes growth a deliberate decision.
 
-Run: python3 tools/lint/src_size.py --root . --max 10298
+Run: python3 tools/lint/src_size.py --root . --max 10297
 Exit status 0 at or below the ceiling (or without --max), 1 above it.
 Registered as the `src_size` ctest and run in CI's lint job; unit-tested by
 tools/lint/lint_selftest.py.
