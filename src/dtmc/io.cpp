@@ -81,10 +81,12 @@ void writeSrew(const ExplicitDtmc& dtmc, const Model& model,
 
 namespace {
 
-/// readTra accepts a present row whose probabilities sum to 1 within this:
-/// slack for exports rounded to six significant digits (0.5 and 0.499999
-/// import), while a row missing a share of its mass is rejected.
-constexpr double kRowSumTolerance = 1e-6;
+/// readTra's row-sum slack per entry: k entries exported at six significant
+/// digits can miss 1 by up to about k * 5e-7, so a present row of k entries
+/// imports when its sum lies within (k + 1) * 5e-7 of 1 (the extra 5e-7
+/// absorbs the summation's own rounding: 0.5 + 0.499999 and three times
+/// 0.333333 import), while a row missing a share of its mass is rejected.
+constexpr double kRoundingPerEntry = 5e-7;
 
 /// The decimal integer `text` (surrounding blanks allowed) if it lies in
 /// [lo, hi]. Range-checked before any narrowing, so an index of 2^32 is an
@@ -163,8 +165,10 @@ ExplicitDtmc readTra(std::istream& tra, std::istream* sta,
     const double sum =
         std::accumulate(raw.val.begin() + raw.rowPtr[r],
                         raw.val.begin() + raw.rowPtr[r + 1], 0.0);
-    if (raw.rowPtr[r] != raw.rowPtr[r + 1] &&
-        std::fabs(sum - 1.0) > kRowSumTolerance) {
+    const std::uint64_t entries = raw.rowPtr[r + 1] - raw.rowPtr[r];
+    if (entries != 0 &&
+        std::fabs(sum - 1.0) > static_cast<double>(entries + 1) *
+                                   kRoundingPerEntry) {
       throw std::runtime_error("readTra: row " + std::to_string(r) +
                                " sums to " + std::to_string(sum));
     }

@@ -363,19 +363,16 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::quotientFor(
     auto built = std::make_shared<BuiltModel>();
     built->signature = quotientKey;
     built->reachabilityIterations = full.reachabilityIterations;
-    auto info = std::make_shared<reduce::ReductionInfo>(std::move(reduced.info));
-    if (info->statesAfter < info->statesBefore) {
+    if (reduced.info.statesAfter < reduced.info.statesBefore) {
       built->dtmc = std::move(reduced.quotient);
-      built->approxBytes = approxDtmcBytes(built->dtmc) + info->approxBytes();
+      built->approxBytes = approxDtmcBytes(built->dtmc);
     } else {
-      // Identity-quotient marker: drop the block map and the (duplicate)
-      // quotient matrix. The entry only memoizes "this plan cannot shrink
-      // this model", so repeat requests skip the refinement at no byte
-      // cost.
-      reduce::shrinkToMarker(*info);
+      // Identity-quotient marker: drop the (duplicate) quotient matrix. The
+      // entry only memoizes "this plan cannot shrink this model", so repeat
+      // requests skip the refinement.
       built->approxBytes = sizeof(BuiltModel);
     }
-    built->reduction = std::move(info);
+    built->reduction = reduced.info;
     return std::shared_ptr<const BuiltModel>(std::move(built));
   });
 }
@@ -533,7 +530,7 @@ AnalysisResponse AnalysisEngine::analyzeExact(const AnalysisRequest& request,
   // vectors this request's plan needs, so labels the plan never reads
   // cannot block merging. The unmodified checker then runs on the quotient
   // — every mask/reward that seeded the partition is block-constant, so
-  // re-evaluation through the quotient's representative states equals
+  // re-evaluation through the quotient's per-block member states equals
   // projection and the initial-distribution-weighted answers are exact
   // (strong lumping). Quotients are cached in the model cache keyed by
   // (structural key, label/reward digest).
@@ -717,10 +714,7 @@ AnalysisResponse AnalysisEngine::analyzeSampling(const AnalysisRequest& request,
 
   // Path chunks of one property fan out over the pool; nested run() is safe
   // (the property task drains its own chunk batch).
-  const smc::TaskRunner runner =
-      [this](std::vector<std::function<void()>> chunks) {
-        pool_.run(std::move(chunks));
-      };
+  const la::TaskRunner runner = laRunnerFor(pool_);
 
   obs::Span checkSpan("engine.check", traceParent);
   const std::uint64_t checkSpanId = checkSpan.id();

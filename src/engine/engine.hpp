@@ -139,12 +139,13 @@ struct BuiltModel {
   /// state when packed + initial distribution) used for the cache's byte
   /// accounting.
   std::uint64_t approxBytes = 0;
-  /// Set on quotient entries only: the block map and reduction counters of
-  /// the plan-aware bisimulation quotient this entry holds. An entry whose
-  /// info reports statesAfter == statesBefore is an identity-quotient
-  /// marker — `dtmc` is empty and the engine never applies it (it exists so
-  /// repeat requests skip the refinement, at no byte cost).
-  std::shared_ptr<const reduce::ReductionInfo> reduction;
+  /// Set on quotient entries only: the counters of the plan-aware
+  /// bisimulation quotient this entry holds (no block map: nothing past the
+  /// quotient reads one). An entry whose counters report statesAfter ==
+  /// statesBefore is an identity-quotient marker — `dtmc` is empty and the
+  /// engine never applies it (it exists so repeat requests skip the
+  /// refinement, at sizeof(BuiltModel) bytes).
+  std::optional<reduce::ReductionInfo> reduction;
 };
 
 /// Approximate resident bytes of an explicit DTMC (the BuiltModel/cache

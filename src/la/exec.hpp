@@ -20,9 +20,9 @@
 
 namespace mimostat::la {
 
-/// Executes a batch of independent tasks and returns when all are done.
-/// Same shape as smc::TaskRunner; bind engine::ThreadPool with
-///   la::Exec exec{[&pool](auto tasks) { pool.run(std::move(tasks)); }};
+/// Executes a batch of independent tasks and returns when all are done
+/// (la:: kernels, lump::, smc:: sampling); engine::laRunnerFor binds an
+/// engine::ThreadPool.
 using TaskRunner = std::function<void(std::vector<std::function<void()>>)>;
 
 struct Exec {

@@ -12,11 +12,20 @@ namespace mimostat::lump {
 
 namespace {
 
+/// Bucket width of transition masses and rewards: values in one bucket hash
+/// alike, so floating-point noise far below it does not split equal blocks.
+constexpr double kResolution = 1e-12;
+
+/// Bucket of `value` at kResolution, as hash input.
+std::uint64_t bucketOf(double value) {
+  return static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(std::llround(value / kResolution)));
+}
+
 /// Hash of a state's signature: sorted (target block, bucketed prob) pairs,
 /// merged per block.
 std::uint64_t signatureHash(const dtmc::ExplicitDtmc& dtmc, std::uint32_t s,
                             const std::vector<std::uint32_t>& blockOf,
-                            double resolution,
                             std::vector<std::pair<std::uint32_t, double>>& scratch) {
   scratch.clear();
   for (std::uint64_t k = dtmc.rowPtr()[s]; k < dtmc.rowPtr()[s + 1]; ++k) {
@@ -33,10 +42,8 @@ std::uint64_t signatureHash(const dtmc::ExplicitDtmc& dtmc, std::uint32_t s,
       prob += scratch[i].second;
       ++i;
     }
-    const auto bucket =
-        static_cast<std::int64_t>(std::llround(prob / resolution));
     hash = util::hashCombine(hash, util::mix64(block));
-    hash = util::hashCombine(hash, util::mix64(static_cast<std::uint64_t>(bucket)));
+    hash = util::hashCombine(hash, util::mix64(bucketOf(prob)));
   }
   return hash;
 }
@@ -46,7 +53,7 @@ std::uint64_t signatureHash(const dtmc::ExplicitDtmc& dtmc, std::uint32_t s,
 InitialKeys keysFromMasksAndRewards(
     std::size_t numStates, const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
-    const la::TaskRunner& runner, double rewardResolution) {
+    const la::TaskRunner& runner) {
   InitialKeys keys(numStates, 0x9E3779B97F4A7C15ULL);
   la::runStateRanges(runner, numStates, [&](std::size_t begin,
                                             std::size_t end) {
@@ -59,10 +66,8 @@ InitialKeys keysFromMasksAndRewards(
     for (const std::vector<double>* reward : rewards) {
       assert(reward != nullptr && reward->size() == numStates);
       for (std::size_t s = begin; s < end; ++s) {
-        const auto bucket = static_cast<std::int64_t>(
-            std::llround((*reward)[s] / rewardResolution));
-        keys[s] = util::hashCombine(
-            keys[s], util::mix64(static_cast<std::uint64_t>(bucket)));
+        keys[s] =
+            util::hashCombine(keys[s], util::mix64(bucketOf((*reward)[s])));
       }
     }
   });
@@ -70,7 +75,7 @@ InitialKeys keysFromMasksAndRewards(
 }
 
 LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
-                const LumpOptions& options, const la::TaskRunner& runner) {
+                const la::TaskRunner& runner) {
   obs::Span span("lump.bisim");
   const std::uint32_t n = dtmc.numStates();
   assert(initialKeys.size() == n);
@@ -94,7 +99,10 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
   // signature — a pure function of the state and the previous round's
   // partition — over the matrix's row blocks (on `runner` when the matrix
   // is large enough), then numbers the new blocks in state order on this
-  // thread, so the partition is the same at any pool size.
+  // thread, so the partition is the same at any pool size. A signature
+  // includes the state's block, so a round only splits blocks; the loop
+  // stops at the first round that adds none (the partition is stable), at
+  // most n rounds in.
   const la::CsrMatrix& matrix = dtmc.matrix();
   const bool fanOut = runner != nullptr && matrix.blockCount() > 1 &&
                       dtmc.numTransitions() >=
@@ -102,7 +110,7 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
   const std::size_t ranges = fanOut ? matrix.blockCount() : 1;
   std::vector<std::uint64_t> signature(n);
   std::vector<std::uint32_t> newBlockOf(n);
-  for (std::uint32_t round = 0; round < options.maxRefinementRounds; ++round) {
+  for (;;) {
     ++result.refinementRounds;
     la::runTasks(runner, ranges, [&](std::size_t r) {
       std::vector<std::pair<std::uint32_t, double>> scratch;
@@ -110,7 +118,7 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
       for (std::uint32_t s = fanOut ? matrix.blockBegin(r) : 0; s < end; ++s) {
         signature[s] = util::hashCombine(
             util::mix64(blockOf[s]),
-            signatureHash(dtmc, s, blockOf, options.probResolution, scratch));
+            signatureHash(dtmc, s, blockOf, scratch));
       }
     });
     std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
@@ -169,7 +177,6 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
   dtmc.copyStatesInto(result.representative, raw);
 
   result.quotient = dtmc::ExplicitDtmc::fromRaw(std::move(raw));
-  result.seconds = span.stopSeconds();
   return result;
 }
 

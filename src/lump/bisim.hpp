@@ -25,27 +25,24 @@ struct Partition {
   std::uint32_t numBlocks = 0;
 };
 
-struct LumpOptions {
-  /// Probabilities are bucketed to this resolution when hashing signatures
-  /// (guards against floating-point noise splitting equal blocks).
-  double probResolution = 1e-12;
-  std::uint32_t maxRefinementRounds = 1'000'000;
-};
-
 struct LumpResult {
   Partition partition;
   dtmc::ExplicitDtmc quotient;
   /// stateOf[block] = representative original state index.
   std::vector<std::uint32_t> representative;
+  /// Signature rounds run, the last one (which adds no block) included.
   std::uint32_t refinementRounds = 0;
-  double seconds = 0.0;
 };
 
 /// Initial-partition keys: states with different keys may never share a
 /// block. Typical key: (reward value, relevant label bits).
 using InitialKeys = std::vector<std::uint64_t>;
 
-/// Coarsest lumping quotient respecting the initial keys.
+/// Coarsest lumping quotient respecting the initial keys. Transition masses
+/// are bucketed at 1e-12 when hashing signatures (floating-point noise must
+/// not split equal blocks). Refinement runs until a round adds no block;
+/// every other round adds at least one, so it ends within numStates rounds
+/// on a stable partition.
 /// The quotient's state table holds the representative original states (in
 /// the original table's form: packed keys stay packed), and its VarLayout
 /// is inherited — so pCTL variable comparisons keep working on the quotient
@@ -56,18 +53,18 @@ using InitialKeys = std::vector<std::uint64_t>;
 /// or without it.
 [[nodiscard]] LumpResult lump(const dtmc::ExplicitDtmc& dtmc,
                               const InitialKeys& initialKeys,
-                              const LumpOptions& options = {},
                               const la::TaskRunner& runner = {});
 
 /// Initial keys from an evaluation plan's needs: any number of packed masks
-/// (one bit per state each) and any number of reward vectors (bucketed to
-/// `rewardResolution`). States agreeing on every mask bit and every bucketed
-/// reward share a key; masks/rewards the plan does not need are simply not
-/// passed and never block merging (the reduce:: plan-aware partition).
+/// (one bit per state each) and any number of reward vectors (bucketed at
+/// 1e-12, as lump() buckets transition masses). States agreeing on every
+/// mask bit and every bucketed reward share a key; masks/rewards the plan
+/// does not need are simply not passed and never block merging (the
+/// reduce:: plan-aware partition).
 /// Computed over la::runStateRanges on `runner`; the same keys without it.
 [[nodiscard]] InitialKeys keysFromMasksAndRewards(
     std::size_t numStates, const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
-    const la::TaskRunner& runner = {}, double rewardResolution = 1e-12);
+    const la::TaskRunner& runner = {});
 
 }  // namespace mimostat::lump

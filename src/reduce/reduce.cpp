@@ -54,11 +54,9 @@ ReducedModel buildQuotient(const dtmc::ExplicitDtmc& dtmc,
   obs::Span span("reduce.quotient");
   const lump::InitialKeys keys =
       lump::keysFromMasksAndRewards(dtmc.numStates(), masks, rewards, runner);
-  lump::LumpResult lumped = lump::lump(dtmc, keys, {}, runner);
+  lump::LumpResult lumped = lump::lump(dtmc, keys, runner);
 
   ReducedModel reduced;
-  reduced.info.blockOf = std::move(lumped.partition.blockOf);
-  reduced.info.representative = std::move(lumped.representative);
   reduced.info.statesBefore = dtmc.numStates();
   reduced.info.statesAfter = lumped.partition.numBlocks;
   reduced.info.transitionsBefore = dtmc.numTransitions();
@@ -67,13 +65,6 @@ ReducedModel buildQuotient(const dtmc::ExplicitDtmc& dtmc,
   reduced.quotient = std::move(lumped.quotient);
   reduced.info.seconds = span.stopSeconds();
   return reduced;
-}
-
-void shrinkToMarker(ReductionInfo& info) {
-  info.blockOf.clear();
-  info.blockOf.shrink_to_fit();
-  info.representative.clear();
-  info.representative.shrink_to_fit();
 }
 
 }  // namespace mimostat::reduce

@@ -8,9 +8,9 @@
 // chains collapse by orders of magnitude under a single-property plan that
 // a full-label partition would keep nearly discrete.
 //
-// The quotient's state table stores block representatives (lump:: keeps the
-// VarLayout), so every keyed mask and reward re-evaluates to the same value
-// on the representative as on any block member — mc::Checker runs the plan
+// The quotient's state table stores one member state per block (lump::
+// keeps the VarLayout), so every keyed mask and reward re-evaluates to the
+// same value on it as on any other block member — mc::Checker runs the plan
 // on the quotient unchanged. Quotient-indexed vectors never leave reduce::,
 // lump:: and mc:: (machine-checked by the `reduction-boundary` lint rule);
 // the engine answers from the quotient's initial distribution, which
@@ -20,8 +20,9 @@
 // but changes floating-point accumulation order (block mass sums, merged
 // rows), so reduced answers agree with the unreduced reference to solver /
 // rounding tolerance, not bit-for-bit. The reduction itself is
-// deterministic: a fixed model + plan yields a byte-identical block map at
-// any thread count. tests/reduce_test.cpp and bench/reduce.cpp assert both.
+// deterministic: a fixed model + plan yields a byte-identical partition and
+// quotient at any thread count. tests/reduce_test.cpp and bench/reduce.cpp
+// assert both.
 #pragma once
 
 #include <cstdint>
@@ -78,13 +79,10 @@ struct Options {
 [[nodiscard]] bool eliminationSelected(bool quotientApplied,
                                        std::uint64_t quotientStates);
 
-/// The block map tying a quotient to its base model. Quotient-block
-/// indexing stays inside the reduction layers (reduce::, lump::, mc::).
+/// Counters of one plan-aware quotient: what the engine reports in
+/// ReductionStats and what decides apply/skip. The block map stays inside
+/// lump::lump; nothing past the quotient reads it.
 struct ReductionInfo {
-  /// blockOf[s] = quotient block of original state s.
-  std::vector<std::uint32_t> blockOf;
-  /// representative[b] = original state whose row/values represent block b.
-  std::vector<std::uint32_t> representative;
   std::uint32_t statesBefore = 0;
   std::uint32_t statesAfter = 0;
   std::uint64_t transitionsBefore = 0;
@@ -92,14 +90,9 @@ struct ReductionInfo {
   std::uint32_t refinementRounds = 0;
   /// Wall-clock of the refinement + quotient construction.
   double seconds = 0.0;
-
-  /// Resident bytes of the block map + representatives (cache accounting).
-  [[nodiscard]] std::uint64_t approxBytes() const {
-    return (blockOf.size() + representative.size()) * sizeof(std::uint32_t);
-  }
 };
 
-/// A quotient DTMC plus the metadata to map results back.
+/// A quotient DTMC plus its counters.
 struct ReducedModel {
   dtmc::ExplicitDtmc quotient;
   ReductionInfo info;
@@ -107,8 +100,8 @@ struct ReducedModel {
 
 /// Plan-aware quotient: the initial partition separates states exactly by
 /// the given evaluated masks (one bit per state each) and reward vectors
-/// (bucketed, like transition probabilities during refinement, at lump::'s
-/// default 1e-12 resolution) — the plan's needs, nothing more.
+/// (bucketed at 1e-12, like transition probabilities during refinement) —
+/// the plan's needs, nothing more.
 /// Deterministic: block ids are assigned in ascending state order, with or
 /// without `runner` (which only spreads the signature refinement, see
 /// lump::lump).
@@ -117,12 +110,5 @@ struct ReducedModel {
     const std::vector<const la::BitVector*>& masks,
     const std::vector<const std::vector<double>*>& rewards,
     const la::TaskRunner& runner = {});
-
-/// Strip the per-state tables from an identity quotient's info, keeping the
-/// counters. Used for cache marker entries ("this plan cannot shrink this
-/// model"): the counters still answer the apply/skip decision while the
-/// entry costs no per-state bytes. An identity quotient is never applied,
-/// so nothing maps through a shrunk info.
-void shrinkToMarker(ReductionInfo& info);
 
 }  // namespace mimostat::reduce

@@ -146,6 +146,11 @@ void requireBounded(const pctl::PathFormula& path) {
   }
 }
 
+/// Paths per RNG chunk, the determinism granularity: results are invariant
+/// under the task runner's thread count, and an SPRT's observation order
+/// (hence its decision) is a function of the seed alone.
+constexpr std::uint64_t kChunkPaths = 1'024;
+
 /// Draw `options.paths` paths in chunks, each chunk from its own
 /// counter-derived RNG stream, merging per-chunk accumulators in chunk-index
 /// order. `perPath(sampler, acc)` evaluates one path. The accumulator needs
@@ -153,33 +158,24 @@ void requireBounded(const pctl::PathFormula& path) {
 /// seed regardless of how `runner` schedules the chunks.
 template <typename Accumulator, typename PerPath>
 Accumulator sampleChunked(const dtmc::Model& model, const SmcOptions& options,
-                          const TaskRunner& runner, const PerPath& perPath) {
-  const std::uint64_t chunkSize = std::max<std::uint64_t>(1, options.chunkPaths);
-  const std::uint64_t numChunks = (options.paths + chunkSize - 1) / chunkSize;
+                          const la::TaskRunner& runner,
+                          const PerPath& perPath) {
+  const std::uint64_t numChunks =
+      (options.paths + kChunkPaths - 1) / kChunkPaths;
   std::vector<Accumulator> partial(numChunks);
-
-  std::vector<std::function<void()>> tasks;
-  tasks.reserve(numChunks);
-  for (std::uint64_t c = 0; c < numChunks; ++c) {
+  la::runTasks(runner, numChunks, [&](std::size_t c) {
     const std::uint64_t count =
-        std::min(chunkSize, options.paths - c * chunkSize);
-    tasks.push_back([&model, &options, &partial, &perPath, c, count] {
-      PathSampler sampler(model, deriveSeed(options.seed, c));
-      // Accumulate locally and publish once: adjacent partial[] slots share
-      // cache lines, and per-path writes from different workers would
-      // ping-pong them.
-      Accumulator acc;
-      for (std::uint64_t i = 0; i < count; ++i) {
-        perPath(sampler, acc);
-      }
-      partial[c] = acc;
-    });
-  }
-  if (runner) {
-    runner(std::move(tasks));
-  } else {
-    for (auto& task : tasks) task();
-  }
+        std::min(kChunkPaths, options.paths - c * kChunkPaths);
+    PathSampler sampler(model, deriveSeed(options.seed, c));
+    // Accumulate locally and publish once: adjacent partial[] slots share
+    // cache lines, and per-path writes from different workers would
+    // ping-pong them.
+    Accumulator acc;
+    for (std::uint64_t i = 0; i < count; ++i) {
+      perPath(sampler, acc);
+    }
+    partial[c] = acc;
+  });
 
   Accumulator merged;
   for (const Accumulator& p : partial) merged.merge(p);
@@ -191,7 +187,7 @@ Accumulator sampleChunked(const dtmc::Model& model, const SmcOptions& options,
 SmcEstimate estimatePathProbability(const dtmc::Model& model,
                                     const pctl::PathFormula& path,
                                     const SmcOptions& options,
-                                    const TaskRunner& runner) {
+                                    const la::TaskRunner& runner) {
   requireBounded(path);
   // Auto-parents to the caller's span on this thread (the engine's
   // per-property "engine.property" when invoked through the engine).
@@ -209,7 +205,7 @@ SmcEstimate estimatePathProbability(const dtmc::Model& model,
 SmcEstimate estimateProperty(const dtmc::Model& model,
                              std::string_view propertyText,
                              const SmcOptions& options,
-                             const TaskRunner& runner) {
+                             const la::TaskRunner& runner) {
   const pctl::Property property = pctl::parseProperty(propertyText);
   if (property.kind != pctl::Property::Kind::kProb) {
     throw std::invalid_argument("estimateProperty takes a P-property");
@@ -221,7 +217,7 @@ stats::RunningStats estimateInstantaneousReward(const dtmc::Model& model,
                                                 std::uint64_t horizon,
                                                 std::string_view rewardName,
                                                 const SmcOptions& options,
-                                                const TaskRunner& runner) {
+                                                const la::TaskRunner& runner) {
   return sampleChunked<stats::RunningStats>(
       model, options, runner,
       [&model, horizon, rewardName](PathSampler& sampler,
@@ -236,7 +232,7 @@ stats::RunningStats estimateCumulativeReward(const dtmc::Model& model,
                                              std::uint64_t horizon,
                                              std::string_view rewardName,
                                              const SmcOptions& options,
-                                             const TaskRunner& runner) {
+                                             const la::TaskRunner& runner) {
   return sampleChunked<stats::RunningStats>(
       model, options, runner,
       [&model, horizon, rewardName](PathSampler& sampler,
@@ -273,13 +269,12 @@ SprtOutcome testPathProbability(const dtmc::Model& model,
   SprtOutcome outcome;
   outcome.indifference = delta;
 
-  const std::uint64_t chunkSize = std::max<std::uint64_t>(1, options.chunkPaths);
   for (std::uint64_t c = 0; outcome.pathsUsed < options.maxPaths; ++c) {
     // One counter-derived stream per chunk: the observation sequence (and
     // hence the decision) is a pure function of the seed.
     PathSampler sampler(model, deriveSeed(options.seed, c));
     for (std::uint64_t i = 0;
-         i < chunkSize && outcome.pathsUsed < options.maxPaths; ++i) {
+         i < kChunkPaths && outcome.pathsUsed < options.maxPaths; ++i) {
       const bool sat = samplePathSatisfies(sampler, model, path);
       ++outcome.pathsUsed;
       outcome.observed.add(sat);

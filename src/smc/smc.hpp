@@ -9,23 +9,22 @@
 // checking (mc::Checker) and statistical guarantees by simulation (this
 // module), sharing one model definition.
 //
-// Determinism: all estimators draw paths in fixed-size chunks, each chunk
-// from its own counter-derived RNG stream (deriveSeed of the caller seed and
-// the chunk index). Chunks may run on any threads in any order — per-chunk
-// accumulators are merged in chunk-index order, so for a fixed seed the
-// result is bit-identical whether sampling runs serially or on a pool of
-// any size.
+// Determinism: all estimators draw paths in fixed chunks of 1,024, each
+// chunk from its own counter-derived RNG stream (deriveSeed of the caller
+// seed and the chunk index). Chunks may run on any threads in any order —
+// per-chunk accumulators are merged in chunk-index order, so for a fixed
+// seed the result is bit-identical whether sampling runs serially or on a
+// pool of any size.
 //
 // Only *time-bounded* path formulas are estimable by finite sampling;
 // passing an unbounded formula throws.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string_view>
-#include <vector>
 
 #include "dtmc/model.hpp"
+#include "la/exec.hpp"
 #include "pctl/ast.hpp"
 #include "stats/estimator.hpp"
 #include "stats/sprt.hpp"
@@ -46,10 +45,6 @@ namespace mimostat::smc {
 /// independent.
 [[nodiscard]] std::uint64_t deriveSeed(std::uint64_t seed,
                                        std::uint64_t stream);
-
-/// Executes a batch of independent tasks, blocking until all complete (the
-/// engine passes its thread pool; empty means run serially in order).
-using TaskRunner = std::function<void(std::vector<std::function<void()>>)>;
 
 /// Samples random paths from a model. Each path starts from a uniformly
 /// chosen initial state. States without outgoing transitions are treated as
@@ -81,9 +76,6 @@ class PathSampler {
 struct SmcOptions {
   std::uint64_t paths = 10'000;
   std::uint64_t seed = 1;
-  /// Paths per RNG chunk (the determinism granularity); results are
-  /// invariant under the task runner's thread count, not under chunkPaths.
-  std::uint64_t chunkPaths = 1'024;
 };
 
 struct SmcEstimate {
@@ -97,19 +89,19 @@ struct SmcEstimate {
 /// Throws std::invalid_argument for unbounded formulas.
 [[nodiscard]] SmcEstimate estimatePathProbability(
     const dtmc::Model& model, const pctl::PathFormula& path,
-    const SmcOptions& options, const TaskRunner& runner = {});
+    const SmcOptions& options, const la::TaskRunner& runner = {});
 
 /// Parse-and-estimate convenience for "P=? [ ... ]" property strings.
 [[nodiscard]] SmcEstimate estimateProperty(const dtmc::Model& model,
                                            std::string_view propertyText,
                                            const SmcOptions& options,
-                                           const TaskRunner& runner = {});
+                                           const la::TaskRunner& runner = {});
 
 /// Estimate R=? [ I=T ] by sampling (mean instantaneous reward at T).
 [[nodiscard]] stats::RunningStats estimateInstantaneousReward(
     const dtmc::Model& model, std::uint64_t horizon,
     std::string_view rewardName, const SmcOptions& options,
-    const TaskRunner& runner = {});
+    const la::TaskRunner& runner = {});
 
 /// Estimate R=? [ C<=T ] by sampling: mean over paths of the per-path
 /// accumulated state reward sum_{t=0}^{T-1} r(s_t) — the pathwise analogue
@@ -118,7 +110,7 @@ struct SmcEstimate {
 [[nodiscard]] stats::RunningStats estimateCumulativeReward(
     const dtmc::Model& model, std::uint64_t horizon,
     std::string_view rewardName, const SmcOptions& options,
-    const TaskRunner& runner = {});
+    const la::TaskRunner& runner = {});
 
 struct SprtOptions {
   double indifference = 0.01;  ///< half-width of the indifference region
@@ -126,9 +118,6 @@ struct SprtOptions {
   double beta = 0.01;          ///< false-accept probability for H0
   std::uint64_t maxPaths = 10'000'000;
   std::uint64_t seed = 1;
-  /// Paths per RNG chunk; the observation order (and hence the decision) is
-  /// a function of the seed alone.
-  std::uint64_t chunkPaths = 1'024;
 };
 
 struct SprtOutcome {

@@ -107,6 +107,18 @@ TEST(IoImport, MalformedInputsThrow) {
     std::stringstream tra("2 3\n0 1 0.5\n0 0 0.499999999999\n1 0 1.0\n");
     EXPECT_NO_THROW((void)dtmc::readTra(tra, nullptr));
   }
+  {
+    // Three entries at six significant digits sum to 0.999999, 1e-6 (plus
+    // rounding) short of 1: the slack grows with the entry count.
+    std::stringstream tra(
+        "2 4\n0 0 0.333333\n0 1 0.333333\n0 1 0.333333\n1 0 1.0\n");
+    EXPECT_NO_THROW((void)dtmc::readTra(tra, nullptr));
+  }
+  {
+    // ...but not so far that a row missing 1% of its mass imports.
+    std::stringstream tra("2 3\n0 0 0.49\n0 1 0.5\n1 0 1.0\n");
+    EXPECT_THROW(dtmc::readTra(tra, nullptr), std::runtime_error);
+  }
   const auto readWithSta = [](const std::string& staText) {
     std::stringstream tra("2 2\n0 1 1.0\n1 0 1.0\n");
     std::stringstream sta(staText);

@@ -526,9 +526,8 @@ TEST(Engine, SamplingIsDeterministicAcrossThreadCounts) {
   request.properties = {"P=? [ F<=5 \"one\" ]", "R=? [ I=12 ]",
                         "R=? [ C<=12 ]", "P>=0.6 [ F<=5 \"one\" ]"};
   request.options.backend = engine::Backend::kSampling;
-  request.options.smc.paths = 6000;
+  request.options.smc.paths = 6000;  // 6 chunks of 1,024 paths
   request.options.smc.seed = 29;
-  request.options.smc.chunkPaths = 512;
 
   std::vector<engine::AnalysisResponse> responses;
   for (const std::size_t threads : {1u, 2u, 8u}) {

@@ -213,27 +213,26 @@ TEST(LumpEdge, AbsorbingSelfLoopsMergeByKeyAndStayAbsorbing) {
 }
 
 TEST(LumpEdge, ProbResolutionBucketsNearTies) {
-  // States 1 and 2 differ in transition probability by 1e-14 — far below
-  // the default 1e-12 bucketing, so they merge; a tighter resolution
-  // splits them.
-  const double eps = 1e-14;
-  const auto d = rawChain({{0, 0.5, 0.5, 0, 0},
-                           {0, 0, 0, 0.3, 0.7},
-                           {0, 0, 0, 0.3 + eps, 0.7 - eps},
-                           {0, 0, 0, 1.0, 0},
-                           {0, 0, 0, 0, 1.0}},
-                          {1.0, 0, 0, 0, 0});
+  // States 1 and 2 differ in transition probability by `gap`: 1e-14 lies
+  // far below the 1e-12 bucketing, so they merge; 1e-9 lies far above it,
+  // so they split.
+  const auto chainWithGap = [](double gap) {
+    return rawChain({{0, 0.5, 0.5, 0, 0},
+                     {0, 0, 0, 0.3, 0.7},
+                     {0, 0, 0, 0.3 + gap, 0.7 - gap},
+                     {0, 0, 0, 1.0, 0},
+                     {0, 0, 0, 0, 1.0}},
+                    {1.0, 0, 0, 0, 0});
+  };
   lump::InitialKeys keys(5, 0);
   keys[3] = 1;
   keys[4] = 2;
 
-  const auto merged = lump::lump(d, keys);  // default probResolution 1e-12
+  const auto merged = lump::lump(chainWithGap(1e-14), keys);
   EXPECT_EQ(merged.partition.numBlocks, 4u);
   EXPECT_EQ(merged.partition.blockOf[1], merged.partition.blockOf[2]);
 
-  lump::LumpOptions tight;
-  tight.probResolution = 1e-16;
-  const auto split = lump::lump(d, keys, tight);
+  const auto split = lump::lump(chainWithGap(1e-9), keys);
   EXPECT_EQ(split.partition.numBlocks, 5u);
   EXPECT_NE(split.partition.blockOf[1], split.partition.blockOf[2]);
 }
@@ -314,7 +313,7 @@ TEST(LumpEdge, SignaturesOnThePoolAreBitwiseSequential) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       engine::ThreadPool pool(threads);
       const lump::LumpResult got =
-          lump::lump(d, keys, {}, engine::laRunnerFor(pool));
+          lump::lump(d, keys, engine::laRunnerFor(pool));
       EXPECT_EQ(got.partition.blockOf, sequential.partition.blockOf);
       EXPECT_EQ(got.partition.numBlocks, sequential.partition.numBlocks);
       EXPECT_EQ(got.representative, sequential.representative);

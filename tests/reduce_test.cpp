@@ -15,6 +15,7 @@
 #include "dtmc/signature.hpp"
 #include "engine/engine.hpp"
 #include "la/bit_vector.hpp"
+#include "lump/bisim.hpp"
 #include "mc/checker.hpp"
 #include "mc/unbounded.hpp"
 #include "obs/metrics.hpp"
@@ -126,15 +127,24 @@ TEST(ReduceQuotient, BuildQuotientLiftProject) {
   const reduce::ReductionInfo& info = reduced.info;
   EXPECT_EQ(info.statesBefore, 16u);
   EXPECT_EQ(info.statesAfter, 5u);
-  ASSERT_EQ(info.blockOf.size(), 16u);
-  ASSERT_EQ(info.representative.size(), 5u);
   EXPECT_EQ(reduced.quotient.numStates(), 5u);
   EXPECT_GT(info.transitionsBefore, info.transitionsAfter);
 
-  // Keyed masks and rewards are block-constant: every state agrees with its
-  // block representative, which the quotient's checker evaluates.
+  // The same keys through lump:: give the same quotient, and its block map
+  // shows the keyed masks and rewards are block-constant: every state
+  // agrees with its block representative, which the quotient's checker
+  // evaluates.
+  const lump::LumpResult lumped = lump::lump(
+      build.dtmc, lump::keysFromMasksAndRewards(16, {&any}, {&reward}));
+  ASSERT_EQ(lumped.partition.blockOf.size(), 16u);
+  ASSERT_EQ(lumped.representative.size(), 5u);
+  EXPECT_EQ(lumped.refinementRounds, info.refinementRounds);
+  EXPECT_EQ(lumped.quotient.rowPtr(), reduced.quotient.rowPtr());
+  EXPECT_EQ(lumped.quotient.col(), reduced.quotient.col());
+  EXPECT_EQ(lumped.quotient.val(), reduced.quotient.val());
   for (std::uint32_t s = 0; s < 16; ++s) {
-    const std::uint32_t rep = info.representative[info.blockOf[s]];
+    const std::uint32_t rep =
+        lumped.representative[lumped.partition.blockOf[s]];
     EXPECT_EQ(any.get(s), any.get(rep)) << "state " << s;
     EXPECT_EQ(reward[s], reward[rep]) << "state " << s;
   }
@@ -377,6 +387,46 @@ TEST(EngineReduce, ForcedQuotientAppliesAndCaches) {
   const auto stats = eng.stats();
   EXPECT_EQ(stats.quotientBuilds, 1u);
   EXPECT_GE(stats.quotientHits, 1u);
+}
+
+TEST(EngineReduce, QuotientEntryBytesAreItsDtmcBytes) {
+  // A quotient cache entry holds the quotient DTMC and its counters, no
+  // per-state block map: after one cold quotiented request the cache holds
+  // the full entry plus exactly the quotient's DTMC bytes.
+  const test::SymmetricBanksModel model(8, 0.3, 0.2);  // 256 -> 9 blocks
+  engine::EngineOptions engineOptions;
+  engineOptions.threads = 1;
+  obs::MetricsRegistry metrics;
+  engineOptions.metrics = &metrics;
+  engine::AnalysisEngine eng(engineOptions);
+  engine::AnalysisRequest request;
+  request.model = &model;
+  request.properties = {"P=? [ F<=10 any ]"};
+  request.options.reduction.quotient = reduce::Toggle::kOn;
+  const auto response = eng.analyze(request);
+  ASSERT_TRUE(response.ok()) << response.error;
+  ASSERT_TRUE(response.reduction.applied);
+  ASSERT_EQ(eng.stats().cachedModels, 2u);
+
+  // The quotient the engine refined, rebuilt from the same plan masks.
+  bool hit = false;
+  const auto full = eng.ensureBuilt(model, request.options.build, &hit);
+  ASSERT_TRUE(hit);
+  const pctl::EvalPlan plan =
+      pctl::buildPlan({pctl::parseProperty(request.properties[0])});
+  const mc::Checker checker(full->dtmc, model);
+  std::vector<la::BitVector> masks;
+  for (const auto& mask : plan.masks) {
+    masks.push_back(checker.evalStateFormula(*mask));
+  }
+  std::vector<const la::BitVector*> maskPtrs;
+  for (const la::BitVector& mask : masks) maskPtrs.push_back(&mask);
+  const reduce::ReducedModel reduced =
+      reduce::buildQuotient(full->dtmc, maskPtrs, {});
+  ASSERT_EQ(reduced.info.statesAfter, response.reduction.statesAfter);
+
+  EXPECT_EQ(eng.stats().cacheBytes - full->approxBytes,
+            engine::approxDtmcBytes(reduced.quotient));
 }
 
 TEST(EngineReduce, IdentityQuotientRecordedButNeverApplied) {

@@ -271,9 +271,8 @@ TEST(Smc, ChunkedEstimatesAreRunnerInvariant) {
   auto model = test::twoStateChain(0.3, 0.4);
   model.withLabel("one", {0, 1}).withRewards({0.0, 1.0});
   smc::SmcOptions options;
-  options.paths = 5'000;
+  options.paths = 5'000;  // 5 chunks of 1,024 paths
   options.seed = 13;
-  options.chunkPaths = 512;  // 10 chunks
 
   const auto serialP =
       smc::estimateProperty(model, "P=? [ F<=5 \"one\" ]", options);
