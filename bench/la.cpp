@@ -373,7 +373,7 @@ int main(int argc, char** argv) {
   double bestTargetSec = simdScalarSec;
   const char* bestTargetName = "scalar";
   for (const la::SimdTarget target :
-       {la::SimdTarget::kSse2, la::SimdTarget::kAvx2, la::SimdTarget::kNeon}) {
+       {la::SimdTarget::kSse2, la::SimdTarget::kAvx2}) {
     if (!la::simdTargetSupported(target)) continue;
     const char* name = la::simdTargetName(target);
     la::Exec exec;

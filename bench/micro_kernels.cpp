@@ -126,8 +126,7 @@ BENCHMARK(BM_QuantizerCellProbs);
 // ------------------------------------------------------ SIMD masked SpMM
 
 constexpr la::SimdTarget kAllTargets[] = {
-    la::SimdTarget::kScalar, la::SimdTarget::kSse2, la::SimdTarget::kAvx2,
-    la::SimdTarget::kNeon};
+    la::SimdTarget::kScalar, la::SimdTarget::kSse2, la::SimdTarget::kAvx2};
 
 /// Masked bounded-traversal workload on the Viterbi chain: 8 RHS columns,
 /// ~1/8 of the entries frozen per column.

@@ -60,8 +60,6 @@ const KernelSet& kernelsFor(SimdTarget target) {
       return sse2Kernels();
     case SimdTarget::kAvx2:
       return avx2Kernels();
-    case SimdTarget::kNeon:
-      return neonKernels();
     case SimdTarget::kScalar:
       break;
   }
@@ -78,8 +76,6 @@ const char* simdTargetName(SimdTarget target) {
       return "sse2";
     case SimdTarget::kAvx2:
       return "avx2";
-    case SimdTarget::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -88,7 +84,6 @@ std::optional<SimdTarget> parseSimdTarget(std::string_view name) {
   if (name == "scalar") return SimdTarget::kScalar;
   if (name == "sse2") return SimdTarget::kSse2;
   if (name == "avx2") return SimdTarget::kAvx2;
-  if (name == "neon") return SimdTarget::kNeon;
   return std::nullopt;
 }
 
@@ -105,8 +100,7 @@ bool simdTargetSupported(SimdTarget target) {
   if (!simdTargetCompiled(target)) return false;
   switch (target) {
     case SimdTarget::kSse2:
-    case SimdTarget::kNeon:
-      // Architecture baselines: if the TU compiled, the CPU runs it.
+      // The x86-64 baseline: if the TU compiled, the CPU runs it.
       return true;
     case SimdTarget::kAvx2: {
 #if defined(__x86_64__) || defined(__i386__)
@@ -124,8 +118,7 @@ bool simdTargetSupported(SimdTarget target) {
 }
 
 SimdTarget bestSimdTarget() {
-  for (const SimdTarget t :
-       {SimdTarget::kAvx2, SimdTarget::kNeon, SimdTarget::kSse2}) {
+  for (const SimdTarget t : {SimdTarget::kAvx2, SimdTarget::kSse2}) {
     if (simdTargetSupported(t)) return t;
   }
   return SimdTarget::kScalar;
@@ -137,7 +130,7 @@ SimdTarget resolveSimdEnvValue(const char* value, std::string* warning) {
   if (!parsed) {
     if (warning != nullptr) {
       *warning = std::string("unknown MIMOSTAT_SIMD value \"") + value +
-                 "\" (expected scalar/sse2/avx2/neon) — using scalar";
+                 "\" (expected scalar/sse2/avx2) — using scalar";
     }
     return SimdTarget::kScalar;
   }

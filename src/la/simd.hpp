@@ -1,11 +1,12 @@
 // la::SimdTarget — the runtime-dispatched vector backend for la::spmm
 // (spmv.cpp).
 //
-// Targets are probed once per process (cpuid on x86, architecture baseline
-// elsewhere) and can be forced per call (la::Exec::simd, which a request
-// sets through its check options) or process-wide (the MIMOSTAT_SIMD
-// environment variable: "scalar", "sse2", "avx2" or "neon"; an invalid or
-// unsupported value falls back to scalar with a warning). Forcing exists so
+// Targets are probed once per process (cpuid on x86; other architectures,
+// aarch64 included, run the scalar kernels) and can be forced per call
+// (la::Exec::simd, which a request sets through its check options) or
+// process-wide (the MIMOSTAT_SIMD environment variable: "scalar", "sse2" or
+// "avx2"; an invalid or unsupported value falls back to scalar with a
+// warning). Forcing exists so
 // one host can exercise every compiled path — the tests assert each target
 // bitwise against the scalar reference.
 //
@@ -16,8 +17,7 @@
 // and FMA stays off everywhere (contraction rounds once where the scalar
 // reference rounds twice): each lane performs the same multiply-then-add
 // the scalar loop does. Switching targets is a pure performance knob —
-// outputs are bit-identical across scalar/SSE2/AVX2/NEON at any thread
-// count.
+// outputs are bit-identical across scalar/SSE2/AVX2 at any thread count.
 #pragma once
 
 #include <cstddef>
@@ -32,12 +32,11 @@ enum class SimdTarget : std::uint8_t {
   kScalar = 0,  ///< portable reference kernels (always available)
   kSse2 = 1,    ///< x86-64 baseline, 2 double lanes
   kAvx2 = 2,    ///< cpuid-gated, 4 double lanes (no FMA)
-  kNeon = 3,    ///< aarch64 baseline, 2 double lanes
 };
 
-inline constexpr std::size_t kSimdTargetCount = 4;
+inline constexpr std::size_t kSimdTargetCount = 3;
 
-/// Stable lowercase name ("scalar", "sse2", "avx2", "neon") — the same
+/// Stable lowercase name ("scalar", "sse2", "avx2") — the same
 /// spelling MIMOSTAT_SIMD parses and PlanStats/CSV diagnostics report.
 [[nodiscard]] const char* simdTargetName(SimdTarget target);
 
@@ -53,7 +52,7 @@ inline constexpr std::size_t kSimdTargetCount = 4;
 [[nodiscard]] bool simdTargetCompiled(SimdTarget target);
 
 /// Compiled AND executable on this CPU (cpuid-probed once for AVX2;
-/// SSE2/NEON are architecture baselines). kScalar is always supported.
+/// SSE2 is the x86-64 baseline). kScalar is always supported.
 [[nodiscard]] bool simdTargetSupported(SimdTarget target);
 
 /// Widest supported target on this host.

@@ -31,7 +31,7 @@ struct CsrView {
 
 /// Widest column panel any kernel processes in one CSR traversal. Bounded
 /// by register pressure: AVX2 holds a 16-wide panel in 4 accumulator
-/// registers, SSE2/NEON in 8 — wider panels spill and lose the point.
+/// registers, SSE2 in 8 — wider panels spill and lose the point.
 inline constexpr std::size_t kMaxPanelColumns = 16;
 
 /// Gather rows [rowBegin, rowEnd) of the column panel [j0, j0 + width) of
@@ -71,7 +71,6 @@ struct KernelSet {
 [[nodiscard]] const KernelSet& scalarKernels();
 [[nodiscard]] const KernelSet& sse2Kernels();
 [[nodiscard]] const KernelSet& avx2Kernels();
-[[nodiscard]] const KernelSet& neonKernels();
 
 /// Scalar kernels flagged compiled = false — what an ISA-less target TU
 /// returns so dispatch degrades safely.

@@ -39,8 +39,8 @@
 // every nonzero. It is chosen from the input alone and returns the same
 // bits.
 //
-// Every gather dispatches to a SIMD target (la/simd.hpp: scalar, SSE2, AVX2
-// or NEON; Exec::simd or MIMOSTAT_SIMD forces one). k > 1 tiles the columns
+// Every gather dispatches to a SIMD target (la/simd.hpp: scalar, SSE2 or
+// AVX2; Exec::simd or MIMOSTAT_SIMD forces one). k > 1 tiles the columns
 // into lane-aligned panels (one CSR traversal per panel, L2-sized when that
 // keeps a panel's X slice resident) and, when parallel, fans out a
 // row-block x column-panel task grid. `stats` (optional) receives the

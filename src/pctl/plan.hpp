@@ -72,7 +72,7 @@ struct PlanStats {
   /// the executor; zero when no transient group ran.
   std::uint64_t transientMultiplies = 0;
   /// SIMD dispatch target the la:: kernels resolved for this request
-  /// ("scalar"/"sse2"/"avx2"/"neon" — la::simdTargetName). Filled by the
+  /// ("scalar"/"sse2"/"avx2" — la::simdTargetName). Filled by the
   /// executor; purely diagnostic, values are bit-identical across targets.
   std::string simdTarget;
 };

@@ -2,13 +2,11 @@
 
 #include <cstdint>
 #include <cstring>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "dtmc/builder.hpp"
-#include "dtmc/io.hpp"
 #include "la/spmv.hpp"
 #include "test_models.hpp"
 
@@ -217,20 +215,6 @@ TEST(CountReachable, MaxStatesThrows) {
   const auto model = test::lineModel(100);
   EXPECT_THROW(static_cast<void>(dtmc::countReachable(model, 10)),
                std::runtime_error);
-}
-
-TEST(Io, TraAndStaFormats) {
-  const auto model = test::twoStateChain(0.3, 0.4);
-  const auto result = dtmc::buildExplicit(model);
-  std::ostringstream tra;
-  dtmc::writeTra(result.dtmc, tra);
-  EXPECT_NE(tra.str().find("2 4"), std::string::npos);
-  // Probabilities are written with max_digits10 for exact round trips.
-  EXPECT_NE(tra.str().find("0 1 0.2999999999999999"), std::string::npos);
-  std::ostringstream sta;
-  dtmc::writeSta(result.dtmc, sta);
-  EXPECT_NE(sta.str().find("(s)"), std::string::npos);
-  EXPECT_NE(sta.str().find("0:(0)"), std::string::npos);
 }
 
 }  // namespace

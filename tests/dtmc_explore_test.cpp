@@ -21,7 +21,6 @@
 #include "legacy_loops.hpp"
 #include "mimo/model.hpp"
 #include "obs/metrics.hpp"
-#include "pml/model.hpp"
 #include "test_models.hpp"
 #include "viterbi/model_convergence.hpp"
 #include "viterbi/model_full.hpp"
@@ -168,19 +167,6 @@ class AllOnesKeyModel : public dtmc::Model {
   }
 };
 
-constexpr const char* kPmlSource = R"(
-dtmc
-const double p = 0.3;
-
-module walk
-  x : [0..4] init 0;
-  y : [0..2] init 1;
-
-  [] x<4 -> p : (x'=x+1) + 0.2 : (y'=min(y+1, 2)) + 0.6-p : (x'=x+1) + 0.2 : (x'=x) & (y'=0);
-  [] x=4 & y>0 -> 1 : (x'=0) & (y'=y-1);
-endmodule
-)";
-
 TEST(ExploreOracle, ViterbiModelsMatchLegacyBuilder) {
   expectLegacyBuild(viterbi::ReducedViterbiModel(viterbi::ViterbiParams{}));
   expectLegacyBuild(viterbi::ReducedViterbiModel(viterbiParams(4)));
@@ -227,10 +213,6 @@ TEST(ExploreOracle, PaperMimo1x2MatchesTheVerbatimModel) {
 
 TEST(ExploreOracle, PaperMimo1x4MatchesTheVerbatimModel) {
   expectVerbatimMimo(4);
-}
-
-TEST(ExploreOracle, PmlModelMatchesLegacyBuilder) {
-  expectLegacyBuild(pml::PmlModel(kPmlSource));
 }
 
 TEST(ExploreOracle, EdgeCasesMatchLegacyBuilder) {

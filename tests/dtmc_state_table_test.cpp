@@ -1,7 +1,7 @@
 // ExplicitDtmc's state table: packed u64 keys, as dtmc::explore produced
-// them. Every reader — state(), varValue(), evalAtom(), evalReward(), the
-// PRISM export and a quotient's representatives — answers exactly as the
-// model evaluated on the decoded states does, and fromRaw rejects a table
+// them. Every reader — state(), varValue(), evalAtom(), evalReward() and a
+// quotient's representatives — answers exactly as the model evaluated on
+// the decoded states does, and fromRaw rejects a table
 // whose length is not the row count. evalAtom, evalReward and the lumping
 // keys answer bit for bit the same on 1/2/8-thread pools.
 #include <gtest/gtest.h>
@@ -10,14 +10,12 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "dtmc/builder.hpp"
-#include "dtmc/io.hpp"
 #include "engine/thread_pool.hpp"
 #include "la/exec.hpp"
 #include "lump/bisim.hpp"
@@ -40,31 +38,21 @@ mimo::MimoParams smallMimo1x2() {
   return p;
 }
 
-/// The PRISM state file `d` writes.
-std::string writtenSta(const dtmc::ExplicitDtmc& d) {
-  std::ostringstream os;
-  dtmc::writeSta(d, os);
-  return os.str();
+/// The decoded state table of `d`.
+std::vector<dtmc::State> statesOf(const dtmc::ExplicitDtmc& d) {
+  std::vector<dtmc::State> states;
+  for (std::uint32_t i = 0; i < d.numStates(); ++i) {
+    states.push_back(d.state(i));
+  }
+  return states;
 }
 
-/// The PRISM state file of a table holding `keys`, from decoded states.
-std::string staOf(const dtmc::VarLayout& layout,
-                  const std::vector<std::uint64_t>& keys) {
-  std::ostringstream os;
-  os << '(';
-  for (std::size_t v = 0; v < layout.numVars(); ++v) {
-    os << (v == 0 ? "" : ",") << layout.vars()[v].name;
-  }
-  os << ")\n";
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const dtmc::State s = layout.unpack(keys[i]);
-    os << i << ":(";
-    for (std::size_t v = 0; v < s.size(); ++v) {
-      os << (v == 0 ? "" : ",") << s[v];
-    }
-    os << ")\n";
-  }
-  return os.str();
+/// `keys` decoded by `layout`.
+std::vector<dtmc::State> unpacked(const dtmc::VarLayout& layout,
+                                  const std::vector<std::uint64_t>& keys) {
+  std::vector<dtmc::State> states;
+  for (const std::uint64_t key : keys) states.push_back(layout.unpack(key));
+  return states;
 }
 
 /// A three-row chain over s in [0, 2], its state table left empty.
@@ -130,7 +118,7 @@ TEST(StateTable, PackedTableMatchesTheDecodedStates) {
   }
   EXPECT_EQ(packed.evalAtom(model, "error"), error);
   EXPECT_EQ(packed.evalReward(model, ""), reward);
-  EXPECT_EQ(writtenSta(packed), staOf(layout, keys));
+  EXPECT_EQ(statesOf(packed), unpacked(layout, keys));
 
   // The quotient keeps its representatives' keys.
   const lump::InitialKeys initial =
@@ -146,7 +134,8 @@ TEST(StateTable, PackedTableMatchesTheDecodedStates) {
               layout.unpack(representatives.back()))
         << "block " << b;
   }
-  EXPECT_EQ(writtenSta(fromPacked.quotient), staOf(layout, representatives));
+  EXPECT_EQ(statesOf(fromPacked.quotient),
+            unpacked(layout, representatives));
 }
 
 TEST(VarLayout, RoundTripsAtExactly64BitsAndWithZeroBitFields) {

@@ -158,6 +158,18 @@ inline MatrixModel gamblersRuin(std::uint32_t n, double p,
   return MatrixModel(std::move(matrix), {start});
 }
 
+/// Drift on levels 0..4: up with probability 0.3, down with 0.7, held at
+/// both ends (aperiodic through those self-loops); reward = the level.
+inline MatrixModel driftChain() {
+  MatrixModel model({{0.7, 0.3, 0, 0, 0},
+                     {0.7, 0, 0.3, 0, 0},
+                     {0, 0.7, 0, 0.3, 0},
+                     {0, 0, 0.7, 0, 0.3},
+                     {0, 0, 0, 0.7, 0.3}});
+  model.withRewards({0, 1, 2, 3, 4});
+  return model;
+}
+
 /// Random stochastic matrix with the given fan-out per row; strictly
 /// positive probabilities; random labels/rewards derived from the seed.
 inline MatrixModel randomModel(std::uint32_t n, std::uint32_t fanout,
