@@ -18,6 +18,7 @@
 #include <string_view>
 #include <vector>
 
+#include "dtmc/model.hpp"
 #include "engine/engine.hpp"
 
 namespace {

@@ -6,9 +6,8 @@
 // (la::Exec::simd, which a request sets through its check options) or
 // process-wide (the MIMOSTAT_SIMD environment variable: "scalar", "sse2" or
 // "avx2"; an invalid or unsupported value falls back to scalar with a
-// warning). Forcing exists so
-// one host can exercise every compiled path — the tests assert each target
-// bitwise against the scalar reference.
+// warning). Forcing exists so one host can exercise every compiled path —
+// the tests assert each target bitwise against the scalar reference.
 //
 // Determinism contract: every vectorized kernel places its lanes ACROSS the
 // k right-hand-side columns of one row (the row-major X tile), never across
