@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
+#include "la/numbering.hpp"
 #include "obs/trace.hpp"
 #include "util/hash.hpp"
 #include "util/log.hpp"
@@ -18,12 +18,6 @@ namespace {
 /// The build warns when a row's probability mass deviates from 1 by more
 /// than this.
 constexpr double kMassTolerance = 1e-9;
-
-std::uint64_t hashBits(std::uint64_t h, double value) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return util::hashCombine(h, util::mix64(bits));
-}
 
 // Window sizing for explore()'s two-phase levels. Fixed constants: the
 // schedule never depends on the host, and results never depend on it at
@@ -42,70 +36,63 @@ constexpr std::size_t kMaxChunks = 16;
 /// packs lexicographically, so `<` on keys is State's order: rows sort, and
 /// duplicate targets merge, exactly as on the unpacked states.
 ///
-/// Each level runs in windows of states, each in two phases. The parallel
-/// phase computes a pure function of each state into its chunk's slots:
-/// the model's successors, normalized in place in the chunk's sink, the
-/// row's mass and digest, and each target's number when the (unchanging)
-/// index already holds it. The ordered phase, on the calling thread, walks
-/// the window in state order, numbers the targets the lookup missed and
-/// folds each row's digest into the hash — so every output is bitwise the
-/// same with or without `runner`, at any pool size. The next window's tasks
-/// then copy the numbered rows into the CSR at offsets the ordered phase
-/// prefix-summed.
+/// Each level runs in windows of states, each in the steps of
+/// la::KeyNumbering. On the runner, each chunk computes a pure function of
+/// its states: the model's successors, normalized in place in the chunk's
+/// sink, the row's mass and digest, and each target's add() (a read-only
+/// lookup of the numbered states, else its chunk-local first occurrence).
+/// The shards then claim the new targets. The ordered pass on the calling
+/// thread walks the window in state order, numbers each first claim and
+/// folds its hash and each row's digest into the hash, so every output is
+/// bitwise the same with or without `runner`, at any pool size. Publishing
+/// the numbers copies the rows into the CSR at the offsets the ordered pass
+/// prefix-summed; a window without new states publishes nothing, and the
+/// next window's tasks copy its rows before expanding their own.
 void exploreWith(const Model& model, const VarLayout& layout,
                  const ExploreOptions& options, const la::TaskRunner& runner,
                  std::uint64_t h, Exploration& e) {
-  std::vector<std::uint64_t>& table = e.raw.keys;
-  // Open-addressing index over the state table: a slot holds a state
-  // number + 1 (0 = empty) and keys compare through the table, so a slot
-  // costs 4 bytes and every key — the all-ones u64 included — is storable.
-  // Linear probing, at most half full.
-  std::vector<std::uint32_t> slots(1024, 0);
+  // The state index; its keys() are the state table.
+  la::KeyNumbering numbering;
+  const std::vector<std::uint64_t>& table = numbering.keys();
+  std::vector<la::KeyNumbering::Range> ranges(kMaxChunks);
   bool truncated = false;
-  // The slot holding `key`, or the empty slot where it belongs. Read-only.
-  const auto probe = [&](std::uint64_t key, std::uint64_t hash) {
-    std::size_t slot = hash & (slots.size() - 1);
-    while (slots[slot] != 0 && table[slots[slot] - 1] != key) {
-      slot = (slot + 1) & (slots.size() - 1);
+  // Numbers the first claims among range.keys[id, end) in order; the first
+  // state past the cap truncates the exploration. Returns where it stopped.
+  const auto numberUpTo = [&](const la::KeyNumbering::Range& range,
+                              std::size_t id, std::size_t end) {
+    for (; id < end && !truncated; ++id) {
+      if (!numbering.assign(range, id)) continue;
+      h = util::hashCombine(h, util::mix64(range.keys[id]));
+      truncated = numbering.size() > options.maxStates;
     }
-    return slot;
-  };
-  // The number of `key`; a new state extends the hashed state table, and
-  // the first one past the cap truncates the exploration.
-  const auto intern = [&](std::uint64_t key) {
-    const std::uint64_t hash = util::mix64(key);
-    std::size_t slot = probe(key, hash);
-    if (slots[slot] != 0) return slots[slot] - 1;
-    const auto number = static_cast<std::uint32_t>(table.size());
-    table.push_back(key);
-    slots[slot] = number + 1;
-    if (2 * table.size() > slots.size()) {
-      slots.assign(2 * slots.size(), 0);
-      for (std::uint32_t n = 0; n < table.size(); ++n) {
-        slot = util::mix64(table[n]) & (slots.size() - 1);
-        while (slots[slot] != 0) slot = (slot + 1) & (slots.size() - 1);
-        slots[slot] = n + 1;
-      }
-    }
-    h = util::hashCombine(h, hash);
-    truncated = table.size() > options.maxStates;
-    return number;
+    return id;
   };
 
   std::vector<std::uint32_t> initial;
+  ranges[0].reset(true);
   for (const State& s : model.initialStates()) {
-    initial.push_back(intern(layout.pack(s)));
-    if (truncated) break;
+    const std::uint64_t key = layout.pack(s);
+    initial.push_back(numbering.add(ranges[0], key, util::mix64(key)));
   }
-  for (const std::uint32_t number : initial) {
+  numbering.claim(runner, ranges, 1);
+  // add() gave the n-th new initial state the value n; keep the initial
+  // states up to the first one past the cap.
+  const std::size_t numbered =
+      numberUpTo(ranges[0], 0, ranges[0].keys.size());
+  if (truncated) {
+    initial.erase(std::find(initial.begin(), initial.end(), numbered) + 1,
+                  initial.end());
+  }
+  for (std::uint32_t& number : initial) {
+    number = numbering.resolve(ranges[0], number);
     h = util::hashCombine(h, util::mix64(number));
   }
+  if (!truncated) numbering.publish(runner, 0, [](std::size_t) {});
 
   // One task's share of a window: states [begin, end), their normalized
-  // rows concatenated in `entries`, and per entry the target's number + 1
-  // (0 until the ordered phase numbers a target the lookup missed). The
-  // buffers belong to this call and are reused by every window; chunks sit
-  // on their own cache lines, as each task grows its own vectors.
+  // rows concatenated in `entries`, and per entry the target's add() value.
+  // The buffers belong to this call and are reused by every window; chunks
+  // sit on their own cache lines, as each task grows its own vectors.
   struct alignas(64) Chunk {
     explicit Chunk(const VarLayout& layout) : sink(layout) {}
     std::size_t begin = 0;
@@ -115,6 +102,7 @@ void exploreWith(const Model& model, const VarLayout& layout,
     std::vector<PackedTransition> entries;
     std::vector<std::uint32_t> found;
     std::vector<std::size_t> rowEnd;     ///< per state, into entries
+    std::vector<std::size_t> newEnd;     ///< per state, into its range
     std::vector<double> mass;            ///< per state, before normalizing
     std::vector<std::uint64_t> digest;   ///< per state: length, keys, probs
     State scratch;                       ///< the expanded state, decoded
@@ -127,15 +115,18 @@ void exploreWith(const Model& model, const VarLayout& layout,
   for (std::size_t t = 0; t < kMaxChunks; ++t) chunks.emplace_back(layout);
   std::size_t widestRow = 0;
 
-  // Parallel phase: mutates only `c`.
-  const auto expand = [&](Chunk& c, bool lookup) {
+  // On the runner: mutates only `c` and `range`.
+  const auto expand = [&](Chunk& c, la::KeyNumbering::Range& range,
+                          bool only) {
     c.entries.clear();
     c.found.clear();
     c.rowEnd.clear();
+    c.newEnd.clear();
     c.mass.clear();
     c.digest.clear();
     c.failed = c.end;
     c.error = nullptr;
+    range.reset(only);
     for (std::size_t s = c.begin; s < c.end; ++s) {
       try {
         c.sink.clear();
@@ -149,79 +140,75 @@ void exploreWith(const Model& model, const VarLayout& layout,
         c.mass.push_back(normalizeTransitions(row, options.probFloor));
         std::uint64_t digest = util::mix64(row.size());
         for (const PackedTransition& entry : row) {
-          const std::uint64_t hash = util::mix64(entry.target);
-          c.found.push_back(lookup ? slots[probe(entry.target, hash)] : 0);
           c.entries.push_back(entry);
-          digest = hashBits(util::hashCombine(digest, hash), entry.prob);
+          digest = util::hashCombineDouble(
+              util::hashCombine(digest, util::mix64(entry.target)),
+              entry.prob);
         }
         c.rowEnd.push_back(c.entries.size());
         c.digest.push_back(digest);
       } catch (...) {
         c.failed = s;
         c.error = std::current_exception();
-        return;
+        break;
       }
+    }
+    // The targets in one tight loop, apart from the model's own tables.
+    for (std::size_t i = 0, k = 0; i < c.rowEnd.size(); ++i) {
+      for (; k < c.rowEnd[i]; ++k) {
+        const std::uint64_t key = c.entries[k].target;
+        c.found.push_back(numbering.add(range, key, util::mix64(key)));
+      }
+      c.newEnd.push_back(range.keys.size());
     }
   };
 
-  // Ordered phase: the sequential BFS's bookkeeping, in state order. A
+  // The ordered pass: the sequential BFS's bookkeeping, in state order. A
   // failed expansion is rethrown when its state is reached, so the error is
   // the lowest failing state's, and only if the BFS gets that far.
   ExplicitDtmc::Raw& raw = e.raw;
-  std::size_t numbered = 0;  // entries numbered so far
-  const auto numberChunk = [&](Chunk& c) {
-    c.base = numbered;
+  std::size_t entries = 0;  // entries numbered so far
+  const auto numberChunk = [&](Chunk& c, const la::KeyNumbering::Range& range) {
+    c.base = entries;
     std::size_t k = 0;
-    for (std::size_t s = c.begin; s < c.end; ++s) {
+    std::size_t id = 0;
+    for (std::size_t s = c.begin; s < c.end && !truncated; ++s) {
       if (s == c.failed) std::rethrow_exception(c.error);
       const std::size_t i = s - c.begin;
       e.worstMassDeviation =
           std::max(e.worstMassDeviation, std::fabs(c.mass[i] - 1.0));
       e.transitions += c.rowEnd[i] - k;
       widestRow = std::max(widestRow, c.rowEnd[i] - k);
-      for (; k < c.rowEnd[i]; ++k) {
-        if (c.found[k] == 0) c.found[k] = intern(c.entries[k].target) + 1;
-        if (truncated) return;
-      }
-      h = util::hashCombine(h, c.digest[i]);
+      k = c.rowEnd[i];
+      id = numberUpTo(range, id, c.newEnd[i]);
+      if (!truncated) h = util::hashCombine(h, c.digest[i]);
     }
-    numbered += c.entries.size();
+    entries += c.entries.size();
   };
-  // One dispatch a window: task t copies chunk t, which holds the last
-  // window's numbered rows, into the CSR at its offset, then expands it
-  // over its share of the `states` from `w` (= the rows numbered so far).
-  std::size_t pending = 0;  // chunks holding the last window
-  const auto copyThenExpand = [&](std::size_t w, std::size_t states,
-                                  std::size_t tasks) {
-    if (options.keepMatrix) {
-      raw.rowPtr.resize(w + 1);
-      raw.col.resize(numbered);
-      raw.val.resize(numbered);
-    }
-    const std::size_t count = std::max({tasks, pending, std::size_t{1}});
-    la::runTasks(runner, count, [&](std::size_t t) {
-      Chunk& c = chunks[t];
-      const bool copy = options.keepMatrix && t < pending;
-      for (std::size_t s = c.begin, k = 0; copy && s < c.end; ++s) {
-        for (; k < c.rowEnd[s - c.begin]; ++k) {
-          raw.col[c.base + k] = c.found[k] - 1;
-          raw.val[c.base + k] = c.entries[k].prob;
-        }
-        raw.rowPtr[s + 1] = c.base + k;
+  // Task t copies chunk t's rows into the CSR at its offset.
+  std::size_t unpublished = 0;  // chunks whose rows await their copy
+  const auto copy = [&](std::size_t t) {
+    const Chunk& c = chunks[t];
+    for (std::size_t s = c.begin, k = 0; options.keepMatrix && s < c.end;
+         ++s) {
+      for (; k < c.rowEnd[s - c.begin]; ++k) {
+        raw.col[c.base + k] = numbering.resolve(ranges[t], c.found[k]);
+        raw.val[c.base + k] = c.entries[k].prob;
       }
-      if (t >= tasks) return;
-      c.begin = w + states * t / tasks;
-      c.end = w + states * (t + 1) / tasks;
-      // A single inline chunk interns every target in the ordered phase;
-      // looking them up first would only probe twice.
-      expand(c, tasks > 1);
-    });
-    pending = tasks;
+      raw.rowPtr[s + 1] = c.base + k;
+    }
+  };
+  const auto grow = [&](std::size_t end) {
+    if (options.keepMatrix) {
+      raw.rowPtr.resize(end + 1);
+      raw.col.resize(entries);
+      raw.val.resize(entries);
+    }
   };
 
   raw.rowPtr.assign(1, 0);
-  for (std::size_t levelBegin = 0; !truncated && levelBegin < table.size();) {
-    const std::size_t levelEnd = table.size();
+  for (std::size_t levelBegin = 0; !truncated && levelBegin < numbering.size();) {
+    const std::size_t levelEnd = numbering.size();
     ++e.reachabilityIterations;
     std::size_t levelEntries = 0;
     for (std::size_t w = levelBegin; !truncated && w < levelEnd;) {
@@ -248,21 +235,39 @@ void exploreWith(const Model& model, const VarLayout& layout,
         c.entries.reserve(rows * perState * 5 / 4);
         c.found.reserve(rows * perState * 5 / 4);
         c.rowEnd.reserve(rows);
+        c.newEnd.reserve(rows);
         c.mass.reserve(rows);
         c.digest.reserve(rows);
         c.sink.entries().reserve(widestRow);
       }
-      copyThenExpand(w, states, tasks);
+      la::runTasks(runner, std::max(tasks, unpublished), [&](std::size_t t) {
+        if (t < unpublished) copy(t);
+        if (t >= tasks) return;
+        chunks[t].begin = w + states * t / tasks;
+        chunks[t].end = w + states * (t + 1) / tasks;
+        expand(chunks[t], ranges[t], tasks == 1);
+      });
+      unpublished = 0;
+      const std::uint32_t before = numbering.size();
+      numbering.claim(runner, ranges, tasks);
       for (std::size_t t = 0; t < tasks && !truncated; ++t) {
-        numberChunk(chunks[t]);
+        numberChunk(chunks[t], ranges[t]);
         levelEntries += chunks[t].entries.size();
+      }
+      if (!truncated) grow(w + states);
+      // A window without new states has no claims to publish: the next
+      // window's dispatch copies its rows, saving one dispatch.
+      if (!truncated && numbering.size() != before) {
+        numbering.publish(runner, tasks, copy);
+      } else if (!truncated) {
+        unpublished = tasks;
       }
       w += states;
     }
     levelBegin = levelEnd;
   }
 
-  e.states = table.size();
+  e.states = numbering.size();
   e.exact = !truncated;
   e.hash = truncated ? util::hashCombine(h, util::mix64(~options.maxStates))
                      : h;
@@ -270,8 +275,9 @@ void exploreWith(const Model& model, const VarLayout& layout,
     raw = {};  // the state table with it
     return;
   }
-  copyThenExpand(table.size(), 0, 0);  // the last window's rows
-  raw.initial.assign(table.size(), 0.0);
+  la::runTasks(runner, unpublished, copy);
+  raw.keys = std::move(numbering.keys());
+  raw.initial.assign(raw.keys.size(), 0.0);
   if (!initial.empty()) {
     const double w = 1.0 / static_cast<double>(initial.size());
     for (const std::uint32_t number : initial) raw.initial[number] += w;

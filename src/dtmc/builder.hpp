@@ -13,13 +13,16 @@
 // Given a task runner, explore (and buildExplicit) computes each window of
 // a level's rows on it — the model's transitions() into the chunk's sink,
 // normalizing, each row's digest (its length, target keys and probability
-// bits) and a read-only index lookup. The ordered phase on the calling
-// thread only numbers, in state order, the targets the lookup missed (the
-// new states) and folds one digest per row into the hash; the next
-// window's tasks copy the numbered rows into the CSR at prefix-summed
-// offsets. Every output is bitwise the same with or without a runner, at
-// any pool size. Model methods must then be safe to call concurrently (see
-// dtmc/model.hpp).
+// bits) — and numbers the window's new states on it too, through
+// la::KeyNumbering: each chunk looks its targets up in the sharded state
+// index and dedups the ones it missed, then one task per shard claims them
+// in chunk order. The ordered pass on the calling thread gives each first
+// claim the next number and folds one digest per row into the hash, with no
+// hashing or probing; then the shards' tasks publish the numbers while the
+// chunks' tasks copy their rows into the CSR at prefix-summed offsets.
+// Every output is bitwise the same with or without a runner, at any pool
+// size; without one the same steps run inline. Model methods must then be
+// safe to call concurrently (see dtmc/model.hpp).
 #pragma once
 
 #include <cstdint>

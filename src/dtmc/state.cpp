@@ -1,7 +1,6 @@
 #include "dtmc/state.hpp"
 
 #include <bit>
-#include <sstream>
 #include <stdexcept>
 
 namespace mimostat::dtmc {
@@ -59,15 +58,6 @@ State VarLayout::unpack(std::uint64_t packed) const {
   State s;
   unpackInto(packed, s);
   return s;
-}
-
-std::string formatState(const VarLayout& layout, const State& s) {
-  std::ostringstream os;
-  for (std::size_t i = 0; i < layout.numVars(); ++i) {
-    if (i != 0) os << ", ";
-    os << layout.vars()[i].name << '=' << s[i];
-  }
-  return os.str();
 }
 
 }  // namespace mimostat::dtmc

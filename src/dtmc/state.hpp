@@ -101,7 +101,4 @@ class VarLayout {
   int totalBits_ = 0;
 };
 
-/// Render a state as "var=value, ..." for diagnostics.
-[[nodiscard]] std::string formatState(const VarLayout& layout, const State& s);
-
 }  // namespace mimostat::dtmc

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
+#include "la/numbering.hpp"
 #include "obs/trace.hpp"
 #include "util/hash.hpp"
 
@@ -48,6 +48,44 @@ std::uint64_t signatureHash(const dtmc::ExplicitDtmc& dtmc, std::uint32_t s,
   return hash;
 }
 
+/// Numbers key(s, scratch) over the states in order of first occurrence
+/// into `out` on la::KeyNumbering, one range per row block of `matrix`
+/// when `fanOut`; returns how many distinct keys there are.
+template <class Key>
+std::uint32_t numberStates(const la::TaskRunner& runner,
+                           const la::CsrMatrix& matrix, bool fanOut,
+                           std::vector<std::uint32_t>& out, const Key& key) {
+  const std::size_t count = fanOut ? matrix.blockCount() : 1;
+  const auto begin = [&](std::size_t r) {
+    return fanOut ? matrix.blockBegin(r) : 0;
+  };
+  const auto end = [&](std::size_t r) {
+    return fanOut ? matrix.blockEnd(r) : static_cast<std::uint32_t>(out.size());
+  };
+  la::KeyNumbering numbering;
+  std::vector<la::KeyNumbering::Range> ranges(count);
+  la::runTasks(runner, count, [&](std::size_t r) {
+    ranges[r].reset(count == 1);
+    std::vector<std::pair<std::uint32_t, double>> scratch;
+    for (std::uint32_t s = begin(r); s < end(r); ++s) {
+      const std::uint64_t k = key(s, scratch);
+      out[s] = numbering.add(ranges[r], k, util::mix64(k));
+    }
+  });
+  numbering.claim(runner, ranges, count);
+  for (const la::KeyNumbering::Range& range : ranges) {
+    for (std::size_t id = 0; id < range.keys.size(); ++id) {
+      numbering.assign(range, id);
+    }
+  }
+  numbering.publish(runner, count, [&](std::size_t r) {
+    for (std::uint32_t s = begin(r); s < end(r); ++s) {
+      out[s] = numbering.resolve(ranges[r], out[s]);
+    }
+  });
+  return numbering.size();
+}
+
 }  // namespace
 
 InitialKeys keysFromMasksAndRewards(
@@ -84,54 +122,33 @@ LumpResult lump(const dtmc::ExplicitDtmc& dtmc, const InitialKeys& initialKeys,
   std::vector<std::uint32_t>& blockOf = result.partition.blockOf;
   blockOf.assign(n, 0);
 
-  // Initial partition from the keys.
-  {
-    std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
-    for (std::uint32_t s = 0; s < n; ++s) {
-      auto [it, inserted] = blockIds.try_emplace(
-          initialKeys[s], static_cast<std::uint32_t>(blockIds.size()));
-      blockOf[s] = it->second;
-    }
-    result.partition.numBlocks = static_cast<std::uint32_t>(blockIds.size());
-  }
-
-  // Signature refinement to fixpoint. Each round hashes every state's
-  // signature — a pure function of the state and the previous round's
-  // partition — over the matrix's row blocks (on `runner` when the matrix
-  // is large enough), then numbers the new blocks in state order on this
-  // thread, so the partition is the same at any pool size. A signature
-  // includes the state's block, so a round only splits blocks; the loop
-  // stops at the first round that adds none (the partition is stable), at
-  // most n rounds in.
+  // Signature refinement to fixpoint, from the initial keys' partition.
+  // Each round hashes every state's signature (a pure function of the state
+  // and the previous round's partition) and numbers the blocks in order of
+  // first occurrence, over the matrix's row blocks on `runner` when the
+  // matrix is large enough, so the partition is the same at any pool size.
+  // A signature includes the state's block, so a round only splits blocks;
+  // the loop stops at the first round that adds none (the partition is
+  // stable), at most n rounds in.
   const la::CsrMatrix& matrix = dtmc.matrix();
   const bool fanOut = runner != nullptr && matrix.blockCount() > 1 &&
                       dtmc.numTransitions() >=
                           la::Exec::kDefaultParallelThresholdNnz;
-  const std::size_t ranges = fanOut ? matrix.blockCount() : 1;
-  std::vector<std::uint64_t> signature(n);
+  result.partition.numBlocks = numberStates(
+      runner, matrix, fanOut, blockOf,
+      [&](std::uint32_t s, auto&) { return initialKeys[s]; });
   std::vector<std::uint32_t> newBlockOf(n);
   for (;;) {
     ++result.refinementRounds;
-    la::runTasks(runner, ranges, [&](std::size_t r) {
-      std::vector<std::pair<std::uint32_t, double>> scratch;
-      const std::uint32_t end = fanOut ? matrix.blockEnd(r) : n;
-      for (std::uint32_t s = fanOut ? matrix.blockBegin(r) : 0; s < end; ++s) {
-        signature[s] = util::hashCombine(
-            util::mix64(blockOf[s]),
-            signatureHash(dtmc, s, blockOf, scratch));
-      }
-    });
-    std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
-    blockIds.reserve(result.partition.numBlocks * 2);
-    for (std::uint32_t s = 0; s < n; ++s) {
-      auto [it, inserted] = blockIds.try_emplace(
-          signature[s], static_cast<std::uint32_t>(blockIds.size()));
-      newBlockOf[s] = it->second;
-    }
-    const auto newCount = static_cast<std::uint32_t>(blockIds.size());
+    const std::uint32_t count = numberStates(
+        runner, matrix, fanOut, newBlockOf,
+        [&](std::uint32_t s, auto& scratch) {
+          return util::hashCombine(util::mix64(blockOf[s]),
+                                   signatureHash(dtmc, s, blockOf, scratch));
+        });
     blockOf.swap(newBlockOf);
-    if (newCount == result.partition.numBlocks) break;
-    result.partition.numBlocks = newCount;
+    if (count == result.partition.numBlocks) break;
+    result.partition.numBlocks = count;
   }
 
   // Representatives: first state of each block.

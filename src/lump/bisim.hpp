@@ -48,9 +48,10 @@ using InitialKeys = std::vector<std::uint64_t>;
 /// is inherited — so pCTL variable comparisons keep working on the quotient
 /// as long as the compared variables are constant within blocks (true
 /// whenever they are part of the initial keys).
-/// `runner` computes each round's signatures in parallel; block ids are
-/// still assigned in state order, so every output is bitwise the same with
-/// or without it.
+/// `runner` computes the initial partition and each round over the
+/// matrix's row blocks: the signatures, and the block numbers in order of
+/// first occurrence through la::KeyNumbering. Every output is bitwise the
+/// same with or without it.
 [[nodiscard]] LumpResult lump(const dtmc::ExplicitDtmc& dtmc,
                               const InitialKeys& initialKeys,
                               const la::TaskRunner& runner = {});

@@ -80,16 +80,6 @@ double regularizedIncompleteBeta(double a, double b, double x) {
   return 1.0 - front * betaContinuedFraction(b, a, 1.0 - x) / b;
 }
 
-Interval waldInterval(std::uint64_t successes, std::uint64_t trials,
-                      double confidence) {
-  assert(trials > 0);
-  const double p = static_cast<double>(successes) / static_cast<double>(trials);
-  const double z = normalInvCdf(0.5 + confidence / 2.0);
-  const double half =
-      z * std::sqrt(std::max(p * (1.0 - p), 0.0) / static_cast<double>(trials));
-  return {std::max(0.0, p - half), std::min(1.0, p + half)};
-}
-
 Interval wilsonInterval(std::uint64_t successes, std::uint64_t trials,
                         double confidence) {
   assert(trials > 0);
@@ -134,13 +124,6 @@ Interval hoeffdingInterval(std::uint64_t successes, std::uint64_t trials,
   const double half =
       std::sqrt(std::log(2.0 / alpha) / (2.0 * static_cast<double>(trials)));
   return {std::max(0.0, p - half), std::min(1.0, p + half)};
-}
-
-std::uint64_t hoeffdingSampleSize(double eps, double confidence) {
-  assert(eps > 0.0);
-  const double alpha = 1.0 - confidence;
-  const double n = std::log(2.0 / alpha) / (2.0 * eps * eps);
-  return static_cast<std::uint64_t>(std::ceil(n));
 }
 
 }  // namespace mimostat::stats

@@ -20,11 +20,6 @@ struct Interval {
   [[nodiscard]] bool contains(double p) const { return p >= low && p <= high; }
 };
 
-/// Normal-approximation (Wald) interval. Poor coverage near 0/1; included as
-/// the textbook baseline.
-[[nodiscard]] Interval waldInterval(std::uint64_t successes, std::uint64_t trials,
-                                    double confidence);
-
 /// Wilson score interval — good coverage even for small k.
 [[nodiscard]] Interval wilsonInterval(std::uint64_t successes,
                                       std::uint64_t trials, double confidence);
@@ -38,11 +33,6 @@ struct Interval {
 [[nodiscard]] Interval hoeffdingInterval(std::uint64_t successes,
                                          std::uint64_t trials,
                                          double confidence);
-
-/// Number of Monte-Carlo trials needed so a Hoeffding interval at the given
-/// confidence has half-width <= eps. This is the paper's core scaling
-/// argument for why simulation fails at BER ~ 1e-7.
-[[nodiscard]] std::uint64_t hoeffdingSampleSize(double eps, double confidence);
 
 /// Regularized incomplete beta function I_x(a, b) (continued fraction,
 /// Numerical-Recipes style). Exposed for tests.

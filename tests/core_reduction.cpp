@@ -1,4 +1,4 @@
-#include "core/reduction.hpp"
+#include "core_reduction.hpp"
 
 #include <algorithm>
 #include <unordered_map>

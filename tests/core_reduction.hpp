@@ -1,5 +1,5 @@
-// Reduction registry and end-to-end reduction verification — the paper's
-// §IV-A-3/4 packaged as an API.
+// End-to-end reduction verification — the paper's §IV-A-3/4 as the test
+// suite's reference check (no library path calls it, so it lives here).
 //
 // A ReductionCase pairs a full model with its hand-reduced counterpart and
 // the properties the reduction must preserve. verifyReduction() builds both,
@@ -14,7 +14,7 @@
 
 #include "dtmc/builder.hpp"
 #include "dtmc/model.hpp"
-#include "lump/verify.hpp"
+#include "lump_verify.hpp"
 
 namespace mimostat::core {
 

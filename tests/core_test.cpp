@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/metrics.hpp"
-#include "core/reduction.hpp"
+#include "core_reduction.hpp"
 #include "core/report.hpp"
 #include "engine/engine.hpp"
 #include "stats/estimator.hpp"

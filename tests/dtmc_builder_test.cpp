@@ -55,11 +55,6 @@ TEST(VarLayout, PackingIsLexicographic) {
   }
 }
 
-TEST(VarLayout, FormatState) {
-  dtmc::VarLayout layout({{"x", 0, 3}, {"flag", 0, 1}});
-  EXPECT_EQ(formatState(layout, {2, 1}), "x=2, flag=1");
-}
-
 TEST(NormalizeTransitions, MergesDuplicates) {
   std::vector<dtmc::PackedTransition> ts;
   ts.push_back({0.25, 1});

@@ -193,7 +193,7 @@ mimo::MimoParams paperParams(int nr, double offset) {
 /// bit for bit as the verbatim vector-building model with its recomputed
 /// decision does, and the builder matches the legacy builder on it,
 /// sequentially and on 1/2/8-thread pools.
-void expectVerbatimMimo(int nr) {
+void expectVerbatimMimo(int nr, std::uint64_t pinnedHash) {
   for (const double offset : {-2.0, 0.0, 2.0}) {
     SCOPED_TRACE("1x" + std::to_string(nr) + " at " +
                  std::to_string(offset) + " dB");
@@ -202,17 +202,62 @@ void expectVerbatimMimo(int nr) {
     const dtmc::Exploration verbatim =
         dtmc::explore(test::LegacyMimoDetectorModel(params));
     EXPECT_TRUE(verbatim.exact);
+    // The paper design's key, as every earlier build computed it.
+    if (offset == 0.0) EXPECT_EQ(verbatim.hash, pinnedHash);
     expectSameExploration(dtmc::explore(model), verbatim);
     expectLegacyBuild(model);
   }
 }
 
 TEST(ExploreOracle, PaperMimo1x2MatchesTheVerbatimModel) {
-  expectVerbatimMimo(2);
+  expectVerbatimMimo(2, 0x5b1260c5815624adULL);
 }
 
 TEST(ExploreOracle, PaperMimo1x4MatchesTheVerbatimModel) {
-  expectVerbatimMimo(4);
+  expectVerbatimMimo(4, 0xd079e401ddd3e860ULL);
+}
+
+/// 31 + 31 + 2 = 64 bits. The root (c = 0) fans out to kWide level-1 states
+/// (c = 1), numbered a = 1..kWide, whose rows share their new targets
+/// (c = 2) in every way a window's numbering can meet them: a pair target
+/// shared by consecutive rows (duplicates inside a chunk, and across a chunk
+/// boundary), a target shared by rows 61 apart (first claimed in an earlier
+/// window, or claimed across the chunks of one window), the all-ones key
+/// (first claimed at row 100, mid-window, then repeated by every later
+/// chunk) and eight unique targets per row, with a back edge to the root.
+/// Level 2 returns to the root or the all-ones state, so its entries are
+/// almost all numbered already.
+class SharedTargetsModel : public dtmc::Model {
+ public:
+  static constexpr std::int32_t kMax = 0x7FFFFFFF;
+  static constexpr std::int32_t kWide = 4096;
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"a", 0, kMax}, {"b", 0, kMax}, {"c", 0, 3}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{0, 0, 0}};
+  }
+  void transitions(const dtmc::State& s,
+                   dtmc::Successors& out) const override {
+    if (s[2] == 0) {
+      for (int k = 0; k < kWide; ++k) out.add(1.0 / kWide, {1 + k, 0, 1});
+    } else if (s[2] == 1) {
+      const int k = s[0] - 1;
+      const double p = 1.0 / 12.0;
+      out.add(p, {k / 2, 1, 2});
+      out.add(p, {k % 61, 2, 2});
+      out.add(p, k >= 100 ? dtmc::State{kMax, kMax, 3} : dtmc::State{0, 0, 0});
+      for (int j = 0; j < 8; ++j) out.add(p, {k * 8 + j, 3, 2});
+      out.add(p, {0, 0, 0});
+    } else {
+      out.add(0.5, {0, 0, 0});
+      out.add(0.5, {kMax, kMax, 3});
+    }
+  }
+};
+
+TEST(ExploreOracle, SharedNewTargetsMatchLegacyBuilder) {
+  expectLegacyBuild(SharedTargetsModel());
 }
 
 TEST(ExploreOracle, EdgeCasesMatchLegacyBuilder) {
@@ -343,6 +388,47 @@ TEST(ExploreParallel, TruncationInsideAWindowMatchesSequential) {
   // the BFS inside a probe, inside a spread window and mid-row.
   const viterbi::ReducedViterbiModel model(viterbi::ViterbiParams{});
   for (const std::uint64_t cap : {40u, 1870u, 3000u, 7600u}) {
+    for (const bool keepMatrix : {true, false}) {
+      dtmc::ExploreOptions options;
+      options.maxStates = cap;
+      options.keepMatrix = keepMatrix;
+      const dtmc::Exploration sequential = dtmc::explore(model, options);
+      EXPECT_FALSE(sequential.exact) << cap;
+      EXPECT_EQ(sequential.states, cap + 1);
+      for (const std::size_t threads : kPoolSizes) {
+        SCOPED_TRACE(std::to_string(cap) + " cap, " +
+                     std::to_string(threads) + " threads");
+        engine::ThreadPool pool(threads);
+        expectSameExploration(
+            dtmc::explore(model, options, engine::laRunnerFor(pool)),
+            sequential);
+      }
+    }
+  }
+}
+
+TEST(ExploreParallel, DefaultViterbiKeyIsPinned) {
+  const viterbi::ReducedViterbiModel model(viterbi::ViterbiParams{});
+  EXPECT_EQ(dtmc::explore(model).hash, 0xcedc4db66c2b4d70ULL);
+  for (const std::size_t threads : kPoolSizes) {
+    engine::ThreadPool pool(threads);
+    EXPECT_EQ(dtmc::explore(model, {}, engine::laRunnerFor(pool)).hash,
+              0xcedc4db66c2b4d70ULL)
+        << threads << " threads";
+  }
+}
+
+TEST(ExploreParallel, TruncationAmongSharedTargetsMatchesSequential) {
+  // Level 2's first window (rows 0..31) numbers states 4,097..4,400; the
+  // second starts at 4,401 and its first chunk numbers the all-ones key,
+  // which all later chunks repeat, as state 5,017. These caps stop the BFS
+  // next to in-chunk, cross-chunk and earlier-window duplicates of the
+  // state that truncates, and on the all-ones key itself (cap 5,017).
+  const SharedTargetsModel model;
+  std::vector<std::uint64_t> caps = {4096, 4097, 4100, 4398, 4400};
+  for (std::uint64_t cap = 4401; cap < 4441; cap += 3) caps.push_back(cap);
+  for (std::uint64_t cap = 5010; cap < 5024; ++cap) caps.push_back(cap);
+  for (const std::uint64_t cap : caps) {
     for (const bool keepMatrix : {true, false}) {
       dtmc::ExploreOptions options;
       options.maxStates = cap;

@@ -11,6 +11,9 @@
 //  - Rows of State-vector targets and the templated normalizeTransitions
 //    that sorted and merged them, as they were before every layer moved to
 //    packed keys; the legacy builder and the verbatim sampler run on them.
+//  - lump::lump's signature refinement as it was before la::KeyNumbering:
+//    the initial partition and every round numbered in state order through
+//    a std::unordered_map on the calling thread.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <cstdint>
 #include <limits>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -29,8 +33,11 @@
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
 #include "la/csr_matrix.hpp"
+#include "la/exec.hpp"
+#include "lump/bisim.hpp"
 #include "mimo/model.hpp"
 #include "stats/gaussian.hpp"
+#include "util/hash.hpp"
 
 namespace mimostat::test {
 
@@ -471,5 +478,145 @@ class LegacyMimoDetectorModel : public dtmc::Model {
   /// yCellProbs_[hCell][x] = distribution over y cells.
   std::vector<std::array<std::vector<double>, 2>> yCellProbs_;
 };
+
+/// lump::lump's bucket of `value` at 1e-12, as hash input.
+inline std::uint64_t legacyBucketOf(double value) {
+  return static_cast<std::uint64_t>(
+      static_cast<std::int64_t>(std::llround(value / 1e-12)));
+}
+
+/// lump::lump's hash of a state's signature: sorted (target block,
+/// bucketed prob) pairs, merged per block.
+inline std::uint64_t legacySignatureHash(
+    const dtmc::ExplicitDtmc& dtmc, std::uint32_t s,
+    const std::vector<std::uint32_t>& blockOf,
+    std::vector<std::pair<std::uint32_t, double>>& scratch) {
+  scratch.clear();
+  for (std::uint64_t k = dtmc.rowPtr()[s]; k < dtmc.rowPtr()[s + 1]; ++k) {
+    scratch.emplace_back(blockOf[dtmc.col()[k]], dtmc.val()[k]);
+  }
+  std::sort(scratch.begin(), scratch.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  std::uint64_t hash = 0x9E3779B97F4A7C15ULL;
+  std::size_t i = 0;
+  while (i < scratch.size()) {
+    const std::uint32_t block = scratch[i].first;
+    double prob = 0.0;
+    while (i < scratch.size() && scratch[i].first == block) {
+      prob += scratch[i].second;
+      ++i;
+    }
+    hash = util::hashCombine(hash, util::mix64(block));
+    hash = util::hashCombine(hash, util::mix64(legacyBucketOf(prob)));
+  }
+  return hash;
+}
+
+/// lump::lump before la::KeyNumbering, verbatim but for the trace span.
+inline lump::LumpResult legacyLump(const dtmc::ExplicitDtmc& dtmc,
+                                   const lump::InitialKeys& initialKeys,
+                                   const la::TaskRunner& runner = {}) {
+  const std::uint32_t n = dtmc.numStates();
+  assert(initialKeys.size() == n);
+
+  lump::LumpResult result;
+  std::vector<std::uint32_t>& blockOf = result.partition.blockOf;
+  blockOf.assign(n, 0);
+
+  // Initial partition from the keys.
+  {
+    std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
+    for (std::uint32_t s = 0; s < n; ++s) {
+      auto [it, inserted] = blockIds.try_emplace(
+          initialKeys[s], static_cast<std::uint32_t>(blockIds.size()));
+      blockOf[s] = it->second;
+    }
+    result.partition.numBlocks = static_cast<std::uint32_t>(blockIds.size());
+  }
+
+  // Signature refinement to fixpoint. Each round hashes every state's
+  // signature — a pure function of the state and the previous round's
+  // partition — over the matrix's row blocks (on `runner` when the matrix
+  // is large enough), then numbers the new blocks in state order on this
+  // thread, so the partition is the same at any pool size. A signature
+  // includes the state's block, so a round only splits blocks; the loop
+  // stops at the first round that adds none (the partition is stable), at
+  // most n rounds in.
+  const la::CsrMatrix& matrix = dtmc.matrix();
+  const bool fanOut = runner != nullptr && matrix.blockCount() > 1 &&
+                      dtmc.numTransitions() >=
+                          la::Exec::kDefaultParallelThresholdNnz;
+  const std::size_t ranges = fanOut ? matrix.blockCount() : 1;
+  std::vector<std::uint64_t> signature(n);
+  std::vector<std::uint32_t> newBlockOf(n);
+  for (;;) {
+    ++result.refinementRounds;
+    la::runTasks(runner, ranges, [&](std::size_t r) {
+      std::vector<std::pair<std::uint32_t, double>> scratch;
+      const std::uint32_t end = fanOut ? matrix.blockEnd(r) : n;
+      for (std::uint32_t s = fanOut ? matrix.blockBegin(r) : 0; s < end; ++s) {
+        signature[s] = util::hashCombine(
+            util::mix64(blockOf[s]),
+            legacySignatureHash(dtmc, s, blockOf, scratch));
+      }
+    });
+    std::unordered_map<std::uint64_t, std::uint32_t> blockIds;
+    blockIds.reserve(result.partition.numBlocks * 2);
+    for (std::uint32_t s = 0; s < n; ++s) {
+      auto [it, inserted] = blockIds.try_emplace(
+          signature[s], static_cast<std::uint32_t>(blockIds.size()));
+      newBlockOf[s] = it->second;
+    }
+    const auto newCount = static_cast<std::uint32_t>(blockIds.size());
+    blockOf.swap(newBlockOf);
+    if (newCount == result.partition.numBlocks) break;
+    result.partition.numBlocks = newCount;
+  }
+
+  // Representatives: first state of each block.
+  result.representative.assign(result.partition.numBlocks, ~0u);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    if (result.representative[blockOf[s]] == ~0u) {
+      result.representative[blockOf[s]] = s;
+    }
+  }
+
+  // Quotient matrix: aggregate each representative's row per target block.
+  dtmc::ExplicitDtmc::Raw raw;
+  raw.layout = dtmc.varLayout();
+  raw.rowPtr.reserve(result.partition.numBlocks + 1);
+  raw.rowPtr.push_back(0);
+  std::vector<double> rowAccum(result.partition.numBlocks, 0.0);
+  std::vector<std::uint32_t> touched;
+  for (std::uint32_t b = 0; b < result.partition.numBlocks; ++b) {
+    const std::uint32_t rep = result.representative[b];
+    touched.clear();
+    for (std::uint64_t k = dtmc.rowPtr()[rep]; k < dtmc.rowPtr()[rep + 1]; ++k) {
+      const std::uint32_t tb = blockOf[dtmc.col()[k]];
+      if (rowAccum[tb] == 0.0) touched.push_back(tb);
+      rowAccum[tb] += dtmc.val()[k];
+    }
+    std::sort(touched.begin(), touched.end());
+    for (const std::uint32_t tb : touched) {
+      raw.col.push_back(tb);
+      raw.val.push_back(rowAccum[tb]);
+      rowAccum[tb] = 0.0;
+    }
+    raw.rowPtr.push_back(raw.col.size());
+  }
+
+  // Initial distribution: block mass = sum of member masses.
+  raw.initial.assign(result.partition.numBlocks, 0.0);
+  for (std::uint32_t s = 0; s < n; ++s) {
+    raw.initial[blockOf[s]] += dtmc.initialDistribution()[s];
+  }
+
+  // Quotient state table: representatives (keeps VarCmp properties usable),
+  // copied in the original table's form.
+  dtmc.copyStatesInto(result.representative, raw);
+
+  result.quotient = dtmc::ExplicitDtmc::fromRaw(std::move(raw));
+  return result;
+}
 
 }  // namespace mimostat::test

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -9,8 +11,10 @@
 #include "la/bit_vector.hpp"
 #include "lump/bisim.hpp"
 #include "legacy_loops.hpp"
-#include "lump/verify.hpp"
+#include "lump_verify.hpp"
 #include "test_models.hpp"
+#include "mimo/detector.hpp"
+#include "mimo/model.hpp"
 #include "viterbi/model_reduced.hpp"
 
 namespace mimostat {
@@ -315,37 +319,79 @@ TEST(LumpEdge, QuotientByteIdenticalAcrossConcurrentThreads) {
   }
 }
 
+/// Every output of two lumpings, bit for bit.
+void expectSameLump(const lump::LumpResult& got, const lump::LumpResult& want) {
+  EXPECT_EQ(got.partition.blockOf, want.partition.blockOf);
+  EXPECT_EQ(got.partition.numBlocks, want.partition.numBlocks);
+  EXPECT_EQ(got.representative, want.representative);
+  EXPECT_EQ(got.refinementRounds, want.refinementRounds);
+  EXPECT_EQ(got.quotient.rowPtr(), want.quotient.rowPtr());
+  EXPECT_EQ(got.quotient.col(), want.quotient.col());
+  EXPECT_EQ(got.quotient.val(), want.quotient.val());
+  EXPECT_EQ(got.quotient.initialDistribution(),
+            want.quotient.initialDistribution());
+  EXPECT_TRUE(test::sameStateTables(got.quotient, want.quotient));
+}
+
+/// Lazy random walk on 0..n-1 with reflecting ends, rewarded on its right
+/// half: refinement splits it one state deeper per round until every state
+/// is its own block.
+class LazyWalkModel : public dtmc::Model {
+ public:
+  explicit LazyWalkModel(std::int32_t n) : n_(n) {}
+  [[nodiscard]] std::vector<dtmc::VarSpec> variables() const override {
+    return {{"s", 0, n_ - 1}};
+  }
+  [[nodiscard]] std::vector<dtmc::State> initialStates() const override {
+    return {{n_ / 2}};
+  }
+  void transitions(const dtmc::State& s,
+                   dtmc::Successors& out) const override {
+    const std::int32_t x = s[0];
+    out.add(0.5, {x});
+    out.add(0.25, {x > 0 ? x - 1 : 0});
+    out.add(0.25, {x < n_ - 1 ? x + 1 : n_ - 1});
+  }
+  [[nodiscard]] double stateReward(const dtmc::State& s,
+                                   std::string_view /*name*/) const override {
+    return s[0] >= n_ / 2 ? 1.0 : 0.0;
+  }
+
+ private:
+  std::int32_t n_;
+};
+
 TEST(LumpEdge, SignaturesOnThePoolAreBitwiseSequential) {
-  // Both matrices pass the fan-out threshold (57,350 and 262,144 nonzeros,
-  // several row blocks each), so every round's signatures run on the pool.
+  // The Viterbi, banks and paper MIMO matrices pass the fan-out threshold
+  // (57,350, 262,144, 630,180 and 394,240 nonzeros, several row blocks
+  // each), so every round's signatures and block numbers run on the pool;
+  // the lazy walk (1,024 rounds) ends with every state in its own block.
+  // Each matches the pre-KeyNumbering refinement (test::legacyLump) too.
   const viterbi::ReducedViterbiModel viterbiModel(viterbi::ViterbiParams{});
   const test::SymmetricBanksModel banks(9, 0.3, 0.2);
-  for (const dtmc::Model* model :
-       std::vector<const dtmc::Model*>{&viterbiModel, &banks}) {
+  const mimo::MimoDetectorModel mimo1x2(mimo::mimo1x2Params());
+  const mimo::MimoDetectorModel mimo1x4(mimo::mimo1x4Params());
+  const LazyWalkModel walk(2048);
+  for (const dtmc::Model* model : std::vector<const dtmc::Model*>{
+           &viterbiModel, &banks, &mimo1x2, &mimo1x4, &walk}) {
     const auto d = dtmc::buildExplicit(*model).dtmc;
-    ASSERT_GT(d.matrix().blockCount(), 1u);
     const auto reward = d.evalReward(*model, "");
     const la::BitVector mask = d.evalAtom(*model, "error");
     const auto keys =
         lump::keysFromMasksAndRewards(d.numStates(), {&mask}, {&reward});
     const lump::LumpResult sequential = lump::lump(d, keys);
-    EXPECT_LT(sequential.partition.numBlocks, d.numStates());
+    if (model == &walk) {
+      EXPECT_EQ(sequential.partition.numBlocks, d.numStates());
+    } else {
+      ASSERT_GT(d.matrix().blockCount(), 1u);
+      EXPECT_LT(sequential.partition.numBlocks, d.numStates());
+    }
+    expectSameLump(sequential, test::legacyLump(d, keys));
     for (const std::size_t threads : {1u, 2u, 8u}) {
       SCOPED_TRACE(std::to_string(threads) + " threads");
       engine::ThreadPool pool(threads);
-      const lump::LumpResult got =
-          lump::lump(d, keys, engine::laRunnerFor(pool));
-      EXPECT_EQ(got.partition.blockOf, sequential.partition.blockOf);
-      EXPECT_EQ(got.partition.numBlocks, sequential.partition.numBlocks);
-      EXPECT_EQ(got.representative, sequential.representative);
-      EXPECT_EQ(got.refinementRounds, sequential.refinementRounds);
-      EXPECT_EQ(got.quotient.rowPtr(), sequential.quotient.rowPtr());
-      EXPECT_EQ(got.quotient.col(), sequential.quotient.col());
-      EXPECT_EQ(got.quotient.val(), sequential.quotient.val());
-      EXPECT_EQ(got.quotient.initialDistribution(),
-                sequential.quotient.initialDistribution());
-      EXPECT_TRUE(
-          test::sameStateTables(got.quotient, sequential.quotient));
+      expectSameLump(lump::lump(d, keys, engine::laRunnerFor(pool)),
+                     sequential);
     }
   }
 }

@@ -183,7 +183,7 @@ std::size_t expectCanonicalKeys(const dtmc::Model& model,
           (!everyPermutation && !std::binary_search(reachable.begin(),
                                                     reachable.end(),
                                                     permutedKey))) {
-        ADD_FAILURE() << "state " << dtmc::formatState(layout, s);
+        ADD_FAILURE() << "state key " << key;
         return 0;
       }
     }

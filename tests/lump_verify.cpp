@@ -1,4 +1,4 @@
-#include "lump/verify.hpp"
+#include "lump_verify.hpp"
 
 #include <algorithm>
 #include <cmath>

@@ -1,4 +1,5 @@
-// Verification helpers for reductions.
+// Verification helpers for reductions: the test suite's reference checkers
+// (no library path calls them, so they live here).
 //
 // verifyLumpable discharges the paper's "Part B" proof obligation
 // numerically: a partition is (strongly/ordinarily) lumpable iff every state

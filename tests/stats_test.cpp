@@ -105,21 +105,6 @@ TEST(Intervals, HoeffdingWidthScalesInverseSqrt) {
   EXPECT_NEAR(wide.width() / narrow.width(), 10.0, 0.5);
 }
 
-TEST(Intervals, HoeffdingSampleSize) {
-  const auto n = stats::hoeffdingSampleSize(0.01, 0.95);
-  // ln(40)/(2e-4) ~ 18445.
-  EXPECT_NEAR(static_cast<double>(n), 18445.0, 2.0);
-  // Resolving BER 1e-7 to +-1e-8 needs > 1e16 samples — the infeasibility
-  // argument for simulation in the paper's introduction.
-  EXPECT_GT(stats::hoeffdingSampleSize(1e-8, 0.99), 1'000'000'000'000'000ULL);
-}
-
-TEST(Intervals, WaldDegenerateAtZero) {
-  const auto ival = stats::waldInterval(0, 1000, 0.95);
-  EXPECT_EQ(ival.low, 0.0);
-  EXPECT_EQ(ival.high, 0.0);  // the known Wald pathology
-}
-
 TEST(RunningStats, MeanAndVariance) {
   stats::RunningStats rs;
   for (const double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) rs.add(x);

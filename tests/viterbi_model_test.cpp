@@ -3,7 +3,7 @@
 // error properties (paper §IV-A-3/4).
 #include <gtest/gtest.h>
 
-#include "core/reduction.hpp"
+#include "core_reduction.hpp"
 #include "dtmc/builder.hpp"
 #include "mc/checker.hpp"
 #include "test_models.hpp"
