@@ -10,8 +10,4 @@ RayleighFading::RayleighFading(const UniformQuantizer& quantizer)
 
 double RayleighFading::perDimensionSigma() { return std::sqrt(0.5); }
 
-double RayleighFading::sampleAnalog(util::Xoshiro256& rng) const {
-  return perDimensionSigma() * rng.nextGaussian();
-}
-
 }  // namespace mimostat::comm

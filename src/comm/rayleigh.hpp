@@ -1,14 +1,13 @@
 // Flat Rayleigh fading (paper §IV): channel coefficient h ~ CN(0,1), i.e.
 // real and imaginary parts are independent N(0, 1/2). For the DTMC models
 // each real part is quantized; this class provides the exact cell
-// probabilities of the fading distribution and a sampler for the
-// Monte-Carlo baseline.
+// probabilities of the fading distribution (the Monte-Carlo baseline draws
+// the analog parts as perDimensionSigma() * N(0, 1) itself).
 #pragma once
 
 #include <vector>
 
 #include "comm/quantizer.hpp"
-#include "util/rng.hpp"
 
 namespace mimostat::comm {
 
@@ -26,9 +25,6 @@ class RayleighFading {
   [[nodiscard]] const std::vector<double>& cellProbabilities() const {
     return probs_;
   }
-
-  /// Sample one analog h-part ~ N(0, 1/2).
-  [[nodiscard]] double sampleAnalog(util::Xoshiro256& rng) const;
 
  private:
   UniformQuantizer quantizer_;

@@ -2,20 +2,6 @@
 
 namespace mimostat::core {
 
-const char* metricName(MetricKind kind) {
-  switch (kind) {
-    case MetricKind::kBestCase:
-      return "P1 (best case)";
-    case MetricKind::kAverageCase:
-      return "P2 (average case)";
-    case MetricKind::kWorstCase:
-      return "P3 (worst case)";
-    case MetricKind::kConvergence:
-      return "C1 (convergence)";
-  }
-  return "?";
-}
-
 std::string metricProperty(MetricKind kind, std::uint64_t horizon,
                            int threshold) {
   switch (kind) {

@@ -15,8 +15,6 @@ enum class MetricKind {
   kConvergence,  ///< C1: R=? [ I=T ]          — non-convergence probability
 };
 
-[[nodiscard]] const char* metricName(MetricKind kind);
-
 /// Build the pCTL property string for a metric.
 /// @param horizon    the time bound T
 /// @param threshold  worst-case error-count threshold k (kWorstCase only)

@@ -1,6 +1,7 @@
 #include "dtmc/builder.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <exception>
 #include <stdexcept>
@@ -30,6 +31,55 @@ constexpr std::size_t kWindowEntries = std::size_t{1} << 16;
 constexpr std::size_t kChunkEntries = std::size_t{1} << 11;
 /// ...and a window at most this many tasks.
 constexpr std::size_t kMaxChunks = 16;
+
+/// The hash an exploration of `layout` starts from.
+std::uint64_t layoutHash(const VarLayout& layout) {
+  std::uint64_t h = 0xA11A5E5ULL;
+  for (const VarSpec& var : layout.vars()) {
+    h = util::hashCombine(h, util::fnv1a(var.name.data(), var.name.size()));
+    h = util::hashCombine(h, util::mix64(static_cast<std::uint64_t>(
+                                 static_cast<std::uint32_t>(var.lo)) |
+                             (static_cast<std::uint64_t>(
+                                  static_cast<std::uint32_t>(var.hi))
+                              << 32)));
+  }
+  return h;
+}
+
+/// The digest a normalized row folds into the hash: its length, then each
+/// entry's target key and probability bits.
+std::uint64_t rowDigest(const std::vector<PackedTransition>& row) {
+  std::uint64_t digest = util::mix64(row.size());
+  for (const PackedTransition& entry : row) {
+    digest = util::hashCombineDouble(
+        util::hashCombine(digest, util::mix64(entry.target)), entry.prob);
+  }
+  return digest;
+}
+
+/// `s`'s normalized row in `sink` (a transition-less state absorbing:
+/// self-loop — one convention shared with smc::PathSampler, so the exact
+/// and sampling backends answer the same chain for models with dead-end
+/// states). Returns the row's mass before normalizing.
+double expandRow(const Model& model, const VarLayout& layout, double floor,
+                 std::uint64_t key, State& scratch, Successors& sink) {
+  sink.clear();
+  layout.unpackInto(key, scratch);
+  model.transitions(scratch, sink);
+  std::vector<PackedTransition>& row = sink.entries();
+  if (row.empty()) row.push_back({1.0, key});
+  return normalizeTransitions(row, floor);
+}
+
+/// The uniform distribution over the `initial` state numbers (a repeated
+/// number counting repeatedly) among `n` states.
+std::vector<double> initialDistribution(
+    std::size_t n, const std::vector<std::uint32_t>& initial) {
+  std::vector<double> distribution(n, 0.0);
+  const double w = 1.0 / static_cast<double>(initial.size());
+  for (const std::uint32_t number : initial) distribution[number] += w;
+  return distribution;
+}
 
 /// explore()'s BFS over the packed keys of `layout`, continuing hash `h`.
 /// `e.raw.keys` receives the state table in discovery order. VarLayout
@@ -129,24 +179,12 @@ void exploreWith(const Model& model, const VarLayout& layout,
     range.reset(only);
     for (std::size_t s = c.begin; s < c.end; ++s) {
       try {
-        c.sink.clear();
-        layout.unpackInto(table[s], c.scratch);
-        model.transitions(c.scratch, c.sink);
-        std::vector<PackedTransition>& row = c.sink.entries();
-        // Transition-less states are absorbing (self-loop) — one convention
-        // shared with smc::PathSampler, so the exact and sampling backends
-        // answer the same chain for models with dead-end states.
-        if (row.empty()) row.push_back({1.0, table[s]});
-        c.mass.push_back(normalizeTransitions(row, options.probFloor));
-        std::uint64_t digest = util::mix64(row.size());
-        for (const PackedTransition& entry : row) {
-          c.entries.push_back(entry);
-          digest = util::hashCombineDouble(
-              util::hashCombine(digest, util::mix64(entry.target)),
-              entry.prob);
-        }
+        c.mass.push_back(expandRow(model, layout, options.probFloor, table[s],
+                                   c.scratch, c.sink));
+        const std::vector<PackedTransition>& row = c.sink.entries();
+        c.entries.insert(c.entries.end(), row.begin(), row.end());
         c.rowEnd.push_back(c.entries.size());
-        c.digest.push_back(digest);
+        c.digest.push_back(rowDigest(row));
       } catch (...) {
         c.failed = s;
         c.error = std::current_exception();
@@ -277,11 +315,7 @@ void exploreWith(const Model& model, const VarLayout& layout,
   }
   la::runTasks(runner, unpublished, copy);
   raw.keys = std::move(numbering.keys());
-  raw.initial.assign(raw.keys.size(), 0.0);
-  if (!initial.empty()) {
-    const double w = 1.0 / static_cast<double>(initial.size());
-    for (const std::uint32_t number : initial) raw.initial[number] += w;
-  }
+  raw.initial = initialDistribution(raw.keys.size(), initial);
 }
 
 }  // namespace
@@ -291,19 +325,105 @@ Exploration explore(const Model& model, const ExploreOptions& options,
   // Auto-parents to "engine.analyze" when the engine derives a model key.
   obs::Span span("dtmc.explore");
   const VarLayout layout = model.layout();
-  std::uint64_t h = 0xA11A5E5ULL;
-  for (const VarSpec& var : layout.vars()) {
-    h = util::hashCombine(h, util::fnv1a(var.name.data(), var.name.size()));
-    h = util::hashCombine(h, util::mix64(static_cast<std::uint64_t>(
-                                 static_cast<std::uint32_t>(var.lo)) |
-                             (static_cast<std::uint64_t>(
-                                  static_cast<std::uint32_t>(var.hi))
-                              << 32)));
+  Exploration e;
+  exploreWith(model, layout, options, runner, layoutHash(layout), e);
+  if (!e.raw.rowPtr.empty()) e.raw.layout = layout;
+  e.seconds = span.stopSeconds();
+  return e;
+}
+
+std::optional<Exploration> revalue(const Model& model,
+                                   const Skeleton& skeleton,
+                                   const ExploreOptions& options,
+                                   const la::TaskRunner& runner) {
+  // Auto-parents to "engine.analyze" as explore's span does.
+  obs::Span span("dtmc.revalue");
+  const la::CsrMatrix::Pattern& p = *skeleton.pattern;
+  const std::vector<std::uint64_t>& keys = *skeleton.keys;
+  const std::size_t n = keys.size();
+  const VarLayout layout = model.layout();
+  if (!options.keepMatrix || n > options.maxStates ||
+      layout.vars() != skeleton.layout.vars()) {
+    return std::nullopt;
   }
 
+  // Each row on the runner, one task a block of the skeleton's matrix:
+  // its values, its digest and its mass deviation (a block's maximum,
+  // stored once: neighbouring blocks' entries share cache lines).
   Exploration e;
-  exploreWith(model, layout, options, runner, h, e);
-  if (!e.raw.rowPtr.empty()) e.raw.layout = layout;
+  e.raw.val.resize(p.col.size());
+  std::vector<std::uint64_t> digest(n);
+  std::vector<double> deviation(p.blockStart.size() - 1, 0.0);
+  std::atomic<bool> mismatch{false};
+  la::runTasks(runner, deviation.size(), [&](std::size_t b) {
+    Successors sink(layout);
+    State scratch;
+    double worst = 0.0;
+    for (std::uint32_t s = p.blockStart[b];
+         s < p.blockStart[b + 1] && !mismatch.load(std::memory_order_relaxed);
+         ++s) {
+      const std::uint64_t begin = p.rowPtr[s];
+      try {
+        const double mass =
+            expandRow(model, layout, options.probFloor, keys[s], scratch, sink);
+        const std::vector<PackedTransition>& row = sink.entries();
+        bool same = row.size() == p.rowPtr[s + 1] - begin;
+        for (std::size_t k = 0; same && k < row.size(); ++k) {
+          same = row[k].target == keys[p.col[begin + k]];
+          e.raw.val[begin + k] = row[k].prob;
+        }
+        if (!same) mismatch = true;
+        digest[s] = rowDigest(row);
+        worst = std::max(worst, std::fabs(mass - 1.0));
+      } catch (...) {
+        mismatch = true;
+      }
+    }
+    deviation[b] = worst;
+  });
+  if (mismatch) return std::nullopt;
+
+  // explore's ordered pass: number the initial states, then each row's
+  // first-reached targets, folding keys, numbers and digests into the hash
+  // in explore's order. The model's numbering must be the skeleton's.
+  std::vector<std::uint32_t> initial;
+  std::uint32_t next = 0;
+  for (const State& state : model.initialStates()) {
+    const std::uint64_t key = layout.pack(state);
+    // Initial states are few: a linear search numbers them.
+    initial.push_back(static_cast<std::uint32_t>(
+        std::find(keys.begin(), keys.begin() + next, key) - keys.begin()));
+    if (initial.back() == next && (next == n || keys[next++] != key)) {
+      return std::nullopt;
+    }
+  }
+  std::uint64_t h = layoutHash(layout);
+  for (std::uint32_t s = 0; s < next; ++s) {
+    h = util::hashCombine(h, util::mix64(keys[s]));
+  }
+  for (const std::uint32_t number : initial) {
+    h = util::hashCombine(h, util::mix64(number));
+  }
+  for (std::uint32_t s = 0, levelEnd = 0; s < n; ++s) {
+    if (s == next) return std::nullopt;  // the BFS would stop here
+    if (s == levelEnd) {
+      ++e.reachabilityIterations;
+      levelEnd = next;
+    }
+    for (std::uint64_t k = p.rowPtr[s]; k < p.rowPtr[s + 1]; ++k) {
+      if (p.col[k] > next) return std::nullopt;
+      if (p.col[k] == next) h = util::hashCombine(h, util::mix64(keys[next++]));
+    }
+    h = util::hashCombine(h, digest[s]);
+  }
+
+  e.hash = h;
+  e.exact = true;
+  e.states = n;
+  e.transitions = p.col.size();
+  e.worstMassDeviation = std::ranges::max(deviation);
+  e.raw.initial = initialDistribution(n, initial);
+  e.skeleton = skeleton;
   e.seconds = span.stopSeconds();
   return e;
 }
@@ -318,7 +438,8 @@ BuildResult buildFromExploration(Exploration exploration,
         "buildExplicit: reachable state space exceeds maxStates");
   }
   ExplicitDtmc::Raw& raw = exploration.raw;
-  if (raw.rowPtr.empty()) {
+  const Skeleton& skeleton = exploration.skeleton;
+  if (raw.rowPtr.empty() && skeleton.pattern == nullptr) {
     throw std::invalid_argument(
         "buildFromExploration: the exploration kept no matrix");
   }
@@ -327,8 +448,12 @@ BuildResult buildFromExploration(Exploration exploration,
                 exploration.worstMassDeviation);
   }
 
-  BuildResult result{ExplicitDtmc::fromRaw(std::move(raw)),
-                     exploration.reachabilityIterations, exploration.seconds};
+  BuildResult result{
+      skeleton.pattern != nullptr
+          ? ExplicitDtmc::fromSkeleton(skeleton, std::move(raw.val),
+                                       std::move(raw.initial))
+          : ExplicitDtmc::fromRaw(std::move(raw)),
+      exploration.reachabilityIterations, exploration.seconds};
   MS_LOG_INFO("buildExplicit: %u states, %llu transitions, RI=%u",
               result.dtmc.numStates(),
               static_cast<unsigned long long>(result.dtmc.numTransitions()),

@@ -23,9 +23,19 @@
 // Every output is bitwise the same with or without a runner, at any pool
 // size; without one the same steps run inline. Model methods must then be
 // safe to call concurrently (see dtmc/model.hpp).
+//
+// dtmc::revalue is explore's shortcut for a model whose structure is known:
+// given the Skeleton of an earlier exploration (the engine keeps one per
+// Model::structureFingerprint), it computes each skeleton state's row on
+// the runner, checks its length and target keys against the skeleton's
+// row and writes the values; then it folds the hash exactly as explore's
+// ordered pass would. Its result is bitwise the Exploration explore would
+// return, sharing the skeleton's arrays; any difference returns nullopt,
+// and the caller explores.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "dtmc/explicit_dtmc.hpp"
@@ -74,8 +84,14 @@ struct Exploration {
   double worstMassDeviation = 0.0;  ///< max |row mass - 1| before normalizing
   double seconds = 0.0;
   /// keepMatrix and exact only: CSR, initial distribution and layout, plus
-  /// the state table as packed keys in raw.keys, which a build keeps.
+  /// the state table as packed keys in raw.keys, which a build keeps. Only
+  /// val and initial once `skeleton` is set.
   ExplicitDtmc::Raw raw;
+  /// The row pointers, columns, state table and layout the values sit on,
+  /// when set: by revalue (the skeleton it was given), or by a caller that
+  /// moved them out of `raw` (ExplicitDtmc::detachSkeleton) to share them.
+  /// buildFromExploration builds on it.
+  Skeleton skeleton;
 };
 
 /// Explore the reachable state space of `model`. Never throws on large
@@ -87,6 +103,18 @@ struct Exploration {
 [[nodiscard]] Exploration explore(const Model& model,
                                   const ExploreOptions& options = {},
                                   const la::TaskRunner& runner = {});
+
+/// The exploration explore(model, options, runner) returns, computed on the
+/// structure of `skeleton` (detached from an exact, matrix-keeping
+/// exploration) instead of a BFS, with `skeleton` set to it; nullopt, after
+/// at most one transitions() call per skeleton state, unless keepMatrix,
+/// the skeleton has at most maxStates states and the model's layout,
+/// initial states and every normalized row's length and target keys match
+/// it. A throwing row also returns nullopt (explore then decides what to
+/// throw). Traced as "dtmc.revalue".
+[[nodiscard]] std::optional<Exploration> revalue(
+    const Model& model, const Skeleton& skeleton,
+    const ExploreOptions& options = {}, const la::TaskRunner& runner = {});
 
 /// Assemble the explicit DTMC from a matrix-keeping exploration, without
 /// exploring again (buildSeconds = the exploration's time). Throws what

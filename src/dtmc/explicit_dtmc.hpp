@@ -6,10 +6,12 @@
 // The state table keeps the form dtmc::explore produced it in: one packed
 // u64 key per state (8 bytes a state, no per-state heap block from
 // exploration to eviction). state(i) decodes a copy; varValue reads one
-// field.
+// field. The state table and the matrix's pattern are shared: DTMCs built
+// on one Skeleton (dtmc::revalue) own only their values.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +23,20 @@
 #include "la/exec.hpp"
 
 namespace mimostat::dtmc {
+
+/// An explicit DTMC without its values: the matrix's pattern (row
+/// pointers, columns, block table), the state table and the layout that
+/// packed it. Copies share the arrays.
+struct Skeleton {
+  std::shared_ptr<const la::CsrMatrix::Pattern> pattern;
+  std::shared_ptr<const std::vector<std::uint64_t>> keys;
+  VarLayout layout;
+
+  /// Resident bytes of the pattern and the state table.
+  [[nodiscard]] std::uint64_t approxBytes() const {
+    return pattern->approxBytes() + keys->size() * sizeof(std::uint64_t);
+  }
+};
 
 class ExplicitDtmc {
  public:
@@ -55,18 +71,18 @@ class ExplicitDtmc {
 
   /// The variable assignment of state `idx`, decoded from its key.
   [[nodiscard]] State state(std::uint32_t idx) const {
-    return layout_.unpack(keys_[idx]);
+    return layout_.unpack((*keys_)[idx]);
   }
 
   /// Value of variable `varIdx` in state `stateIdx`.
   [[nodiscard]] std::int32_t varValue(std::uint32_t stateIdx,
                                       std::size_t varIdx) const {
-    return layout_.field(keys_[stateIdx], varIdx);
+    return layout_.field((*keys_)[stateIdx], varIdx);
   }
 
   /// Resident bytes of the state table.
   [[nodiscard]] std::uint64_t stateTableBytes() const {
-    return keys_.size() * sizeof(std::uint64_t);
+    return keys_->size() * sizeof(std::uint64_t);
   }
 
   /// Per-state truth set of an atomic proposition (packed, one bit per
@@ -95,6 +111,16 @@ class ExplicitDtmc {
   /// Throws std::invalid_argument when rowPtr is empty, or the initial
   /// distribution or the state table does not have one entry per row.
   static ExplicitDtmc fromRaw(Raw raw);
+  /// Move `raw`'s row pointers, columns, state table and layout into a
+  /// skeleton (building its block table), leaving its values and initial
+  /// distribution. Throws std::invalid_argument when rowPtr is empty.
+  static Skeleton detachSkeleton(Raw& raw);
+  /// `val` (one value per column entry, asserted) on `skeleton`, whose
+  /// arrays it shares. Throws std::invalid_argument when the initial
+  /// distribution or the state table does not have one entry per row.
+  static ExplicitDtmc fromSkeleton(const Skeleton& skeleton,
+                                   std::vector<double> val,
+                                   std::vector<double> initial);
   /// Append the keys of states `indices` to `raw`'s table (a quotient keeps
   /// its representatives' keys).
   void copyStatesInto(const std::vector<std::uint32_t>& indices,
@@ -105,10 +131,10 @@ class ExplicitDtmc {
   /// la::runStateRanges on `runner`, decoding into one scratch State a range.
   template <class F>
   void forEachState(const la::TaskRunner& runner, const F& f) const {
-    la::runStateRanges(runner, keys_.size(), [&](std::size_t b, std::size_t e) {
+    la::runStateRanges(runner, numStates(), [&](std::size_t b, std::size_t e) {
       State scratch;
       for (auto i = static_cast<std::uint32_t>(b); i < e; ++i) {
-        layout_.unpackInto(keys_[i], scratch);
+        layout_.unpackInto((*keys_)[i], scratch);
         f(i, scratch);
       }
     });
@@ -116,7 +142,8 @@ class ExplicitDtmc {
 
   la::CsrMatrix matrix_;
   std::vector<double> initial_;
-  std::vector<std::uint64_t> keys_;
+  std::shared_ptr<const std::vector<std::uint64_t>> keys_ =
+      std::make_shared<const std::vector<std::uint64_t>>();
   VarLayout layout_;
 };
 

@@ -22,6 +22,7 @@
 // hidden-thread-state keeps `thread_local` out of src/ outside obs::).
 #pragma once
 
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -54,6 +55,11 @@ class Successors {
   /// Append one successor. Duplicate targets are allowed.
   void add(double prob, const State& target) {
     entries_.push_back({prob, layout_->pack(target)});
+  }
+  /// Append one successor by its key (the layout's pack of the target).
+  /// Exactly a u64: a braced State such as {x} keeps the overload above.
+  void add(double prob, std::same_as<std::uint64_t> auto key) {
+    entries_.push_back({prob, key});
   }
 
   /// A copy of `s` in storage the sink reuses across calls (no allocation
@@ -121,6 +127,21 @@ class Model {
   /// a subclass that changes any of the above must override it. Default:
   /// no fingerprint, so the engine explores the model for its cache key.
   [[nodiscard]] virtual std::optional<std::uint64_t> fingerprint() const {
+    return std::nullopt;
+  }
+
+  /// Structure fingerprint: a hash of the inputs that decide the model's
+  /// structure — its layout, initial states and which targets each
+  /// reachable row has — but not necessarily its probabilities. Two models
+  /// with equal structure fingerprints should differ only in their values;
+  /// the engine then re-values the skeleton the first one explored
+  /// (dtmc::revalue) instead of exploring the second. The claim is checked
+  /// row by row: a wrong one costs a wasted re-valuation and a full
+  /// exploration, never a wrong answer. Implementations hash a per-class
+  /// tag plus every constructor input that may change a row's targets.
+  /// Default: none, so the model is always explored.
+  [[nodiscard]] virtual std::optional<std::uint64_t> structureFingerprint()
+      const {
     return std::nullopt;
   }
 

@@ -25,6 +25,7 @@ struct VarSpec {
   [[nodiscard]] std::int64_t rangeSize() const {
     return static_cast<std::int64_t>(hi) - lo + 1;
   }
+  friend bool operator==(const VarSpec&, const VarSpec&) = default;
 };
 
 /// Bit-packing layout derived from a variable list. Packing is

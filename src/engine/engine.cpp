@@ -152,7 +152,10 @@ AnalysisEngine::AnalysisEngine(EngineOptions options)
       quotientHitCounter_(metrics_->counter("engine.quotient_hits")),
       fingerprintHitCounter_(metrics_->counter("engine.fingerprint_hits")),
       quotientAliasHitCounter_(
-          metrics_->counter("engine.quotient_alias_hits")) {}
+          metrics_->counter("engine.quotient_alias_hits")),
+      skeletonHitCounter_(metrics_->counter("engine.skeleton_hits")),
+      skeletonFallbackCounter_(
+          metrics_->counter("engine.skeleton_fallbacks")) {}
 
 AnalysisEngine::~AnalysisEngine() = default;
 
@@ -191,6 +194,7 @@ void AnalysisEngine::clearModelCache() {
   const util::MutexLock lock(cacheMutex_);
   modelCache_.clear();
   fingerprintKeys_.clear();
+  skeletons_.clear();
   cacheBytes_ = 0;
 }
 
@@ -222,6 +226,49 @@ void AnalysisEngine::recordFingerprint(const dtmc::Model& model,
                                        std::uint64_t key) {
   const std::optional<std::uint64_t> fingerprint = model.fingerprint();
   if (fingerprint) recordAlias(cacheKeyFor(*fingerprint, build), key);
+}
+
+dtmc::Exploration AnalysisEngine::exploreModel(
+    const dtmc::Model& model, const dtmc::BuildOptions& build,
+    const dtmc::ExploreOptions& options) {
+  const la::TaskRunner runner = laRunnerFor(pool_);
+  const std::optional<std::uint64_t> structure = model.structureFingerprint();
+  if (!structure || !options.keepMatrix) {
+    return dtmc::explore(model, options, runner);
+  }
+  const std::uint64_t key = cacheKeyFor(*structure, build);
+  const auto keyed = [&](const auto& entry) { return entry.first == key; };
+  std::optional<dtmc::Skeleton> skeleton;
+  {
+    const util::MutexLock lock(cacheMutex_);
+    const auto it = std::find_if(skeletons_.begin(), skeletons_.end(), keyed);
+    if (it != skeletons_.end() &&
+        it->second.keys->size() <= options.maxStates) {
+      skeleton = it->second;
+      std::rotate(skeletons_.begin(), it, it + 1);  // most recent first
+    }
+  }
+  if (skeleton) {
+    std::optional<dtmc::Exploration> revalued =
+        dtmc::revalue(model, *skeleton, options, runner);
+    (revalued ? skeletonHitCounter_ : skeletonFallbackCounter_).inc();
+    if (revalued) return std::move(*revalued);
+  }
+  dtmc::Exploration e = dtmc::explore(model, options, runner);
+  if (!e.exact) return e;
+  e.skeleton = dtmc::ExplicitDtmc::detachSkeleton(e.raw);
+  const util::MutexLock lock(cacheMutex_);
+  std::erase_if(skeletons_, keyed);
+  skeletons_.emplace(skeletons_.begin(), key, e.skeleton);
+  std::size_t keep = 0;
+  std::uint64_t bytes = 0;
+  for (; keep < std::min(skeletons_.size(), options_.maxCachedModels); ++keep) {
+    bytes += skeletons_[keep].second.approxBytes();
+    if (options_.maxCacheBytes > 0 && bytes > options_.maxCacheBytes) break;
+  }
+  skeletons_.erase(skeletons_.begin() + static_cast<std::ptrdiff_t>(keep),
+                   skeletons_.end());
+  return e;
 }
 
 void AnalysisEngine::recordAlias(std::uint64_t alias, std::uint64_t key) {
@@ -338,9 +385,9 @@ std::shared_ptr<const BuiltModel> AnalysisEngine::ensureBuilt(
   std::optional<dtmc::Exploration> exploration;
   std::optional<std::uint64_t> key = fingerprintKey(model, buildOptions);
   if (!key) {
-    exploration = dtmc::explore(
-        model, exploreOptionsFor(buildOptions, buildOptions.maxStates, true),
-        runner);
+    exploration = exploreModel(
+        model, buildOptions,
+        exploreOptionsFor(buildOptions, buildOptions.maxStates, true));
     key = cacheKeyFor(exploration->hash, buildOptions);
   }
   const bool exact = exploration && exploration->exact;
@@ -417,14 +464,13 @@ AnalysisResponse AnalysisEngine::analyzeQueued(const AnalysisRequest& request,
           options.stateBudget == std::numeric_limits<std::uint64_t>::max()
               ? options.stateBudget
               : options.stateBudget + 1;
-      exploration = dtmc::explore(
-          *request.model,
+      exploration = exploreModel(
+          *request.model, options.build,
           exploreOptionsFor(options.build,
                             backend == Backend::kExact
                                 ? options.build.maxStates
                                 : budgetCap,
-                            backend != Backend::kSampling),
-          laRunnerFor(pool_));
+                            backend != Backend::kSampling));
       key = cacheKeyFor(exploration->hash, options.build);
       if (backend == Backend::kAuto) {
         bool cached = false;

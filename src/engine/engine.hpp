@@ -21,6 +21,16 @@
 //      eviction.
 //      Cached DTMCs store transition structure only; atoms/rewards always
 //      re-resolve through the requesting model.
+//      Beside the entries, the engine retains the skeleton (state table,
+//      row pointers, columns; dtmc::Skeleton) of recent full explorations
+//      under their model's structure fingerprint
+//      (dtmc::Model::structureFingerprint) and build options, at most
+//      maxCachedModels skeletons of at most maxCacheBytes, least recently
+//      used first out. A fingerprint miss whose structure fingerprint names
+//      one re-values it (dtmc::revalue: the same exploration, without the
+//      BFS) instead of exploring; a re-valuation that finds a different
+//      structure falls back to dtmc::explore, whose skeleton replaces the
+//      stale one. Either way the request is a model-cache miss.
 //   2. Evaluation planning: the request's property set is compiled by
 //      pctl::buildPlan into a deduplicated task DAG (mc::Checker::checkAll
 //      executes it). All bounded path formulas (U<=k / F<=k / G<=k / X)
@@ -57,6 +67,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dtmc/builder.hpp"
@@ -214,6 +225,16 @@ class AnalysisEngine {
   /// resident. Only after an exact exploration produced `key` from `model`.
   void recordFingerprint(const dtmc::Model& model,
                          const dtmc::BuildOptions& build, std::uint64_t key);
+  /// `model`'s exploration under `options`: the skeleton retained under
+  /// its structure fingerprint re-valued when one fits (counting a hit, or
+  /// a fallback when the re-valuation finds another structure), else
+  /// dtmc::explore on the pool. An exact, matrix-keeping explore of a model
+  /// with a structure fingerprint has its skeleton detached (shared with
+  /// the build assembled from it) and retained in place of any older one;
+  /// the least recently used skeletons past the bounds are dropped.
+  [[nodiscard]] dtmc::Exploration exploreModel(
+      const dtmc::Model& model, const dtmc::BuildOptions& build,
+      const dtmc::ExploreOptions& options);
   /// Add `alias` to fingerprintKeys_ for the slot under `key`, if still
   /// resident; the slot lists it, so eviction drops it.
   void recordAlias(std::uint64_t alias, std::uint64_t key);
@@ -290,6 +311,11 @@ class AnalysisEngine {
   /// reward evaluation.
   /// lint:allow(guarded-by: internally synchronized handle)
   obs::Counter quotientAliasHitCounter_;
+  /// Explorations re-valued from a skeleton, and re-valuations that fell
+  /// back to exploring. lint:allow(guarded-by: internally synchronized handle)
+  obs::Counter skeletonHitCounter_;
+  /// lint:allow(guarded-by: internally synchronized handle)
+  obs::Counter skeletonFallbackCounter_;
 
   mutable util::Mutex cacheMutex_;
   CacheMap modelCache_ MIMOSTAT_GUARDED_BY(cacheMutex_);
@@ -298,6 +324,10 @@ class AnalysisEngine {
   /// full build, a quotient alias (fingerprint, plan masks, reward names)
   /// names a quotient.
   std::unordered_map<std::uint64_t, std::uint64_t> fingerprintKeys_
+      MIMOSTAT_GUARDED_BY(cacheMutex_);
+  /// Retained skeletons by structure key (cacheKeyFor(structure
+  /// fingerprint, build options)), most recently used first.
+  std::vector<std::pair<std::uint64_t, dtmc::Skeleton>> skeletons_
       MIMOSTAT_GUARDED_BY(cacheMutex_);
   std::uint64_t useCounter_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;
   std::uint64_t cacheBytes_ MIMOSTAT_GUARDED_BY(cacheMutex_) = 0;

@@ -23,10 +23,6 @@ void BitVector::setAll() {
   maskTail();
 }
 
-void BitVector::clearAll() {
-  for (Word& w : words_) w = 0;
-}
-
 BitVector& BitVector::operator&=(const BitVector& other) {
   assert(numBits_ == other.numBits_);
   for (std::size_t w = 0; w < words_.size(); ++w) words_[w] &= other.words_[w];

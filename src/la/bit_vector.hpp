@@ -47,7 +47,6 @@ class BitVector {
   }
 
   void setAll();
-  void clearAll();
 
   /// Word-parallel intersection/union/difference; operands must match in
   /// size. operator-= is and-not: keep this set's bits not in `other`.

@@ -31,18 +31,6 @@ std::uint64_t hashParams(std::uint64_t classTag, const MimoParams& params) {
 
 MimoParams mimo1x2Params() { return MimoParams{}; }
 
-MimoParams mimo2x2Params() {
-  MimoParams p;
-  p.nr = 2;
-  p.nt = 2;
-  p.snrDb = 10.0;
-  p.hLevels = 3;
-  p.hRange = 1.5;
-  p.yLevels = 6;
-  p.yRange = 3.0;
-  return p;
-}
-
 MimoParams mimo1x4Params() {
   MimoParams p;
   p.nr = 4;
@@ -138,6 +126,20 @@ int MlDetector::detectAnalog(const std::vector<double>& y,
   return best;
 }
 
+template <class Metric>
+int MlDetector::decide(const Metric& metric) const {
+  int best = 0;
+  double bestMetric = std::numeric_limits<double>::infinity();
+  for (int s = 0; s < params_.numHypotheses(); ++s) {
+    const double m = metric(residual_.data() + s * numCodes_);
+    if (m < bestMetric) {
+      bestMetric = m;
+      best = s;
+    }
+  }
+  return best;
+}
+
 int MlDetector::detectQuantized(std::span<const int> yCells,
                                 std::span<const int> hCells) const {
   assert(yCells.size() == static_cast<std::size_t>(params_.numBlocks()));
@@ -161,19 +163,22 @@ int MlDetector::detectQuantized(std::span<const int> yCells,
     for (; i > 0 && codes[i - 1] > code; --i) codes[i] = codes[i - 1];
     codes[i] = code;
   }
-
-  int best = 0;
-  double bestMetric = std::numeric_limits<double>::infinity();
-  for (int s = 0; s < params_.numHypotheses(); ++s) {
-    const double* residual = residual_.data() + s * numCodes_;
+  return decide([&](const double* residual) {
     double metric = 0.0;
     for (std::size_t i = 0; i < blocks; ++i) metric += residual[codes[i]];
-    if (metric < bestMetric) {
-      bestMetric = metric;
-      best = s;
+    return metric;
+  });
+}
+
+int MlDetector::detectCounts(std::span<const int> counts) const {
+  assert(counts.size() == static_cast<std::size_t>(numCodes_));
+  return decide([&](const double* residual) {
+    double metric = 0.0;
+    for (std::size_t code = 0; code < counts.size(); ++code) {
+      for (int c = 0; c < counts[code]; ++c) metric += residual[code];
     }
-  }
-  return best;
+    return metric;
+  });
 }
 
 }  // namespace mimostat::mimo

@@ -29,7 +29,8 @@
 namespace mimostat::mimo {
 
 /// Case-study parameters. Defaults are the 1x2 configuration (Table II/V);
-/// see mimo1x4Params() / mimo2x2Params() for the other configurations.
+/// see mimo1x4Params() for the other one. The detector and the simulator
+/// also take nt = 2 (the 2x2 system of paper Eq. 14-15).
 struct MimoParams {
   int nr = 2;            ///< receive antennas
   int nt = 1;            ///< transmit antennas (BPSK per antenna)
@@ -56,8 +57,6 @@ struct MimoParams {
 [[nodiscard]] MimoParams mimo1x2Params();
 /// The paper's 1x4 detector configuration (SNR 12 dB, coarser quantizers).
 [[nodiscard]] MimoParams mimo1x4Params();
-/// The 2x2 system of paper Eq. 14-15 (two BPSK transmit streams).
-[[nodiscard]] MimoParams mimo2x2Params();
 
 class MlDetector {
  public:
@@ -90,18 +89,31 @@ class MlDetector {
 
   /// ML decision from quantizer cell indices (reconstruction-value metric),
   /// with `yCells` and `hCells` laid out as detectAnalog's y and h. The
-  /// block codes are insertion-sorted and each hypothesis sums its table
+  /// block codes are sorted (counted, when there are no more codes than
+  /// blocks; else insertion-sorted) and each hypothesis sums its table
   /// entries in ascending code order: a canonical accumulation order, so
   /// the decision is invariant under metric-block permutation — required
   /// by the symmetry reduction. Ties decide the smallest index.
   [[nodiscard]] int detectQuantized(std::span<const int> yCells,
                                     std::span<const int> hCells) const;
+  /// detectQuantized from per-code block counts (counts[code] blocks have
+  /// block code `code`; numCodes() entries): each hypothesis adds
+  /// residual[code] counts[code] times, code by code in ascending order —
+  /// the additions detectQuantized makes over the sorted codes, so the
+  /// decision is the same bit for bit.
+  [[nodiscard]] int detectCounts(std::span<const int> counts) const;
+  /// Block codes: hLevels^nt * yLevels.
+  [[nodiscard]] int numCodes() const { return numCodes_; }
 
  private:
+  /// The hypothesis of least metric(its residual table row); ties decide
+  /// the smallest index.
+  template <class Metric>
+  [[nodiscard]] int decide(const Metric& metric) const;
+
   MimoParams params_;
   comm::UniformQuantizer hQuant_;
   comm::UniformQuantizer yQuant_;
-  /// Block codes: hLevels^nt * yLevels.
   int numCodes_ = 0;
   /// residual_[s * numCodes_ + code]: the block residual of hypothesis s.
   std::vector<double> residual_;

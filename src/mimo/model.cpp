@@ -73,10 +73,28 @@ const MimoParams& singleStream(const MimoParams& params) {
   return params;
 }
 
+/// phase, x, the h and y cells of each block, then flag (all from 0).
+std::vector<dtmc::VarSpec> variablesOf(const MimoParams& p) {
+  std::vector<dtmc::VarSpec> vars;
+  vars.push_back({"phase", 0, 2});
+  vars.push_back({"x", 0, 1});
+  for (const char* cell : {"h", "y"}) {
+    for (int b = 0; b < p.numBlocks(); ++b) {
+      std::string name = cell;
+      name += std::to_string(b);
+      vars.push_back({name, 0, (*cell == 'h' ? p.hLevels : p.yLevels) - 1});
+    }
+  }
+  vars.push_back({"flag", 0, 1});
+  return vars;
+}
+
 }  // namespace
 
 MimoDetectorModel::MimoDetectorModel(const MimoParams& params)
-    : detector_(singleStream(params)) {
+    : detector_(singleStream(params)),
+      layout_(variablesOf(params)),
+      byCounts_(detector_.numCodes() <= params.numBlocks()) {
   const comm::RayleighFading fading(detector_.hQuantizer());
   hCellProbs_ = fading.cellProbabilities();
 
@@ -97,53 +115,52 @@ std::optional<std::uint64_t> MimoDetectorModel::fingerprint() const {
   return hashParams(kFingerprintTag, params());
 }
 
+std::optional<std::uint64_t> MimoDetectorModel::structureFingerprint() const {
+  constexpr std::uint64_t kStructureTag = 0x4D696D6F53747275ull;
+  MimoParams structure = params();
+  structure.snrDb = 0.0;
+  return hashParams(kStructureTag, structure);
+}
+
 std::vector<dtmc::VarSpec> MimoDetectorModel::variables() const {
-  const MimoParams& p = params();
-  std::vector<dtmc::VarSpec> vars;
-  vars.push_back({"phase", 0, 2});
-  vars.push_back({"x", 0, 1});
-  for (int b = 0; b < p.numBlocks(); ++b) {
-    vars.push_back({"h" + std::to_string(b), 0, p.hLevels - 1});
-  }
-  for (int b = 0; b < p.numBlocks(); ++b) {
-    vars.push_back({"y" + std::to_string(b), 0, p.yLevels - 1});
-  }
-  vars.push_back({"flag", 0, 1});
-  return vars;
+  return layout_.vars();
 }
 
 std::vector<dtmc::State> MimoDetectorModel::initialStates() const {
-  return {dtmc::State(variables().size(), 0)};
+  return {dtmc::State(layout_.numVars(), 0)};
 }
 
-void MimoDetectorModel::drawChannel(int block, double prob, dtmc::State& next,
+void MimoDetectorModel::drawChannel(int block, double prob, std::uint64_t key,
                                     dtmc::Successors& out) const {
-  const MimoParams& p = params();
-  if (block == p.numBlocks()) {
-    out.add(prob, next);
+  if (block == params().numBlocks()) {
+    out.add(prob, key);
     return;
   }
-  for (int hc = 0; hc < p.hLevels; ++hc) {
+  for (int hc = 0; hc < params().hLevels; ++hc) {
     const double cellProb = hCellProbs_[static_cast<std::size_t>(hc)];
     if (cellProb <= 0.0) continue;
-    next[idxH(block)] = hc;
-    drawChannel(block + 1, prob * cellProb, next, out);
+    layout_.setField(key, idxH(block), hc);
+    drawChannel(block + 1, prob * cellProb, key, out);
   }
 }
 
 void MimoDetectorModel::drawObservations(int block, double prob,
+                                         std::uint64_t key, int x,
                                          const Cells& h, Cells& y,
-                                         dtmc::State& next,
+                                         Cells& counts,
                                          dtmc::Successors& out) const {
   const MimoParams& p = params();
-  const int x = next[idxX()];
   if (block == p.numBlocks()) {
     // The ML decision is combinational: it sets the flag of every target.
     const auto blocks = static_cast<std::size_t>(p.numBlocks());
     const int detected =
-        detector_.detectQuantized({y.data(), blocks}, {h.data(), blocks});
-    next[idxFlag()] = (detected != x) ? 1 : 0;
-    out.add(prob, next);
+        byCounts_ ? detector_.detectCounts(
+                        {counts.data(),
+                         static_cast<std::size_t>(detector_.numCodes())})
+                  : detector_.detectQuantized({y.data(), blocks},
+                                              {h.data(), blocks});
+    layout_.setField(key, idxFlag(), detected != x ? 1 : 0);
+    out.add(prob, key);
     return;
   }
   const auto b = static_cast<std::size_t>(block);
@@ -151,45 +168,45 @@ void MimoDetectorModel::drawObservations(int block, double prob,
   for (int yc = 0; yc < p.yLevels; ++yc) {
     const double cellProb = dist[static_cast<std::size_t>(yc)];
     if (cellProb <= 0.0) continue;
-    next[idxY(block)] = yc;
+    layout_.setField(key, idxY(block), yc);
     y[b] = yc;
-    drawObservations(block + 1, prob * cellProb, h, y, next, out);
+    const auto code = static_cast<std::size_t>(h[b] * p.yLevels + yc);
+    if (byCounts_) ++counts[code];
+    drawObservations(block + 1, prob * cellProb, key, x, h, y, counts, out);
+    if (byCounts_) --counts[code];
   }
 }
 
 void MimoDetectorModel::transitions(const dtmc::State& s,
                                     dtmc::Successors& out) const {
   const MimoParams& p = params();
-  dtmc::State& next = out.scratch(s);
+  std::uint64_t key = layout_.pack(s);
   const int phase = s[idxPhase()];
 
   if (phase == 0) {
     // Draw x and all channel cells; observations reset to cell 0 until the
     // receive phase fills them in.
-    next[idxPhase()] = 1;
-    for (int b = 0; b < p.numBlocks(); ++b) next[idxY(b)] = 0;
+    layout_.setField(key, idxPhase(), 1);
+    for (int b = 0; b < p.numBlocks(); ++b) layout_.setField(key, idxY(b), 0);
     for (int x = 0; x < 2; ++x) {
-      next[idxX()] = x;
-      drawChannel(0, 0.5, next, out);
+      layout_.setField(key, idxX(), x);
+      drawChannel(0, 0.5, key, out);
     }
   } else if (phase == 1) {
     // Draw all observation cells conditioned on (h, x).
-    next[idxPhase()] = 2;
+    layout_.setField(key, idxPhase(), 2);
     Cells h{};
     Cells y{};
+    Cells counts{};
     for (int b = 0; b < p.numBlocks(); ++b) {
       h[static_cast<std::size_t>(b)] = s[idxH(b)];
     }
-    drawObservations(0, 1.0, h, y, next, out);
+    drawObservations(0, 1.0, key, s[idxX()], h, y, counts, out);
   } else {
     // Detect phase: registers reset, pipeline restarts; flag is sticky.
-    next[idxPhase()] = 0;
-    next[idxX()] = 0;
-    for (int b = 0; b < p.numBlocks(); ++b) {
-      next[idxH(b)] = 0;
-      next[idxY(b)] = 0;
-    }
-    out.add(1.0, next);
+    key = 0;  // every field at its lower bound, 0
+    layout_.setField(key, idxFlag(), s[idxFlag()]);
+    out.add(1.0, key);
   }
 }
 

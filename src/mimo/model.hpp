@@ -19,9 +19,12 @@
 // structure for lump::SymmetryReducedModel.
 //
 // transitions() allocates nothing per call: phases 0 and 1 enumerate their
-// cell products into the scratch state the dtmc::Successors sink lends and
-// add each leaf as it is reached. The receive phase keeps the h and y cells
-// in stack arrays and decides each leaf from MlDetector's residual table.
+// cell products as target keys, setting one field of the packed key per
+// cell, and add each leaf's key as it is reached. The receive phase keeps
+// the h and y cells in stack arrays and decides each leaf from MlDetector's
+// residual table: over the sorted block codes, or, when there are no more
+// codes than blocks (1x4: 4 codes, 8 blocks), from per-code block counts
+// kept as the cells are drawn — the same additions, so the same bits.
 #pragma once
 
 #include <array>
@@ -52,6 +55,12 @@ class MimoDetectorModel : public dtmc::Model {
   /// Hash of the class and every MimoParams field
   /// (dtmc::Model::fingerprint).
   [[nodiscard]] std::optional<std::uint64_t> fingerprint() const override;
+  /// Hash of the class and every MimoParams field but snrDb, which moves
+  /// only the observation probabilities
+  /// (dtmc::Model::structureFingerprint; a probability that reaches 0 at
+  /// high SNR drops a target, which the re-valuation detects).
+  [[nodiscard]] std::optional<std::uint64_t> structureFingerprint()
+      const override;
 
   [[nodiscard]] const MimoParams& params() const { return detector_.params(); }
   [[nodiscard]] const MlDetector& detector() const { return detector_; }
@@ -79,21 +88,27 @@ class MimoDetectorModel : public dtmc::Model {
                       [static_cast<std::size_t>(x)];
   }
 
-  /// Per-block cells of one state.
+  /// Per-block cells of one state (or, when byCounts_, blocks per block
+  /// code: there are then no more codes than blocks).
   using Cells = std::array<int, 2 * MlDetector::kMaxBlocks>;
 
   /// Phase 0: every channel-cell assignment of blocks [block, numBlocks),
-  /// written into `next` and added to `out` with probability `prob` times
-  /// the cells' probabilities.
-  void drawChannel(int block, double prob, dtmc::State& next,
+  /// set in `key` and added to `out` with probability `prob` times the
+  /// cells' probabilities.
+  void drawChannel(int block, double prob, std::uint64_t key,
                    dtmc::Successors& out) const;
   /// Phase 1: every observation-cell assignment of blocks
-  /// [block, numBlocks) given the channel cells `h` (`y` and `next` carry
-  /// the cells drawn so far); each leaf's flag is the ML decision's error.
-  void drawObservations(int block, double prob, const Cells& h, Cells& y,
-                        dtmc::State& next, dtmc::Successors& out) const;
+  /// [block, numBlocks) given data bit `x` and the channel cells `h` (`key`
+  /// and `y`, or `counts` when byCounts_, carry the cells drawn so far);
+  /// each leaf's flag is the ML decision's error.
+  void drawObservations(int block, double prob, std::uint64_t key, int x,
+                        const Cells& h, Cells& y, Cells& counts,
+                        dtmc::Successors& out) const;
 
   MlDetector detector_;
+  dtmc::VarLayout layout_;
+  /// Decide from per-code block counts (numCodes <= numBlocks).
+  bool byCounts_ = false;
   std::vector<double> hCellProbs_;
   /// yCellProbs_[hCell][x] = distribution over y cells.
   std::vector<std::array<std::vector<double>, 2>> yCellProbs_;

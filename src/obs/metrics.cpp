@@ -107,13 +107,6 @@ std::uint64_t MetricsSnapshot::counterValue(std::string_view name) const {
   return 0;
 }
 
-std::int64_t MetricsSnapshot::gaugeValue(std::string_view name) const {
-  for (const auto& [n, v] : gauges) {
-    if (n == name) return v;
-  }
-  return 0;
-}
-
 const HistogramSnapshot* MetricsSnapshot::histogram(
     std::string_view name) const {
   for (const auto& [n, v] : histograms) {

@@ -170,7 +170,6 @@ struct MetricsSnapshot {
 
   /// 0 / nullptr when the name was never registered.
   [[nodiscard]] std::uint64_t counterValue(std::string_view name) const;
-  [[nodiscard]] std::int64_t gaugeValue(std::string_view name) const;
   [[nodiscard]] const HistogramSnapshot* histogram(
       std::string_view name) const;
 };

@@ -19,7 +19,6 @@ namespace mimostat::pctl {
 
 enum class CmpOp { kEq, kNe, kLt, kLe, kGt, kGe };
 
-[[nodiscard]] const char* cmpOpName(CmpOp op);
 [[nodiscard]] bool evalCmp(CmpOp op, std::int64_t lhs, std::int64_t rhs);
 [[nodiscard]] bool evalCmp(CmpOp op, double lhs, double rhs);
 
@@ -95,10 +94,5 @@ struct Property {
   ProbQuery prob;
   RewardQuery reward;
 };
-
-/// Pretty-print back to PRISM-ish concrete syntax (tested for round trips).
-[[nodiscard]] std::string toString(const StateFormula& f);
-[[nodiscard]] std::string toString(const PathFormula& f);
-[[nodiscard]] std::string toString(const Property& p);
 
 }  // namespace mimostat::pctl

@@ -1,34 +1,9 @@
 #include "stats/estimator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
-#include "stats/gaussian.hpp"
-
 namespace mimostat::stats {
-
-BatchMeansEstimator::BatchMeansEstimator(std::uint64_t batchSize)
-    : batchSize_(batchSize) {
-  assert(batchSize >= 1);
-}
-
-void BatchMeansEstimator::add(double x) {
-  ++observations_;
-  batchSum_ += x;
-  if (++inBatch_ == batchSize_) {
-    batches_.add(batchSum_ / static_cast<double>(batchSize_));
-    inBatch_ = 0;
-    batchSum_ = 0.0;
-  }
-}
-
-Interval BatchMeansEstimator::interval(double confidence) const {
-  assert(batches_.count() >= 2);
-  const double z = normalInvCdf(0.5 + confidence / 2.0);
-  const double half = z * batches_.standardError();
-  return {batches_.mean() - half, batches_.mean() + half};
-}
 
 void RunningStats::add(double x) {
   if (count_ == 0) {

@@ -33,36 +33,6 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Batch-means estimator for *correlated* streams (e.g. the per-cycle
-/// error process of a decoder, which is a function of a Markov chain).
-/// The stream is cut into fixed-size batches; batch means are approximately
-/// independent once the batch length exceeds the mixing time, so a normal
-/// interval on the batch means has honest coverage where an iid Wilson
-/// interval would be too narrow.
-class BatchMeansEstimator {
- public:
-  explicit BatchMeansEstimator(std::uint64_t batchSize);
-
-  void add(double x);
-
-  [[nodiscard]] std::uint64_t observations() const { return observations_; }
-  [[nodiscard]] std::uint64_t completeBatches() const {
-    return batches_.count();
-  }
-  /// Mean over complete batches.
-  [[nodiscard]] double mean() const { return batches_.mean(); }
-  /// Normal-approximation interval on the batch means. Requires at least
-  /// two complete batches.
-  [[nodiscard]] Interval interval(double confidence) const;
-
- private:
-  std::uint64_t batchSize_;
-  std::uint64_t inBatch_ = 0;
-  double batchSum_ = 0.0;
-  std::uint64_t observations_ = 0;
-  RunningStats batches_;
-};
-
 /// Bernoulli (bit-error) counter with interval accessors.
 class BernoulliEstimator {
  public:
@@ -84,9 +54,6 @@ class BernoulliEstimator {
   }
   [[nodiscard]] Interval clopperPearson(double confidence) const {
     return clopperPearsonInterval(successes_, trials_, confidence);
-  }
-  [[nodiscard]] Interval hoeffding(double confidence) const {
-    return hoeffdingInterval(successes_, trials_, confidence);
   }
 
   /// Merge another counter (exact: order-independent sums).

@@ -116,14 +116,4 @@ Interval clopperPearsonInterval(std::uint64_t successes, std::uint64_t trials,
   return result;
 }
 
-Interval hoeffdingInterval(std::uint64_t successes, std::uint64_t trials,
-                           double confidence) {
-  assert(trials > 0);
-  const double p = static_cast<double>(successes) / static_cast<double>(trials);
-  const double alpha = 1.0 - confidence;
-  const double half =
-      std::sqrt(std::log(2.0 / alpha) / (2.0 * static_cast<double>(trials)));
-  return {std::max(0.0, p - half), std::min(1.0, p + half)};
-}
-
 }  // namespace mimostat::stats

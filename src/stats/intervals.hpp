@@ -29,11 +29,6 @@ struct Interval {
                                               std::uint64_t trials,
                                               double confidence);
 
-/// Two-sided Hoeffding bound: |p̂ - p| <= sqrt(ln(2/alpha)/(2N)).
-[[nodiscard]] Interval hoeffdingInterval(std::uint64_t successes,
-                                         std::uint64_t trials,
-                                         double confidence);
-
 /// Regularized incomplete beta function I_x(a, b) (continued fraction,
 /// Numerical-Recipes style). Exposed for tests.
 [[nodiscard]] double regularizedIncompleteBeta(double a, double b, double x);

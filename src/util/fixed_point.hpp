@@ -5,7 +5,6 @@
 // bit-accurate decoder and the DTMC models share identical arithmetic.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 
@@ -19,13 +18,6 @@ namespace mimostat::util {
   return static_cast<std::int32_t>(v);
 }
 
-/// Saturating add on [0, cap] — the path-metric accumulator idiom.
-[[nodiscard]] constexpr std::int32_t satAdd(std::int32_t a, std::int32_t b,
-                                            std::int32_t cap) {
-  const std::int64_t sum = static_cast<std::int64_t>(a) + b;
-  return clampI32(sum, 0, cap);
-}
-
 /// Round-to-nearest quantization of a real magnitude onto [0, cap]
 /// (used for branch metrics: |sample - expected| -> small integer).
 [[nodiscard]] inline std::int32_t quantizeMagnitude(double magnitude,
@@ -35,23 +27,5 @@ namespace mimostat::util {
   const auto rounded = static_cast<std::int64_t>(std::llround(scaled));
   return clampI32(rounded, 0, cap);
 }
-
-/// Unsigned fixed-point value with explicit width, saturating on overflow.
-/// Mirrors a Verilog reg [width-1:0] with saturating assignment.
-class SatCounter {
- public:
-  constexpr SatCounter(std::int32_t value, std::int32_t cap)
-      : value_(std::min(value, cap)), cap_(cap) {}
-
-  constexpr void add(std::int32_t delta) { value_ = satAdd(value_, delta, cap_); }
-  constexpr void reset() { value_ = 0; }
-  [[nodiscard]] constexpr std::int32_t value() const { return value_; }
-  [[nodiscard]] constexpr std::int32_t cap() const { return cap_; }
-  [[nodiscard]] constexpr bool saturated() const { return value_ == cap_; }
-
- private:
-  std::int32_t value_;
-  std::int32_t cap_;
-};
 
 }  // namespace mimostat::util

@@ -5,7 +5,6 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace mimostat::util {
 
@@ -48,13 +47,5 @@ namespace mimostat::util {
                                                         double value) {
   return hashCombine(hash, mix64(std::bit_cast<std::uint64_t>(value)));
 }
-
-/// Hash functor for std::vector<int32_t> (the DTMC state type).
-struct VecI32Hash {
-  std::size_t operator()(const std::vector<std::int32_t>& v) const {
-    return static_cast<std::size_t>(
-        fnv1a(v.data(), v.size() * sizeof(std::int32_t)));
-  }
-};
 
 }  // namespace mimostat::util

@@ -6,7 +6,6 @@
 #include "comm/quantizer.hpp"
 #include "comm/rayleigh.hpp"
 #include "comm/snr.hpp"
-#include "stats/estimator.hpp"
 #include "util/rng.hpp"
 
 namespace mimostat {
@@ -152,16 +151,6 @@ TEST(Rayleigh, CellProbabilitiesSumToOneAndSymmetric) {
   EXPECT_NEAR(total, 1.0, 1e-12);
   EXPECT_NEAR(probs[0], probs[4], 1e-12);  // zero-mean symmetry
   EXPECT_NEAR(probs[1], probs[3], 1e-12);
-}
-
-TEST(Rayleigh, SampleMomentsMatchHalfUnitVariance) {
-  const comm::UniformQuantizer q(3, 1.5);
-  const comm::RayleighFading fading(q);
-  util::Xoshiro256 rng(17);
-  stats::RunningStats rs;
-  for (int i = 0; i < 200000; ++i) rs.add(fading.sampleAnalog(rng));
-  EXPECT_NEAR(rs.mean(), 0.0, 0.01);
-  EXPECT_NEAR(rs.variance(), 0.5, 0.01);
 }
 
 TEST(Bpsk, Mapping) {

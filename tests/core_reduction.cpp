@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "util/hash.hpp"
+#include "test_models.hpp"
 
 namespace mimostat::core {
 
@@ -31,7 +31,7 @@ ReductionVerdict verifyReduction(const dtmc::Model& fullModel,
 
   if (abstraction) {
     // Partition of the full state space induced by F_abs.
-    std::unordered_map<dtmc::State, std::uint32_t, util::VecI32Hash> blockIds;
+    std::unordered_map<dtmc::State, std::uint32_t, test::StateHash> blockIds;
     // lint:allow(reduction-boundary: builds the partition handed to lump::)
     std::vector<std::uint32_t> blockOf(full.dtmc.numStates());
     for (std::uint32_t s = 0; s < full.dtmc.numStates(); ++s) {

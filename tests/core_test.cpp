@@ -9,6 +9,7 @@
 #include "core/report.hpp"
 #include "engine/engine.hpp"
 #include "stats/estimator.hpp"
+#include "stats_extra.hpp"
 #include "test_models.hpp"
 #include "util/rng.hpp"
 #include "viterbi/decoder.hpp"
@@ -27,13 +28,6 @@ TEST(Metrics, PropertyStrings) {
             "P=? [ F<=300 errs>1 ]");
   EXPECT_EQ(core::metricProperty(core::MetricKind::kConvergence, 100),
             "R=? [ I=100 ]");
-}
-
-TEST(Metrics, Names) {
-  EXPECT_STREQ(core::metricName(core::MetricKind::kBestCase),
-               "P1 (best case)");
-  EXPECT_STREQ(core::metricName(core::MetricKind::kWorstCase),
-               "P3 (worst case)");
 }
 
 TEST(Analyzer, CrossCheckAgainstSimulation) {

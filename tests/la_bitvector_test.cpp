@@ -116,9 +116,6 @@ TEST(BitVector, SetAllClearAll) {
   EXPECT_EQ(v.count(), 65u);
   ASSERT_EQ(v.numWords(), 2u);
   EXPECT_EQ(v.words()[1], 1u);  // tail invariant after setAll
-  v.clearAll();
-  EXPECT_TRUE(v.empty());
-  EXPECT_EQ(v.words()[0], 0u);
 }
 
 TEST(BitVector, EqualityIsSizeAndBits) {

@@ -17,7 +17,7 @@
 
 #include "dtmc/builder.hpp"
 #include "legacy_loops.hpp"
-#include "util/hash.hpp"
+#include "test_models.hpp"
 
 namespace mimostat::test {
 
@@ -25,7 +25,7 @@ inline dtmc::BuildResult legacyBuildExplicit(
     const dtmc::Model& model, const dtmc::BuildOptions& options = {}) {
   using dtmc::State;
   const dtmc::VarLayout layout = model.layout();
-  std::unordered_map<State, std::uint32_t, util::VecI32Hash> index;
+  std::unordered_map<State, std::uint32_t, StateHash> index;
   std::vector<State> states;
   std::vector<std::vector<Transition>> rows;
 

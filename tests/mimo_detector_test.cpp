@@ -14,6 +14,20 @@
 namespace mimostat {
 namespace {
 
+/// The 2x2 system of paper Eq. 14-15 (two BPSK transmit streams), which the
+/// detector and the simulator support and the DTMC model does not.
+mimo::MimoParams mimo2x2Params() {
+  mimo::MimoParams p;
+  p.nr = 2;
+  p.nt = 2;
+  p.snrDb = 10.0;
+  p.hLevels = 3;
+  p.hRange = 1.5;
+  p.yLevels = 6;
+  p.yRange = 3.0;
+  return p;
+}
+
 TEST(Detector, ParamsHelpers) {
   const auto p2 = mimo::mimo1x2Params();
   EXPECT_EQ(p2.nr, 2);
@@ -113,7 +127,7 @@ TEST(DetectorSim, MoreAntennasFewerErrors) {
 }
 
 TEST(Detector2x2, ParamsAndShapes) {
-  const auto p = mimo::mimo2x2Params();
+  const auto p = mimo2x2Params();
   EXPECT_EQ(p.nt, 2);
   EXPECT_EQ(p.numBlocks(), 4);        // 2*Nr real dimensions
   EXPECT_EQ(p.numChannelParts(), 8);  // nt coefficients per block
@@ -123,7 +137,7 @@ TEST(Detector2x2, ParamsAndShapes) {
 TEST(Detector2x2, AnalogMatchesBruteForce) {
   // Paper Eq. 14/15: argmin over the four (s1, s2) hypotheses of the sum
   // of per-dimension L1 residuals.
-  const mimo::MlDetector detector(mimo::mimo2x2Params());
+  const mimo::MlDetector detector(mimo2x2Params());
   util::Xoshiro256 rng(19);
   for (int trial = 0; trial < 1000; ++trial) {
     std::vector<double> y(4);
@@ -148,7 +162,7 @@ TEST(Detector2x2, AnalogMatchesBruteForce) {
 }
 
 TEST(Detector2x2, NoiselessDecodesBothStreams) {
-  const mimo::MlDetector detector(mimo::mimo2x2Params());
+  const mimo::MlDetector detector(mimo2x2Params());
   util::Xoshiro256 rng(23);
   int checked = 0;
   for (int trial = 0; trial < 500; ++trial) {
@@ -180,7 +194,7 @@ TEST(Detector2x2, NoiselessDecodesBothStreams) {
 TEST(Detector2x2, QuantizedSimBerIsReasonable) {
   // The 2x2 quantized datapath at 10 dB: BER well below coin flip, above
   // the 1-stream 1x2 detector at comparable SNR (spatial interference).
-  const auto ber2x2 = mimo::simulateQuantized(mimo::mimo2x2Params(), 200000, 31);
+  const auto ber2x2 = mimo::simulateQuantized(mimo2x2Params(), 200000, 31);
   EXPECT_LT(ber2x2.bitErrors.estimate(), 0.3);
   EXPECT_GT(ber2x2.bitErrors.estimate(), 1e-4);
   EXPECT_EQ(ber2x2.bitErrors.trials(), 400000u);  // two bits per trial
@@ -189,7 +203,7 @@ TEST(Detector2x2, QuantizedSimBerIsReasonable) {
 TEST(Detector2x2, QuantizedPermutationInvariant) {
   // Swapping two metric blocks (y_b together with its nt coefficients)
   // must never change the quantized decision.
-  const mimo::MlDetector detector(mimo::mimo2x2Params());
+  const mimo::MlDetector detector(mimo2x2Params());
   util::Xoshiro256 rng(37);
   for (int trial = 0; trial < 2000; ++trial) {
     std::vector<int> yCells(4);
@@ -222,7 +236,7 @@ TEST(Detector, RejectsParametersItsArraysCannotHold) {
   EXPECT_NO_THROW(mimo::MlDetector{p});
   EXPECT_NO_THROW(mimo::MlDetector{mimo::mimo1x2Params()});
   EXPECT_NO_THROW(mimo::MlDetector{mimo::mimo1x4Params()});
-  EXPECT_NO_THROW(mimo::MlDetector{mimo::mimo2x2Params()});
+  EXPECT_NO_THROW(mimo::MlDetector{mimo2x2Params()});
 }
 
 /// The best metric is shared by two hypotheses: the decision is a tie.

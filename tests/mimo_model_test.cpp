@@ -27,8 +27,9 @@ mimo::MimoParams tinyParams() {
 TEST(MimoModel, RejectsParametersItCannotModel) {
   // Nt = 2 would read numChannelParts() = 2 * numBlocks() h cells from
   // rows that hold numBlocks() of them.
-  EXPECT_THROW(mimo::MimoDetectorModel{mimo::mimo2x2Params()},
-               std::invalid_argument);
+  mimo::MimoParams twoStreams = mimo::mimo1x2Params();  // the 2x2 system
+  twoStreams.nt = 2;
+  EXPECT_THROW(mimo::MimoDetectorModel{twoStreams}, std::invalid_argument);
   mimo::MimoParams wide = tinyParams();
   wide.nr = mimo::MlDetector::kMaxBlocks + 1;  // the detector's bound
   EXPECT_THROW(mimo::MimoDetectorModel{wide}, std::invalid_argument);

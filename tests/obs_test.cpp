@@ -146,7 +146,8 @@ void hammerRegistry(obs::MetricsRegistry& registry, std::size_t threads) {
 
   const obs::MetricsSnapshot snap = registry.snapshot();
   EXPECT_EQ(snap.counterValue("test.events"), kTasks * kPerTask);
-  EXPECT_EQ(snap.gaugeValue("test.level"), 0);
+  ASSERT_EQ(snap.gauges.size(), 1u);
+  EXPECT_EQ(snap.gauges[0].second, 0);  // "test.level"
   const obs::HistogramSnapshot* values = snap.histogram("test.values");
   ASSERT_NE(values, nullptr);
   EXPECT_EQ(values->count, kTasks * kPerTask);

@@ -2,6 +2,7 @@
 
 #include "pctl/ast.hpp"
 #include "pctl/parser.hpp"
+#include "pctl_print.hpp"
 
 namespace mimostat {
 namespace {

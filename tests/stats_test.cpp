@@ -6,6 +6,7 @@
 #include "stats/gaussian.hpp"
 #include "stats/intervals.hpp"
 #include "stats/sprt.hpp"
+#include "stats_extra.hpp"
 #include "util/rng.hpp"
 
 namespace mimostat {
@@ -187,7 +188,8 @@ TEST(Bernoulli, EstimateAndIntervals) {
   EXPECT_EQ(est.successes(), 25u);
   EXPECT_NEAR(est.estimate(), 0.25, 1e-15);
   EXPECT_TRUE(est.wilson(0.95).contains(0.25));
-  EXPECT_TRUE(est.hoeffding(0.95).contains(0.25));
+  EXPECT_TRUE(stats::hoeffdingInterval(est.successes(), est.trials(), 0.95)
+                  .contains(0.25));
 }
 
 TEST(Sprt, AcceptsH1OnHighRate) {

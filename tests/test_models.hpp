@@ -16,9 +16,18 @@
 #include "dtmc/explicit_dtmc.hpp"
 #include "dtmc/model.hpp"
 #include "la/bit_vector.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace mimostat::test {
+
+/// Hash functor for State vectors (the legacy oracles' state indexes).
+struct StateHash {
+  std::size_t operator()(const dtmc::State& s) const {
+    return static_cast<std::size_t>(
+        util::fnv1a(s.data(), s.size() * sizeof(std::int32_t)));
+  }
+};
 
 /// The two state tables hold the same states at every index (either table
 /// may be packed).

@@ -96,30 +96,12 @@ TEST(FixedPoint, ClampI32) {
   EXPECT_EQ(util::clampI32(1LL << 40, 0, 10), 10);
 }
 
-TEST(FixedPoint, SatAdd) {
-  EXPECT_EQ(util::satAdd(3, 4, 10), 7);
-  EXPECT_EQ(util::satAdd(8, 4, 10), 10);
-  EXPECT_EQ(util::satAdd(0, -5, 10), 0);
-}
-
 TEST(FixedPoint, QuantizeMagnitude) {
   EXPECT_EQ(util::quantizeMagnitude(0.25, 1.0, 3), 0);
   EXPECT_EQ(util::quantizeMagnitude(1.4, 1.0, 3), 1);
   EXPECT_EQ(util::quantizeMagnitude(2.6, 1.0, 3), 3);
   EXPECT_EQ(util::quantizeMagnitude(9.0, 1.0, 3), 3);
   EXPECT_EQ(util::quantizeMagnitude(1.0, 2.0, 10), 2);
-}
-
-TEST(FixedPoint, SatCounter) {
-  util::SatCounter c(0, 3);
-  c.add(2);
-  EXPECT_EQ(c.value(), 2);
-  EXPECT_FALSE(c.saturated());
-  c.add(5);
-  EXPECT_EQ(c.value(), 3);
-  EXPECT_TRUE(c.saturated());
-  c.reset();
-  EXPECT_EQ(c.value(), 0);
 }
 
 TEST(Timer, MeasuresElapsedTime) {
