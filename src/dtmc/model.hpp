@@ -12,14 +12,15 @@
 //
 // Concurrency contract: every method may be called concurrently, from any
 // thread, and must not mutate shared state. The engine computes a cold
-// request's exploration rows on its pool (dtmc::explore with a runner) and
-// smc:: draws paths there, so transitions() runs on several threads at
-// once. Every in-repo model is immutable after construction. Per-call
-// scratch comes from the caller: transitions() writes into a
-// dtmc::Successors sink that its caller owns (one per explore chunk, one
-// per path sampler) and edits the scratch State that sink lends, so a model
-// needs neither per-call heap state nor per-thread state (the lint rule
-// hidden-thread-state keeps `thread_local` out of src/ outside obs::).
+// request's exploration rows on its pool (dtmc::explore or dtmc::revalue
+// with a runner) and smc:: draws paths there, so transitions() runs on
+// several threads at once. Every in-repo model is immutable after
+// construction. Per-call scratch comes from the caller: transitions()
+// writes into a dtmc::Successors sink that its caller owns (one per explore
+// chunk, one per path sampler) and edits the scratch State that sink
+// lends, so a model needs neither per-call heap state nor per-thread state
+// (the lint rule hidden-thread-state keeps `thread_local` out of src/
+// outside obs::).
 #pragma once
 
 #include <concepts>

@@ -182,8 +182,8 @@ class AnalysisEngine {
   /// Build (or fetch from cache) the explicit DTMC for a model. Concurrent
   /// calls for the same key share one build. A model whose fingerprint
   /// names a resident entry is served from it; otherwise the model is
-  /// explored once for its cache key, and a miss builds from that same
-  /// exploration.
+  /// explored once for its cache key (or re-valued on a retained skeleton,
+  /// see "Model cache"), and a miss builds from that same exploration.
   /// When `cacheHit` is non-null it is set to whether the entry was served
   /// from cache (joining an in-flight build counts as a hit).
   [[nodiscard]] std::shared_ptr<const BuiltModel> ensureBuilt(

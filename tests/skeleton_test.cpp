@@ -304,6 +304,21 @@ TEST(Skeleton, WrongStructureClaimFallsBackAndReplacesTheSkeleton) {
   send(LyingModel(false, 0.75));  // the old skeleton is gone
   EXPECT_EQ(counter("engine.skeleton_fallbacks"), 2u);
   EXPECT_EQ(engine.stats().builds, 5u);
+
+  // ensureBuilt re-values too, into the DTMC a fresh build assembles.
+  const LyingModel next(false, 0.125);
+  bool hit = true;
+  const auto built = engine.ensureBuilt(next, {}, &hit);
+  EXPECT_FALSE(hit);
+  EXPECT_EQ(counter("engine.skeleton_hits"), 3u);
+  const dtmc::BuildResult fresh = dtmc::buildExplicit(next);
+  EXPECT_EQ(built->dtmc.rowPtr(), fresh.dtmc.rowPtr());
+  EXPECT_EQ(built->dtmc.col(), fresh.dtmc.col());
+  EXPECT_TRUE(bitEqual(built->dtmc.val(), fresh.dtmc.val()));
+  EXPECT_TRUE(bitEqual(built->dtmc.initialDistribution(),
+                       fresh.dtmc.initialDistribution()));
+  EXPECT_TRUE(test::sameStateTables(built->dtmc, fresh.dtmc));
+  EXPECT_EQ(built->reachabilityIterations, fresh.reachabilityIterations);
 }
 
 /// Cold MIMO designs (each SNR new, so every request misses the model and
